@@ -33,15 +33,10 @@ class CapacityError(ModelError):
 
 @dataclass(frozen=True)
 class SupportPoint:
-    """One atom of the support.
-
-    ``stats`` caches statistic values by statistic name; it is a memo only
-    and takes no part in equality or hashing.
-    """
+    """One atom of the support."""
 
     index: int
     label: str
-    stats: dict[str, Fraction] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

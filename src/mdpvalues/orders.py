@@ -1,4 +1,4 @@
-"""Exact verification of the ordering claims C1-C9.
+"""Exact verification of the ordering claims C1-C9 from one class table per source.
 
 Universally quantified claims ("for all alpha", "for all t") are discharged
 on finite grids: every asserted quantity is piecewise linear in the grid
@@ -7,6 +7,23 @@ points), so checking kinks plus midpoints is equivalent to checking
 everywhere.  All comparisons are exact rational identities or inequalities;
 each claim returns an OrderReport carrying the grid, a signed worst margin
 (pass iff >= 0) and a witness on failure.
+
+The engine sorts the support into tie classes once per source, the
+statistic and the ranking (``testing.class_table``), and answers every
+claim from prefix sums over those two tables with one bisect per grid
+point, instead of rebuilding a size-alpha test at each alpha:
+
+  - the size-alpha test at alpha is a bisect on the class starts, so the
+    power behind C6 is prefix_theta[k] + gamma * mass_theta[k];
+  - the randomized null CDF of C5 at t is the same lookup, because the
+    classes tile [0, 1] and only the class containing t is partly below t;
+  - C8 is decided per threshold class: the largest rank before it and the
+    smallest rank after it give the sure-reject and sure-retain margins,
+    and a rank-ordered null-mass prefix inside it gives the tie average;
+  - the integrated CDFs of C9 are prefixes of cum * width on StepCDF.
+
+A failing claim names its witness by re-running the single-alpha check at
+the failing grid point only.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha
@@ -24,10 +41,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic, verify_agreement
@@ -35,15 +55,17 @@ from .rational import decimal_string, format_rational
 from .testing import (
     MD,
     T_BASED,
+    ClassTable,
     PValueFamily,
     TestFunction,
     _as_unit,
     alpha_breakpoints,
-    pvalue_family,
-    size_alpha_test,
+    class_table,
 )
 
 CLAIM_IDS = tuple(f"C{i}" for i in range(1, 10))
+
+HALF = Fraction(1, 2)
 
 
 class OrdersError(ValueError):
@@ -87,6 +109,19 @@ class StepCDF:
         i = bisect_right(self.jumps, tt)
         return Fraction(0) if i == 0 else self.cum[i - 1]
 
+    @cached_property
+    def _areas(self) -> tuple[Fraction, ...]:
+        """Entry i is the integral of F over [0, jumps[i]]: a running sum of cum * width."""
+        widths = (right - left for left, right in zip(self.jumps, self.jumps[1:]))
+        return tuple(accumulate((c * w for c, w in zip(self.cum, widths)), initial=Fraction(0)))
+
+    def integral(self, s: Fraction) -> Fraction:
+        """Exact integral of F over [0, s] for s in [0, 1]: one bisect into the prefix."""
+        i = bisect_left(self.jumps, s)
+        if i == 0:
+            return Fraction(0)
+        return self._areas[i - 1] + self.cum[i - 1] * (s - self.jumps[i - 1])
+
     def plateau_heights_inside(self) -> list[Fraction]:
         """Plateau heights c with jump_i < c < jump_{i+1} (or < 1 after the last).
 
@@ -129,14 +164,7 @@ def randomized_pvalue_cdf_at(
 
 def integrated_cdf(cdf: StepCDF, s: object) -> Fraction:
     """Exact integral of F over [0, s]: a sum of rectangles between jumps."""
-    ss = _as_unit(s, "s")
-    total = Fraction(0)
-    for i, location in enumerate(cdf.jumps):
-        if location >= ss:
-            break
-        right = cdf.jumps[i + 1] if i + 1 < len(cdf.jumps) else Fraction(1)
-        total += cdf.cum[i] * (min(right, ss) - location)
-    return total
+    return cdf.integral(_as_unit(s, "s"))
 
 
 def uniform_integrated(s: object) -> Fraction:
@@ -172,10 +200,22 @@ class OrderReport:
         }
 
 
-def _verdict(margin: Fraction, witness: str | None) -> tuple[str, str | None]:
+def _format(template: str, *args: object) -> str:
+    return template.format(*args)
+
+
+def _claim(
+    claim: str,
+    grid: tuple[Fraction, ...],
+    margins: Iterable[tuple[Fraction, tuple]],
+    witness: Callable[..., str],
+    note: str | None = None,
+) -> OrderReport:
+    """Report the first worst (margin, where) pair; a failure is named by ``witness(*where)``."""
+    margin, where = min(margins, key=itemgetter(0))
     if margin >= 0:
-        return "pass", None
-    return "fail", witness
+        return OrderReport(claim, "pass", grid, margin, None, note)
+    return OrderReport(claim, "fail", grid, margin, witness(*where), note)
 
 
 def check_usual_order(
@@ -199,16 +239,12 @@ def check_usual_order(
         grid_set |= set(cdf_b.jumps)
     grid = tuple(sorted(grid_set))
     sign = 1 if relation == "le" else -1
-    worst = None
-    witness = None
+    margins = []
     for t in grid:
         bound = cdf_b.evaluate(t) if cdf_b is not None else t
-        margin = sign * (bound - cdf_a.evaluate(t))
-        if worst is None or margin < worst:
-            worst = margin
-            witness = f"F_{labels[0]}({t}) = {cdf_a.evaluate(t)} vs {labels[1]} bound {bound}"
-    verdict, wit = _verdict(worst, witness)
-    return OrderReport(claim, verdict, grid, worst, wit)
+        value = cdf_a.evaluate(t)
+        margins.append((sign * (bound - value), (labels[0], t, value, labels[1], bound)))
+    return _claim(claim, grid, margins, "F_{}({}) = {} vs {} bound {}".format)
 
 
 def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
@@ -217,33 +253,30 @@ def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fra
     return family.b[i] ** 2 / 12
 
 
-def _mid_mean(model: DiscreteModel, family: PValueFamily) -> Fraction:
-    row = model.probs(model.null)
-    return sum((row[i] * family.mid(i) for i in range(model.size)), Fraction(0))
+def _mid_pvalue_cdf(table: ClassTable) -> StepCDF:
+    """Null CDF of the mid-p-value: class k sits at start + mass/2, strictly increasing in k."""
+    mids = tuple(start + mass / 2 for start, mass in zip(table.starts, table.mass))
+    return StepCDF(mids, tuple(accumulate(table.mass)))
 
 
-def _hinge_expectation(model: DiscreteModel, family: PValueFamily, c: Fraction) -> Fraction:
-    row = model.probs(model.null)
-    return sum(
-        (row[i] * max(family.mid(i) - c, Fraction(0)) for i in range(model.size)), Fraction(0)
-    )
-
-
-def _square_expectation(model: DiscreteModel, family: PValueFamily) -> Fraction:
-    row = model.probs(model.null)
-    return sum((row[i] * family.mid(i) ** 2 for i in range(model.size)), Fraction(0))
-
-
-def _log_probe(model: DiscreteModel, family: PValueFamily, eps: float = 1e-12) -> float:
-    row = model.probs(model.null)
-    return sum(
-        float(row[i]) * (-2.0 * math.log(max(float(family.mid(i)), eps)))
-        for i in range(model.size)
-    )
+def _log_probe(table: ClassTable, mid_cdf: StepCDF, eps: float = 1e-12) -> float:
+    """E0[-2 log P_mid] in floats, summed point by point in support order."""
+    log_mid = [-2.0 * math.log(max(float(mid), eps)) for mid in mid_cdf.jumps]
+    class_of = [0] * table.model.size
+    for k, members in enumerate(table.members):
+        for i in members:
+            class_of[i] = k
+    row = table.model.probs(table.model.null)
+    return sum(float(p) * log_mid[k] for p, k in zip(row, class_of))
 
 
 def check_convex_order_chain(
-    model: DiscreteModel, statistic: Statistic, ranking: Ranking, *, claim: str = "C9"
+    model: DiscreteModel,
+    statistic: Statistic,
+    ranking: Ranking,
+    *,
+    claim: str = "C9",
+    tables: tuple[ClassTable, ClassTable] | None = None,
 ) -> OrderReport:
     """Convex-order chain of mid-p-values under the null.
 
@@ -254,55 +287,58 @@ def check_convex_order_chain(
         int_0^s F_T-mid  <=  int_0^s F_MD-mid  <=  s^2 / 2.
 
     Probe convex functions (hinges over a c-grid, square, clipped -2*log)
-    are advisory diagnostics recorded in the note.
+    are advisory diagnostics recorded in the note.  ``tables`` passes the
+    class tables of an agreeing pair that the caller has already built
+    and checked.
     """
-    ok, witness = verify_agreement(model, statistic, ranking)
-    if not ok:
-        raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
-    t_family = pvalue_family(model, statistic)
-    md_family = pvalue_family(model, ranking)
-    null = model.null
-    cdf_t = pvalue_cdf(model, null, t_family, Fraction(1, 2))
-    cdf_md = pvalue_cdf(model, null, md_family, Fraction(1, 2))
+    if tables is None:
+        ok, witness = verify_agreement(model, statistic, ranking)
+        if not ok:
+            raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
+        tables = (class_table(model, statistic), class_table(model, ranking))
+    t_table, md_table = tables
+    cdf_t, cdf_md = _mid_pvalue_cdf(t_table), _mid_pvalue_cdf(md_table)
 
-    margins: list[tuple[Fraction, str]] = []
-    mean_t = _mid_mean(model, t_family)
-    mean_md = _mid_mean(model, md_family)
-    margins.append((-abs(mean_t - Fraction(1, 2)), f"mean of T mid-p is {mean_t}"))
-    margins.append((-abs(mean_md - Fraction(1, 2)), f"mean of MD mid-p is {mean_md}"))
+    def expect(fn: Callable[[Fraction], Fraction]) -> tuple[Fraction, Fraction]:
+        """E0[fn(P_mid)] for T and MD: null mass times fn at each class's mid-p-value."""
+        return tuple(
+            sum((m * fn(mid) for m, mid in zip(table.mass, cdf.jumps)), Fraction(0))
+            for table, cdf in ((t_table, cdf_t), (md_table, cdf_md))
+        )
+
+    margins: list[tuple[Fraction, tuple]] = []
+    mean_t, mean_md = expect(lambda p: p)
+    margins.append((-abs(mean_t - HALF), ("mean of T mid-p is {}", mean_t)))
+    margins.append((-abs(mean_md - HALF), ("mean of MD mid-p is {}", mean_md)))
 
     grid_set = set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}
     grid_set.update(cdf_t.plateau_heights_inside())
     grid_set.update(cdf_md.plateau_heights_inside())
     grid = tuple(sorted(grid_set))
     for s in grid:
-        lower = integrated_cdf(cdf_t, s)
-        middle = integrated_cdf(cdf_md, s)
-        upper = uniform_integrated(s)
-        margins.append((middle - lower, f"integrated CDFs at s={s}: T {lower} vs MD {middle}"))
-        margins.append((upper - middle, f"integrated CDFs at s={s}: MD {middle} vs uniform {upper}"))
+        lower = cdf_t.integral(s)
+        middle = cdf_md.integral(s)
+        upper = s * s / 2
+        margins.append((middle - lower, ("integrated CDFs at s={}: T {} vs MD {}", s, lower, middle)))
+        margins.append((upper - middle, ("integrated CDFs at s={}: MD {} vs uniform {}", s, middle, upper)))
 
     for c in [Fraction(k, 8) for k in range(8)]:
-        e_t = _hinge_expectation(model, t_family, c)
-        e_md = _hinge_expectation(model, md_family, c)
+        e_t, e_md = expect(lambda p: max(p - c, Fraction(0)))
         e_u = (1 - c) ** 2 / 2
-        margins.append((e_md - e_t, f"hinge probe c={c}: T {e_t} vs MD {e_md}"))
-        margins.append((e_u - e_md, f"hinge probe c={c}: MD {e_md} vs uniform {e_u}"))
-    sq_t, sq_md = _square_expectation(model, t_family), _square_expectation(model, md_family)
-    margins.append((sq_md - sq_t, f"square probe: T {sq_t} vs MD {sq_md}"))
-    margins.append((Fraction(1, 3) - sq_md, f"square probe: MD {sq_md} vs uniform 1/3"))
+        margins.append((e_md - e_t, ("hinge probe c={}: T {} vs MD {}", c, e_t, e_md)))
+        margins.append((e_u - e_md, ("hinge probe c={}: MD {} vs uniform {}", c, e_md, e_u)))
+    sq_t, sq_md = expect(lambda p: p * p)
+    margins.append((sq_md - sq_t, ("square probe: T {} vs MD {}", sq_t, sq_md)))
+    margins.append((Fraction(1, 3) - sq_md, ("square probe: MD {} vs uniform 1/3", sq_md)))
 
-    log_t, log_md = _log_probe(model, t_family), _log_probe(model, md_family)
+    log_t, log_md = _log_probe(t_table, cdf_t), _log_probe(md_table, cdf_md)
     log_ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
     note = (
         f"means ({mean_t}, {mean_md}); "
         f"log probe E0[-2 log P]: T {log_t:.9f}, MD {log_md:.9f}, uniform 2.0 "
         f"({'ordered' if log_ordered else 'NOT ordered (advisory only)'})"
     )
-
-    worst, witness_text = min(margins, key=lambda mw: mw[0])
-    verdict, wit = _verdict(worst, witness_text)
-    return OrderReport(claim, verdict, grid, worst, wit, note)
+    return _claim(claim, grid, margins, _format, note)
 
 
 def check_martingale_projection(
@@ -326,36 +362,70 @@ def check_martingale_projection(
         raise OrdersError("tests must be built at the same alpha")
     if alpha is not None and _as_unit(alpha, "alpha") != t_test.alpha:
         raise OrdersError("alpha argument disagrees with the tests")
-    alpha_f = t_test.alpha
+    grid = (t_test.alpha,)
     row = model.probs(model.null)
-    margins: list[tuple[Fraction, str]] = []
-    notes = []
+    margins: list[tuple[Fraction, tuple]] = []
     tie_mass = Fraction(0)
     tie_value = Fraction(0)
-    tie_seen = False
     for pt in model.support:
         zone = t_test.zone(pt)
         phi_md = md_test.phi(pt)
         if zone > 0:
-            margins.append((-abs(phi_md - 1), f"phi_MD({pt.label}) = {phi_md} on the sure-rejection class"))
+            margins.append((-abs(phi_md - 1), ("phi_MD({}) = {} on the sure-rejection class", pt.label, phi_md)))
         elif zone < 0:
-            margins.append((-abs(phi_md), f"phi_MD({pt.label}) = {phi_md} on the sure-retention class"))
+            margins.append((-abs(phi_md), ("phi_MD({}) = {} on the sure-retention class", pt.label, phi_md)))
         else:
-            tie_seen = True
             tie_mass += row[pt.index]
             tie_value += row[pt.index] * phi_md
-    if tie_seen and tie_mass > 0:
+    note = None
+    if tie_mass > 0:
         average = tie_value / tie_mass
         margins.append(
-            (-abs(average - t_test.gamma), f"threshold class average {average} vs gamma {t_test.gamma}")
+            (-abs(average - t_test.gamma), ("threshold class average {} vs gamma {}", average, t_test.gamma))
         )
     else:
-        notes.append("threshold class carries no null mass; projection on it skipped")
+        note = "threshold class carries no null mass; projection on it skipped"
     if not margins:
-        return OrderReport(claim, "pass", (alpha_f,), Fraction(0), None, "; ".join(notes) or None)
-    worst, witness_text = min(margins, key=lambda mw: mw[0])
-    verdict, wit = _verdict(worst, witness_text)
-    return OrderReport(claim, verdict, (alpha_f,), worst, wit, "; ".join(notes) or None)
+        return OrderReport(claim, "pass", grid, Fraction(0), None, note)
+    return _claim(claim, grid, margins, _format, note)
+
+
+def _projection_margins(
+    t_table: ClassTable, md_table: ClassTable, alphas: Sequence[Fraction]
+) -> list[Fraction]:
+    """Worst margin of check_martingale_projection at each alpha, read off per class.
+
+    At alpha the T test has threshold class k and the MD test threshold
+    rank r with randomization gamma_MD.  A sure-rejection point (class
+    before k) has margin 0, gamma_MD - 1 or -1 as its rank is below, at or
+    above r, so the largest rank before class k decides them all; the
+    sure-retention side is decided by the smallest rank after class k.
+    """
+    ranks = md_table.source.ranks
+    null_row = t_table.model.probs(t_table.model.null)
+    by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_table.members]
+    class_ranks = [[rank for rank, _ in pairs] for pairs in by_rank]
+    below = [tuple(accumulate((m for _, m in pairs), initial=Fraction(0))) for pairs in by_rank]
+    before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=0))
+    after_min = [len(ranks) + 1] * (len(class_ranks) + 1)
+    for k in range(len(class_ranks) - 1, -1, -1):
+        after_min[k] = min(after_min[k + 1], class_ranks[k][0])
+
+    out = []
+    for alpha in alphas:
+        k, gamma_t = t_table.threshold(alpha)
+        r_index, gamma_md = md_table.threshold(alpha)
+        r = md_table.keys[r_index]
+        j = bisect_left(class_ranks[k], r)
+        value = below[k][j]
+        if j < len(class_ranks[k]) and class_ranks[k][j] == r:
+            value += gamma_md * by_rank[k][j][1]
+        margin = -abs(value / t_table.mass[k] - gamma_t)
+        top, bottom = before_max[k], after_min[k + 1]
+        reject = -1 if top > r else (gamma_md - 1 if top == r else 0)
+        retain = -1 if bottom < r else (-gamma_md if bottom == r else 0)
+        out.append(Fraction(min(margin, reject, retain)))
+    return out
 
 
 def check_sufficiency(
@@ -388,13 +458,6 @@ def check_sufficiency(
     return True, None
 
 
-def _phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: str) -> Fraction:
-    """E_theta[phi] via tail events (independent of the pointwise sum in power())."""
-    more = model.event_prob(theta, lambda pt: test.zone(pt) > 0)
-    tied = model.event_prob(theta, lambda pt: test.zone(pt) == 0)
-    return more + test.gamma * tied
-
-
 def verify_all_claims(
     model: DiscreteModel,
     statistic: Statistic,
@@ -418,8 +481,8 @@ def verify_all_claims(
     for theta in thetas:
         model.probs(theta)
     null = model.null
-    t_family = pvalue_family(model, statistic)
-    md_family = pvalue_family(model, ranking)
+    t_table, md_table = class_table(model, statistic), class_table(model, ranking)
+    t_family, md_family = t_table.family(), md_table.family()
     alphas = tuple(sorted(set(alpha_breakpoints(t_family, md_family)) | {_as_unit(a, "alpha") for a in extra_alphas}))
     nat_t = {theta: pvalue_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
     nat_md = {theta: pvalue_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
@@ -437,25 +500,20 @@ def verify_all_claims(
         reports.append(OrderReport("C1", "skipped", (), None, None, "empty theta grid"))
     else:
         margins = [
-            (nat_md[theta].evaluate(alpha) - nat_t[theta].evaluate(alpha),
-             f"theta={theta}, alpha={alpha}")
+            (nat_md[theta].evaluate(alpha) - nat_t[theta].evaluate(alpha), (theta, alpha))
             for theta in thetas
             for alpha in alphas
         ]
-        worst, wit_text = min(margins, key=lambda mw: mw[0])
-        verdict, wit = _verdict(worst, wit_text)
-        reports.append(OrderReport("C1", verdict, alphas, worst, wit))
+        reports.append(_claim("C1", alphas, margins, "theta={}, alpha={}".format))
 
     # C2: level sandwich under the null.
     margins = []
     for alpha in alphas:
         f_t = nat_t[null].evaluate(alpha)
         f_md = nat_md[null].evaluate(alpha)
-        margins.append((f_md - f_t, f"alpha={alpha}: E0[dT]={f_t} vs E0[dMD]={f_md}"))
-        margins.append((alpha - f_md, f"alpha={alpha}: E0[dMD]={f_md} exceeds alpha"))
-    worst, wit_text = min(margins, key=lambda mw: mw[0])
-    verdict, wit = _verdict(worst, wit_text)
-    reports.append(OrderReport("C2", verdict, alphas, worst, wit))
+        margins.append((f_md - f_t, ("alpha={}: E0[dT]={} vs E0[dMD]={}", alpha, f_t, f_md)))
+        margins.append((alpha - f_md, ("alpha={}: E0[dMD]={} exceeds alpha", alpha, f_md)))
+    reports.append(_claim("C2", alphas, margins, _format))
 
     # C3: usual stochastic order of natural p-values per theta.
     if not thetas:
@@ -479,15 +537,15 @@ def verify_all_claims(
     reports.append(OrderReport("C4", worst_report.verdict, grid, worst_report.worst_margin, worst_report.witness))
 
     # C5: randomized p-values exactly uniform under the null, both families.
+    # Pr_0{P(X, U) <= t} is the null power of the size-t test, since
+    # P(x, u) <= t exactly when that test rejects x at u.
     t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
     margins = []
     for t in t_grid:
-        for name, family in (("T", t_family), ("MD", md_family)):
-            value = randomized_pvalue_cdf_at(model, null, family, t)
-            margins.append((-abs(value - t), f"{name} family at t={t}: CDF {value}"))
-    worst, wit_text = min(margins, key=lambda mw: mw[0])
-    verdict, wit = _verdict(worst, wit_text)
-    reports.append(OrderReport("C5", verdict, t_grid, worst, wit))
+        for name, table in (("T", t_table), ("MD", md_table)):
+            value = table.power(null, t)
+            margins.append((-abs(value - t), (name, t, value)))
+    reports.append(_claim("C5", t_grid, margins, "{} family at t={}: CDF {}".format))
 
     # C6: equal power functions under sufficiency.
     if not thetas:
@@ -497,45 +555,29 @@ def verify_all_claims(
     else:
         margins = []
         for alpha in alphas:
-            t_test = size_alpha_test(model, statistic, alpha)
-            md_test = size_alpha_test(model, ranking, alpha)
             for theta in thetas:
-                e_t = _phi_expectation_by_tails(model, t_test, theta)
-                e_md = _phi_expectation_by_tails(model, md_test, theta)
-                margins.append((-abs(e_t - e_md), f"theta={theta}, alpha={alpha}: {e_t} vs {e_md}"))
-        worst, wit_text = min(margins, key=lambda mw: mw[0])
-        verdict, wit = _verdict(worst, wit_text)
-        reports.append(OrderReport("C6", verdict, alphas, worst, wit))
+                e_t = t_table.power(theta, alpha)
+                e_md = md_table.power(theta, alpha)
+                margins.append((-abs(e_t - e_md), (theta, alpha, e_t, e_md)))
+        reports.append(_claim("C6", alphas, margins, "theta={}, alpha={}: {} vs {}".format))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
-    margins = [
-        (t_family.b[i] - md_family.b[i], f"point {model.support[i].label!r}")
-        for i in range(model.size)
-    ]
-    worst, wit_text = min(margins, key=lambda mw: mw[0])
-    verdict, wit = _verdict(worst, wit_text)
-    reports.append(OrderReport("C7", verdict, (), worst, wit, "checked at every support point"))
+    margins = [(t_family.b[i] - md_family.b[i], (model.support[i].label,)) for i in range(model.size)]
+    reports.append(_claim("C7", (), margins, "point {!r}".format, "checked at every support point"))
 
     # C8: martingale projection at every breakpoint alpha (gated on sufficiency).
     if not sufficient:
         reports.append(OrderReport("C8", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        worst = None
-        wit = None
-        for alpha in alphas:
-            report = check_martingale_projection(
-                model,
-                size_alpha_test(model, statistic, alpha),
-                size_alpha_test(model, ranking, alpha),
-            )
-            if report.worst_margin is not None and (worst is None or report.worst_margin < worst):
-                worst = report.worst_margin
-                wit = None if report.passed else f"alpha={alpha}: {report.witness}"
-        verdict, wit = _verdict(worst if worst is not None else Fraction(0), wit)
-        reports.append(OrderReport("C8", verdict, alphas, worst, wit))
+        def projection_witness(alpha: Fraction) -> str:
+            report = check_martingale_projection(model, t_table.test(alpha), md_table.test(alpha))
+            return f"alpha={alpha}: {report.witness}"
+
+        margins = zip(_projection_margins(t_table, md_table, alphas), ((a,) for a in alphas))
+        reports.append(_claim("C8", alphas, margins, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(check_convex_order_chain(model, statistic, ranking))
+    reports.append(check_convex_order_chain(model, statistic, ranking, tables=(t_table, md_table)))
 
     return reports
 

@@ -55,11 +55,7 @@ def make_statistic(
         raw = list(values)
         if len(raw) != model.size:
             raise RankingError(f"statistic {name!r} has {len(raw)} values for {model.size} points")
-    vals = tuple(parse_rational(v) for v in raw)
-    stat = Statistic(name, vals)
-    for pt, v in zip(model.support, vals):
-        pt.stats[name] = v
-    return stat
+    return Statistic(name, tuple(parse_rational(v) for v in raw))
 
 
 def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: str) -> Statistic:

@@ -4,7 +4,8 @@ Self-contained numerics (power series plus a modified-Lentz continued
 fraction), so no statistical tables or external libraries are needed.
 P(a, x) is the lower regularized incomplete gamma function; Q = 1 - P.
 The split at x = a + 1 keeps both expansions in their fast-converging
-regions.
+regions.  A loop that has not converged after _MAX_ITER steps raises
+ArithmeticError instead of returning an unconverged value.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise ArithmeticError(f"gamma series for P({a}, {x}) did not converge in {_MAX_ITER} terms")
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -50,6 +53,8 @@ def _gamma_q_cont_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ArithmeticError(f"continued fraction for Q({a}, {x}) did not converge in {_MAX_ITER} terms")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -105,4 +110,6 @@ def chi2_upper_quantile(alpha: float, df: int, rel_tol: float = 1e-10) -> float:
             hi = mid
         if hi - lo <= rel_tol * max(hi, 1.0):
             break
+    else:
+        raise ArithmeticError(f"chi-squared quantile bisection did not converge in {_MAX_ITER} steps")
     return 0.5 * (lo + hi)

@@ -1,26 +1,32 @@
 """Size-alpha test functions and generalized p-values as exact linear forms.
 
-Construction scans tie classes from most to least extreme and keeps the
-last class whose strictly-more-extreme null mass does not exceed alpha;
-the randomization fraction gamma then makes the null expectation exactly
-alpha.  A test keeps its threshold/gamma pair (not just the collapsed
-per-point value), so decisions distinguish "strictly below threshold"
-from "at threshold with gamma = 0"; that is what makes the indicator
-identity  I(P(x,u) <= alpha) == decide(x,u)  exact for every u in [0,1],
-including u = 0 and boundary alphas.
+Everything here is read off one class table per source (statistic or
+ranking): the tie classes sorted once from most to least extreme, with
+the null mass of each class and the null mass strictly before it (the
+class start).  The classes tile [0, 1], so the size-alpha test keeps the
+last class whose start does not exceed alpha (one bisect on the starts),
+and the randomization fraction gamma then makes the null expectation
+exactly alpha.  A test keeps its threshold/gamma pair (not just the
+collapsed per-point value), so decisions distinguish "strictly below
+threshold" from "at threshold with gamma = 0"; that is what makes the
+indicator identity  I(P(x,u) <= alpha) == decide(x,u)  exact for every u
+in [0,1], including u = 0 and boundary alphas.
 
 A p-value is stored per point as the pair (a, b) with a the null mass
-strictly more extreme and b the null tie mass, evaluated as P(x,u) =
-a(x) + u*b(x):  u=1 gives the natural p-value, u=1/2 the mid-p-value,
-and a uniform draw the randomized p-value.
+strictly more extreme (its class start) and b the null tie mass (its
+class mass), evaluated as P(x,u) = a(x) + u*b(x):  u=1 gives the natural
+p-value, u=1/2 the mid-p-value, and a uniform draw the randomized p-value.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -39,40 +45,17 @@ class TestingError(ValueError):
 
 
 def _as_unit(u: object, what: str = "u") -> Fraction:
-    if isinstance(u, float):
-        value = Fraction(u)
-    else:
-        try:
-            value = Fraction(u)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
-            raise TestingError(f"{what} must be a number in [0, 1], got {u!r}") from exc
+    # numbers.Real covers float and the numpy floating types; ints and
+    # Fractions are Rational and stay exact.
+    if isinstance(u, numbers.Real) and not isinstance(u, numbers.Rational):
+        raise TestingError(f"refusing float {what}={u!r}: pass a Fraction, an int or a 'num/den' string")
+    try:
+        value = Fraction(u)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise TestingError(f"{what} must be a number in [0, 1], got {u!r}") from exc
     if not 0 <= value <= 1:
         raise TestingError(f"{what}={u} lies outside [0, 1]")
     return value
-
-
-def _extremity_classes(
-    model: DiscreteModel, source: Statistic | Ranking
-) -> list[tuple[object, Fraction, list[SupportPoint]]]:
-    """Tie classes as (key, null mass, members), most extreme first.
-
-    For a statistic the key is the value (larger first); for a ranking the
-    classes are the singleton ranks (smaller first).
-    """
-    null_row = model.probs(model.null)
-    if isinstance(source, Ranking):
-        return [
-            (rank, null_row[index], [model.support[index]])
-            for rank, index in enumerate(source.order(), start=1)
-        ]
-    classes: dict[Fraction, list[SupportPoint]] = {}
-    for pt in model.support:
-        classes.setdefault(source.value(pt), []).append(pt)
-    out = []
-    for value in sorted(classes, reverse=True):
-        members = classes[value]
-        out.append((value, sum((null_row[pt.index] for pt in members), Fraction(0)), members))
-    return out
 
 
 @dataclass(frozen=True)
@@ -116,37 +99,112 @@ class TestFunction:
         return zone > 0 or (zone == 0 and uu <= self.gamma)
 
 
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Tie classes of one source, most extreme first, with prefix sums.
+
+    Class k holds the support indices ``members[k]`` that share the key
+    ``keys[k]``: a statistic value (larger first) or a rank (smaller
+    first, one point per class).  ``mass[k]`` is its null mass and
+    ``starts[k]`` the null mass of the classes before it, so the classes
+    tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]].
+    """
+
+    model: DiscreteModel
+    source: Statistic | Ranking
+    keys: tuple[Fraction | int, ...]
+    members: tuple[tuple[int, ...], ...]
+    mass: tuple[Fraction, ...]
+    starts: tuple[Fraction, ...]
+    _by_theta: dict[str, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def kind(self) -> str:
+        return MD if isinstance(self.source, Ranking) else T_BASED
+
+    def theta_masses(self, theta: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Per-class mass under theta, and its prefix sums (entry k: mass before class k)."""
+        cached = self._by_theta.get(theta)
+        if cached is None:
+            row = self.model.probs(theta)
+            mass = tuple(sum((row[i] for i in m), Fraction(0)) for m in self.members)
+            cached = self._by_theta[theta] = (mass, tuple(accumulate(mass, initial=Fraction(0))))
+        return cached
+
+    def threshold(self, alpha: Fraction) -> tuple[int, Fraction]:
+        """Threshold class k(alpha) and gamma(alpha): the last class starting at or below alpha.
+
+        gamma equals 0 or 1 exactly at boundary alphas; the exact size
+        identity E_0[phi_alpha] = alpha holds by construction and is asserted.
+        """
+        k = bisect_right(self.starts, alpha) - 1
+        start, mass = self.starts[k], self.mass[k]
+        gamma = (alpha - start) / mass
+        assert start + gamma * mass == alpha, "size identity violated"
+        return k, gamma
+
+    def power(self, theta: str, alpha: Fraction) -> Fraction:
+        """E_theta[phi_alpha]: the theta mass before the threshold class plus gamma times its own."""
+        k, gamma = self.threshold(alpha)
+        mass, before = self.theta_masses(theta)
+        return before[k] + gamma * mass[k]
+
+    def test(self, alpha: Fraction) -> TestFunction:
+        k, gamma = self.threshold(alpha)
+        md = self.kind == MD
+        return TestFunction(
+            model=self.model,
+            kind=self.kind,
+            alpha=alpha,
+            threshold=self.keys[k],
+            gamma=gamma,
+            statistic=None if md else self.source,
+            ranking=self.source if md else None,
+        )
+
+    def family(self) -> PValueFamily:
+        """Exact (a, b) pairs: a = Pr_0{strictly more extreme}, b = Pr_0{tied}."""
+        a = [Fraction(0)] * self.model.size
+        b = [Fraction(0)] * self.model.size
+        null_row = self.model.probs(self.model.null)
+        md = self.kind == MD
+        for start, mass, members in zip(self.starts, self.mass, self.members):
+            assert mass > 0 and start + mass <= 1
+            for i in members:
+                a[i] = start
+                b[i] = mass
+                if md:
+                    assert mass == null_row[i], "MD tie mass must equal the null pmf"
+        assert self.starts[-1] + self.mass[-1] == 1
+        name = self.source.agrees_with if md else self.source.name
+        return PValueFamily(self.kind, name, tuple(a), tuple(b))
+
+
+def class_table(model: DiscreteModel, source: Statistic | Ranking) -> ClassTable:
+    """Sort the support into tie classes once: one class per rank, or per statistic value."""
+    null_row = model.probs(model.null)
+    if isinstance(source, Ranking):
+        members = tuple((index,) for index in source.order())
+        keys: tuple[Fraction | int, ...] = tuple(range(1, model.size + 1))
+        mass = tuple(null_row[index] for (index,) in members)
+    else:
+        classes: dict[Fraction, list[int]] = {}
+        for index, value in enumerate(source.values):
+            classes.setdefault(value, []).append(index)
+        keys = tuple(sorted(classes, reverse=True))
+        members = tuple(tuple(classes[value]) for value in keys)
+        mass = tuple(sum((null_row[i] for i in m), Fraction(0)) for m in members)
+    starts = tuple(accumulate(mass[:-1], initial=Fraction(0)))
+    return ClassTable(model, source, keys, members, mass, starts)
+
+
 def size_alpha_test(
     model: DiscreteModel, source: Statistic | Ranking, alpha: object
 ) -> TestFunction:
-    """Solve k(alpha) and gamma(alpha) by the cumulative extremity scan.
-
-    gamma equals 0 or 1 exactly at boundary alphas; the exact size identity
-    E_0[phi_alpha] = alpha holds by construction and is asserted.
-    """
-    alpha_f = _as_unit(alpha, "alpha")
-    strict = Fraction(0)
-    chosen: tuple[object, Fraction, Fraction] | None = None
-    for key, mass, _members in _extremity_classes(model, source):
-        if strict <= alpha_f:
-            chosen = (key, mass, strict)
-            strict += mass
-        else:
-            break
-    assert chosen is not None
-    key, mass, before = chosen
-    gamma = (alpha_f - before) / mass
-    assert before + gamma * mass == alpha_f, "size identity violated"
-    kind = MD if isinstance(source, Ranking) else T_BASED
-    return TestFunction(
-        model=model,
-        kind=kind,
-        alpha=alpha_f,
-        threshold=key,
-        gamma=gamma,
-        statistic=None if kind == MD else source,
-        ranking=source if kind == MD else None,
-    )
+    """Solve k(alpha) and gamma(alpha) by a bisect on the class starts."""
+    return class_table(model, source).test(_as_unit(alpha, "alpha"))
 
 
 def power(test: TestFunction, theta: str) -> Fraction:
@@ -191,24 +249,7 @@ class PValueFamily:
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
     """Exact (a, b) pairs: a = Pr_0{strictly more extreme}, b = Pr_0{tied}."""
-    a = [Fraction(0)] * model.size
-    b = [Fraction(0)] * model.size
-    strict = Fraction(0)
-    for _key, mass, members in _extremity_classes(model, source):
-        for pt in members:
-            a[pt.index] = strict
-            b[pt.index] = mass
-        strict += mass
-    assert strict == 1
-    kind = MD if isinstance(source, Ranking) else T_BASED
-    name = source.agrees_with if isinstance(source, Ranking) else source.name
-    family = PValueFamily(kind, name, tuple(a), tuple(b))
-    null_row = model.probs(model.null)
-    for i in range(model.size):
-        assert family.b[i] > 0 and family.a[i] + family.b[i] <= 1
-        if kind == MD:
-            assert family.b[i] == null_row[i], "MD tie mass must equal the null pmf"
-    return family
+    return class_table(model, source).family()
 
 
 def draw_randomized_pvalue(
@@ -248,11 +289,12 @@ def decision_coherence_witness(
     alphas: Sequence[Fraction] | None = None,
 ) -> tuple[str, Fraction, Fraction] | None:
     """First (label, alpha, u) where I(P(x,u) <= alpha) != decide(x,u), else None."""
-    family = pvalue_family(model, source)
+    table = class_table(model, source)
+    family = table.family()
     grid = alphas if alphas is not None else alpha_breakpoints(family)
     u_values = [_as_unit(u) for u in us]
     for alpha in grid:
-        test = size_alpha_test(model, source, alpha)
+        test = table.test(_as_unit(alpha, "alpha"))
         for pt in model.support:
             for u in u_values:
                 if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
@@ -271,12 +313,13 @@ def audit_unbiasedness(
     Unbiasedness is an assumption of the ordering theory, not a construction
     guarantee; arbitrary user models may violate it.
     """
-    grid = alphas if alphas is not None else alpha_breakpoints(pvalue_family(model, source))
+    table = class_table(model, source)
+    grid = alphas if alphas is not None else alpha_breakpoints(table.family())
     violations = []
     for alpha in grid:
-        test = size_alpha_test(model, source, alpha)
+        alpha_f = _as_unit(alpha, "alpha")
         for theta in thetas:
-            value = power(test, theta)
+            value = table.power(theta, alpha_f)
             if value < alpha:
                 violations.append((theta, alpha, value))
     return violations

@@ -1,0 +1,282 @@
+"""Slow reference for verify_all_claims: every claim re-derived per grid point.
+
+This is the straight-line form of the claim suite.  It rebuilds the
+size-alpha tests at every alpha by the cumulative extremity scan, sums the
+tail events of C6 point by point, evaluates the randomized CDF of C5 and
+the integrated CDFs of C9 in O(N) per query, and runs the martingale
+projection of C8 pointwise at every alpha.  It shares no code with the
+class-table engine beyond the data types, the natural-p-value CDFs and the
+usual-order check of C3/C4, so the engine's reports can be compared
+against it byte for byte.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from mdpvalues.model import DiscreteModel
+from mdpvalues.orders import (
+    OrderReport,
+    OrdersError,
+    StepCDF,
+    check_sufficiency,
+    check_usual_order,
+    pvalue_cdf,
+)
+from mdpvalues.ranking import Ranking, verify_agreement
+from mdpvalues.testing import MD, T_BASED, PValueFamily, TestFunction, alpha_breakpoints
+
+HALF = Fraction(1, 2)
+
+
+def _as_unit(value) -> Fraction:
+    value = Fraction(value)
+    assert 0 <= value <= 1
+    return value
+
+
+def extremity_classes(model, source):
+    """Tie classes as (key, null mass, members), most extreme first."""
+    null_row = model.probs(model.null)
+    if isinstance(source, Ranking):
+        return [
+            (rank, null_row[index], [model.support[index]])
+            for rank, index in enumerate(source.order(), start=1)
+        ]
+    classes = {}
+    for pt in model.support:
+        classes.setdefault(source.value(pt), []).append(pt)
+    return [
+        (value, sum((null_row[pt.index] for pt in classes[value]), Fraction(0)), classes[value])
+        for value in sorted(classes, reverse=True)
+    ]
+
+
+def scan_size_alpha_test(model, source, alpha) -> TestFunction:
+    """k(alpha) and gamma(alpha) by the cumulative scan over the classes."""
+    alpha_f = _as_unit(alpha)
+    strict = Fraction(0)
+    chosen = None
+    for key, mass, _members in extremity_classes(model, source):
+        if strict > alpha_f:
+            break
+        chosen = (key, mass, strict)
+        strict += mass
+    key, mass, before = chosen
+    gamma = (alpha_f - before) / mass
+    assert before + gamma * mass == alpha_f
+    md = isinstance(source, Ranking)
+    return TestFunction(
+        model=model,
+        kind=MD if md else T_BASED,
+        alpha=alpha_f,
+        threshold=key,
+        gamma=gamma,
+        statistic=None if md else source,
+        ranking=source if md else None,
+    )
+
+
+def scan_pvalue_family(model, source) -> PValueFamily:
+    a = [Fraction(0)] * model.size
+    b = [Fraction(0)] * model.size
+    strict = Fraction(0)
+    for _key, mass, members in extremity_classes(model, source):
+        for pt in members:
+            a[pt.index] = strict
+            b[pt.index] = mass
+        strict += mass
+    assert strict == 1
+    md = isinstance(source, Ranking)
+    name = source.agrees_with if md else source.name
+    return PValueFamily(MD if md else T_BASED, name, tuple(a), tuple(b))
+
+
+def phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: str) -> Fraction:
+    """E_theta[phi] via tail events (independent of the pointwise sum in power())."""
+    more = model.event_prob(theta, lambda pt: test.zone(pt) > 0)
+    tied = model.event_prob(theta, lambda pt: test.zone(pt) == 0)
+    return more + test.gamma * tied
+
+
+def randomized_cdf_at(model, theta, family, t) -> Fraction:
+    """Pr_theta{P(X, U) <= t}: a sum of clamped linear pieces over the support."""
+    row = model.probs(theta)
+    total = Fraction(0)
+    for i in range(model.size):
+        a, b = family.a[i], family.b[i]
+        if t >= a + b:
+            total += row[i]
+        elif t > a:
+            total += row[i] * (t - a) / b
+    return total
+
+
+def rectangle_integral(cdf: StepCDF, s) -> Fraction:
+    """Integral of F over [0, s] as a sum of rectangles between jumps."""
+    total = Fraction(0)
+    for i, location in enumerate(cdf.jumps):
+        if location >= s:
+            break
+        right = cdf.jumps[i + 1] if i + 1 < len(cdf.jumps) else Fraction(1)
+        total += cdf.cum[i] * (min(right, s) - location)
+    return total
+
+
+def _worst(claim, grid, margins, note=None) -> OrderReport:
+    worst, witness = min(margins, key=lambda mw: mw[0])
+    return OrderReport(claim, "pass" if worst >= 0 else "fail", grid, worst,
+                       None if worst >= 0 else witness, note)
+
+
+def pointwise_projection(model, t_test, md_test) -> OrderReport:
+    """E0[phi_MD | phi_T] = phi_T checked point by point at one alpha."""
+    row = model.probs(model.null)
+    margins = []
+    tie_mass = tie_value = Fraction(0)
+    for pt in model.support:
+        zone = t_test.zone(pt)
+        phi_md = md_test.phi(pt)
+        if zone > 0:
+            margins.append((-abs(phi_md - 1), f"phi_MD({pt.label}) = {phi_md} on the sure-rejection class"))
+        elif zone < 0:
+            margins.append((-abs(phi_md), f"phi_MD({pt.label}) = {phi_md} on the sure-retention class"))
+        else:
+            tie_mass += row[pt.index]
+            tie_value += row[pt.index] * phi_md
+    average = tie_value / tie_mass
+    margins.append((-abs(average - t_test.gamma), f"threshold class average {average} vs gamma {t_test.gamma}"))
+    return _worst("C8", (t_test.alpha,), margins)
+
+
+def convex_order_chain(model, t_family, md_family) -> OrderReport:
+    null = model.null
+    row = model.probs(null)
+    cdf_t = pvalue_cdf(model, null, t_family, HALF)
+    cdf_md = pvalue_cdf(model, null, md_family, HALF)
+
+    def expect(family, fn):
+        return sum((row[i] * fn(family.mid(i)) for i in range(model.size)), Fraction(0))
+
+    margins = []
+    mean_t, mean_md = expect(t_family, lambda p: p), expect(md_family, lambda p: p)
+    margins.append((-abs(mean_t - HALF), f"mean of T mid-p is {mean_t}"))
+    margins.append((-abs(mean_md - HALF), f"mean of MD mid-p is {mean_md}"))
+    grid_set = set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}
+    grid_set.update(cdf_t.plateau_heights_inside())
+    grid_set.update(cdf_md.plateau_heights_inside())
+    grid = tuple(sorted(grid_set))
+    for s in grid:
+        lower, middle, upper = rectangle_integral(cdf_t, s), rectangle_integral(cdf_md, s), s * s / 2
+        margins.append((middle - lower, f"integrated CDFs at s={s}: T {lower} vs MD {middle}"))
+        margins.append((upper - middle, f"integrated CDFs at s={s}: MD {middle} vs uniform {upper}"))
+    for c in [Fraction(k, 8) for k in range(8)]:
+        e_t = expect(t_family, lambda p: max(p - c, Fraction(0)))
+        e_md = expect(md_family, lambda p: max(p - c, Fraction(0)))
+        e_u = (1 - c) ** 2 / 2
+        margins.append((e_md - e_t, f"hinge probe c={c}: T {e_t} vs MD {e_md}"))
+        margins.append((e_u - e_md, f"hinge probe c={c}: MD {e_md} vs uniform {e_u}"))
+    sq_t, sq_md = expect(t_family, lambda p: p * p), expect(md_family, lambda p: p * p)
+    margins.append((sq_md - sq_t, f"square probe: T {sq_t} vs MD {sq_md}"))
+    margins.append((Fraction(1, 3) - sq_md, f"square probe: MD {sq_md} vs uniform 1/3"))
+
+    def log_probe(family):
+        return sum(float(row[i]) * (-2.0 * math.log(max(float(family.mid(i)), 1e-12)))
+                   for i in range(model.size))
+
+    log_t, log_md = log_probe(t_family), log_probe(md_family)
+    ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
+    note = (
+        f"means ({mean_t}, {mean_md}); "
+        f"log probe E0[-2 log P]: T {log_t:.9f}, MD {log_md:.9f}, uniform 2.0 "
+        f"({'ordered' if ordered else 'NOT ordered (advisory only)'})"
+    )
+    return _worst("C9", grid, margins, note)
+
+
+def reference_claims(model, statistic, ranking, thetas, *, t_grid_size=200, extra_alphas=()):
+    """verify_all_claims, re-derived per grid point; same reports, same order."""
+    ok, witness = verify_agreement(model, statistic, ranking)
+    if not ok:
+        raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
+    thetas = list(thetas)
+    null = model.null
+    t_family, md_family = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
+    alphas = tuple(sorted(set(alpha_breakpoints(t_family, md_family)) | {_as_unit(a) for a in extra_alphas}))
+    nat_t = {theta: pvalue_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
+    nat_md = {theta: pvalue_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
+    grid_thetas = list(dict.fromkeys([null, *thetas]))
+    sufficient, suff_witness = (
+        check_sufficiency(model, statistic, grid_thetas) if len(grid_thetas) >= 2 else (True, None))
+    unmet = f"hypothesis unmet: {suff_witness}"
+    reports = []
+
+    if not thetas:
+        reports.append(OrderReport("C1", "skipped", (), None, None, "empty theta grid"))
+    else:
+        reports.append(_worst("C1", alphas, [
+            (nat_md[theta].evaluate(alpha) - nat_t[theta].evaluate(alpha), f"theta={theta}, alpha={alpha}")
+            for theta in thetas for alpha in alphas]))
+
+    margins = []
+    for alpha in alphas:
+        f_t, f_md = nat_t[null].evaluate(alpha), nat_md[null].evaluate(alpha)
+        margins.append((f_md - f_t, f"alpha={alpha}: E0[dT]={f_t} vs E0[dMD]={f_md}"))
+        margins.append((alpha - f_md, f"alpha={alpha}: E0[dMD]={f_md} exceeds alpha"))
+    reports.append(_worst("C2", alphas, margins))
+
+    if not thetas:
+        reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
+    else:
+        sub = [check_usual_order(nat_t[theta], nat_md[theta], claim="C3", labels=("T", "MD"))
+               for theta in thetas]
+        worst = min(sub, key=lambda r: r.worst_margin)
+        grid = tuple(sorted(set().union(*(set(r.grid) for r in sub))))
+        reports.append(OrderReport("C3", worst.verdict, grid, worst.worst_margin, worst.witness))
+
+    lower = check_usual_order(nat_t[null], nat_md[null], claim="C4", labels=("T", "MD"))
+    upper = check_usual_order(nat_md[null], None, claim="C4", labels=("MD", "t"))
+    worst = min((lower, upper), key=lambda r: r.worst_margin)
+    grid = tuple(sorted(set(lower.grid) | set(upper.grid)))
+    reports.append(OrderReport("C4", worst.verdict, grid, worst.worst_margin, worst.witness))
+
+    t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
+    margins = []
+    for t in t_grid:
+        for name, family in (("T", t_family), ("MD", md_family)):
+            value = randomized_cdf_at(model, null, family, t)
+            margins.append((-abs(value - t), f"{name} family at t={t}: CDF {value}"))
+    reports.append(_worst("C5", t_grid, margins))
+
+    if not thetas:
+        reports.append(OrderReport("C6", "skipped", (), None, None, "empty theta grid"))
+    elif not sufficient:
+        reports.append(OrderReport("C6", "skipped", (), None, None, unmet))
+    else:
+        margins = []
+        for alpha in alphas:
+            t_test = scan_size_alpha_test(model, statistic, alpha)
+            md_test = scan_size_alpha_test(model, ranking, alpha)
+            for theta in thetas:
+                e_t = phi_expectation_by_tails(model, t_test, theta)
+                e_md = phi_expectation_by_tails(model, md_test, theta)
+                margins.append((-abs(e_t - e_md), f"theta={theta}, alpha={alpha}: {e_t} vs {e_md}"))
+        reports.append(_worst("C6", alphas, margins))
+
+    reports.append(_worst("C7", (), [
+        (t_family.b[i] - md_family.b[i], f"point {model.support[i].label!r}") for i in range(model.size)
+    ], "checked at every support point"))
+
+    if not sufficient:
+        reports.append(OrderReport("C8", "skipped", (), None, None, unmet))
+    else:
+        margins = []
+        for alpha in alphas:
+            report = pointwise_projection(
+                model, scan_size_alpha_test(model, statistic, alpha), scan_size_alpha_test(model, ranking, alpha))
+            margins.append((report.worst_margin, f"alpha={alpha}: {report.witness}"))
+        reports.append(_worst("C8", alphas, margins))
+
+    reports.append(convex_order_chain(model, t_family, md_family))
+    return reports

@@ -36,11 +36,12 @@ from mdpvalues import (
     verify_all_claims,
 )
 from mdpvalues.cli import main
-from mdpvalues.orders import StepCDF, _phi_expectation_by_tails
+from mdpvalues.orders import StepCDF
 from mdpvalues.rational import parse_rational
 from mdpvalues.registry import example1_model, table1_ranking
 from mdpvalues.testing import alpha_breakpoints
 
+from claims_oracle import phi_expectation_by_tails
 from conftest import brute_expectation, random_model_and_statistic
 
 ALPHA = Fraction(1, 10)
@@ -147,8 +148,8 @@ def test_criterion_4_theorem2_c5_c6_c7():
             t_test = size_alpha_test(model, count, alpha)
             md_test = size_alpha_test(model, ranking, alpha)
             for theta in names:
-                assert _phi_expectation_by_tails(model, t_test, theta) == \
-                    _phi_expectation_by_tails(model, md_test, theta)
+                assert phi_expectation_by_tails(model, t_test, theta) == \
+                    phi_expectation_by_tails(model, md_test, theta)
 
         # C7: minimal tie mass pointwise; variance ratio exactly 25 on [T=4].
         for pt in model.support:
@@ -259,7 +260,7 @@ def test_criterion_8_property_suite():
                 for source in (statistic, ranking):
                     test = size_alpha_test(model, source, alpha)
                     for theta in ("t0", "t1"):
-                        assert _phi_expectation_by_tails(model, test, theta) == \
+                        assert phi_expectation_by_tails(model, test, theta) == \
                             brute_expectation(model, theta, test.phi)
                 nat = pvalue_cdf(model, "t1", t_family, 1)
                 t_test = size_alpha_test(model, statistic, alpha)

@@ -1,0 +1,124 @@
+"""The class-table engine against the per-grid-point reference, byte for byte."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from mdpvalues import (
+    Ranking,
+    bernoulli_product_model,
+    build_agreeing_ranking,
+    check_martingale_projection,
+    likelihood_ratio_statistic,
+    make_model,
+    make_statistic,
+    pvalue_cdf,
+    pvalue_family,
+    size_alpha_test,
+    verify_all_claims,
+)
+from mdpvalues.orders import _projection_margins, reports_to_json
+from mdpvalues.testing import alpha_breakpoints, class_table
+
+from claims_oracle import rectangle_integral, reference_claims
+from conftest import random_model_and_statistic
+
+
+def tilted_to_sufficiency(rng, model, statistic):
+    """Redraw t1 as t0 tilted by a weight per statistic value, so the statistic is sufficient."""
+    weight = {value: rng.randint(1, 9) for value in set(statistic.values)}
+    t0 = model.probs("t0")
+    raw = [p * weight[v] for p, v in zip(t0, statistic.values)]
+    total = sum(raw)
+    pmf = {"t0": list(t0), "t1": [w / total for w in raw]}
+    tilted = make_model([pt.label for pt in model.support], {"t0": "1/2", "t1": "3/4"}, pmf)
+    return tilted, make_statistic(tilted, statistic.name, statistic.values)
+
+
+def assert_same_reports(model, statistic, ranking, thetas, **kwargs):
+    engine = reports_to_json(verify_all_claims(model, statistic, ranking, thetas, **kwargs))
+    assert engine == reports_to_json(reference_claims(model, statistic, ranking, thetas, **kwargs))
+    return engine
+
+
+def test_random_models_match_reference():
+    rng = random.Random(1729)
+    skipped = 0
+    for index in range(30):
+        model, statistic = random_model_and_statistic(rng, max_support=40)
+        if index % 2 == 0:
+            model, statistic = tilted_to_sufficiency(rng, model, statistic)
+        ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
+        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=rng.randint(1, 30))
+        skipped += '"verdict": "skipped"' in engine
+    assert 0 < skipped < 30  # both the gated and the sufficient paths ran
+
+
+def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
+    engine = assert_same_reports(example1, lr, table1_ranking, [], t_grid_size=20)
+    assert engine.count('"verdict": "skipped"') == 3
+
+
+def test_extra_alphas_match_reference(example1, lr, table1_ranking):
+    extra = [Fraction(1, 10), Fraction(1, 20), "3/7", 0, 1]
+    assert_same_reports(example1, lr, table1_ranking, ["theta0", "theta1"], extra_alphas=extra)
+
+
+@pytest.mark.parametrize("coins", [5, 7])
+def test_bernoulli_shuffled_ranking_matches_reference(coins):
+    model = bernoulli_product_model(coins, ["1/2", "4/5"])
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr, "seeded-shuffle", seed=coins)
+    assert_same_reports(model, lr, ranking, ["theta0", "theta1"], t_grid_size=40)
+
+
+def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
+    """The per-class C8 margins equal the pointwise check, also where it fails."""
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(10):
+        model, statistic = random_model_and_statistic(rng, max_support=12)
+        shuffled = list(range(1, model.size + 1))
+        rng.shuffle(shuffled)
+        swapped = list(build_agreeing_ranking(model, statistic).ranks)
+        r = rng.randrange(1, model.size)  # swap ranks r and r + 1
+        i, j = swapped.index(r), swapped.index(r + 1)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for ranks in (shuffled, swapped):
+            ranking = Ranking("broken", tuple(ranks), "explicit")
+            alphas = alpha_breakpoints(pvalue_family(model, statistic), pvalue_family(model, ranking))
+            sweep = _projection_margins(class_table(model, statistic), class_table(model, ranking), alphas)
+            pointwise = [
+                check_martingale_projection(
+                    model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)
+                ).worst_margin
+                for a in alphas
+            ]
+            assert sweep == pointwise
+            seen.update(sweep)
+    assert min(seen) == -1 and max(seen) == 0 and len(seen) > 4
+
+
+def test_integral_prefix_matches_rectangles():
+    rng = random.Random(5)
+    for _ in range(20):
+        model, statistic = random_model_and_statistic(rng, max_support=30)
+        family = pvalue_family(model, statistic)
+        cdf = pvalue_cdf(model, "t1", family, Fraction(rng.randint(0, 4), 4))
+        points = set(cdf.jumps) | {Fraction(0), Fraction(1)} | {Fraction(rng.randint(0, 97), 97) for _ in range(10)}
+        for s in sorted(points):
+            assert cdf.integral(s) == rectangle_integral(cdf, s)
+
+
+def test_support_1024_verifies_within_budget():
+    """N = 2^10: about 91 s by per-alpha rebuilds, one sweep per claim here."""
+    model = bernoulli_product_model(10, ["1/2", "4/5"])
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr, "seeded-shuffle", seed=10)
+    start = time.perf_counter()
+    reports = verify_all_claims(model, lr, ranking, ["theta0", "theta1"])
+    elapsed = time.perf_counter() - start
+    assert [r.verdict for r in reports] == ["pass"] * 9
+    assert elapsed < 20.0, f"N=1024 took {elapsed:.1f}s"

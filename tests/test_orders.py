@@ -27,6 +27,7 @@ from mdpvalues import (
     verify_all_claims,
 )
 
+from claims_oracle import phi_expectation_by_tails
 from conftest import brute_expectation
 
 HALF = Fraction(1, 2)
@@ -323,8 +324,6 @@ class TestVerifyAllClaims:
             )
             assert nat_md.evaluate(alpha) == oracle
             t_test = size_alpha_test(example1, count_stat, alpha)
-            from mdpvalues.orders import _phi_expectation_by_tails
-
-            assert _phi_expectation_by_tails(example1, t_test, "theta1") == brute_expectation(
+            assert phi_expectation_by_tails(example1, t_test, "theta1") == brute_expectation(
                 example1, "theta1", t_test.phi
             )

@@ -32,9 +32,6 @@ class TestLikelihoodRatio:
         stat = likelihood_ratio_statistic(model, "theta0", "theta1")
         assert set(stat.values) == {Fraction(1)}
 
-    def test_caches_values_on_points(self, example1, lr):
-        assert example1.point("11111").stats[lr.name] == Fraction(32768, 3125)
-
 
 class TestBuildAgreeingRanking:
     def test_lexicographic_head(self, example1, lr, lex_ranking):

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import mdpvalues.special as special
 from mdpvalues.special import (
     chi2_survival,
     chi2_upper_quantile,
@@ -84,6 +85,28 @@ class TestChiSquared:
             chi2_upper_quantile(0.0, 4)
         with pytest.raises(ValueError):
             chi2_upper_quantile(1.0, 4)
+
+
+class TestNonConvergenceRaises:
+    """With one iteration allowed, no loop converges; each must say so."""
+
+    @pytest.fixture(autouse=True)
+    def one_iteration(self, monkeypatch):
+        monkeypatch.setattr(special, "_MAX_ITER", 1)
+
+    def test_series(self):
+        with pytest.raises(ArithmeticError, match="series"):
+            regularized_gamma_p(5.0, 3.0)  # x < a + 1: the power series
+
+    def test_continued_fraction(self):
+        with pytest.raises(ArithmeticError, match="continued fraction"):
+            regularized_gamma_q(2.5, 10.0)  # x >= a + 1: the Lentz continued fraction
+
+    def test_quantile_bisection(self, monkeypatch):
+        # the closed-form survival needs no iteration, so only the bisection runs out
+        monkeypatch.setattr(special, "chi2_survival", chi2_sf_even_df)
+        with pytest.raises(ArithmeticError, match="bisection"):
+            chi2_upper_quantile(0.05, 4)
 
 
 @given(

@@ -4,6 +4,7 @@ import csv
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdpvalues import (
@@ -82,6 +83,22 @@ class TestSizeAlphaTest:
     def test_alpha_out_of_range(self, example1, count_stat):
         with pytest.raises(TestingError):
             size_alpha_test(example1, count_stat, Fraction(3, 2))
+
+    def test_float_alpha_refused(self, example1, lr):
+        # 0.1 as a binary float is 3602879701896397/36028797018963968, not 1/10
+        for alpha in (0.1, np.float64(0.1), np.float32(0.1), 0.5):
+            with pytest.raises(TestingError, match="refusing float"):
+                size_alpha_test(example1, lr, alpha)
+        exact = size_alpha_test(example1, lr, Fraction(1, 10))
+        assert exact.alpha == Fraction(1, 10)
+        assert size_alpha_test(example1, lr, "1/10") == exact
+        assert size_alpha_test(example1, lr, 1).gamma == 1
+
+    def test_float_u_refused(self, example1, lr):
+        test = size_alpha_test(example1, lr, ALPHA)
+        with pytest.raises(TestingError, match="refusing float"):
+            test.decide(example1.point("11111"), 0.5)
+        assert test.decide(example1.point("11111"), Fraction(1, 2))
 
 
 class TestPower:
