@@ -55,7 +55,6 @@ from .orders import (
     conditional_variance,
     integrated_cdf,
     pvalue_cdf,
-    randomized_pvalue_cdf_at,
     uniform_integrated,
     verify_all_claims,
 )

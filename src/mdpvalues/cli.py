@@ -26,11 +26,11 @@ from .downstream import (
     simulate,
 )
 from .model import DiscreteModel, ModelError
-from .orders import OrdersError, pvalue_cdf, randomized_pvalue_cdf_at, reports_to_json, reports_to_text, verify_all_claims
+from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, verify_all_claims
 from .ranking import Ranking, RankingError, ranking_from_order, build_agreeing_ranking, verify_agreement
 from .rational import decimal_string, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
-from .testing import MD, T_BASED, TestingError, pvalue_family, write_pvalue_table
+from .testing import MD, T_BASED, TestingError, alpha_breakpoints, class_table, pvalue_family, write_pvalue_table
 
 
 class CliError(ValueError):
@@ -58,7 +58,7 @@ def _load_ranking(model: DiscreteModel, path: str) -> Ranking:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read ranking file {path}: {exc}") from None
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(label, str) for label in data):
         raise CliError("ranking file must be a JSON array of labels, rank 1 first")
     return ranking_from_order(model, data)
 
@@ -111,21 +111,17 @@ def cmd_cdf(args: argparse.Namespace) -> int:
         source = build_agreeing_ranking(model, statistic)
     else:
         source = statistic
-    family = pvalue_family(model, source)
+    table = class_table(model, source)
+    family = table.family()
     out = Path(args.out)
     fh, writer = _csv_writer(out)
     with fh:
         writer.writerow(["t", "F", "t_dec", "F_dec"])
         if args.uniform:
-            grid = sorted({Fraction(0), Fraction(1)} | {family.a[i] + family.b[i] for i in range(family.size)})
-            rows = [(t, t) for t in grid]
+            rows = [(t, t) for t in alpha_breakpoints(family, midpoints=False)]
         elif args.u == "rand":
-            grid = sorted(
-                {Fraction(0), Fraction(1)}
-                | set(family.a)
-                | {family.a[i] + family.b[i] for i in range(family.size)}
-            )
-            rows = [(t, randomized_pvalue_cdf_at(model, theta, family, t)) for t in grid]
+            # Pr{P(X, U) <= t} is the power of the size-t test
+            rows = [(t, table.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
         else:
             u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
             cdf = pvalue_cdf(model, theta, family, u)

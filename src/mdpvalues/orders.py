@@ -59,6 +59,7 @@ from .testing import (
     PValueFamily,
     TestFunction,
     _as_unit,
+    _exact,
     alpha_breakpoints,
     class_table,
 )
@@ -105,8 +106,10 @@ class StepCDF:
         return cls(tuple(jumps), tuple(cum))
 
     def evaluate(self, t: object) -> Fraction:
-        tt = Fraction(t)  # type: ignore[arg-type]
-        i = bisect_right(self.jumps, tt)
+        """F(t) for any exact t; floats are refused, t need not lie in [0, 1]."""
+        if not isinstance(t, (Fraction, int)):
+            t = _exact(t, "t")
+        i = bisect_right(self.jumps, t)
         return Fraction(0) if i == 0 else self.cum[i - 1]
 
     @cached_property
@@ -144,22 +147,6 @@ def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object
     return StepCDF.from_atoms(
         (family.a[i] + uu * family.b[i], row[i]) for i in range(model.size)
     )
-
-
-def randomized_pvalue_cdf_at(
-    model: DiscreteModel, theta: str, family: PValueFamily, t: object
-) -> Fraction:
-    """Pr_theta{P(X, U) <= t} with U uniform: sum of clamped linear pieces."""
-    tt = _as_unit(t, "t")
-    row = model.probs(theta)
-    total = Fraction(0)
-    for i in range(model.size):
-        a, b = family.a[i], family.b[i]
-        if tt >= a + b:
-            total += row[i]
-        elif tt > a:
-            total += row[i] * (tt - a) / b
-    return total
 
 
 def integrated_cdf(cdf: StepCDF, s: object) -> Fraction:
@@ -218,6 +205,29 @@ def _claim(
     return OrderReport(claim, "fail", grid, margin, witness(*where), note)
 
 
+def _usual_order(
+    claim: str, pairs: Iterable[tuple[StepCDF, StepCDF | None, tuple[str, str]]], sign: int = 1
+) -> OrderReport:
+    """One report for F_A <= F_B over several (A, B, labels) pairs; B=None is the diagonal.
+
+    Each pair is checked at every jump of either CDF plus t = 1, where both
+    sides are constant (resp. increasing) up to the next grid point, so the
+    check is exact for all t.  The report's grid is the union of the pairs' grids.
+    """
+    grid_set: set[Fraction] = set()
+    margins = []
+    for cdf_a, cdf_b, (label_a, label_b) in pairs:
+        pair_grid = set(cdf_a.jumps) | {Fraction(1)}
+        if cdf_b is not None:
+            pair_grid |= set(cdf_b.jumps)
+        grid_set |= pair_grid
+        for t in sorted(pair_grid):
+            bound = cdf_b.evaluate(t) if cdf_b is not None else t
+            value = cdf_a.evaluate(t)
+            margins.append((sign * (bound - value), (label_a, t, value, label_b, bound)))
+    return _claim(claim, tuple(sorted(grid_set)), margins, "F_{}({}) = {} vs {} bound {}".format)
+
+
 def check_usual_order(
     cdf_a: StepCDF,
     cdf_b: StepCDF | None = None,
@@ -229,22 +239,11 @@ def check_usual_order(
     """Verify F_A(t) <= F_B(t) at every jump of either CDF (plus t = 1).
 
     With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t;
-    ``relation="ge"`` flips the inequality.  Both sides are constant (resp.
-    increasing) between grid points, so the grid check is exact for all t.
+    ``relation="ge"`` flips the inequality.
     """
     if relation not in ("le", "ge"):
         raise OrdersError(f"unknown relation {relation!r}: use 'le' or 'ge'")
-    grid_set = set(cdf_a.jumps) | {Fraction(1)}
-    if cdf_b is not None:
-        grid_set |= set(cdf_b.jumps)
-    grid = tuple(sorted(grid_set))
-    sign = 1 if relation == "le" else -1
-    margins = []
-    for t in grid:
-        bound = cdf_b.evaluate(t) if cdf_b is not None else t
-        value = cdf_a.evaluate(t)
-        margins.append((sign * (bound - value), (labels[0], t, value, labels[1], bound)))
-    return _claim(claim, grid, margins, "F_{}({}) = {} vs {} bound {}".format)
+    return _usual_order(claim, [(cdf_a, cdf_b, labels)], 1 if relation == "le" else -1)
 
 
 def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
@@ -262,12 +261,8 @@ def _mid_pvalue_cdf(table: ClassTable) -> StepCDF:
 def _log_probe(table: ClassTable, mid_cdf: StepCDF, eps: float = 1e-12) -> float:
     """E0[-2 log P_mid] in floats, summed point by point in support order."""
     log_mid = [-2.0 * math.log(max(float(mid), eps)) for mid in mid_cdf.jumps]
-    class_of = [0] * table.model.size
-    for k, members in enumerate(table.members):
-        for i in members:
-            class_of[i] = k
     row = table.model.probs(table.model.null)
-    return sum(float(p) * log_mid[k] for p, k in zip(row, class_of))
+    return sum(float(p) * log_mid[k] for p, k in zip(row, table.class_of))
 
 
 def check_convex_order_chain(
@@ -280,16 +275,18 @@ def check_convex_order_chain(
 ) -> OrderReport:
     """Convex-order chain of mid-p-values under the null.
 
-    Authoritative test: both mid-p means equal 1/2 exactly, and at every
-    jump of either mid-p CDF (plus interior plateau critical points and
-    s = 1) the integrated CDFs satisfy
+    The margins: both mid-p means equal 1/2 exactly, and at every jump of
+    either mid-p CDF (plus interior plateau critical points and s = 1) the
+    integrated CDFs satisfy
 
         int_0^s F_T-mid  <=  int_0^s F_MD-mid  <=  s^2 / 2.
 
-    Probe convex functions (hinges over a c-grid, square, clipped -2*log)
-    are advisory diagnostics recorded in the note.  ``tables`` passes the
-    class tables of an agreeing pair that the caller has already built
-    and checked.
+    With equal means this is the convex order itself, so it already
+    implies E0[phi(P)] ordered for every convex phi, hinges and squares
+    included; no separate probe margin is needed.  The clipped -2*log
+    probe is an advisory float diagnostic recorded in the note.
+    ``tables`` passes the class tables of an agreeing pair that the caller
+    has already built and checked.
     """
     if tables is None:
         ok, witness = verify_agreement(model, statistic, ranking)
@@ -299,17 +296,14 @@ def check_convex_order_chain(
     t_table, md_table = tables
     cdf_t, cdf_md = _mid_pvalue_cdf(t_table), _mid_pvalue_cdf(md_table)
 
-    def expect(fn: Callable[[Fraction], Fraction]) -> tuple[Fraction, Fraction]:
-        """E0[fn(P_mid)] for T and MD: null mass times fn at each class's mid-p-value."""
-        return tuple(
-            sum((m * fn(mid) for m, mid in zip(table.mass, cdf.jumps)), Fraction(0))
-            for table, cdf in ((t_table, cdf_t), (md_table, cdf_md))
-        )
-
-    margins: list[tuple[Fraction, tuple]] = []
-    mean_t, mean_md = expect(lambda p: p)
-    margins.append((-abs(mean_t - HALF), ("mean of T mid-p is {}", mean_t)))
-    margins.append((-abs(mean_md - HALF), ("mean of MD mid-p is {}", mean_md)))
+    mean_t, mean_md = (
+        sum((m * mid for m, mid in zip(table.mass, cdf.jumps)), Fraction(0))
+        for table, cdf in ((t_table, cdf_t), (md_table, cdf_md))
+    )
+    margins: list[tuple[Fraction, tuple]] = [
+        (-abs(mean_t - HALF), ("mean of T mid-p is {}", mean_t)),
+        (-abs(mean_md - HALF), ("mean of MD mid-p is {}", mean_md)),
+    ]
 
     grid_set = set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}
     grid_set.update(cdf_t.plateau_heights_inside())
@@ -321,15 +315,6 @@ def check_convex_order_chain(
         upper = s * s / 2
         margins.append((middle - lower, ("integrated CDFs at s={}: T {} vs MD {}", s, lower, middle)))
         margins.append((upper - middle, ("integrated CDFs at s={}: MD {} vs uniform {}", s, middle, upper)))
-
-    for c in [Fraction(k, 8) for k in range(8)]:
-        e_t, e_md = expect(lambda p: max(p - c, Fraction(0)))
-        e_u = (1 - c) ** 2 / 2
-        margins.append((e_md - e_t, ("hinge probe c={}: T {} vs MD {}", c, e_t, e_md)))
-        margins.append((e_u - e_md, ("hinge probe c={}: MD {} vs uniform {}", c, e_md, e_u)))
-    sq_t, sq_md = expect(lambda p: p * p)
-    margins.append((sq_md - sq_t, ("square probe: T {} vs MD {}", sq_t, sq_md)))
-    margins.append((Fraction(1, 3) - sq_md, ("square probe: MD {} vs uniform 1/3", sq_md)))
 
     log_t, log_md = _log_probe(t_table, cdf_t), _log_probe(md_table, cdf_md)
     log_ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
@@ -472,8 +457,11 @@ def verify_all_claims(
     ``thetas`` is the parameter grid for the claims quantified over theta
     (C1, C3, C6); null-only claims always run against the model's null.
     C6 and C8 are gated on sufficiency of the statistic and report
-    "skipped" with a note when the hypothesis is unmet.
+    "skipped" with a note when the hypothesis is unmet.  C5 is checked at
+    t = i / t_grid_size for i = 0..t_grid_size, so t_grid_size must be >= 1.
     """
+    if t_grid_size < 1:
+        raise OrdersError(f"t_grid_size must be at least 1, got {t_grid_size}")
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
@@ -519,22 +507,12 @@ def verify_all_claims(
     if not thetas:
         reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
     else:
-        sub = [
-            check_usual_order(nat_t[theta], nat_md[theta], claim="C3", labels=("T", "MD"))
-            for theta in thetas
-        ]
-        worst_report = min(sub, key=lambda r: r.worst_margin)
-        grid = tuple(sorted(set().union(*(set(r.grid) for r in sub))))
-        reports.append(
-            OrderReport("C3", worst_report.verdict, grid, worst_report.worst_margin, worst_report.witness)
-        )
+        reports.append(_usual_order("C3", [(nat_t[theta], nat_md[theta], ("T", "MD")) for theta in thetas]))
 
     # C4: null sandwich of natural p-value CDFs.
-    lower = check_usual_order(nat_t[null], nat_md[null], claim="C4", labels=("T", "MD"))
-    upper = check_usual_order(nat_md[null], None, claim="C4", labels=("MD", "t"))
-    worst_report = min((lower, upper), key=lambda r: r.worst_margin)
-    grid = tuple(sorted(set(lower.grid) | set(upper.grid)))
-    reports.append(OrderReport("C4", worst_report.verdict, grid, worst_report.worst_margin, worst_report.witness))
+    reports.append(
+        _usual_order("C4", [(nat_t[null], nat_md[null], ("T", "MD")), (nat_md[null], None, ("MD", "t"))])
+    )
 
     # C5: randomized p-values exactly uniform under the null, both families.
     # Pr_0{P(X, U) <= t} is the null power of the size-t test, since

@@ -6,9 +6,10 @@ the null mass of each class and the null mass strictly before it (the
 class start).  The classes tile [0, 1], so the size-alpha test keeps the
 last class whose start does not exceed alpha (one bisect on the starts),
 and the randomization fraction gamma then makes the null expectation
-exactly alpha.  A test keeps its threshold/gamma pair (not just the
-collapsed per-point value), so decisions distinguish "strictly below
-threshold" from "at threshold with gamma = 0"; that is what makes the
+exactly alpha.  A test is that table plus the threshold class index and
+gamma (not just the collapsed per-point value), so a decision compares
+the point's class index with the threshold class and tells "after the
+threshold class" from "in it with gamma = 0"; that is what makes the
 indicator identity  I(P(x,u) <= alpha) == decide(x,u)  exact for every u
 in [0,1], including u = 0 and boundary alphas.
 
@@ -26,6 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -44,15 +46,19 @@ class TestingError(ValueError):
     __test__ = False  # keep pytest's collector away from the Test* name
 
 
-def _as_unit(u: object, what: str = "u") -> Fraction:
+def _exact(u: object, what: str) -> Fraction:
     # numbers.Real covers float and the numpy floating types; ints and
     # Fractions are Rational and stay exact.
     if isinstance(u, numbers.Real) and not isinstance(u, numbers.Rational):
         raise TestingError(f"refusing float {what}={u!r}: pass a Fraction, an int or a 'num/den' string")
     try:
-        value = Fraction(u)  # type: ignore[arg-type]
+        return Fraction(u)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
-        raise TestingError(f"{what} must be a number in [0, 1], got {u!r}") from exc
+        raise TestingError(f"{what} must be an exact number, got {u!r}") from exc
+
+
+def _as_unit(u: object, what: str = "u") -> Fraction:
+    value = _exact(u, what)
     if not 0 <= value <= 1:
         raise TestingError(f"{what}={u} lies outside [0, 1]")
     return value
@@ -60,30 +66,37 @@ def _as_unit(u: object, what: str = "u") -> Fraction:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Piecewise test at exact size alpha.
+    """Piecewise test at exact size alpha, read off one class table.
 
-    ``threshold`` is the statistic value k(alpha) for a t-based test or
-    the rank k*(alpha) for a minimally discrete one; ``gamma`` is the
-    rejection probability on the threshold class.
+    The test rejects the classes before class ``k`` surely and class ``k``
+    itself with probability ``gamma``.  ``threshold`` is that class's key:
+    the statistic value k(alpha) for a t-based test, the rank k*(alpha)
+    for a minimally discrete one.
     """
 
     __test__ = False  # keep pytest's collector away from the Test* name
 
-    model: DiscreteModel
-    kind: str
+    table: ClassTable
     alpha: Fraction
-    threshold: Fraction | int
+    k: int
     gamma: Fraction
-    statistic: Statistic | None = None
-    ranking: Ranking | None = None
+
+    @property
+    def model(self) -> DiscreteModel:
+        return self.table.model
+
+    @property
+    def kind(self) -> str:
+        return self.table.kind
+
+    @property
+    def threshold(self) -> Fraction | int:
+        return self.table.keys[self.k]
 
     def zone(self, point: SupportPoint) -> int:
         """+1 strictly more extreme than the threshold, 0 at it, -1 below."""
-        if self.kind == T_BASED:
-            value = self.statistic.value(point)
-            return 1 if value > self.threshold else (0 if value == self.threshold else -1)
-        rank = self.ranking.rank(point)
-        return 1 if rank < self.threshold else (0 if rank == self.threshold else -1)
+        k = self.table.class_of[point.index]
+        return 1 if k < self.k else (0 if k == self.k else -1)
 
     def phi(self, point: SupportPoint) -> Fraction:
         """Rejection probability phi_alpha(x) in {0, gamma, 1}."""
@@ -99,7 +112,7 @@ class TestFunction:
         return zone > 0 or (zone == 0 and uu <= self.gamma)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassTable:
     """Tie classes of one source, most extreme first, with prefix sums.
 
@@ -108,6 +121,7 @@ class ClassTable:
     first, one point per class).  ``mass[k]`` is its null mass and
     ``starts[k]`` the null mass of the classes before it, so the classes
     tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]].
+    Tables compare by these fields; the per-theta cache is left out.
     """
 
     model: DiscreteModel
@@ -117,12 +131,21 @@ class ClassTable:
     mass: tuple[Fraction, ...]
     starts: tuple[Fraction, ...]
     _by_theta: dict[str, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = field(
-        default_factory=dict, init=False, repr=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     @property
     def kind(self) -> str:
         return MD if isinstance(self.source, Ranking) else T_BASED
+
+    @cached_property
+    def class_of(self) -> tuple[int, ...]:
+        """Class index of every support point, in support order."""
+        out = [0] * self.model.size
+        for k, members in enumerate(self.members):
+            for i in members:
+                out[i] = k
+        return tuple(out)
 
     def theta_masses(self, theta: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Per-class mass under theta, and its prefix sums (entry k: mass before class k)."""
@@ -153,16 +176,7 @@ class ClassTable:
 
     def test(self, alpha: Fraction) -> TestFunction:
         k, gamma = self.threshold(alpha)
-        md = self.kind == MD
-        return TestFunction(
-            model=self.model,
-            kind=self.kind,
-            alpha=alpha,
-            threshold=self.keys[k],
-            gamma=gamma,
-            statistic=None if md else self.source,
-            ranking=self.source if md else None,
-        )
+        return TestFunction(self, alpha, k, gamma)
 
     def family(self) -> PValueFamily:
         """Exact (a, b) pairs: a = Pr_0{strictly more extreme}, b = Pr_0{tied}."""

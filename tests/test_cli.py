@@ -114,6 +114,21 @@ class TestVerify:
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
                      "--out", str(out), "--t-grid", "20"]) == 0
 
+    def test_ranking_file_of_indices_exits_two(self, tmp_path):
+        # support indices in an agreeing order are still not labels
+        from mdpvalues.registry import example1_model, table1_priority
+        model = example1_model()
+        order_path = tmp_path / "ranking.json"
+        order_path.write_text(json.dumps([model.point(label).index for label in table1_priority(model)]))
+        assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
+                     "--out", str(tmp_path / "verify"), "--t-grid", "20"]) == 2
+
+    def test_t_grid_below_one_is_usage_error(self, tmp_path, capsys):
+        for size in ("0", "-1"):
+            assert main(["verify", "--model", "example1", "--t-grid", size,
+                         "--out", str(tmp_path / "v")]) == 2
+            assert "t_grid_size must be at least 1" in capsys.readouterr().err
+
     def test_model_file_input(self, tmp_path):
         from mdpvalues import bernoulli_product_model, save_model
         model_path = tmp_path / "model.json"

@@ -22,7 +22,7 @@ from mdpvalues import (
 from mdpvalues.orders import _projection_margins, reports_to_json
 from mdpvalues.testing import alpha_breakpoints, class_table
 
-from claims_oracle import rectangle_integral, reference_claims
+from claims_oracle import randomized_cdf_at, rectangle_integral, reference_claims
 from conftest import random_model_and_statistic
 
 
@@ -110,6 +110,20 @@ def test_integral_prefix_matches_rectangles():
         points = set(cdf.jumps) | {Fraction(0), Fraction(1)} | {Fraction(rng.randint(0, 97), 97) for _ in range(10)}
         for s in sorted(points):
             assert cdf.integral(s) == rectangle_integral(cdf, s)
+
+
+def test_table_power_is_the_randomized_cdf():
+    """Pr_theta{P(X, U) <= t} read off the class table equals the sum over the support."""
+    rng = random.Random(13)
+    for _ in range(20):
+        model, statistic = random_model_and_statistic(rng, max_support=30)
+        for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=3)):
+            table = class_table(model, source)
+            family = table.family()
+            grid = set(alpha_breakpoints(family)) | {Fraction(rng.randint(0, 89), 89) for _ in range(10)}
+            for theta in ("t0", "t1"):
+                for t in sorted(grid):
+                    assert table.power(theta, t) == randomized_cdf_at(model, theta, family, t)
 
 
 def test_support_1024_verifies_within_budget():

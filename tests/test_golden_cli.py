@@ -1,0 +1,77 @@
+"""Byte identity of the exact CLI outputs across commits, by sha256.
+
+``golden_cli.sha256.json`` maps "<case>/<file>" to the sha256 of every file
+that each case below writes, manifests included.  A change that means to
+alter these bytes has to regenerate the map and say so:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+
+``simulate`` is left out on purpose: its floats depend on the numpy build.
+TestDeterminism in test_cli.py reruns it within one checkout instead.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from mdpvalues.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.sha256.json")
+
+
+def _cases() -> dict[str, list[str]]:
+    """Case name -> CLI arguments; "{out}" is replaced by the case's output path."""
+    cases = {"table1": ["table1", "--out", "{out}/table1.csv"]}
+    for model in ("binomial:50,1/2,3/5", "example1"):
+        for family in ("t", "md"):
+            cases[f"pvalues {model} {family}"] = [
+                "pvalues", "--model", model, "--family", family, "--out", "{out}/pvalues.csv"]
+    for family in ("t", "md"):
+        for u in ("natural", "mid", "rand"):
+            for theta in ("theta0", "theta1"):
+                cases[f"cdf example1 {family} {u} {theta}"] = [
+                    "cdf", "--model", "example1", "--family", family, "--u", u,
+                    "--theta", theta, "--out", "{out}/cdf.csv"]
+        cases[f"cdf example1 {family} uniform"] = [
+            "cdf", "--model", "example1", "--family", family, "--uniform", "--out", "{out}/cdf.csv"]
+    cases["verify example1"] = ["verify", "--model", "example1", "--out", "{out}"]
+    cases["verify example1 t-grid 20"] = ["verify", "--model", "example1", "--t-grid", "20", "--out", "{out}"]
+    cases["verify binomial:200,1/2,3/5"] = ["verify", "--model", "binomial:200,1/2,3/5", "--out", "{out}"]
+    return cases
+
+
+def digests(root: Path) -> dict[str, str]:
+    """Run every case into its own directory under ``root``; hash each file it wrote."""
+    out = {}
+    for index, (name, args) in enumerate(_cases().items()):
+        directory = root / f"case{index:02d}"
+        directory.mkdir()
+        with contextlib.redirect_stdout(io.StringIO()):  # verify echoes its report table
+            status = main([arg.replace("{out}", str(directory)) for arg in args])
+        assert status == 0, f"{name}: exit status {status}"
+        for path in sorted(directory.iterdir()):
+            out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert not changed, f"outputs differ from the golden map: {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_cli.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        table = digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

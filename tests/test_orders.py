@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdpvalues import (
     OrdersError,
     Ranking,
     StepCDF,
+    TestingError,
     binomial_model,
     build_agreeing_ranking,
     check_convex_order_chain,
@@ -21,13 +23,12 @@ from mdpvalues import (
     make_statistic,
     pvalue_cdf,
     pvalue_family,
-    randomized_pvalue_cdf_at,
     size_alpha_test,
     uniform_integrated,
     verify_all_claims,
 )
 
-from claims_oracle import phi_expectation_by_tails
+from claims_oracle import phi_expectation_by_tails, randomized_cdf_at
 from conftest import brute_expectation
 
 HALF = Fraction(1, 2)
@@ -64,6 +65,15 @@ class TestStepCDF:
         assert cdf.evaluate(Fraction(1, 32)) == Fraction(1, 32)
         assert cdf.evaluate(Fraction(1, 33)) == 0
 
+    def test_float_t_refused_exact_t_unrestricted(self):
+        cdf = StepCDF((Fraction(3, 10), Fraction(1)), (HALF, Fraction(1)))
+        assert cdf.evaluate(Fraction(3, 10)) == HALF
+        assert cdf.evaluate("3/10") == HALF
+        for t in (0.3, np.float64(0.3), np.float32(0.3)):
+            with pytest.raises(TestingError, match="refusing float"):
+                cdf.evaluate(t)
+        assert cdf.evaluate(-1) == 0 and cdf.evaluate(2) == 1
+
     def test_atoms_at_equal_locations_merge(self):
         cdf = StepCDF.from_atoms([(HALF, Fraction(1, 4)), (HALF, Fraction(3, 4))])
         assert cdf.jumps == (HALF,)
@@ -74,18 +84,18 @@ class TestRandomizedCDF:
     def test_exactly_uniform_under_null(self, example1, t_family, md_family):
         for k in range(51):
             t = Fraction(k, 50)
-            assert randomized_pvalue_cdf_at(example1, "theta0", t_family, t) == t
-            assert randomized_pvalue_cdf_at(example1, "theta0", md_family, t) == t
+            assert randomized_cdf_at(example1, "theta0", t_family, t) == t
+            assert randomized_cdf_at(example1, "theta0", md_family, t) == t
 
     def test_endpoints(self, example1, t_family):
-        assert randomized_pvalue_cdf_at(example1, "theta0", t_family, 0) == 0
-        assert randomized_pvalue_cdf_at(example1, "theta0", t_family, 1) == 1
+        assert randomized_cdf_at(example1, "theta0", t_family, 0) == 0
+        assert randomized_cdf_at(example1, "theta0", t_family, 1) == 1
 
     def test_families_coincide_under_alternative(self, example1, t_family, md_family):
         t = Fraction(1, 10)
-        assert randomized_pvalue_cdf_at(
+        assert randomized_cdf_at(
             example1, "theta1", t_family, t
-        ) == randomized_pvalue_cdf_at(example1, "theta1", md_family, t)
+        ) == randomized_cdf_at(example1, "theta1", md_family, t)
 
 
 class TestIntegratedCDF:

@@ -12,11 +12,11 @@ from mdpvalues import (
     make_model,
     make_statistic,
     pvalue_family,
-    randomized_pvalue_cdf_at,
     size_alpha_test,
     verify_agreement,
 )
 
+from claims_oracle import randomized_cdf_at
 from conftest import brute_expectation, random_model_and_statistic
 
 
@@ -59,7 +59,7 @@ def test_randomized_pvalues_uniform(case, numerator):
     t = Fraction(numerator, 13)
     for source in (statistic, build_agreeing_ranking(model, statistic)):
         family = pvalue_family(model, source)
-        assert randomized_pvalue_cdf_at(model, "t0", family, t) == t
+        assert randomized_cdf_at(model, "t0", family, t) == t
 
 
 @given(small_models())
