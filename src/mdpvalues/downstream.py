@@ -10,23 +10,27 @@ spawn_key=(r,)))), and within a replicate hypothesis i consumes component i
 of each vectorized draw (data first, then auxiliary u, then the regenerated
 u used for the dependence rate).  Identical configs therefore reproduce
 bit-identical reports, and runs sharing a master seed see identical data.
+numpy is imported inside the harness only, so the exact layers and the
+CLI commands other than ``simulate`` never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
 from .rational import format_rational, parse_rational
 from .special import chi2_upper_quantile
 from .testing import MD, T_BASED, TestFunction, pvalue_family
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROCEDURES = ("bh", "bonferroni", "fisher", "geometric-mean")
 U_POLICIES = ("natural", "mid", "randomized")
@@ -84,6 +88,12 @@ def bonferroni(pvalues: Sequence[float], alpha: float) -> tuple[int, ...]:
     return tuple(i for i, p in enumerate(ps) if p <= cut)
 
 
+@functools.lru_cache
+def _fisher_critical(alpha: float, df: int) -> float:
+    """The chi-squared(df) upper-alpha point, solved once per (alpha, df) in a process."""
+    return chi2_upper_quantile(alpha, df)
+
+
 class FisherResult(NamedTuple):
     statistic: float
     critical_value: float
@@ -96,7 +106,7 @@ def fisher_test(pvalues: Sequence[float], alpha: float) -> FisherResult:
     ps = _check_pvalues(pvalues)
     if not ps:
         raise ConfigError("fisher_test needs at least one p-value")
-    critical = chi2_upper_quantile(float(alpha), 2 * len(ps))
+    critical = _fisher_critical(float(alpha), 2 * len(ps))
     if any(p == 0.0 for p in ps):
         return FisherResult(math.inf, critical, True, "zero p-value: statistic diverges")
     statistic = -2.0 * sum(math.log(p) for p in ps)
@@ -194,6 +204,8 @@ class SimulationConfig:
             raise ConfigError("alpha must lie strictly in (0, 1)")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def null(self) -> str:
@@ -306,6 +318,8 @@ def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))))
 
 
@@ -319,6 +333,8 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     policy, u is regenerated once per replicate and the fraction of
     per-hypothesis decisions that flip is reported.
     """
+    import numpy as np
+
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
     if config.family == MD:
@@ -342,7 +358,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     is_null[:m0] = True
     alpha = float(config.alpha)
     global_procedure = config.procedure in ("fisher", "geometric-mean")
-    critical = chi2_upper_quantile(alpha, 2 * m) if config.procedure == "fisher" else math.nan
+    critical = _fisher_critical(alpha, 2 * m) if config.procedure == "fisher" else math.nan
 
     def pvals(idx: np.ndarray, u: np.ndarray) -> np.ndarray:
         if config.u_policy == "natural":

@@ -266,12 +266,7 @@ def _log_probe(table: ClassTable, mid_cdf: StepCDF, eps: float = 1e-12) -> float
 
 
 def check_convex_order_chain(
-    model: DiscreteModel,
-    statistic: Statistic,
-    ranking: Ranking,
-    *,
-    claim: str = "C9",
-    tables: tuple[ClassTable, ClassTable] | None = None,
+    model: DiscreteModel, statistic: Statistic, ranking: Ranking, *, claim: str = "C9"
 ) -> OrderReport:
     """Convex-order chain of mid-p-values under the null.
 
@@ -285,15 +280,15 @@ def check_convex_order_chain(
     implies E0[phi(P)] ordered for every convex phi, hinges and squares
     included; no separate probe margin is needed.  The clipped -2*log
     probe is an advisory float diagnostic recorded in the note.
-    ``tables`` passes the class tables of an agreeing pair that the caller
-    has already built and checked.
     """
-    if tables is None:
-        ok, witness = verify_agreement(model, statistic, ranking)
-        if not ok:
-            raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
-        tables = (class_table(model, statistic), class_table(model, ranking))
-    t_table, md_table = tables
+    ok, witness = verify_agreement(model, statistic, ranking)
+    if not ok:
+        raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
+    return _convex_order_chain(class_table(model, statistic), class_table(model, ranking), claim)
+
+
+def _convex_order_chain(t_table: ClassTable, md_table: ClassTable, claim: str) -> OrderReport:
+    """check_convex_order_chain on the class tables of an agreeing pair."""
     cdf_t, cdf_md = _mid_pvalue_cdf(t_table), _mid_pvalue_cdf(md_table)
 
     mean_t, mean_md = (
@@ -555,7 +550,7 @@ def verify_all_claims(
         reports.append(_claim("C8", alphas, margins, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(check_convex_order_chain(model, statistic, ranking, tables=(t_table, md_table)))
+    reports.append(_convex_order_chain(t_table, md_table, "C9"))
 
     return reports
 

@@ -1,11 +1,18 @@
-"""Regularized incomplete gamma functions and chi-squared quantiles.
+"""Chi-squared survival and upper quantiles for even degrees of freedom.
 
-Self-contained numerics (power series plus a modified-Lentz continued
-fraction), so no statistical tables or external libraries are needed.
-P(a, x) is the lower regularized incomplete gamma function; Q = 1 - P.
-The split at x = a + 1 keeps both expansions in their fast-converging
-regions.  A loop that has not converged after _MAX_ITER steps raises
-ArithmeticError instead of returning an unconverged value.
+The only consumer is Fisher's combination, -2 sum log P_i over n p-values,
+whose reference law is chi-squared with df = 2n: the degrees of freedom
+are always even.  For even df the survival function is the closed-form
+Poisson tail
+
+    Pr{chi2_df >= x} = Pr{Poisson(x/2) < df/2} = sum_{k < df/2} e^{-x/2} (x/2)^k / k!
+
+(Press et al., Numerical Recipes, section 6.2), so no incomplete-gamma
+series or continued fraction is needed, and odd df is refused.  Each term
+is formed in log space and summed with math.fsum, so the sum does not
+underflow where e^{-x/2} alone does (x/2 > 745, which the upper critical
+values pass from about df = 1400 on).  Quantiles come from a bisection
+that raises ArithmeticError if it has not converged after _MAX_ITER steps.
 """
 
 from __future__ import annotations
@@ -13,84 +20,21 @@ from __future__ import annotations
 import math
 
 _MAX_ITER = 1000
-_EPS = 1e-16
-_TINY = 1e-300
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Series for P(a, x), reliable for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    else:
-        raise ArithmeticError(f"gamma series for P({a}, {x}) did not converge in {_MAX_ITER} terms")
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_cont_fraction(a: float, x: float) -> float:
-    """Continued fraction for Q(a, x) (modified Lentz), for x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    else:
-        raise ArithmeticError(f"continued fraction for Q({a}, {x}) did not converge in {_MAX_ITER} terms")
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0:
-        raise ValueError(f"shape a must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_p_series(a, x))
-    return max(0.0, 1.0 - _gamma_q_cont_fraction(a, x))
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError(f"shape a must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return max(0.0, 1.0 - _gamma_p_series(a, x))
-    return min(1.0, _gamma_q_cont_fraction(a, x))
 
 
 def chi2_survival(x: float, df: int) -> float:
-    """Pr{chi-squared with df degrees of freedom >= x}."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    """Pr{chi-squared with df degrees of freedom >= x}, for even df."""
+    if df < 2 or df % 2:
+        raise ValueError(f"degrees of freedom must be a positive even integer, got {df}")
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
     if x <= 0:
         return 1.0
-    return regularized_gamma_q(df / 2.0, x / 2.0)
+    if x == math.inf:
+        return 0.0  # the log-space terms below would be inf - inf = nan
+    half = x / 2.0
+    log_half = math.log(half)
+    return min(1.0, math.fsum(math.exp(k * log_half - half - math.lgamma(k + 1)) for k in range(df // 2)))
 
 
 def chi2_upper_quantile(alpha: float, df: int, rel_tol: float = 1e-10) -> float:

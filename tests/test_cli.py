@@ -2,8 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mdpvalues
 from mdpvalues.cli import main
 from mdpvalues.rational import parse_rational
 
@@ -169,6 +174,10 @@ class TestSimulateCommand:
             "replicates": 0, "seed": 3}))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 class TestPValuesCommand:
     def test_emits_family_table(self, tmp_path):
@@ -194,3 +203,11 @@ class TestDeterminism:
         for rel in ("t.csv", "t.csv.manifest.json", "c.csv", "p.csv", "sim/report.json",
                     "sim/summary.csv", "sim/manifest.json", "v/reports.json", "v/reports.txt"):
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+class TestImports:
+    def test_cli_import_does_not_load_numpy(self):
+        # numpy is imported inside downstream.simulate only
+        env = {**os.environ, "PYTHONPATH": str(Path(mdpvalues.__file__).resolve().parents[1])}
+        code = "import mdpvalues.cli, sys; assert 'numpy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mdpvalues.downstream as downstream
 from mdpvalues import (
     ConfigError,
     bernoulli_product_model,
@@ -20,6 +21,7 @@ from mdpvalues import (
     simulate,
     size_alpha_test,
 )
+from mdpvalues.special import chi2_upper_quantile
 
 
 def bh_candidate_sup_oracle(pvalues, alpha):
@@ -230,6 +232,18 @@ class TestSimulate:
             procedure="fisher", u_policy="mid", pi0="1", hypotheses=20, replicates=300))
         assert report.fdr <= 0.1 + 3 * max(report.fdr_mcse, 1e-3)
 
+    def test_fisher_critical_value_solved_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting_quantile(alpha, df):
+            calls.append((alpha, df))
+            return chi2_upper_quantile(alpha, df)
+
+        monkeypatch.setattr(downstream, "chi2_upper_quantile", counting_quantile)
+        downstream._fisher_critical.cache_clear()
+        simulate(_config(procedure="fisher", u_policy="randomized", replicates=200))
+        assert calls == [(0.1, 80)]
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
             _config(replicates=0)
@@ -239,6 +253,8 @@ class TestSimulate:
             _config(procedure="storey")
         with pytest.raises(ConfigError):
             _config(u_policy="fuzzy")
+        with pytest.raises(ConfigError):
+            _config(seed=-1)
 
     def test_report_records_rng_identity(self):
         assert "Philox" in simulate(_config()).rng

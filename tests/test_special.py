@@ -1,17 +1,20 @@
-"""Incomplete gamma and chi-squared quantiles against independent oracles."""
+"""Even-df chi-squared survival and quantiles against independent oracles."""
 
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import mdpvalues.special as special
-from mdpvalues.special import (
-    chi2_survival,
-    chi2_upper_quantile,
-    regularized_gamma_p,
-    regularized_gamma_q,
-)
+from mdpvalues.special import chi2_survival, chi2_upper_quantile
+
+# float.hex(chi2_upper_quantile(alpha, df)) by alpha, then df, computed with
+# the incomplete-gamma series and continued fraction that special.py used
+# before the closed form: the closed form must reproduce them bit for bit.
+PINNED_CRITICALS = json.loads((Path(__file__).parent / "chi2_criticals.json").read_text())
 
 
 def chi2_sf_even_df(x: float, df: int) -> float:
@@ -41,24 +44,6 @@ def chi2_sf_by_quadrature(x: float, df: int, steps: int = 200_000) -> float:
     return 1.0 - total * h / 3.0
 
 
-class TestRegularizedGamma:
-    def test_p_plus_q_is_one(self):
-        for a in (0.5, 1.0, 2.5, 20.0, 100.0):
-            for x in (0.0, 0.3, 1.0, a, 3 * a + 1):
-                assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_exponential_special_case(self):
-        # a = 1 gives P(1, x) = 1 - exp(-x)
-        for x in (0.1, 1.0, 5.0):
-            assert regularized_gamma_p(1.0, x) == pytest.approx(1 - math.exp(-x), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_gamma_p(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_q(1.0, -1.0)
-
-
 class TestChiSquared:
     def test_survival_matches_even_df_closed_form(self):
         for df in (2, 4, 10, 40):
@@ -80,6 +65,33 @@ class TestChiSquared:
                 x = chi2_upper_quantile(alpha, df)
                 assert chi2_survival(x, df) == pytest.approx(alpha, rel=1e-9)
 
+    def test_pinned_critical_values_are_bit_identical(self):
+        for alpha, row in PINNED_CRITICALS.items():
+            for df, pinned in row.items():
+                assert float.hex(chi2_upper_quantile(float(Fraction(alpha)), int(df))) == pinned, (alpha, df)
+
+    @pytest.mark.parametrize("df", [400, 2000, 20000])
+    def test_large_df_survival_cross_checked_by_quadrature(self, df):
+        # from df = 2000 the critical value's e^{-x/2} underflows, so a sum
+        # started there, as in chi2_sf_even_df, finds the wrong quantile
+        crit = chi2_upper_quantile(0.05, df)
+        by_quadrature = chi2_sf_by_quadrature(crit, df)
+        assert by_quadrature == pytest.approx(0.05, abs=1e-9)
+        assert chi2_survival(crit, df) == pytest.approx(by_quadrature, abs=1e-9)
+
+    def test_odd_df_refused(self):
+        for df in (1, 3, 41):
+            with pytest.raises(ValueError, match="even"):
+                chi2_survival(2.0, df)
+        with pytest.raises(ValueError):
+            chi2_upper_quantile(0.05, 5)
+
+    def test_survival_at_infinity_and_nan(self):
+        assert chi2_survival(math.inf, 4) == 0.0
+        assert chi2_survival(1e300, 4) == 0.0
+        with pytest.raises(ValueError, match="nan"):
+            chi2_survival(math.nan, 4)
+
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             chi2_upper_quantile(0.0, 4)
@@ -88,23 +100,13 @@ class TestChiSquared:
 
 
 class TestNonConvergenceRaises:
-    """With one iteration allowed, no loop converges; each must say so."""
+    """With one iteration allowed, the bisection cannot converge; it must say so."""
 
     @pytest.fixture(autouse=True)
     def one_iteration(self, monkeypatch):
         monkeypatch.setattr(special, "_MAX_ITER", 1)
 
-    def test_series(self):
-        with pytest.raises(ArithmeticError, match="series"):
-            regularized_gamma_p(5.0, 3.0)  # x < a + 1: the power series
-
-    def test_continued_fraction(self):
-        with pytest.raises(ArithmeticError, match="continued fraction"):
-            regularized_gamma_q(2.5, 10.0)  # x >= a + 1: the Lentz continued fraction
-
-    def test_quantile_bisection(self, monkeypatch):
-        # the closed-form survival needs no iteration, so only the bisection runs out
-        monkeypatch.setattr(special, "chi2_survival", chi2_sf_even_df)
+    def test_quantile_bisection(self):
         with pytest.raises(ArithmeticError, match="bisection"):
             chi2_upper_quantile(0.05, 4)
 
