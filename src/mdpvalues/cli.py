@@ -30,7 +30,7 @@ from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, v
 from .ranking import Ranking, RankingError, ranking_from_order, build_agreeing_ranking, verify_agreement
 from .rational import decimal_string, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
-from .testing import MD, T_BASED, TestingError, alpha_breakpoints, class_table, pvalue_family, write_pvalue_table
+from .testing import MD, T_BASED, TestingError, alpha_breakpoints, pvalue_family, write_pvalue_table
 
 
 class CliError(ValueError):
@@ -103,7 +103,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_cdf(args: argparse.Namespace) -> int:
     model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.null, args.alt)
+    statistic = default_statistic(model, args.alt)
     theta = args.theta or model.parameter_names[0]
     if theta not in model.parameter_names:
         raise CliError(f"unknown parameter {theta!r}")
@@ -111,8 +111,7 @@ def cmd_cdf(args: argparse.Namespace) -> int:
         source = build_agreeing_ranking(model, statistic)
     else:
         source = statistic
-    table = class_table(model, source)
-    family = table.family()
+    family = pvalue_family(model, source)
     out = Path(args.out)
     fh, writer = _csv_writer(out)
     with fh:
@@ -121,7 +120,7 @@ def cmd_cdf(args: argparse.Namespace) -> int:
             rows = [(t, t) for t in alpha_breakpoints(family, midpoints=False)]
         elif args.u == "rand":
             # Pr{P(X, U) <= t} is the power of the size-t test
-            rows = [(t, table.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
+            rows = [(t, family.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
         else:
             u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
             cdf = pvalue_cdf(model, theta, family, u)
@@ -144,7 +143,7 @@ def cmd_cdf(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.null, args.alt)
+    statistic = default_statistic(model, args.alt)
     if args.ranking_file:
         ranking = _load_ranking(model, args.ranking_file)
         ok, witness = verify_agreement(model, statistic, ranking)
@@ -224,7 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pvalues(args: argparse.Namespace) -> int:
     model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.null, args.alt)
+    statistic = default_statistic(model, args.alt)
     ranking = build_agreeing_ranking(model, statistic)
     out = Path(args.out)
     write_pvalue_table(out, model, statistic, ranking, _FAMILY_FLAGS[args.family])
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None, help="parameter name (default: the null)")
     p.add_argument("--u", choices=("natural", "mid", "rand"), default="natural")
     p.add_argument("--uniform", action="store_true", help="emit the exact diagonal reference instead")
-    p.add_argument("--null", default=None)
     p.add_argument("--alt", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cdf)
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--thetas", default=None, help="comma-separated parameter grid (default: all)")
     p.add_argument("--ranking-file", default=None, help="JSON array of labels, rank 1 first")
-    p.add_argument("--null", default=None)
     p.add_argument("--alt", default=None)
     p.add_argument("--t-grid", type=int, default=200)
     p.add_argument("--out", required=True, help="output directory")
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pvalues", help="emit the per-point p-value table as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--family", choices=("t", "md"), default="md")
-    p.add_argument("--null", default=None)
     p.add_argument("--alt", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pvalues)

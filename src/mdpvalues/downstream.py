@@ -167,10 +167,14 @@ def evalue_calibrate(p: float, method: str, k: float | None = None) -> float:
 def randomization_dependence_prob(
     model: DiscreteModel, theta: str, test: TestFunction
 ) -> Fraction:
-    """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u."""
+    """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u.
+
+    That is the theta mass of the threshold class when 0 < gamma < 1;
+    ``model`` is the test's model.
+    """
     if not 0 < test.gamma < 1:
         return Fraction(0)
-    return model.event_prob(theta, lambda pt: test.zone(pt) == 0)
+    return test.table.theta_masses(theta)[0][test.k]
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,6 @@ class SimulationConfig:
     replicates: int
     seed: int
     tie_break: str = "lexicographic"
-    null_name: str | None = None
     alt_name: str | None = None
 
     def __post_init__(self) -> None:
@@ -209,7 +212,8 @@ class SimulationConfig:
 
     @property
     def null(self) -> str:
-        return self.null_name or self.model.parameter_names[0]
+        """The model's null: p-values are formed under it, so true nulls draw their data from it."""
+        return self.model.null
 
     @property
     def alt(self) -> str:
@@ -246,6 +250,12 @@ _FAMILY_ALIASES = {"t": T_BASED, "t-based": T_BASED, "md": MD}
 
 
 def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> SimulationConfig:
+    null = data.get("null", model.null)
+    if null != model.null:
+        raise ConfigError(
+            f"null {null!r} is not the model's null {model.null!r}: p-values are formed under "
+            "the model's first parameter, so null hypotheses must draw from it"
+        )
     try:
         family = _FAMILY_ALIASES.get(str(data["family"]), str(data["family"]))
         return SimulationConfig(
@@ -260,7 +270,6 @@ def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> Simu
             replicates=int(data["replicates"]),
             seed=int(data["seed"]),
             tie_break=str(data.get("tie_break", "lexicographic")),
-            null_name=data.get("null"),
             alt_name=data.get("alt"),
         )
     except KeyError as exc:

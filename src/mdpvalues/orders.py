@@ -9,9 +9,10 @@ each claim returns an OrderReport carrying the grid, a signed worst margin
 (pass iff >= 0) and a witness on failure.
 
 The engine sorts the support into tie classes once per source, the
-statistic and the ranking (``testing.class_table``), and answers every
-claim from prefix sums over those two tables with one bisect per grid
-point, instead of rebuilding a size-alpha test at each alpha:
+statistic and the ranking (``testing.pvalue_family``, whose p-value family
+is that sorted class table), and answers every claim from prefix sums
+over those two tables with one bisect per grid point, instead of
+rebuilding a size-alpha test at each alpha:
 
   - the size-alpha test at alpha is a bisect on the class starts, so the
     power behind C6 is prefix_theta[k] + gamma * mass_theta[k];
@@ -20,6 +21,9 @@ point, instead of rebuilding a size-alpha test at each alpha:
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
+  - the CDF of P(X, u) at a fixed u jumps once per class, at
+    start + u * mass, by the class's mass under theta, so the natural
+    (C1-C4) and mid (C9) p-value CDFs are read off the table too;
   - the integrated CDFs of C9 are prefixes of cum * width on StepCDF.
 
 A failing claim names its witness by re-running the single-alpha check at
@@ -55,13 +59,12 @@ from .rational import decimal_string, format_rational
 from .testing import (
     MD,
     T_BASED,
-    ClassTable,
     PValueFamily,
     TestFunction,
     _as_unit,
     _exact,
     alpha_breakpoints,
-    class_table,
+    pvalue_family,
 )
 
 CLAIM_IDS = tuple(f"C{i}" for i in range(1, 10))
@@ -91,19 +94,6 @@ class StepCDF:
             raise OrdersError("cumulative masses must be nondecreasing")
         if self.cum[-1] != 1:
             raise OrdersError(f"final mass is {self.cum[-1]}, not 1")
-
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple[Fraction, Fraction]]) -> "StepCDF":
-        masses: dict[Fraction, Fraction] = {}
-        for location, mass in atoms:
-            masses[location] = masses.get(location, Fraction(0)) + mass
-        jumps = sorted(masses)
-        cum = []
-        total = Fraction(0)
-        for loc in jumps:
-            total += masses[loc]
-            cum.append(total)
-        return cls(tuple(jumps), tuple(cum))
 
     def evaluate(self, t: object) -> Fraction:
         """F(t) for any exact t; floats are refused, t need not lie in [0, 1]."""
@@ -141,12 +131,16 @@ class StepCDF:
 
 
 def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object) -> StepCDF:
-    """Exact distribution of P(X, u) under theta for a fixed u."""
+    """Exact distribution of P(X, u) under theta for a fixed u; ``model`` is the family's.
+
+    Class k puts its theta mass at start + u * mass.  Every class has
+    positive null mass, so these jumps increase strictly for every u in [0, 1].
+    """
+    if model != family.model:
+        raise OrdersError("the p-value family was built on another model")
     uu = _as_unit(u)
-    row = model.probs(theta)
-    return StepCDF.from_atoms(
-        (family.a[i] + uu * family.b[i], row[i]) for i in range(model.size)
-    )
+    _mass, before = family.theta_masses(theta)
+    return StepCDF(tuple(s + uu * m for s, m in zip(family.starts, family.mass)), before[1:])
 
 
 def integrated_cdf(cdf: StepCDF, s: object) -> Fraction:
@@ -248,21 +242,14 @@ def check_usual_order(
 
 def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
     """Var(P(x, U) | X = x) = b(x)^2 / 12 exactly (Var of U times tie mass squared)."""
-    i = family._index(point)
-    return family.b[i] ** 2 / 12
+    return family.b[family.model.point(point).index] ** 2 / 12
 
 
-def _mid_pvalue_cdf(table: ClassTable) -> StepCDF:
-    """Null CDF of the mid-p-value: class k sits at start + mass/2, strictly increasing in k."""
-    mids = tuple(start + mass / 2 for start, mass in zip(table.starts, table.mass))
-    return StepCDF(mids, tuple(accumulate(table.mass)))
-
-
-def _log_probe(table: ClassTable, mid_cdf: StepCDF, eps: float = 1e-12) -> float:
+def _log_probe(family: PValueFamily, mid_cdf: StepCDF, eps: float = 1e-12) -> float:
     """E0[-2 log P_mid] in floats, summed point by point in support order."""
     log_mid = [-2.0 * math.log(max(float(mid), eps)) for mid in mid_cdf.jumps]
-    row = table.model.probs(table.model.null)
-    return sum(float(p) * log_mid[k] for p, k in zip(row, table.class_of))
+    row = family.model.probs(family.model.null)
+    return sum(float(p) * log_mid[k] for p, k in zip(row, family.class_of))
 
 
 def check_convex_order_chain(
@@ -284,16 +271,17 @@ def check_convex_order_chain(
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
-    return _convex_order_chain(class_table(model, statistic), class_table(model, ranking), claim)
+    return _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), claim)
 
 
-def _convex_order_chain(t_table: ClassTable, md_table: ClassTable, claim: str) -> OrderReport:
-    """check_convex_order_chain on the class tables of an agreeing pair."""
-    cdf_t, cdf_md = _mid_pvalue_cdf(t_table), _mid_pvalue_cdf(md_table)
+def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
+    """check_convex_order_chain on the p-value families of an agreeing pair."""
+    model = t_family.model
+    cdf_t, cdf_md = (pvalue_cdf(model, model.null, family, HALF) for family in (t_family, md_family))
 
     mean_t, mean_md = (
-        sum((m * mid for m, mid in zip(table.mass, cdf.jumps)), Fraction(0))
-        for table, cdf in ((t_table, cdf_t), (md_table, cdf_md))
+        sum((m * mid for m, mid in zip(family.mass, cdf.jumps)), Fraction(0))
+        for family, cdf in ((t_family, cdf_t), (md_family, cdf_md))
     )
     margins: list[tuple[Fraction, tuple]] = [
         (-abs(mean_t - HALF), ("mean of T mid-p is {}", mean_t)),
@@ -311,7 +299,7 @@ def _convex_order_chain(t_table: ClassTable, md_table: ClassTable, claim: str) -
         margins.append((middle - lower, ("integrated CDFs at s={}: T {} vs MD {}", s, lower, middle)))
         margins.append((upper - middle, ("integrated CDFs at s={}: MD {} vs uniform {}", s, middle, upper)))
 
-    log_t, log_md = _log_probe(t_table, cdf_t), _log_probe(md_table, cdf_md)
+    log_t, log_md = _log_probe(t_family, cdf_t), _log_probe(md_family, cdf_md)
     log_ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
     note = (
         f"means ({mean_t}, {mean_md}); "
@@ -371,7 +359,7 @@ def check_martingale_projection(
 
 
 def _projection_margins(
-    t_table: ClassTable, md_table: ClassTable, alphas: Sequence[Fraction]
+    t_family: PValueFamily, md_family: PValueFamily, alphas: Sequence[Fraction]
 ) -> list[Fraction]:
     """Worst margin of check_martingale_projection at each alpha, read off per class.
 
@@ -381,9 +369,9 @@ def _projection_margins(
     above r, so the largest rank before class k decides them all; the
     sure-retention side is decided by the smallest rank after class k.
     """
-    ranks = md_table.source.ranks
-    null_row = t_table.model.probs(t_table.model.null)
-    by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_table.members]
+    ranks = md_family.source.ranks
+    null_row = t_family.model.probs(t_family.model.null)
+    by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_family.members]
     class_ranks = [[rank for rank, _ in pairs] for pairs in by_rank]
     below = [tuple(accumulate((m for _, m in pairs), initial=Fraction(0))) for pairs in by_rank]
     before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=0))
@@ -393,14 +381,14 @@ def _projection_margins(
 
     out = []
     for alpha in alphas:
-        k, gamma_t = t_table.threshold(alpha)
-        r_index, gamma_md = md_table.threshold(alpha)
-        r = md_table.keys[r_index]
+        k, gamma_t = t_family.threshold(alpha)
+        r_index, gamma_md = md_family.threshold(alpha)
+        r = md_family.keys[r_index]
         j = bisect_left(class_ranks[k], r)
         value = below[k][j]
         if j < len(class_ranks[k]) and class_ranks[k][j] == r:
             value += gamma_md * by_rank[k][j][1]
-        margin = -abs(value / t_table.mass[k] - gamma_t)
+        margin = -abs(value / t_family.mass[k] - gamma_t)
         top, bottom = before_max[k], after_min[k + 1]
         reject = -1 if top > r else (gamma_md - 1 if top == r else 0)
         retain = -1 if bottom < r else (-gamma_md if bottom == r else 0)
@@ -464,8 +452,7 @@ def verify_all_claims(
     for theta in thetas:
         model.probs(theta)
     null = model.null
-    t_table, md_table = class_table(model, statistic), class_table(model, ranking)
-    t_family, md_family = t_table.family(), md_table.family()
+    t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
     alphas = tuple(sorted(set(alpha_breakpoints(t_family, md_family)) | {_as_unit(a, "alpha") for a in extra_alphas}))
     nat_t = {theta: pvalue_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
     nat_md = {theta: pvalue_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
@@ -515,8 +502,8 @@ def verify_all_claims(
     t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
     margins = []
     for t in t_grid:
-        for name, table in (("T", t_table), ("MD", md_table)):
-            value = table.power(null, t)
+        for name, family in (("T", t_family), ("MD", md_family)):
+            value = family.power(null, t)
             margins.append((-abs(value - t), (name, t, value)))
     reports.append(_claim("C5", t_grid, margins, "{} family at t={}: CDF {}".format))
 
@@ -529,8 +516,8 @@ def verify_all_claims(
         margins = []
         for alpha in alphas:
             for theta in thetas:
-                e_t = t_table.power(theta, alpha)
-                e_md = md_table.power(theta, alpha)
+                e_t = t_family.power(theta, alpha)
+                e_md = md_family.power(theta, alpha)
                 margins.append((-abs(e_t - e_md), (theta, alpha, e_t, e_md)))
         reports.append(_claim("C6", alphas, margins, "theta={}, alpha={}: {} vs {}".format))
 
@@ -543,14 +530,14 @@ def verify_all_claims(
         reports.append(OrderReport("C8", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
         def projection_witness(alpha: Fraction) -> str:
-            report = check_martingale_projection(model, t_table.test(alpha), md_table.test(alpha))
+            report = check_martingale_projection(model, t_family.test(alpha), md_family.test(alpha))
             return f"alpha={alpha}: {report.witness}"
 
-        margins = zip(_projection_margins(t_table, md_table, alphas), ((a,) for a in alphas))
+        margins = zip(_projection_margins(t_family, md_family, alphas), ((a,) for a in alphas))
         reports.append(_claim("C8", alphas, margins, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(_convex_order_chain(t_table, md_table, "C9"))
+    reports.append(_convex_order_chain(t_family, md_family, "C9"))
 
     return reports
 

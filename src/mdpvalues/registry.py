@@ -38,17 +38,14 @@ def resolve_model(spec: str) -> tuple[DiscreteModel, str]:
     return load_model(path), spec
 
 
-def default_statistic(
-    model: DiscreteModel, null: str | None = None, alt: str | None = None
-) -> Statistic:
-    """Likelihood ratio of the model's alternative against its null."""
+def default_statistic(model: DiscreteModel, alt: str | None = None) -> Statistic:
+    """Likelihood ratio of an alternative (default: the second parameter) against the model's null."""
     names = model.parameter_names
-    null = null or names[0]
     if alt is None:
         if len(names) < 2:
             raise ModelError("model registers a single parameter; pass an alternative")
         alt = names[1]
-    return likelihood_ratio_statistic(model, null, alt)
+    return likelihood_ratio_statistic(model, model.null, alt)
 
 
 def table1_priority(model: DiscreteModel) -> list[str]:

@@ -1,22 +1,25 @@
 """Size-alpha test functions and generalized p-values as exact linear forms.
 
-Everything here is read off one class table per source (statistic or
-ranking): the tie classes sorted once from most to least extreme, with
-the null mass of each class and the null mass strictly before it (the
-class start).  The classes tile [0, 1], so the size-alpha test keeps the
-last class whose start does not exceed alpha (one bisect on the starts),
-and the randomization fraction gamma then makes the null expectation
-exactly alpha.  A test is that table plus the threshold class index and
-gamma (not just the collapsed per-point value), so a decision compares
-the point's class index with the threshold class and tells "after the
-threshold class" from "in it with gamma = 0"; that is what makes the
-indicator identity  I(P(x,u) <= alpha) == decide(x,u)  exact for every u
-in [0,1], including u = 0 and boundary alphas.
+Everything here is read off one p-value family per source (statistic or
+ranking), which is a sorted class table: the tie classes sorted once
+from most to least extreme, with the null mass of each class and the
+null mass strictly before it (the class start).  The classes tile
+[0, 1], so the size-alpha test keeps the last class whose start does not
+exceed alpha (one bisect on the starts), and the randomization fraction
+gamma then makes the null expectation exactly alpha.  A test is that
+family plus the threshold class index and gamma (not just the collapsed
+per-point value), so a decision compares the point's class index with
+the threshold class and tells "after the threshold class" from "in it
+with gamma = 0"; that is what makes the indicator identity
+I(P(x,u) <= alpha) == decide(x,u)  exact for every u in [0,1], including
+u = 0 and boundary alphas.
 
-A p-value is stored per point as the pair (a, b) with a the null mass
-strictly more extreme (its class start) and b the null tie mass (its
-class mass), evaluated as P(x,u) = a(x) + u*b(x):  u=1 gives the natural
-p-value, u=1/2 the mid-p-value, and a uniform draw the randomized p-value.
+A point's p-value is the linear form P(x,u) = a(x) + u*b(x) with a its
+class start (the null mass strictly more extreme) and b its class mass
+(the null tie mass): u=1 gives the natural p-value, u=1/2 the mid-p-value,
+and a uniform draw the randomized p-value.  An MD family is the same
+table with one point per class.  The per-point tuples ``a`` and ``b`` are
+views read through each point's class index.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _as_unit(u: object, what: str = "u") -> Fraction:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Piecewise test at exact size alpha, read off one class table.
+    """Piecewise test at exact size alpha, read off one p-value family.
 
     The test rejects the classes before class ``k`` surely and class ``k``
     itself with probability ``gamma``.  ``threshold`` is that class's key:
@@ -76,7 +79,7 @@ class TestFunction:
 
     __test__ = False  # keep pytest's collector away from the Test* name
 
-    table: ClassTable
+    table: PValueFamily
     alpha: Fraction
     k: int
     gamma: Fraction
@@ -113,15 +116,16 @@ class TestFunction:
 
 
 @dataclass(frozen=True)
-class ClassTable:
-    """Tie classes of one source, most extreme first, with prefix sums.
+class PValueFamily:
+    """The p-values P(x,u) = a(x) + u*b(x) of one source, held per tie class.
 
     Class k holds the support indices ``members[k]`` that share the key
     ``keys[k]``: a statistic value (larger first) or a rank (smaller
     first, one point per class).  ``mass[k]`` is its null mass and
     ``starts[k]`` the null mass of the classes before it, so the classes
-    tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]].
-    Tables compare by these fields; the per-theta cache is left out.
+    tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]] and a
+    point's (a, b) is its class's (start, mass).  Families compare by
+    these fields; the per-theta cache is left out.
     """
 
     model: DiscreteModel
@@ -138,6 +142,10 @@ class ClassTable:
     def kind(self) -> str:
         return MD if isinstance(self.source, Ranking) else T_BASED
 
+    @property
+    def source_name(self) -> str:
+        return self.source.agrees_with if isinstance(self.source, Ranking) else self.source.name
+
     @cached_property
     def class_of(self) -> tuple[int, ...]:
         """Class index of every support point, in support order."""
@@ -146,6 +154,31 @@ class ClassTable:
             for i in members:
                 out[i] = k
         return tuple(out)
+
+    @cached_property
+    def a(self) -> tuple[Fraction, ...]:
+        """Per point: Pr_0{strictly more extreme}, its class start."""
+        return tuple(self.starts[k] for k in self.class_of)
+
+    @cached_property
+    def b(self) -> tuple[Fraction, ...]:
+        """Per point: Pr_0{tied}, its class mass."""
+        return tuple(self.mass[k] for k in self.class_of)
+
+    def _class(self, point: SupportPoint | int) -> int:
+        return self.class_of[point if isinstance(point, int) else point.index]
+
+    def evaluate(self, point: SupportPoint | int, u: object) -> Fraction:
+        k = self._class(point)
+        return self.starts[k] + _as_unit(u) * self.mass[k]
+
+    def natural(self, point: SupportPoint | int) -> Fraction:
+        k = self._class(point)
+        return self.starts[k] + self.mass[k]
+
+    def mid(self, point: SupportPoint | int) -> Fraction:
+        k = self._class(point)
+        return self.starts[k] + self.mass[k] / 2
 
     def theta_masses(self, theta: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """Per-class mass under theta, and its prefix sums (entry k: mass before class k)."""
@@ -178,25 +211,8 @@ class ClassTable:
         k, gamma = self.threshold(alpha)
         return TestFunction(self, alpha, k, gamma)
 
-    def family(self) -> PValueFamily:
-        """Exact (a, b) pairs: a = Pr_0{strictly more extreme}, b = Pr_0{tied}."""
-        a = [Fraction(0)] * self.model.size
-        b = [Fraction(0)] * self.model.size
-        null_row = self.model.probs(self.model.null)
-        md = self.kind == MD
-        for start, mass, members in zip(self.starts, self.mass, self.members):
-            assert mass > 0 and start + mass <= 1
-            for i in members:
-                a[i] = start
-                b[i] = mass
-                if md:
-                    assert mass == null_row[i], "MD tie mass must equal the null pmf"
-        assert self.starts[-1] + self.mass[-1] == 1
-        name = self.source.agrees_with if md else self.source.name
-        return PValueFamily(self.kind, name, tuple(a), tuple(b))
 
-
-def class_table(model: DiscreteModel, source: Statistic | Ranking) -> ClassTable:
+def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
     """Sort the support into tie classes once: one class per rank, or per statistic value."""
     null_row = model.probs(model.null)
     if isinstance(source, Ranking):
@@ -211,14 +227,15 @@ def class_table(model: DiscreteModel, source: Statistic | Ranking) -> ClassTable
         members = tuple(tuple(classes[value]) for value in keys)
         mass = tuple(sum((null_row[i] for i in m), Fraction(0)) for m in members)
     starts = tuple(accumulate(mass[:-1], initial=Fraction(0)))
-    return ClassTable(model, source, keys, members, mass, starts)
+    assert starts[-1] + mass[-1] == 1
+    return PValueFamily(model, source, keys, members, mass, starts)
 
 
 def size_alpha_test(
     model: DiscreteModel, source: Statistic | Ranking, alpha: object
 ) -> TestFunction:
     """Solve k(alpha) and gamma(alpha) by a bisect on the class starts."""
-    return class_table(model, source).test(_as_unit(alpha, "alpha"))
+    return pvalue_family(model, source).test(_as_unit(alpha, "alpha"))
 
 
 def power(test: TestFunction, theta: str) -> Fraction:
@@ -232,60 +249,26 @@ def decision(test: TestFunction, point: SupportPoint, u: object) -> str:
     return "reject" if test.decide(point, u) else "retain"
 
 
-@dataclass(frozen=True)
-class PValueFamily:
-    """Per-point linear forms P(x,u) = a(x) + u*b(x) for one construction."""
-
-    kind: str
-    source_name: str
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-    def _index(self, point: SupportPoint | int) -> int:
-        return point if isinstance(point, int) else point.index
-
-    def evaluate(self, point: SupportPoint | int, u: object) -> Fraction:
-        i = self._index(point)
-        return self.a[i] + _as_unit(u) * self.b[i]
-
-    def natural(self, point: SupportPoint | int) -> Fraction:
-        i = self._index(point)
-        return self.a[i] + self.b[i]
-
-    def mid(self, point: SupportPoint | int) -> Fraction:
-        i = self._index(point)
-        return self.a[i] + Fraction(1, 2) * self.b[i]
-
-
-def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
-    """Exact (a, b) pairs: a = Pr_0{strictly more extreme}, b = Pr_0{tied}."""
-    return class_table(model, source).family()
-
-
 def draw_randomized_pvalue(
     family: PValueFamily, point: SupportPoint | int, rng: random.Random
 ) -> tuple[float, float]:
     """Draw u ~ Uniform(0,1) from the caller's stream; return (p-value, u)."""
     u = rng.random()
-    i = family._index(point)
-    return float(family.a[i]) + u * float(family.b[i]), u
+    k = family._class(point)
+    return float(family.starts[k]) + u * float(family.mass[k]), u
 
 
 def alpha_breakpoints(*families: PValueFamily, midpoints: bool = True) -> tuple[Fraction, ...]:
     """Canonical alpha grid: attained null tails of every family plus 0 and 1.
 
-    Every asserted quantity is piecewise linear in alpha with kinks at these
+    The attained tails a and a + b are the class starts and 1, since each
+    class ends where the next one starts.  Every asserted quantity is piecewise linear in alpha with kinks at these
     values, so checking the grid (optionally with the midpoints between
     consecutive entries) discharges a "for all alpha" claim exactly.
     """
     points = {Fraction(0), Fraction(1)}
     for family in families:
-        points.update(family.a)
-        points.update(av + bv for av, bv in zip(family.a, family.b))
+        points.update(family.starts)
     grid = sorted(points)
     if midpoints:
         mids = [(x + y) / 2 for x, y in zip(grid, grid[1:])]
@@ -303,12 +286,11 @@ def decision_coherence_witness(
     alphas: Sequence[Fraction] | None = None,
 ) -> tuple[str, Fraction, Fraction] | None:
     """First (label, alpha, u) where I(P(x,u) <= alpha) != decide(x,u), else None."""
-    table = class_table(model, source)
-    family = table.family()
+    family = pvalue_family(model, source)
     grid = alphas if alphas is not None else alpha_breakpoints(family)
     u_values = [_as_unit(u) for u in us]
     for alpha in grid:
-        test = table.test(_as_unit(alpha, "alpha"))
+        test = family.test(_as_unit(alpha, "alpha"))
         for pt in model.support:
             for u in u_values:
                 if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
@@ -327,13 +309,13 @@ def audit_unbiasedness(
     Unbiasedness is an assumption of the ordering theory, not a construction
     guarantee; arbitrary user models may violate it.
     """
-    table = class_table(model, source)
-    grid = alphas if alphas is not None else alpha_breakpoints(table.family())
+    family = pvalue_family(model, source)
+    grid = alphas if alphas is not None else alpha_breakpoints(family)
     violations = []
     for alpha in grid:
         alpha_f = _as_unit(alpha, "alpha")
         for theta in thetas:
-            value = table.power(theta, alpha_f)
+            value = family.power(theta, alpha_f)
             if value < alpha:
                 violations.append((theta, alpha, value))
     return violations

@@ -4,18 +4,21 @@ This is the straight-line form of the claim suite.  It rebuilds the
 size-alpha tests at every alpha by the cumulative extremity scan, sums the
 tail events of C6 point by point, evaluates the randomized CDF of C5 and
 the integrated CDFs of C9 in O(N) per query, and runs the martingale
-projection of C8 pointwise at every alpha.  Its tests hold a ClassTable
-filled from that scan, never from ``class_table`` or ``size_alpha_test``.
-It shares no code with the class-table engine beyond the data types, the
-natural-p-value CDFs and the single-pair usual-order check of C3/C4, so
-the engine's reports can be compared against it byte for byte.  C9 keeps
-the hinge and square probes that the engine leaves to the integrated-CDF
-chain, as an independent check that the chain implies them.
+projection of C8 pointwise at every alpha.  Its tests hold a p-value
+family filled from that scan, never from ``pvalue_family`` or
+``size_alpha_test``.  Its p-values are per-point (a, b) records from the
+same scan; their CDFs merge one atom per support point and their alpha
+grid loops over the points, so it shares no CDF or grid code with the
+engine, only the data types and the single-pair usual-order check of
+C3/C4.  The engine's reports can be compared against it byte for byte.
+C9 keeps the hinge and square probes that the engine leaves to the
+integrated-CDF chain, as an independent check that the chain implies them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mdpvalues.model import DiscreteModel
@@ -25,10 +28,9 @@ from mdpvalues.orders import (
     StepCDF,
     check_sufficiency,
     check_usual_order,
-    pvalue_cdf,
 )
 from mdpvalues.ranking import Ranking, verify_agreement
-from mdpvalues.testing import MD, T_BASED, ClassTable, PValueFamily, TestFunction, alpha_breakpoints
+from mdpvalues.testing import PValueFamily, TestFunction
 
 HALF = Fraction(1, 2)
 
@@ -71,7 +73,7 @@ def scan_size_alpha_test(model, source, alpha) -> TestFunction:
     k, mass, before = chosen
     gamma = (alpha_f - before) / mass
     assert before + gamma * mass == alpha_f
-    table = ClassTable(
+    table = PValueFamily(
         model,
         source,
         tuple(key for key, _mass, _members in classes),
@@ -82,7 +84,18 @@ def scan_size_alpha_test(model, source, alpha) -> TestFunction:
     return TestFunction(table, alpha_f, k, gamma)
 
 
-def scan_pvalue_family(model, source) -> PValueFamily:
+@dataclass(frozen=True)
+class PointForms:
+    """Per-point linear forms P(x, u) = a(x) + u*b(x), indexed by support index."""
+
+    a: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
+
+    def mid(self, i: int) -> Fraction:
+        return self.a[i] + HALF * self.b[i]
+
+
+def scan_pvalue_family(model, source) -> PointForms:
     a = [Fraction(0)] * model.size
     b = [Fraction(0)] * model.size
     strict = Fraction(0)
@@ -92,9 +105,36 @@ def scan_pvalue_family(model, source) -> PValueFamily:
             b[pt.index] = mass
         strict += mass
     assert strict == 1
-    md = isinstance(source, Ranking)
-    name = source.agrees_with if md else source.name
-    return PValueFamily(MD if md else T_BASED, name, tuple(a), tuple(b))
+    return PointForms(tuple(a), tuple(b))
+
+
+def merge_atoms(atoms) -> StepCDF:
+    """Step CDF of (location, mass) atoms; atoms at equal locations merge into one jump."""
+    masses = {}
+    for location, mass in atoms:
+        masses[location] = masses.get(location, Fraction(0)) + mass
+    jumps = sorted(masses)
+    cum, total = [], Fraction(0)
+    for location in jumps:
+        total += masses[location]
+        cum.append(total)
+    return StepCDF(tuple(jumps), tuple(cum))
+
+
+def atom_cdf(model, theta, family, u) -> StepCDF:
+    """Law of P(X, u) under theta: one atom a + u*b per support point, merged."""
+    row = model.probs(theta)
+    return merge_atoms((family.a[i] + u * family.b[i], row[i]) for i in range(model.size))
+
+
+def breakpoints(*families) -> tuple[Fraction, ...]:
+    """Every attained a and a + b of every point, plus 0, 1 and the midpoints between them."""
+    points = {Fraction(0), Fraction(1)}
+    for family in families:
+        for a, b in zip(family.a, family.b):
+            points.update((a, a + b))
+    grid = sorted(points)
+    return tuple(sorted(set(grid) | {(x + y) / 2 for x, y in zip(grid, grid[1:])}))
 
 
 def phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: str) -> Fraction:
@@ -157,8 +197,8 @@ def pointwise_projection(model, t_test, md_test) -> OrderReport:
 def convex_order_chain(model, t_family, md_family) -> OrderReport:
     null = model.null
     row = model.probs(null)
-    cdf_t = pvalue_cdf(model, null, t_family, HALF)
-    cdf_md = pvalue_cdf(model, null, md_family, HALF)
+    cdf_t = atom_cdf(model, null, t_family, HALF)
+    cdf_md = atom_cdf(model, null, md_family, HALF)
 
     def expect(family, fn):
         return sum((row[i] * fn(family.mid(i)) for i in range(model.size)), Fraction(0))
@@ -207,9 +247,9 @@ def reference_claims(model, statistic, ranking, thetas, *, t_grid_size=200, extr
     thetas = list(thetas)
     null = model.null
     t_family, md_family = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
-    alphas = tuple(sorted(set(alpha_breakpoints(t_family, md_family)) | {_as_unit(a) for a in extra_alphas}))
-    nat_t = {theta: pvalue_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
-    nat_md = {theta: pvalue_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
+    alphas = tuple(sorted(set(breakpoints(t_family, md_family)) | {_as_unit(a) for a in extra_alphas}))
+    nat_t = {theta: atom_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
+    nat_md = {theta: atom_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
     grid_thetas = list(dict.fromkeys([null, *thetas]))
     sufficient, suff_witness = (
         check_sufficiency(model, statistic, grid_thetas) if len(grid_thetas) >= 2 else (True, None))

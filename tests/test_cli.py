@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mdpvalues
 from mdpvalues.cli import main
 from mdpvalues.rational import parse_rational
@@ -128,6 +130,13 @@ class TestVerify:
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
                      "--out", str(tmp_path / "verify"), "--t-grid", "20"]) == 2
 
+    def test_null_flag_is_refused(self, tmp_path, capsys):
+        # p-values are always formed under the model's first parameter
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", "example1", "--null", "theta1", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --null theta1" in capsys.readouterr().err
+
     def test_t_grid_below_one_is_usage_error(self, tmp_path, capsys):
         for size in ("0", "-1"):
             assert main(["verify", "--model", "example1", "--t-grid", size,
@@ -173,6 +182,16 @@ class TestSimulateCommand:
             "u_policy": "natural", "procedure": "bh", "alpha": "1/10",
             "replicates": 0, "seed": 3}))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+
+    def test_null_other_than_the_models_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "swapped.json"
+        fields = {"model": "example1", "hypotheses": 5, "pi0": "1", "family": "t", "u_policy": "natural",
+                  "procedure": "bh", "alpha": "1/10", "replicates": 2, "seed": 3}
+        config.write_text(json.dumps({**fields, "null": "theta1", "alt": "theta0"}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        assert "null 'theta1' is not the model's null 'theta0'" in capsys.readouterr().err
+        config.write_text(json.dumps({**fields, "null": "theta0"}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2

@@ -20,9 +20,9 @@ from mdpvalues import (
     verify_all_claims,
 )
 from mdpvalues.orders import _projection_margins, reports_to_json
-from mdpvalues.testing import alpha_breakpoints, class_table
+from mdpvalues.testing import alpha_breakpoints
 
-from claims_oracle import randomized_cdf_at, rectangle_integral, reference_claims
+from claims_oracle import atom_cdf, randomized_cdf_at, rectangle_integral, reference_claims, scan_pvalue_family
 from conftest import random_model_and_statistic
 
 
@@ -88,8 +88,9 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
         swapped[i], swapped[j] = swapped[j], swapped[i]
         for ranks in (shuffled, swapped):
             ranking = Ranking("broken", tuple(ranks), "explicit")
-            alphas = alpha_breakpoints(pvalue_family(model, statistic), pvalue_family(model, ranking))
-            sweep = _projection_margins(class_table(model, statistic), class_table(model, ranking), alphas)
+            t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
+            alphas = alpha_breakpoints(t_family, md_family)
+            sweep = _projection_margins(t_family, md_family, alphas)
             pointwise = [
                 check_martingale_projection(
                     model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)
@@ -118,12 +119,23 @@ def test_table_power_is_the_randomized_cdf():
     for _ in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
         for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=3)):
-            table = class_table(model, source)
-            family = table.family()
+            family = pvalue_family(model, source)
             grid = set(alpha_breakpoints(family)) | {Fraction(rng.randint(0, 89), 89) for _ in range(10)}
             for theta in ("t0", "t1"):
                 for t in sorted(grid):
-                    assert table.power(theta, t) == randomized_cdf_at(model, theta, family, t)
+                    assert family.power(theta, t) == randomized_cdf_at(model, theta, family, t)
+
+
+def test_family_cdf_matches_merged_atoms():
+    """pvalue_cdf read off the classes equals the scan's point-by-point atom merge, for every u."""
+    rng = random.Random(21)
+    for _ in range(20):
+        model, statistic = random_model_and_statistic(rng, max_support=30)
+        for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=4)):
+            family, points = pvalue_family(model, source), scan_pvalue_family(model, source)
+            for theta in ("t0", "t1"):
+                for u in (0, Fraction(1, 4), Fraction(1, 2), 1):
+                    assert pvalue_cdf(model, theta, family, u) == atom_cdf(model, theta, points, u)
 
 
 def test_support_1024_verifies_within_budget():

@@ -28,7 +28,7 @@ from mdpvalues import (
     verify_all_claims,
 )
 
-from claims_oracle import phi_expectation_by_tails, randomized_cdf_at
+from claims_oracle import merge_atoms, phi_expectation_by_tails, randomized_cdf_at
 from conftest import brute_expectation
 
 HALF = Fraction(1, 2)
@@ -75,7 +75,7 @@ class TestStepCDF:
         assert cdf.evaluate(-1) == 0 and cdf.evaluate(2) == 1
 
     def test_atoms_at_equal_locations_merge(self):
-        cdf = StepCDF.from_atoms([(HALF, Fraction(1, 4)), (HALF, Fraction(3, 4))])
+        cdf = merge_atoms([(HALF, Fraction(1, 4)), (HALF, Fraction(3, 4))])
         assert cdf.jumps == (HALF,)
         assert cdf.cum == (Fraction(1),)
 
