@@ -174,7 +174,8 @@ def randomization_dependence_prob(
     """
     if not 0 < test.gamma < 1:
         return Fraction(0)
-    return test.table.theta_masses(theta)[0][test.k]
+    den, mass, _ = test.table.lattice(theta)
+    return Fraction(mass[test.k], den)
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,16 @@ class SimulationConfig:
 _FAMILY_ALIASES = {"t": T_BASED, "t-based": T_BASED, "md": MD}
 
 
+def _integer(data: Mapping, key: str) -> int:
+    """An integer config field: a JSON integer or an integral string, never a float or a bool."""
+    value = data[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> SimulationConfig:
     null = data.get("null", model.null)
     if null != model.null:
@@ -261,14 +272,14 @@ def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> Simu
         return SimulationConfig(
             model=model,
             model_id=model_id,
-            hypotheses=int(data["hypotheses"]),
+            hypotheses=_integer(data, "hypotheses"),
             pi0=parse_rational(data["pi0"]),
             family=family,
             u_policy=str(data["u_policy"]),
             procedure=str(data["procedure"]),
             alpha=parse_rational(data["alpha"]),
-            replicates=int(data["replicates"]),
-            seed=int(data["seed"]),
+            replicates=_integer(data, "replicates"),
+            seed=_integer(data, "seed"),
             tie_break=str(data.get("tie_break", "lexicographic")),
             alt_name=data.get("alt"),
         )

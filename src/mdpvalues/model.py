@@ -6,6 +6,11 @@ check is an exact rational identity (no tolerances).  The first registered
 parameter is the null hypothesis by convention; its pmf must be strictly
 positive on every support point, which keeps rankings and randomization
 fractions well defined downstream.
+
+Each row is also held on its integer lattice: one common denominator
+D_theta (the lcm of the row's denominators) and the row as integer
+numerators over it.  Validation and every sum the claim engine needs run
+on those integers, so no gcd is paid per addition.
 """
 
 from __future__ import annotations
@@ -13,12 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import comb
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rational import format_rational, parse_rational
+from .rational import common_denominator, format_rational, parse_rational
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -45,6 +49,7 @@ class DiscreteModel:
     parameters: dict[str, Fraction]
     pmf: dict[str, tuple[Fraction, ...]]
     _by_label: dict[str, int] = field(init=False, repr=False, compare=False)
+    _lattice: dict[str, tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.support:
@@ -63,16 +68,18 @@ class DiscreteModel:
         if set(self.pmf) != set(self.parameters):
             raise ModelError("pmf rows and parameters must use the same names")
         n = len(self.support)
+        lattice = {}
         for name, row in self.pmf.items():
             if len(row) != n:
                 raise ModelError(f"pmf row for {name!r} has {len(row)} entries, support has {n}")
-            if any(p < 0 for p in row):
+            den, numerators = lattice[name] = common_denominator(row)
+            if any(p < 0 for p in numerators):
                 raise ModelError(f"negative probability under {name!r}")
-            total = sum(row)
-            if total != 1:
-                raise ModelError(f"pmf for {name!r} sums to {total}, not 1")
-        null_row = self.pmf[self.null]
-        if any(p == 0 for p in null_row):
+            total = sum(numerators)
+            if total != den:
+                raise ModelError(f"pmf for {name!r} sums to {Fraction(total, den)}, not 1")
+        object.__setattr__(self, "_lattice", lattice)
+        if any(p == 0 for p in lattice[self.null][1]):
             raise ModelError("null pmf must be strictly positive on every support point")
 
     @property
@@ -110,6 +117,13 @@ class DiscreteModel:
         except KeyError:
             raise ModelError(f"unknown parameter {theta!r}") from None
 
+    def int_row(self, theta: str) -> tuple[int, tuple[int, ...]]:
+        """The row on its lattice: (D_theta, numerators) with p_theta(x) == numerators[x] / D_theta."""
+        try:
+            return self._lattice[theta]
+        except KeyError:
+            raise ModelError(f"unknown parameter {theta!r}") from None
+
     def prob(self, theta: str, ref: SupportPoint | str | int) -> Fraction:
         """Exact pmf value p_theta(x)."""
         return self.probs(theta)[self.point(ref).index]
@@ -132,9 +146,15 @@ def make_model(
     return DiscreteModel(support, params, table)
 
 
-def _check_theta(theta: Fraction) -> None:
-    if not 0 < theta < 1:
-        raise ModelError(f"invalid parameter {theta}: must lie strictly between 0 and 1")
+def _parse_thetas(thetas: Sequence[object]) -> list[Fraction]:
+    try:
+        values = [parse_rational(t) for t in thetas]
+    except ValueError as exc:
+        raise ModelError(f"invalid parameter: {exc}") from None
+    for theta in values:
+        if not 0 < theta < 1:
+            raise ModelError(f"invalid parameter {theta}: must lie strictly between 0 and 1")
+    return values
 
 
 def _param_names(thetas: Sequence[Fraction], names: Sequence[str] | None) -> list[str]:
@@ -160,9 +180,7 @@ def bernoulli_product_model(
         raise ModelError("n must be a positive integer")
     if 2**n > cap:
         raise CapacityError(f"2^{n} support points exceed the enumeration cap {cap}")
-    values = [parse_rational(t) for t in thetas]
-    for theta in values:
-        _check_theta(theta)
+    values = _parse_thetas(thetas)
     labels = ["".join(bits) for bits in product("01", repeat=n)]
     ones = [label.count("1") for label in labels]
     pmf = {}
@@ -182,13 +200,13 @@ def binomial_model(
         raise ModelError("n must be a positive integer")
     if n + 1 > cap:
         raise CapacityError(f"{n + 1} support points exceed the enumeration cap {cap}")
-    values = [parse_rational(t) for t in thetas]
-    for theta in values:
-        _check_theta(theta)
+    values = _parse_thetas(thetas)
     labels = [str(k) for k in range(n + 1)]
+    binomials = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))  # comb(n, k)
     pmf = {}
     for name, theta in zip(_param_names(values, names), values):
-        pmf[name] = [comb(n, k) * theta**k * (1 - theta) ** (n - k) for k in range(n + 1)]
+        p, q = theta.numerator, theta.denominator
+        pmf[name] = [Fraction(c * p**k * (q - p) ** (n - k), q**n) for k, c in enumerate(binomials)]
     return make_model(labels, dict(zip(pmf.keys(), values)), pmf)
 
 

@@ -1,33 +1,41 @@
-"""Exact verification of the ordering claims C1-C9 from one class table per source.
+"""Exact verification of the ordering claims C1-C9 on the integer lattice of two class tables.
 
 Universally quantified claims ("for all alpha", "for all t") are discharged
 on finite grids: every asserted quantity is piecewise linear in the grid
 variable, with kinks only at attained null tail probabilities (or CDF jump
 points), so checking kinks plus midpoints is equivalent to checking
-everywhere.  All comparisons are exact rational identities or inequalities;
-each claim returns an OrderReport carrying the grid, a signed worst margin
-(pass iff >= 0) and a witness on failure.
+everywhere.  All comparisons are exact; each claim returns an OrderReport
+carrying the grid, a signed worst margin (pass iff >= 0) and a witness on
+failure.
 
 The engine sorts the support into tie classes once per source, the
-statistic and the ranking (``testing.pvalue_family``, whose p-value family
-is that sorted class table), and answers every claim from prefix sums
-over those two tables with one bisect per grid point, instead of
-rebuilding a size-alpha test at each alpha:
+statistic and the ranking (``testing.pvalue_family``), and then works on
+integers only.  Each pmf row is held as numerators over its common
+denominator D_theta, so class masses, class starts and theta prefixes are
+ints; the alpha grid (class starts of both families, 0, 1 and the
+midpoints) is ints over 2 * D_null, times the denominators of any extra
+alphas.  Every claim walks its sorted grid once against the sorted class
+starts or CDF jumps, a two-pointer sweep instead of a search per point:
 
-  - the size-alpha test at alpha is a bisect on the class starts, so the
-    power behind C6 is prefix_theta[k] + gamma * mass_theta[k];
-  - the randomized null CDF of C5 at t is the same lookup, because the
-    classes tile [0, 1] and only the class containing t is partly below t;
+  - the size-alpha test at alpha keeps the last class starting at or below
+    alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
+    and the two families' powers are compared by cross-multiplication;
+  - the randomized null CDF of C5 at t = i / t_grid_size is the same
+    lookup, decided by cross-multiplication on that unchanged grid;
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
   - the CDF of P(X, u) at a fixed u jumps once per class, at
-    start + u * mass, by the class's mass under theta, so the natural
-    (C1-C4) and mid (C9) p-value CDFs are read off the table too;
-  - the integrated CDFs of C9 are prefixes of cum * width on StepCDF.
+    start + u * mass, by the class's mass under theta: the natural CDF of
+    C1-C4 at start + mass over D_null, the mid-p CDF of C9 at
+    2 * start + mass over 2 * D_null;
+  - the integrated CDFs of C9 are integer prefixes of cum * width.
 
-A failing claim names its witness by re-running the single-alpha check at
-the failing grid point only.
+Each claim's margins are ints over one positive denominator.  Only the
+worst margin, the report grid and a failure's witness become Fractions:
+a witness is rebuilt at its grid point alone, through the public
+Fraction methods (``PValueFamily.power``, the single-alpha C8 check).
+The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha
@@ -50,12 +58,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic, verify_agreement
-from .rational import decimal_string, format_rational
+from .rational import common_denominator, decimal_string, format_rational
 from .testing import (
     MD,
     T_BASED,
@@ -63,13 +70,11 @@ from .testing import (
     TestFunction,
     _as_unit,
     _exact,
-    alpha_breakpoints,
+    alpha_lattice,
     pvalue_family,
 )
 
 CLAIM_IDS = tuple(f"C{i}" for i in range(1, 10))
-
-HALF = Fraction(1, 2)
 
 
 class OrdersError(ValueError):
@@ -115,20 +120,6 @@ class StepCDF:
             return Fraction(0)
         return self._areas[i - 1] + self.cum[i - 1] * (s - self.jumps[i - 1])
 
-    def plateau_heights_inside(self) -> list[Fraction]:
-        """Plateau heights c with jump_i < c < jump_{i+1} (or < 1 after the last).
-
-        These are the interior critical points of s -> s^2/2 - integral(F),
-        needed when comparing a step CDF against the uniform in convex order.
-        """
-        out = []
-        for i, c in enumerate(self.cum):
-            left = self.jumps[i]
-            right = self.jumps[i + 1] if i + 1 < len(self.jumps) else Fraction(1)
-            if left < c < right:
-                out.append(c)
-        return out
-
 
 def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object) -> StepCDF:
     """Exact distribution of P(X, u) under theta for a fixed u; ``model`` is the family's.
@@ -138,9 +129,11 @@ def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object
     """
     if model != family.model:
         raise OrdersError("the p-value family was built on another model")
-    uu = _as_unit(u)
-    _mass, before = family.theta_masses(theta)
-    return StepCDF(tuple(s + uu * m for s, m in zip(family.starts, family.mass)), before[1:])
+    g, h = (uu := _as_unit(u)).numerator, uu.denominator
+    den, mass, starts = family.lattice(model.null)
+    jumps = tuple(Fraction(s * h + g * m, den * h) for s, m in zip(starts, mass))
+    theta_den, _theta_mass, before = family.lattice(theta)
+    return StepCDF(jumps, tuple(Fraction(b, theta_den) for b in before[1:]))
 
 
 def integrated_cdf(cdf: StepCDF, s: object) -> Fraction:
@@ -181,45 +174,87 @@ class OrderReport:
         }
 
 
-def _format(template: str, *args: object) -> str:
-    return template.format(*args)
+def _counts(steps: Sequence[int], grid: Iterable[int]) -> list[int]:
+    """For each point of a sorted grid, how many of the sorted ``steps`` lie at or below it.
+
+    Both are ints on one scale; the step pointer only moves forward.
+    """
+    out = []
+    j, n = 0, len(steps)
+    for x in grid:
+        while j < n and steps[j] <= x:
+            j += 1
+        out.append(j)
+    return out
 
 
 def _claim(
     claim: str,
     grid: tuple[Fraction, ...],
-    margins: Iterable[tuple[Fraction, tuple]],
-    witness: Callable[..., str],
+    margins: Sequence[int],
+    denominator: int,
+    witness: Callable[[int], str],
     note: str | None = None,
 ) -> OrderReport:
-    """Report the first worst (margin, where) pair; a failure is named by ``witness(*where)``."""
-    margin, where = min(margins, key=itemgetter(0))
-    if margin >= 0:
-        return OrderReport(claim, "pass", grid, margin, None, note)
-    return OrderReport(claim, "fail", grid, margin, witness(*where), note)
+    """Report the first worst of ``margins``, ints over ``denominator`` > 0; a failure is ``witness(index)``."""
+    i = min(range(len(margins)), key=margins.__getitem__)
+    worst = Fraction(margins[i], denominator)
+    if margins[i] >= 0:
+        return OrderReport(claim, "pass", grid, worst, None, note)
+    return OrderReport(claim, "fail", grid, worst, witness(i), note)
+
+
+def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Rewrite (numerator, denominator) margins over one denominator, the lcm of the nonzero ones' (1 if none)."""
+    margins = list(margins)
+    den = math.lcm(*(d for n, d in margins if n))
+    return [n * (den // d) if n else 0 for n, d in margins], den
 
 
 def _usual_order(
-    claim: str, pairs: Iterable[tuple[StepCDF, StepCDF | None, tuple[str, str]]], sign: int = 1
+    claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1, fraction: Callable[[int, int], Fraction] = Fraction
 ) -> OrderReport:
-    """One report for F_A <= F_B over several (A, B, labels) pairs; B=None is the diagonal.
+    """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
 
-    Each pair is checked at every jump of either CDF plus t = 1, where both
-    sides are constant (resp. increasing) up to the next grid point, so the
-    check is exact for all t.  The report's grid is the union of the pairs' grids.
+    A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
+    sorted jump locations as ints over ``t_den``, and cdf_x[j], the CDF
+    after j jumps, as ints over ``v_den``.  ``jumps_b=None`` compares F_A(t)
+    with the diagonal t.  Each pair is checked at every jump of either CDF
+    plus t = 1, where both sides are constant (resp. increasing) up to the
+    next grid point, so the check is exact for all t.  The report's grid is
+    the union of the pairs' grids, read into Fractions by ``fraction``.
     """
-    grid_set: set[Fraction] = set()
-    margins = []
-    for cdf_a, cdf_b, (label_a, label_b) in pairs:
-        pair_grid = set(cdf_a.jumps) | {Fraction(1)}
-        if cdf_b is not None:
-            pair_grid |= set(cdf_b.jumps)
-        grid_set |= pair_grid
-        for t in sorted(pair_grid):
-            bound = cdf_b.evaluate(t) if cdf_b is not None else t
-            value = cdf_a.evaluate(t)
-            margins.append((sign * (bound - value), (label_a, t, value, label_b, bound)))
-    return _claim(claim, tuple(sorted(grid_set)), margins, "F_{}({}) = {} vs {} bound {}".format)
+    den = math.lcm(*(pair[4] for pair in pairs), *(t_den for pair in pairs if pair[2] is None))
+    grid_set: set[int] = set()
+    margins: list[int] = []
+    sweeps = []
+    for pair in pairs:
+        jumps_a, cdf_a, jumps_b, cdf_b, v_den, _labels = pair
+        points = sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
+        grid_set.update(points)
+        at_a = _counts(jumps_a, points)
+        f = den // v_den
+        if jumps_b is None:
+            at_b = None
+            g = den // t_den
+            margins.extend(sign * (t * g - cdf_a[i] * f) for t, i in zip(points, at_a))
+        else:
+            at_b = _counts(jumps_b, points)
+            margins.extend(sign * (cdf_b[j] - cdf_a[i]) * f for i, j in zip(at_a, at_b))
+        sweeps.append((points, at_a, at_b, pair))
+
+    def witness(index: int) -> str:
+        for points, at_a, at_b, (_, cdf_a, _, cdf_b, v_den, (label_a, label_b)) in sweeps:
+            if index < len(points):
+                break
+            index -= len(points)
+        t = Fraction(points[index], t_den)
+        value = Fraction(cdf_a[at_a[index]], v_den)
+        bound = t if at_b is None else Fraction(cdf_b[at_b[index]], v_den)
+        return f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"
+
+    grid = tuple(fraction(t, t_den) for t in sorted(grid_set))
+    return _claim(claim, grid, margins, den, witness)
 
 
 def check_usual_order(
@@ -237,7 +272,13 @@ def check_usual_order(
     """
     if relation not in ("le", "ge"):
         raise OrdersError(f"unknown relation {relation!r}: use 'le' or 'ge'")
-    return _usual_order(claim, [(cdf_a, cdf_b, labels)], 1 if relation == "le" else -1)
+    cdfs = (cdf_a,) if cdf_b is None else (cdf_a, cdf_b)
+    t_den, jumps = common_denominator(t for cdf in cdfs for t in cdf.jumps)
+    v_den, cum = common_denominator(c for cdf in cdfs for c in cdf.cum)
+    n = len(cdf_a.jumps)
+    side_b = (None, None) if cdf_b is None else (jumps[n:], (0, *cum[n:]))
+    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, labels)
+    return _usual_order(claim, t_den, [pair], 1 if relation == "le" else -1)
 
 
 def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
@@ -245,11 +286,11 @@ def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fra
     return family.b[family.model.point(point).index] ** 2 / 12
 
 
-def _log_probe(family: PValueFamily, mid_cdf: StepCDF, eps: float = 1e-12) -> float:
-    """E0[-2 log P_mid] in floats, summed point by point in support order."""
-    log_mid = [-2.0 * math.log(max(float(mid), eps)) for mid in mid_cdf.jumps]
-    row = family.model.probs(family.model.null)
-    return sum(float(p) * log_mid[k] for p, k in zip(row, family.class_of))
+def _log_probe(family: PValueFamily, mid_jumps: Sequence[int], eps: float = 1e-12) -> float:
+    """E0[-2 log P_mid] in floats, summed point by point in support order; jumps are over 2 * D_null."""
+    den, row = family.model.int_row(family.model.null)
+    log_mid = [-2.0 * math.log(max(mid / (2 * den), eps)) for mid in mid_jumps]
+    return sum(p / den * log_mid[k] for p, k in zip(row, family.class_of))
 
 
 def check_convex_order_chain(
@@ -274,39 +315,57 @@ def check_convex_order_chain(
     return _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), claim)
 
 
-def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
-    """check_convex_order_chain on the p-value families of an agreeing pair."""
-    model = t_family.model
-    cdf_t, cdf_md = (pvalue_cdf(model, model.null, family, HALF) for family in (t_family, md_family))
+def _convex_order_chain(
+    t_family: PValueFamily, md_family: PValueFamily, claim: str, fraction: Callable[[int, int], Fraction] = Fraction
+) -> OrderReport:
+    """check_convex_order_chain on the p-value families of an agreeing pair.
 
-    mean_t, mean_md = (
-        sum((m * mid for m, mid in zip(family.mass, cdf.jumps)), Fraction(0))
-        for family, cdf in ((t_family, cdf_t), (md_family, cdf_md))
+    Mid-p jumps 2 * start + mass are ints over 2D, the null CDF after each
+    jump is an int over D, so integrated CDFs are ints over 2D^2 and every
+    margin, s^2 / 2 included, is an int over 8D^2.
+    """
+    den = t_family.model.int_row(t_family.model.null)[0]
+    two, square = 2 * den, den * den
+    sides = []
+    for family in (t_family, md_family):
+        _, mass, before = family.lattice(family.model.null)
+        jumps = [2 * s + m for s, m in zip(before, mass)]
+        cum = before[1:]
+        tops = jumps[1:] + [two]
+        plateaus = {2 * c for c, left, right in zip(cum, jumps, tops) if left < 2 * c < right}
+        areas = list(accumulate((c * (right - left) for c, left, right in zip(cum, jumps, jumps[1:])), initial=0))
+        mean = sum(m * j for m, j in zip(mass, jumps))
+        sides.append((jumps, cum, areas, plateaus, mean))
+    (jumps_t, _, _, plateaus_t, mean_t), (jumps_md, _, _, plateaus_md, mean_md) = sides
+
+    points = sorted(set(jumps_t).union(jumps_md, (two,), plateaus_t, plateaus_md))
+    lower, middle = (
+        [0 if j == 0 else areas[j - 1] + cum[j - 1] * (s - jumps[j - 1]) for s, j in zip(points, _counts(jumps, points))]
+        for jumps, cum, areas, _, _ in sides
     )
-    margins: list[tuple[Fraction, tuple]] = [
-        (-abs(mean_t - HALF), ("mean of T mid-p is {}", mean_t)),
-        (-abs(mean_md - HALF), ("mean of MD mid-p is {}", mean_md)),
-    ]
+    margins = [-4 * abs(mean_t - square), -4 * abs(mean_md - square)]
+    for s, low, mid in zip(points, lower, middle):
+        margins.append(4 * (mid - low))
+        margins.append(s * s - 4 * mid)
 
-    grid_set = set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}
-    grid_set.update(cdf_t.plateau_heights_inside())
-    grid_set.update(cdf_md.plateau_heights_inside())
-    grid = tuple(sorted(grid_set))
-    for s in grid:
-        lower = cdf_t.integral(s)
-        middle = cdf_md.integral(s)
-        upper = s * s / 2
-        margins.append((middle - lower, ("integrated CDFs at s={}: T {} vs MD {}", s, lower, middle)))
-        margins.append((upper - middle, ("integrated CDFs at s={}: MD {} vs uniform {}", s, middle, upper)))
+    def witness(index: int) -> str:
+        if index < 2:
+            return f"mean of {('T', 'MD')[index]} mid-p is {Fraction((mean_t, mean_md)[index], 2 * square)}"
+        i, upper = divmod(index - 2, 2)
+        s, low, mid = Fraction(points[i], two), Fraction(lower[i], 2 * square), Fraction(middle[i], 2 * square)
+        if upper:
+            return f"integrated CDFs at s={s}: MD {mid} vs uniform {s * s / 2}"
+        return f"integrated CDFs at s={s}: T {low} vs MD {mid}"
 
-    log_t, log_md = _log_probe(t_family, cdf_t), _log_probe(md_family, cdf_md)
+    log_t, log_md = _log_probe(t_family, jumps_t), _log_probe(md_family, jumps_md)
     log_ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
     note = (
-        f"means ({mean_t}, {mean_md}); "
+        f"means ({Fraction(mean_t, 2 * square)}, {Fraction(mean_md, 2 * square)}); "
         f"log probe E0[-2 log P]: T {log_t:.9f}, MD {log_md:.9f}, uniform 2.0 "
         f"({'ordered' if log_ordered else 'NOT ordered (advisory only)'})"
     )
-    return _claim(claim, grid, margins, _format, note)
+    grid = tuple(fraction(s, two) for s in points)
+    return _claim(claim, grid, margins, 8 * square, witness, note)
 
 
 def check_martingale_projection(
@@ -355,45 +414,90 @@ def check_martingale_projection(
         note = "threshold class carries no null mass; projection on it skipped"
     if not margins:
         return OrderReport(claim, "pass", grid, Fraction(0), None, note)
-    return _claim(claim, grid, margins, _format, note)
+    nums, den = _one_denominator((m.numerator, m.denominator) for m, _ in margins)
+    return _claim(claim, grid, nums, den, lambda i: margins[i][1][0].format(*margins[i][1][1:]), note)
+
+
+def _threshold_classes(family: PValueFamily, grid: Sequence[int], grid_den: int) -> list[int]:
+    """Threshold class k(alpha) at each alpha = x / grid_den of a sorted grid: the last class starting at or below it.
+
+    A start s / D lies at or below x / grid_den exactly when s * grid_den <= x * D.
+    """
+    den, _mass, before = family.lattice(family.model.null)
+    return [n - 1 for n in _counts([s * grid_den for s in before[:-1]], [x * den for x in grid])]
 
 
 def _projection_margins(
-    t_family: PValueFamily, md_family: PValueFamily, alphas: Sequence[Fraction]
-) -> list[Fraction]:
-    """Worst margin of check_martingale_projection at each alpha, read off per class.
+    t_family: PValueFamily, md_family: PValueFamily, scale: int, grid: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Worst margin of check_martingale_projection at each alpha = x / scale, as (numerator, denominator).
 
     At alpha the T test has threshold class k and the MD test threshold
     rank r with randomization gamma_MD.  A sure-rejection point (class
     before k) has margin 0, gamma_MD - 1 or -1 as its rank is below, at or
     above r, so the largest rank before class k decides them all; the
     sure-retention side is decided by the smallest rank after class k.
+    With gamma = (alpha - start) / mass, all three margins share the
+    denominator mass_T[k] * mass_MD[r] * scale / D.
     """
+    den, t_mass, t_before = t_family.lattice(t_family.model.null)
+    _, md_mass, md_before = md_family.lattice(md_family.model.null)
+    c = scale // den
     ranks = md_family.source.ranks
-    null_row = t_family.model.probs(t_family.model.null)
+    null_row = t_family.model.int_row(t_family.model.null)[1]
     by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_family.members]
     class_ranks = [[rank for rank, _ in pairs] for pairs in by_rank]
-    below = [tuple(accumulate((m for _, m in pairs), initial=Fraction(0))) for pairs in by_rank]
+    below = [tuple(accumulate((m for _, m in pairs), initial=0)) for pairs in by_rank]
     before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=0))
     after_min = [len(ranks) + 1] * (len(class_ranks) + 1)
     for k in range(len(class_ranks) - 1, -1, -1):
         after_min[k] = min(after_min[k + 1], class_ranks[k][0])
 
     out = []
-    for alpha in alphas:
-        k, gamma_t = t_family.threshold(alpha)
-        r_index, gamma_md = md_family.threshold(alpha)
+    current, j = -1, 0
+    t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
+    for x, k, r_index in zip(grid, t_classes, md_classes):
         r = md_family.keys[r_index]
-        j = bisect_left(class_ranks[k], r)
-        value = below[k][j]
-        if j < len(class_ranks[k]) and class_ranks[k][j] == r:
-            value += gamma_md * by_rank[k][j][1]
-        margin = -abs(value / t_family.mass[k] - gamma_t)
+        inside = class_ranks[k]
+        if k != current:
+            current, j = k, 0
+        while j < len(inside) and inside[j] < r:
+            j += 1
+        m_k, m_r = t_mass[k], md_mass[r_index]
+        q = m_r * c  # gamma_MD = u_md / q and gamma_T = u_t / (m_k * c)
+        u_t, u_md = x - t_before[k] * c, x - md_before[r_index] * c
+        value = below[k][j] * q
+        if j < len(inside) and inside[j] == r:
+            value += u_md * by_rank[k][j][1]
+        total = m_k * q
         top, bottom = before_max[k], after_min[k + 1]
-        reject = -1 if top > r else (gamma_md - 1 if top == r else 0)
-        retain = -1 if bottom < r else (-gamma_md if bottom == r else 0)
-        out.append(Fraction(min(margin, reject, retain)))
+        reject = -total if top > r else ((u_md - q) * m_k if top == r else 0)
+        retain = -total if bottom < r else (-u_md * m_k if bottom == r else 0)
+        out.append((min(-abs(value - u_t * m_r), reject, retain), total))
     return out
+
+
+def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
+    """check_sufficiency on the statistic's family: classes in first-appearance order, integer masses.
+
+    Masses under one theta share its denominator, so the cross-ratio
+    p_theta(x) * m_base(class) == p_base(x) * m_theta(class) is an identity
+    between integer numerators.
+    """
+    model, members = t_family.model, t_family.members
+    order = sorted(range(len(members)), key=lambda k: members[k][0])
+    base = thetas[0]
+    base_row, base_mass = model.int_row(base)[1], t_family.lattice(base)[1]
+    for theta in thetas[1:]:
+        row, mass = model.int_row(theta)[1], t_family.lattice(theta)[1]
+        for k in order:
+            for i in members[k]:
+                if row[i] * base_mass[k] != base_row[i] * mass[k]:
+                    return False, (
+                        f"conditional law given [{t_family.source.name}={t_family.keys[k]}] differs: "
+                        f"point {model.support[i].label!r} under {theta} vs {base}"
+                    )
+    return True, None
 
 
 def check_sufficiency(
@@ -407,23 +511,7 @@ def check_sufficiency(
     """
     if len(thetas) < 2:
         raise OrdersError("sufficiency check needs a grid of at least two parameters")
-    classes: dict[Fraction, list[SupportPoint]] = {}
-    for pt in model.support:
-        classes.setdefault(statistic.value(pt), []).append(pt)
-    base = thetas[0]
-    base_row = model.probs(base)
-    for theta in thetas[1:]:
-        row = model.probs(theta)
-        for value, members in classes.items():
-            mass_base = sum((base_row[pt.index] for pt in members), Fraction(0))
-            mass_theta = sum((row[pt.index] for pt in members), Fraction(0))
-            for pt in members:
-                if row[pt.index] * mass_base != base_row[pt.index] * mass_theta:
-                    return False, (
-                        f"conditional law given [{statistic.name}={value}] differs: "
-                        f"point {pt.label!r} under {theta} vs {base}"
-                    )
-    return True, None
+    return _sufficiency(pvalue_family(model, statistic), thetas)
 
 
 def verify_all_claims(
@@ -449,17 +537,38 @@ def verify_all_claims(
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
     thetas = list(thetas)
-    for theta in thetas:
-        model.probs(theta)
     null = model.null
     t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
-    alphas = tuple(sorted(set(alpha_breakpoints(t_family, md_family)) | {_as_unit(a, "alpha") for a in extra_alphas}))
-    nat_t = {theta: pvalue_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
-    nat_md = {theta: pvalue_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
+    lattice_t = {theta: t_family.lattice(theta) for theta in [null, *thetas]}
+    lattice_md = {theta: md_family.lattice(theta) for theta in [null, *thetas]}
+    den, t_mass, t_before = lattice_t[null]
+    _, md_mass, md_before = lattice_md[null]
+
+    # The alpha grid: ints over a multiple of 2 * D_null that also carries every extra alpha.
+    extras = [_as_unit(a, "alpha") for a in extra_alphas]
+    scale = math.lcm(2 * den, *(a.denominator for a in extras))
+    c = scale // den
+    grid = sorted(
+        set(alpha_lattice(scale, t_family, md_family)).union(a.numerator * (scale // a.denominator) for a in extras)
+    )
+    # The report grids share most points (class starts and ends, midpoints), so each
+    # lattice value is reduced to a Fraction once, keyed by its numerator over scale.
+    reduced: dict[int, Fraction] = {}
+
+    def fraction(x: int, d: int) -> Fraction:
+        key = x * (scale // d)
+        if key not in reduced:
+            reduced[key] = Fraction(x, d)
+        return reduced[key]
+
+    alphas = tuple(fraction(x, scale) for x in grid)
+    # Natural p-value CDFs at each alpha: how many classes end (jump) at or below it.
+    natural_t = _counts([b * c for b in t_before[1:]], grid)
+    natural_md = _counts([b * c for b in md_before[1:]], grid)
 
     sufficiency_grid = list(dict.fromkeys([null, *thetas]))
     if len(sufficiency_grid) >= 2:
-        sufficient, suff_witness = check_sufficiency(model, statistic, sufficiency_grid)
+        sufficient, suff_witness = _sufficiency(t_family, sufficiency_grid)
     else:
         sufficient, suff_witness = True, None
 
@@ -469,43 +578,65 @@ def verify_all_claims(
     if not thetas:
         reports.append(OrderReport("C1", "skipped", (), None, None, "empty theta grid"))
     else:
-        margins = [
-            (nat_md[theta].evaluate(alpha) - nat_t[theta].evaluate(alpha), (theta, alpha))
-            for theta in thetas
-            for alpha in alphas
-        ]
-        reports.append(_claim("C1", alphas, margins, "theta={}, alpha={}".format))
+        common = math.lcm(*(lattice_t[theta][0] for theta in thetas))
+        margins = []
+        for theta in thetas:
+            f, before_t, before_md = common // lattice_t[theta][0], lattice_t[theta][2], lattice_md[theta][2]
+            margins.extend((before_md[j] - before_t[i]) * f for i, j in zip(natural_t, natural_md))
+        reports.append(
+            _claim("C1", alphas, margins, common,
+                   lambda i: f"theta={thetas[i // len(grid)]}, alpha={alphas[i % len(grid)]}")
+        )
 
     # C2: level sandwich under the null.
     margins = []
-    for alpha in alphas:
-        f_t = nat_t[null].evaluate(alpha)
-        f_md = nat_md[null].evaluate(alpha)
-        margins.append((f_md - f_t, ("alpha={}: E0[dT]={} vs E0[dMD]={}", alpha, f_t, f_md)))
-        margins.append((alpha - f_md, ("alpha={}: E0[dMD]={} exceeds alpha", alpha, f_md)))
-    reports.append(_claim("C2", alphas, margins, _format))
+    for x, i, j in zip(grid, natural_t, natural_md):
+        margins.append((md_before[j] - t_before[i]) * c)
+        margins.append(x - md_before[j] * c)
 
-    # C3: usual stochastic order of natural p-values per theta.
+    def level_witness(index: int) -> str:
+        i, upper = divmod(index, 2)
+        f_t, f_md = Fraction(t_before[natural_t[i]], den), Fraction(md_before[natural_md[i]], den)
+        if upper:
+            return f"alpha={alphas[i]}: E0[dMD]={f_md} exceeds alpha"
+        return f"alpha={alphas[i]}: E0[dT]={f_t} vs E0[dMD]={f_md}"
+
+    reports.append(_claim("C2", alphas, margins, scale, level_witness))
+
+    # C3 and C4: usual stochastic order of natural p-values; their CDFs jump at class ends.
+    ends_t, ends_md = t_before[1:], md_before[1:]
     if not thetas:
         reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
     else:
-        reports.append(_usual_order("C3", [(nat_t[theta], nat_md[theta], ("T", "MD")) for theta in thetas]))
-
-    # C4: null sandwich of natural p-value CDFs.
+        pairs = [(ends_t, lattice_t[theta][2], ends_md, lattice_md[theta][2], lattice_t[theta][0], ("T", "MD"))
+                 for theta in thetas]
+        reports.append(_usual_order("C3", den, pairs, fraction=fraction))
     reports.append(
-        _usual_order("C4", [(nat_t[null], nat_md[null], ("T", "MD")), (nat_md[null], None, ("MD", "t"))])
+        _usual_order("C4", den, [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
+                                 (ends_md, md_before, None, None, den, ("MD", "t"))], fraction=fraction)
     )
 
     # C5: randomized p-values exactly uniform under the null, both families.
     # Pr_0{P(X, U) <= t} is the null power of the size-t test, since
-    # P(x, u) <= t exactly when that test rejects x at u.
-    t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
-    margins = []
-    for t in t_grid:
-        for name, family in (("T", t_family), ("MD", md_family)):
-            value = family.power(null, t)
-            margins.append((-abs(value - t), (name, t, value)))
-    reports.append(_claim("C5", t_grid, margins, "{} family at t={}: CDF {}".format))
+    # P(x, u) <= t exactly when that test rejects x at u: at t = i / n it is
+    # before[k] + gamma * mass[k] with gamma = (t - start) / mass[k], over n * mass[k] * D.
+    n = t_grid_size
+    t_grid = tuple(Fraction(i, n) for i in range(n + 1))
+    sides = [(name, family, _threshold_classes(family, range(n + 1), n), family.lattice(null))
+             for name, family in (("T", t_family), ("MD", md_family))]
+    items = []
+    for i in range(n + 1):
+        for _name, _family, classes, (_, mass, before) in sides:
+            k = classes[i]
+            value = before[k] * n * mass[k] + (i * den - before[k] * n) * mass[k]
+            items.append((-abs(value - i * den * mass[k]), n * den * mass[k]))
+    margins, c5_den = _one_denominator(items)
+
+    def uniform_witness(index: int) -> str:
+        (name, family, *_), t = sides[index % 2], t_grid[index // 2]
+        return f"{name} family at t={t}: CDF {family.power(null, t)}"
+
+    reports.append(_claim("C5", t_grid, margins, c5_den, uniform_witness))
 
     # C6: equal power functions under sufficiency.
     if not thetas:
@@ -513,31 +644,54 @@ def verify_all_claims(
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        margins = []
-        for alpha in alphas:
-            for theta in thetas:
-                e_t = t_family.power(theta, alpha)
-                e_md = md_family.power(theta, alpha)
-                margins.append((-abs(e_t - e_md), (theta, alpha, e_t, e_md)))
-        reports.append(_claim("C6", alphas, margins, "theta={}, alpha={}: {} vs {}".format))
+        t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
+
+        def gap_line(k: int, r: int, theta: str) -> tuple[int, int]:
+            """(P, Q) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha = x / scale
+            whose threshold classes are k and r: both powers are linear in alpha there."""
+            _, tm, tb = lattice_t[theta]
+            _, mm, mb = lattice_md[theta]
+            m_k, m_r = t_mass[k], md_mass[r]
+            slope_t, slope_md = tm[k] * m_r, mm[r] * m_k
+            offset = (tb[k] - mb[r]) * m_k * m_r - t_before[k] * slope_t + md_before[r] * slope_md
+            return offset * c, slope_t - slope_md
+
+        items = []
+        classes = None
+        for x, k, r in zip(grid, t_classes, md_classes):
+            if (k, r) != classes:
+                classes = (k, r)
+                lines = [(*gap_line(k, r, theta), lattice_t[theta][0]) for theta in thetas]
+            for offset, slope, d_theta in lines:
+                gap = offset + x * slope if slope else offset
+                items.append((-abs(gap), d_theta * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
+        margins, c6_den = _one_denominator(items)
+
+        def power_witness(index: int) -> str:
+            alpha, theta = alphas[index // len(thetas)], thetas[index % len(thetas)]
+            return f"theta={theta}, alpha={alpha}: {t_family.power(theta, alpha)} vs {md_family.power(theta, alpha)}"
+
+        reports.append(_claim("C6", alphas, margins, c6_den, power_witness))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
-    margins = [(t_family.b[i] - md_family.b[i], (model.support[i].label,)) for i in range(model.size)]
-    reports.append(_claim("C7", (), margins, "point {!r}".format, "checked at every support point"))
+    margins = [t_mass[k] - md_mass[r] for k, r in zip(t_family.class_of, md_family.class_of)]
+    reports.append(_claim("C7", (), margins, den, lambda i: f"point {model.support[i].label!r}",
+                          "checked at every support point"))
 
     # C8: martingale projection at every breakpoint alpha (gated on sufficiency).
     if not sufficient:
         reports.append(OrderReport("C8", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        def projection_witness(alpha: Fraction) -> str:
+        def projection_witness(i: int) -> str:
+            alpha = alphas[i]
             report = check_martingale_projection(model, t_family.test(alpha), md_family.test(alpha))
             return f"alpha={alpha}: {report.witness}"
 
-        margins = zip(_projection_margins(t_family, md_family, alphas), ((a,) for a in alphas))
-        reports.append(_claim("C8", alphas, margins, projection_witness))
+        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, scale, grid))
+        reports.append(_claim("C8", alphas, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(_convex_order_chain(t_family, md_family, "C9"))
+    reports.append(_convex_order_chain(t_family, md_family, "C9", fraction))
 
     return reports
 

@@ -7,6 +7,8 @@ exact ``fractions.Fraction``; decimal strings are display-only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
@@ -29,6 +31,13 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """(D, numerators) with value == numerator / D for every value; D is the lcm of the denominators."""
+    values = tuple(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def format_rational(value: Fraction | int) -> str:

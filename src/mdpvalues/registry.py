@@ -31,7 +31,11 @@ def resolve_model(spec: str) -> tuple[DiscreteModel, str]:
         parts = [p.strip() for p in spec.split(":", 1)[1].split(",")]
         if len(parts) < 3:
             raise ModelError(f"binomial spec needs n and two thetas, got {spec!r}")
-        return binomial_model(int(parts[0]), parts[1:]), spec
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise ModelError(f"binomial spec needs an integer n, got {parts[0]!r}") from None
+        return binomial_model(n, parts[1:]), spec
     path = Path(spec)
     if not path.exists():
         raise ModelError(f"model {spec!r} is neither builtin nor an existing file")

@@ -5,21 +5,27 @@ ranking), which is a sorted class table: the tie classes sorted once
 from most to least extreme, with the null mass of each class and the
 null mass strictly before it (the class start).  The classes tile
 [0, 1], so the size-alpha test keeps the last class whose start does not
-exceed alpha (one bisect on the starts), and the randomization fraction
-gamma then makes the null expectation exactly alpha.  A test is that
-family plus the threshold class index and gamma (not just the collapsed
-per-point value), so a decision compares the point's class index with
-the threshold class and tells "after the threshold class" from "in it
-with gamma = 0"; that is what makes the indicator identity
-I(P(x,u) <= alpha) == decide(x,u)  exact for every u in [0,1], including
-u = 0 and boundary alphas.
+exceed alpha, and the randomization fraction gamma then makes the null
+expectation exactly alpha.  A test is that family plus the threshold
+class index and gamma (not just the collapsed per-point value), so a
+decision compares the point's class index with the threshold class and
+tells "after the threshold class" from "in it with gamma = 0"; that is
+what makes the indicator identity  I(P(x,u) <= alpha) == decide(x,u)
+exact for every u in [0,1], including u = 0 and boundary alphas.
 
 A point's p-value is the linear form P(x,u) = a(x) + u*b(x) with a its
 class start (the null mass strictly more extreme) and b its class mass
 (the null tie mass): u=1 gives the natural p-value, u=1/2 the mid-p-value,
 and a uniform draw the randomized p-value.  An MD family is the same
-table with one point per class.  The per-point tuples ``a`` and ``b`` are
-views read through each point's class index.
+table with one point per class.
+
+The table is held on the integer lattice of the model's pmf rows: under
+each theta, the class masses and their prefix sums are integers over the
+row's common denominator D_theta (``PValueFamily.lattice``).  The
+threshold class is one bisect of those integer starts at floor(alpha*D),
+and the claim engine in ``orders`` sweeps them directly.  The ``Fraction``
+tuples ``mass``, ``starts``, ``a`` and ``b`` are views derived once from
+the lattice for callers that want rationals.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -125,16 +132,14 @@ class PValueFamily:
     ``starts[k]`` the null mass of the classes before it, so the classes
     tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]] and a
     point's (a, b) is its class's (start, mass).  Families compare by
-    these fields; the per-theta cache is left out.
+    these fields; the per-theta lattice cache is left out.
     """
 
     model: DiscreteModel
     source: Statistic | Ranking
     keys: tuple[Fraction | int, ...]
     members: tuple[tuple[int, ...], ...]
-    mass: tuple[Fraction, ...]
-    starts: tuple[Fraction, ...]
-    _by_theta: dict[str, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = field(
+    _by_theta: dict[str, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -145,6 +150,32 @@ class PValueFamily:
     @property
     def source_name(self) -> str:
         return self.source.agrees_with if isinstance(self.source, Ranking) else self.source.name
+
+    def lattice(self, theta: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D_theta, mass, before): per-class theta mass as ints over D_theta, and its prefix sums.
+
+        ``before[k]`` is the theta mass of the classes before class k, so
+        ``before[-1] == D_theta``; under the null, ``before[:-1]`` are the
+        class starts over D_null.
+        """
+        cached = self._by_theta.get(theta)
+        if cached is None:
+            den, row = self.model.int_row(theta)
+            mass = tuple(sum(map(row.__getitem__, m)) for m in self.members)
+            cached = self._by_theta[theta] = (den, mass, tuple(accumulate(mass, initial=0)))
+        return cached
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        """Per class: its null mass."""
+        den, mass, _ = self.lattice(self.model.null)
+        return tuple(Fraction(m, den) for m in mass)
+
+    @cached_property
+    def starts(self) -> tuple[Fraction, ...]:
+        """Per class: the null mass of the classes before it."""
+        den, _, before = self.lattice(self.model.null)
+        return tuple(Fraction(b, den) for b in before[:-1])
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
@@ -180,32 +211,29 @@ class PValueFamily:
         k = self._class(point)
         return self.starts[k] + self.mass[k] / 2
 
-    def theta_masses(self, theta: str) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Per-class mass under theta, and its prefix sums (entry k: mass before class k)."""
-        cached = self._by_theta.get(theta)
-        if cached is None:
-            row = self.model.probs(theta)
-            mass = tuple(sum((row[i] for i in m), Fraction(0)) for m in self.members)
-            cached = self._by_theta[theta] = (mass, tuple(accumulate(mass, initial=Fraction(0))))
-        return cached
-
     def threshold(self, alpha: Fraction) -> tuple[int, Fraction]:
         """Threshold class k(alpha) and gamma(alpha): the last class starting at or below alpha.
 
+        An integer start s (over D) lies at or below alpha exactly when
+        s <= floor(alpha * D), so k is one bisect of the integer starts.
         gamma equals 0 or 1 exactly at boundary alphas; the exact size
         identity E_0[phi_alpha] = alpha holds by construction and is asserted.
         """
-        k = bisect_right(self.starts, alpha) - 1
-        start, mass = self.starts[k], self.mass[k]
-        gamma = (alpha - start) / mass
-        assert start + gamma * mass == alpha, "size identity violated"
+        den, mass, before = self.lattice(self.model.null)
+        num, q = alpha.numerator, alpha.denominator
+        k = bisect_right(before, num * den // q, 0, len(mass)) - 1
+        start, tie = before[k], mass[k]
+        gamma = Fraction(num * den - start * q, tie * q)
+        g, h = gamma.numerator, gamma.denominator
+        assert (start * h + g * tie) * q == num * den * h, "size identity violated"
         return k, gamma
 
     def power(self, theta: str, alpha: Fraction) -> Fraction:
         """E_theta[phi_alpha]: the theta mass before the threshold class plus gamma times its own."""
         k, gamma = self.threshold(alpha)
-        mass, before = self.theta_masses(theta)
-        return before[k] + gamma * mass[k]
+        den, mass, before = self.lattice(theta)
+        g, h = gamma.numerator, gamma.denominator
+        return Fraction(before[k] * h + g * mass[k], den * h)
 
     def test(self, alpha: Fraction) -> TestFunction:
         k, gamma = self.threshold(alpha)
@@ -214,21 +242,16 @@ class PValueFamily:
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
     """Sort the support into tie classes once: one class per rank, or per statistic value."""
-    null_row = model.probs(model.null)
     if isinstance(source, Ranking):
         members = tuple((index,) for index in source.order())
         keys: tuple[Fraction | int, ...] = tuple(range(1, model.size + 1))
-        mass = tuple(null_row[index] for (index,) in members)
     else:
         classes: dict[Fraction, list[int]] = {}
         for index, value in enumerate(source.values):
             classes.setdefault(value, []).append(index)
         keys = tuple(sorted(classes, reverse=True))
         members = tuple(tuple(classes[value]) for value in keys)
-        mass = tuple(sum((null_row[i] for i in m), Fraction(0)) for m in members)
-    starts = tuple(accumulate(mass[:-1], initial=Fraction(0)))
-    assert starts[-1] + mass[-1] == 1
-    return PValueFamily(model, source, keys, members, mass, starts)
+    return PValueFamily(model, source, keys, members)
 
 
 def size_alpha_test(
@@ -258,22 +281,34 @@ def draw_randomized_pvalue(
     return float(family.starts[k]) + u * float(family.mass[k]), u
 
 
+def alpha_lattice(scale: int, *families: PValueFamily, midpoints: bool = True) -> tuple[int, ...]:
+    """The canonical alpha grid as sorted int numerators over ``scale``.
+
+    ``scale`` must be a multiple of 2 * D_null for every family, so each
+    class start and each midpoint between neighbours is an integer on it.
+    """
+    points = {0, scale}
+    for family in families:
+        den, _mass, before = family.lattice(family.model.null)
+        c = scale // den
+        points.update(b * c for b in before)
+    grid = sorted(points)
+    if midpoints:
+        grid = sorted(points.union((x + y) // 2 for x, y in zip(grid, grid[1:])))
+    return tuple(grid)
+
+
 def alpha_breakpoints(*families: PValueFamily, midpoints: bool = True) -> tuple[Fraction, ...]:
     """Canonical alpha grid: attained null tails of every family plus 0 and 1.
 
     The attained tails a and a + b are the class starts and 1, since each
-    class ends where the next one starts.  Every asserted quantity is piecewise linear in alpha with kinks at these
-    values, so checking the grid (optionally with the midpoints between
-    consecutive entries) discharges a "for all alpha" claim exactly.
+    class ends where the next one starts.  Every asserted quantity is
+    piecewise linear in alpha with kinks at these values, so checking the
+    grid (optionally with the midpoints between consecutive entries)
+    discharges a "for all alpha" claim exactly.
     """
-    points = {Fraction(0), Fraction(1)}
-    for family in families:
-        points.update(family.starts)
-    grid = sorted(points)
-    if midpoints:
-        mids = [(x + y) / 2 for x, y in zip(grid, grid[1:])]
-        grid = sorted(set(grid) | set(mids))
-    return tuple(grid)
+    scale = lcm(2, *(2 * family.lattice(family.model.null)[0] for family in families))
+    return tuple(Fraction(x, scale) for x in alpha_lattice(scale, *families, midpoints=midpoints))
 
 
 _DEFAULT_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))

@@ -10,7 +10,11 @@ family filled from that scan, never from ``pvalue_family`` or
 same scan; their CDFs merge one atom per support point and their alpha
 grid loops over the points, so it shares no CDF or grid code with the
 engine, only the data types and the single-pair usual-order check of
-C3/C4.  The engine's reports can be compared against it byte for byte.
+C3/C4.  Its sufficiency check re-groups the support by statistic value
+and sums ``Fraction`` masses, where the engine reads the family's
+integer class masses.  Everything here stays on ``Fraction``s, while the
+engine works on integer numerators, so the engine's reports can be
+compared against it byte for byte as an independent cross-check.
 C9 keeps the hinge and square probes that the engine leaves to the
 integrated-CDF chain, as an independent check that the chain implies them.
 """
@@ -22,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mdpvalues.model import DiscreteModel
-from mdpvalues.orders import (
-    OrderReport,
-    OrdersError,
-    StepCDF,
-    check_sufficiency,
-    check_usual_order,
-)
+from mdpvalues.orders import OrderReport, OrdersError, StepCDF, check_usual_order
 from mdpvalues.ranking import Ranking, verify_agreement
 from mdpvalues.testing import PValueFamily, TestFunction
 
@@ -58,17 +56,38 @@ def extremity_classes(model, source):
     ]
 
 
+def check_sufficiency(model, statistic, thetas):
+    """Cross-ratio sufficiency test on classes re-grouped from the support, in first-appearance order."""
+    if len(thetas) < 2:
+        raise OrdersError("sufficiency check needs a grid of at least two parameters")
+    classes = {}
+    for pt in model.support:
+        classes.setdefault(statistic.value(pt), []).append(pt)
+    base = thetas[0]
+    base_row = model.probs(base)
+    for theta in thetas[1:]:
+        row = model.probs(theta)
+        for value, members in classes.items():
+            mass_base = sum((base_row[pt.index] for pt in members), Fraction(0))
+            mass_theta = sum((row[pt.index] for pt in members), Fraction(0))
+            for pt in members:
+                if row[pt.index] * mass_base != base_row[pt.index] * mass_theta:
+                    return False, (
+                        f"conditional law given [{statistic.name}={value}] differs: "
+                        f"point {pt.label!r} under {theta} vs {base}"
+                    )
+    return True, None
+
+
 def scan_size_alpha_test(model, source, alpha) -> TestFunction:
     """k(alpha) and gamma(alpha) by the cumulative scan over the classes."""
     alpha_f = _as_unit(alpha)
     classes = extremity_classes(model, source)
     strict = Fraction(0)
-    starts = []
     chosen = None
     for k, (_key, mass, _members) in enumerate(classes):
         if strict <= alpha_f:
             chosen = (k, mass, strict)
-        starts.append(strict)
         strict += mass
     k, mass, before = chosen
     gamma = (alpha_f - before) / mass
@@ -78,8 +97,6 @@ def scan_size_alpha_test(model, source, alpha) -> TestFunction:
         source,
         tuple(key for key, _mass, _members in classes),
         tuple(tuple(pt.index for pt in members) for _key, _mass, members in classes),
-        tuple(mass for _key, mass, _members in classes),
-        tuple(starts),
     )
     return TestFunction(table, alpha_f, k, gamma)
 
@@ -168,6 +185,16 @@ def rectangle_integral(cdf: StepCDF, s) -> Fraction:
     return total
 
 
+def plateau_heights_inside(cdf: StepCDF) -> list[Fraction]:
+    """Plateau heights c with jump_i < c < jump_{i+1} (or < 1 after the last).
+
+    These are the interior critical points of s -> s^2/2 - integral(F),
+    needed when comparing a step CDF against the uniform in convex order.
+    """
+    tops = [*cdf.jumps[1:], Fraction(1)]
+    return [c for c, left, right in zip(cdf.cum, cdf.jumps, tops) if left < c < right]
+
+
 def _worst(claim, grid, margins, note=None) -> OrderReport:
     worst, witness = min(margins, key=lambda mw: mw[0])
     return OrderReport(claim, "pass" if worst >= 0 else "fail", grid, worst,
@@ -208,8 +235,8 @@ def convex_order_chain(model, t_family, md_family) -> OrderReport:
     margins.append((-abs(mean_t - HALF), f"mean of T mid-p is {mean_t}"))
     margins.append((-abs(mean_md - HALF), f"mean of MD mid-p is {mean_md}"))
     grid_set = set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}
-    grid_set.update(cdf_t.plateau_heights_inside())
-    grid_set.update(cdf_md.plateau_heights_inside())
+    grid_set.update(plateau_heights_inside(cdf_t))
+    grid_set.update(plateau_heights_inside(cdf_md))
     grid = tuple(sorted(grid_set))
     for s in grid:
         lower, middle, upper = rectangle_integral(cdf_t, s), rectangle_integral(cdf_md, s), s * s / 2

@@ -89,6 +89,12 @@ class TestCdf:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["binomial:1.5,1/2,3/5", "binomial:x,1/2,3/5", "binomial:5,1/2,0.6"])
+    def test_malformed_binomial_spec_is_usage_error(self, tmp_path, capsys, spec):
+        assert main(["pvalues", "--model", spec, "--out", str(tmp_path / "pv.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     def test_builtin_example_passes(self, tmp_path, capsys):

@@ -255,6 +255,11 @@ class TestSimulate:
             _config(u_policy="fuzzy")
         with pytest.raises(ConfigError):
             _config(seed=-1)
+        for field, value in [("hypotheses", 20.9), ("hypotheses", 40.0), ("hypotheses", "20.9"),
+                             ("replicates", True), ("seed", 3.7), ("seed", "three")]:
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                _config(**{field: value})
+        assert _config(hypotheses="40").hypotheses == 40
 
     def test_report_records_rng_identity(self):
         assert "Philox" in simulate(_config()).rng

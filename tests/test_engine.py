@@ -1,5 +1,7 @@
-"""The class-table engine against the per-grid-point reference, byte for byte."""
+"""The integer-lattice engine against the per-grid-point Fraction reference, byte for byte."""
 
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,9 +21,11 @@ from mdpvalues import (
     size_alpha_test,
     verify_all_claims,
 )
+from mdpvalues import orders
 from mdpvalues.orders import _projection_margins, reports_to_json
-from mdpvalues.testing import alpha_breakpoints
+from mdpvalues.testing import alpha_breakpoints, alpha_lattice
 
+import claims_oracle
 from claims_oracle import atom_cdf, randomized_cdf_at, rectangle_integral, reference_claims, scan_pvalue_family
 from conftest import random_model_and_statistic
 
@@ -54,6 +58,56 @@ def test_random_models_match_reference():
         engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=rng.randint(1, 30))
         skipped += '"verdict": "skipped"' in engine
     assert 0 < skipped < 30  # both the gated and the sufficient paths ran
+
+
+PRIMES = [p for p in range(101, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def coprime_model_and_statistic(rng, size):
+    """A random model whose rows put a distinct prime under every point but the last.
+
+    The last point takes the remainder, so each row's common denominator is
+    the product of its primes: D_theta grows to the sum of their bit-lengths.
+    """
+    primes = rng.sample(PRIMES, 2 * (size - 1))
+    pmf = {}
+    for name, row_primes in (("t0", primes[: size - 1]), ("t1", primes[size - 1 :])):
+        row = [Fraction(rng.randint(1, p // size), p) for p in row_primes]
+        pmf[name] = [*row, 1 - sum(row)]
+    labels = [f"x{i:03d}" for i in range(size)]
+    model = make_model(labels, {"t0": "1/2", "t1": "3/4"}, pmf)
+    assert model.int_row("t0")[0] == math.prod(primes[: size - 1])
+    statistic = make_statistic(model, "s", [Fraction(rng.randint(0, 5)) for _ in range(size)])
+    return model, statistic
+
+
+def test_coprime_denominator_models_match_reference():
+    rng = random.Random(2357)
+    for index in range(8):
+        model, statistic = coprime_model_and_statistic(rng, rng.randint(2, 30))
+        if index % 2 == 0:
+            model, statistic = tilted_to_sufficiency(rng, model, statistic)
+        ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
+        assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=rng.randint(1, 30))
+
+
+def test_failing_claims_match_reference(monkeypatch):
+    """With the agreement gate opened, shuffled rankings make claims fail; witnesses match too."""
+    for module in (orders, claims_oracle):
+        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
+    rng = random.Random(3)
+    failed = set()
+    for index in range(20):
+        model, statistic = random_model_and_statistic(rng, max_support=14)
+        if index % 2 == 0:
+            model, statistic = tilted_to_sufficiency(rng, model, statistic)
+        ranks = list(range(1, model.size + 1))
+        rng.shuffle(ranks)
+        ranking = Ranking("shuffled", tuple(ranks), "explicit")
+        extra = [Fraction(3, 7)] if index % 3 == 0 else ()
+        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=7, extra_alphas=extra)
+        failed.update(r["claim"] for r in json.loads(engine) if r["verdict"] == "fail")
+    assert failed == {"C1", "C2", "C3", "C4", "C6", "C8", "C9"}
 
 
 def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
@@ -89,8 +143,11 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
         for ranks in (shuffled, swapped):
             ranking = Ranking("broken", tuple(ranks), "explicit")
             t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
-            alphas = alpha_breakpoints(t_family, md_family)
-            sweep = _projection_margins(t_family, md_family, alphas)
+            scale = 2 * model.int_row(model.null)[0]
+            grid = alpha_lattice(scale, t_family, md_family)
+            alphas = tuple(Fraction(x, scale) for x in grid)
+            assert alphas == alpha_breakpoints(t_family, md_family)
+            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, scale, grid)]
             pointwise = [
                 check_martingale_projection(
                     model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)

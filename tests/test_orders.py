@@ -28,6 +28,7 @@ from mdpvalues import (
     verify_all_claims,
 )
 
+from claims_oracle import check_sufficiency as oracle_sufficiency
 from claims_oracle import merge_atoms, phi_expectation_by_tails, randomized_cdf_at
 from conftest import brute_expectation
 
@@ -225,6 +226,14 @@ class TestSufficiency:
         first = make_statistic(example1, "x1", lambda pt: Fraction(int(pt.label[0])))
         ok, witness = check_sufficiency(example1, first, ["theta0", "theta1"])
         assert not ok and witness
+
+    def test_witness_names_the_first_class_in_support_order(self, example1):
+        # Classes are visited in order of first appearance in the support:
+        # "00000" opens the x1 = 0 class, though x1 = 1 sorts first as a key.
+        first = make_statistic(example1, "x1", lambda pt: Fraction(int(pt.label[0])))
+        expected = "conditional law given [x1=0] differs: point '00000' under theta1 vs theta0"
+        assert check_sufficiency(example1, first, ["theta0", "theta1"]) == (False, expected)
+        assert oracle_sufficiency(example1, first, ["theta0", "theta1"]) == (False, expected)
 
     def test_single_point_support_is_vacuous(self):
         model = make_model(["only"], {"a": "1/2", "b": "1/3"}, {"a": ["1/1"], "b": ["1/1"]})
