@@ -20,8 +20,8 @@ starts or CDF jumps, a two-pointer sweep instead of a search per point:
   - the size-alpha test at alpha keeps the last class starting at or below
     alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
     and the two families' powers are compared by cross-multiplication;
-  - the randomized null CDF of C5 at t = i / t_grid_size is the same
-    lookup, decided by cross-multiplication on that unchanged grid;
+  - C5 reads the randomized null CDF at t = i / t_grid_size as
+    ``PValueFamily.power`` under the null, one integer bisect per t;
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
@@ -31,9 +31,10 @@ starts or CDF jumps, a two-pointer sweep instead of a search per point:
     2 * start + mass over 2 * D_null;
   - the integrated CDFs of C9 are integer prefixes of cum * width.
 
-Each claim's margins are ints over one positive denominator.  Only the
-worst margin, the report grid and a failure's witness become Fractions:
-a witness is rebuilt at its grid point alone, through the public
+Each claim's margins are ints over one positive denominator; C5's start
+as ``PValueFamily.power`` Fractions and are put on one.  Only the worst
+margin, the report grid and a failure's witness become Fractions: a
+witness is rebuilt at its grid point alone, through the public
 Fraction methods (``PValueFamily.power``, the single-alpha C8 check).
 The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
 
@@ -211,9 +212,7 @@ def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int
     return [n * (den // d) if n else 0 for n, d in margins], den
 
 
-def _usual_order(
-    claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1, fraction: Callable[[int, int], Fraction] = Fraction
-) -> OrderReport:
+def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1) -> OrderReport:
     """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
 
     A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
@@ -222,7 +221,7 @@ def _usual_order(
     with the diagonal t.  Each pair is checked at every jump of either CDF
     plus t = 1, where both sides are constant (resp. increasing) up to the
     next grid point, so the check is exact for all t.  The report's grid is
-    the union of the pairs' grids, read into Fractions by ``fraction``.
+    the union of the pairs' grids.
     """
     den = math.lcm(*(pair[4] for pair in pairs), *(t_den for pair in pairs if pair[2] is None))
     grid_set: set[int] = set()
@@ -253,7 +252,7 @@ def _usual_order(
         bound = t if at_b is None else Fraction(cdf_b[at_b[index]], v_den)
         return f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"
 
-    grid = tuple(fraction(t, t_den) for t in sorted(grid_set))
+    grid = tuple(Fraction(t, t_den) for t in sorted(grid_set))
     return _claim(claim, grid, margins, den, witness)
 
 
@@ -315,9 +314,7 @@ def check_convex_order_chain(
     return _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), claim)
 
 
-def _convex_order_chain(
-    t_family: PValueFamily, md_family: PValueFamily, claim: str, fraction: Callable[[int, int], Fraction] = Fraction
-) -> OrderReport:
+def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
     """check_convex_order_chain on the p-value families of an agreeing pair.
 
     Mid-p jumps 2 * start + mass are ints over 2D, the null CDF after each
@@ -364,7 +361,7 @@ def _convex_order_chain(
         f"log probe E0[-2 log P]: T {log_t:.9f}, MD {log_md:.9f}, uniform 2.0 "
         f"({'ordered' if log_ordered else 'NOT ordered (advisory only)'})"
     )
-    grid = tuple(fraction(s, two) for s in points)
+    grid = tuple(Fraction(s, two) for s in points)
     return _claim(claim, grid, margins, 8 * square, witness, note)
 
 
@@ -551,17 +548,7 @@ def verify_all_claims(
     grid = sorted(
         set(alpha_lattice(scale, t_family, md_family)).union(a.numerator * (scale // a.denominator) for a in extras)
     )
-    # The report grids share most points (class starts and ends, midpoints), so each
-    # lattice value is reduced to a Fraction once, keyed by its numerator over scale.
-    reduced: dict[int, Fraction] = {}
-
-    def fraction(x: int, d: int) -> Fraction:
-        key = x * (scale // d)
-        if key not in reduced:
-            reduced[key] = Fraction(x, d)
-        return reduced[key]
-
-    alphas = tuple(fraction(x, scale) for x in grid)
+    alphas = tuple(Fraction(x, scale) for x in grid)
     # Natural p-value CDFs at each alpha: how many classes end (jump) at or below it.
     natural_t = _counts([b * c for b in t_before[1:]], grid)
     natural_md = _counts([b * c for b in md_before[1:]], grid)
@@ -610,30 +597,22 @@ def verify_all_claims(
     else:
         pairs = [(ends_t, lattice_t[theta][2], ends_md, lattice_md[theta][2], lattice_t[theta][0], ("T", "MD"))
                  for theta in thetas]
-        reports.append(_usual_order("C3", den, pairs, fraction=fraction))
+        reports.append(_usual_order("C3", den, pairs))
     reports.append(
         _usual_order("C4", den, [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
-                                 (ends_md, md_before, None, None, den, ("MD", "t"))], fraction=fraction)
+                                 (ends_md, md_before, None, None, den, ("MD", "t"))])
     )
 
     # C5: randomized p-values exactly uniform under the null, both families.
     # Pr_0{P(X, U) <= t} is the null power of the size-t test, since
-    # P(x, u) <= t exactly when that test rejects x at u: at t = i / n it is
-    # before[k] + gamma * mass[k] with gamma = (t - start) / mass[k], over n * mass[k] * D.
-    n = t_grid_size
-    t_grid = tuple(Fraction(i, n) for i in range(n + 1))
-    sides = [(name, family, _threshold_classes(family, range(n + 1), n), family.lattice(null))
-             for name, family in (("T", t_family), ("MD", md_family))]
-    items = []
-    for i in range(n + 1):
-        for _name, _family, classes, (_, mass, before) in sides:
-            k = classes[i]
-            value = before[k] * n * mass[k] + (i * den - before[k] * n) * mass[k]
-            items.append((-abs(value - i * den * mass[k]), n * den * mass[k]))
-    margins, c5_den = _one_denominator(items)
+    # P(x, u) <= t exactly when that test rejects x at u.
+    t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
+    sides = (("T", t_family), ("MD", md_family))
+    gaps = [-abs(family.power(null, t) - t) for t in t_grid for _, family in sides]
+    margins, c5_den = _one_denominator((g.numerator, g.denominator) for g in gaps)
 
     def uniform_witness(index: int) -> str:
-        (name, family, *_), t = sides[index % 2], t_grid[index // 2]
+        (name, family), t = sides[index % 2], t_grid[index // 2]
         return f"{name} family at t={t}: CDF {family.power(null, t)}"
 
     reports.append(_claim("C5", t_grid, margins, c5_den, uniform_witness))
@@ -691,7 +670,7 @@ def verify_all_claims(
         reports.append(_claim("C8", alphas, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(_convex_order_chain(t_family, md_family, "C9", fraction))
+    reports.append(_convex_order_chain(t_family, md_family, "C9"))
 
     return reports
 

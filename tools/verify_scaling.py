@@ -9,7 +9,7 @@ package can be compared on the same inputs:
   - binomial(n), theta 1/2 vs 3/5, n = 200, 1000, 4000: few classes per
     point but null and alternative denominators of n and 2.3 n bits.
 
-Each case is built and verified ``--repeat`` times from scratch; the
+Each case is built and verified REPEAT (3) times from scratch; the
 record keeps every run and the median.  Model build, statistic plus
 ranking, and verification are timed separately.  The package measured is
 whichever ``mdpvalues`` is first on the import path:
@@ -17,8 +17,9 @@ whichever ``mdpvalues`` is first on the import path:
     PYTHONPATH=src python tools/verify_scaling.py --column change
     PYTHONPATH=../other-checkout/src python tools/verify_scaling.py --column parent --commit abc1234
 
-The script writes nothing but ``--out`` (default BENCH_verify.json at the
-repository root).
+The script writes nothing but BENCH_verify.json at the repository root.
+``--commit`` names the measured source where ``git describe`` cannot (a
+``git archive`` copy has no history).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from mdpvalues import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_verify.json"
+REPEAT = 3
 
 CASES = [("bernoulli", n) for n in (8, 10, 12, 14)] + [("binomial", n) for n in (200, 1000, 4000)]
 BUILDERS = {
@@ -98,10 +101,10 @@ def run_case(family: str, n: int) -> dict:
     }
 
 
-def measure(repeat: int) -> dict:
+def measure() -> dict:
     cases = {}
     for family, n in CASES:
-        runs = [run_case(family, n) for _ in range(repeat)]
+        runs = [run_case(family, n) for _ in range(REPEAT)]
         name = f"{family} n={n}"
         cases[name] = {
             "support": runs[0]["support"],
@@ -120,18 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--column", required=True, help="name of the record column, e.g. parent or change")
     parser.add_argument("--commit", default=None, help="commit of the measured source (default: git describe)")
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_verify.json"))
     args = parser.parse_args(argv)
 
-    cases = measure(args.repeat)
-    out = Path(args.out)
-    record = json.loads(out.read_text()) if out.exists() else {}
+    cases = measure()
+    record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record["what"] = (
         "verify_all_claims wall time (seconds, median of repeat) against support size N and "
         "denominator bit-length; model build and statistic+ranking timed separately"
     )
-    record["repeat"] = args.repeat
+    record["repeat"] = REPEAT
     record["targets_s"] = TARGETS
     record.setdefault("columns", {})[args.column] = {
         "commit": args.commit or source_commit(),
@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             name: cases[name]["verify_s_median"] < limit for name, limit in TARGETS.items()
         },
     }
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 
