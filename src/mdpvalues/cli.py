@@ -27,7 +27,7 @@ from .downstream import (
 )
 from .model import DiscreteModel, ModelError
 from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, verify_all_claims
-from .ranking import Ranking, RankingError, ranking_from_order, build_agreeing_ranking, verify_agreement
+from .ranking import Ranking, RankingError, ranking_from_order, build_agreeing_ranking
 from .rational import decimal_string, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
 from .testing import MD, T_BASED, TestingError, alpha_breakpoints, pvalue_family, write_pvalue_table
@@ -144,14 +144,7 @@ def cmd_cdf(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     model, model_id = resolve_model(args.model)
     statistic = default_statistic(model, args.alt)
-    if args.ranking_file:
-        ranking = _load_ranking(model, args.ranking_file)
-        ok, witness = verify_agreement(model, statistic, ranking)
-        if not ok:
-            print(f"ranking does not agree with the statistic; witness pair {witness}", file=sys.stderr)
-            return 2
-    else:
-        ranking = build_agreeing_ranking(model, statistic)
+    ranking = _load_ranking(model, args.ranking_file) if args.ranking_file else build_agreeing_ranking(model, statistic)
     if args.thetas is None:
         thetas = list(model.parameter_names)
     else:
@@ -159,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for theta in thetas:
             if theta not in model.parameter_names:
                 raise CliError(f"unknown parameter {theta!r}")
-    reports = verify_all_claims(model, statistic, ranking, thetas, t_grid_size=args.t_grid)
+    reports = verify_all_claims(model, statistic, ranking, thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports.json").write_text(reports_to_json(reports), encoding="utf-8")
@@ -170,7 +163,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "command": "verify",
         "model": model_id,
         "thetas": thetas,
-        "t_grid": args.t_grid,
         "ranking_file": bool(args.ranking_file),
         "claims": [r.claim for r in reports],
         "outputs": ["reports.json", "reports.txt"],
@@ -264,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thetas", default=None, help="comma-separated parameter grid (default: all)")
     p.add_argument("--ranking-file", default=None, help="JSON array of labels, rank 1 first")
     p.add_argument("--alt", default=None)
-    p.add_argument("--t-grid", type=int, default=200)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_verify)
 

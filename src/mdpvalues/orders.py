@@ -13,15 +13,16 @@ statistic and the ranking (``testing.pvalue_family``), and then works on
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
-midpoints) is ints over 2 * D_null, times the denominators of any extra
-alphas.  Every claim walks its sorted grid once against the sorted class
-starts or CDF jumps, a two-pointer sweep instead of a search per point:
+midpoints) is ints over 2 * D_null.  Every claim walks its sorted grid
+once against the sorted class starts or CDF jumps, a two-pointer sweep
+instead of a search per point:
 
   - the size-alpha test at alpha keeps the last class starting at or below
     alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
     and the two families' powers are compared by cross-multiplication;
-  - C5 reads the randomized null CDF at t = i / t_grid_size as
-    ``PValueFamily.power`` under the null, one integer bisect per t;
+  - C5 holds for every t: the randomized null CDF, rebuilt from class masses
+    summed again point by point, is checked at its kinks (0, 1 and the
+    class starts of both families), so a wrong class mass makes it fail;
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
@@ -31,9 +32,8 @@ starts or CDF jumps, a two-pointer sweep instead of a search per point:
     2 * start + mass over 2 * D_null;
   - the integrated CDFs of C9 are integer prefixes of cum * width.
 
-Each claim's margins are ints over one positive denominator; C5's start
-as ``PValueFamily.power`` Fractions and are put on one.  Only the worst
-margin, the report grid and a failure's witness become Fractions: a
+Each claim's margins are ints over one positive denominator.  Only the
+worst margin, the report grid and a failure's witness become Fractions: a
 witness is rebuilt at its grid point alone, through the public
 Fraction methods (``PValueFamily.power``, the single-alpha C8 check).
 The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
@@ -418,10 +418,28 @@ def check_martingale_projection(
 def _threshold_classes(family: PValueFamily, grid: Sequence[int], grid_den: int) -> list[int]:
     """Threshold class k(alpha) at each alpha = x / grid_den of a sorted grid: the last class starting at or below it.
 
-    A start s / D lies at or below x / grid_den exactly when s * grid_den <= x * D.
+    ``grid_den`` is a multiple of D, so a start s / D lies at or below x / grid_den iff s * (grid_den / D) <= x.
     """
     den, _mass, before = family.lattice(family.model.null)
-    return [n - 1 for n in _counts([s * grid_den for s in before[:-1]], [x * den for x in grid])]
+    c = grid_den // den
+    return [n - 1 for n in _counts([s * c for s in before[:-1]], grid)]
+
+
+def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], scale: int) -> list[tuple[int, int]]:
+    """(F(t) - t) * mass_k * scale and mass_k at each t = x / scale of a sorted grid, F = Pr_0{P(X, U) <= t}.
+
+    With k the class of t, F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
+    masses summed again from the null row, each point once into its own class, against the lattice.
+    """
+    den, mass, before = family.lattice(family.model.null)
+    c = scale // den
+    summed = [0] * len(mass)
+    for p, k in zip(family.model.int_row(family.model.null)[1], family.class_of):
+        summed[k] += p
+    offsets = [(a - b) * m * c for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
+    excess = [s - m for s, m in zip(summed, mass)]
+    classes = _threshold_classes(family, grid, scale)
+    return [(offsets[k] + excess[k] * (x - before[k] * c), mass[k]) for x, k in zip(grid, classes)]
 
 
 def _projection_margins(
@@ -516,20 +534,15 @@ def verify_all_claims(
     statistic: Statistic,
     ranking: Ranking,
     thetas: Sequence[str],
-    *,
-    t_grid_size: int = 200,
-    extra_alphas: Sequence[object] = (),
 ) -> list[OrderReport]:
     """Run the full C1-C9 suite; one report per claim.
 
     ``thetas`` is the parameter grid for the claims quantified over theta
     (C1, C3, C6); null-only claims always run against the model's null.
     C6 and C8 are gated on sufficiency of the statistic and report
-    "skipped" with a note when the hypothesis is unmet.  C5 is checked at
-    t = i / t_grid_size for i = 0..t_grid_size, so t_grid_size must be >= 1.
+    "skipped" with a note when the hypothesis is unmet.  Every grid comes
+    from the two families' class starts, plus 0 and 1 (and midpoints for alpha).
     """
-    if t_grid_size < 1:
-        raise OrdersError(f"t_grid_size must be at least 1, got {t_grid_size}")
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
@@ -541,13 +554,9 @@ def verify_all_claims(
     den, t_mass, t_before = lattice_t[null]
     _, md_mass, md_before = lattice_md[null]
 
-    # The alpha grid: ints over a multiple of 2 * D_null that also carries every extra alpha.
-    extras = [_as_unit(a, "alpha") for a in extra_alphas]
-    scale = math.lcm(2 * den, *(a.denominator for a in extras))
-    c = scale // den
-    grid = sorted(
-        set(alpha_lattice(scale, t_family, md_family)).union(a.numerator * (scale // a.denominator) for a in extras)
-    )
+    # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.
+    c, scale = 2, 2 * den
+    grid = alpha_lattice(scale, t_family, md_family)
     alphas = tuple(Fraction(x, scale) for x in grid)
     # Natural p-value CDFs at each alpha: how many classes end (jump) at or below it.
     natural_t = _counts([b * c for b in t_before[1:]], grid)
@@ -603,19 +612,18 @@ def verify_all_claims(
                                  (ends_md, md_before, None, None, den, ("MD", "t"))])
     )
 
-    # C5: randomized p-values exactly uniform under the null, both families.
-    # Pr_0{P(X, U) <= t} is the null power of the size-t test, since
-    # P(x, u) <= t exactly when that test rejects x at u.
-    t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
-    sides = (("T", t_family), ("MD", md_family))
-    gaps = [-abs(family.power(null, t) - t) for t in t_grid for _, family in sides]
-    margins, c5_den = _one_denominator((g.numerator, g.denominator) for g in gaps)
+    # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
+    # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
+    kinks, c5_grid = grid[::2], alphas[::2]
+    gaps = list(zip(_uniformity_gaps(t_family, kinks, scale), _uniformity_gaps(md_family, kinks, scale)))
+    margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
-        (name, family), t = sides[index % 2], t_grid[index // 2]
-        return f"{name} family at t={t}: CDF {family.power(null, t)}"
+        i, side = divmod(index, 2)
+        gap, m = gaps[i][side]
+        return f"{('T', 'MD')[side]} family at t={c5_grid[i]}: CDF {Fraction(kinks[i] * m + gap, m * scale)}"
 
-    reports.append(_claim("C5", t_grid, margins, c5_den, uniform_witness))
+    reports.append(_claim("C5", c5_grid, margins, c5_den, uniform_witness))
 
     # C6: equal power functions under sufficiency.
     if not thetas:

@@ -2,17 +2,17 @@
 
 This is the straight-line form of the claim suite.  It rebuilds the
 size-alpha tests at every alpha by the cumulative extremity scan, sums the
-tail events of C6 point by point, evaluates the randomized CDF of C5 and
-the integrated CDFs of C9 in O(N) per query, and runs the martingale
-projection of C8 pointwise at every alpha.  Its tests hold a p-value
-family filled from that scan, never from ``pvalue_family`` or
-``size_alpha_test``.  Its p-values are per-point (a, b) records from the
-same scan; their CDFs merge one atom per support point and their alpha
-grid loops over the points, so it shares no CDF or grid code with the
-engine, only the data types and the single-pair usual-order check of
-C3/C4.  Its sufficiency check re-groups the support by statistic value
-and sums ``Fraction`` masses, where the engine reads the family's
-integer class masses.  Everything here stays on ``Fraction``s, while the
+tail events of C6 point by point, evaluates the randomized CDF of C5 (at
+every attained a, plus 0 and 1) and the integrated CDFs of C9 in O(N) per
+query, and runs the martingale projection of C8 pointwise at every alpha.
+Its tests hold a p-value family filled from that scan, never from
+``pvalue_family`` or ``size_alpha_test``.  Its p-values are per-point
+(a, b) records from the same scan; their CDFs merge one atom per support
+point and their alpha and t grids loop over the points, so it shares no
+CDF or grid code with the engine, only the data types and the
+single-pair usual-order check of C3/C4.  Its sufficiency check re-groups
+the support by statistic value and sums ``Fraction`` masses, where the
+engine reads the family's integer class masses.  Everything here stays on ``Fraction``s, while the
 engine works on integer numerators, so the engine's reports can be
 compared against it byte for byte as an independent cross-check.
 C9 keeps the hinge and square probes that the engine leaves to the
@@ -266,7 +266,7 @@ def convex_order_chain(model, t_family, md_family) -> OrderReport:
     return _worst("C9", grid, margins, note)
 
 
-def reference_claims(model, statistic, ranking, thetas, *, t_grid_size=200, extra_alphas=()):
+def reference_claims(model, statistic, ranking, thetas):
     """verify_all_claims, re-derived per grid point; same reports, same order."""
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
@@ -274,7 +274,7 @@ def reference_claims(model, statistic, ranking, thetas, *, t_grid_size=200, extr
     thetas = list(thetas)
     null = model.null
     t_family, md_family = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
-    alphas = tuple(sorted(set(breakpoints(t_family, md_family)) | {_as_unit(a) for a in extra_alphas}))
+    alphas = breakpoints(t_family, md_family)
     nat_t = {theta: atom_cdf(model, theta, t_family, 1) for theta in set(thetas) | {null}}
     nat_md = {theta: atom_cdf(model, theta, md_family, 1) for theta in set(thetas) | {null}}
     grid_thetas = list(dict.fromkeys([null, *thetas]))
@@ -312,7 +312,8 @@ def reference_claims(model, statistic, ranking, thetas, *, t_grid_size=200, extr
     grid = tuple(sorted(set(lower.grid) | set(upper.grid)))
     reports.append(OrderReport("C4", worst.verdict, grid, worst.worst_margin, worst.witness))
 
-    t_grid = tuple(Fraction(i, t_grid_size) for i in range(t_grid_size + 1))
+    # The randomized CDF kinks only at class starts: each point's a, plus 0 and 1.
+    t_grid = tuple(sorted({Fraction(0), Fraction(1), *t_family.a, *md_family.a}))
     margins = []
     for t in t_grid:
         for name, family in (("T", t_family), ("MD", md_family)):

@@ -112,7 +112,7 @@ def test_criterion_3_theorem1_c1_to_c4(worked_example):
     with criterion(3, 5.0, "C1-C4 pass exhaustively on the worked and binomial models"):
         model, _lr, count, ranking = worked_example
         reports = {r.claim: r for r in verify_all_claims(
-            model, count, ranking, ["theta0", "theta1"], t_grid_size=20)}
+            model, count, ranking, ["theta0", "theta1"])}
         for claim in ("C1", "C2", "C3", "C4"):
             assert reports[claim].verdict == "pass"
             assert reports[claim].worst_margin >= 0
@@ -120,8 +120,7 @@ def test_criterion_3_theorem1_c1_to_c4(worked_example):
         binom = binomial_model(3, ["1/2", "3/4"])
         stat = likelihood_ratio_statistic(binom, "theta0", "theta1")
         binom_reports = {r.claim: r for r in verify_all_claims(
-            binom, stat, build_agreeing_ranking(binom, stat), ["theta0", "theta1"],
-            t_grid_size=20)}
+            binom, stat, build_agreeing_ranking(binom, stat), ["theta0", "theta1"])}
         for claim in ("C1", "C2", "C3", "C4"):
             assert binom_reports[claim].verdict == "pass"
 
@@ -245,7 +244,7 @@ def test_criterion_8_property_suite():
             model, statistic = random_model_and_statistic(rng, max_support=64)
             ranking = build_agreeing_ranking(model, statistic)
             reports = {r.claim: r for r in verify_all_claims(
-                model, statistic, ranking, ["t0", "t1"], t_grid_size=23)}
+                model, statistic, ranking, ["t0", "t1"])}
             for claim, report in reports.items():
                 if claim in gated:
                     assert report.verdict in ("pass", "skipped"), f"model {index}: {claim}"
@@ -322,8 +321,7 @@ def test_criterion_10_determinism(tmp_path):
             out = tmp_path / name
             out.mkdir()
             assert main(["simulate", "--config", str(config_path), "--out", str(out / "sim")]) == 0
-            assert main(["verify", "--model", "example1", "--out", str(out / "verify"),
-                         "--t-grid", "20"]) == 0
+            assert main(["verify", "--model", "example1", "--out", str(out / "verify")]) == 0
             assert main(["table1", "--out", str(out / "table1.csv")]) == 0
             assert main(["cdf", "--model", "example1", "--family", "md",
                          "--out", str(out / "cdf.csv")]) == 0

@@ -99,13 +99,13 @@ class TestCdf:
 class TestVerify:
     def test_builtin_example_passes(self, tmp_path, capsys):
         out = tmp_path / "verify"
-        assert main(["verify", "--model", "example1", "--out", str(out), "--t-grid", "50"]) == 0
+        assert main(["verify", "--model", "example1", "--out", str(out)]) == 0
         reports = json.loads((out / "reports.json").read_text())
         assert [r["claim"] for r in reports] == [f"C{i}" for i in range(1, 10)]
         assert all(r["verdict"] == "pass" for r in reports)
         assert "C9" in capsys.readouterr().out
 
-    def test_tampered_ranking_file_exits_two(self, tmp_path):
+    def test_tampered_ranking_file_exits_two(self, tmp_path, capsys):
         order_path = tmp_path / "ranking.json"
         out = tmp_path / "verify"
         good = main(["cdf", "--model", "example1", "--family", "md",
@@ -118,6 +118,8 @@ class TestVerify:
         order_path.write_text(json.dumps(labels))
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
                      "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ranking does not agree") and "Traceback" not in err
 
     def test_explicit_agreeing_ranking_file_accepted(self, tmp_path):
         from mdpvalues.registry import example1_model, table1_priority
@@ -125,7 +127,7 @@ class TestVerify:
         order_path.write_text(json.dumps(table1_priority(example1_model())))
         out = tmp_path / "verify"
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
-                     "--out", str(out), "--t-grid", "20"]) == 0
+                     "--out", str(out)]) == 0
 
     def test_ranking_file_of_indices_exits_two(self, tmp_path):
         # support indices in an agreeing order are still not labels
@@ -134,7 +136,7 @@ class TestVerify:
         order_path = tmp_path / "ranking.json"
         order_path.write_text(json.dumps([model.point(label).index for label in table1_priority(model)]))
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
-                     "--out", str(tmp_path / "verify"), "--t-grid", "20"]) == 2
+                     "--out", str(tmp_path / "verify")]) == 2
 
     def test_null_flag_is_refused(self, tmp_path, capsys):
         # p-values are always formed under the model's first parameter
@@ -143,18 +145,18 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --null theta1" in capsys.readouterr().err
 
-    def test_t_grid_below_one_is_usage_error(self, tmp_path, capsys):
-        for size in ("0", "-1"):
-            assert main(["verify", "--model", "example1", "--t-grid", size,
-                         "--out", str(tmp_path / "v")]) == 2
-            assert "t_grid_size must be at least 1" in capsys.readouterr().err
+    def test_t_grid_flag_is_refused(self, tmp_path, capsys):
+        # C5's grid is the randomized CDF's kink set, derived from the model
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", "example1", "--t-grid", "20", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t-grid 20" in capsys.readouterr().err
 
     def test_model_file_input(self, tmp_path):
         from mdpvalues import bernoulli_product_model, save_model
         model_path = tmp_path / "model.json"
         save_model(bernoulli_product_model(2, ["1/2", "2/3"]), model_path)
-        assert main(["verify", "--model", str(model_path),
-                     "--out", str(tmp_path / "v"), "--t-grid", "20"]) == 0
+        assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 0
 
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["verify", "--model", "no-such-model",
@@ -223,8 +225,7 @@ class TestDeterminism:
                          "--out", str(out / "c.csv")]) == 0
             assert main(["pvalues", "--model", "example1", "--out", str(out / "p.csv")]) == 0
             assert main(["simulate", "--config", "bh_null", "--out", str(out / "sim")]) == 0
-            assert main(["verify", "--model", "example1", "--out", str(out / "v"),
-                         "--t-grid", "20"]) == 0
+            assert main(["verify", "--model", "example1", "--out", str(out / "v")]) == 0
         for rel in ("t.csv", "t.csv.manifest.json", "c.csv", "p.csv", "sim/report.json",
                     "sim/summary.csv", "sim/manifest.json", "v/reports.json", "v/reports.txt"):
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel

@@ -4,13 +4,16 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from mdpvalues import (
     Ranking,
     bernoulli_product_model,
+    binomial_model,
     build_agreeing_ranking,
     check_martingale_projection,
     likelihood_ratio_statistic,
@@ -41,9 +44,9 @@ def tilted_to_sufficiency(rng, model, statistic):
     return tilted, make_statistic(tilted, statistic.name, statistic.values)
 
 
-def assert_same_reports(model, statistic, ranking, thetas, **kwargs):
-    engine = reports_to_json(verify_all_claims(model, statistic, ranking, thetas, **kwargs))
-    assert engine == reports_to_json(reference_claims(model, statistic, ranking, thetas, **kwargs))
+def assert_same_reports(model, statistic, ranking, thetas):
+    engine = reports_to_json(verify_all_claims(model, statistic, ranking, thetas))
+    assert engine == reports_to_json(reference_claims(model, statistic, ranking, thetas))
     return engine
 
 
@@ -55,7 +58,7 @@ def test_random_models_match_reference():
         if index % 2 == 0:
             model, statistic = tilted_to_sufficiency(rng, model, statistic)
         ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
-        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=rng.randint(1, 30))
+        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
         skipped += '"verdict": "skipped"' in engine
     assert 0 < skipped < 30  # both the gated and the sufficient paths ran
 
@@ -88,7 +91,7 @@ def test_coprime_denominator_models_match_reference():
         if index % 2 == 0:
             model, statistic = tilted_to_sufficiency(rng, model, statistic)
         ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
-        assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=rng.randint(1, 30))
+        assert_same_reports(model, statistic, ranking, ["t0", "t1"])
 
 
 def test_failing_claims_match_reference(monkeypatch):
@@ -104,20 +107,62 @@ def test_failing_claims_match_reference(monkeypatch):
         ranks = list(range(1, model.size + 1))
         rng.shuffle(ranks)
         ranking = Ranking("shuffled", tuple(ranks), "explicit")
-        extra = [Fraction(3, 7)] if index % 3 == 0 else ()
-        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"], t_grid_size=7, extra_alphas=extra)
+        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
         failed.update(r["claim"] for r in json.loads(engine) if r["verdict"] == "fail")
     assert failed == {"C1", "C2", "C3", "C4", "C6", "C8", "C9"}
 
 
 def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
-    engine = assert_same_reports(example1, lr, table1_ranking, [], t_grid_size=20)
+    engine = assert_same_reports(example1, lr, table1_ranking, [])
     assert engine.count('"verdict": "skipped"') == 3
 
 
-def test_extra_alphas_match_reference(example1, lr, table1_ranking):
-    extra = [Fraction(1, 10), Fraction(1, 20), "3/7", 0, 1]
-    assert_same_reports(example1, lr, table1_ranking, ["theta0", "theta1"], extra_alphas=extra)
+def c5_report(model, statistic, ranking):
+    return next(r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"]) if r.claim == "C5")
+
+
+def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
+    """A family whose null lattice moves one unit of mass between classes still totals D, so only C5 sees it."""
+    model = binomial_model(3, ["1/2", "3/4"])  # null class masses 1, 3, 3, 1 over 8
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr)
+    assert c5_report(model, lr, ranking).verdict == "pass"
+
+    def shifted(model, source):
+        family = pvalue_family(model, source)
+        den, mass, _ = family.lattice(model.null)
+        mass = list(mass)
+        heavy = mass.index(max(mass))
+        mass[heavy] -= 1
+        mass[heavy - 1 if heavy else 1] += 1
+        family._by_theta[model.null] = (den, tuple(mass), tuple(accumulate(mass, initial=0)))
+        return family
+
+    monkeypatch.setattr(orders, "pvalue_family", shifted)
+    report = c5_report(model, lr, ranking)
+    assert report.verdict == "fail" and report.worst_margin < 0
+    assert report.witness.startswith("T family at t=")
+
+
+@pytest.mark.parametrize(
+    "broken, cdf",
+    [
+        (lambda members: (*members[:-1], members[-1] + members[0][:1]), "0"),  # last class repeats '11111'
+        (lambda members: (members[0], members[1][1:], *members[2:]), "1/16"),  # second class drops a point
+    ],
+    ids=["repeated", "missing"],
+)
+def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example1, lr, table1_ranking, broken, cdf):
+    """C5 re-sums each point once into its own class, so member lists that miss or repeat a point fail it."""
+
+    def unpartitioned(model, source):
+        family = pvalue_family(model, source)
+        return replace(family, members=broken(family.members))
+
+    monkeypatch.setattr(orders, "pvalue_family", unpartitioned)
+    report = c5_report(example1, lr, table1_ranking)
+    assert report.verdict == "fail"
+    assert report.witness == f"T family at t=1/32: CDF {cdf}"
 
 
 @pytest.mark.parametrize("coins", [5, 7])
@@ -125,7 +170,7 @@ def test_bernoulli_shuffled_ranking_matches_reference(coins):
     model = bernoulli_product_model(coins, ["1/2", "4/5"])
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = build_agreeing_ranking(model, lr, "seeded-shuffle", seed=coins)
-    assert_same_reports(model, lr, ranking, ["theta0", "theta1"], t_grid_size=40)
+    assert_same_reports(model, lr, ranking, ["theta0", "theta1"])
 
 
 def test_projection_sweep_matches_pointwise_check_on_broken_rankings():

@@ -41,7 +41,6 @@ def _cases() -> dict[str, list[str]]:
         cases[f"cdf example1 {family} uniform"] = [
             "cdf", "--model", "example1", "--family", family, "--uniform", "--out", "{out}/cdf.csv"]
     cases["verify example1"] = ["verify", "--model", "example1", "--out", "{out}"]
-    cases["verify example1 t-grid 20"] = ["verify", "--model", "example1", "--t-grid", "20", "--out", "{out}"]
     cases["verify binomial:200,1/2,3/5"] = ["verify", "--model", "binomial:200,1/2,3/5", "--out", "{out}"]
     return cases
 

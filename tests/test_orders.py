@@ -306,7 +306,7 @@ class TestVerifyAllClaims:
         first = make_statistic(example1, "x1", lambda pt: Fraction(int(pt.label[0])))
         ranking = build_agreeing_ranking(example1, first)
         reports = {r.claim: r for r in verify_all_claims(
-            example1, first, ranking, ["theta0", "theta1"], t_grid_size=50)}
+            example1, first, ranking, ["theta0", "theta1"])}
         assert reports["C6"].verdict == "skipped"
         assert reports["C8"].verdict == "skipped"
         assert "hypothesis unmet" in reports["C6"].note
@@ -315,7 +315,7 @@ class TestVerifyAllClaims:
 
     def test_empty_theta_grid_skips_c1_c3_c6(self, example1, count_stat, table1_ranking):
         reports = {r.claim: r for r in verify_all_claims(
-            example1, count_stat, table1_ranking, [], t_grid_size=20)}
+            example1, count_stat, table1_ranking, [])}
         for claim in ("C1", "C3", "C6"):
             assert reports[claim].verdict == "skipped"
         for claim in ("C2", "C4", "C5", "C7", "C8", "C9"):

@@ -120,7 +120,7 @@ def test_random_suite_smoke():
         model, statistic = random_model_and_statistic(rng, max_support=24)
         ranking = build_agreeing_ranking(model, statistic)
         assert verify_agreement(model, statistic, ranking) == (True, None)
-        reports = verify_all_claims(model, statistic, ranking, ["t0", "t1"], t_grid_size=29)
+        reports = verify_all_claims(model, statistic, ranking, ["t0", "t1"])
         assert all(r.verdict in ("pass", "skipped") for r in reports)
         assert all(r.verdict == "pass" for r in reports if r.claim in
                    ("C1", "C2", "C3", "C4", "C5", "C7", "C9"))
