@@ -36,10 +36,7 @@ from .testing import (
     TestingError,
     alpha_breakpoints,
     audit_unbiasedness,
-    decision,
     decision_coherence_witness,
-    draw_randomized_pvalue,
-    power,
     pvalue_family,
     size_alpha_test,
     write_pvalue_table,
@@ -48,14 +45,9 @@ from .orders import (
     OrderReport,
     OrdersError,
     StepCDF,
-    check_convex_order_chain,
-    check_martingale_projection,
-    check_sufficiency,
     check_usual_order,
     conditional_variance,
-    integrated_cdf,
     pvalue_cdf,
-    uniform_integrated,
     verify_all_claims,
 )
 from .downstream import (

@@ -181,9 +181,12 @@ def _read_config(spec: str) -> tuple[dict, str]:
         except (FileNotFoundError, ModuleNotFoundError):
             raise CliError(f"config {spec!r} is neither a file nor a bundled config") from None
     try:
-        return json.loads(raw), hashlib.sha256(raw.encode()).hexdigest()
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid config JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliError("config must be a JSON object")
+    return data, hashlib.sha256(raw.encode()).hexdigest()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -190,7 +190,6 @@ class SimulationConfig:
     alpha: Fraction
     replicates: int
     seed: int
-    tie_break: str = "lexicographic"
     alt_name: str | None = None
 
     def __post_init__(self) -> None:
@@ -241,7 +240,7 @@ class SimulationConfig:
             "alpha": format_rational(self.alpha),
             "replicates": self.replicates,
             "seed": self.seed,
-            "tie_break": self.tie_break,
+            "tie_break": "lexicographic",
             "null": self.null,
             "alt": self.alt,
         }
@@ -267,6 +266,8 @@ def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> Simu
             f"null {null!r} is not the model's null {model.null!r}: p-values are formed under "
             "the model's first parameter, so null hypotheses must draw from it"
         )
+    if data.get("tie_break", "lexicographic") != "lexicographic":
+        raise ConfigError(f"unsupported tie_break {data['tie_break']!r}: simulate breaks ties lexicographically")
     try:
         family = _FAMILY_ALIASES.get(str(data["family"]), str(data["family"]))
         return SimulationConfig(
@@ -280,7 +281,6 @@ def config_from_dict(data: Mapping, model: DiscreteModel, model_id: str) -> Simu
             alpha=parse_rational(data["alpha"]),
             replicates=_integer(data, "replicates"),
             seed=_integer(data, "seed"),
-            tie_break=str(data.get("tie_break", "lexicographic")),
             alt_name=data.get("alt"),
         )
     except KeyError as exc:
@@ -358,7 +358,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
     if config.family == MD:
-        source: Ranking | object = build_agreeing_ranking(model, statistic, config.tie_break)
+        source: Ranking | object = build_agreeing_ranking(model, statistic)
     else:
         source = statistic
     family = pvalue_family(model, source)

@@ -219,11 +219,19 @@ def model_to_dict(model: DiscreteModel) -> dict:
     }
 
 
-def model_from_dict(data: Mapping) -> DiscreteModel:
+def model_from_dict(data: object) -> DiscreteModel:
+    """Build a model from its wire form (see ``model_to_dict``); a malformed spec raises ModelError."""
+    if not isinstance(data, Mapping):
+        raise ModelError("model spec must be a JSON object")
     try:
-        return make_model(data["support"], data["parameters"], data["pmf"])
+        support, parameters, pmf = data["support"], data["parameters"], data["pmf"]
     except KeyError as exc:
         raise ModelError(f"model spec is missing field {exc.args[0]!r}") from None
+    if not (isinstance(parameters, Mapping) and isinstance(pmf, Mapping)
+            and all(isinstance(seq, (list, tuple)) for seq in (support, *pmf.values()))):
+        raise ModelError("model spec needs 'parameters' and 'pmf' as objects, 'support' and each pmf row as arrays")
+    try:
+        return make_model(support, parameters, pmf)
     except ValueError as exc:
         raise ModelError(str(exc)) from None
 

@@ -34,8 +34,8 @@ instead of a search per point:
 
 Each claim's margins are ints over one positive denominator.  Only the
 worst margin, the report grid and a failure's witness become Fractions: a
-witness is rebuilt at its grid point alone, through the public
-Fraction methods (``PValueFamily.power``, the single-alpha C8 check).
+witness is rebuilt at its grid point alone on Fractions, through
+``PValueFamily.power`` (C6) or a point-by-point C8 check.
 The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
@@ -54,29 +54,16 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic, verify_agreement
 from .rational import common_denominator, decimal_string, format_rational
-from .testing import (
-    MD,
-    T_BASED,
-    PValueFamily,
-    TestFunction,
-    _as_unit,
-    _exact,
-    alpha_lattice,
-    pvalue_family,
-)
-
-CLAIM_IDS = tuple(f"C{i}" for i in range(1, 10))
-
+from .testing import PValueFamily, _as_unit, _exact, alpha_lattice, pvalue_family
 
 class OrdersError(ValueError):
     """Precondition failure in an ordering check."""
@@ -108,19 +95,6 @@ class StepCDF:
         i = bisect_right(self.jumps, t)
         return Fraction(0) if i == 0 else self.cum[i - 1]
 
-    @cached_property
-    def _areas(self) -> tuple[Fraction, ...]:
-        """Entry i is the integral of F over [0, jumps[i]]: a running sum of cum * width."""
-        widths = (right - left for left, right in zip(self.jumps, self.jumps[1:]))
-        return tuple(accumulate((c * w for c, w in zip(self.cum, widths)), initial=Fraction(0)))
-
-    def integral(self, s: Fraction) -> Fraction:
-        """Exact integral of F over [0, s] for s in [0, 1]: one bisect into the prefix."""
-        i = bisect_left(self.jumps, s)
-        if i == 0:
-            return Fraction(0)
-        return self._areas[i - 1] + self.cum[i - 1] * (s - self.jumps[i - 1])
-
 
 def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object) -> StepCDF:
     """Exact distribution of P(X, u) under theta for a fixed u; ``model`` is the family's.
@@ -135,17 +109,6 @@ def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object
     jumps = tuple(Fraction(s * h + g * m, den * h) for s, m in zip(starts, mass))
     theta_den, _theta_mass, before = family.lattice(theta)
     return StepCDF(jumps, tuple(Fraction(b, theta_den) for b in before[1:]))
-
-
-def integrated_cdf(cdf: StepCDF, s: object) -> Fraction:
-    """Exact integral of F over [0, s]: a sum of rectangles between jumps."""
-    return cdf.integral(_as_unit(s, "s"))
-
-
-def uniform_integrated(s: object) -> Fraction:
-    """Integral of the uniform CDF over [0, s], exactly s^2/2."""
-    ss = _as_unit(s, "s")
-    return ss * ss / 2
 
 
 @dataclass(frozen=True)
@@ -212,7 +175,7 @@ def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int
     return [n * (den // d) if n else 0 for n, d in margins], den
 
 
-def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1) -> OrderReport:
+def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
     """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
 
     A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
@@ -236,10 +199,10 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1) 
         if jumps_b is None:
             at_b = None
             g = den // t_den
-            margins.extend(sign * (t * g - cdf_a[i] * f) for t, i in zip(points, at_a))
+            margins.extend(t * g - cdf_a[i] * f for t, i in zip(points, at_a))
         else:
             at_b = _counts(jumps_b, points)
-            margins.extend(sign * (cdf_b[j] - cdf_a[i]) * f for i, j in zip(at_a, at_b))
+            margins.extend((cdf_b[j] - cdf_a[i]) * f for i, j in zip(at_a, at_b))
         sweeps.append((points, at_a, at_b, pair))
 
     def witness(index: int) -> str:
@@ -256,28 +219,18 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], sign: int = 1) 
     return _claim(claim, grid, margins, den, witness)
 
 
-def check_usual_order(
-    cdf_a: StepCDF,
-    cdf_b: StepCDF | None = None,
-    relation: str = "le",
-    *,
-    claim: str = "usual-order",
-    labels: tuple[str, str] = ("A", "B"),
-) -> OrderReport:
+def check_usual_order(cdf_a: StepCDF, cdf_b: StepCDF | None = None) -> OrderReport:
     """Verify F_A(t) <= F_B(t) at every jump of either CDF (plus t = 1).
 
-    With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t;
-    ``relation="ge"`` flips the inequality.
+    With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t.
     """
-    if relation not in ("le", "ge"):
-        raise OrdersError(f"unknown relation {relation!r}: use 'le' or 'ge'")
     cdfs = (cdf_a,) if cdf_b is None else (cdf_a, cdf_b)
     t_den, jumps = common_denominator(t for cdf in cdfs for t in cdf.jumps)
     v_den, cum = common_denominator(c for cdf in cdfs for c in cdf.cum)
     n = len(cdf_a.jumps)
     side_b = (None, None) if cdf_b is None else (jumps[n:], (0, *cum[n:]))
-    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, labels)
-    return _usual_order(claim, t_den, [pair], 1 if relation == "le" else -1)
+    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, ("A", "B"))
+    return _usual_order("usual-order", t_den, [pair])
 
 
 def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
@@ -292,10 +245,8 @@ def _log_probe(family: PValueFamily, mid_jumps: Sequence[int], eps: float = 1e-1
     return sum(p / den * log_mid[k] for p, k in zip(row, family.class_of))
 
 
-def check_convex_order_chain(
-    model: DiscreteModel, statistic: Statistic, ranking: Ranking, *, claim: str = "C9"
-) -> OrderReport:
-    """Convex-order chain of mid-p-values under the null.
+def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
+    """Convex-order chain of mid-p-values under the null, for the families of an agreeing pair.
 
     The margins: both mid-p means equal 1/2 exactly, and at every jump of
     either mid-p CDF (plus interior plateau critical points and s = 1) the
@@ -307,15 +258,6 @@ def check_convex_order_chain(
     implies E0[phi(P)] ordered for every convex phi, hinges and squares
     included; no separate probe margin is needed.  The clipped -2*log
     probe is an advisory float diagnostic recorded in the note.
-    """
-    ok, witness = verify_agreement(model, statistic, ranking)
-    if not ok:
-        raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
-    return _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), claim)
-
-
-def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
-    """check_convex_order_chain on the p-value families of an agreeing pair.
 
     Mid-p jumps 2 * start + mass are ints over 2D, the null CDF after each
     jump is an int over D, so integrated CDFs are ints over 2D^2 and every
@@ -365,56 +307,6 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
     return _claim(claim, grid, margins, 8 * square, witness, note)
 
 
-def check_martingale_projection(
-    model: DiscreteModel,
-    t_test: TestFunction,
-    md_test: TestFunction,
-    alpha: object | None = None,
-    *,
-    claim: str = "C8",
-) -> OrderReport:
-    """Exact conditional-expectation identity E0[phi_MD | phi_T] = phi_T.
-
-    Grouped by the T test's threshold zones: the sure-rejection class must
-    have phi_MD = 1 pointwise, the sure-retention class phi_MD = 0, and on
-    the threshold class the null-conditional average of phi_MD must equal
-    gamma(alpha).
-    """
-    if t_test.kind != T_BASED or md_test.kind != MD:
-        raise OrdersError("martingale projection needs a t-based test and an MD test")
-    if t_test.alpha != md_test.alpha:
-        raise OrdersError("tests must be built at the same alpha")
-    if alpha is not None and _as_unit(alpha, "alpha") != t_test.alpha:
-        raise OrdersError("alpha argument disagrees with the tests")
-    grid = (t_test.alpha,)
-    row = model.probs(model.null)
-    margins: list[tuple[Fraction, tuple]] = []
-    tie_mass = Fraction(0)
-    tie_value = Fraction(0)
-    for pt in model.support:
-        zone = t_test.zone(pt)
-        phi_md = md_test.phi(pt)
-        if zone > 0:
-            margins.append((-abs(phi_md - 1), ("phi_MD({}) = {} on the sure-rejection class", pt.label, phi_md)))
-        elif zone < 0:
-            margins.append((-abs(phi_md), ("phi_MD({}) = {} on the sure-retention class", pt.label, phi_md)))
-        else:
-            tie_mass += row[pt.index]
-            tie_value += row[pt.index] * phi_md
-    note = None
-    if tie_mass > 0:
-        average = tie_value / tie_mass
-        margins.append(
-            (-abs(average - t_test.gamma), ("threshold class average {} vs gamma {}", average, t_test.gamma))
-        )
-    else:
-        note = "threshold class carries no null mass; projection on it skipped"
-    if not margins:
-        return OrderReport(claim, "pass", grid, Fraction(0), None, note)
-    nums, den = _one_denominator((m.numerator, m.denominator) for m, _ in margins)
-    return _claim(claim, grid, nums, den, lambda i: margins[i][1][0].format(*margins[i][1][1:]), note)
-
-
 def _threshold_classes(family: PValueFamily, grid: Sequence[int], grid_den: int) -> list[int]:
     """Threshold class k(alpha) at each alpha = x / grid_den of a sorted grid: the last class starting at or below it.
 
@@ -425,10 +317,11 @@ def _threshold_classes(family: PValueFamily, grid: Sequence[int], grid_den: int)
     return [n - 1 for n in _counts([s * c for s in before[:-1]], grid)]
 
 
-def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], scale: int) -> list[tuple[int, int]]:
-    """(F(t) - t) * mass_k * scale and mass_k at each t = x / scale of a sorted grid, F = Pr_0{P(X, U) <= t}.
+def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequence[int], scale: int) -> list[tuple[int, int]]:
+    """(F(t) - t) * mass_k * scale and mass_k at each t = x / scale of a grid, F = Pr_0{P(X, U) <= t}.
 
-    With k the class of t, F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
+    ``classes`` holds the threshold class k of each t, and
+    F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
     masses summed again from the null row, each point once into its own class, against the lattice.
     """
     den, mass, before = family.lattice(family.model.null)
@@ -438,22 +331,26 @@ def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], scale: int) -> l
         summed[k] += p
     offsets = [(a - b) * m * c for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
     excess = [s - m for s, m in zip(summed, mass)]
-    classes = _threshold_classes(family, grid, scale)
     return [(offsets[k] + excess[k] * (x - before[k] * c), mass[k]) for x, k in zip(grid, classes)]
 
 
 def _projection_margins(
-    t_family: PValueFamily, md_family: PValueFamily, scale: int, grid: Sequence[int]
+    t_family: PValueFamily,
+    md_family: PValueFamily,
+    scale: int,
+    grid: Sequence[int],
+    t_classes: Sequence[int],
+    md_classes: Sequence[int],
 ) -> list[tuple[int, int]]:
-    """Worst margin of check_martingale_projection at each alpha = x / scale, as (numerator, denominator).
+    """Worst margin of the C8 projection identity at each alpha = x / scale, as (numerator, denominator).
 
-    At alpha the T test has threshold class k and the MD test threshold
-    rank r with randomization gamma_MD.  A sure-rejection point (class
-    before k) has margin 0, gamma_MD - 1 or -1 as its rank is below, at or
-    above r, so the largest rank before class k decides them all; the
-    sure-retention side is decided by the smallest rank after class k.
-    With gamma = (alpha - start) / mass, all three margins share the
-    denominator mass_T[k] * mass_MD[r] * scale / D.
+    At alpha = grid[i] the T test has threshold class k = t_classes[i] and
+    the MD test threshold rank r (class md_classes[i]) with randomization
+    gamma_MD.  A sure-rejection point (class before k) has margin 0,
+    gamma_MD - 1 or -1 as its rank is below, at or above r, so the largest
+    rank before class k decides them all; the sure-retention side is
+    decided by the smallest rank after class k.  With gamma = (alpha -
+    start) / mass, all three margins share mass_T[k] * mass_MD[r] * scale / D.
     """
     den, t_mass, t_before = t_family.lattice(t_family.model.null)
     _, md_mass, md_before = md_family.lattice(md_family.model.null)
@@ -470,7 +367,6 @@ def _projection_margins(
 
     out = []
     current, j = -1, 0
-    t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
     for x, k, r_index in zip(grid, t_classes, md_classes):
         r = md_family.keys[r_index]
         inside = class_ranks[k]
@@ -492,12 +388,43 @@ def _projection_margins(
     return out
 
 
-def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
-    """check_sufficiency on the statistic's family: classes in first-appearance order, integer masses.
+def _projection_witness(t_family: PValueFamily, md_family: PValueFamily, alpha: Fraction) -> str:
+    """Why E0[phi_MD | phi_T] = phi_T fails at one alpha: its first worst point in support order.
 
-    Masses under one theta share its denominator, so the cross-ratio
-    p_theta(x) * m_base(class) == p_base(x) * m_theta(class) is an identity
-    between integer numerators.
+    Grouped by the T test's threshold zones: the sure-rejection class must
+    have phi_MD = 1 pointwise, the sure-retention class phi_MD = 0, and on
+    the threshold class the null-conditional average of phi_MD, checked
+    last, must equal gamma(alpha).
+    """
+    t_test, md_test = t_family.test(alpha), md_family.test(alpha)
+    model = t_family.model
+    row = model.probs(model.null)
+    margins: list[tuple[Fraction, str]] = []
+    tie_mass = tie_value = Fraction(0)
+    for pt in model.support:
+        zone = t_test.zone(pt)
+        phi_md = md_test.phi(pt)
+        if zone > 0:
+            margins.append((-abs(phi_md - 1), f"phi_MD({pt.label}) = {phi_md} on the sure-rejection class"))
+        elif zone < 0:
+            margins.append((-abs(phi_md), f"phi_MD({pt.label}) = {phi_md} on the sure-retention class"))
+        else:
+            tie_mass += row[pt.index]
+            tie_value += row[pt.index] * phi_md
+    average = tie_value / tie_mass
+    margins.append((-abs(average - t_test.gamma), f"threshold class average {average} vs gamma {t_test.gamma}"))
+    return min(margins, key=lambda margin: margin[0])[1]
+
+
+def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
+    """(True, None) iff the conditional laws given each statistic value match across ``thetas``, else a witness.
+
+    Division-free cross-ratio test within each tie class, visited in order
+    of first appearance in the support:
+    p_theta(x) * m_base(class) == p_base(x) * m_theta(class), which also
+    handles classes with zero mass under some theta (vacuously equal).
+    Masses under one theta share its denominator, so the cross-ratio is an
+    identity between integer numerators.
     """
     model, members = t_family.model, t_family.members
     order = sorted(range(len(members)), key=lambda k: members[k][0])
@@ -513,20 +440,6 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
                         f"point {model.support[i].label!r} under {theta} vs {base}"
                     )
     return True, None
-
-
-def check_sufficiency(
-    model: DiscreteModel, statistic: Statistic, thetas: Sequence[str]
-) -> tuple[bool, str | None]:
-    """True iff conditional laws given each statistic value match across thetas.
-
-    Division-free cross-ratio test within each tie class:
-    p_theta(x) * m_base(class) == p_base(x) * m_theta(class), which also
-    handles classes with zero mass under some theta (vacuously equal).
-    """
-    if len(thetas) < 2:
-        raise OrdersError("sufficiency check needs a grid of at least two parameters")
-    return _sufficiency(pvalue_family(model, statistic), thetas)
 
 
 def verify_all_claims(
@@ -561,6 +474,8 @@ def verify_all_claims(
     # Natural p-value CDFs at each alpha: how many classes end (jump) at or below it.
     natural_t = _counts([b * c for b in t_before[1:]], grid)
     natural_md = _counts([b * c for b in md_before[1:]], grid)
+    # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
+    t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
 
     sufficiency_grid = list(dict.fromkeys([null, *thetas]))
     if len(sufficiency_grid) >= 2:
@@ -615,7 +530,8 @@ def verify_all_claims(
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
     kinks, c5_grid = grid[::2], alphas[::2]
-    gaps = list(zip(_uniformity_gaps(t_family, kinks, scale), _uniformity_gaps(md_family, kinks, scale)))
+    gaps = list(zip(_uniformity_gaps(t_family, kinks, t_classes[::2], scale),
+                    _uniformity_gaps(md_family, kinks, md_classes[::2], scale)))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
@@ -631,8 +547,6 @@ def verify_all_claims(
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
-
         def gap_line(k: int, r: int, theta: str) -> tuple[int, int]:
             """(P, Q) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha = x / scale
             whose threshold classes are k and r: both powers are linear in alpha there."""
@@ -670,11 +584,9 @@ def verify_all_claims(
         reports.append(OrderReport("C8", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:
         def projection_witness(i: int) -> str:
-            alpha = alphas[i]
-            report = check_martingale_projection(model, t_family.test(alpha), md_family.test(alpha))
-            return f"alpha={alpha}: {report.witness}"
+            return f"alpha={alphas[i]}: {_projection_witness(t_family, md_family, alphas[i])}"
 
-        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, scale, grid))
+        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, scale, grid, t_classes, md_classes))
         reports.append(_claim("C8", alphas, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import numbers
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,14 +91,6 @@ class TestFunction:
     gamma: Fraction
 
     @property
-    def model(self) -> DiscreteModel:
-        return self.table.model
-
-    @property
-    def kind(self) -> str:
-        return self.table.kind
-
-    @property
     def threshold(self) -> Fraction | int:
         return self.table.keys[self.k]
 
@@ -142,14 +133,6 @@ class PValueFamily:
     _by_theta: dict[str, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    @property
-    def kind(self) -> str:
-        return MD if isinstance(self.source, Ranking) else T_BASED
-
-    @property
-    def source_name(self) -> str:
-        return self.source.agrees_with if isinstance(self.source, Ranking) else self.source.name
 
     def lattice(self, theta: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D_theta, mass, before): per-class theta mass as ints over D_theta, and its prefix sums.
@@ -259,26 +242,6 @@ def size_alpha_test(
 ) -> TestFunction:
     """Solve k(alpha) and gamma(alpha) by a bisect on the class starts."""
     return pvalue_family(model, source).test(_as_unit(alpha, "alpha"))
-
-
-def power(test: TestFunction, theta: str) -> Fraction:
-    """Exact E_theta[phi_alpha(X)] by direct enumeration."""
-    row = test.model.probs(theta)
-    return sum((row[pt.index] * test.phi(pt) for pt in test.model.support), Fraction(0))
-
-
-def decision(test: TestFunction, point: SupportPoint, u: object) -> str:
-    """Non/randomized decision for a realized (x, u): "reject" or "retain"."""
-    return "reject" if test.decide(point, u) else "retain"
-
-
-def draw_randomized_pvalue(
-    family: PValueFamily, point: SupportPoint | int, rng: random.Random
-) -> tuple[float, float]:
-    """Draw u ~ Uniform(0,1) from the caller's stream; return (p-value, u)."""
-    u = rng.random()
-    k = family._class(point)
-    return float(family.starts[k]) + u * float(family.mass[k]), u
 
 
 def alpha_lattice(scale: int, *families: PValueFamily, midpoints: bool = True) -> tuple[int, ...]:

@@ -8,11 +8,12 @@ query, and runs the martingale projection of C8 pointwise at every alpha.
 Its tests hold a p-value family filled from that scan, never from
 ``pvalue_family`` or ``size_alpha_test``.  Its p-values are per-point
 (a, b) records from the same scan; their CDFs merge one atom per support
-point and their alpha and t grids loop over the points, so it shares no
-CDF or grid code with the engine, only the data types and the
-single-pair usual-order check of C3/C4.  Its sufficiency check re-groups
-the support by statistic value and sums ``Fraction`` masses, where the
-engine reads the family's integer class masses.  Everything here stays on ``Fraction``s, while the
+point and their alpha and t grids loop over the points.  The usual-order
+check of C3/C4 reads each CDF by scanning its jumps at every grid point.
+So it shares no CDF, grid or comparison code with the engine, only the
+data types.  Its sufficiency check re-groups the support by statistic
+value and sums ``Fraction`` masses, where the engine reads the family's
+integer class masses.  Everything here stays on ``Fraction``s, while the
 engine works on integer numerators, so the engine's reports can be
 compared against it byte for byte as an independent cross-check.
 C9 keeps the hinge and square probes that the engine leaves to the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mdpvalues.model import DiscreteModel
-from mdpvalues.orders import OrderReport, OrdersError, StepCDF, check_usual_order
+from mdpvalues.orders import OrderReport, OrdersError, StepCDF
 from mdpvalues.ranking import Ranking, verify_agreement
 from mdpvalues.testing import PValueFamily, TestFunction
 
@@ -155,7 +156,7 @@ def breakpoints(*families) -> tuple[Fraction, ...]:
 
 
 def phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: str) -> Fraction:
-    """E_theta[phi] via tail events (independent of the pointwise sum in power())."""
+    """E_theta[phi] via tail events (independent of the pointwise sum in conftest.brute_expectation)."""
     more = model.event_prob(theta, lambda pt: test.zone(pt) > 0)
     tied = model.event_prob(theta, lambda pt: test.zone(pt) == 0)
     return more + test.gamma * tied
@@ -172,6 +173,33 @@ def randomized_cdf_at(model, theta, family, t) -> Fraction:
         elif t > a:
             total += row[i] * (t - a) / b
     return total
+
+
+def scan_cdf_at(cdf: StepCDF, t) -> Fraction:
+    """F(t) by scanning the jumps from the left: the cumulative mass of the last jump at or below t."""
+    value = Fraction(0)
+    for location, cum in zip(cdf.jumps, cdf.cum):
+        if location > t:
+            break
+        value = cum
+    return value
+
+
+def usual_order(claim, comparisons) -> OrderReport:
+    """F_A(t) <= F_B(t), or <= t where cdf_b is None, for (cdf_a, cdf_b, labels) comparisons.
+
+    Each comparison is checked at every jump of either CDF plus t = 1; the
+    report's grid is the union, its margin the first worst in order.
+    """
+    grid, margins = set(), []
+    for cdf_a, cdf_b, (label_a, label_b) in comparisons:
+        points = sorted(set(cdf_a.jumps) | set(cdf_b.jumps if cdf_b else ()) | {Fraction(1)})
+        grid.update(points)
+        for t in points:
+            value = scan_cdf_at(cdf_a, t)
+            bound = t if cdf_b is None else scan_cdf_at(cdf_b, t)
+            margins.append((bound - value, f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"))
+    return _worst(claim, tuple(sorted(grid)), margins)
 
 
 def rectangle_integral(cdf: StepCDF, s) -> Fraction:
@@ -300,17 +328,9 @@ def reference_claims(model, statistic, ranking, thetas):
     if not thetas:
         reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
     else:
-        sub = [check_usual_order(nat_t[theta], nat_md[theta], claim="C3", labels=("T", "MD"))
-               for theta in thetas]
-        worst = min(sub, key=lambda r: r.worst_margin)
-        grid = tuple(sorted(set().union(*(set(r.grid) for r in sub))))
-        reports.append(OrderReport("C3", worst.verdict, grid, worst.worst_margin, worst.witness))
+        reports.append(usual_order("C3", [(nat_t[theta], nat_md[theta], ("T", "MD")) for theta in thetas]))
 
-    lower = check_usual_order(nat_t[null], nat_md[null], claim="C4", labels=("T", "MD"))
-    upper = check_usual_order(nat_md[null], None, claim="C4", labels=("MD", "t"))
-    worst = min((lower, upper), key=lambda r: r.worst_margin)
-    grid = tuple(sorted(set(lower.grid) | set(upper.grid)))
-    reports.append(OrderReport("C4", worst.verdict, grid, worst.worst_margin, worst.witness))
+    reports.append(usual_order("C4", [(nat_t[null], nat_md[null], ("T", "MD")), (nat_md[null], None, ("MD", "t"))]))
 
     # The randomized CDF kinks only at class starts: each point's a, plus 0 and 1.
     t_grid = tuple(sorted({Fraction(0), Fraction(1), *t_family.a, *md_family.a}))

@@ -19,19 +19,15 @@ from mdpvalues import (
     bernoulli_product_model,
     binomial_model,
     build_agreeing_ranking,
-    check_martingale_projection,
     conditional_variance,
     config_from_dict,
-    integrated_cdf,
     likelihood_ratio_statistic,
     make_statistic,
-    power,
     pvalue_cdf,
     pvalue_family,
     randomization_dependence_prob,
     simulate,
     size_alpha_test,
-    uniform_integrated,
     verify_all_claims,
 )
 from mdpvalues.cli import main
@@ -40,7 +36,7 @@ from mdpvalues.rational import parse_rational
 from mdpvalues.registry import example1_model, table1_ranking
 from mdpvalues.testing import alpha_breakpoints
 
-from claims_oracle import phi_expectation_by_tails, randomized_cdf_at
+from claims_oracle import phi_expectation_by_tails, pointwise_projection, randomized_cdf_at, rectangle_integral
 from conftest import brute_expectation, random_model_and_statistic
 
 ALPHA = Fraction(1, 10)
@@ -98,13 +94,12 @@ def test_criterion_1_table1_reproduction(tmp_path, worked_example):
 def test_criterion_2_size_and_power(worked_example):
     with criterion(2, 1.0, "both level-0.1 tests have exact size 1/10 and power 39680/78125"):
         model, _lr, count, ranking = worked_example
-        t_test = size_alpha_test(model, count, ALPHA)
-        md_test = size_alpha_test(model, ranking, ALPHA)
-        assert power(t_test, "theta0") == ALPHA
-        assert power(md_test, "theta0") == ALPHA
+        t_family, md_family = pvalue_family(model, count), pvalue_family(model, ranking)
+        assert t_family.power("theta0", ALPHA) == ALPHA
+        assert md_family.power("theta0", ALPHA) == ALPHA
         expected = Fraction(39680, 78125)
-        assert power(t_test, "theta1") == expected
-        assert power(md_test, "theta1") == expected
+        assert t_family.power("theta1", ALPHA) == expected
+        assert md_family.power("theta1", ALPHA) == expected
         assert float(expected) == 0.507904
 
 
@@ -163,7 +158,7 @@ def test_criterion_5_theorem3_c8_c9(worked_example):
         t_family = pvalue_family(model, count)
         md_family = pvalue_family(model, ranking)
         for alpha in alpha_breakpoints(t_family, md_family):
-            report = check_martingale_projection(
+            report = pointwise_projection(
                 model,
                 size_alpha_test(model, count, alpha),
                 size_alpha_test(model, ranking, alpha),
@@ -178,9 +173,9 @@ def test_criterion_5_theorem3_c8_c9(worked_example):
         cdf_t = pvalue_cdf(model, "theta0", t_family, HALF)
         cdf_md = pvalue_cdf(model, "theta0", md_family, HALF)
         for s in sorted(set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}):
-            low = integrated_cdf(cdf_t, s)
-            mid_i = integrated_cdf(cdf_md, s)
-            assert low <= mid_i <= uniform_integrated(s)
+            low = rectangle_integral(cdf_t, s)
+            mid_i = rectangle_integral(cdf_md, s)
+            assert low <= mid_i <= s * s / 2
         for family in (t_family, md_family):
             assert brute_expectation(model, "theta0", lambda pt: family.mid(pt)) == HALF
 
@@ -233,7 +228,7 @@ def test_criterion_7_figure_data(tmp_path):
         t_mid = cdfs[("t", "theta0", "mid")]
         md_mid = cdfs[("md", "theta0", "mid")]
         for s in sorted(set(t_mid.jumps) | set(md_mid.jumps) | {Fraction(1)}):
-            assert integrated_cdf(t_mid, s) <= integrated_cdf(md_mid, s) <= uniform_integrated(s)
+            assert rectangle_integral(t_mid, s) <= rectangle_integral(md_mid, s) <= s * s / 2
 
 
 def test_criterion_8_property_suite():

@@ -162,6 +162,24 @@ class TestVerify:
         assert main(["verify", "--model", "no-such-model",
                      "--out", str(tmp_path / "v")]) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [{"support": ["x", "y"]}],
+            {"parameters": ["1/2", "3/4"], "support": ["x", "y"], "pmf": {"a": ["1/2", "1/2"]}},
+            {"parameters": {"a": "1/2", "b": "3/4"}, "support": ["x", "y"], "pmf": {"a": None, "b": ["1/4", "3/4"]}},
+            {"parameters": {"a": "1/2", "b": "3/4"}, "support": ["x", "y"], "pmf": [["1/2", "1/2"], ["1/4", "3/4"]]},
+            {"parameters": {"a": "1/2", "b": "3/4"}, "support": "xy", "pmf": {"a": ["1/2", "1/2"], "b": ["1/4", "3/4"]}},
+        ],
+        ids=["top-level-array", "parameters-array", "null-row", "pmf-array", "string-support"],
+    )
+    def test_malformed_model_file_is_usage_error(self, tmp_path, capsys, spec):
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(spec))
+        assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestSimulateCommand:
     def test_bundled_null_config_controls_fdr(self, tmp_path):
@@ -200,6 +218,14 @@ class TestSimulateCommand:
         assert "null 'theta1' is not the model's null 'theta0'" in capsys.readouterr().err
         config.write_text(json.dumps({**fields, "null": "theta0"}))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+
+    @pytest.mark.parametrize("data", [[], [{"model": "example1"}], "bh_null"], ids=["empty", "array", "string"])
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys, data):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object") and "Traceback" not in err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2

@@ -255,6 +255,8 @@ class TestSimulate:
             _config(u_policy="fuzzy")
         with pytest.raises(ConfigError):
             _config(seed=-1)
+        with pytest.raises(ConfigError, match="unsupported tie_break 'bogus'"):
+            _config(tie_break="bogus")
         for field, value in [("hypotheses", 20.9), ("hypotheses", 40.0), ("hypotheses", "20.9"),
                              ("replicates", True), ("seed", 3.7), ("seed", "three")]:
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):

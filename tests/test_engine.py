@@ -15,7 +15,6 @@ from mdpvalues import (
     bernoulli_product_model,
     binomial_model,
     build_agreeing_ranking,
-    check_martingale_projection,
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
@@ -25,11 +24,18 @@ from mdpvalues import (
     verify_all_claims,
 )
 from mdpvalues import orders
-from mdpvalues.orders import _projection_margins, reports_to_json
+from mdpvalues.orders import _convex_order_chain, _projection_margins, _threshold_classes, reports_to_json
 from mdpvalues.testing import alpha_breakpoints, alpha_lattice
 
 import claims_oracle
-from claims_oracle import atom_cdf, randomized_cdf_at, rectangle_integral, reference_claims, scan_pvalue_family
+from claims_oracle import (
+    atom_cdf,
+    convex_order_chain,
+    pointwise_projection,
+    randomized_cdf_at,
+    reference_claims,
+    scan_pvalue_family,
+)
 from conftest import random_model_and_statistic
 
 
@@ -192,9 +198,10 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
             grid = alpha_lattice(scale, t_family, md_family)
             alphas = tuple(Fraction(x, scale) for x in grid)
             assert alphas == alpha_breakpoints(t_family, md_family)
-            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, scale, grid)]
+            classes = [_threshold_classes(family, grid, scale) for family in (t_family, md_family)]
+            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, scale, grid, *classes)]
             pointwise = [
-                check_martingale_projection(
+                pointwise_projection(
                     model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)
                 ).worst_margin
                 for a in alphas
@@ -205,14 +212,20 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
 
 
 def test_integral_prefix_matches_rectangles():
+    """C9's integer prefixes of cum * width give the oracle's rectangle sums, for agreeing and shuffled rankings."""
     rng = random.Random(5)
-    for _ in range(20):
+    failed = 0
+    for index in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
-        family = pvalue_family(model, statistic)
-        cdf = pvalue_cdf(model, "t1", family, Fraction(rng.randint(0, 4), 4))
-        points = set(cdf.jumps) | {Fraction(0), Fraction(1)} | {Fraction(rng.randint(0, 97), 97) for _ in range(10)}
-        for s in sorted(points):
-            assert cdf.integral(s) == rectangle_integral(cdf, s)
+        shuffled = list(range(1, model.size + 1))
+        rng.shuffle(shuffled)
+        for ranking in (build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index),
+                        Ranking("shuffled", tuple(shuffled), "explicit")):
+            engine = _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), "C9")
+            points_t, points_md = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
+            assert engine == convex_order_chain(model, points_t, points_md)
+            failed += engine.verdict == "fail"
+    assert 0 < failed < 40
 
 
 def test_table_power_is_the_randomized_cdf():
@@ -250,3 +263,19 @@ def test_support_1024_verifies_within_budget():
     elapsed = time.perf_counter() - start
     assert [r.verdict for r in reports] == ["pass"] * 9
     assert elapsed < 20.0, f"N=1024 took {elapsed:.1f}s"
+
+
+def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, table1_ranking):
+    """C3/C4 in the oracle do not run through the engine's _usual_order, so a bug there shows as a mismatch."""
+    real = orders._usual_order
+
+    def drops_last_grid_point(*args):
+        report = real(*args)
+        return replace(report, grid=report.grid[:-1])
+
+    monkeypatch.setattr(orders, "_usual_order", drops_last_grid_point)
+    thetas = ["theta0", "theta1"]
+    engine = {r.claim: r for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
+    oracle = {r.claim: r for r in reference_claims(example1, lr, table1_ranking, thetas)}
+    assert engine["C3"] != oracle["C3"] and engine["C4"] != oracle["C4"]
+    assert all(engine[claim] == oracle[claim] for claim in engine if claim not in ("C3", "C4"))

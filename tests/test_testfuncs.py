@@ -9,15 +9,11 @@ import pytest
 
 from mdpvalues import (
     MD,
-    T_BASED,
     TestingError,
     alpha_breakpoints,
     audit_unbiasedness,
-    decision,
     decision_coherence_witness,
-    draw_randomized_pvalue,
     make_statistic,
-    power,
     pvalue_family,
     size_alpha_test,
     write_pvalue_table,
@@ -38,13 +34,13 @@ class TestSizeAlphaTest:
 
     def test_t_based_threshold_and_gamma(self, example1, count_stat):
         test = size_alpha_test(example1, count_stat, ALPHA)
-        assert test.kind == T_BASED
+        assert test.table.source is count_stat
         assert test.threshold == 4
         assert test.gamma == Fraction(11, 25)  # 0.44
 
     def test_md_threshold_and_gamma(self, example1, table1_ranking):
         test = size_alpha_test(example1, table1_ranking, ALPHA)
-        assert test.kind == MD
+        assert test.table.source is table1_ranking
         assert test.threshold == 4
         assert test.gamma == Fraction(1, 5)  # ranks 1-3 sure, rank 4 at 0.2
         by_rank = {table1_ranking.rank(pt): pt for pt in example1.support}
@@ -106,13 +102,13 @@ class TestPower:
         expected = Fraction(39680, 78125)  # 0.507904
         t_test = size_alpha_test(example1, count_stat, ALPHA)
         md_test = size_alpha_test(example1, table1_ranking, ALPHA)
-        assert power(t_test, "theta1") == expected
-        assert power(md_test, "theta1") == expected
+        assert brute_expectation(example1, "theta1", t_test.phi) == expected
+        assert brute_expectation(example1, "theta1", md_test.phi) == expected
         assert float(expected) == 0.507904
 
     def test_size_at_null_is_alpha(self, example1, count_stat):
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2)):
-            assert power(size_alpha_test(example1, count_stat, alpha), "theta0") == alpha
+            assert brute_expectation(example1, "theta0", size_alpha_test(example1, count_stat, alpha).phi) == alpha
 
     def test_level_property_of_natural_decisions(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
@@ -130,24 +126,24 @@ class TestDecision:
         test = size_alpha_test(example1, count_stat, ALPHA)
         top = example1.point("11111")
         for u in (0, Fraction(1, 2), 1):
-            assert decision(test, top, u) == "reject"
+            assert test.decide(top, u)
 
     def test_sure_retention_class(self, example1, count_stat):
         test = size_alpha_test(example1, count_stat, ALPHA)
         low = example1.point("00111")
         for u in (0, Fraction(1, 4), 1):
-            assert decision(test, low, u) == "retain"
+            assert not test.decide(low, u)
 
     def test_threshold_class_splits_at_gamma(self, example1, count_stat):
         test = size_alpha_test(example1, count_stat, ALPHA)
         tied = example1.point("01111")
-        assert decision(test, tied, Fraction(44, 100)) == "reject"
-        assert decision(test, tied, Fraction(45, 100)) == "retain"
+        assert test.decide(tied, Fraction(44, 100))
+        assert not test.decide(tied, Fraction(45, 100))
 
     def test_u_out_of_range(self, example1, count_stat):
         test = size_alpha_test(example1, count_stat, ALPHA)
         with pytest.raises(TestingError):
-            decision(test, example1.point("11111"), Fraction(11, 10))
+            test.decide(example1.point("11111"), Fraction(11, 10))
 
 
 class TestPValueFamily:
@@ -169,14 +165,14 @@ class TestPValueFamily:
 
     def test_pair_invariants(self, example1, count_stat, table1_ranking):
         null = example1.probs("theta0")
-        for source, kind in ((count_stat, T_BASED), (table1_ranking, MD)):
+        for source, one_per_class in ((count_stat, False), (table1_ranking, True)):
             family = pvalue_family(example1, source)
-            assert family.kind == kind
+            assert all(len(members) == 1 for members in family.members) == one_per_class
             for i in range(example1.size):
                 assert family.b[i] > 0
                 assert family.a[i] >= 0
                 assert family.a[i] + family.b[i] <= 1
-                if kind == MD:
+                if one_per_class:
                     assert family.b[i] == null[i]
 
     def test_md_attains_n_distinct_naturals(self, example1, table1_ranking):
@@ -197,19 +193,26 @@ class TestPValueFamily:
 
 
 class TestDrawRandomized:
+    """A randomized p-value is the family's linear form at a u drawn from the caller's stream."""
+
+    @staticmethod
+    def draw(family, pt, rng):
+        u = Fraction(rng.random())  # the float draw, read exactly
+        return family.evaluate(pt, u), u
+
     def test_fixed_seed_reproduces(self, example1, table1_ranking):
         family = pvalue_family(example1, table1_ranking)
         pt = example1.point("01111")
-        first = draw_randomized_pvalue(family, pt, random.Random(99))
-        second = draw_randomized_pvalue(family, pt, random.Random(99))
+        first = self.draw(family, pt, random.Random(99))
+        second = self.draw(family, pt, random.Random(99))
         assert first == second
 
     def test_value_is_linear_in_u(self, example1, table1_ranking):
         family = pvalue_family(example1, table1_ranking)
         pt = example1.point("01111")
-        value, u = draw_randomized_pvalue(family, pt, random.Random(5))
-        assert value == pytest.approx(float(family.a[pt.index]) + u * float(family.b[pt.index]))
-        assert 0.0 <= u <= 1.0
+        value, u = self.draw(family, pt, random.Random(5))
+        assert value == family.a[pt.index] + u * family.b[pt.index]
+        assert 0 <= u <= 1
 
 
 class TestUnbiasednessAudit:
