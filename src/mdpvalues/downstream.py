@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -164,13 +164,10 @@ def evalue_calibrate(p: float, method: str, k: float | None = None) -> float:
     raise ConfigError(f"unknown calibration method {method!r}")
 
 
-def randomization_dependence_prob(
-    model: DiscreteModel, theta: str, test: TestFunction
-) -> Fraction:
+def randomization_dependence_prob(theta: str, test: TestFunction) -> Fraction:
     """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u.
 
-    That is the theta mass of the threshold class when 0 < gamma < 1;
-    ``model`` is the test's model.
+    That is the theta mass of the threshold class when 0 < gamma < 1.
     """
     if not 0 < test.gamma < 1:
         return Fraction(0)
@@ -303,18 +300,7 @@ class SimulationReport:
     rng: str
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "m_null": self.m_null,
-            "fdr": self.fdr,
-            "fdr_mcse": self.fdr_mcse,
-            "power": self.power,
-            "power_mcse": self.power_mcse,
-            "mean_rejections": self.mean_rejections,
-            "mean_threshold": self.mean_threshold,
-            "dependence_rate": self.dependence_rate,
-            "rng": self.rng,
-        }
+        return asdict(self)
 
     def summary_row(self) -> list:
         """The CSV summary: procedure, family, u_policy, alpha, fdr, fdr_mcse, power, dep_rate."""
@@ -365,8 +351,6 @@ def simulate(config: SimulationConfig) -> SimulationReport:
 
     a_arr = np.array([float(v) for v in family.a])
     b_arr = np.array([float(v) for v in family.b])
-    natural = a_arr + b_arr
-    mid = a_arr + 0.5 * b_arr
     cum_null = np.cumsum([float(p) for p in model.probs(config.null)])
     cum_alt = np.cumsum([float(p) for p in model.probs(config.alt)])
     cum_null[-1] = cum_alt[-1] = 1.0
@@ -379,13 +363,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     alpha = float(config.alpha)
     global_procedure = config.procedure in ("fisher", "geometric-mean")
     critical = _fisher_critical(alpha, 2 * m) if config.procedure == "fisher" else math.nan
-
-    def pvals(idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if config.u_policy == "natural":
-            return natural[idx]
-        if config.u_policy == "mid":
-            return mid[idx]
-        return a_arr[idx] + u * b_arr[idx]
+    fixed_u = 1.0 if config.u_policy == "natural" else 0.5
 
     def decide(ps: np.ndarray) -> tuple[np.ndarray, float]:
         if config.procedure == "bh":
@@ -416,13 +394,15 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         idx[m0:] = np.searchsorted(cum_alt, data_u[m0:], side="right")
         np.clip(idx, 0, model.size - 1, out=idx)
         aux_u = rng.random(m)
-        ps = pvals(idx, aux_u)
+        # P = a + u * b: the natural and mid policies fix u at 1 and 1/2.
+        u = aux_u if config.u_policy == "randomized" else fixed_u
+        ps = a_arr[idx] + u * b_arr[idx]
         rejected, threshold = decide(ps)
 
         if global_procedure:
             # One global decision per replicate: a rejection is false only
             # when every hypothesis is null.
-            globally_rejected = bool(rejected[0]) if m else False
+            globally_rejected = bool(rejected[0])
             fdp[r] = float(globally_rejected) if m1 == 0 else 0.0
             tdp[r] = float(globally_rejected) if m1 > 0 else 0.0
             rejection_counts[r] = float(globally_rejected)
@@ -435,7 +415,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
 
         if config.u_policy == "randomized":
             flip_u = rng.random(m)
-            rejected2, _ = decide(pvals(idx, flip_u))
+            rejected2, _ = decide(a_arr[idx] + flip_u * b_arr[idx])
             flips[r] = float((rejected != rejected2).mean())
 
     fdr, fdr_mcse = _mean_and_mcse(fdp)

@@ -230,6 +230,8 @@ def model_from_dict(data: object) -> DiscreteModel:
     if not (isinstance(parameters, Mapping) and isinstance(pmf, Mapping)
             and all(isinstance(seq, (list, tuple)) for seq in (support, *pmf.values()))):
         raise ModelError("model spec needs 'parameters' and 'pmf' as objects, 'support' and each pmf row as arrays")
+    if not all(isinstance(label, str) for label in support):
+        raise ModelError("model spec needs every support label as a string")
     try:
         return make_model(support, parameters, pmf)
     except ValueError as exc:

@@ -28,8 +28,11 @@ instead of a search per point:
     and a rank-ordered null-mass prefix inside it gives the tie average;
   - the CDF of P(X, u) at a fixed u jumps once per class, at
     start + u * mass, by the class's mass under theta: the natural CDF of
-    C1-C4 at start + mass over D_null, the mid-p CDF of C9 at
-    2 * start + mass over 2 * D_null;
+    C1-C4 at 2 * (start + mass), the mid-p CDF of C9 at 2 * start + mass,
+    both over 2 * D_null;
+  - C1-C4 are one usual-order check, F_T <= F_MD (<= t): C3 and C4 at the
+    CDFs' jumps plus 1, and C1 and C2 on the alpha grid, since a natural
+    test rejects iff P <= alpha, so E_theta[d_alpha] = F_theta(alpha);
   - the integrated CDFs of C9 are integer prefixes of cum * width.
 
 Each claim's margins are ints over one positive denominator.  Only the
@@ -39,8 +42,8 @@ witness is rebuilt at its grid point alone on Fractions, through
 The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
-  C1  natural MD decisions dominate in power at every theta and alpha
-  C2  level sandwich under the null: E0[dT] <= E0[dMD] <= alpha
+  C1  natural MD decisions dominate in power at every theta and alpha (C3 on the alpha grid)
+  C2  level sandwich under the null: E0[dT] <= E0[dMD] <= alpha (C4 on the alpha grid)
   C3  usual stochastic order of natural p-values at every theta
   C4  null sandwich of natural p-value CDFs: F_T <= F_MD <= t
   C5  randomized p-values are exactly uniform under the null
@@ -175,7 +178,7 @@ def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int
     return [n * (den // d) if n else 0 for n, d in margins], den
 
 
-def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
+def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], grid: Sequence[int] | None = None) -> OrderReport:
     """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
 
     A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
@@ -183,8 +186,9 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
     after j jumps, as ints over ``v_den``.  ``jumps_b=None`` compares F_A(t)
     with the diagonal t.  Each pair is checked at every jump of either CDF
     plus t = 1, where both sides are constant (resp. increasing) up to the
-    next grid point, so the check is exact for all t.  The report's grid is
-    the union of the pairs' grids.
+    next grid point, so the check is exact for all t; with ``grid``, sorted
+    ints over ``t_den``, every pair is checked there instead.  The report's
+    grid is the union of the pairs' grids.
     """
     den = math.lcm(*(pair[4] for pair in pairs), *(t_den for pair in pairs if pair[2] is None))
     grid_set: set[int] = set()
@@ -192,7 +196,7 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
     sweeps = []
     for pair in pairs:
         jumps_a, cdf_a, jumps_b, cdf_b, v_den, _labels = pair
-        points = sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
+        points = grid if grid is not None else sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
         grid_set.update(points)
         at_a = _counts(jumps_a, points)
         f = den // v_den
@@ -471,9 +475,6 @@ def verify_all_claims(
     c, scale = 2, 2 * den
     grid = alpha_lattice(scale, t_family, md_family)
     alphas = tuple(Fraction(x, scale) for x in grid)
-    # Natural p-value CDFs at each alpha: how many classes end (jump) at or below it.
-    natural_t = _counts([b * c for b in t_before[1:]], grid)
-    natural_md = _counts([b * c for b in md_before[1:]], grid)
     # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
     t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
 
@@ -483,49 +484,22 @@ def verify_all_claims(
     else:
         sufficient, suff_witness = True, None
 
-    reports: list[OrderReport] = []
+    def no_thetas(claim: str) -> OrderReport:
+        return OrderReport(claim, "skipped", (), None, None, "empty theta grid")
 
-    # C1: natural MD decisions dominate in power, every theta and alpha.
-    if not thetas:
-        reports.append(OrderReport("C1", "skipped", (), None, None, "empty theta grid"))
-    else:
-        common = math.lcm(*(lattice_t[theta][0] for theta in thetas))
-        margins = []
-        for theta in thetas:
-            f, before_t, before_md = common // lattice_t[theta][0], lattice_t[theta][2], lattice_md[theta][2]
-            margins.extend((before_md[j] - before_t[i]) * f for i, j in zip(natural_t, natural_md))
-        reports.append(
-            _claim("C1", alphas, margins, common,
-                   lambda i: f"theta={thetas[i // len(grid)]}, alpha={alphas[i % len(grid)]}")
-        )
-
-    # C2: level sandwich under the null.
-    margins = []
-    for x, i, j in zip(grid, natural_t, natural_md):
-        margins.append((md_before[j] - t_before[i]) * c)
-        margins.append(x - md_before[j] * c)
-
-    def level_witness(index: int) -> str:
-        i, upper = divmod(index, 2)
-        f_t, f_md = Fraction(t_before[natural_t[i]], den), Fraction(md_before[natural_md[i]], den)
-        if upper:
-            return f"alpha={alphas[i]}: E0[dMD]={f_md} exceeds alpha"
-        return f"alpha={alphas[i]}: E0[dT]={f_t} vs E0[dMD]={f_md}"
-
-    reports.append(_claim("C2", alphas, margins, scale, level_witness))
-
-    # C3 and C4: usual stochastic order of natural p-values; their CDFs jump at class ends.
-    ends_t, ends_md = t_before[1:], md_before[1:]
-    if not thetas:
-        reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
-    else:
-        pairs = [(ends_t, lattice_t[theta][2], ends_md, lattice_md[theta][2], lattice_t[theta][0], ("T", "MD"))
-                 for theta in thetas]
-        reports.append(_usual_order("C3", den, pairs))
-    reports.append(
-        _usual_order("C4", den, [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
-                                 (ends_md, md_before, None, None, den, ("MD", "t"))])
-    )
+    # C1-C4: usual stochastic order of natural p-values, whose CDFs jump at class ends.  A natural
+    # test has E_theta[d_alpha] = F_theta(alpha), so C1 and C2 are C3 and C4 read on the alpha grid.
+    ends_t, ends_md = [b * c for b in t_before[1:]], [b * c for b in md_before[1:]]
+    by_theta = [(ends_t, lattice_t[theta][2], ends_md, lattice_md[theta][2], lattice_t[theta][0],
+                 (f"T@{theta}", f"MD@{theta}")) for theta in thetas]
+    null_pairs = [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
+                  (ends_md, md_before, None, None, den, ("MD", "t"))]
+    reports = [
+        _usual_order("C1", scale, by_theta, grid) if thetas else no_thetas("C1"),
+        _usual_order("C2", scale, null_pairs, grid),
+        _usual_order("C3", scale, by_theta) if thetas else no_thetas("C3"),
+        _usual_order("C4", scale, null_pairs),
+    ]
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
@@ -543,7 +517,7 @@ def verify_all_claims(
 
     # C6: equal power functions under sufficiency.
     if not thetas:
-        reports.append(OrderReport("C6", "skipped", (), None, None, "empty theta grid"))
+        reports.append(no_thetas("C6"))
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
     else:

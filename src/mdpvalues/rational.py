@@ -26,11 +26,16 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
         raise ValueError(f"refusing float {value!r}: rationals must be exact")
     text = str(value).strip()
     if "." in text or "e" in text.lower():
-        raise ValueError(f"refusing decimal literal {text!r}: use num/den")
+        try:
+            float(text)
+        except ValueError:
+            pass  # not a decimal or exponent literal either
+        else:
+            raise ValueError(f"refusing decimal literal {text!r}: use num/den")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise ValueError(f"not a rational: {value!r}") from exc
 
 
 def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:

@@ -9,7 +9,7 @@ Its tests hold a p-value family filled from that scan, never from
 ``pvalue_family`` or ``size_alpha_test``.  Its p-values are per-point
 (a, b) records from the same scan; their CDFs merge one atom per support
 point and their alpha and t grids loop over the points.  The usual-order
-check of C3/C4 reads each CDF by scanning its jumps at every grid point.
+check of C1-C4 reads each CDF by scanning its jumps at every grid point.
 So it shares no CDF, grid or comparison code with the engine, only the
 data types.  Its sufficiency check re-groups the support by statistic
 value and sums ``Fraction`` masses, where the engine reads the family's
@@ -185,15 +185,19 @@ def scan_cdf_at(cdf: StepCDF, t) -> Fraction:
     return value
 
 
-def usual_order(claim, comparisons) -> OrderReport:
+def usual_order(claim, comparisons, alphas=None) -> OrderReport:
     """F_A(t) <= F_B(t), or <= t where cdf_b is None, for (cdf_a, cdf_b, labels) comparisons.
 
-    Each comparison is checked at every jump of either CDF plus t = 1; the
-    report's grid is the union, its margin the first worst in order.
+    Each comparison is checked at every jump of either CDF plus t = 1, or at
+    every point of ``alphas`` when given; the report's grid is the union,
+    its margin the first worst in order.
     """
     grid, margins = set(), []
     for cdf_a, cdf_b, (label_a, label_b) in comparisons:
-        points = sorted(set(cdf_a.jumps) | set(cdf_b.jumps if cdf_b else ()) | {Fraction(1)})
+        if alphas is None:
+            points = sorted(set(cdf_a.jumps) | set(cdf_b.jumps if cdf_b else ()) | {Fraction(1)})
+        else:
+            points = alphas
         grid.update(points)
         for t in points:
             value = scan_cdf_at(cdf_a, t)
@@ -311,26 +315,15 @@ def reference_claims(model, statistic, ranking, thetas):
     unmet = f"hypothesis unmet: {suff_witness}"
     reports = []
 
-    if not thetas:
-        reports.append(OrderReport("C1", "skipped", (), None, None, "empty theta grid"))
-    else:
-        reports.append(_worst("C1", alphas, [
-            (nat_md[theta].evaluate(alpha) - nat_t[theta].evaluate(alpha), f"theta={theta}, alpha={alpha}")
-            for theta in thetas for alpha in alphas]))
-
-    margins = []
-    for alpha in alphas:
-        f_t, f_md = nat_t[null].evaluate(alpha), nat_md[null].evaluate(alpha)
-        margins.append((f_md - f_t, f"alpha={alpha}: E0[dT]={f_t} vs E0[dMD]={f_md}"))
-        margins.append((alpha - f_md, f"alpha={alpha}: E0[dMD]={f_md} exceeds alpha"))
-    reports.append(_worst("C2", alphas, margins))
-
-    if not thetas:
-        reports.append(OrderReport("C3", "skipped", (), None, None, "empty theta grid"))
-    else:
-        reports.append(usual_order("C3", [(nat_t[theta], nat_md[theta], ("T", "MD")) for theta in thetas]))
-
-    reports.append(usual_order("C4", [(nat_t[null], nat_md[null], ("T", "MD")), (nat_md[null], None, ("MD", "t"))]))
+    # A natural test has E_theta[d_alpha] = F_theta(alpha): C1 and C2 are C3 and C4 on the alpha grid.
+    by_theta = [(nat_t[theta], nat_md[theta], (f"T@{theta}", f"MD@{theta}")) for theta in thetas]
+    null_pairs = [(nat_t[null], nat_md[null], ("T", "MD")), (nat_md[null], None, ("MD", "t"))]
+    for claim, comparisons, grid in (("C1", by_theta, alphas), ("C2", null_pairs, alphas),
+                                     ("C3", by_theta, None), ("C4", null_pairs, None)):
+        if comparisons:
+            reports.append(usual_order(claim, comparisons, grid))
+        else:
+            reports.append(OrderReport(claim, "skipped", (), None, None, "empty theta grid"))
 
     # The randomized CDF kinks only at class starts: each point's a, plus 0 and 1.
     t_grid = tuple(sorted({Fraction(0), Fraction(1), *t_family.a, *md_family.a}))

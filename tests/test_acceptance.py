@@ -184,10 +184,8 @@ def test_criterion_6_randomization_dependence(worked_example):
     with criterion(6, 1.0, "u-dependence at alpha=0.05 is 0.15625 vs 0.03125, ratio exactly 5"):
         model, _lr, count, ranking = worked_example
         alpha = Fraction(1, 20)
-        t_prob = randomization_dependence_prob(
-            model, "theta0", size_alpha_test(model, count, alpha))
-        md_prob = randomization_dependence_prob(
-            model, "theta0", size_alpha_test(model, ranking, alpha))
+        t_prob = randomization_dependence_prob("theta0", size_alpha_test(model, count, alpha))
+        md_prob = randomization_dependence_prob("theta0", size_alpha_test(model, ranking, alpha))
         assert t_prob == Fraction(5, 32)
         assert md_prob == Fraction(1, 32)
         assert t_prob / md_prob == 5

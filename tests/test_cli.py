@@ -170,8 +170,10 @@ class TestVerify:
             {"parameters": {"a": "1/2", "b": "3/4"}, "support": ["x", "y"], "pmf": {"a": None, "b": ["1/4", "3/4"]}},
             {"parameters": {"a": "1/2", "b": "3/4"}, "support": ["x", "y"], "pmf": [["1/2", "1/2"], ["1/4", "3/4"]]},
             {"parameters": {"a": "1/2", "b": "3/4"}, "support": "xy", "pmf": {"a": ["1/2", "1/2"], "b": ["1/4", "3/4"]}},
+            {"parameters": {"a": "1/2", "b": "3/4"}, "support": [["x"], {"y": 1}],
+             "pmf": {"a": ["1/2", "1/2"], "b": ["1/4", "3/4"]}},
         ],
-        ids=["top-level-array", "parameters-array", "null-row", "pmf-array", "string-support"],
+        ids=["top-level-array", "parameters-array", "null-row", "pmf-array", "string-support", "non-string-labels"],
     )
     def test_malformed_model_file_is_usage_error(self, tmp_path, capsys, spec):
         model_path = tmp_path / "bad.json"
@@ -179,6 +181,14 @@ class TestVerify:
         assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_null_parameter_is_not_a_rational(self, tmp_path, capsys):
+        spec = {"parameters": {"a": None, "b": "3/4"}, "support": ["x", "y"],
+                "pmf": {"a": ["1/2", "1/2"], "b": ["1/4", "3/4"]}}
+        model_path = tmp_path / "null.json"
+        model_path.write_text(json.dumps(spec))
+        assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 2
+        assert "not a rational: None" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

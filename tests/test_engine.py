@@ -105,7 +105,7 @@ def test_failing_claims_match_reference(monkeypatch):
     for module in (orders, claims_oracle):
         monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
     rng = random.Random(3)
-    failed = set()
+    failed, c1_witnesses = set(), []
     for index in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=14)
         if index % 2 == 0:
@@ -114,8 +114,11 @@ def test_failing_claims_match_reference(monkeypatch):
         rng.shuffle(ranks)
         ranking = Ranking("shuffled", tuple(ranks), "explicit")
         engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
-        failed.update(r["claim"] for r in json.loads(engine) if r["verdict"] == "fail")
+        failures = [r for r in json.loads(engine) if r["verdict"] == "fail"]
+        failed.update(r["claim"] for r in failures)
+        c1_witnesses += [r["witness"] for r in failures if r["claim"] == "C1"]
     assert failed == {"C1", "C2", "C3", "C4", "C6", "C8", "C9"}
+    assert any(w.startswith(("F_T@t0(", "F_T@t1(")) and "vs MD@t" in w for w in c1_witnesses)
 
 
 def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
@@ -266,7 +269,7 @@ def test_support_1024_verifies_within_budget():
 
 
 def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, table1_ranking):
-    """C3/C4 in the oracle do not run through the engine's _usual_order, so a bug there shows as a mismatch."""
+    """C1-C4 in the oracle do not run through the engine's _usual_order, so a bug there shows as a mismatch."""
     real = orders._usual_order
 
     def drops_last_grid_point(*args):
@@ -277,5 +280,6 @@ def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, 
     thetas = ["theta0", "theta1"]
     engine = {r.claim: r for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
     oracle = {r.claim: r for r in reference_claims(example1, lr, table1_ranking, thetas)}
-    assert engine["C3"] != oracle["C3"] and engine["C4"] != oracle["C4"]
-    assert all(engine[claim] == oracle[claim] for claim in engine if claim not in ("C3", "C4"))
+    usual = ("C1", "C2", "C3", "C4")
+    assert all(engine[claim] != oracle[claim] for claim in usual)
+    assert all(engine[claim] == oracle[claim] for claim in engine if claim not in usual)

@@ -109,6 +109,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             parse_rational("0.5")
 
+    @pytest.mark.parametrize(
+        "value, fault",
+        [("0.5", "refusing decimal literal"), ("1e-3", "refusing decimal literal"),
+         (None, "not a rational"), ("seven", "not a rational")],
+    )
+    def test_unparsable_values_name_their_fault(self, value, fault):
+        with pytest.raises(ValueError, match=fault):
+            parse_rational(value)
+
 
 class TestWireFormat:
     def test_round_trip(self, tmp_path, example1):
