@@ -39,7 +39,6 @@ from .testing import (
     decision_coherence_witness,
     pvalue_family,
     size_alpha_test,
-    write_pvalue_table,
 )
 from .orders import (
     OrderReport,

@@ -27,17 +27,14 @@ from .downstream import (
 )
 from .model import DiscreteModel, ModelError
 from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, verify_all_claims
-from .ranking import Ranking, RankingError, ranking_from_order, build_agreeing_ranking
+from .ranking import Ranking, RankingError, Statistic, ranking_from_order, build_agreeing_ranking
 from .rational import decimal_string, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
-from .testing import MD, T_BASED, TestingError, alpha_breakpoints, pvalue_family, write_pvalue_table
+from .testing import TestingError, alpha_breakpoints, pvalue_family
 
 
 class CliError(ValueError):
     """Usage or input error (exit status 2)."""
-
-
-_FAMILY_FLAGS = {"t": T_BASED, "md": MD}
 
 
 def _write_manifest(out: Path, payload: dict) -> None:
@@ -48,16 +45,32 @@ def _write_manifest(out: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _csv_writer(path: Path):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_table(out: Path, header: list[str], rows: list[list], manifest: dict | None = None) -> None:
+    """Write a CSV table; with a manifest, also write it next to the table, naming the table as its output."""
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    if manifest is not None:
+        _write_manifest(out, {**manifest, "outputs": [out.name], "seed": None})
+
+
+def _read_json(source: Path | resources.abc.Traversable, what: str) -> tuple[object, str]:
+    """Parsed value and raw text of a UTF-8 JSON file; any failure to read or parse it is a usage error."""
+    try:
+        raw = source.read_text(encoding="utf-8")
+        return json.loads(raw), raw
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {what} {source}: {exc}") from None
+
+
+def _model_and_statistic(args: argparse.Namespace) -> tuple[DiscreteModel, str, Statistic]:
+    model, model_id = resolve_model(args.model)
+    return model, model_id, default_statistic(model, args.alt)
 
 
 def _load_ranking(model: DiscreteModel, path: str) -> Ranking:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read ranking file {path}: {exc}") from None
+    data, _ = _read_json(Path(path), "ranking file")
     if not isinstance(data, list) or not all(isinstance(label, str) for label in data):
         raise CliError("ranking file must be a JSON array of labels, rank 1 first")
     return ranking_from_order(model, data)
@@ -71,39 +84,30 @@ def cmd_table1(args: argparse.Namespace) -> int:
     md_family = pvalue_family(model, ranking)
     p0 = model.probs(model.parameter_names[0])
     p1 = model.probs(model.parameter_names[1])
-    out = Path(args.out)
-    fh, writer = _csv_writer(out)
-    with fh:
-        writer.writerow(
-            ["label", "p0", "p1", "lr", "rank", "md_natural", "t_natural",
-             "p0_dec", "p1_dec", "lr_dec", "md_natural_dec", "t_natural_dec"]
+    rows = []
+    for pt in sorted(model.support, key=ranking.rank):
+        cells = [p0[pt.index], p1[pt.index], statistic.value(pt)]
+        naturals = [md_family.natural(pt), t_family.natural(pt)]
+        rows.append(
+            [pt.label]
+            + [format_rational(c) for c in cells]
+            + [ranking.rank(pt)]
+            + [format_rational(c) for c in naturals]
+            + [decimal_string(c) for c in cells + naturals]
         )
-        for pt in sorted(model.support, key=ranking.rank):
-            cells = [
-                p0[pt.index], p1[pt.index], statistic.value(pt),
-            ]
-            writer.writerow(
-                [pt.label]
-                + [format_rational(c) for c in cells]
-                + [ranking.rank(pt)]
-                + [format_rational(md_family.natural(pt)), format_rational(t_family.natural(pt))]
-                + [decimal_string(c) for c in cells]
-                + [decimal_string(md_family.natural(pt)), decimal_string(t_family.natural(pt))]
-            )
-    _write_manifest(out, {
+    header = ["label", "p0", "p1", "lr", "rank", "md_natural", "t_natural",
+              "p0_dec", "p1_dec", "lr_dec", "md_natural_dec", "t_natural_dec"]
+    _write_table(Path(args.out), header, rows, {
         "command": "table1",
         "model": "example1",
         "ranking": "table-1 head, label order after",
         "rows": model.size,
-        "outputs": [out.name],
-        "seed": None,
     })
     return 0
 
 
 def cmd_cdf(args: argparse.Namespace) -> int:
-    model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.alt)
+    model, model_id, statistic = _model_and_statistic(args)
     theta = args.theta or model.parameter_names[0]
     if theta not in model.parameter_names:
         raise CliError(f"unknown parameter {theta!r}")
@@ -112,22 +116,18 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     else:
         source = statistic
     family = pvalue_family(model, source)
-    out = Path(args.out)
-    fh, writer = _csv_writer(out)
-    with fh:
-        writer.writerow(["t", "F", "t_dec", "F_dec"])
-        if args.uniform:
-            rows = [(t, t) for t in alpha_breakpoints(family, midpoints=False)]
-        elif args.u == "rand":
-            # Pr{P(X, U) <= t} is the power of the size-t test
-            rows = [(t, family.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
-        else:
-            u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
-            cdf = pvalue_cdf(model, theta, family, u)
-            rows = list(zip(cdf.jumps, cdf.cum))
-        for t, value in rows:
-            writer.writerow([format_rational(t), format_rational(value), decimal_string(t), decimal_string(value)])
-    _write_manifest(out, {
+    if args.uniform:
+        steps = [(t, t) for t in alpha_breakpoints(family, midpoints=False)]
+    elif args.u == "rand":
+        # Pr{P(X, U) <= t} is the power of the size-t test
+        steps = [(t, family.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
+    else:
+        u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
+        cdf = pvalue_cdf(model, theta, family, u)
+        steps = list(zip(cdf.jumps, cdf.cum))
+    rows = [[format_rational(t), format_rational(value), decimal_string(t), decimal_string(value)]
+            for t, value in steps]
+    _write_table(Path(args.out), ["t", "F", "t_dec", "F_dec"], rows, {
         "command": "cdf",
         "model": model_id,
         "family": args.family,
@@ -135,15 +135,12 @@ def cmd_cdf(args: argparse.Namespace) -> int:
         "u": args.u,
         "uniform_reference": bool(args.uniform),
         "rows": len(rows),
-        "outputs": [out.name],
-        "seed": None,
     })
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.alt)
+    model, model_id, statistic = _model_and_statistic(args)
     ranking = _load_ranking(model, args.ranking_file) if args.ranking_file else build_agreeing_ranking(model, statistic)
     if args.thetas is None:
         thetas = list(model.parameter_names)
@@ -172,18 +169,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_config(spec: str) -> tuple[dict, str]:
-    path = Path(spec)
-    if path.exists():
-        raw = path.read_text(encoding="utf-8")
-    else:
-        try:
-            raw = (resources.files("mdpvalues") / "configs" / f"{spec}.json").read_text(encoding="utf-8")
-        except (FileNotFoundError, ModuleNotFoundError):
-            raise CliError(f"config {spec!r} is neither a file nor a bundled config") from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid config JSON: {exc}") from None
+    source: Path | resources.abc.Traversable = Path(spec)
+    if not source.exists():
+        source = resources.files("mdpvalues") / "configs" / f"{spec}.json"
+        if not source.is_file():
+            raise CliError(f"config {spec!r} is neither a file nor a bundled config")
+    data, raw = _read_json(source, "config")
     if not isinstance(data, dict):
         raise CliError("config must be a JSON object")
     return data, hashlib.sha256(raw.encode()).hexdigest()
@@ -195,16 +186,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         data["seed"] = args.seed
     if args.alpha is not None:
         data["alpha"] = args.alpha
-    model, model_id = resolve_model(str(data.get("model", "")))
+    if "model" not in data:
+        raise ConfigError("config is missing field 'model'")
+    model, model_id = resolve_model(str(data["model"]))
     config = config_from_dict(data, model, model_id)
     report = simulate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
-    fh, writer = _csv_writer(out / "summary.csv")
-    with fh:
-        writer.writerow(["procedure", "family", "u_policy", "alpha", "fdr", "fdr_mcse", "power", "dep_rate"])
-        writer.writerow(report.summary_row())
+    header = ["procedure", "family", "u_policy", "alpha", "fdr", "fdr_mcse", "power", "dep_rate"]
+    _write_table(out / "summary.csv", header, [report.summary_row()])
     _write_manifest(out, {
         "command": "simulate",
         "config_sha256": digest,
@@ -217,18 +208,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pvalues(args: argparse.Namespace) -> int:
-    model, model_id = resolve_model(args.model)
-    statistic = default_statistic(model, args.alt)
+    """Per-point table in rank order; rationals are "num/den", then natural and mid again as decimals."""
+    model, model_id, statistic = _model_and_statistic(args)
     ranking = build_agreeing_ranking(model, statistic)
-    out = Path(args.out)
-    write_pvalue_table(out, model, statistic, ranking, _FAMILY_FLAGS[args.family])
-    _write_manifest(out, {
+    family = pvalue_family(model, ranking if args.family == "md" else statistic)
+    rows = []
+    for pt in sorted(model.support, key=ranking.rank):
+        values = [statistic.value(pt), family.a[pt.index], family.b[pt.index], family.natural(pt), family.mid(pt)]
+        rows.append([pt.label, ranking.rank(pt)] + [format_rational(v) for v in values]
+                    + [decimal_string(v) for v in values[-2:]])
+    header = ["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"]
+    _write_table(Path(args.out), header, rows, {
         "command": "pvalues",
         "model": model_id,
         "family": args.family,
         "rows": model.size,
-        "outputs": [out.name],
-        "seed": None,
     })
     return 0
 

@@ -245,6 +245,6 @@ def save_model(model: DiscreteModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> DiscreteModel:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"invalid model file {path}: {exc}") from None
     return model_from_dict(data)

@@ -311,42 +311,39 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
     return _claim(claim, grid, margins, 8 * square, witness, note)
 
 
-def _threshold_classes(family: PValueFamily, grid: Sequence[int], grid_den: int) -> list[int]:
-    """Threshold class k(alpha) at each alpha = x / grid_den of a sorted grid: the last class starting at or below it.
+def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
+    """Threshold class k(alpha) at each alpha = x / (2 D) of a sorted grid: the last class starting at or below it.
 
-    ``grid_den`` is a multiple of D, so a start s / D lies at or below x / grid_den iff s * (grid_den / D) <= x.
+    A start s / D lies at or below x / (2 D) iff 2 s <= x.
     """
-    den, _mass, before = family.lattice(family.model.null)
-    c = grid_den // den
-    return [n - 1 for n in _counts([s * c for s in before[:-1]], grid)]
+    _den, _mass, before = family.lattice(family.model.null)
+    return [n - 1 for n in _counts([2 * s for s in before[:-1]], grid)]
 
 
-def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequence[int], scale: int) -> list[tuple[int, int]]:
-    """(F(t) - t) * mass_k * scale and mass_k at each t = x / scale of a grid, F = Pr_0{P(X, U) <= t}.
+def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequence[int]) -> list[tuple[int, int]]:
+    """(F(t) - t) * mass_k * 2 D and mass_k at each t = x / (2 D) of a grid, F = Pr_0{P(X, U) <= t}.
 
     ``classes`` holds the threshold class k of each t, and
     F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
     masses summed again from the null row, each point once into its own class, against the lattice.
     """
-    den, mass, before = family.lattice(family.model.null)
-    c = scale // den
+    _den, mass, before = family.lattice(family.model.null)
     summed = [0] * len(mass)
     for p, k in zip(family.model.int_row(family.model.null)[1], family.class_of):
         summed[k] += p
-    offsets = [(a - b) * m * c for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
+    offsets = [(a - b) * m * 2 for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
     excess = [s - m for s, m in zip(summed, mass)]
-    return [(offsets[k] + excess[k] * (x - before[k] * c), mass[k]) for x, k in zip(grid, classes)]
+    return [(offsets[k] + excess[k] * (x - before[k] * 2), mass[k]) for x, k in zip(grid, classes)]
 
 
 def _projection_margins(
     t_family: PValueFamily,
     md_family: PValueFamily,
-    scale: int,
     grid: Sequence[int],
     t_classes: Sequence[int],
     md_classes: Sequence[int],
 ) -> list[tuple[int, int]]:
-    """Worst margin of the C8 projection identity at each alpha = x / scale, as (numerator, denominator).
+    """Worst margin of the C8 projection identity at each alpha = x / (2 D), as (numerator, denominator).
 
     At alpha = grid[i] the T test has threshold class k = t_classes[i] and
     the MD test threshold rank r (class md_classes[i]) with randomization
@@ -354,11 +351,10 @@ def _projection_margins(
     gamma_MD - 1 or -1 as its rank is below, at or above r, so the largest
     rank before class k decides them all; the sure-retention side is
     decided by the smallest rank after class k.  With gamma = (alpha -
-    start) / mass, all three margins share mass_T[k] * mass_MD[r] * scale / D.
+    start) / mass, all three margins share mass_T[k] * mass_MD[r] * 2.
     """
-    den, t_mass, t_before = t_family.lattice(t_family.model.null)
+    _den, t_mass, t_before = t_family.lattice(t_family.model.null)
     _, md_mass, md_before = md_family.lattice(md_family.model.null)
-    c = scale // den
     ranks = md_family.source.ranks
     null_row = t_family.model.int_row(t_family.model.null)[1]
     by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_family.members]
@@ -379,8 +375,8 @@ def _projection_margins(
         while j < len(inside) and inside[j] < r:
             j += 1
         m_k, m_r = t_mass[k], md_mass[r_index]
-        q = m_r * c  # gamma_MD = u_md / q and gamma_T = u_t / (m_k * c)
-        u_t, u_md = x - t_before[k] * c, x - md_before[r_index] * c
+        q = m_r * 2  # gamma_MD = u_md / q and gamma_T = u_t / (m_k * 2)
+        u_t, u_md = x - t_before[k] * 2, x - md_before[r_index] * 2
         value = below[k][j] * q
         if j < len(inside) and inside[j] == r:
             value += u_md * by_rank[k][j][1]
@@ -466,17 +462,16 @@ def verify_all_claims(
     thetas = list(thetas)
     null = model.null
     t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
-    lattice_t = {theta: t_family.lattice(theta) for theta in [null, *thetas]}
-    lattice_md = {theta: md_family.lattice(theta) for theta in [null, *thetas]}
-    den, t_mass, t_before = lattice_t[null]
-    _, md_mass, md_before = lattice_md[null]
+    den, t_mass, t_before = t_family.lattice(null)
+    _, md_mass, md_before = md_family.lattice(null)
 
-    # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.
+    # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.  Every
+    # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as c * s.
     c, scale = 2, 2 * den
     grid = alpha_lattice(scale, t_family, md_family)
     alphas = tuple(Fraction(x, scale) for x in grid)
     # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
-    t_classes, md_classes = _threshold_classes(t_family, grid, scale), _threshold_classes(md_family, grid, scale)
+    t_classes, md_classes = _threshold_classes(t_family, grid), _threshold_classes(md_family, grid)
 
     sufficiency_grid = list(dict.fromkeys([null, *thetas]))
     if len(sufficiency_grid) >= 2:
@@ -490,7 +485,7 @@ def verify_all_claims(
     # C1-C4: usual stochastic order of natural p-values, whose CDFs jump at class ends.  A natural
     # test has E_theta[d_alpha] = F_theta(alpha), so C1 and C2 are C3 and C4 read on the alpha grid.
     ends_t, ends_md = [b * c for b in t_before[1:]], [b * c for b in md_before[1:]]
-    by_theta = [(ends_t, lattice_t[theta][2], ends_md, lattice_md[theta][2], lattice_t[theta][0],
+    by_theta = [(ends_t, t_family.lattice(theta)[2], ends_md, md_family.lattice(theta)[2], t_family.lattice(theta)[0],
                  (f"T@{theta}", f"MD@{theta}")) for theta in thetas]
     null_pairs = [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
                   (ends_md, md_before, None, None, den, ("MD", "t"))]
@@ -504,8 +499,8 @@ def verify_all_claims(
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
     kinks, c5_grid = grid[::2], alphas[::2]
-    gaps = list(zip(_uniformity_gaps(t_family, kinks, t_classes[::2], scale),
-                    _uniformity_gaps(md_family, kinks, md_classes[::2], scale)))
+    gaps = list(zip(_uniformity_gaps(t_family, kinks, t_classes[::2]),
+                    _uniformity_gaps(md_family, kinks, md_classes[::2])))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
@@ -524,8 +519,8 @@ def verify_all_claims(
         def gap_line(k: int, r: int, theta: str) -> tuple[int, int]:
             """(P, Q) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha = x / scale
             whose threshold classes are k and r: both powers are linear in alpha there."""
-            _, tm, tb = lattice_t[theta]
-            _, mm, mb = lattice_md[theta]
+            _, tm, tb = t_family.lattice(theta)
+            _, mm, mb = md_family.lattice(theta)
             m_k, m_r = t_mass[k], md_mass[r]
             slope_t, slope_md = tm[k] * m_r, mm[r] * m_k
             offset = (tb[k] - mb[r]) * m_k * m_r - t_before[k] * slope_t + md_before[r] * slope_md
@@ -536,7 +531,7 @@ def verify_all_claims(
         for x, k, r in zip(grid, t_classes, md_classes):
             if (k, r) != classes:
                 classes = (k, r)
-                lines = [(*gap_line(k, r, theta), lattice_t[theta][0]) for theta in thetas]
+                lines = [(*gap_line(k, r, theta), t_family.lattice(theta)[0]) for theta in thetas]
             for offset, slope, d_theta in lines:
                 gap = offset + x * slope if slope else offset
                 items.append((-abs(gap), d_theta * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
@@ -560,7 +555,7 @@ def verify_all_claims(
         def projection_witness(i: int) -> str:
             return f"alpha={alphas[i]}: {_projection_witness(t_family, md_family, alphas[i])}"
 
-        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, scale, grid, t_classes, md_classes))
+        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, grid, t_classes, md_classes))
         reports.append(_claim("C8", alphas, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.

@@ -37,7 +37,7 @@ def resolve_model(spec: str) -> tuple[DiscreteModel, str]:
             raise ModelError(f"binomial spec needs an integer n, got {parts[0]!r}") from None
         return binomial_model(n, parts[1:]), spec
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise ModelError(f"model {spec!r} is neither builtin nor an existing file")
     return load_model(path), spec
 

@@ -30,7 +30,6 @@ the lattice for callers that want rationals.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -38,12 +37,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from pathlib import Path
 from typing import Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic
-from .rational import decimal_string, format_rational
 
 T_BASED = "t-based"
 MD = "md"
@@ -194,14 +191,16 @@ class PValueFamily:
         k = self._class(point)
         return self.starts[k] + self.mass[k] / 2
 
-    def threshold(self, alpha: Fraction) -> tuple[int, Fraction]:
+    def threshold(self, alpha: object) -> tuple[int, Fraction]:
         """Threshold class k(alpha) and gamma(alpha): the last class starting at or below alpha.
 
         An integer start s (over D) lies at or below alpha exactly when
         s <= floor(alpha * D), so k is one bisect of the integer starts.
         gamma equals 0 or 1 exactly at boundary alphas; the exact size
         identity E_0[phi_alpha] = alpha holds by construction and is asserted.
+        alpha must be exact and in [0, 1], as for ``power`` and ``test``.
         """
+        alpha = _as_unit(alpha, "alpha")
         den, mass, before = self.lattice(self.model.null)
         num, q = alpha.numerator, alpha.denominator
         k = bisect_right(before, num * den // q, 0, len(mass)) - 1
@@ -211,14 +210,15 @@ class PValueFamily:
         assert (start * h + g * tie) * q == num * den * h, "size identity violated"
         return k, gamma
 
-    def power(self, theta: str, alpha: Fraction) -> Fraction:
+    def power(self, theta: str, alpha: object) -> Fraction:
         """E_theta[phi_alpha]: the theta mass before the threshold class plus gamma times its own."""
         k, gamma = self.threshold(alpha)
         den, mass, before = self.lattice(theta)
         g, h = gamma.numerator, gamma.denominator
         return Fraction(before[k] * h + g * mass[k], den * h)
 
-    def test(self, alpha: Fraction) -> TestFunction:
+    def test(self, alpha: object) -> TestFunction:
+        alpha = _as_unit(alpha, "alpha")
         k, gamma = self.threshold(alpha)
         return TestFunction(self, alpha, k, gamma)
 
@@ -241,7 +241,7 @@ def size_alpha_test(
     model: DiscreteModel, source: Statistic | Ranking, alpha: object
 ) -> TestFunction:
     """Solve k(alpha) and gamma(alpha) by a bisect on the class starts."""
-    return pvalue_family(model, source).test(_as_unit(alpha, "alpha"))
+    return pvalue_family(model, source).test(alpha)
 
 
 def alpha_lattice(scale: int, *families: PValueFamily, midpoints: bool = True) -> tuple[int, ...]:
@@ -288,7 +288,7 @@ def decision_coherence_witness(
     grid = alphas if alphas is not None else alpha_breakpoints(family)
     u_values = [_as_unit(u) for u in us]
     for alpha in grid:
-        test = family.test(_as_unit(alpha, "alpha"))
+        test = family.test(alpha)
         for pt in model.support:
             for u in u_values:
                 if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
@@ -311,43 +311,8 @@ def audit_unbiasedness(
     grid = alphas if alphas is not None else alpha_breakpoints(family)
     violations = []
     for alpha in grid:
-        alpha_f = _as_unit(alpha, "alpha")
         for theta in thetas:
-            value = family.power(theta, alpha_f)
+            value = family.power(theta, alpha)
             if value < alpha:
                 violations.append((theta, alpha, value))
     return violations
-
-
-def write_pvalue_table(
-    path: str | Path,
-    model: DiscreteModel,
-    statistic: Statistic,
-    ranking: Ranking,
-    kind: str = MD,
-) -> None:
-    """CSV p-value table: label, rank, statistic, a, b, natural, mid.
-
-    Rationals are "num/den"; the trailing columns repeat natural/mid as
-    6-place decimals for plotting.
-    """
-    if kind not in (T_BASED, MD):
-        raise TestingError(f"unknown family kind {kind!r}")
-    family = pvalue_family(model, ranking if kind == MD else statistic)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"])
-        for pt in sorted(model.support, key=ranking.rank):
-            writer.writerow(
-                [
-                    pt.label,
-                    ranking.rank(pt),
-                    format_rational(statistic.value(pt)),
-                    format_rational(family.a[pt.index]),
-                    format_rational(family.b[pt.index]),
-                    format_rational(family.natural(pt)),
-                    format_rational(family.mid(pt)),
-                    decimal_string(family.natural(pt)),
-                    decimal_string(family.mid(pt)),
-                ]
-            )

@@ -162,6 +162,12 @@ class TestVerify:
         assert main(["verify", "--model", "no-such-model",
                      "--out", str(tmp_path / "v")]) == 2
 
+    @pytest.mark.parametrize("directory", [False, True], ids=["empty", "directory"])
+    def test_model_that_is_not_a_file_is_named(self, tmp_path, capsys, directory):
+        spec = str(tmp_path) if directory else ""
+        assert main(["verify", "--model", spec, "--out", str(tmp_path / "v")]) == 2
+        assert "is neither builtin nor an existing file" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -237,6 +243,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config must be a JSON object") and "Traceback" not in err
 
+    def test_config_without_model_names_the_field(self, tmp_path, capsys):
+        config = tmp_path / "no_model.json"
+        config.write_text(json.dumps({"hypotheses": 5, "replicates": 2, "seed": 3}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "error: config is missing field 'model'\n"
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
@@ -249,6 +261,30 @@ class TestPValuesCommand:
         rows = read_csv(out)
         assert len(rows) == 32
         assert parse_rational(rows[0]["natural"]) == Fraction(1, 32)
+        assert rows[0]["label"] == "11111"
+        assert rows[0]["a"] == "0/1"
+        assert rows[0]["natural"] == "1/32"
+        assert rows[0]["natural_dec"] == "0.031250"
+        assert rows[7]["natural"] == "1/4"
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"{", None], ids=["not-utf8", "not-json", "directory"])
+@pytest.mark.parametrize("role", ["model", "ranking", "config"])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, role, content):
+    source = tmp_path / "input.json"
+    if content is None:
+        source.mkdir()
+    else:
+        source.write_bytes(content)
+    out = str(tmp_path / "out")
+    argv = {
+        "model": ["verify", "--model", str(source), "--out", out],
+        "ranking": ["verify", "--model", "example1", "--ranking-file", str(source), "--out", out],
+        "config": ["simulate", "--config", str(source), "--out", out],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -201,8 +201,8 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
             grid = alpha_lattice(scale, t_family, md_family)
             alphas = tuple(Fraction(x, scale) for x in grid)
             assert alphas == alpha_breakpoints(t_family, md_family)
-            classes = [_threshold_classes(family, grid, scale) for family in (t_family, md_family)]
-            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, scale, grid, *classes)]
+            classes = [_threshold_classes(family, grid) for family in (t_family, md_family)]
+            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, grid, *classes)]
             pointwise = [
                 pointwise_projection(
                     model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)

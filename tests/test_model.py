@@ -133,6 +133,12 @@ class TestWireFormat:
         assert data["parameters"]["theta0"] == "1/2"
         assert data["pmf"]["theta0"][0] == "1/32"
 
+    def test_non_utf8_file_is_a_model_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ModelError, match="invalid model file"):
+            load_model(path)
+
     def test_missing_field_rejected(self):
         with pytest.raises(ModelError):
             model_from_dict({"support": ["a"], "pmf": {}})

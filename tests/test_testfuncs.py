@@ -1,6 +1,5 @@
 """Size-alpha tests, decisions, p-value families, and their exact identities."""
 
-import csv
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from mdpvalues import (
-    MD,
     TestingError,
     alpha_breakpoints,
     audit_unbiasedness,
@@ -16,7 +14,6 @@ from mdpvalues import (
     make_statistic,
     pvalue_family,
     size_alpha_test,
-    write_pvalue_table,
 )
 
 from conftest import brute_expectation
@@ -79,6 +76,15 @@ class TestSizeAlphaTest:
     def test_alpha_out_of_range(self, example1, count_stat):
         with pytest.raises(TestingError):
             size_alpha_test(example1, count_stat, Fraction(3, 2))
+
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 2), 0.1], ids=["above-one", "negative", "float"])
+    def test_family_entry_points_refuse_bad_alpha(self, example1, lr, alpha):
+        # unchecked, 3/2 gave a power above 1 and -1/2 wrapped to the last class
+        family = pvalue_family(example1, lr)
+        for call in (lambda: family.threshold(alpha), lambda: family.power("theta1", alpha),
+                     lambda: family.test(alpha)):
+            with pytest.raises(TestingError):
+                call()
 
     def test_float_alpha_refused(self, example1, lr):
         # 0.1 as a binary float is 3602879701896397/36028797018963968, not 1/10
@@ -228,16 +234,3 @@ class TestUnbiasednessAudit:
         assert violations
         theta, alpha, value = violations[0]
         assert theta == "theta1" and value < alpha
-
-
-def test_write_pvalue_table(tmp_path, example1, lr, table1_ranking):
-    path = tmp_path / "pvalues.csv"
-    write_pvalue_table(path, example1, lr, table1_ranking, MD)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 32
-    assert rows[0]["label"] == "11111"
-    assert rows[0]["a"] == "0/1"
-    assert rows[0]["natural"] == "1/32"
-    assert rows[0]["natural_dec"] == "0.031250"
-    assert rows[7]["natural"] == "1/4"
