@@ -1,5 +1,6 @@
 """Size-alpha tests, decisions, p-value families, and their exact identities."""
 
+import csv
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from mdpvalues import (
     pvalue_family,
     size_alpha_test,
 )
+from mdpvalues.cli import main
 
 from conftest import brute_expectation
 
@@ -234,3 +236,17 @@ class TestUnbiasednessAudit:
         assert violations
         theta, alpha, value = violations[0]
         assert theta == "theta1" and value < alpha
+
+
+def test_write_pvalue_table(tmp_path):
+    # the MD family's per-point table is written by `mdpv pvalues`
+    path = tmp_path / "pvalues.csv"
+    assert main(["pvalues", "--model", "example1", "--family", "md", "--out", str(path)]) == 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 32
+    assert rows[0]["label"] == "11111"
+    assert rows[0]["a"] == "0/1"
+    assert rows[0]["natural"] == "1/32"
+    assert rows[0]["natural_dec"] == "0.031250"
+    assert rows[7]["natural"] == "1/4"
