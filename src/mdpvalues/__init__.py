@@ -35,8 +35,6 @@ from .testing import (
     TestFunction,
     TestingError,
     alpha_breakpoints,
-    audit_unbiasedness,
-    decision_coherence_witness,
     pvalue_family,
     size_alpha_test,
 )
@@ -58,7 +56,6 @@ from .downstream import (
     bh_threshold,
     bonferroni,
     config_from_dict,
-    evalue_calibrate,
     fisher_test,
     geometric_mean_combination,
     randomization_dependence_prob,

@@ -30,7 +30,7 @@ from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, v
 from .ranking import Ranking, RankingError, Statistic, ranking_from_order, build_agreeing_ranking
 from .rational import decimal_string, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
-from .testing import TestingError, alpha_breakpoints, pvalue_family
+from .testing import TestingError, pvalue_family
 
 
 class CliError(ValueError):
@@ -116,11 +116,12 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     else:
         source = statistic
     family = pvalue_family(model, source)
+    kinks = (*family.starts, Fraction(1))
     if args.uniform:
-        steps = [(t, t) for t in alpha_breakpoints(family, midpoints=False)]
+        steps = [(t, t) for t in kinks]
     elif args.u == "rand":
         # Pr{P(X, U) <= t} is the power of the size-t test
-        steps = [(t, family.power(theta, t)) for t in alpha_breakpoints(family, midpoints=False)]
+        steps = [(t, family.power(theta, t)) for t in kinks]
     else:
         u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
         cdf = pvalue_cdf(model, theta, family, u)
@@ -273,6 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact rationals outgrow CPython's 4,300-digit int/str conversion limit (binomial n ~ 6,150
+    # for 5^n); every such conversion here is our own output or a model file the user chose.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

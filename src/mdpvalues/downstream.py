@@ -121,47 +121,13 @@ class GeometricMeanResult(NamedTuple):
         return self.combined <= float(alpha) / math.e
 
 
-def geometric_mean_combination(
-    pvalues: Sequence[float], weights: Sequence[float] | None = None
-) -> GeometricMeanResult:
-    """Weighted geometric mean exp(sum w_i log P_i) of strictly positive p-values."""
+def geometric_mean_combination(pvalues: Sequence[float]) -> GeometricMeanResult:
+    """Geometric mean exp(mean of log P_i) of strictly positive p-values."""
     ps = _check_pvalues(pvalues, positive=True)
     if not ps:
         raise ConfigError("geometric mean needs at least one p-value")
-    if weights is None:
-        ws = [1.0 / len(ps)] * len(ps)
-    else:
-        ws = [float(w) for w in weights]
-        if len(ws) != len(ps):
-            raise ConfigError("weights and p-values must have the same length")
-        if any(w < 0 for w in ws):
-            raise ConfigError("weights must be nonnegative")
-        if not math.isclose(sum(ws), 1.0, rel_tol=0.0, abs_tol=1e-12):
-            raise ConfigError(f"weights sum to {sum(ws)}, not 1")
-    return GeometricMeanResult(math.exp(sum(w * math.log(p) for w, p in zip(ws, ps))))
-
-
-def evalue_calibrate(p: float, method: str, k: float | None = None) -> float:
-    """Calibrate a p-value into an E-value.
-
-    "power-k": E = k * p^(k-1) with k in (0, 1); "inverse-sqrt":
-    E = p^(-1/2) - 1.  p = 0 yields +inf (the calibrators diverge there).
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"p-value {p} lies outside [0, 1]")
-    if method == "power-k":
-        if k is None or not 0.0 < float(k) < 1.0:
-            raise ConfigError("power-k calibration needs k strictly inside (0, 1)")
-        k = float(k)
-        if p == 0.0:
-            return math.inf
-        return k * p ** (k - 1.0)
-    if method == "inverse-sqrt":
-        if p == 0.0:
-            return math.inf
-        return p ** (-0.5) - 1.0
-    raise ConfigError(f"unknown calibration method {method!r}")
+    w = 1.0 / len(ps)
+    return GeometricMeanResult(math.exp(sum(w * math.log(p) for p in ps)))
 
 
 def randomization_dependence_prob(theta: str, test: TestFunction) -> Fraction:

@@ -157,18 +157,9 @@ def _parse_thetas(thetas: Sequence[object]) -> list[Fraction]:
     return values
 
 
-def _param_names(thetas: Sequence[Fraction], names: Sequence[str] | None) -> list[str]:
-    if names is None:
-        return [f"theta{i}" for i in range(len(thetas))]
-    if len(names) != len(thetas) or len(set(names)) != len(names):
-        raise ModelError("parameter names must be unique and match the number of values")
-    return list(names)
-
-
 def bernoulli_product_model(
     n: int,
     thetas: Sequence[object],
-    names: Sequence[str] | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DiscreteModel:
     """Model of n iid Bernoulli(theta) coordinates; support is all 2^n 0/1 vectors.
@@ -184,15 +175,14 @@ def bernoulli_product_model(
     labels = ["".join(bits) for bits in product("01", repeat=n)]
     ones = [label.count("1") for label in labels]
     pmf = {}
-    for name, theta in zip(_param_names(values, names), values):
-        pmf[name] = [theta**k * (1 - theta) ** (n - k) for k in ones]
+    for i, theta in enumerate(values):
+        pmf[f"theta{i}"] = [theta**k * (1 - theta) ** (n - k) for k in ones]
     return make_model(labels, dict(zip(pmf.keys(), values)), pmf)
 
 
 def binomial_model(
     n: int,
     thetas: Sequence[object],
-    names: Sequence[str] | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DiscreteModel:
     """Binomial(n, theta) count model on labels "0".."n"."""
@@ -204,9 +194,9 @@ def binomial_model(
     labels = [str(k) for k in range(n + 1)]
     binomials = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))  # comb(n, k)
     pmf = {}
-    for name, theta in zip(_param_names(values, names), values):
+    for i, theta in enumerate(values):
         p, q = theta.numerator, theta.denominator
-        pmf[name] = [Fraction(c * p**k * (q - p) ** (n - k), q**n) for k, c in enumerate(binomials)]
+        pmf[f"theta{i}"] = [Fraction(c * p**k * (q - p) ** (n - k), q**n) for k, c in enumerate(binomials)]
     return make_model(labels, dict(zip(pmf.keys(), values)), pmf)
 
 

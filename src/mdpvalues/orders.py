@@ -226,14 +226,15 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], grid: Sequence[
 def check_usual_order(cdf_a: StepCDF, cdf_b: StepCDF | None = None) -> OrderReport:
     """Verify F_A(t) <= F_B(t) at every jump of either CDF (plus t = 1).
 
-    With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t.
+    With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t,
+    and a failure's witness names the bound t, as C2's and C4's do.
     """
     cdfs = (cdf_a,) if cdf_b is None else (cdf_a, cdf_b)
     t_den, jumps = common_denominator(t for cdf in cdfs for t in cdf.jumps)
     v_den, cum = common_denominator(c for cdf in cdfs for c in cdf.cum)
     n = len(cdf_a.jumps)
     side_b = (None, None) if cdf_b is None else (jumps[n:], (0, *cum[n:]))
-    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, ("A", "B"))
+    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, ("A", "t" if cdf_b is None else "B"))
     return _usual_order("usual-order", t_den, [pair])
 
 
@@ -473,11 +474,7 @@ def verify_all_claims(
     # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
     t_classes, md_classes = _threshold_classes(t_family, grid), _threshold_classes(md_family, grid)
 
-    sufficiency_grid = list(dict.fromkeys([null, *thetas]))
-    if len(sufficiency_grid) >= 2:
-        sufficient, suff_witness = _sufficiency(t_family, sufficiency_grid)
-    else:
-        sufficient, suff_witness = True, None
+    sufficient, suff_witness = _sufficiency(t_family, list(dict.fromkeys([null, *thetas])))
 
     def no_thetas(claim: str) -> OrderReport:
         return OrderReport(claim, "skipped", (), None, None, "empty theta grid")

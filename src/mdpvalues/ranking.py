@@ -41,16 +41,13 @@ class Statistic:
 def make_statistic(
     model: DiscreteModel,
     name: str,
-    values: Mapping[str, object] | Sequence[object] | Callable[[SupportPoint], object],
+    values: Sequence[object] | Callable[[SupportPoint], object],
 ) -> Statistic:
-    """Build a statistic from a label map, an aligned sequence, or a callable."""
+    """Build a statistic from a sequence aligned with the support, or a callable on points."""
     if callable(values):
         raw = [values(pt) for pt in model.support]
-    elif isinstance(values, Mapping):
-        missing = [pt.label for pt in model.support if pt.label not in values]
-        if missing:
-            raise RankingError(f"statistic {name!r} is not total: missing {missing[:3]}")
-        raw = [values[pt.label] for pt in model.support]
+    elif isinstance(values, Mapping):  # its keys would be read as the values
+        raise RankingError(f"statistic {name!r}: pass values in support order, not a label map")
     else:
         raw = list(values)
         if len(raw) != model.size:
@@ -137,9 +134,7 @@ def build_agreeing_ranking(
     return Ranking(statistic.name, tuple(ranks), tie_break)
 
 
-def ranking_from_order(
-    model: DiscreteModel, labels_in_rank_order: Sequence[str], agrees_with: str = "explicit"
-) -> Ranking:
+def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]) -> Ranking:
     """Ranking given directly as labels listed from rank 1 to rank N."""
     if len(labels_in_rank_order) != model.size:
         raise RankingError(
@@ -150,7 +145,7 @@ def ranking_from_order(
         ranks[model.point(label).index] = pos
     if sorted(ranks) != list(range(1, model.size + 1)):
         raise RankingError("rank order must mention every support label exactly once")
-    return Ranking(agrees_with, tuple(ranks), "explicit")
+    return Ranking("explicit", tuple(ranks), "explicit")
 
 
 def verify_agreement(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 _MAX_ITER = 1000
+_REL_TOL = 1e-10  # bisection stops once the bracket is this small relative to max(hi, 1)
 
 
 def chi2_survival(x: float, df: int) -> float:
@@ -37,7 +38,7 @@ def chi2_survival(x: float, df: int) -> float:
     return min(1.0, math.fsum(math.exp(k * log_half - half - math.lgamma(k + 1)) for k in range(df // 2)))
 
 
-def chi2_upper_quantile(alpha: float, df: int, rel_tol: float = 1e-10) -> float:
+def chi2_upper_quantile(alpha: float, df: int) -> float:
     """x with Pr{chi2_df >= x} = alpha, by bisection on the survival function."""
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
@@ -52,7 +53,7 @@ def chi2_upper_quantile(alpha: float, df: int, rel_tol: float = 1e-10) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(hi, 1.0):
+        if hi - lo <= _REL_TOL * max(hi, 1.0):
             break
     else:
         raise ArithmeticError(f"chi-squared quantile bisection did not converge in {_MAX_ITER} steps")

@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic
@@ -244,8 +243,8 @@ def size_alpha_test(
     return pvalue_family(model, source).test(alpha)
 
 
-def alpha_lattice(scale: int, *families: PValueFamily, midpoints: bool = True) -> tuple[int, ...]:
-    """The canonical alpha grid as sorted int numerators over ``scale``.
+def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
+    """The canonical alpha grid as sorted int numerators over ``scale``: class starts, 0, 1 and the midpoints.
 
     ``scale`` must be a multiple of 2 * D_null for every family, so each
     class start and each midpoint between neighbours is an integer on it.
@@ -256,63 +255,17 @@ def alpha_lattice(scale: int, *families: PValueFamily, midpoints: bool = True) -
         c = scale // den
         points.update(b * c for b in before)
     grid = sorted(points)
-    if midpoints:
-        grid = sorted(points.union((x + y) // 2 for x, y in zip(grid, grid[1:])))
-    return tuple(grid)
+    return tuple(sorted(points.union((x + y) // 2 for x, y in zip(grid, grid[1:]))))
 
 
-def alpha_breakpoints(*families: PValueFamily, midpoints: bool = True) -> tuple[Fraction, ...]:
-    """Canonical alpha grid: attained null tails of every family plus 0 and 1.
+def alpha_breakpoints(*families: PValueFamily) -> tuple[Fraction, ...]:
+    """Canonical alpha grid: attained null tails of every family plus 0 and 1, and the midpoints.
 
     The attained tails a and a + b are the class starts and 1, since each
     class ends where the next one starts.  Every asserted quantity is
     piecewise linear in alpha with kinks at these values, so checking the
-    grid (optionally with the midpoints between consecutive entries)
-    discharges a "for all alpha" claim exactly.
+    grid with the midpoints between consecutive entries discharges a
+    "for all alpha" claim exactly.
     """
     scale = lcm(2, *(2 * family.lattice(family.model.null)[0] for family in families))
-    return tuple(Fraction(x, scale) for x in alpha_lattice(scale, *families, midpoints=midpoints))
-
-
-_DEFAULT_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-
-
-def decision_coherence_witness(
-    model: DiscreteModel,
-    source: Statistic | Ranking,
-    us: Sequence[object] = _DEFAULT_US,
-    alphas: Sequence[Fraction] | None = None,
-) -> tuple[str, Fraction, Fraction] | None:
-    """First (label, alpha, u) where I(P(x,u) <= alpha) != decide(x,u), else None."""
-    family = pvalue_family(model, source)
-    grid = alphas if alphas is not None else alpha_breakpoints(family)
-    u_values = [_as_unit(u) for u in us]
-    for alpha in grid:
-        test = family.test(alpha)
-        for pt in model.support:
-            for u in u_values:
-                if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
-                    return pt.label, alpha, u
-    return None
-
-
-def audit_unbiasedness(
-    model: DiscreteModel,
-    source: Statistic | Ranking,
-    thetas: Sequence[str],
-    alphas: Sequence[Fraction] | None = None,
-) -> list[tuple[str, Fraction, Fraction]]:
-    """Report (theta, alpha, E_theta[phi_alpha]) wherever the power dips below alpha.
-
-    Unbiasedness is an assumption of the ordering theory, not a construction
-    guarantee; arbitrary user models may violate it.
-    """
-    family = pvalue_family(model, source)
-    grid = alphas if alphas is not None else alpha_breakpoints(family)
-    violations = []
-    for alpha in grid:
-        for theta in thetas:
-            value = family.power(theta, alpha)
-            if value < alpha:
-                violations.append((theta, alpha, value))
-    return violations
+    return tuple(Fraction(x, scale) for x in alpha_lattice(scale, *families))

@@ -1,4 +1,4 @@
-"""Shared fixtures, the brute-force expectation oracle, random model factory."""
+"""Shared fixtures, the brute-force expectation oracle, the decision-coherence check, random model factory."""
 
 from __future__ import annotations
 
@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from mdpvalues import (
+    alpha_breakpoints,
     bernoulli_product_model,
     build_agreeing_ranking,
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
+    pvalue_family,
 )
 from mdpvalues.registry import table1_ranking as build_table1_ranking
 
@@ -21,6 +23,25 @@ def brute_expectation(model, theta, fn):
     """Straight-line enumeration oracle: sum_x p_theta(x) * fn(x), exact."""
     row = model.probs(theta)
     return sum((row[pt.index] * fn(pt) for pt in model.support), Fraction(0))
+
+
+COHERENCE_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+def decision_coherence_witness(model, source):
+    """First (label, alpha, u) where I(P(x,u) <= alpha) != decide(x,u), else None.
+
+    Cross-checks ``PValueFamily.evaluate`` against ``TestFunction.decide``
+    at every breakpoint alpha and at u in ``COHERENCE_US``.
+    """
+    family = pvalue_family(model, source)
+    for alpha in alpha_breakpoints(family):
+        test = family.test(alpha)
+        for pt in model.support:
+            for u in COHERENCE_US:
+                if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
+                    return pt.label, alpha, u
+    return None
 
 
 def random_model_and_statistic(rng: random.Random, max_support: int = 64):

@@ -196,6 +196,26 @@ class TestVerify:
         assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 2
         assert "not a rational: None" in capsys.readouterr().err
 
+    def test_rationals_past_the_int_digit_limit(self, tmp_path):
+        # 10^4400 has 4,401 digits, past CPython's default 4,300-digit int/str conversion limit
+        tiny = "1/1" + "0" * 4400
+        spec = {"parameters": {"t0": "1/2", "t1": tiny}, "support": ["x", "y"],
+                "pmf": {"t0": ["1/2", "1/2"], "t1": [tiny, "9" * 4400 + "/1" + "0" * 4400]}}
+        model_path = tmp_path / "tiny.json"
+        model_path.write_text(json.dumps(spec))
+        limit = getattr(sys, "get_int_max_str_digits", None)  # absent before CPython 3.10.7
+        before = limit() if limit else None
+        if limit:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)  # as in a fresh interpreter
+        try:
+            assert main(["pvalues", "--model", str(model_path), "--out", str(tmp_path / "pv.csv")]) == 0
+            assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 0
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(before)
+        rows = {row["label"]: row for row in read_csv(tmp_path / "pv.csv")}
+        assert rows["x"]["statistic"] == "1/5" + "0" * 4399  # p_t1(x) / p_t0(x) = 2 / 10^4400
+
 
 class TestSimulateCommand:
     def test_bundled_null_config_controls_fdr(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Multiple-testing procedures, calibrators, and the simulation harness."""
+"""Multiple-testing procedures, combinations, and the simulation harness."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,6 @@ from mdpvalues import (
     bonferroni,
     build_agreeing_ranking,
     config_from_dict,
-    evalue_calibrate,
     fisher_test,
     geometric_mean_combination,
     randomization_dependence_prob,
@@ -141,28 +140,6 @@ class TestGeometricMean:
     def test_decision_divides_alpha_by_e(self):
         result = geometric_mean_combination([0.01])
         assert result.rejects_at(0.05) == (result.combined <= 0.05 / math.e)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            geometric_mean_combination([0.1, 0.2], weights=[0.5, 0.6])
-
-
-class TestEValueCalibration:
-    def test_inverse_sqrt_at_one_is_zero(self):
-        assert evalue_calibrate(1.0, "inverse-sqrt") == 0.0
-
-    def test_power_k_half_at_quarter_is_one(self):
-        assert evalue_calibrate(0.25, "power-k", 0.5) == pytest.approx(1.0, rel=1e-12)
-
-    def test_power_k_at_one_is_k(self):
-        assert evalue_calibrate(1.0, "power-k", 0.3) == pytest.approx(0.3, rel=1e-12)
-
-    def test_zero_pvalue_diverges(self):
-        assert math.isinf(evalue_calibrate(0.0, "inverse-sqrt"))
-
-    def test_k_domain(self):
-        with pytest.raises(ConfigError):
-            evalue_calibrate(0.5, "power-k", 1.0)
 
 
 class TestRandomizationDependence:

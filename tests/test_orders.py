@@ -151,6 +151,13 @@ class TestUsualOrder:
         t = Fraction(2, 32)
         assert nat_md.evaluate(t) > nat_t.evaluate(t)
 
+    def test_diagonal_violation_names_the_bound_t(self):
+        # F(1/4) = 1/2 > 1/4; t over 4 and F over 2 put the two sides on different scales
+        report = check_usual_order(StepCDF((Fraction(1, 4), Fraction(1)), (HALF, Fraction(1))))
+        assert report.verdict == "fail"
+        assert report.worst_margin == Fraction(-1, 4)
+        assert report.witness == "F_A(1/4) = 1/2 vs t bound 1/4"
+
     def test_violation_reports_witness(self, example1, t_family, md_family):
         nat_t = pvalue_cdf(example1, "theta1", t_family, 1)
         nat_md = pvalue_cdf(example1, "theta1", md_family, 1)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from mdpvalues import (
     alpha_breakpoints,
     build_agreeing_ranking,
-    decision_coherence_witness,
     make_model,
     make_statistic,
     pvalue_family,
@@ -17,7 +16,7 @@ from mdpvalues import (
 )
 
 from claims_oracle import randomized_cdf_at
-from conftest import brute_expectation, random_model_and_statistic
+from conftest import brute_expectation, decision_coherence_witness, random_model_and_statistic
 
 
 @st.composite

@@ -81,6 +81,11 @@ class TestBuildAgreeingRanking:
         assert lex.ranks == shuffled.ranks == (1, 3, 2)
 
 
+def test_label_map_statistic_is_refused(example1):
+    with pytest.raises(RankingError, match="not a label map"):
+        make_statistic(example1, "s", {pt.label: 1 for pt in example1.support})
+
+
 class TestVerifyAgreement:
     def test_table1_ranking_agrees(self, example1, lr, table1_ranking):
         assert verify_agreement(example1, lr, table1_ranking) == (True, None)

@@ -10,15 +10,13 @@ import pytest
 from mdpvalues import (
     TestingError,
     alpha_breakpoints,
-    audit_unbiasedness,
-    decision_coherence_witness,
     make_statistic,
     pvalue_family,
     size_alpha_test,
 )
 from mdpvalues.cli import main
 
-from conftest import brute_expectation
+from conftest import brute_expectation, decision_coherence_witness
 
 ALPHA = Fraction(1, 10)
 
@@ -221,21 +219,6 @@ class TestDrawRandomized:
         value, u = self.draw(family, pt, random.Random(5))
         assert value == family.a[pt.index] + u * family.b[pt.index]
         assert 0 <= u <= 1
-
-
-class TestUnbiasednessAudit:
-    def test_no_violations_toward_larger_theta(self, example1, count_stat):
-        assert audit_unbiasedness(example1, count_stat, ["theta1"]) == []
-
-    def test_violations_reported_for_smaller_theta(self, count_stat):
-        from mdpvalues import bernoulli_product_model
-
-        model = bernoulli_product_model(5, ["1/2", "3/10"])
-        stat = make_statistic(model, "successes", lambda pt: Fraction(pt.label.count("1")))
-        violations = audit_unbiasedness(model, stat, ["theta1"])
-        assert violations
-        theta, alpha, value = violations[0]
-        assert theta == "theta1" and value < alpha
 
 
 def test_write_pvalue_table(tmp_path):
