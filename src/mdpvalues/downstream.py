@@ -10,8 +10,13 @@ spawn_key=(r,)))), and within a replicate hypothesis i consumes component i
 of each vectorized draw (data first, then auxiliary u, then the regenerated
 u used for the dependence rate).  Identical configs therefore reproduce
 bit-identical reports, and runs sharing a master seed see identical data.
-numpy is imported inside the harness only, so the exact layers and the
-CLI commands other than ``simulate`` never load it.
+Replicates run in blocks of max(1, BLOCK_ELEMENTS // M) rows, so a block
+array holds about BLOCK_ELEMENTS floats whatever the run's size: replicate
+r fills its row from its own substream, and the p-values, the procedure
+and the reductions run once per block, with each row's values those of a
+replicate-at-a-time loop.  numpy is imported inside ``simulate``,
+``bh_threshold`` and ``bonferroni`` only, so the exact layers and the
+other CLI commands never load it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ if TYPE_CHECKING:
 
 PROCEDURES = ("bh", "bonferroni", "fisher", "geometric-mean")
 U_POLICIES = ("natural", "mid", "randomized")
+# Floats per (replicates x hypotheses) array in one block of simulate.
+BLOCK_ELEMENTS = 4096
 RNG_IDENTITY = (
     "numpy Philox4x64 via SeedSequence(master_seed, spawn_key=(replicate,)); "
     "hypothesis i uses component i of each vectorized replicate draw"
@@ -44,14 +51,42 @@ class ConfigError(ValueError):
     """Invalid procedure input or simulation configuration."""
 
 
-def _check_pvalues(pvalues: Sequence[float], positive: bool = False) -> list[float]:
+def _check_pvalues(pvalues: Sequence[float]) -> list[float]:
     out = [float(p) for p in pvalues]
     for p in out:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p-value {p} lies outside [0, 1]")
-        if positive and p == 0.0:
-            raise ConfigError("p-values must be strictly positive here")
     return out
+
+
+def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarray | float, np.ndarray]:
+    """The procedure on each row of ``ps``: thresholds and a rejection mask.
+
+    BH keeps the last i with s_(i) * M <= alpha * i in the sorted row, and
+    its threshold is that s_(i), or 0 with nothing rejected.  Fisher and the
+    geometric mean give one global verdict per row, as a one-column mask,
+    by the rules of ``fisher_test`` and ``geometric_mean_combination``.
+    """
+    import numpy as np
+
+    m = ps.shape[1]
+    if procedure == "bh":
+        s = np.sort(ps, axis=1)
+        ok = s * m <= alpha * np.arange(1, m + 1)
+        rows = np.arange(len(ps))
+        last = m - 1 - np.argmax(ok[:, ::-1], axis=1)
+        feasible = ok[rows, last]
+        cut = np.where(feasible, s[rows, last], 0.0)
+        return cut, (ps <= cut[:, None]) & feasible[:, None]
+    if procedure == "bonferroni":
+        return alpha / m, ps <= alpha / m
+    # Fisher and the geometric mean sum math.log over each row in Python,
+    # whose float sum fixes the last bits (3.12 compensates it).
+    if procedure == "fisher":
+        verdicts = [_fisher(row, alpha).reject for row in ps.tolist()]
+        return _fisher_critical(alpha, 2 * m), np.array(verdicts)[:, None]
+    verdicts = [_geometric_mean(row).rejects_at(alpha) for row in ps.tolist()]
+    return alpha / math.e, np.array(verdicts)[:, None]
 
 
 def bh_threshold(pvalues: Sequence[float], alpha: float) -> tuple[float, tuple[int, ...]]:
@@ -60,32 +95,27 @@ def bh_threshold(pvalues: Sequence[float], alpha: float) -> tuple[float, tuple[i
     The threshold is the largest attained p-value s whose estimated false
     discovery proportion s*M / #{P_i <= s} stays at or below alpha (0 when
     no candidate qualifies, the convention for an empty feasible set);
-    every P_i <= threshold is rejected.  The scan below over sorted
-    p-values is the classical step-up rule, which attains that supremum.
+    every P_i <= threshold is rejected.  The step-up scan over sorted
+    p-values in ``_decide_rows`` attains that supremum.
     """
+    import numpy as np
+
     ps = _check_pvalues(pvalues)
-    alpha = float(alpha)
-    m = len(ps)
-    if m == 0:
+    if not ps:
         return 0.0, ()
-    threshold = 0.0
-    feasible = False
-    for i, p in enumerate(sorted(ps), start=1):
-        if p * m <= alpha * i:
-            threshold = p
-            feasible = True
-    if not feasible:
-        return 0.0, ()
-    return threshold, tuple(i for i, p in enumerate(ps) if p <= threshold)
+    cut, rejected = _decide_rows(np.array([ps]), float(alpha), "bh")
+    return float(cut[0]), tuple(np.flatnonzero(rejected[0]).tolist())
 
 
 def bonferroni(pvalues: Sequence[float], alpha: float) -> tuple[int, ...]:
     """Reject every P_i <= alpha / M."""
+    import numpy as np
+
     ps = _check_pvalues(pvalues)
     if not ps:
         return ()
-    cut = float(alpha) / len(ps)
-    return tuple(i for i, p in enumerate(ps) if p <= cut)
+    _, rejected = _decide_rows(np.array([ps]), float(alpha), "bonferroni")
+    return tuple(np.flatnonzero(rejected[0]).tolist())
 
 
 @functools.lru_cache
@@ -106,10 +136,15 @@ def fisher_test(pvalues: Sequence[float], alpha: float) -> FisherResult:
     ps = _check_pvalues(pvalues)
     if not ps:
         raise ConfigError("fisher_test needs at least one p-value")
-    critical = _fisher_critical(float(alpha), 2 * len(ps))
-    if any(p == 0.0 for p in ps):
+    return _fisher(ps, float(alpha))
+
+
+def _fisher(ps: list[float], alpha: float) -> FisherResult:
+    """``fisher_test`` on checked p-values; simulate's rows need no check."""
+    critical = _fisher_critical(alpha, 2 * len(ps))
+    if 0.0 in ps:
         return FisherResult(math.inf, critical, True, "zero p-value: statistic diverges")
-    statistic = -2.0 * sum(math.log(p) for p in ps)
+    statistic = -2.0 * sum(map(math.log, ps))
     return FisherResult(statistic, critical, statistic >= critical, None)
 
 
@@ -123,9 +158,16 @@ class GeometricMeanResult(NamedTuple):
 
 def geometric_mean_combination(pvalues: Sequence[float]) -> GeometricMeanResult:
     """Geometric mean exp(mean of log P_i) of strictly positive p-values."""
-    ps = _check_pvalues(pvalues, positive=True)
+    ps = _check_pvalues(pvalues)
     if not ps:
         raise ConfigError("geometric mean needs at least one p-value")
+    return _geometric_mean(ps)
+
+
+def _geometric_mean(ps: list[float]) -> GeometricMeanResult:
+    """``geometric_mean_combination`` on checked p-values; simulate's rows need no check."""
+    if 0.0 in ps:
+        raise ConfigError("p-values must be strictly positive here")
     w = 1.0 / len(ps)
     return GeometricMeanResult(math.exp(sum(w * math.log(p) for p in ps)))
 
@@ -323,66 +365,39 @@ def simulate(config: SimulationConfig) -> SimulationReport:
 
     m = config.hypotheses
     m0 = config.n_null
-    m1 = m - m0
-    is_null = np.zeros(m, dtype=bool)
-    is_null[:m0] = True
+    # The rejection mask's null and non-null columns.  Fisher and the
+    # geometric mean decide once per replicate, in one column: a rejection
+    # is false only when every hypothesis is null.
+    null_cols, alt_cols = (m0, m - m0) if config.procedure in ("bh", "bonferroni") else (int(m0 == m), int(m0 < m))
     alpha = float(config.alpha)
-    global_procedure = config.procedure in ("fisher", "geometric-mean")
-    critical = _fisher_critical(alpha, 2 * m) if config.procedure == "fisher" else math.nan
-    fixed_u = 1.0 if config.u_policy == "natural" else 0.5
+    randomized = config.u_policy == "randomized"
+    # A replicate's stream gives M data uniforms, M auxiliary u and M
+    # regenerated u, in that order.  The fixed policies read only the data,
+    # so they stop there.
+    draws = 3 if randomized else 1
 
-    def decide(ps: np.ndarray) -> tuple[np.ndarray, float]:
-        if config.procedure == "bh":
-            threshold, rejected = bh_threshold(ps.tolist(), alpha)
-            mask = np.zeros(m, dtype=bool)
-            mask[list(rejected)] = True
-            return mask, threshold
-        if config.procedure == "bonferroni":
-            mask = ps <= alpha / m
-            return mask, alpha / m
-        if config.procedure == "fisher":
-            result = fisher_test(ps.tolist(), alpha)
-            return np.full(m, result.reject), critical
-        combined = geometric_mean_combination(ps.tolist())
-        return np.full(m, combined.rejects_at(alpha)), alpha / math.e
+    fdp, tdp, rejection_counts, thresholds, flips = np.zeros((5, config.replicates))
 
-    fdp = np.zeros(config.replicates)
-    tdp = np.zeros(config.replicates)
-    rejection_counts = np.zeros(config.replicates)
-    thresholds = np.zeros(config.replicates)
-    flips = np.zeros(config.replicates)
-
-    for r in range(config.replicates):
-        rng = _replicate_rng(config.seed, r)
-        data_u = rng.random(m)
-        idx = np.empty(m, dtype=np.int64)
-        idx[:m0] = np.searchsorted(cum_null, data_u[:m0], side="right")
-        idx[m0:] = np.searchsorted(cum_alt, data_u[m0:], side="right")
+    rows = max(1, BLOCK_ELEMENTS // m)
+    for start in range(0, config.replicates, rows):
+        block = slice(start, min(start + rows, config.replicates))
+        uniforms = np.empty((block.stop - start, draws, m))
+        for j in range(len(uniforms)):
+            _replicate_rng(config.seed, start + j).random(out=uniforms[j])
+        idx = np.empty((len(uniforms), m), dtype=np.int64)
+        idx[:, :m0] = np.searchsorted(cum_null, uniforms[:, 0, :m0], side="right")
+        idx[:, m0:] = np.searchsorted(cum_alt, uniforms[:, 0, m0:], side="right")
         np.clip(idx, 0, model.size - 1, out=idx)
-        aux_u = rng.random(m)
+        a_block, b_block = a_arr[idx], b_arr[idx]
         # P = a + u * b: the natural and mid policies fix u at 1 and 1/2.
-        u = aux_u if config.u_policy == "randomized" else fixed_u
-        ps = a_arr[idx] + u * b_arr[idx]
-        rejected, threshold = decide(ps)
-
-        if global_procedure:
-            # One global decision per replicate: a rejection is false only
-            # when every hypothesis is null.
-            globally_rejected = bool(rejected[0])
-            fdp[r] = float(globally_rejected) if m1 == 0 else 0.0
-            tdp[r] = float(globally_rejected) if m1 > 0 else 0.0
-            rejection_counts[r] = float(globally_rejected)
-        else:
-            n_rej = int(rejected.sum())
-            fdp[r] = rejected[is_null].sum() / max(n_rej, 1)
-            tdp[r] = rejected[~is_null].sum() / m1 if m1 > 0 else 0.0
-            rejection_counts[r] = n_rej
-        thresholds[r] = threshold
-
-        if config.u_policy == "randomized":
-            flip_u = rng.random(m)
-            rejected2, _ = decide(a_arr[idx] + flip_u * b_arr[idx])
-            flips[r] = float((rejected != rejected2).mean())
+        u = uniforms[:, 1] if randomized else (1.0 if config.u_policy == "natural" else 0.5)
+        thresholds[block], rejected = _decide_rows(a_block + u * b_block, alpha, config.procedure)
+        rejection_counts[block] = n_rej = rejected.sum(axis=1)
+        fdp[block] = rejected[:, :null_cols].sum(axis=1) / np.maximum(n_rej, 1)
+        tdp[block] = rejected[:, null_cols:].sum(axis=1) / alt_cols if alt_cols else 0.0
+        if randomized:
+            _, rejected2 = _decide_rows(a_block + uniforms[:, 2] * b_block, alpha, config.procedure)
+            flips[block] = (rejected != rejected2).mean(axis=1)
 
     fdr, fdr_mcse = _mean_and_mcse(fdp)
     pw, pw_mcse = _mean_and_mcse(tdp)
@@ -395,7 +410,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         power_mcse=pw_mcse,
         mean_rejections=float(rejection_counts.mean()),
         mean_threshold=float(thresholds.mean()),
-        dependence_rate=float(flips.mean()) if config.u_policy == "randomized" else None,
+        dependence_rate=float(flips.mean()) if randomized else None,
         rng=RNG_IDENTITY,
     )
 

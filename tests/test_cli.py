@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +305,14 @@ def test_unreadable_input_file_exits_two(tmp_path, capsys, role, content):
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
+        # Fisher and the geometric mean sum logs row by row in Python
+        combinations = {
+            "fisher": {"model": "example1", "pi0": "1", "family": "md", "u_policy": "randomized"},
+            "geometric-mean": {"model": "binomial:20,1/2,7/10", "pi0": "0", "family": "t", "u_policy": "natural"},
+        }
+        for procedure, config in combinations.items():
+            (tmp_path / f"{procedure}.json").write_text(json.dumps({
+                **config, "procedure": procedure, "hypotheses": 30, "alpha": "1/10", "replicates": 200, "seed": 3}))
         first, second = tmp_path / "a", tmp_path / "b"
         for out in (first, second):
             out.mkdir()
@@ -312,15 +321,32 @@ class TestDeterminism:
                          "--out", str(out / "c.csv")]) == 0
             assert main(["pvalues", "--model", "example1", "--out", str(out / "p.csv")]) == 0
             assert main(["simulate", "--config", "bh_null", "--out", str(out / "sim")]) == 0
+            for procedure in combinations:
+                config = str(tmp_path / f"{procedure}.json")
+                assert main(["simulate", "--config", config, "--out", str(out / procedure)]) == 0
             assert main(["verify", "--model", "example1", "--out", str(out / "v")]) == 0
         for rel in ("t.csv", "t.csv.manifest.json", "c.csv", "p.csv", "sim/report.json",
-                    "sim/summary.csv", "sim/manifest.json", "v/reports.json", "v/reports.txt"):
+                    "sim/summary.csv", "sim/manifest.json", "v/reports.json", "v/reports.txt",
+                    "fisher/report.json", "geometric-mean/report.json"):
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
 class TestImports:
+    # numpy is imported inside simulate, bh_threshold and bonferroni only
+    ENV = {**os.environ, "PYTHONPATH": str(Path(mdpvalues.__file__).resolve().parents[1])}
+
     def test_cli_import_does_not_load_numpy(self):
-        # numpy is imported inside downstream.simulate only
-        env = {**os.environ, "PYTHONPATH": str(Path(mdpvalues.__file__).resolve().parents[1])}
         code = "import mdpvalues.cli, sys; assert 'numpy' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        subprocess.run([sys.executable, "-c", code], env=self.ENV, check=True, timeout=60)
+
+    def test_exact_commands_do_not_load_numpy(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            from mdpvalues.cli import main
+            for argv in (["table1", "--out", "t.csv"], ["cdf", "--model", "example1", "--out", "c.csv"],
+                         ["pvalues", "--model", "example1", "--out", "p.csv"],
+                         ["verify", "--model", "example1", "--out", "v"]):
+                assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules
+        """)
+        subprocess.run([sys.executable, "-c", code], env=self.ENV, cwd=tmp_path, check=True, timeout=120)

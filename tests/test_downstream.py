@@ -1,5 +1,6 @@
 """Multiple-testing procedures, combinations, and the simulation harness."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,10 @@ from mdpvalues import (
     simulate,
     size_alpha_test,
 )
+from mdpvalues.downstream import report_to_json
+from mdpvalues.registry import resolve_model
 from mdpvalues.special import chi2_upper_quantile
+from simulate_oracle import simulate_oracle
 
 
 def bh_candidate_sup_oracle(pvalues, alpha):
@@ -40,6 +44,7 @@ class TestBenjaminiHochberg:
     def test_single_pvalue_is_level_alpha_test(self):
         assert bh_threshold([0.01], 0.05) == (0.01, (0,))
         assert bh_threshold([0.06], 0.05) == (0.0, ())
+        assert bh_threshold([0.05], 0.05) == (0.05, (0,))  # p * M <= alpha * i holds with equality
 
     def test_all_ones_reject_nothing(self):
         threshold, rejected = bh_threshold([1.0] * 5, 0.05)
@@ -240,3 +245,54 @@ class TestSimulate:
 
     def test_report_records_rng_identity(self):
         assert "Philox" in simulate(_config()).rng
+
+
+def _oracle_config(spec, **fields):
+    model, model_id = resolve_model(spec)
+    return config_from_dict({"alpha": "1/10", "family": "md", "pi0": "3/4", **fields}, model, model_id)
+
+
+def _assert_matches_oracle(config):
+    assert report_to_json(simulate(config)) == report_to_json(simulate_oracle(config)), config.to_dict()
+
+
+class TestSimulateAgainstOracle:
+    """The blocked harness against the replicate-at-a-time loop, byte for byte."""
+
+    @pytest.mark.parametrize("procedure", downstream.PROCEDURES)
+    def test_matrix_is_byte_identical(self, procedure):
+        for spec, u_policy, family, pi0, m, (seed, replicates) in itertools.product(
+            ("example1", "binomial:12,1/2,3/5"), downstream.U_POLICIES, ("t", "md"),
+            ("0", "3/4", "1"), (1, 7, 50), ((3, 50), (11, 23)),
+        ):
+            _assert_matches_oracle(_oracle_config(
+                spec, procedure=procedure, u_policy=u_policy, family=family, pi0=pi0,
+                hypotheses=m, seed=seed, replicates=replicates))
+
+    @pytest.mark.parametrize("procedure", downstream.PROCEDURES)
+    def test_more_hypotheses_than_a_block_holds(self, procedure):
+        assert 5000 > downstream.BLOCK_ELEMENTS  # one replicate per block
+        _assert_matches_oracle(_oracle_config(
+            "example1", procedure=procedure, u_policy="randomized", hypotheses=5000, replicates=3, seed=8))
+
+    def test_ragged_last_block(self):
+        rows = downstream.BLOCK_ELEMENTS // 200
+        assert 30 > rows and 30 % rows  # a full block, then a shorter one
+        for procedure in downstream.PROCEDURES:
+            _assert_matches_oracle(_oracle_config(
+                "example1", procedure=procedure, u_policy="randomized", hypotheses=200, replicates=30, seed=2))
+
+    def test_block_size_changes_no_report(self, monkeypatch):
+        monkeypatch.setattr(downstream, "BLOCK_ELEMENTS", 63)  # 9 rows of 7: blocks of 9, 9 and 5
+        for procedure, u_policy in itertools.product(downstream.PROCEDURES, downstream.U_POLICIES):
+            _assert_matches_oracle(_oracle_config(
+                "binomial:12,1/2,3/5", procedure=procedure, u_policy=u_policy, hypotheses=7,
+                replicates=23, seed=21))
+
+    def test_single_replicate_has_zero_mcse(self):
+        for procedure in downstream.PROCEDURES:
+            config = _oracle_config(
+                "example1", procedure=procedure, u_policy="randomized", hypotheses=40, replicates=1, seed=4)
+            report = simulate(config)
+            assert report.fdr_mcse == report.power_mcse == 0.0
+            _assert_matches_oracle(config)
