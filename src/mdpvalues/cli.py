@@ -1,9 +1,10 @@
 """Command-line front end: tables, CDF data, claim verification, simulation.
 
-Every run writes a manifest (inputs, package version, seed, grids) next to
-its outputs so seeded commands can be reproduced byte for byte; manifests
-never contain timestamps or absolute paths.  Exit codes: 0 success / all
-claims pass, 1 claim failure, 2 usage or input error.
+Every run writes a manifest (inputs, package version, seed, grids) so seeded
+commands can be reproduced byte for byte: table1, cdf and pvalues to
+``<out>.manifest.json``, verify and simulate to ``<out>/manifest.json``.
+Manifests never contain timestamps or absolute paths.  Exit codes: 0
+success / all claims pass, 1 claim failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -37,22 +38,21 @@ class CliError(ValueError):
     """Usage or input error (exit status 2)."""
 
 
-def _write_manifest(out: Path, payload: dict) -> None:
+def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["tool"] = "mdpv"
     payload["version"] = __version__
-    path = out.with_name(out.name + ".manifest.json") if out.suffix else out / "manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_table(out: Path, header: list[str], rows: list[list], manifest: dict | None = None) -> None:
-    """Write a CSV table; with a manifest, also write it next to the table, naming the table as its output."""
+    """Write a CSV table; with a manifest, also write it to ``<out>.manifest.json``, naming the table as its output."""
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     if manifest is not None:
-        _write_manifest(out, {**manifest, "outputs": [out.name], "seed": None})
+        _write_manifest(out.with_name(out.name + ".manifest.json"), {**manifest, "outputs": [out.name], "seed": None})
 
 
 def _read_json(source: Path | resources.abc.Traversable, what: str) -> tuple[object, str]:
@@ -157,7 +157,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = reports_to_text(reports)
     (out / "reports.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    _write_manifest(out, {
+    _write_manifest(out / "manifest.json", {
         "command": "verify",
         "model": model_id,
         "thetas": thetas,
@@ -197,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     header = ["procedure", "family", "u_policy", "alpha", "fdr", "fdr_mcse", "power", "dep_rate"]
     _write_table(out / "summary.csv", header, [report.summary_row()])
-    _write_manifest(out, {
+    _write_manifest(out / "manifest.json", {
         "command": "simulate",
         "config_sha256": digest,
         "config": report.config,

@@ -59,6 +59,12 @@ def _check_pvalues(pvalues: Sequence[float]) -> list[float]:
     return out
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 < (value := float(alpha)) < 1.0:  # NaN fails too
+        raise ConfigError(f"alpha={alpha!r} must lie strictly in (0, 1)")
+    return value
+
+
 def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarray | float, np.ndarray]:
     """The procedure on each row of ``ps``: thresholds and a rejection mask.
 
@@ -100,10 +106,10 @@ def bh_threshold(pvalues: Sequence[float], alpha: float) -> tuple[float, tuple[i
     """
     import numpy as np
 
-    ps = _check_pvalues(pvalues)
+    ps, alpha = _check_pvalues(pvalues), _check_alpha(alpha)
     if not ps:
         return 0.0, ()
-    cut, rejected = _decide_rows(np.array([ps]), float(alpha), "bh")
+    cut, rejected = _decide_rows(np.array([ps]), alpha, "bh")
     return float(cut[0]), tuple(np.flatnonzero(rejected[0]).tolist())
 
 
@@ -111,10 +117,10 @@ def bonferroni(pvalues: Sequence[float], alpha: float) -> tuple[int, ...]:
     """Reject every P_i <= alpha / M."""
     import numpy as np
 
-    ps = _check_pvalues(pvalues)
+    ps, alpha = _check_pvalues(pvalues), _check_alpha(alpha)
     if not ps:
         return ()
-    _, rejected = _decide_rows(np.array([ps]), float(alpha), "bonferroni")
+    _, rejected = _decide_rows(np.array([ps]), alpha, "bonferroni")
     return tuple(np.flatnonzero(rejected[0]).tolist())
 
 
@@ -133,10 +139,10 @@ class FisherResult(NamedTuple):
 
 def fisher_test(pvalues: Sequence[float], alpha: float) -> FisherResult:
     """Fisher combination: -2 sum log P_i against the chi-squared(2n) upper-alpha point."""
-    ps = _check_pvalues(pvalues)
+    ps, alpha = _check_pvalues(pvalues), _check_alpha(alpha)
     if not ps:
         raise ConfigError("fisher_test needs at least one p-value")
-    return _fisher(ps, float(alpha))
+    return _fisher(ps, alpha)
 
 
 def _fisher(ps: list[float], alpha: float) -> FisherResult:
@@ -153,7 +159,7 @@ class GeometricMeanResult(NamedTuple):
 
     def rejects_at(self, alpha: float) -> bool:
         """Level-alpha rule backed by the e*alpha bound: reject iff P~ <= alpha/e."""
-        return self.combined <= float(alpha) / math.e
+        return self.combined <= _check_alpha(alpha) / math.e
 
 
 def geometric_mean_combination(pvalues: Sequence[float]) -> GeometricMeanResult:

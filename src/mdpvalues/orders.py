@@ -26,13 +26,12 @@ instead of a search per point:
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
-  - the CDF of P(X, u) at a fixed u jumps once per class, at
-    start + u * mass, by the class's mass under theta: the natural CDF of
-    C1-C4 at 2 * (start + mass), the mid-p CDF of C9 at 2 * start + mass,
-    both over 2 * D_null;
-  - C1-C4 are one usual-order check, F_T <= F_MD (<= t): C3 and C4 at the
-    CDFs' jumps plus 1, and C1 and C2 on the alpha grid, since a natural
-    test rejects iff P <= alpha, so E_theta[d_alpha] = F_theta(alpha);
+  - the CDF of P(X, u) at a fixed u = g / h jumps once per class, by its
+    theta mass, at start * h + g * mass over h * D_null (``_jumps``): for
+    C1-C4 (u = 1) and C9 (u = 1/2) alike;
+  - C3 and C4 are one usual-order check, F_T <= F_MD (<= t), at the CDFs'
+    jumps plus 1; C1 and C2 are their reports on the alpha grid, since a
+    natural test rejects iff P <= alpha, so E_theta[d_alpha] = F_theta(alpha);
   - the integrated CDFs of C9 are integer prefixes of cum * width.
 
 Each claim's margins are ints over one positive denominator.  Only the
@@ -58,7 +57,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -99,6 +98,13 @@ class StepCDF:
         return Fraction(0) if i == 0 else self.cum[i - 1]
 
 
+def _jumps(family: PValueFamily, u: Fraction) -> list[int]:
+    """The CDF jumps of P(X, u) at a fixed u = g / h: start * h + g * mass per class, ints over h * D_null."""
+    g, h = u.numerator, u.denominator
+    _den, mass, before = family.lattice(family.model.null)
+    return [s * h + g * m for s, m in zip(before, mass)]
+
+
 def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object) -> StepCDF:
     """Exact distribution of P(X, u) under theta for a fixed u; ``model`` is the family's.
 
@@ -107,9 +113,9 @@ def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object
     """
     if model != family.model:
         raise OrdersError("the p-value family was built on another model")
-    g, h = (uu := _as_unit(u)).numerator, uu.denominator
-    den, mass, starts = family.lattice(model.null)
-    jumps = tuple(Fraction(s * h + g * m, den * h) for s, m in zip(starts, mass))
+    u = _as_unit(u)
+    scale = family.lattice(model.null)[0] * u.denominator
+    jumps = tuple(Fraction(j, scale) for j in _jumps(family, u))
     theta_den, _theta_mass, before = family.lattice(theta)
     return StepCDF(jumps, tuple(Fraction(b, theta_den) for b in before[1:]))
 
@@ -178,7 +184,7 @@ def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int
     return [n * (den // d) if n else 0 for n, d in margins], den
 
 
-def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], grid: Sequence[int] | None = None) -> OrderReport:
+def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
     """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
 
     A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
@@ -186,9 +192,8 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], grid: Sequence[
     after j jumps, as ints over ``v_den``.  ``jumps_b=None`` compares F_A(t)
     with the diagonal t.  Each pair is checked at every jump of either CDF
     plus t = 1, where both sides are constant (resp. increasing) up to the
-    next grid point, so the check is exact for all t; with ``grid``, sorted
-    ints over ``t_den``, every pair is checked there instead.  The report's
-    grid is the union of the pairs' grids.
+    next grid point, so the check is exact for all t.  The report's grid is
+    the union of the pairs' grids.
     """
     den = math.lcm(*(pair[4] for pair in pairs), *(t_den for pair in pairs if pair[2] is None))
     grid_set: set[int] = set()
@@ -196,7 +201,7 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple], grid: Sequence[
     sweeps = []
     for pair in pairs:
         jumps_a, cdf_a, jumps_b, cdf_b, v_den, _labels = pair
-        points = grid if grid is not None else sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
+        points = sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
         grid_set.update(points)
         at_a = _counts(jumps_a, points)
         f = den // v_den
@@ -243,13 +248,6 @@ def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fra
     return family.b[family.model.point(point).index] ** 2 / 12
 
 
-def _log_probe(family: PValueFamily, mid_jumps: Sequence[int], eps: float = 1e-12) -> float:
-    """E0[-2 log P_mid] in floats, summed point by point in support order; jumps are over 2 * D_null."""
-    den, row = family.model.int_row(family.model.null)
-    log_mid = [-2.0 * math.log(max(mid / (2 * den), eps)) for mid in mid_jumps]
-    return sum(p / den * log_mid[k] for p, k in zip(row, family.class_of))
-
-
 def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
     """Convex-order chain of mid-p-values under the null, for the families of an agreeing pair.
 
@@ -260,9 +258,8 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
         int_0^s F_T-mid  <=  int_0^s F_MD-mid  <=  s^2 / 2.
 
     With equal means this is the convex order itself, so it already
-    implies E0[phi(P)] ordered for every convex phi, hinges and squares
-    included; no separate probe margin is needed.  The clipped -2*log
-    probe is an advisory float diagnostic recorded in the note.
+    implies E0[phi(P)] ordered for every convex phi, hinges, squares and
+    -2 log included; no separate probe margin is needed.
 
     Mid-p jumps 2 * start + mass are ints over 2D, the null CDF after each
     jump is an int over D, so integrated CDFs are ints over 2D^2 and every
@@ -273,7 +270,7 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
     sides = []
     for family in (t_family, md_family):
         _, mass, before = family.lattice(family.model.null)
-        jumps = [2 * s + m for s, m in zip(before, mass)]
+        jumps = _jumps(family, Fraction(1, 2))
         cum = before[1:]
         tops = jumps[1:] + [two]
         plateaus = {2 * c for c, left, right in zip(cum, jumps, tops) if left < 2 * c < right}
@@ -301,13 +298,7 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
             return f"integrated CDFs at s={s}: MD {mid} vs uniform {s * s / 2}"
         return f"integrated CDFs at s={s}: T {low} vs MD {mid}"
 
-    log_t, log_md = _log_probe(t_family, jumps_t), _log_probe(md_family, jumps_md)
-    log_ordered = log_t <= log_md + 1e-9 and log_md <= 2.0 + 1e-9
-    note = (
-        f"means ({Fraction(mean_t, 2 * square)}, {Fraction(mean_md, 2 * square)}); "
-        f"log probe E0[-2 log P]: T {log_t:.9f}, MD {log_md:.9f}, uniform 2.0 "
-        f"({'ordered' if log_ordered else 'NOT ordered (advisory only)'})"
-    )
+    note = f"means ({Fraction(mean_t, 2 * square)}, {Fraction(mean_md, 2 * square)})"
     grid = tuple(Fraction(s, two) for s in points)
     return _claim(claim, grid, margins, 8 * square, witness, note)
 
@@ -479,19 +470,19 @@ def verify_all_claims(
     def no_thetas(claim: str) -> OrderReport:
         return OrderReport(claim, "skipped", (), None, None, "empty theta grid")
 
-    # C1-C4: usual stochastic order of natural p-values, whose CDFs jump at class ends.  A natural
-    # test has E_theta[d_alpha] = F_theta(alpha), so C1 and C2 are C3 and C4 read on the alpha grid.
-    ends_t, ends_md = [b * c for b in t_before[1:]], [b * c for b in md_before[1:]]
+    # C3 and C4: usual stochastic order of natural p-values, whose CDFs jump at class ends, over D_null.
+    ends_t, ends_md = _jumps(t_family, Fraction(1)), _jumps(md_family, Fraction(1))
     by_theta = [(ends_t, t_family.lattice(theta)[2], ends_md, md_family.lattice(theta)[2], t_family.lattice(theta)[0],
                  (f"T@{theta}", f"MD@{theta}")) for theta in thetas]
     null_pairs = [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
                   (ends_md, md_before, None, None, den, ("MD", "t"))]
-    reports = [
-        _usual_order("C1", scale, by_theta, grid) if thetas else no_thetas("C1"),
-        _usual_order("C2", scale, null_pairs, grid),
-        _usual_order("C3", scale, by_theta) if thetas else no_thetas("C3"),
-        _usual_order("C4", scale, null_pairs),
-    ]
+    c3 = _usual_order("C3", den, by_theta) if thetas else no_thetas("C3")
+    c4 = _usual_order("C4", den, null_pairs)
+    # C1 and C2: a natural test has E_theta[d_alpha] = F_theta(alpha), so they are C3 and C4 on the alpha
+    # grid: 0 (every margin 0), every jump, and midpoints, where F_MD - F_T keeps its value at the point
+    # before and t - F_MD is larger.  So the worst margin and the first worst witness are C3's and C4's.
+    c1 = replace(c3, claim="C1", grid=alphas) if thetas else no_thetas("C1")
+    reports = [c1, replace(c4, claim="C2", grid=alphas), c3, c4]
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.

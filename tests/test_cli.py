@@ -284,6 +284,26 @@ class TestPValuesCommand:
         assert parse_rational(rows[0]["natural"]) == Fraction(1, 32)
 
 
+class TestManifestPlacement:
+    """The command decides where its manifest goes, whatever the name of --out."""
+
+    @pytest.mark.parametrize("argv", [["table1"], ["cdf", "--model", "example1"], ["pvalues", "--model", "example1"]],
+                             ids=["table1", "cdf", "pvalues"])
+    def test_file_command_without_suffix_writes_beside_the_file(self, tmp_path, argv):
+        out = tmp_path / "table"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "table.manifest.json").read_text())
+        assert out.is_file() and manifest["command"] == argv[0] and manifest["outputs"] == ["table"]
+
+    @pytest.mark.parametrize("argv", [["verify", "--model", "example1"], ["simulate", "--config", "bh_null"]],
+                             ids=["verify", "simulate"])
+    def test_directory_command_with_suffix_writes_inside(self, tmp_path, argv):
+        out = tmp_path / "run.v1"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == argv[0]
+        assert not (tmp_path / "run.v1.manifest.json").exists()
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b"{", None], ids=["not-utf8", "not-json", "directory"])
 @pytest.mark.parametrize("role", ["model", "ranking", "config"])
 def test_unreadable_input_file_exits_two(tmp_path, capsys, role, content):

@@ -147,6 +147,22 @@ class TestGeometricMean:
         assert result.rejects_at(0.05) == (result.combined <= 0.05 / math.e)
 
 
+PROCEDURES_AT_ALPHA = {
+    "bh": lambda alpha: bh_threshold([0.5, 0.9], alpha),
+    "bh-empty": lambda alpha: bh_threshold([], alpha),
+    "bonferroni": lambda alpha: bonferroni([0.5, 0.9], alpha),
+    "fisher": lambda alpha: fisher_test([0.5, 0.9], alpha),
+    "geometric-mean": lambda alpha: geometric_mean_combination([0.5]).rejects_at(alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2.0, -1, math.nan, Fraction(3, 2)], ids=["0", "1", "2", "-1", "nan", "3/2"])
+@pytest.mark.parametrize("procedure", sorted(PROCEDURES_AT_ALPHA))
+def test_procedures_refuse_alpha_outside_the_unit_interval(procedure, alpha):
+    with pytest.raises(ConfigError, match=r"must lie strictly in \(0, 1\)"):
+        PROCEDURES_AT_ALPHA[procedure](alpha)
+
+
 class TestRandomizationDependence:
     def test_reference_ratio_of_five(self, example1, lr):
         ranking = build_agreeing_ranking(example1, lr)

@@ -269,7 +269,11 @@ def test_support_1024_verifies_within_budget():
 
 
 def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, table1_ranking):
-    """C1-C4 in the oracle do not run through the engine's _usual_order, so a bug there shows as a mismatch."""
+    """The oracle's C1-C4 do not run through the engine's _usual_order, so a bug there shows as a mismatch.
+
+    The engine's C1 and C2 are C3 and C4 read on the alpha grid, not separate _usual_order
+    sweeps, so the grid-dropping mutant moves C3 and C4 only.
+    """
     real = orders._usual_order
 
     def drops_last_grid_point(*args):
@@ -280,6 +284,6 @@ def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, 
     thetas = ["theta0", "theta1"]
     engine = {r.claim: r for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
     oracle = {r.claim: r for r in reference_claims(example1, lr, table1_ranking, thetas)}
-    usual = ("C1", "C2", "C3", "C4")
+    usual = ("C3", "C4")
     assert all(engine[claim] != oracle[claim] for claim in usual)
     assert all(engine[claim] == oracle[claim] for claim in engine if claim not in usual)

@@ -11,7 +11,9 @@ package can be compared on the same inputs:
 
 Each case is built and verified REPEAT (3) times from scratch; the
 record keeps every run and the median.  Model build, statistic plus
-ranking, and verification are timed separately.  The package measured is
+ranking, verification and ``orders.reports_to_json`` (what ``mdpv
+verify`` writes as reports.json) are timed separately, and the size of
+that JSON is recorded in bytes.  The package measured is
 whichever ``mdpvalues`` is first on the import path:
 
     PYTHONPATH=src python tools/verify_scaling.py --column change
@@ -41,6 +43,7 @@ from mdpvalues import (
     likelihood_ratio_statistic,
     verify_all_claims,
 )
+from mdpvalues.orders import reports_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_verify.json"
@@ -87,6 +90,9 @@ def run_case(family: str, n: int) -> dict:
     ranked = time.perf_counter()
     reports = verify_all_claims(model, lr, ranking, ["theta0", "theta1"])
     verified = time.perf_counter()
+    # json.dumps escapes every non-ASCII character, so the text has one byte per character.
+    output_bytes = len(reports_to_json(reports))
+    serialized = time.perf_counter()
     verdicts = sorted({r.verdict for r in reports})
     if verdicts != ["pass"]:
         raise SystemExit(f"{family} n={n}: verdicts {verdicts}, expected all pass")
@@ -96,6 +102,8 @@ def run_case(family: str, n: int) -> dict:
         "model_s": built - start,
         "statistic_s": ranked - built,
         "verify_s": verified - ranked,
+        "serialize_s": serialized - verified,
+        "output_bytes": output_bytes,
         "support": model.size,
         "denominator_bits": [null_bits, alt_bits],
     }
@@ -109,13 +117,15 @@ def measure() -> dict:
         cases[name] = {
             "support": runs[0]["support"],
             "denominator_bits": runs[0]["denominator_bits"],
+            "output_bytes": runs[0]["output_bytes"],
             **{
                 f"{key}_median": statistics.median(run[key] for run in runs)
-                for key in ("model_s", "statistic_s", "verify_s")
+                for key in ("model_s", "statistic_s", "verify_s", "serialize_s")
             },
             "verify_s_runs": [run["verify_s"] for run in runs],
         }
-        print(f"{name:<20} N={runs[0]['support']:<6} verify {cases[name]['verify_s_median']:9.3f} s", flush=True)
+        print(f"{name:<20} N={runs[0]['support']:<6} verify {cases[name]['verify_s_median']:9.3f} s"
+              f"  serialize {cases[name]['serialize_s_median']:9.3f} s  {runs[0]['output_bytes']:>11,} B", flush=True)
     return cases
 
 
@@ -129,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record["what"] = (
         "verify_all_claims wall time (seconds, median of repeat) against support size N and "
-        "denominator bit-length; model build and statistic+ranking timed separately"
+        "denominator bit-length; model build, statistic+ranking and reports_to_json timed separately, "
+        "output_bytes the size of that JSON"
     )
     record["repeat"] = REPEAT
     record["targets_s"] = TARGETS
