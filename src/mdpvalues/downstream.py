@@ -363,10 +363,13 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         source = statistic
     family = pvalue_family(model, source)
 
-    a_arr = np.array([float(v) for v in family.a])
-    b_arr = np.array([float(v) for v in family.b])
-    cum_null = np.cumsum([float(p) for p in model.probs(config.null)])
-    cum_alt = np.cumsum([float(p) for p in model.probs(config.alt)])
+    # n / D is the correctly rounded float of the rational n/D, as float(Fraction(n, D)) is.
+    den, mass, before = family.lattice(model.null)
+    a_arr, b_arr = (np.array([column[k] / den for k in family.class_of]) for column in (before, mass))
+    null_den, null_row = model.int_row(config.null)
+    alt_den, alt_row = model.int_row(config.alt)
+    cum_null = np.cumsum([p / null_den for p in null_row])
+    cum_alt = np.cumsum([p / alt_den for p in alt_row])
     cum_null[-1] = cum_alt[-1] = 1.0
 
     m = config.hypotheses

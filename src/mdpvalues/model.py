@@ -1,16 +1,14 @@
 """Finite discrete probability models with exact rational pmfs.
 
 A model is a finite support plus one probability mass function per named
-parameter value.  All probabilities are ``Fraction``s and every validity
-check is an exact rational identity (no tolerances).  The first registered
-parameter is the null hypothesis by convention; its pmf must be strictly
-positive on every support point, which keeps rankings and randomization
-fractions well defined downstream.
-
-Each row is also held on its integer lattice: one common denominator
-D_theta (the lcm of the row's denominators) and the row as integer
-numerators over it.  Validation and every sum the claim engine needs run
-on those integers, so no gcd is paid per addition.
+parameter value, stored once on its integer lattice: a denominator
+D_theta > 0 and one integer numerator per support point, so
+p_theta(x) == numerators[x] / D_theta.  Every validity check is an exact
+integer identity (no tolerances), and the claim engine sums numerators
+with no gcd per addition.  ``Fraction``s appear only at the edges.  The
+first registered parameter is the null hypothesis by convention; its pmf
+must be strictly positive on every support point, which keeps rankings
+and randomization fractions well defined downstream.
 """
 
 from __future__ import annotations
@@ -47,9 +45,8 @@ class SupportPoint:
 class DiscreteModel:
     support: tuple[SupportPoint, ...]
     parameters: dict[str, Fraction]
-    pmf: dict[str, tuple[Fraction, ...]]
+    rows: dict[str, tuple[int, tuple[int, ...]]]
     _by_label: dict[str, int] = field(init=False, repr=False, compare=False)
-    _lattice: dict[str, tuple[int, tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.support:
@@ -65,21 +62,20 @@ class DiscreteModel:
                 raise ModelError(f"duplicate support label {point.label!r}")
             by_label[point.label] = point.index
         object.__setattr__(self, "_by_label", by_label)
-        if set(self.pmf) != set(self.parameters):
+        if set(self.rows) != set(self.parameters):
             raise ModelError("pmf rows and parameters must use the same names")
         n = len(self.support)
-        lattice = {}
-        for name, row in self.pmf.items():
-            if len(row) != n:
-                raise ModelError(f"pmf row for {name!r} has {len(row)} entries, support has {n}")
-            den, numerators = lattice[name] = common_denominator(row)
+        for name, (den, numerators) in self.rows.items():
+            if len(numerators) != n:
+                raise ModelError(f"pmf row for {name!r} has {len(numerators)} entries, support has {n}")
+            if not (isinstance(den, int) and den > 0 and all(isinstance(p, int) for p in numerators)):
+                raise ModelError(f"pmf row for {name!r} needs int numerators over a positive int, got {den!r}")
             if any(p < 0 for p in numerators):
                 raise ModelError(f"negative probability under {name!r}")
             total = sum(numerators)
             if total != den:
                 raise ModelError(f"pmf for {name!r} sums to {Fraction(total, den)}, not 1")
-        object.__setattr__(self, "_lattice", lattice)
-        if any(p == 0 for p in lattice[self.null][1]):
+        if any(p == 0 for p in self.rows[self.null][1]):
             raise ModelError("null pmf must be strictly positive on every support point")
 
     @property
@@ -111,27 +107,27 @@ class DiscreteModel:
         except KeyError:
             raise ModelError(f"unknown support label {ref!r}") from None
 
-    def probs(self, theta: str) -> tuple[Fraction, ...]:
+    def int_row(self, theta: str) -> tuple[int, tuple[int, ...]]:
+        """The stored row: (D_theta, numerators) with p_theta(x) == numerators[x] / D_theta."""
         try:
-            return self.pmf[theta]
+            return self.rows[theta]
         except KeyError:
             raise ModelError(f"unknown parameter {theta!r}") from None
 
-    def int_row(self, theta: str) -> tuple[int, tuple[int, ...]]:
-        """The row on its lattice: (D_theta, numerators) with p_theta(x) == numerators[x] / D_theta."""
-        try:
-            return self._lattice[theta]
-        except KeyError:
-            raise ModelError(f"unknown parameter {theta!r}") from None
+    def probs(self, theta: str) -> tuple[Fraction, ...]:
+        """The row as ``Fraction``s, derived anew from ``int_row`` on each call."""
+        den, numerators = self.int_row(theta)
+        return tuple(Fraction(p, den) for p in numerators)
 
     def prob(self, theta: str, ref: SupportPoint | str | int) -> Fraction:
         """Exact pmf value p_theta(x)."""
-        return self.probs(theta)[self.point(ref).index]
+        den, numerators = self.int_row(theta)
+        return Fraction(numerators[self.point(ref).index], den)
 
     def event_prob(self, theta: str, predicate: Callable[[SupportPoint], bool]) -> Fraction:
         """Exact probability of the event {x : predicate(x)} under theta."""
-        row = self.probs(theta)
-        return sum((row[pt.index] for pt in self.support if predicate(pt)), Fraction(0))
+        den, numerators = self.int_row(theta)
+        return Fraction(sum(numerators[pt.index] for pt in self.support if predicate(pt)), den)
 
 
 def make_model(
@@ -139,22 +135,32 @@ def make_model(
     parameters: Mapping[str, object],
     pmf: Mapping[str, Sequence[object]],
 ) -> DiscreteModel:
-    """Build and validate a model from plain labels and rational-like values."""
+    """Build and validate a model from plain labels and rational-like values, each row over its lcm denominator."""
     support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
     params = {str(name): parse_rational(v) for name, v in parameters.items()}
-    table = {str(name): tuple(parse_rational(p) for p in row) for name, row in pmf.items()}
-    return DiscreteModel(support, params, table)
+    rows = {str(name): common_denominator(parse_rational(p) for p in row) for name, row in pmf.items()}
+    return DiscreteModel(support, params, rows)
 
 
-def _parse_thetas(thetas: Sequence[object]) -> list[Fraction]:
+def _power_model(labels: list[str], thetas: Sequence[object], weights: list[int], ones: Sequence[int]) -> DiscreteModel:
+    """Rows weights[k] * p^k * (q-p)^(n-k) over q^n at a point with k = ones[x], one per theta = p/q.
+
+    weights[0] == 1 and (q-p)^n is prime to q, so q^n is the lcm of the
+    reduced denominators, the D_theta ``make_model`` derives from them.
+    """
     try:
         values = [parse_rational(t) for t in thetas]
     except ValueError as exc:
         raise ModelError(f"invalid parameter: {exc}") from None
-    for theta in values:
+    n, rows = len(weights) - 1, {}
+    for i, theta in enumerate(values):
         if not 0 < theta < 1:
             raise ModelError(f"invalid parameter {theta}: must lie strictly between 0 and 1")
-    return values
+        p, q = theta.numerator, theta.denominator
+        terms = [w * p**k * (q - p) ** (n - k) for k, w in enumerate(weights)]
+        rows[f"theta{i}"] = (q**n, tuple(map(terms.__getitem__, ones)))
+    support = tuple(SupportPoint(i, label) for i, label in enumerate(labels))
+    return DiscreteModel(support, dict(zip(rows, values)), rows)
 
 
 def bernoulli_product_model(
@@ -171,13 +177,8 @@ def bernoulli_product_model(
         raise ModelError("n must be a positive integer")
     if 2**n > cap:
         raise CapacityError(f"2^{n} support points exceed the enumeration cap {cap}")
-    values = _parse_thetas(thetas)
     labels = ["".join(bits) for bits in product("01", repeat=n)]
-    ones = [label.count("1") for label in labels]
-    pmf = {}
-    for i, theta in enumerate(values):
-        pmf[f"theta{i}"] = [theta**k * (1 - theta) ** (n - k) for k in ones]
-    return make_model(labels, dict(zip(pmf.keys(), values)), pmf)
+    return _power_model(labels, thetas, [1] * (n + 1), [label.count("1") for label in labels])
 
 
 def binomial_model(
@@ -190,14 +191,8 @@ def binomial_model(
         raise ModelError("n must be a positive integer")
     if n + 1 > cap:
         raise CapacityError(f"{n + 1} support points exceed the enumeration cap {cap}")
-    values = _parse_thetas(thetas)
-    labels = [str(k) for k in range(n + 1)]
     binomials = list(accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1))  # comb(n, k)
-    pmf = {}
-    for i, theta in enumerate(values):
-        p, q = theta.numerator, theta.denominator
-        pmf[f"theta{i}"] = [Fraction(c * p**k * (q - p) ** (n - k), q**n) for k, c in enumerate(binomials)]
-    return make_model(labels, dict(zip(pmf.keys(), values)), pmf)
+    return _power_model([str(k) for k in range(n + 1)], thetas, binomials, range(n + 1))
 
 
 def model_to_dict(model: DiscreteModel) -> dict:
@@ -205,7 +200,7 @@ def model_to_dict(model: DiscreteModel) -> dict:
     return {
         "parameters": {name: format_rational(v) for name, v in model.parameters.items()},
         "support": [pt.label for pt in model.support],
-        "pmf": {name: [format_rational(p) for p in row] for name, row in model.pmf.items()},
+        "pmf": {name: [format_rational(p) for p in model.probs(name)] for name in model.rows},
     }
 
 

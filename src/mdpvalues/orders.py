@@ -390,9 +390,9 @@ def _projection_witness(t_family: PValueFamily, md_family: PValueFamily, alpha: 
     """
     t_test, md_test = t_family.test(alpha), md_family.test(alpha)
     model = t_family.model
-    row = model.probs(model.null)
+    row = model.int_row(model.null)[1]  # the common denominator cancels in the average
     margins: list[tuple[Fraction, str]] = []
-    tie_mass = tie_value = Fraction(0)
+    tie_mass, tie_value = 0, Fraction(0)
     for pt in model.support:
         zone = t_test.zone(pt)
         phi_md = md_test.phi(pt)

@@ -57,11 +57,12 @@ def make_statistic(
 
 def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: str) -> Statistic:
     """Exact likelihood ratio p_alt(x) / p_null(x) per point."""
-    null_row = model.probs(null_name)
-    alt_row = model.probs(alt_name)
+    null_den, null_row = model.int_row(null_name)
+    alt_den, alt_row = model.int_row(alt_name)
     if any(p == 0 for p in null_row):
         raise RankingError("likelihood ratio needs a strictly positive null pmf")
-    values = tuple(pa / p0 for pa, p0 in zip(alt_row, null_row))
+    scale = Fraction(null_den, alt_den)  # reducing pa/p0 and D0/Da apart keeps each gcd small
+    values = tuple(Fraction(pa, p0) * scale for pa, p0 in zip(alt_row, null_row))
     return make_statistic(model, f"lr({alt_name}:{null_name})", values)
 
 

@@ -284,6 +284,22 @@ class TestPValuesCommand:
         assert parse_rational(rows[0]["natural"]) == Fraction(1, 32)
 
 
+@pytest.mark.parametrize("spec", ["example1", "binomial:200,1/2,3/5"])
+def test_builtin_and_its_saved_model_file_write_the_same_outputs(tmp_path, spec):
+    # The builtins build their integer rows directly; a model file goes through make_model.
+    from mdpvalues import save_model
+    from mdpvalues.registry import resolve_model
+    model_path = tmp_path / "model.json"
+    save_model(resolve_model(spec)[0], model_path)
+    for side, model in (("builtin", spec), ("file", str(model_path))):
+        out = tmp_path / side
+        assert main(["verify", "--model", model, "--out", str(out / "v")]) == 0
+        for family in ("t", "md"):
+            assert main(["pvalues", "--model", model, "--family", family, "--out", str(out / f"{family}.csv")]) == 0
+    for rel in ("v/reports.json", "v/reports.txt", "t.csv", "md.csv"):
+        assert (tmp_path / "builtin" / rel).read_bytes() == (tmp_path / "file" / rel).read_bytes(), rel
+
+
 class TestManifestPlacement:
     """The command decides where its manifest goes, whatever the name of --out."""
 

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from mdpvalues import (
     CapacityError,
+    DiscreteModel,
     ModelError,
+    SupportPoint,
     bernoulli_product_model,
     binomial_model,
     load_model,
@@ -97,6 +99,21 @@ class TestValidation:
         with pytest.raises(ModelError):
             make_model(["a", "a"], {"t": "1/2"}, {"t": ["1/2", "1/2"]})
 
+    @pytest.mark.parametrize(
+        "row, fault",
+        [((0, (0, 0)), "positive int, got 0"), ((-2, (-1, -1)), "positive int, got -2"),
+         ((1.0, (0.5, 0.5)), "positive int, got 1.0"), ((2, (1.0, 1)), "int numerators"),
+         ((2, (1, 1, 0)), "3 entries"), ((2, (3, -1)), "negative probability"),
+         ((3, (1, 1)), "sums to 2/3")],
+    )
+    def test_direct_rows_are_validated(self, row, fault):
+        support = (SupportPoint(0, "a"), SupportPoint(1, "b"))
+        null = (2, (1, 1))
+        with pytest.raises(ModelError, match=fault):
+            DiscreteModel(support, {"t0": Fraction(1, 2), "t1": Fraction(1, 3)}, {"t0": null, "t1": row})
+        with pytest.raises(ModelError, match=fault):
+            DiscreteModel(support, {"t0": Fraction(1, 2)}, {"t0": row})
+
     def test_unknown_lookups(self, example1):
         with pytest.raises(ModelError):
             example1.prob("theta9", "11111")
@@ -125,7 +142,8 @@ class TestWireFormat:
         save_model(example1, path)
         loaded = load_model(path)
         assert loaded.parameters == example1.parameters
-        assert loaded.pmf == example1.pmf
+        for theta in example1.parameter_names:
+            assert loaded.int_row(theta) == example1.int_row(theta)
         assert [pt.label for pt in loaded.support] == [pt.label for pt in example1.support]
 
     def test_rationals_serialized_as_num_den(self, example1):
@@ -142,6 +160,17 @@ class TestWireFormat:
     def test_missing_field_rejected(self):
         with pytest.raises(ModelError):
             model_from_dict({"support": ["a"], "pmf": {}})
+
+    @pytest.mark.parametrize("build", [bernoulli_product_model, binomial_model])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("thetas", [["1/2", "4/5"], ["1/3", "2/3", "5/12"], ["3/7", "1/6"], ["7/11", "1/4"]])
+    def test_builtins_store_the_lcm_denominator_of_their_wire_form(self, build, n, thetas):
+        # The builtins put q^n under every row; make_model puts the lcm of the
+        # row's reduced denominators.  Equal models means the two agree.
+        model = build(n, thetas)
+        assert model_from_dict(model_to_dict(model)) == model
+        for theta, value in zip(model.parameter_names, thetas):
+            assert model.int_row(theta)[0] == Fraction(value).denominator ** n
 
 
 class TestBinomial:

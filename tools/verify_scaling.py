@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import statistics
@@ -96,8 +95,7 @@ def run_case(family: str, n: int) -> dict:
     verdicts = sorted({r.verdict for r in reports})
     if verdicts != ["pass"]:
         raise SystemExit(f"{family} n={n}: verdicts {verdicts}, expected all pass")
-    null_bits = math.lcm(*(p.denominator for p in model.probs("theta0"))).bit_length()
-    alt_bits = math.lcm(*(p.denominator for p in model.probs("theta1"))).bit_length()
+    null_bits, alt_bits = (model.int_row(theta)[0].bit_length() for theta in ("theta0", "theta1"))
     return {
         "model_s": built - start,
         "statistic_s": ranked - built,
