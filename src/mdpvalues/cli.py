@@ -29,7 +29,7 @@ from .downstream import (
 from .model import DiscreteModel, ModelError
 from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, verify_all_claims
 from .ranking import Ranking, RankingError, Statistic, ranking_from_order, build_agreeing_ranking
-from .rational import decimal_string, format_rational
+from .rational import decimal_ratio, decimal_string, format_ratios, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
 from .testing import TestingError, pvalue_family
 
@@ -213,11 +213,16 @@ def cmd_pvalues(args: argparse.Namespace) -> int:
     model, model_id, statistic = _model_and_statistic(args)
     ranking = build_agreeing_ranking(model, statistic)
     family = pvalue_family(model, ranking if args.family == "md" else statistic)
+    # Per class: a, b and natural are ints over D_null, mid over 2 * D_null; each is printed once.
+    den, mass, before = family.lattice(model.null)
+    mids = [2 * s + m for s, m in zip(before, mass)]
+    texts = list(zip(format_ratios(before[:-1], den), format_ratios(mass, den),
+                     format_ratios(before[1:], den), format_ratios(mids, 2 * den)))
     rows = []
-    for pt in sorted(model.support, key=ranking.rank):
-        values = [statistic.value(pt), family.a[pt.index], family.b[pt.index], family.natural(pt), family.mid(pt)]
-        rows.append([pt.label, ranking.rank(pt)] + [format_rational(v) for v in values]
-                    + [decimal_string(v) for v in values[-2:]])
+    for i in ranking.order():
+        pt, k = model.support[i], family.class_of[i]
+        rows.append([pt.label, ranking.rank(pt), format_rational(statistic.value(pt)), *texts[k],
+                     decimal_ratio(before[k + 1], den), decimal_ratio(mids[k], 2 * den)])
     header = ["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"]
     _write_table(Path(args.out), header, rows, {
         "command": "pvalues",

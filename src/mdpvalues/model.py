@@ -20,7 +20,7 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rational import common_denominator, format_rational, parse_rational
+from .rational import common_denominator, format_ratios, format_rational, parse_rational
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -200,7 +200,7 @@ def model_to_dict(model: DiscreteModel) -> dict:
     return {
         "parameters": {name: format_rational(v) for name, v in model.parameters.items()},
         "support": [pt.label for pt in model.support],
-        "pmf": {name: [format_rational(p) for p in model.probs(name)] for name in model.rows},
+        "pmf": {name: format_ratios(numerators, den) for name, (den, numerators) in model.rows.items()},
     }
 
 

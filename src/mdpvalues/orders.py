@@ -34,10 +34,13 @@ instead of a search per point:
     natural test rejects iff P <= alpha, so E_theta[d_alpha] = F_theta(alpha);
   - the integrated CDFs of C9 are integer prefixes of cum * width.
 
-Each claim's margins are ints over one positive denominator.  Only the
-worst margin, the report grid and a failure's witness become Fractions: a
-witness is rebuilt at its grid point alone on Fractions, through
-``PValueFamily.power`` (C6) or a point-by-point C8 check.
+Each claim's margins are ints over one positive denominator, and each
+report keeps its grid as the sorted ints it was swept on, over that
+sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
+a failure's witness become Fractions: a witness is rebuilt at its grid
+point alone on Fractions, through ``PValueFamily.power`` (C6) or a
+point-by-point C8 check.  ``reports_to_json`` reduces and prints each
+distinct grid point once.
 The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
@@ -64,7 +67,7 @@ from typing import Callable, Iterable, Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic, verify_agreement
-from .rational import common_denominator, decimal_string, format_rational
+from .rational import common_denominator, decimal_string, format_ratios, format_rational
 from .testing import PValueFamily, _as_unit, _exact, alpha_lattice, pvalue_family
 
 class OrdersError(ValueError):
@@ -120,13 +123,19 @@ def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object
     return StepCDF(jumps, tuple(Fraction(b, theta_den) for b in before[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderReport:
-    """Outcome of one exact ordering verification."""
+    """Outcome of one exact ordering verification.
+
+    Grid point i is ``grid_num[i] / grid_den``, not necessarily in lowest
+    terms.  Reports compare by value: equal grids over different
+    denominators are equal.
+    """
 
     claim: str
     verdict: str  # "pass" | "fail" | "skipped"
-    grid: tuple[Fraction, ...]
+    grid_num: tuple[int, ...]
+    grid_den: int
     worst_margin: Fraction | None
     witness: str | None = None
     note: str | None = None
@@ -135,16 +144,20 @@ class OrderReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "verdict": self.verdict,
-            "grid": [format_rational(g) for g in self.grid],
-            "worst_margin": None if self.worst_margin is None else format_rational(self.worst_margin),
-            "worst_margin_dec": None if self.worst_margin is None else decimal_string(self.worst_margin, 9),
-            "witness": self.witness,
-            "note": self.note,
-        }
+    @property
+    def grid(self) -> tuple[Fraction, ...]:
+        """The grid as ``Fraction``s, derived anew on each read."""
+        return tuple(Fraction(n, self.grid_den) for n in self.grid_num)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderReport):
+            return NotImplemented
+        fields = (self.claim, self.verdict, self.worst_margin, self.witness, self.note)
+        if fields != (other.claim, other.verdict, other.worst_margin, other.witness, other.note):
+            return False
+        a, b = self.grid_den, other.grid_den
+        return len(self.grid_num) == len(other.grid_num) and all(
+            x * b == y * a for x, y in zip(self.grid_num, other.grid_num))
 
 
 def _counts(steps: Sequence[int], grid: Iterable[int]) -> list[int]:
@@ -163,18 +176,23 @@ def _counts(steps: Sequence[int], grid: Iterable[int]) -> list[int]:
 
 def _claim(
     claim: str,
-    grid: tuple[Fraction, ...],
+    grid: Sequence[int],
+    grid_den: int,
     margins: Sequence[int],
     denominator: int,
     witness: Callable[[int], str],
     note: str | None = None,
 ) -> OrderReport:
-    """Report the first worst of ``margins``, ints over ``denominator`` > 0; a failure is ``witness(index)``."""
+    """Report the first worst of ``margins``, ints over ``denominator`` > 0, on ``grid`` over ``grid_den``.
+
+    A failure's witness is ``witness(index)``.
+    """
     i = min(range(len(margins)), key=margins.__getitem__)
     worst = Fraction(margins[i], denominator)
+    grid = tuple(grid)
     if margins[i] >= 0:
-        return OrderReport(claim, "pass", grid, worst, None, note)
-    return OrderReport(claim, "fail", grid, worst, witness(i), note)
+        return OrderReport(claim, "pass", grid, grid_den, worst, None, note)
+    return OrderReport(claim, "fail", grid, grid_den, worst, witness(i), note)
 
 
 def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
@@ -224,8 +242,7 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
         bound = t if at_b is None else Fraction(cdf_b[at_b[index]], v_den)
         return f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"
 
-    grid = tuple(Fraction(t, t_den) for t in sorted(grid_set))
-    return _claim(claim, grid, margins, den, witness)
+    return _claim(claim, sorted(grid_set), t_den, margins, den, witness)
 
 
 def check_usual_order(cdf_a: StepCDF, cdf_b: StepCDF | None = None) -> OrderReport:
@@ -299,8 +316,7 @@ def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: 
         return f"integrated CDFs at s={s}: T {low} vs MD {mid}"
 
     note = f"means ({Fraction(mean_t, 2 * square)}, {Fraction(mean_md, 2 * square)})"
-    grid = tuple(Fraction(s, two) for s in points)
-    return _claim(claim, grid, margins, 8 * square, witness, note)
+    return _claim(claim, points, two, margins, 8 * square, witness, note)
 
 
 def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
@@ -461,14 +477,13 @@ def verify_all_claims(
     # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as c * s.
     c, scale = 2, 2 * den
     grid = alpha_lattice(scale, t_family, md_family)
-    alphas = tuple(Fraction(x, scale) for x in grid)
     # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
     t_classes, md_classes = _threshold_classes(t_family, grid), _threshold_classes(md_family, grid)
 
     sufficient, suff_witness = _sufficiency(t_family, list(dict.fromkeys([null, *thetas])))
 
     def no_thetas(claim: str) -> OrderReport:
-        return OrderReport(claim, "skipped", (), None, None, "empty theta grid")
+        return OrderReport(claim, "skipped", (), 1, None, None, "empty theta grid")
 
     # C3 and C4: usual stochastic order of natural p-values, whose CDFs jump at class ends, over D_null.
     ends_t, ends_md = _jumps(t_family, Fraction(1)), _jumps(md_family, Fraction(1))
@@ -481,12 +496,12 @@ def verify_all_claims(
     # C1 and C2: a natural test has E_theta[d_alpha] = F_theta(alpha), so they are C3 and C4 on the alpha
     # grid: 0 (every margin 0), every jump, and midpoints, where F_MD - F_T keeps its value at the point
     # before and t - F_MD is larger.  So the worst margin and the first worst witness are C3's and C4's.
-    c1 = replace(c3, claim="C1", grid=alphas) if thetas else no_thetas("C1")
-    reports = [c1, replace(c4, claim="C2", grid=alphas), c3, c4]
+    c1 = replace(c3, claim="C1", grid_num=grid, grid_den=scale) if thetas else no_thetas("C1")
+    reports = [c1, replace(c4, claim="C2", grid_num=grid, grid_den=scale), c3, c4]
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
-    kinks, c5_grid = grid[::2], alphas[::2]
+    kinks = grid[::2]
     gaps = list(zip(_uniformity_gaps(t_family, kinks, t_classes[::2]),
                     _uniformity_gaps(md_family, kinks, md_classes[::2])))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
@@ -494,15 +509,16 @@ def verify_all_claims(
     def uniform_witness(index: int) -> str:
         i, side = divmod(index, 2)
         gap, m = gaps[i][side]
-        return f"{('T', 'MD')[side]} family at t={c5_grid[i]}: CDF {Fraction(kinks[i] * m + gap, m * scale)}"
+        t = Fraction(kinks[i], scale)
+        return f"{('T', 'MD')[side]} family at t={t}: CDF {Fraction(kinks[i] * m + gap, m * scale)}"
 
-    reports.append(_claim("C5", c5_grid, margins, c5_den, uniform_witness))
+    reports.append(_claim("C5", kinks, scale, margins, c5_den, uniform_witness))
 
     # C6: equal power functions under sufficiency.
     if not thetas:
         reports.append(no_thetas("C6"))
     elif not sufficient:
-        reports.append(OrderReport("C6", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
+        reports.append(OrderReport("C6", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
     else:
         def gap_line(k: int, r: int, theta: str) -> tuple[int, int]:
             """(P, Q) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha = x / scale
@@ -526,25 +542,26 @@ def verify_all_claims(
         margins, c6_den = _one_denominator(items)
 
         def power_witness(index: int) -> str:
-            alpha, theta = alphas[index // len(thetas)], thetas[index % len(thetas)]
+            alpha, theta = Fraction(grid[index // len(thetas)], scale), thetas[index % len(thetas)]
             return f"theta={theta}, alpha={alpha}: {t_family.power(theta, alpha)} vs {md_family.power(theta, alpha)}"
 
-        reports.append(_claim("C6", alphas, margins, c6_den, power_witness))
+        reports.append(_claim("C6", grid, scale, margins, c6_den, power_witness))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
     margins = [t_mass[k] - md_mass[r] for k, r in zip(t_family.class_of, md_family.class_of)]
-    reports.append(_claim("C7", (), margins, den, lambda i: f"point {model.support[i].label!r}",
+    reports.append(_claim("C7", (), 1, margins, den, lambda i: f"point {model.support[i].label!r}",
                           "checked at every support point"))
 
     # C8: martingale projection at every breakpoint alpha (gated on sufficiency).
     if not sufficient:
-        reports.append(OrderReport("C8", "skipped", (), None, None, f"hypothesis unmet: {suff_witness}"))
+        reports.append(OrderReport("C8", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
     else:
         def projection_witness(i: int) -> str:
-            return f"alpha={alphas[i]}: {_projection_witness(t_family, md_family, alphas[i])}"
+            alpha = Fraction(grid[i], scale)
+            return f"alpha={alpha}: {_projection_witness(t_family, md_family, alpha)}"
 
         margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, grid, t_classes, md_classes))
-        reports.append(_claim("C8", alphas, margins, c8_den, projection_witness))
+        reports.append(_claim("C8", grid, scale, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
     reports.append(_convex_order_chain(t_family, md_family, "C9"))
@@ -553,7 +570,27 @@ def verify_all_claims(
 
 
 def reports_to_json(reports: Sequence[OrderReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+    """The reports as JSON, every rational as "num/den" in lowest terms.
+
+    Grid points are read over the lcm of the reports' grid denominators, so
+    each distinct point is reduced and printed once: the alpha grid that C1,
+    C2, C6 and C8 share, and its subsets in C3, C4 and C5, cost one
+    ``format_ratios`` entry per point.
+    """
+    scale = math.lcm(*(r.grid_den for r in reports))
+    grids = [r.grid_num if r.grid_den == scale else [n * (scale // r.grid_den) for n in r.grid_num]
+             for r in reports]
+    points = list(dict.fromkeys(n for grid in grids for n in grid))
+    text = dict(zip(points, format_ratios(points, scale)))
+    return json.dumps([{
+        "claim": r.claim,
+        "verdict": r.verdict,
+        "grid": [text[n] for n in grid],
+        "worst_margin": None if r.worst_margin is None else format_rational(r.worst_margin),
+        "worst_margin_dec": None if r.worst_margin is None else decimal_string(r.worst_margin, 9),
+        "witness": r.witness,
+        "note": r.note,
+    } for r, grid in zip(reports, grids)], indent=2, sort_keys=True) + "\n"
 
 
 def reports_to_text(reports: Sequence[OrderReport]) -> str:
@@ -564,5 +601,5 @@ def reports_to_text(reports: Sequence[OrderReport]) -> str:
         else:
             margin = f"{format_rational(r.worst_margin)} ({decimal_string(r.worst_margin, 9)})"
         detail = r.witness if r.verdict == "fail" else (r.note or "-")
-        lines.append(f"{r.claim:<6} {r.verdict:<8} {margin:<24} {len(r.grid):>6}  {detail}")
+        lines.append(f"{r.claim:<6} {r.verdict:<8} {margin:<24} {len(r.grid_num):>6}  {detail}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ exact ``fractions.Fraction``; decimal strings are display-only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -51,11 +51,36 @@ def format_rational(value: Fraction | int) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def decimal_string(value: Fraction | int, places: int = 6) -> str:
-    """Exact fixed-point rendering, round half to even.  Display only."""
-    frac = Fraction(value)
+def format_ratios(numerators: Iterable[int], denominator: int) -> list[str]:
+    """``format_rational(Fraction(n, denominator))`` for each n, with no ``Fraction`` built.
+
+    One gcd per numerator reduces it; ``denominator`` must be positive.
+    Each reduced denominator is printed once, since most numerators on one
+    lattice share a few common factors with it.
+    """
+    texts: dict[int, str] = {}
+    out = []
+    for n in numerators:
+        g = gcd(n, denominator)
+        den = texts.get(g)
+        if den is None:
+            den = texts[g] = str(denominator // g)
+        out.append(f"{n // g}/{den}")
+    return out
+
+
+def decimal_ratio(numerator: int, denominator: int, places: int = 6) -> str:
+    """Exact fixed-point rendering of numerator / denominator (> 0), round half to even.  Display only."""
     scale = 10**places
-    units = round(frac * scale)
+    units, rest = divmod(numerator * scale, denominator)
+    if 2 * rest > denominator or (2 * rest == denominator and units % 2):
+        units += 1
     sign = "-" if units < 0 else ""
     units = abs(units)
     return f"{sign}{units // scale}.{units % scale:0{places}d}"
+
+
+def decimal_string(value: Fraction | int, places: int = 6) -> str:
+    """Exact fixed-point rendering, round half to even.  Display only."""
+    frac = Fraction(value)
+    return decimal_ratio(frac.numerator, frac.denominator, places)

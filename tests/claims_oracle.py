@@ -15,7 +15,9 @@ data types.  Its sufficiency check re-groups the support by statistic
 value and sums ``Fraction`` masses, where the engine reads the family's
 integer class masses.  Everything here stays on ``Fraction``s, while the
 engine works on integer numerators, so the engine's reports can be
-compared against it byte for byte as an independent cross-check.
+compared against it byte for byte as an independent cross-check.  Its
+grids are ``Fraction``s too; ``rational.common_denominator`` turns each
+into the report's numerators over their lcm only when the report is built.
 C9 keeps the hinge and square probes that the engine leaves to the
 integrated-CDF chain, as an independent check that the chain implies them.
 """
@@ -28,6 +30,7 @@ from fractions import Fraction
 from mdpvalues.model import DiscreteModel
 from mdpvalues.orders import OrderReport, OrdersError, StepCDF
 from mdpvalues.ranking import Ranking, verify_agreement
+from mdpvalues.rational import common_denominator
 from mdpvalues.testing import PValueFamily, TestFunction
 
 HALF = Fraction(1, 2)
@@ -227,8 +230,10 @@ def plateau_heights_inside(cdf: StepCDF) -> list[Fraction]:
 
 
 def _worst(claim, grid, margins, note=None) -> OrderReport:
+    """The first worst margin; the Fraction grid goes into the report as numerators over their lcm."""
     worst, witness = min(margins, key=lambda mw: mw[0])
-    return OrderReport(claim, "pass" if worst >= 0 else "fail", grid, worst,
+    grid_den, grid_num = common_denominator(grid)
+    return OrderReport(claim, "pass" if worst >= 0 else "fail", grid_num, grid_den, worst,
                        None if worst >= 0 else witness, note)
 
 
@@ -310,7 +315,7 @@ def reference_claims(model, statistic, ranking, thetas):
         if comparisons:
             reports.append(usual_order(claim, comparisons, grid))
         else:
-            reports.append(OrderReport(claim, "skipped", (), None, None, "empty theta grid"))
+            reports.append(OrderReport(claim, "skipped", (), 1, None, None, "empty theta grid"))
 
     # The randomized CDF kinks only at class starts: each point's a, plus 0 and 1.
     t_grid = tuple(sorted({Fraction(0), Fraction(1), *t_family.a, *md_family.a}))
@@ -322,9 +327,9 @@ def reference_claims(model, statistic, ranking, thetas):
     reports.append(_worst("C5", t_grid, margins))
 
     if not thetas:
-        reports.append(OrderReport("C6", "skipped", (), None, None, "empty theta grid"))
+        reports.append(OrderReport("C6", "skipped", (), 1, None, None, "empty theta grid"))
     elif not sufficient:
-        reports.append(OrderReport("C6", "skipped", (), None, None, unmet))
+        reports.append(OrderReport("C6", "skipped", (), 1, None, None, unmet))
     else:
         margins = []
         for alpha in alphas:
@@ -341,7 +346,7 @@ def reference_claims(model, statistic, ranking, thetas):
     ], "checked at every support point"))
 
     if not sufficient:
-        reports.append(OrderReport("C8", "skipped", (), None, None, unmet))
+        reports.append(OrderReport("C8", "skipped", (), 1, None, None, unmet))
     else:
         margins = []
         for alpha in alphas:

@@ -278,7 +278,7 @@ def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, 
 
     def drops_last_grid_point(*args):
         report = real(*args)
-        return replace(report, grid=report.grid[:-1])
+        return replace(report, grid_num=report.grid_num[:-1])
 
     monkeypatch.setattr(orders, "_usual_order", drops_last_grid_point)
     thetas = ["theta0", "theta1"]

@@ -1,5 +1,7 @@
 """Exact ordering machinery: CDFs, convex order, martingale projection, claims."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,8 @@ from mdpvalues import (
     size_alpha_test,
     verify_all_claims,
 )
-from mdpvalues.orders import _sufficiency
+from mdpvalues.orders import OrderReport, _sufficiency, reports_to_json, reports_to_text
+from mdpvalues.rational import common_denominator, format_rational
 
 from claims_oracle import check_sufficiency as oracle_sufficiency
 from claims_oracle import (
@@ -285,6 +288,40 @@ class TestConvexOrderChain:
         ranks[i], ranks[j] = ranks[j], ranks[i]
         with pytest.raises(OrdersError):
             c9_report(example1, count_stat, Ranking("bad", tuple(ranks), "explicit"))
+
+
+class TestReportGrid:
+    """A report's grid is ints over any positive denominator; its text is that of the reduced Fractions."""
+
+    @staticmethod
+    def reduced(report):
+        den, numerators = common_denominator(report.grid)
+        return replace(report, grid_num=numerators, grid_den=den)
+
+    def test_unreduced_grid_serializes_like_its_fractions(self):
+        # over 2 * D with D = 8: every point could be written over a smaller denominator
+        wide = OrderReport("C1", "pass", (0, 2, 4, 8, 16), 16, Fraction(0))
+        narrow = self.reduced(wide)
+        assert narrow.grid_den == 8 and narrow.grid == wide.grid
+        assert wide.grid == (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1)
+        assert wide == narrow
+        assert reports_to_json([wide]) == reports_to_json([narrow])
+        assert reports_to_text([wide]) == reports_to_text([narrow])
+        assert '"0/1",\n      "1/8",\n      "1/4",\n      "1/2",\n      "1/1"' in reports_to_json([wide])
+
+    def test_points_shared_across_denominators_print_alike(self):
+        # one point set over 16, a subset over 4 and a disjoint point over 3: the lcm is 48
+        reports = [OrderReport("C1", "pass", (0, 2, 4, 8, 16), 16, Fraction(0)),
+                   OrderReport("C3", "pass", (1, 2, 4), 4, Fraction(0)),
+                   OrderReport("C9", "fail", (2,), 3, Fraction(-1, 3), "w"),
+                   OrderReport("C7", "skipped", (), 1, None, None, "n")]
+        written = json.loads(reports_to_json(reports))
+        assert [r["grid"] for r in written] == [[format_rational(g) for g in r.grid] for r in reports]
+        assert written[1]["grid"] == ["1/4", "1/2", "1/1"] and written[2]["grid"] == ["2/3"]
+
+    def test_grids_of_unequal_value_differ(self):
+        assert OrderReport("C1", "pass", (1, 2), 4, None) != OrderReport("C1", "pass", (1, 3), 4, None)
+        assert OrderReport("C1", "pass", (1,), 4, None) != OrderReport("C1", "pass", (1, 2), 4, None)
 
 
 class TestVerifyAllClaims:

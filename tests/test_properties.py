@@ -1,9 +1,11 @@
 """Property tests: invariants that must hold on arbitrary finite models."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdpvalues import (
     alpha_breakpoints,
@@ -14,6 +16,8 @@ from mdpvalues import (
     size_alpha_test,
     verify_agreement,
 )
+
+from mdpvalues.rational import decimal_ratio, format_ratios, format_rational
 
 from claims_oracle import randomized_cdf_at
 from conftest import brute_expectation, decision_coherence_witness, random_model_and_statistic
@@ -31,6 +35,45 @@ def small_models(draw):
         {"t0": [Fraction(w, total) for w in weights]},
     )
     return model, make_statistic(model, "s", values)
+
+
+@contextmanager
+def no_int_digit_limit():
+    """Lift CPython's int/str digit limit for one test, as ``mdpv`` does for its own run."""
+    limit = getattr(sys, "get_int_max_str_digits", None)  # absent before CPython 3.10.7
+    before = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(before)
+
+
+WIDE = 10**4400  # 4,401 digits, past the default 4,300-digit int/str limit
+
+
+@given(st.integers(1, 10**30).flatmap(lambda d: st.tuples(st.integers(-3 * d, 3 * d), st.just(d))),
+       st.integers(0, 9))
+@example((0, 7), 6)
+@example((12, 12), 6)
+@example((2 * WIDE // 3, 2 * WIDE), 9)
+@example((WIDE - 1, WIDE), 0)
+@settings(max_examples=200, deadline=None)
+def test_integer_ratio_text_matches_fraction_text(ratio, places):
+    n, d = ratio
+    units = round(Fraction(n, d) * 10**places)  # Fraction rounds half to even
+    whole, part = divmod(abs(units), 10**places)
+    with no_int_digit_limit():
+        assert format_ratios([n], d) == [format_rational(Fraction(n, d))]
+        assert decimal_ratio(n, d, places) == f"{'-' if units < 0 else ''}{whole}.{part:0{places}d}"
+
+
+def test_integer_ratio_text_edges():
+    assert format_ratios([0, 5, 10, 4, -6], 10) == ["0/1", "1/2", "1/1", "2/5", "-3/5"]
+    with no_int_digit_limit():
+        assert format_ratios([WIDE // 2, 1], WIDE) == ["1/2", f"1/{WIDE}"]
 
 
 @given(small_models(), st.integers(0, 20))

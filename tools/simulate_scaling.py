@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from verify_scaling import cpu_name, source_commit
 
+import mdpvalues
 from mdpvalues import config_from_dict, simulate
 from mdpvalues.downstream import report_to_json
 from mdpvalues.registry import example1_model
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     record["seed"] = SEED
     record["targets_s"] = TARGETS
     record.setdefault("columns", {})[args.column] = {
-        "commit": args.commit or source_commit(),
+        "commit": args.commit or source_commit(Path(mdpvalues.__file__).parent),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu": cpu_name(),

@@ -1,26 +1,28 @@
-"""How `verify_all_claims` scales with support size and denominator size.
+"""How `verify_all_claims` scales with support size and denominator size, two versions side by side.
 
-Times the full C1-C9 suite on two model families and merges the result
-into a JSON record under one named column, so that two versions of the
-package can be compared on the same inputs:
+Times the full C1-C9 suite on two model families, for two source trees of
+the package, and writes both as columns of one JSON record:
 
   - Bernoulli products, theta 1/2 vs 4/5, n = 8, 10, 12, 14 coins
     (support N = 2^n), likelihood-ratio statistic, lexicographic ranking;
   - binomial(n), theta 1/2 vs 3/5, n = 200, 1000, 4000: few classes per
     point but null and alternative denominators of n and 2.3 n bits.
 
-Each case is built and verified REPEAT (3) times from scratch; the
-record keeps every run and the median.  Model build, statistic plus
-ranking, verification and ``orders.reports_to_json`` (what ``mdpv
-verify`` writes as reports.json) are timed separately, and the size of
-that JSON is recorded in bytes.  The package measured is
-whichever ``mdpvalues`` is first on the import path:
+Each run builds and verifies one case from scratch in a fresh Python
+process whose ``PYTHONPATH`` is the source tree of its column.  The two
+columns alternate case by case, REPEAT (5) runs each, and the side that
+goes first alternates too, so a drift of the host's speed reaches both
+columns alike instead of reading as a change.  The record keeps every run
+and the median.  Model build, statistic plus ranking, verification and
+``orders.reports_to_json`` (what ``mdpv verify`` writes as reports.json)
+are timed separately, and the size of that JSON is recorded in bytes:
 
-    PYTHONPATH=src python tools/verify_scaling.py --column change
-    PYTHONPATH=../other-checkout/src python tools/verify_scaling.py --column parent --commit abc1234
+    git archive PARENT | tar -x -C ../parent
+    python tools/verify_scaling.py --parent ../parent/src --change src
 
 The script writes nothing but BENCH_verify.json at the repository root.
-``--commit`` names the measured source where ``git describe`` cannot (a
+A column's commit is ``git describe`` of its tree, or the
+``--parent-commit`` / ``--change-commit`` text where that cannot tell (a
 ``git archive`` copy has no history).
 """
 
@@ -32,28 +34,17 @@ import os
 import platform
 import statistics
 import subprocess
+import sys
 import time
 from pathlib import Path
 
-from mdpvalues import (
-    bernoulli_product_model,
-    binomial_model,
-    build_agreeing_ranking,
-    likelihood_ratio_statistic,
-    verify_all_claims,
-)
-from mdpvalues.orders import reports_to_json
-
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_verify.json"
-REPEAT = 3
+REPEAT = 5
 
 CASES = [("bernoulli", n) for n in (8, 10, 12, 14)] + [("binomial", n) for n in (200, 1000, 4000)]
-BUILDERS = {
-    "bernoulli": lambda n: bernoulli_product_model(n, ["1/2", "4/5"]),
-    "binomial": lambda n: binomial_model(n, ["1/2", "3/5"]),
-}
 TARGETS = {"bernoulli n=14": 3.0, "binomial n=4000": 10.0}
+TIMES = ("model_s", "statistic_s", "verify_s", "serialize_s")
 
 
 def cpu_name() -> str:
@@ -66,14 +57,11 @@ def cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def source_commit() -> str:
-    """``git describe`` of the checkout that holds the imported package, or "unknown"."""
-    import mdpvalues
-
+def source_commit(src: Path) -> str:
+    """``git describe`` of the checkout that holds ``src``, or "unknown"."""
     try:
         done = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(mdpvalues.__file__).parent, capture_output=True, text=True, check=True,
+            ["git", "describe", "--always", "--dirty"], cwd=src, capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
@@ -81,8 +69,21 @@ def source_commit() -> str:
 
 
 def run_case(family: str, n: int) -> dict:
+    """One timed run, in this process, of the package first on the import path."""
+    from mdpvalues import (
+        bernoulli_product_model,
+        binomial_model,
+        build_agreeing_ranking,
+        likelihood_ratio_statistic,
+        verify_all_claims,
+    )
+    from mdpvalues.orders import reports_to_json
+
     start = time.perf_counter()
-    model = BUILDERS[family](n)
+    if family == "bernoulli":
+        model = bernoulli_product_model(n, ["1/2", "4/5"])
+    else:
+        model = binomial_model(n, ["1/2", "3/5"])
     built = time.perf_counter()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = build_agreeing_ranking(model, lr)
@@ -107,49 +108,85 @@ def run_case(family: str, n: int) -> dict:
     }
 
 
-def measure() -> dict:
-    cases = {}
+def run_child(src: Path, family: str, n: int) -> dict:
+    """``run_case`` in a fresh interpreter that imports the package from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, __file__, "--child", family, str(n)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def summary(runs: list[dict]) -> dict:
+    return {
+        "support": runs[0]["support"],
+        "denominator_bits": runs[0]["denominator_bits"],
+        "output_bytes": runs[0]["output_bytes"],
+        **{f"{key}_median": statistics.median(run[key] for run in runs) for key in TIMES},
+        "verify_s_runs": [run["verify_s"] for run in runs],
+        "serialize_s_runs": [run["serialize_s"] for run in runs],
+    }
+
+
+def measure(trees: dict[str, Path]) -> dict[str, dict]:
+    """Per column, per case: the summary of REPEAT runs, alternating the columns run by run."""
+    cases: dict[str, dict] = {column: {} for column in trees}
+    columns = list(trees)
     for family, n in CASES:
-        runs = [run_case(family, n) for _ in range(REPEAT)]
+        runs: dict[str, list[dict]] = {column: [] for column in columns}
+        for repeat in range(REPEAT):
+            for column in columns if repeat % 2 == 0 else columns[::-1]:
+                runs[column].append(run_child(trees[column], family, n))
         name = f"{family} n={n}"
-        cases[name] = {
-            "support": runs[0]["support"],
-            "denominator_bits": runs[0]["denominator_bits"],
-            "output_bytes": runs[0]["output_bytes"],
-            **{
-                f"{key}_median": statistics.median(run[key] for run in runs)
-                for key in ("model_s", "statistic_s", "verify_s", "serialize_s")
-            },
-            "verify_s_runs": [run["verify_s"] for run in runs],
-        }
-        print(f"{name:<20} N={runs[0]['support']:<6} verify {cases[name]['verify_s_median']:9.3f} s"
-              f"  serialize {cases[name]['serialize_s_median']:9.3f} s  {runs[0]['output_bytes']:>11,} B", flush=True)
+        line = [f"{name:<17}"]
+        for column in columns:
+            cases[column][name] = summary(runs[column])
+            if len({run["output_bytes"] for run in runs[column]}) != 1:
+                raise SystemExit(f"{name}: {column} wrote reports of different sizes")
+            case = cases[column][name]
+            line.append(f"{column} verify {case['verify_s_median']:7.3f} s serialize {case['serialize_s_median']:7.3f} s"
+                        f" {case['output_bytes']:>11,} B")
+        print("  ".join(line), flush=True)
     return cases
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--column", required=True, help="name of the record column, e.g. parent or change")
-    parser.add_argument("--commit", default=None, help="commit of the measured source (default: git describe)")
+    parser.add_argument("--parent", type=Path, help="src directory of the version before the change")
+    parser.add_argument("--change", type=Path, help="src directory of the changed version")
+    parser.add_argument("--parent-commit", default=None, help="commit of the parent tree (default: git describe)")
+    parser.add_argument("--change-commit", default=None, help="commit of the changed tree (default: git describe)")
+    parser.add_argument("--child", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(run_case(args.child[0], int(args.child[1]))))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
 
-    cases = measure()
-    record = json.loads(OUT.read_text()) if OUT.exists() else {}
-    record["what"] = (
-        "verify_all_claims wall time (seconds, median of repeat) against support size N and "
-        "denominator bit-length; model build, statistic+ranking and reports_to_json timed separately, "
-        "output_bytes the size of that JSON"
-    )
-    record["repeat"] = REPEAT
-    record["targets_s"] = TARGETS
-    record.setdefault("columns", {})[args.column] = {
-        "commit": args.commit or source_commit(),
-        "python": platform.python_version(),
-        "cpu": cpu_name(),
-        "cpus": os.cpu_count(),
-        "cases": cases,
-        "targets_met": {
-            name: cases[name]["verify_s_median"] < limit for name, limit in TARGETS.items()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {"parent": args.parent_commit, "change": args.change_commit}
+    cases = measure(trees)
+    record = {
+        "what": (
+            "verify_all_claims wall time (seconds, median of repeat) against support size N and "
+            "denominator bit-length; model build, statistic+ranking and reports_to_json timed separately, "
+            "output_bytes the size of that JSON; each run in a fresh process, the two columns alternating "
+            "case by case and run by run"
+        ),
+        "repeat": REPEAT,
+        "targets_s": TARGETS,
+        "columns": {
+            column: {
+                "commit": commits[column] or source_commit(tree),
+                "python": platform.python_version(),
+                "cpu": cpu_name(),
+                "cpus": os.cpu_count(),
+                "cases": cases[column],
+                "targets_met": {
+                    name: cases[column][name]["verify_s_median"] < limit for name, limit in TARGETS.items()
+                },
+            }
+            for column, tree in trees.items()
         },
     }
     OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
