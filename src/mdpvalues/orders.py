@@ -8,8 +8,8 @@ everywhere.  All comparisons are exact; each claim returns an OrderReport
 carrying the grid, a signed worst margin (pass iff >= 0) and a witness on
 failure.
 
-The engine sorts the support into tie classes once per source, the
-statistic and the ranking (``testing.pvalue_family``), and then works on
+The engine takes each source's tie classes once, the statistic's own
+table and one class per rank (``testing.pvalue_family``), and then works on
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the

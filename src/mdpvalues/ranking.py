@@ -24,7 +24,7 @@ class RankingError(ValueError):
 
 @dataclass(frozen=True)
 class Statistic:
-    """Exact statistic values, aligned with the model support order.
+    """Exact statistic as its tie-class table: distinct ``keys``, strictly decreasing, and each point's ``class_of``.
 
     Larger values are evidence against the null.  Real-valued statistics
     must be supplied as exact rationals (use the likelihood ratio itself,
@@ -32,10 +32,30 @@ class Statistic:
     """
 
     name: str
-    values: tuple[Fraction, ...]
+    keys: tuple[Fraction, ...]
+    class_of: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(a <= b for a, b in zip(self.keys, self.keys[1:])) or set(self.class_of) != set(range(len(self.keys))):
+            raise RankingError(f"statistic {self.name!r} needs strictly decreasing keys, each with a point")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(self.keys.__getitem__, self.class_of))
 
     def value(self, point: SupportPoint) -> Fraction:
-        return self.values[point.index]
+        return self.keys[self.class_of[point.index]]
+
+
+def _tie_classes(name: str, values: list[Fraction], group_of: Sequence[int], scale: Fraction | int = 1) -> Statistic:
+    """Point i has ``values[group_of[i]] * scale``, scale > 0; groups in support order keep a monotone sort one run."""
+    keys: list[Fraction] = []
+    class_of_group = [0] * len(values)
+    for g in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        if not keys or values[g] != keys[-1]:
+            keys.append(values[g])
+        class_of_group[g] = len(keys) - 1
+    return Statistic(name, tuple(key * scale for key in keys), tuple(map(class_of_group.__getitem__, group_of)))
 
 
 def make_statistic(
@@ -52,18 +72,20 @@ def make_statistic(
         raw = list(values)
         if len(raw) != model.size:
             raise RankingError(f"statistic {name!r} has {len(raw)} values for {model.size} points")
-    return Statistic(name, tuple(parse_rational(v) for v in raw))
+    return _tie_classes(name, [parse_rational(v) for v in raw], range(len(raw)))
 
 
 def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: str) -> Statistic:
-    """Exact likelihood ratio p_alt(x) / p_null(x) per point."""
+    """Exact likelihood ratio p_alt(x) / p_null(x) per point, one ``Fraction`` per distinct numerator pair."""
     null_den, null_row = model.int_row(null_name)
     alt_den, alt_row = model.int_row(alt_name)
     if any(p == 0 for p in null_row):
         raise RankingError("likelihood ratio needs a strictly positive null pmf")
-    scale = Fraction(null_den, alt_den)  # reducing pa/p0 and D0/Da apart keeps each gcd small
-    values = tuple(Fraction(pa, p0) * scale for pa, p0 in zip(alt_row, null_row))
-    return make_statistic(model, f"lr({alt_name}:{null_name})", values)
+    pairs: dict[tuple[int, int], int] = {}
+    group_of = [pairs.setdefault(pair, len(pairs)) for pair in zip(alt_row, null_row)]
+    # Reducing pa/p0 and D0/Da apart keeps each gcd small, and the unscaled ratios are cheaper to sort.
+    ratios = [Fraction(pa, p0) for pa, p0 in pairs]
+    return _tie_classes(f"lr({alt_name}:{null_name})", ratios, group_of, Fraction(null_den, alt_den))
 
 
 @dataclass(frozen=True)
@@ -104,7 +126,7 @@ def build_agreeing_ranking(
     every label ("user-priority"), or a reproducible keyed shuffle
     ("seeded-shuffle").
     """
-    if len(statistic.values) != model.size:
+    if len(statistic.class_of) != model.size:
         raise RankingError("statistic and model support sizes differ")
     if tie_break == "lexicographic":
         tie_key = lambda pt: pt.label
@@ -128,7 +150,7 @@ def build_agreeing_ranking(
     else:
         raise RankingError(f"unknown tie-break policy {tie_break!r}")
 
-    ordered = sorted(model.support, key=lambda pt: (-statistic.value(pt), tie_key(pt)))
+    ordered = sorted(model.support, key=lambda pt: (statistic.class_of[pt.index], tie_key(pt)))
     ranks = [0] * model.size
     for pos, pt in enumerate(ordered, start=1):
         ranks[pt.index] = pos
@@ -157,7 +179,7 @@ def verify_agreement(
     The witness (x, y) has a strictly larger statistic at x but a strictly
     larger (worse) rank, i.e. the ranking contradicts the statistic.
     """
-    if len(statistic.values) != model.size or len(ranking.ranks) != model.size:
+    if len(statistic.class_of) != model.size or len(ranking.ranks) != model.size:
         raise RankingError("statistic, ranking and model must share one support")
     seen: dict[int, SupportPoint] = {}
     for pt in model.support:
@@ -169,6 +191,6 @@ def verify_agreement(
         seen[rank] = pt
     by_rank = [seen[r] for r in range(1, model.size + 1)]
     for a, b in zip(by_rank, by_rank[1:]):
-        if statistic.value(a) < statistic.value(b):
+        if statistic.class_of[a.index] > statistic.class_of[b.index]:
             return False, (b.label, a.label)
     return True, None

@@ -1,9 +1,9 @@
 """Size-alpha test functions and generalized p-values as exact linear forms.
 
-Everything here is read off one p-value family per source (statistic or
-ranking), which is a sorted class table: the tie classes sorted once
-from most to least extreme, with the null mass of each class and the
-null mass strictly before it (the class start).  The classes tile
+Everything here is read off one p-value family per source: the tie
+classes of a ``ranking.Statistic`` (decided once, by its constructor) or
+one class per rank, most extreme first, with the null mass of each class
+and the null mass strictly before it (the class start).  The classes tile
 [0, 1], so the size-alpha test keeps the last class whose start does not
 exceed alpha, and the randomization fraction gamma then makes the null
 expectation exactly alpha.  A test is that family plus the threshold
@@ -223,16 +223,18 @@ class PValueFamily:
 
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
-    """Sort the support into tie classes once: one class per rank, or per statistic value."""
+    """Null-mass table of the source's tie classes: one per rank, or the statistic's own ``keys``."""
+    size = len(source.ranks if isinstance(source, Ranking) else source.class_of)
+    if size != model.size:
+        raise TestingError(f"{type(source).__name__.lower()} covers {size} points, the model {model.size}")
     if isinstance(source, Ranking):
         members = tuple((index,) for index in source.order())
         keys: tuple[Fraction | int, ...] = tuple(range(1, model.size + 1))
     else:
-        classes: dict[Fraction, list[int]] = {}
-        for index, value in enumerate(source.values):
-            classes.setdefault(value, []).append(index)
-        keys = tuple(sorted(classes, reverse=True))
-        members = tuple(tuple(classes[value]) for value in keys)
+        classes: list[list[int]] = [[] for _ in source.keys]
+        for index, k in enumerate(source.class_of):
+            classes[k].append(index)
+        keys, members = source.keys, tuple(map(tuple, classes))
     return PValueFamily(model, source, keys, members)
 
 

@@ -1,6 +1,8 @@
 """Statistics, agreeing rankings, tie-break policies, agreement checking."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mdpvalues import (
     Ranking,
     RankingError,
+    Statistic,
     bernoulli_product_model,
     build_agreeing_ranking,
     likelihood_ratio_statistic,
@@ -31,6 +34,77 @@ class TestLikelihoodRatio:
         model = bernoulli_product_model(3, ["1/2", "1/2"])
         stat = likelihood_ratio_statistic(model, "theta0", "theta1")
         assert set(stat.values) == {Fraction(1)}
+
+
+def coprime_models(seed, count):
+    """Random tie-rich two-row models whose null and alternative weight totals are coprime."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        null = [rng.randint(1, 4) for _ in range(n)]
+        alt = [rng.randint(0, 4) for _ in range(n)]
+        while sum(alt) == 0 or gcd(sum(null), sum(alt)) != 1:
+            alt[rng.randrange(n)] += 1
+        rows = {"t0": [Fraction(w, sum(null)) for w in null], "t1": [Fraction(w, sum(alt)) for w in alt]}
+        yield make_model([f"x{i:02d}" for i in range(n)], {"t0": "1/2", "t1": "3/4"}, rows)
+
+
+def pointwise_ratios(model):
+    """The oracle: one Fraction(p1, p0) per support point."""
+    return [p1 / p0 for p0, p1 in zip(model.probs("t0"), model.probs("t1"))]
+
+
+class TestClassTable:
+    def test_likelihood_ratio_matches_pointwise_grouping(self):
+        for model in coprime_models(seed=2024, count=200):
+            ratios = pointwise_ratios(model)
+            keys = sorted(set(ratios), reverse=True)
+            stat = likelihood_ratio_statistic(model, "t0", "t1")
+            assert stat.keys == tuple(keys)
+            assert stat.class_of == tuple(keys.index(r) for r in ratios)
+            assert stat.values == tuple(ratios)
+
+    def test_equal_ratios_from_different_numerator_pairs_share_a_class(self):
+        model = make_model(["a", "b", "c"], {"t0": "1/2", "t1": "3/4"},
+                           {"t0": ["1/6", "1/3", "1/2"], "t1": ["1/12", "1/6", "3/4"]})
+        assert model.int_row("t0") == (6, (1, 2, 3)) and model.int_row("t1") == (12, (1, 2, 9))
+        stat = likelihood_ratio_statistic(model, "t0", "t1")
+        assert stat.keys == (Fraction(3, 2), Fraction(1, 2))
+        assert stat.class_of == (1, 1, 0)  # a's pair (1, 1) and b's (2, 2) are both 1/2
+
+    @pytest.mark.parametrize("keys, class_of", [
+        ((1, 2), (0, 1)),     # increasing keys
+        ((2, 2), (0, 1)),     # a duplicate key
+        ((2, 1), (0, 0)),     # class 1 holds no point
+        ((1,), (0, 1)),       # a point in a class that has no key
+    ], ids=["unsorted", "duplicate", "empty-class", "unknown-class"])
+    def test_invalid_table_is_refused(self, keys, class_of):
+        with pytest.raises(RankingError, match="strictly decreasing keys"):
+            Statistic("s", tuple(map(Fraction, keys)), class_of)
+
+    def test_agreement_matches_fraction_oracle_on_shuffled_rankings(self):
+        def oracle(model, ratios, ranking):
+            by_rank = sorted(model.support, key=ranking.rank)
+            for a, b in zip(by_rank, by_rank[1:]):
+                if ratios[a.index] < ratios[b.index]:
+                    return False, (b.label, a.label)
+            return True, None
+
+        rng, outcomes = random.Random(7), set()
+        for model in coprime_models(seed=99, count=150):
+            stat, ratios = likelihood_ratio_statistic(model, "t0", "t1"), pointwise_ratios(model)
+            agreeing = build_agreeing_ranking(model, stat, "seeded-shuffle", seed=rng.randrange(1000))
+            order = [model.support[i].label for i in agreeing.order()]
+            swapped = list(order)
+            j = rng.randrange(model.size - 1)
+            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+            shuffled = rng.sample(order, model.size)
+            for labels in (order, swapped, shuffled):
+                ranking = ranking_from_order(model, labels)
+                result = verify_agreement(model, stat, ranking)
+                assert result == oracle(model, ratios, ranking)
+                outcomes.add(result[0])
+        assert outcomes == {True, False}
 
 
 class TestBuildAgreeingRanking:

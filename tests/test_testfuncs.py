@@ -10,6 +10,9 @@ import pytest
 from mdpvalues import (
     TestingError,
     alpha_breakpoints,
+    bernoulli_product_model,
+    build_agreeing_ranking,
+    likelihood_ratio_statistic,
     make_statistic,
     pvalue_family,
     size_alpha_test,
@@ -196,6 +199,22 @@ class TestPValueFamily:
         assert family.evaluate(top, 0) == 0          # a = 0 at the most extreme point
         assert family.evaluate(top, 1) == family.natural(top)
         assert family.evaluate(top, Fraction(1, 2)) == family.mid(top)
+
+
+@pytest.mark.parametrize("coins", [3, 6])  # fewer and more points than example1's 5 coins
+@pytest.mark.parametrize("kind", ["statistic", "ranking"])
+@pytest.mark.parametrize("build", [
+    lambda model, source: pvalue_family(model, source),
+    lambda model, source: size_alpha_test(model, source, "9/10"),
+], ids=["pvalue_family", "size_alpha_test"])
+def test_source_built_on_another_support_is_refused(example1, coins, kind, build):
+    # A 3-coin likelihood ratio used to give gamma = 109/5 on example1, a 6-coin one a bare IndexError.
+    other = bernoulli_product_model(coins, ["1/2", "4/5"])
+    source = likelihood_ratio_statistic(other, "theta0", "theta1")
+    if kind == "ranking":
+        source = build_agreeing_ranking(other, source)
+    with pytest.raises(TestingError, match=f"{kind} covers {2 ** coins} points, the model 32"):
+        build(example1, source)
 
 
 class TestDrawRandomized:

@@ -3,7 +3,7 @@
 Times the full C1-C9 suite on two model families, for two source trees of
 the package, and writes both as columns of one JSON record:
 
-  - Bernoulli products, theta 1/2 vs 4/5, n = 8, 10, 12, 14 coins
+  - Bernoulli products, theta 1/2 vs 4/5, n = 8, 10, 12, 14, 16 coins
     (support N = 2^n), likelihood-ratio statistic, lexicographic ranking;
   - binomial(n), theta 1/2 vs 3/5, n = 200, 1000, 4000: few classes per
     point but null and alternative denominators of n and 2.3 n bits.
@@ -15,7 +15,10 @@ goes first alternates too, so a drift of the host's speed reaches both
 columns alike instead of reading as a change.  The record keeps every run
 and the median.  Model build, statistic plus ranking, verification and
 ``orders.reports_to_json`` (what ``mdpv verify`` writes as reports.json)
-are timed separately, and the size of that JSON is recorded in bytes:
+are timed separately, and the size of that JSON is recorded in bytes.
+``statistic_s`` covers ``likelihood_ratio_statistic`` plus
+``build_agreeing_ranking``; the agreement check and the p-value family
+builds run inside ``verify_all_claims`` and so are timed in ``verify_s``:
 
     git archive PARENT | tar -x -C ../parent
     python tools/verify_scaling.py --parent ../parent/src --change src
@@ -42,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_verify.json"
 REPEAT = 5
 
-CASES = [("bernoulli", n) for n in (8, 10, 12, 14)] + [("binomial", n) for n in (200, 1000, 4000)]
+CASES = [("bernoulli", n) for n in (8, 10, 12, 14, 16)] + [("binomial", n) for n in (200, 1000, 4000)]
 TARGETS = {"bernoulli n=14": 3.0, "binomial n=4000": 10.0}
 TIMES = ("model_s", "statistic_s", "verify_s", "serialize_s")
 
