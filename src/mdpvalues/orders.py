@@ -252,8 +252,8 @@ def check_usual_order(cdf_a: StepCDF, cdf_b: StepCDF | None = None) -> OrderRepo
     and a failure's witness names the bound t, as C2's and C4's do.
     """
     cdfs = (cdf_a,) if cdf_b is None else (cdf_a, cdf_b)
-    t_den, jumps = common_denominator(t for cdf in cdfs for t in cdf.jumps)
-    v_den, cum = common_denominator(c for cdf in cdfs for c in cdf.cum)
+    t_den, jumps = common_denominator(t.as_integer_ratio() for cdf in cdfs for t in cdf.jumps)
+    v_den, cum = common_denominator(c.as_integer_ratio() for cdf in cdfs for c in cdf.cum)
     n = len(cdf_a.jumps)
     side_b = (None, None) if cdf_b is None else (jumps[n:], (0, *cum[n:]))
     pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, ("A", "t" if cdf_b is None else "B"))
@@ -520,22 +520,21 @@ def verify_all_claims(
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        def gap_line(k: int, r: int, theta: str) -> tuple[int, int]:
-            """(P, Q) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha = x / scale
-            whose threshold classes are k and r: both powers are linear in alpha there."""
-            _, tm, tb = t_family.lattice(theta)
-            _, mm, mb = md_family.lattice(theta)
+        def gap_line(k: int, r: int, d_theta: int, tm, tb, mm, mb) -> tuple[int, int, int]:
+            """(P, Q, D_theta) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha
+            = x / scale whose threshold classes are k and r: both powers are linear in alpha there."""
             m_k, m_r = t_mass[k], md_mass[r]
             slope_t, slope_md = tm[k] * m_r, mm[r] * m_k
             offset = (tb[k] - mb[r]) * m_k * m_r - t_before[k] * slope_t + md_before[r] * slope_md
-            return offset * c, slope_t - slope_md
+            return offset * c, slope_t - slope_md, d_theta
 
+        lattices = [(*t_family.lattice(theta), *md_family.lattice(theta)[1:]) for theta in thetas]
         items = []
         classes = None
         for x, k, r in zip(grid, t_classes, md_classes):
             if (k, r) != classes:
                 classes = (k, r)
-                lines = [(*gap_line(k, r, theta), t_family.lattice(theta)[0]) for theta in thetas]
+                lines = [gap_line(k, r, *lattice) for lattice in lattices]
             for offset, slope, d_theta in lines:
                 gap = offset + x * slope if slope else offset
                 items.append((-abs(gap), d_theta * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
@@ -575,22 +574,30 @@ def reports_to_json(reports: Sequence[OrderReport]) -> str:
     Grid points are read over the lcm of the reports' grid denominators, so
     each distinct point is reduced and printed once: the alpha grid that C1,
     C2, C6 and C8 share, and its subsets in C3, C4 and C5, cost one
-    ``format_ratios`` entry per point.
+    ``format_ratios`` entry per point.  The text is the layout of
+    ``json.dumps(..., indent=2, sort_keys=True)``, written directly: grid
+    entries are digits and "/", which need no escaping, so ``json.dumps``
+    encodes only the scalar fields.
     """
     scale = math.lcm(*(r.grid_den for r in reports))
     grids = [r.grid_num if r.grid_den == scale else [n * (scale // r.grid_den) for n in r.grid_num]
              for r in reports]
     points = list(dict.fromkeys(n for grid in grids for n in grid))
     text = dict(zip(points, format_ratios(points, scale)))
-    return json.dumps([{
-        "claim": r.claim,
-        "verdict": r.verdict,
-        "grid": [text[n] for n in grid],
-        "worst_margin": None if r.worst_margin is None else format_rational(r.worst_margin),
-        "worst_margin_dec": None if r.worst_margin is None else decimal_string(r.worst_margin, 9),
-        "witness": r.witness,
-        "note": r.note,
-    } for r, grid in zip(reports, grids)], indent=2, sort_keys=True) + "\n"
+    blocks = []
+    for r, grid in zip(reports, grids):
+        margin = r.worst_margin
+        fields = (
+            ("claim", json.dumps(r.claim)),
+            ("grid", '[\n      "' + '",\n      "'.join(map(text.__getitem__, grid)) + '"\n    ]' if grid else "[]"),
+            ("note", json.dumps(r.note)),
+            ("verdict", json.dumps(r.verdict)),
+            ("witness", json.dumps(r.witness)),
+            ("worst_margin", json.dumps(None if margin is None else format_rational(margin))),
+            ("worst_margin_dec", json.dumps(None if margin is None else decimal_string(margin, 9))),
+        )
+        blocks.append("  {\n" + ",\n".join(f'    "{key}": {value}' for key, value in fields) + "\n  }")
+    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
 def reports_to_text(reports: Sequence[OrderReport]) -> str:

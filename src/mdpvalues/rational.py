@@ -6,43 +6,58 @@ exact ``fractions.Fraction``; decimal strings are display-only.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
 
-def parse_rational(value: str | int | Fraction) -> Fraction:
-    """Parse a rational from a "num/den" or integer string.
+# The wire grammar on every Python version, where Fraction(str) takes more and what it takes varies:
+# optional surrounding whitespace, an optional sign, ASCII digits and an optional nonzero "/digits".
+_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*")
 
-    Floats are rejected on purpose: wire formats must stay exact.
+
+def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
+    """(n, d) in lowest terms with d > 0, from a "num/den" or integer string, an int or a Fraction; no Fraction is built.
+
+    Floats, bools, decimal or exponent literals and zero denominators are
+    refused: wire formats must stay exact.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+    if not isinstance(value, str):  # strings first: a model file holds little else
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
+        if isinstance(value, bool):
+            raise ValueError(f"not a rational: {value!r}")
+        if isinstance(value, int):
+            return value, 1
+        if isinstance(value, float):
+            raise ValueError(f"refusing float {value!r}: rationals must be exact")
+    text = str(value)
+    match = _RATIO.fullmatch(text)
+    if match is None:
+        if "." in text or "e" in text.lower():
+            try:
+                float(text)
+            except ValueError:
+                pass  # not a decimal or exponent literal either
+            else:
+                raise ValueError(f"refusing decimal literal {text.strip()!r}: use num/den")
         raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ValueError(f"refusing float {value!r}: rationals must be exact")
-    text = str(value).strip()
-    if "." in text or "e" in text.lower():
-        try:
-            float(text)
-        except ValueError:
-            pass  # not a decimal or exponent literal either
-        else:
-            raise ValueError(f"refusing decimal literal {text!r}: use num/den")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {value!r}") from exc
+    n, d = int(match[1]), int(match[2] or 1)
+    g = gcd(n, d)
+    return n // g, d // g
 
 
-def common_denominator(values: Iterable[Fraction | int]) -> tuple[int, tuple[int, ...]]:
-    """(D, numerators) with value == numerator / D for every value; D is the lcm of the denominators."""
-    values = tuple(values)
-    den = lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+def parse_rational(value: str | int | Fraction) -> Fraction:
+    """``parse_ratio``'s value as a ``Fraction``."""
+    return Fraction(*parse_ratio(value))
+
+
+def common_denominator(ratios: Iterable[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(D, numerators) with n / d == numerator / D for every (n, d), d > 0; D is the lcm of the denominators."""
+    ratios = tuple(ratios)
+    den = lcm(*(d for _, d in ratios))
+    return den, tuple(n * (den // d) for n, d in ratios)
 
 
 def format_rational(value: Fraction | int) -> str:

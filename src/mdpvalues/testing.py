@@ -158,7 +158,9 @@ class PValueFamily:
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
-        """Class index of every support point, in support order."""
+        """Class index of every support point, in support order: a statistic's own table."""
+        if isinstance(self.source, Statistic):
+            return self.source.class_of
         out = [0] * self.model.size
         for k, members in enumerate(self.members):
             for i in members:

@@ -24,13 +24,14 @@ integrated-CDF chain, as an independent check that the chain implies them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mdpvalues.model import DiscreteModel
 from mdpvalues.orders import OrderReport, OrdersError, StepCDF
 from mdpvalues.ranking import Ranking, verify_agreement
-from mdpvalues.rational import common_denominator
+from mdpvalues.rational import common_denominator, decimal_string, format_rational
 from mdpvalues.testing import PValueFamily, TestFunction
 
 HALF = Fraction(1, 2)
@@ -232,7 +233,7 @@ def plateau_heights_inside(cdf: StepCDF) -> list[Fraction]:
 def _worst(claim, grid, margins, note=None) -> OrderReport:
     """The first worst margin; the Fraction grid goes into the report as numerators over their lcm."""
     worst, witness = min(margins, key=lambda mw: mw[0])
-    grid_den, grid_num = common_denominator(grid)
+    grid_den, grid_num = common_denominator(g.as_integer_ratio() for g in grid)
     return OrderReport(claim, "pass" if worst >= 0 else "fail", grid_num, grid_den, worst,
                        None if worst >= 0 else witness, note)
 
@@ -357,3 +358,16 @@ def reference_claims(model, statistic, ranking, thetas):
 
     reports.append(convex_order_chain(model, t_family, md_family))
     return reports
+
+
+def reports_json(reports) -> str:
+    """``orders.reports_to_json``'s text by way of the stdlib encoder: each report a dict, each rational a Fraction."""
+    return json.dumps([{
+        "claim": r.claim,
+        "verdict": r.verdict,
+        "grid": [format_rational(g) for g in r.grid],
+        "worst_margin": None if r.worst_margin is None else format_rational(r.worst_margin),
+        "worst_margin_dec": None if r.worst_margin is None else decimal_string(r.worst_margin, 9),
+        "witness": r.witness,
+        "note": r.note,
+    } for r in reports], indent=2, sort_keys=True) + "\n"

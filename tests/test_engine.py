@@ -34,6 +34,7 @@ from claims_oracle import (
     pointwise_projection,
     randomized_cdf_at,
     reference_claims,
+    reports_json,
     scan_pvalue_family,
 )
 from conftest import random_model_and_statistic
@@ -121,6 +122,41 @@ def test_failing_claims_match_reference(monkeypatch):
     assert any(w.startswith(("F_T@t0(", "F_T@t1(")) and "vs MD@t" in w for w in c1_witnesses)
 
 
+def escaped_names(model, statistic):
+    """The model and statistic again, with labels and names that JSON must escape: quotes, backslashes, non-ASCII."""
+    names = {"t0": 'th\u00e9ta"0', "t1": "th\u00e9ta\\1"}
+    labels = [f'"x{i}\\\u2603' for i in range(model.size)]
+    renamed = make_model(labels, {names[n]: v for n, v in model.parameters.items()},
+                         {names[n]: model.probs(n) for n in model.parameter_names})
+    return renamed, make_statistic(renamed, 's"\\\u03bb', statistic.values), list(names.values())
+
+
+def test_direct_json_writer_matches_json_dumps(monkeypatch):
+    """reports_to_json writes json.dumps' indent=2, sort_keys=True layout itself, escapes and all."""
+    assert reports_to_json([]) == reports_json([]) == "[]\n"
+    for module in (orders, claims_oracle):
+        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
+    rng = random.Random(5)
+    verdicts, escapes = set(), set()
+    for index in range(12):
+        model, statistic = random_model_and_statistic(rng, max_support=12)
+        if index % 2 == 0:
+            model, statistic = tilted_to_sufficiency(rng, model, statistic)
+        model, statistic, thetas = escaped_names(model, statistic)
+        ranks = list(range(1, model.size + 1))
+        if index % 3:
+            rng.shuffle(ranks)
+        ranking = Ranking("shuffled", tuple(ranks), "explicit")
+        for grid in (thetas, []):
+            reports = verify_all_claims(model, statistic, ranking, grid)
+            text = reports_to_json(reports)
+            assert text == reports_json(reports)
+            verdicts.update(r.verdict for r in reports)
+            escapes.update(e for e in ('\\"', "\\\\", "\\u") if e in text)
+            assert json.loads(text)[0]["claim"] == "C1"
+    assert verdicts == {"pass", "fail", "skipped"} and len(escapes) == 3
+
+
 def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
     engine = assert_same_reports(example1, lr, table1_ranking, [])
     assert engine.count('"verdict": "skipped"') == 3
@@ -162,7 +198,11 @@ def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
     ids=["repeated", "missing"],
 )
 def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example1, lr, table1_ranking, broken, cdf):
-    """C5 re-sums each point once into its own class, so member lists that miss or repeat a point fail it."""
+    """C5 re-sums each point once into its own class, so member lists that miss or repeat a point fail it.
+
+    The T family reads each point's class from its statistic, not from the broken members, so its
+    gaps lie at other t; the first worst witness is the MD family's, whose classes are its members.
+    """
 
     def unpartitioned(model, source):
         family = pvalue_family(model, source)
@@ -171,7 +211,7 @@ def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example
     monkeypatch.setattr(orders, "pvalue_family", unpartitioned)
     report = c5_report(example1, lr, table1_ranking)
     assert report.verdict == "fail"
-    assert report.witness == f"T family at t=1/32: CDF {cdf}"
+    assert report.witness == f"MD family at t=1/32: CDF {cdf}"
 
 
 @pytest.mark.parametrize("coins", [5, 7])

@@ -295,7 +295,7 @@ class TestReportGrid:
 
     @staticmethod
     def reduced(report):
-        den, numerators = common_denominator(report.grid)
+        den, numerators = common_denominator(g.as_integer_ratio() for g in report.grid)
         return replace(report, grid_num=numerators, grid_den=den)
 
     def test_unreduced_grid_serializes_like_its_fractions(self):

@@ -5,6 +5,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdpvalues import (
@@ -17,7 +18,7 @@ from mdpvalues import (
     verify_agreement,
 )
 
-from mdpvalues.rational import decimal_ratio, format_ratios, format_rational
+from mdpvalues.rational import _RATIO, decimal_ratio, format_ratios, format_rational, parse_ratio, parse_rational
 
 from claims_oracle import randomized_cdf_at
 from conftest import brute_expectation, decision_coherence_witness, random_model_and_statistic
@@ -74,6 +75,46 @@ def test_integer_ratio_text_edges():
     assert format_ratios([0, 5, 10, 4, -6], 10) == ["0/1", "1/2", "1/1", "2/5", "-3/5"]
     with no_int_digit_limit():
         assert format_ratios([WIDE // 2, 1], WIDE) == ["1/2", f"1/{WIDE}"]
+
+
+@pytest.mark.parametrize(
+    "value, parsed",
+    [("+3/4", (3, 4)), (" 3/4 ", (3, 4)), ("-0/5", (0, 1)), ("6/8", (3, 4)), ("-12", (-12, 1)),
+     (7, (7, 1)), (Fraction(-6, 8), (-3, 4))],
+)
+def test_rational_grammar_accepts(value, parsed):
+    assert parse_ratio(value) == parsed
+    assert parse_rational(value) == Fraction(*parsed)
+
+
+@pytest.mark.parametrize(
+    "value, fault",
+    [("1_0/40", "not a rational: '1_0/40'"),  # Fraction(str) takes it from CPython 3.11 on
+     ("1 / 2", "not a rational: '1 / 2'"),  # Fraction(str) takes it from CPython 3.12 on
+     ("\u0661/\u0662", "not a rational: '\u0661/\u0662'"),  # Arabic-Indic digits: Fraction(str) takes them
+     ("\u0663/4", "not a rational: '\u0663/4'"),
+     ("1/0", "not a rational: '1/0'"),
+     ("3/00", "not a rational: '3/00'"),
+     ("0.25", "refusing decimal literal '0.25'"),
+     ("1e3", "refusing decimal literal '1e3'"),
+     ("inf", "not a rational: 'inf'"),
+     (0.5, "refusing float 0.5"),
+     (True, "not a rational: True")],
+)
+def test_rational_grammar_refuses(value, fault):
+    """One grammar on every Python version: ASCII digits, an optional sign and "/digits", outer whitespace."""
+    for parse in (parse_ratio, parse_rational):
+        with pytest.raises(ValueError) as caught:
+            parse(value)
+        assert str(caught.value).startswith(fault)
+
+
+@given(st.from_regex(_RATIO, fullmatch=True))
+@settings(max_examples=300, deadline=None)
+def test_rational_grammar_agrees_with_fraction(text):
+    """Every string the grammar takes is one that Fraction(str) reads, to the same value."""
+    expected = Fraction(text)
+    assert parse_ratio(text) == (expected.numerator, expected.denominator)
 
 
 @given(small_models(), st.integers(0, 20))

@@ -13,9 +13,12 @@ process whose ``PYTHONPATH`` is the source tree of its column.  The two
 columns alternate case by case, REPEAT (5) runs each, and the side that
 goes first alternates too, so a drift of the host's speed reaches both
 columns alike instead of reading as a change.  The record keeps every run
-and the median.  Model build, statistic plus ranking, verification and
-``orders.reports_to_json`` (what ``mdpv verify`` writes as reports.json)
-are timed separately, and the size of that JSON is recorded in bytes.
+and the median.  Model build, model-file load, statistic plus ranking,
+verification and ``orders.reports_to_json`` (what ``mdpv verify`` writes
+as reports.json) are timed separately, and the size of that JSON is
+recorded in bytes.  ``load_s`` times ``load_model`` of the built model,
+written once by ``save_model`` to a temporary file outside the timer; the
+rest of the run uses the loaded model, as ``mdpv verify --model FILE`` does.
 ``statistic_s`` covers ``likelihood_ratio_statistic`` plus
 ``build_agreeing_ranking``; the agreement check and the p-value family
 builds run inside ``verify_all_claims`` and so are timed in ``verify_s``:
@@ -23,7 +26,8 @@ builds run inside ``verify_all_claims`` and so are timed in ``verify_s``:
     git archive PARENT | tar -x -C ../parent
     python tools/verify_scaling.py --parent ../parent/src --change src
 
-The script writes nothing but BENCH_verify.json at the repository root.
+The script writes nothing but BENCH_verify.json at the repository root
+and the temporary model files, which it removes.
 A column's commit is ``git describe`` of its tree, or the
 ``--parent-commit`` / ``--change-commit`` text where that cannot tell (a
 ``git archive`` copy has no history).
@@ -38,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,7 +52,7 @@ REPEAT = 5
 
 CASES = [("bernoulli", n) for n in (8, 10, 12, 14, 16)] + [("binomial", n) for n in (200, 1000, 4000)]
 TARGETS = {"bernoulli n=14": 3.0, "binomial n=4000": 10.0}
-TIMES = ("model_s", "statistic_s", "verify_s", "serialize_s")
+TIMES = ("model_s", "load_s", "statistic_s", "verify_s", "serialize_s")
 
 
 def cpu_name() -> str:
@@ -80,6 +85,7 @@ def run_case(family: str, n: int) -> dict:
         likelihood_ratio_statistic,
         verify_all_claims,
     )
+    from mdpvalues.model import load_model, save_model
     from mdpvalues.orders import reports_to_json
 
     start = time.perf_counter()
@@ -87,7 +93,14 @@ def run_case(family: str, n: int) -> dict:
         model = bernoulli_product_model(n, ["1/2", "4/5"])
     else:
         model = binomial_model(n, ["1/2", "3/5"])
-    built = time.perf_counter()
+    model_s = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "model.json"
+        save_model(model, path)
+        start = time.perf_counter()
+        model = load_model(path)
+        load_s = time.perf_counter() - start
+    start = time.perf_counter()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = build_agreeing_ranking(model, lr)
     ranked = time.perf_counter()
@@ -101,8 +114,9 @@ def run_case(family: str, n: int) -> dict:
         raise SystemExit(f"{family} n={n}: verdicts {verdicts}, expected all pass")
     null_bits, alt_bits = (model.int_row(theta)[0].bit_length() for theta in ("theta0", "theta1"))
     return {
-        "model_s": built - start,
-        "statistic_s": ranked - built,
+        "model_s": model_s,
+        "load_s": load_s,
+        "statistic_s": ranked - start,
         "verify_s": verified - ranked,
         "serialize_s": serialized - verified,
         "output_bytes": output_bytes,
@@ -146,7 +160,8 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
             if len({run["output_bytes"] for run in runs[column]}) != 1:
                 raise SystemExit(f"{name}: {column} wrote reports of different sizes")
             case = cases[column][name]
-            line.append(f"{column} verify {case['verify_s_median']:7.3f} s serialize {case['serialize_s_median']:7.3f} s"
+            line.append(f"{column} load {case['load_s_median']:6.3f} s verify {case['verify_s_median']:7.3f} s"
+                        f" serialize {case['serialize_s_median']:7.3f} s"
                         f" {case['output_bytes']:>11,} B")
         print("  ".join(line), flush=True)
     return cases
@@ -172,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "what": (
             "verify_all_claims wall time (seconds, median of repeat) against support size N and "
-            "denominator bit-length; model build, statistic+ranking and reports_to_json timed separately, "
+            "denominator bit-length; model build, load_model of its saved file, statistic+ranking and "
+            "reports_to_json timed separately, "
             "output_bytes the size of that JSON; each run in a fresh process, the two columns alternating "
             "case by case and run by run"
         ),
