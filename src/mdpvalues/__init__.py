@@ -34,17 +34,12 @@ from .testing import (
     T_BASED,
     TestFunction,
     TestingError,
-    alpha_breakpoints,
     pvalue_family,
     size_alpha_test,
 )
 from .orders import (
     OrderReport,
     OrdersError,
-    StepCDF,
-    check_usual_order,
-    conditional_variance,
-    pvalue_cdf,
     verify_all_claims,
 )
 from .downstream import (

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .downstream import (
     simulate,
 )
 from .model import DiscreteModel, ModelError
-from .orders import OrdersError, pvalue_cdf, reports_to_json, reports_to_text, verify_all_claims
+from .orders import OrdersError, reports_to_json, reports_to_text, verify_all_claims
 from .ranking import Ranking, RankingError, Statistic, ranking_from_order, build_agreeing_ranking
 from .rational import decimal_ratio, decimal_string, format_ratios, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
@@ -87,7 +86,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     for pt in sorted(model.support, key=ranking.rank):
         cells = [p0[pt.index], p1[pt.index], statistic.value(pt)]
-        naturals = [md_family.natural(pt), t_family.natural(pt)]
+        naturals = [md_family.evaluate(pt, 1), t_family.evaluate(pt, 1)]
         rows.append(
             [pt.label]
             + [format_rational(c) for c in cells]
@@ -116,18 +115,23 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     else:
         source = statistic
     family = pvalue_family(model, source)
-    kinks = (*family.starts, Fraction(1))
+    # Each column is int numerators over one denominator.  Under the null, class k starts at before[k]
+    # with mass mass[k], over D_null; P(X, u) puts the class's theta mass at start + u * mass.
+    den, mass, before = family.lattice(model.null)
+    theta_den, _theta_mass, cum = family.lattice(theta)
     if args.uniform:
-        steps = [(t, t) for t in kinks]
+        columns = (before, den), (before, den)
     elif args.u == "rand":
-        # Pr{P(X, U) <= t} is the power of the size-t test
-        steps = [(t, family.power(theta, t)) for t in kinks]
+        # Pr{P(X, U) <= t} is linear between its kinks, the class starts and 1; at start k it is the
+        # theta mass of the classes before k
+        columns = (before, den), (cum, theta_den)
+    elif args.u == "natural":
+        columns = (before[1:], den), (cum[1:], theta_den)
     else:
-        u = Fraction(1) if args.u == "natural" else Fraction(1, 2)
-        cdf = pvalue_cdf(model, theta, family, u)
-        steps = list(zip(cdf.jumps, cdf.cum))
-    rows = [[format_rational(t), format_rational(value), decimal_string(t), decimal_string(value)]
-            for t, value in steps]
+        columns = ([2 * s + m for s, m in zip(before, mass)], 2 * den), (cum[1:], theta_den)
+    (t_num, t_den), (f_num, f_den) = columns
+    rows = [[t, value, decimal_ratio(a, t_den), decimal_ratio(b, f_den)]
+            for t, value, a, b in zip(format_ratios(t_num, t_den), format_ratios(f_num, f_den), t_num, f_num)]
     _write_table(Path(args.out), ["t", "F", "t_dec", "F_dec"], rows, {
         "command": "cdf",
         "model": model_id,

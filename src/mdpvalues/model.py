@@ -119,11 +119,6 @@ class DiscreteModel:
         den, numerators = self.int_row(theta)
         return tuple(Fraction(p, den) for p in numerators)
 
-    def prob(self, theta: str, ref: SupportPoint | str | int) -> Fraction:
-        """Exact pmf value p_theta(x)."""
-        den, numerators = self.int_row(theta)
-        return Fraction(numerators[self.point(ref).index], den)
-
     def event_prob(self, theta: str, predicate: Callable[[SupportPoint], bool]) -> Fraction:
         """Exact probability of the event {x : predicate(x)} under theta."""
         den, numerators = self.int_row(theta)

@@ -40,8 +40,9 @@ sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
 a failure's witness become Fractions: a witness is rebuilt at its grid
 point alone on Fractions, through ``PValueFamily.power`` (C6) or a
 point-by-point C8 check.  ``reports_to_json`` reduces and prints each
-distinct grid point once.
-The public ``StepCDF`` and ``pvalue_cdf`` stay on Fractions.
+distinct grid point once.  No step CDF is built as an object: the claims
+sweep the class jumps and theta prefixes, and ``mdpv cdf`` prints the same
+lattice columns.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha (C3 on the alpha grid)
@@ -59,46 +60,18 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .model import DiscreteModel, SupportPoint
+from .model import DiscreteModel
 from .ranking import Ranking, Statistic, verify_agreement
-from .rational import common_denominator, decimal_string, format_ratios, format_rational
-from .testing import PValueFamily, _as_unit, _exact, alpha_lattice, pvalue_family
+from .rational import decimal_string, format_ratios, format_rational
+from .testing import PValueFamily, alpha_lattice, pvalue_family
 
 class OrdersError(ValueError):
     """Precondition failure in an ordering check."""
-
-
-@dataclass(frozen=True)
-class StepCDF:
-    """Right-continuous step CDF with exact rational jumps in [0, 1]."""
-
-    jumps: tuple[Fraction, ...]
-    cum: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.jumps) != len(self.cum) or not self.jumps:
-            raise OrdersError("step CDF needs aligned, non-empty jump/mass arrays")
-        if list(self.jumps) != sorted(set(self.jumps)):
-            raise OrdersError("jump locations must be strictly increasing")
-        if any(not 0 <= t <= 1 for t in self.jumps):
-            raise OrdersError("jump locations must lie in [0, 1]")
-        if any(x > y for x, y in zip(self.cum, self.cum[1:])):
-            raise OrdersError("cumulative masses must be nondecreasing")
-        if self.cum[-1] != 1:
-            raise OrdersError(f"final mass is {self.cum[-1]}, not 1")
-
-    def evaluate(self, t: object) -> Fraction:
-        """F(t) for any exact t; floats are refused, t need not lie in [0, 1]."""
-        if not isinstance(t, (Fraction, int)):
-            t = _exact(t, "t")
-        i = bisect_right(self.jumps, t)
-        return Fraction(0) if i == 0 else self.cum[i - 1]
 
 
 def _jumps(family: PValueFamily, u: Fraction) -> list[int]:
@@ -106,21 +79,6 @@ def _jumps(family: PValueFamily, u: Fraction) -> list[int]:
     g, h = u.numerator, u.denominator
     _den, mass, before = family.lattice(family.model.null)
     return [s * h + g * m for s, m in zip(before, mass)]
-
-
-def pvalue_cdf(model: DiscreteModel, theta: str, family: PValueFamily, u: object) -> StepCDF:
-    """Exact distribution of P(X, u) under theta for a fixed u; ``model`` is the family's.
-
-    Class k puts its theta mass at start + u * mass.  Every class has
-    positive null mass, so these jumps increase strictly for every u in [0, 1].
-    """
-    if model != family.model:
-        raise OrdersError("the p-value family was built on another model")
-    u = _as_unit(u)
-    scale = family.lattice(model.null)[0] * u.denominator
-    jumps = tuple(Fraction(j, scale) for j in _jumps(family, u))
-    theta_den, _theta_mass, before = family.lattice(theta)
-    return StepCDF(jumps, tuple(Fraction(b, theta_den) for b in before[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,26 +201,6 @@ def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
         return f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"
 
     return _claim(claim, sorted(grid_set), t_den, margins, den, witness)
-
-
-def check_usual_order(cdf_a: StepCDF, cdf_b: StepCDF | None = None) -> OrderReport:
-    """Verify F_A(t) <= F_B(t) at every jump of either CDF (plus t = 1).
-
-    With ``cdf_b=None`` the comparison is against the diagonal, F_A(t) <= t,
-    and a failure's witness names the bound t, as C2's and C4's do.
-    """
-    cdfs = (cdf_a,) if cdf_b is None else (cdf_a, cdf_b)
-    t_den, jumps = common_denominator(t.as_integer_ratio() for cdf in cdfs for t in cdf.jumps)
-    v_den, cum = common_denominator(c.as_integer_ratio() for cdf in cdfs for c in cdf.cum)
-    n = len(cdf_a.jumps)
-    side_b = (None, None) if cdf_b is None else (jumps[n:], (0, *cum[n:]))
-    pair = (jumps[:n], (0, *cum[:n]), *side_b, v_den, ("A", "t" if cdf_b is None else "B"))
-    return _usual_order("usual-order", t_den, [pair])
-
-
-def conditional_variance(family: PValueFamily, point: SupportPoint | int) -> Fraction:
-    """Var(P(x, U) | X = x) = b(x)^2 / 12 exactly (Var of U times tie mass squared)."""
-    return family.b[family.model.point(point).index] ** 2 / 12
 
 
 def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:

@@ -23,9 +23,13 @@ The table is held on the integer lattice of the model's pmf rows: under
 each theta, the class masses and their prefix sums are integers over the
 row's common denominator D_theta (``PValueFamily.lattice``).  The
 threshold class is one bisect of those integer starts at floor(alpha*D),
-and the claim engine in ``orders`` sweeps them directly.  The ``Fraction``
-tuples ``mass``, ``starts``, ``a`` and ``b`` are views derived once from
-the lattice for callers that want rationals.
+and the claim engine in ``orders`` sweeps them directly.  That lattice is
+the only copy of the p-values: ``PValueFamily.evaluate`` reads one point's
+P(x,u) off it as a ``Fraction``, and ``mdpv cdf`` and ``mdpv pvalues``
+print their tables from it.
+
+Exact inputs (alpha, u) are read with the model files' grammar,
+``rational.parse_ratio``; floats are refused.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
 
 from .model import DiscreteModel, SupportPoint
 from .ranking import Ranking, Statistic
+from .rational import parse_ratio
 
 T_BASED = "t-based"
 MD = "md"
@@ -51,19 +55,16 @@ class TestingError(ValueError):
     __test__ = False  # keep pytest's collector away from the Test* name
 
 
-def _exact(u: object, what: str) -> Fraction:
+def _as_unit(u: object, what: str = "u") -> Fraction:
+    """An exact number in [0, 1]: a Fraction, an int or a "num/den" string, read by ``parse_ratio``."""
     # numbers.Real covers float and the numpy floating types; ints and
     # Fractions are Rational and stay exact.
     if isinstance(u, numbers.Real) and not isinstance(u, numbers.Rational):
         raise TestingError(f"refusing float {what}={u!r}: pass a Fraction, an int or a 'num/den' string")
     try:
-        return Fraction(u)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
+        value = Fraction(*parse_ratio(u))  # type: ignore[arg-type]
+    except ValueError as exc:
         raise TestingError(f"{what} must be an exact number, got {u!r}") from exc
-
-
-def _as_unit(u: object, what: str = "u") -> Fraction:
-    value = _exact(u, what)
     if not 0 <= value <= 1:
         raise TestingError(f"{what}={u} lies outside [0, 1]")
     return value
@@ -90,19 +91,19 @@ class TestFunction:
     def threshold(self) -> Fraction | int:
         return self.table.keys[self.k]
 
-    def zone(self, point: SupportPoint) -> int:
+    def zone(self, point: SupportPoint | int) -> int:
         """+1 strictly more extreme than the threshold, 0 at it, -1 below."""
-        k = self.table.class_of[point.index]
+        k = self.table.class_of[self.table.model.point(point).index]
         return 1 if k < self.k else (0 if k == self.k else -1)
 
-    def phi(self, point: SupportPoint) -> Fraction:
+    def phi(self, point: SupportPoint | int) -> Fraction:
         """Rejection probability phi_alpha(x) in {0, gamma, 1}."""
         zone = self.zone(point)
         if zone > 0:
             return Fraction(1)
         return self.gamma if zone == 0 else Fraction(0)
 
-    def decide(self, point: SupportPoint, u: object) -> bool:
+    def decide(self, point: SupportPoint | int, u: object) -> bool:
         """Randomized decision: True means reject."""
         uu = _as_unit(u)
         zone = self.zone(point)
@@ -115,11 +116,11 @@ class PValueFamily:
 
     Class k holds the support indices ``members[k]`` that share the key
     ``keys[k]``: a statistic value (larger first) or a rank (smaller
-    first, one point per class).  ``mass[k]`` is its null mass and
-    ``starts[k]`` the null mass of the classes before it, so the classes
-    tile [0, 1] as the intervals [starts[k], starts[k] + mass[k]] and a
-    point's (a, b) is its class's (start, mass).  Families compare by
-    these fields; the per-theta lattice cache is left out.
+    first, one point per class).  Under the null, ``lattice`` gives its
+    mass and the mass of the classes before it (its start), so the classes
+    tile [0, 1] as the intervals [start, start + mass] and a point's
+    (a, b) is its class's (start, mass).  Families compare by these
+    fields; the per-theta lattice cache is left out.
     """
 
     model: DiscreteModel
@@ -145,18 +146,6 @@ class PValueFamily:
         return cached
 
     @cached_property
-    def mass(self) -> tuple[Fraction, ...]:
-        """Per class: its null mass."""
-        den, mass, _ = self.lattice(self.model.null)
-        return tuple(Fraction(m, den) for m in mass)
-
-    @cached_property
-    def starts(self) -> tuple[Fraction, ...]:
-        """Per class: the null mass of the classes before it."""
-        den, _, before = self.lattice(self.model.null)
-        return tuple(Fraction(b, den) for b in before[:-1])
-
-    @cached_property
     def class_of(self) -> tuple[int, ...]:
         """Class index of every support point, in support order: a statistic's own table."""
         if isinstance(self.source, Statistic):
@@ -167,30 +156,15 @@ class PValueFamily:
                 out[i] = k
         return tuple(out)
 
-    @cached_property
-    def a(self) -> tuple[Fraction, ...]:
-        """Per point: Pr_0{strictly more extreme}, its class start."""
-        return tuple(self.starts[k] for k in self.class_of)
-
-    @cached_property
-    def b(self) -> tuple[Fraction, ...]:
-        """Per point: Pr_0{tied}, its class mass."""
-        return tuple(self.mass[k] for k in self.class_of)
-
-    def _class(self, point: SupportPoint | int) -> int:
-        return self.class_of[point if isinstance(point, int) else point.index]
-
     def evaluate(self, point: SupportPoint | int, u: object) -> Fraction:
-        k = self._class(point)
-        return self.starts[k] + _as_unit(u) * self.mass[k]
+        """P(x, u) = a(x) + u * b(x): the start of the point's class plus u times its null mass.
 
-    def natural(self, point: SupportPoint | int) -> Fraction:
-        k = self._class(point)
-        return self.starts[k] + self.mass[k]
-
-    def mid(self, point: SupportPoint | int) -> Fraction:
-        k = self._class(point)
-        return self.starts[k] + self.mass[k] / 2
+        u = 1 gives the natural p-value, u = 1/2 the mid-p-value.
+        """
+        u = _as_unit(u)
+        den, mass, before = self.lattice(self.model.null)
+        k = self.class_of[self.model.point(point).index]
+        return Fraction(before[k] * u.denominator + u.numerator * mass[k], den * u.denominator)
 
     def threshold(self, alpha: object) -> tuple[int, Fraction]:
         """Threshold class k(alpha) and gamma(alpha): the last class starting at or below alpha.
@@ -260,16 +234,3 @@ def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
         points.update(b * c for b in before)
     grid = sorted(points)
     return tuple(sorted(points.union((x + y) // 2 for x, y in zip(grid, grid[1:]))))
-
-
-def alpha_breakpoints(*families: PValueFamily) -> tuple[Fraction, ...]:
-    """Canonical alpha grid: attained null tails of every family plus 0 and 1, and the midpoints.
-
-    The attained tails a and a + b are the class starts and 1, since each
-    class ends where the next one starts.  Every asserted quantity is
-    piecewise linear in alpha with kinks at these values, so checking the
-    grid with the midpoints between consecutive entries discharges a
-    "for all alpha" claim exactly.
-    """
-    scale = lcm(2, *(2 * family.lattice(family.model.null)[0] for family in families))
-    return tuple(Fraction(x, scale) for x in alpha_lattice(scale, *families))

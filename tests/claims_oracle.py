@@ -20,21 +20,52 @@ grids are ``Fraction``s too; ``rational.common_denominator`` turns each
 into the report's numerators over their lcm only when the report is built.
 C9 keeps the hinge and square probes that the engine leaves to the
 integrated-CDF chain, as an independent check that the chain implies them.
+
+The library keeps its p-values on the integer lattice only; the oracle's
+``StepCDF`` holds a CDF as ``Fraction`` jumps and cumulative masses, and
+its helpers read the scan's per-point forms (``PointForms``), so a test
+decides whose a and b it passes in.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mdpvalues.model import DiscreteModel
-from mdpvalues.orders import OrderReport, OrdersError, StepCDF
+from mdpvalues.orders import OrderReport, OrdersError
 from mdpvalues.ranking import Ranking, verify_agreement
 from mdpvalues.rational import common_denominator, decimal_string, format_rational
 from mdpvalues.testing import PValueFamily, TestFunction
 
 HALF = Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class StepCDF:
+    """Right-continuous step CDF with exact rational jumps in [0, 1]."""
+
+    jumps: tuple[Fraction, ...]
+    cum: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.jumps) != len(self.cum) or not self.jumps:
+            raise OrdersError("step CDF needs aligned, non-empty jump/mass arrays")
+        if list(self.jumps) != sorted(set(self.jumps)):
+            raise OrdersError("jump locations must be strictly increasing")
+        if any(not 0 <= t <= 1 for t in self.jumps):
+            raise OrdersError("jump locations must lie in [0, 1]")
+        if any(x > y for x, y in zip(self.cum, self.cum[1:])):
+            raise OrdersError("cumulative masses must be nondecreasing")
+        if self.cum[-1] != 1:
+            raise OrdersError(f"final mass is {self.cum[-1]}, not 1")
+
+    def evaluate(self, t) -> Fraction:
+        """F(t) for any exact t; t need not lie in [0, 1]."""
+        i = bisect_right(self.jumps, Fraction(t))
+        return Fraction(0) if i == 0 else self.cum[i - 1]
 
 
 def _as_unit(value) -> Fraction:
@@ -142,17 +173,17 @@ def merge_atoms(atoms) -> StepCDF:
     return StepCDF(tuple(jumps), tuple(cum))
 
 
-def atom_cdf(model, theta, family, u) -> StepCDF:
+def atom_cdf(model, theta, forms: PointForms, u) -> StepCDF:
     """Law of P(X, u) under theta: one atom a + u*b per support point, merged."""
     row = model.probs(theta)
-    return merge_atoms((family.a[i] + u * family.b[i], row[i]) for i in range(model.size))
+    return merge_atoms((forms.a[i] + u * forms.b[i], row[i]) for i in range(model.size))
 
 
-def breakpoints(*families) -> tuple[Fraction, ...]:
+def breakpoints(*forms: PointForms) -> tuple[Fraction, ...]:
     """Every attained a and a + b of every point, plus 0, 1 and the midpoints between them."""
     points = {Fraction(0), Fraction(1)}
-    for family in families:
-        for a, b in zip(family.a, family.b):
+    for form in forms:
+        for a, b in zip(form.a, form.b):
             points.update((a, a + b))
     grid = sorted(points)
     return tuple(sorted(set(grid) | {(x + y) / 2 for x, y in zip(grid, grid[1:])}))
@@ -165,12 +196,12 @@ def phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: st
     return more + test.gamma * tied
 
 
-def randomized_cdf_at(model, theta, family, t) -> Fraction:
+def randomized_cdf_at(model, theta, forms: PointForms, t) -> Fraction:
     """Pr_theta{P(X, U) <= t}: a sum of clamped linear pieces over the support."""
     row = model.probs(theta)
     total = Fraction(0)
     for i in range(model.size):
-        a, b = family.a[i], family.b[i]
+        a, b = forms.a[i], forms.b[i]
         if t >= a + b:
             total += row[i]
         elif t > a:
@@ -258,7 +289,7 @@ def pointwise_projection(model, t_test, md_test) -> OrderReport:
     return _worst("C8", (t_test.alpha,), margins)
 
 
-def convex_order_chain(model, t_family, md_family) -> OrderReport:
+def convex_order_chain(model, t_family: PointForms, md_family: PointForms) -> OrderReport:
     null = model.null
     row = model.probs(null)
     cdf_t = atom_cdf(model, null, t_family, HALF)

@@ -1,4 +1,8 @@
-"""Shared fixtures, the brute-force expectation oracle, the decision-coherence check, random model factory."""
+"""Shared fixtures, the brute-force expectation oracle, the decision-coherence check, random model factory.
+
+Also the engine's own p-values in the oracle's types, for tests that check
+the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from mdpvalues import (
-    alpha_breakpoints,
     bernoulli_product_model,
     build_agreeing_ranking,
     likelihood_ratio_statistic,
@@ -16,13 +19,31 @@ from mdpvalues import (
     make_statistic,
     pvalue_family,
 )
+from mdpvalues.orders import _jumps
 from mdpvalues.registry import table1_ranking as build_table1_ranking
+
+from claims_oracle import PointForms, StepCDF, breakpoints, scan_pvalue_family
 
 
 def brute_expectation(model, theta, fn):
     """Straight-line enumeration oracle: sum_x p_theta(x) * fn(x), exact."""
     row = model.probs(theta)
     return sum((row[pt.index] * fn(pt) for pt in model.support), Fraction(0))
+
+
+def engine_forms(family) -> PointForms:
+    """The engine's per-point linear forms, read through ``PValueFamily.evaluate``: a = P(x, 0), b = P(x, 1) - a."""
+    a = tuple(family.evaluate(i, 0) for i in range(family.model.size))
+    return PointForms(a, tuple(family.evaluate(i, 1) - start for i, start in enumerate(a)))
+
+
+def lattice_cdf(family, theta, u) -> StepCDF:
+    """The engine's law of P(X, u) under theta, as its claims sweep it: ``orders._jumps`` against ``lattice(theta)``."""
+    u = Fraction(u)
+    scale = family.lattice(family.model.null)[0] * u.denominator
+    theta_den, _mass, before = family.lattice(theta)
+    return StepCDF(tuple(Fraction(j, scale) for j in _jumps(family, u)),
+                   tuple(Fraction(b, theta_den) for b in before[1:]))
 
 
 COHERENCE_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -35,7 +56,7 @@ def decision_coherence_witness(model, source):
     at every breakpoint alpha and at u in ``COHERENCE_US``.
     """
     family = pvalue_family(model, source)
-    for alpha in alpha_breakpoints(family):
+    for alpha in breakpoints(scan_pvalue_family(model, source)):
         test = family.test(alpha)
         for pt in model.support:
             for u in COHERENCE_US:

@@ -9,6 +9,7 @@ Fisher and geometric-mean statistics as Python sums over ``math.log``.  It
 shares no sort, step-up, reduction or per-row statistic with the blocked
 harness, only the config and report types and the chi-squared quantile, so
 ``simulate`` can be compared against it byte for byte on ``report_to_json``.
+Its per-point a and b come from the claims oracle's cumulative scan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import numpy as np
 from mdpvalues.downstream import RNG_IDENTITY, ConfigError, SimulationConfig, SimulationReport
 from mdpvalues.ranking import build_agreeing_ranking, likelihood_ratio_statistic
 from mdpvalues.special import chi2_upper_quantile
-from mdpvalues.testing import MD, pvalue_family
+from mdpvalues.testing import MD
+
+from claims_oracle import scan_pvalue_family
 
 
 def _bh(ps: list[float], alpha: float) -> tuple[float, tuple[int, ...]]:
@@ -60,10 +63,10 @@ def simulate_oracle(config: SimulationConfig) -> SimulationReport:
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
     source = build_agreeing_ranking(model, statistic) if config.family == MD else statistic
-    family = pvalue_family(model, source)
+    forms = scan_pvalue_family(model, source)
 
-    a_arr = np.array([float(v) for v in family.a])
-    b_arr = np.array([float(v) for v in family.b])
+    a_arr = np.array([float(v) for v in forms.a])
+    b_arr = np.array([float(v) for v in forms.b])
     cum_null = np.cumsum([float(p) for p in model.probs(config.null)])
     cum_alt = np.cumsum([float(p) for p in model.probs(config.alt)])
     cum_null[-1] = cum_alt[-1] = 1.0

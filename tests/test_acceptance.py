@@ -19,11 +19,9 @@ from mdpvalues import (
     bernoulli_product_model,
     binomial_model,
     build_agreeing_ranking,
-    conditional_variance,
     config_from_dict,
     likelihood_ratio_statistic,
     make_statistic,
-    pvalue_cdf,
     pvalue_family,
     randomization_dependence_prob,
     simulate,
@@ -31,13 +29,18 @@ from mdpvalues import (
     verify_all_claims,
 )
 from mdpvalues.cli import main
-from mdpvalues.orders import StepCDF
 from mdpvalues.rational import parse_rational
 from mdpvalues.registry import example1_model, table1_ranking
-from mdpvalues.testing import alpha_breakpoints
 
-from claims_oracle import phi_expectation_by_tails, pointwise_projection, randomized_cdf_at, rectangle_integral
-from conftest import brute_expectation, random_model_and_statistic
+from claims_oracle import (
+    StepCDF,
+    breakpoints,
+    phi_expectation_by_tails,
+    pointwise_projection,
+    randomized_cdf_at,
+    rectangle_integral,
+)
+from conftest import brute_expectation, engine_forms, lattice_cdf, random_model_and_statistic
 
 ALPHA = Fraction(1, 10)
 HALF = Fraction(1, 2)
@@ -129,15 +132,17 @@ def test_criterion_4_theorem2_c5_c6_c7():
         t_family = pvalue_family(model, count)
         md_family = pvalue_family(model, ranking)
 
+        t_forms, md_forms = engine_forms(t_family), engine_forms(md_family)
+
         # C5: randomized p-value CDF equals t exactly, both families.
         for k in range(1001):
             t = Fraction(k, 1000)
-            assert randomized_cdf_at(model, "theta0", t_family, t) == t
-            assert randomized_cdf_at(model, "theta0", md_family, t) == t
+            assert randomized_cdf_at(model, "theta0", t_forms, t) == t
+            assert randomized_cdf_at(model, "theta0", md_forms, t) == t
 
         # C6: identical power functions at every breakpoint and grid theta.
         names = list(model.parameter_names)
-        for alpha in alpha_breakpoints(t_family, md_family):
+        for alpha in breakpoints(t_forms, md_forms):
             t_test = size_alpha_test(model, count, alpha)
             md_test = size_alpha_test(model, ranking, alpha)
             for theta in names:
@@ -145,10 +150,10 @@ def test_criterion_4_theorem2_c5_c6_c7():
                     phi_expectation_by_tails(model, md_test, theta)
 
         # C7: minimal tie mass pointwise; variance ratio exactly 25 on [T=4].
-        for pt in model.support:
-            assert md_family.b[pt.index] <= t_family.b[pt.index]
+        for i, pt in enumerate(model.support):
+            assert md_forms.b[i] <= t_forms.b[i]
             if pt.label.count("1") == 4:
-                ratio = conditional_variance(t_family, pt) / conditional_variance(md_family, pt)
+                ratio = (t_forms.b[i] ** 2 / 12) / (md_forms.b[i] ** 2 / 12)  # Var(P(x, U) | x) = b(x)^2 / 12
                 assert ratio == 25
 
 
@@ -157,7 +162,7 @@ def test_criterion_5_theorem3_c8_c9(worked_example):
         model, _lr, count, ranking = worked_example
         t_family = pvalue_family(model, count)
         md_family = pvalue_family(model, ranking)
-        for alpha in alpha_breakpoints(t_family, md_family):
+        for alpha in breakpoints(engine_forms(t_family), engine_forms(md_family)):
             report = pointwise_projection(
                 model,
                 size_alpha_test(model, count, alpha),
@@ -170,14 +175,14 @@ def test_criterion_5_theorem3_c8_c9(worked_example):
         class_average = sum(md_test.phi(pt) for pt in tie) / len(tie)
         assert class_average == Fraction(11, 25)
 
-        cdf_t = pvalue_cdf(model, "theta0", t_family, HALF)
-        cdf_md = pvalue_cdf(model, "theta0", md_family, HALF)
+        cdf_t = lattice_cdf(t_family, "theta0", HALF)
+        cdf_md = lattice_cdf(md_family, "theta0", HALF)
         for s in sorted(set(cdf_t.jumps) | set(cdf_md.jumps) | {Fraction(1)}):
             low = rectangle_integral(cdf_t, s)
             mid_i = rectangle_integral(cdf_md, s)
             assert low <= mid_i <= s * s / 2
         for family in (t_family, md_family):
-            assert brute_expectation(model, "theta0", lambda pt: family.mid(pt)) == HALF
+            assert brute_expectation(model, "theta0", lambda pt: family.evaluate(pt, HALF)) == HALF
 
 
 def test_criterion_6_randomization_dependence(worked_example):
@@ -246,14 +251,14 @@ def test_criterion_8_property_suite():
 
             # oracle cross-check: tail/CDF expectations equal straight-line sums
             t_family = pvalue_family(model, statistic)
-            alphas = alpha_breakpoints(t_family)
+            alphas = breakpoints(engine_forms(t_family))
             for alpha in (alphas[1], alphas[len(alphas) // 2], alphas[-2]):
                 for source in (statistic, ranking):
                     test = size_alpha_test(model, source, alpha)
                     for theta in ("t0", "t1"):
                         assert phi_expectation_by_tails(model, test, theta) == \
                             brute_expectation(model, theta, test.phi)
-                nat = pvalue_cdf(model, "t1", t_family, 1)
+                nat = lattice_cdf(t_family, "t1", 1)
                 t_test = size_alpha_test(model, statistic, alpha)
                 oracle = brute_expectation(
                     model, "t1",

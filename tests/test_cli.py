@@ -12,8 +12,16 @@ from pathlib import Path
 import pytest
 
 import mdpvalues
+from mdpvalues import build_agreeing_ranking
 from mdpvalues.cli import main
-from mdpvalues.rational import parse_rational
+from mdpvalues.rational import decimal_string, format_rational, parse_rational
+from mdpvalues.registry import default_statistic, resolve_model
+
+from claims_oracle import atom_cdf, randomized_cdf_at, scan_pvalue_family
+
+# Three points where a and b share the likelihood ratio 1/2: the saved model of the CI smoke's tie.json.
+TIE_MODEL = {"parameters": {"theta0": "1/2", "theta1": "3/4"}, "support": ["a", "b", "c"],
+             "pmf": {"theta0": ["1/6", "1/3", "1/2"], "theta1": ["1/12", "1/6", "3/4"]}}
 
 
 def read_csv(path):
@@ -84,6 +92,36 @@ class TestCdf:
         out = tmp_path / "cdf.csv"
         assert main(["cdf", "--model", "binomial:3,1/2,3/4", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 4
+
+    @pytest.mark.parametrize("spec, classes", [("binomial:40,1/2,3/5", 41), ("tie.json", 2)],
+                             ids=["binomial:40,1/2,3/5", "tie.json"])
+    def test_every_row_matches_the_oracle(self, tmp_path, spec, classes):
+        """t/md x natural/mid/rand x both thetas, and --uniform, row by row against the claims oracle's scan.
+
+        In the saved model file, a and b have equal likelihood ratios (1/2), so the t family has a tie class.
+        """
+        if spec == "tie.json":
+            spec = str(tmp_path / spec)
+            Path(spec).write_text(json.dumps(TIE_MODEL), encoding="utf-8")
+        model, _ = resolve_model(spec)
+        statistic = default_statistic(model)
+        assert len(statistic.keys) == classes
+        for family, source in (("t", statistic), ("md", build_agreeing_ranking(model, statistic))):
+            forms = scan_pvalue_family(model, source)
+            kinks = sorted({*forms.a, Fraction(1)})  # the class starts and 1
+            cases = {("uniform", None): [(t, t) for t in kinks]}
+            for theta in ("theta0", "theta1"):
+                for u, value in (("natural", 1), ("mid", Fraction(1, 2))):
+                    cdf = atom_cdf(model, theta, forms, value)
+                    cases[(u, theta)] = list(zip(cdf.jumps, cdf.cum))
+                cases[("rand", theta)] = [(t, randomized_cdf_at(model, theta, forms, t)) for t in kinks]
+            for (u, theta), expected in cases.items():
+                out = tmp_path / f"{family}-{u}-{theta}.csv"
+                flags = ["--uniform"] if theta is None else ["--u", u, "--theta", theta]
+                assert main(["cdf", "--model", spec, "--family", family, *flags, "--out", str(out)]) == 0
+                assert [tuple(row.values()) for row in read_csv(out)] == [
+                    (format_rational(t), format_rational(f), decimal_string(t), decimal_string(f)) for t, f in expected
+                ], (family, u, theta)
 
     def test_unknown_theta_is_usage_error(self, tmp_path):
         code = main(["cdf", "--model", "example1", "--theta", "nope",

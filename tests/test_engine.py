@@ -18,18 +18,18 @@ from mdpvalues import (
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
-    pvalue_cdf,
     pvalue_family,
     size_alpha_test,
     verify_all_claims,
 )
 from mdpvalues import orders
 from mdpvalues.orders import _convex_order_chain, _projection_margins, _threshold_classes, reports_to_json
-from mdpvalues.testing import alpha_breakpoints, alpha_lattice
+from mdpvalues.testing import alpha_lattice
 
 import claims_oracle
 from claims_oracle import (
     atom_cdf,
+    breakpoints,
     convex_order_chain,
     pointwise_projection,
     randomized_cdf_at,
@@ -37,7 +37,7 @@ from claims_oracle import (
     reports_json,
     scan_pvalue_family,
 )
-from conftest import random_model_and_statistic
+from conftest import lattice_cdf, random_model_and_statistic
 
 
 def tilted_to_sufficiency(rng, model, statistic):
@@ -240,7 +240,7 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
             scale = 2 * model.int_row(model.null)[0]
             grid = alpha_lattice(scale, t_family, md_family)
             alphas = tuple(Fraction(x, scale) for x in grid)
-            assert alphas == alpha_breakpoints(t_family, md_family)
+            assert alphas == breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking))
             classes = [_threshold_classes(family, grid) for family in (t_family, md_family)]
             sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, grid, *classes)]
             pointwise = [
@@ -277,15 +277,15 @@ def test_table_power_is_the_randomized_cdf():
     for _ in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
         for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=3)):
-            family = pvalue_family(model, source)
-            grid = set(alpha_breakpoints(family)) | {Fraction(rng.randint(0, 89), 89) for _ in range(10)}
+            family, points = pvalue_family(model, source), scan_pvalue_family(model, source)
+            grid = set(breakpoints(points)) | {Fraction(rng.randint(0, 89), 89) for _ in range(10)}
             for theta in ("t0", "t1"):
                 for t in sorted(grid):
-                    assert family.power(theta, t) == randomized_cdf_at(model, theta, family, t)
+                    assert family.power(theta, t) == randomized_cdf_at(model, theta, points, t)
 
 
 def test_family_cdf_matches_merged_atoms():
-    """pvalue_cdf read off the classes equals the scan's point-by-point atom merge, for every u."""
+    """The engine's CDF, its class jumps (``orders._jumps``) against ``lattice(theta)``, equals the scan's atom merge."""
     rng = random.Random(21)
     for _ in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
@@ -293,7 +293,7 @@ def test_family_cdf_matches_merged_atoms():
             family, points = pvalue_family(model, source), scan_pvalue_family(model, source)
             for theta in ("t0", "t1"):
                 for u in (0, Fraction(1, 4), Fraction(1, 2), 1):
-                    assert pvalue_cdf(model, theta, family, u) == atom_cdf(model, theta, points, u)
+                    assert lattice_cdf(family, theta, u) == atom_cdf(model, theta, points, u)
 
 
 def test_support_1024_verifies_within_budget():

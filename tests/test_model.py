@@ -28,13 +28,13 @@ def ones(pt):
 
 class TestBernoulliProduct:
     def test_null_pmf_is_uniform(self, example1):
-        for pt in example1.support:
-            assert example1.prob("theta0", pt) == Fraction(1, 32)
+        assert example1.probs("theta0") == (Fraction(1, 32),) * 32
 
     def test_alternative_pmf_values(self, example1):
-        assert example1.prob("theta1", "11111") == Fraction(32768, 100000)
-        assert example1.prob("theta1", "01111") == Fraction(8192, 100000)
-        assert example1.prob("theta1", "00111") == Fraction(2048, 100000)
+        p1 = example1.probs("theta1")
+        assert p1[example1.point("11111").index] == Fraction(32768, 100000)
+        assert p1[example1.point("01111").index] == Fraction(8192, 100000)
+        assert p1[example1.point("00111").index] == Fraction(2048, 100000)
 
     def test_single_coin(self):
         model = bernoulli_product_model(1, ["1/2"])
@@ -43,8 +43,9 @@ class TestBernoulliProduct:
 
     def test_exchangeability(self, example1):
         by_count = {}
+        p1 = example1.probs("theta1")
         for pt in example1.support:
-            by_count.setdefault(ones(pt), set()).add(example1.prob("theta1", pt))
+            by_count.setdefault(ones(pt), set()).add(p1[pt.index])
         assert all(len(values) == 1 for values in by_count.values())
 
     def test_invalid_theta_rejected(self):
@@ -116,9 +117,9 @@ class TestValidation:
 
     def test_unknown_lookups(self, example1):
         with pytest.raises(ModelError):
-            example1.prob("theta9", "11111")
+            example1.probs("theta9")
         with pytest.raises(ModelError):
-            example1.prob("theta0", "22222")
+            example1.point("22222")
 
     def test_float_probabilities_rejected(self):
         with pytest.raises(ValueError):

@@ -4,27 +4,21 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mdpvalues import (
     OrdersError,
     Ranking,
-    StepCDF,
-    TestingError,
     binomial_model,
     build_agreeing_ranking,
-    check_usual_order,
-    conditional_variance,
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
-    pvalue_cdf,
     pvalue_family,
     size_alpha_test,
     verify_all_claims,
 )
-from mdpvalues.orders import OrderReport, _sufficiency, reports_to_json, reports_to_text
+from mdpvalues.orders import OrderReport, _jumps, _sufficiency, _usual_order, reports_to_json, reports_to_text
 from mdpvalues.rational import common_denominator, format_rational
 
 from claims_oracle import check_sufficiency as oracle_sufficiency
@@ -34,14 +28,23 @@ from claims_oracle import (
     pointwise_projection,
     randomized_cdf_at,
     rectangle_integral,
+    scan_pvalue_family,
 )
-from conftest import brute_expectation
+from conftest import brute_expectation, engine_forms, lattice_cdf
 
 HALF = Fraction(1, 2)
 
 
 def engine_sufficiency(model, statistic, thetas):
     return _sufficiency(pvalue_family(model, statistic), thetas)
+
+
+def natural_order(theta, family_a, family_b, labels=("A", "B")):
+    """F_A <= F_B (F_A <= t without ``family_b``) for the natural p-values under theta, on the lattice."""
+    den, _mass, before = family_a.lattice(theta)
+    side_b = (None, None) if family_b is None else (_jumps(family_b, Fraction(1)), family_b.lattice(theta)[2])
+    pair = (_jumps(family_a, Fraction(1)), before, *side_b, den, labels)
+    return _usual_order("usual-order", family_a.lattice(family_a.model.null)[0], [pair])
 
 
 def c9_report(model, statistic, ranking):
@@ -64,28 +67,20 @@ def md_family(example1, table1_ranking):
 
 
 class TestStepCDF:
-    def test_md_natural_staircase(self, example1, md_family):
-        cdf = pvalue_cdf(example1, "theta0", md_family, 1)
+    def test_md_natural_staircase(self, md_family):
+        cdf = lattice_cdf(md_family, "theta0", 1)
         assert cdf.jumps == tuple(Fraction(k, 32) for k in range(1, 33))
         assert cdf.cum == tuple(Fraction(k, 32) for k in range(1, 33))
 
-    def test_t_natural_has_one_jump_per_class(self, example1, t_family):
-        cdf = pvalue_cdf(example1, "theta0", t_family, 1)
+    def test_t_natural_has_one_jump_per_class(self, t_family):
+        cdf = lattice_cdf(t_family, "theta0", 1)
         assert len(cdf.jumps) == 6
 
-    def test_right_continuous_evaluation(self, example1, md_family):
-        cdf = pvalue_cdf(example1, "theta0", md_family, 1)
+    def test_right_continuous_evaluation(self, md_family):
+        cdf = lattice_cdf(md_family, "theta0", 1)
         assert cdf.evaluate(1) == 1
         assert cdf.evaluate(Fraction(1, 32)) == Fraction(1, 32)
         assert cdf.evaluate(Fraction(1, 33)) == 0
-
-    def test_float_t_refused_exact_t_unrestricted(self):
-        cdf = StepCDF((Fraction(3, 10), Fraction(1)), (HALF, Fraction(1)))
-        assert cdf.evaluate(Fraction(3, 10)) == HALF
-        assert cdf.evaluate("3/10") == HALF
-        for t in (0.3, np.float64(0.3), np.float32(0.3)):
-            with pytest.raises(TestingError, match="refusing float"):
-                cdf.evaluate(t)
         assert cdf.evaluate(-1) == 0 and cdf.evaluate(2) == 1
 
     def test_atoms_at_equal_locations_merge(self):
@@ -95,36 +90,39 @@ class TestStepCDF:
 
 
 class TestRandomizedCDF:
+    """The oracle's sum over the support, fed the engine's per-point forms."""
+
     def test_exactly_uniform_under_null(self, example1, t_family, md_family):
+        t_forms, md_forms = engine_forms(t_family), engine_forms(md_family)
         for k in range(51):
             t = Fraction(k, 50)
-            assert randomized_cdf_at(example1, "theta0", t_family, t) == t
-            assert randomized_cdf_at(example1, "theta0", md_family, t) == t
+            assert randomized_cdf_at(example1, "theta0", t_forms, t) == t
+            assert randomized_cdf_at(example1, "theta0", md_forms, t) == t
 
     def test_endpoints(self, example1, t_family):
-        assert randomized_cdf_at(example1, "theta0", t_family, 0) == 0
-        assert randomized_cdf_at(example1, "theta0", t_family, 1) == 1
+        assert randomized_cdf_at(example1, "theta0", engine_forms(t_family), 0) == 0
+        assert randomized_cdf_at(example1, "theta0", engine_forms(t_family), 1) == 1
 
     def test_families_coincide_under_alternative(self, example1, t_family, md_family):
         t = Fraction(1, 10)
         assert randomized_cdf_at(
-            example1, "theta1", t_family, t
-        ) == randomized_cdf_at(example1, "theta1", md_family, t)
+            example1, "theta1", engine_forms(t_family), t
+        ) == randomized_cdf_at(example1, "theta1", engine_forms(md_family), t)
 
 
 class TestIntegratedCDF:
-    def test_zero_at_origin(self, example1, t_family):
-        cdf = pvalue_cdf(example1, "theta0", t_family, 1)
+    def test_zero_at_origin(self, t_family):
+        cdf = lattice_cdf(t_family, "theta0", 1)
         assert rectangle_integral(cdf, 0) == 0
 
-    def test_t_mid_rectangle_sum(self, example1, t_family):
+    def test_t_mid_rectangle_sum(self, t_family):
         # Frozen from the independent rectangle-sum oracle over the
         # enumerated 32-point support (jumps at 1/64 and 7/64 below 3/16).
-        cdf = pvalue_cdf(example1, "theta0", t_family, HALF)
+        cdf = lattice_cdf(t_family, "theta0", HALF)
         assert rectangle_integral(cdf, Fraction(3, 16)) == Fraction(9, 512)
 
-    def test_matches_brute_rectangles(self, example1, md_family):
-        cdf = pvalue_cdf(example1, "theta0", md_family, HALF)
+    def test_matches_brute_rectangles(self, md_family):
+        cdf = lattice_cdf(md_family, "theta0", HALF)
         for s in (Fraction(1, 5), HALF, Fraction(9, 10), Fraction(1)):
             brute = Fraction(0)
             locations = list(cdf.jumps) + [Fraction(1)]
@@ -136,48 +134,52 @@ class TestIntegratedCDF:
 
 
 class TestUsualOrder:
-    def test_identical_cdfs_pass_with_zero_margin(self, example1, t_family):
-        cdf = pvalue_cdf(example1, "theta0", t_family, 1)
-        report = check_usual_order(cdf, cdf)
+    """``orders._usual_order``, the sweep behind C1-C4, on the natural CDFs' lattice ints."""
+
+    def test_identical_cdfs_pass_with_zero_margin(self, t_family):
+        report = natural_order("theta0", t_family, t_family)
         assert report.passed and report.worst_margin == 0
 
-    def test_null_sandwich(self, example1, t_family, md_family):
-        nat_t = pvalue_cdf(example1, "theta0", t_family, 1)
-        nat_md = pvalue_cdf(example1, "theta0", md_family, 1)
-        assert check_usual_order(nat_t, nat_md).passed
-        assert check_usual_order(nat_md, None).passed  # against the diagonal
+    def test_null_sandwich(self, t_family, md_family):
+        assert natural_order("theta0", t_family, md_family).passed
+        assert natural_order("theta0", md_family, None, ("A", "t")).passed  # against the diagonal
 
-    def test_md_dominates_under_alternative_strictly(self, example1, t_family, md_family):
-        nat_t = pvalue_cdf(example1, "theta1", t_family, 1)
-        nat_md = pvalue_cdf(example1, "theta1", md_family, 1)
-        assert check_usual_order(nat_t, nat_md).passed
+    def test_md_dominates_under_alternative_strictly(self, t_family, md_family):
+        assert natural_order("theta1", t_family, md_family).passed
         t = Fraction(2, 32)
-        assert nat_md.evaluate(t) > nat_t.evaluate(t)
+        assert lattice_cdf(md_family, "theta1", 1).evaluate(t) > lattice_cdf(t_family, "theta1", 1).evaluate(t)
 
     def test_diagonal_violation_names_the_bound_t(self):
-        # F(1/4) = 1/2 > 1/4; t over 4 and F over 2 put the two sides on different scales
-        report = check_usual_order(StepCDF((Fraction(1, 4), Fraction(1)), (HALF, Fraction(1))))
+        # F(1/4) = 1/2 > 1/4: jumps at 1/4 and 1 over 4, F after each jump 1/2 and 1 over 2,
+        # so the two sides are on different scales
+        report = _usual_order("usual-order", 4, [((1, 4), (0, 1, 2), None, None, 2, ("A", "t"))])
         assert report.verdict == "fail"
         assert report.worst_margin == Fraction(-1, 4)
         assert report.witness == "F_A(1/4) = 1/2 vs t bound 1/4"
 
-    def test_violation_reports_witness(self, example1, t_family, md_family):
-        nat_t = pvalue_cdf(example1, "theta1", t_family, 1)
-        nat_md = pvalue_cdf(example1, "theta1", md_family, 1)
-        report = check_usual_order(nat_md, nat_t)  # deliberately reversed
+    def test_violation_reports_witness(self, t_family, md_family):
+        report = natural_order("theta1", md_family, t_family)  # deliberately reversed
         assert report.verdict == "fail"
         assert report.worst_margin < 0
         assert report.witness
 
 
 class TestConditionalVariance:
-    def test_tie_mass_ratio_is_25(self, example1, t_family, md_family):
+    """Var(P(x, U) | X = x) = b(x)^2 / 12, with b the tie mass P(x, 1) - P(x, 0)."""
+
+    @staticmethod
+    def variance(family, pt):
+        return (family.evaluate(pt, 1) - family.evaluate(pt, 0)) ** 2 / 12
+
+    def test_tie_mass_ratio_is_25(self, example1, count_stat, table1_ranking, t_family, md_family):
         pt = example1.point("01111")  # a five-way tie under the count statistic
-        var_t = conditional_variance(t_family, pt)
-        var_md = conditional_variance(md_family, pt)
+        var_t = self.variance(t_family, pt)
+        var_md = self.variance(md_family, pt)
         assert var_t == Fraction(5, 32) ** 2 / 12
         assert var_md == Fraction(1, 32) ** 2 / 12
         assert var_t / var_md == 25
+        for source, var in ((count_stat, var_t), (table1_ranking, var_md)):
+            assert scan_pvalue_family(example1, source).b[pt.index] ** 2 / 12 == var
 
     def test_injective_statistic_gives_equal_variances(self):
         model = binomial_model(3, ["1/2", "3/4"])
@@ -186,7 +188,7 @@ class TestConditionalVariance:
         fam_t = pvalue_family(model, stat)
         fam_md = pvalue_family(model, ranking)
         for pt in model.support:
-            assert conditional_variance(fam_t, pt) == conditional_variance(fam_md, pt)
+            assert self.variance(fam_t, pt) == self.variance(fam_md, pt)
 
 
 class TestMartingaleProjection:
@@ -252,10 +254,8 @@ class TestConvexOrderChain:
     def test_example_chain_passes_with_strict_interior(self, example1, count_stat, table1_ranking):
         report = c9_report(example1, count_stat, table1_ranking)
         assert report.passed
-        t_fam = pvalue_family(example1, count_stat)
-        md_fam = pvalue_family(example1, table1_ranking)
-        cdf_t = pvalue_cdf(example1, "theta0", t_fam, HALF)
-        cdf_md = pvalue_cdf(example1, "theta0", md_fam, HALF)
+        cdf_t = lattice_cdf(pvalue_family(example1, count_stat), "theta0", HALF)
+        cdf_md = lattice_cdf(pvalue_family(example1, table1_ranking), "theta0", HALF)
         strict = [
             s for s in cdf_md.jumps
             if rectangle_integral(cdf_t, s) < rectangle_integral(cdf_md, s) < s * s / 2
@@ -265,7 +265,7 @@ class TestConvexOrderChain:
     def test_mid_means_are_exactly_half(self, example1, count_stat, table1_ranking):
         for source in (count_stat, table1_ranking):
             family = pvalue_family(example1, source)
-            mean = brute_expectation(example1, "theta0", lambda pt: family.mid(pt))
+            mean = brute_expectation(example1, "theta0", lambda pt: family.evaluate(pt, HALF))
             assert mean == HALF
 
     def test_injective_statistic_collapses_chain(self):
@@ -274,10 +274,8 @@ class TestConvexOrderChain:
         ranking = build_agreeing_ranking(model, stat)
         report = c9_report(model, stat, ranking)
         assert report.passed
-        fam_t = pvalue_family(model, stat)
-        fam_md = pvalue_family(model, ranking)
-        cdf_t = pvalue_cdf(model, "theta0", fam_t, HALF)
-        cdf_md = pvalue_cdf(model, "theta0", fam_md, HALF)
+        cdf_t = lattice_cdf(pvalue_family(model, stat), "theta0", HALF)
+        cdf_md = lattice_cdf(pvalue_family(model, ranking), "theta0", HALF)
         for s in cdf_t.jumps:
             assert rectangle_integral(cdf_t, s) == rectangle_integral(cdf_md, s)
 
@@ -371,7 +369,7 @@ class TestVerifyAllClaims:
     ):
         # Claim checkers evaluate expectations through CDFs / tail events;
         # the oracle is the straight-line sum over the support.
-        nat_md = pvalue_cdf(example1, "theta1", md_family, 1)
+        nat_md = lattice_cdf(md_family, "theta1", 1)
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2), Fraction(31, 32)):
             md_test = size_alpha_test(example1, table1_ranking, alpha)
             oracle = brute_expectation(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdpvalues import (
-    alpha_breakpoints,
     build_agreeing_ranking,
     make_model,
     make_statistic,
@@ -20,8 +19,8 @@ from mdpvalues import (
 
 from mdpvalues.rational import _RATIO, decimal_ratio, format_ratios, format_rational, parse_ratio, parse_rational
 
-from claims_oracle import randomized_cdf_at
-from conftest import brute_expectation, decision_coherence_witness, random_model_and_statistic
+from claims_oracle import breakpoints, randomized_cdf_at, scan_pvalue_family
+from conftest import brute_expectation, decision_coherence_witness, engine_forms, random_model_and_statistic
 
 
 @st.composite
@@ -141,18 +140,18 @@ def test_randomized_pvalues_uniform(case, numerator):
     model, statistic = case
     t = Fraction(numerator, 13)
     for source in (statistic, build_agreeing_ranking(model, statistic)):
-        family = pvalue_family(model, source)
-        assert randomized_cdf_at(model, "t0", family, t) == t
+        forms = engine_forms(pvalue_family(model, source))
+        assert randomized_cdf_at(model, "t0", forms, t) == t
 
 
 @given(small_models())
 @settings(max_examples=40, deadline=None)
 def test_md_tie_mass_never_exceeds_t_tie_mass(case):
     model, statistic = case
-    t_family = pvalue_family(model, statistic)
-    md_family = pvalue_family(model, build_agreeing_ranking(model, statistic))
+    t_forms = engine_forms(pvalue_family(model, statistic))
+    md_forms = engine_forms(pvalue_family(model, build_agreeing_ranking(model, statistic)))
     for i in range(model.size):
-        assert md_family.b[i] <= t_family.b[i]
+        assert md_forms.b[i] <= t_forms.b[i]
 
 
 @given(small_models())
@@ -168,7 +167,7 @@ def test_md_natural_attains_every_rank_cumulative(case):
     for index in ranking.order():
         running += null[index]
         expected.add(running)
-    attained = {family.natural(i) for i in range(model.size)}
+    attained = {family.evaluate(i, 1) for i in range(model.size)}
     assert attained == expected
     assert len(attained) == model.size
 
@@ -178,9 +177,7 @@ def test_md_natural_attains_every_rank_cumulative(case):
 def test_natural_decisions_nested_and_level(case):
     model, statistic = case
     ranking = build_agreeing_ranking(model, statistic)
-    t_family = pvalue_family(model, statistic)
-    md_family = pvalue_family(model, ranking)
-    for alpha in alpha_breakpoints(t_family, md_family):
+    for alpha in breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)):
         t_test = size_alpha_test(model, statistic, alpha)
         md_test = size_alpha_test(model, ranking, alpha)
         t_nat = brute_expectation(

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mdpvalues import (
+    ModelError,
     TestingError,
-    alpha_breakpoints,
     bernoulli_product_model,
     build_agreeing_ranking,
     likelihood_ratio_statistic,
@@ -19,7 +19,8 @@ from mdpvalues import (
 )
 from mdpvalues.cli import main
 
-from conftest import brute_expectation, decision_coherence_witness
+from claims_oracle import breakpoints, scan_pvalue_family
+from conftest import brute_expectation, decision_coherence_witness, engine_forms
 
 ALPHA = Fraction(1, 10)
 
@@ -57,7 +58,7 @@ class TestSizeAlphaTest:
 
     def test_size_identity_on_dense_grid(self, example1, count_stat, table1_ranking):
         grid = set(Fraction(k, 100) for k in range(101))
-        grid.update(alpha_breakpoints(pvalue_family(example1, count_stat)))
+        grid.update(breakpoints(scan_pvalue_family(example1, count_stat)))
         for alpha in sorted(grid):
             for source in (count_stat, table1_ranking):
                 test = size_alpha_test(example1, source, alpha)
@@ -70,7 +71,7 @@ class TestSizeAlphaTest:
 
     def test_monotone_in_alpha_pointwise(self, example1, count_stat, table1_ranking):
         for source in (count_stat, table1_ranking):
-            grid = alpha_breakpoints(pvalue_family(example1, source))
+            grid = breakpoints(scan_pvalue_family(example1, source))
             tests = [size_alpha_test(example1, source, a) for a in grid]
             for lo, hi in zip(tests, tests[1:]):
                 for pt in example1.support:
@@ -80,9 +81,12 @@ class TestSizeAlphaTest:
         with pytest.raises(TestingError):
             size_alpha_test(example1, count_stat, Fraction(3, 2))
 
-    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 2), 0.1], ids=["above-one", "negative", "float"])
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(3, 2), Fraction(-1, 2), 0.1, "1_0/40", "\u0661/\u0664", True],
+        ids=["above-one", "negative", "float", "underscore", "arabic-indic-digits", "bool"])
     def test_family_entry_points_refuse_bad_alpha(self, example1, lr, alpha):
-        # unchecked, 3/2 gave a power above 1 and -1/2 wrapped to the last class
+        # unchecked, 3/2 gave a power above 1 and -1/2 wrapped to the last class; the model-file
+        # grammar refuses the last three, which Fraction(str) and Fraction(True) read as 1/4, 1/4 and 1
         family = pvalue_family(example1, lr)
         for call in (lambda: family.threshold(alpha), lambda: family.power("theta1", alpha),
                      lambda: family.test(alpha)):
@@ -101,9 +105,18 @@ class TestSizeAlphaTest:
 
     def test_float_u_refused(self, example1, lr):
         test = size_alpha_test(example1, lr, ALPHA)
-        with pytest.raises(TestingError, match="refusing float"):
-            test.decide(example1.point("11111"), 0.5)
-        assert test.decide(example1.point("11111"), Fraction(1, 2))
+        family = test.table
+        top = example1.point("11111")
+        for u in (0.5, np.float64(0.5), np.float32(0.5)):
+            for call in (lambda: test.decide(top, u), lambda: family.evaluate(top, u)):
+                with pytest.raises(TestingError, match="refusing float"):
+                    call()
+        for u in ("1_0/40", "\u0661/\u0664", True):
+            for call in (lambda: test.decide(top, u), lambda: family.evaluate(top, u)):
+                with pytest.raises(TestingError, match="must be an exact number"):
+                    call()
+        assert test.decide(top, Fraction(1, 2))
+        assert test.decide(top, " 1/2 ") and family.evaluate(top, "+1/4") == family.evaluate(top, Fraction(1, 4))
 
 
 class TestPower:
@@ -121,7 +134,7 @@ class TestPower:
 
     def test_level_property_of_natural_decisions(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
-        for alpha in alpha_breakpoints(family):
+        for alpha in breakpoints(scan_pvalue_family(example1, count_stat)):
             test = size_alpha_test(example1, count_stat, alpha)
             natural = brute_expectation(
                 example1, "theta0",
@@ -159,34 +172,36 @@ class TestPValueFamily:
     def test_md_natural_values_are_rank_over_n(self, example1, table1_ranking):
         family = pvalue_family(example1, table1_ranking)
         for pt in example1.support:
-            assert family.natural(pt) == Fraction(table1_ranking.rank(pt), 32)
+            assert family.evaluate(pt, 1) == Fraction(table1_ranking.rank(pt), 32)
 
     def test_t_natural_values_per_class(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
-        assert family.natural(example1.point("11111")) == Fraction(1, 32)
-        assert family.natural(example1.point("01111")) == Fraction(6, 32)
-        assert family.natural(example1.point("00111")) == Fraction(16, 32)
+        assert family.evaluate(example1.point("11111"), 1) == Fraction(1, 32)
+        assert family.evaluate(example1.point("01111"), 1) == Fraction(6, 32)
+        assert family.evaluate(example1.point("00111"), 1) == Fraction(16, 32)
 
     def test_mid_values(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
-        assert family.mid(example1.point("11111")) == Fraction(1, 64)    # 0.015625
-        assert family.mid(example1.point("01111")) == Fraction(7, 64)    # 0.109375
+        assert family.evaluate(example1.point("11111"), Fraction(1, 2)) == Fraction(1, 64)    # 0.015625
+        assert family.evaluate(example1.point("01111"), Fraction(1, 2)) == Fraction(7, 64)    # 0.109375
 
     def test_pair_invariants(self, example1, count_stat, table1_ranking):
         null = example1.probs("theta0")
         for source, one_per_class in ((count_stat, False), (table1_ranking, True)):
             family = pvalue_family(example1, source)
             assert all(len(members) == 1 for members in family.members) == one_per_class
+            forms = engine_forms(family)
+            assert forms == scan_pvalue_family(example1, source)
             for i in range(example1.size):
-                assert family.b[i] > 0
-                assert family.a[i] >= 0
-                assert family.a[i] + family.b[i] <= 1
+                assert forms.b[i] > 0
+                assert forms.a[i] >= 0
+                assert forms.a[i] + forms.b[i] <= 1
                 if one_per_class:
-                    assert family.b[i] == null[i]
+                    assert forms.b[i] == null[i]
 
     def test_md_attains_n_distinct_naturals(self, example1, table1_ranking):
         family = pvalue_family(example1, table1_ranking)
-        attained = {family.natural(i) for i in range(example1.size)}
+        attained = {family.evaluate(i, 1) for i in range(example1.size)}
         assert attained == {Fraction(k, 32) for k in range(1, 33)}
 
     def test_coherence_with_decisions_is_exact(self, example1, count_stat, table1_ranking):
@@ -197,8 +212,8 @@ class TestPValueFamily:
         family = pvalue_family(example1, table1_ranking)
         top = example1.point("11111")
         assert family.evaluate(top, 0) == 0          # a = 0 at the most extreme point
-        assert family.evaluate(top, 1) == family.natural(top)
-        assert family.evaluate(top, Fraction(1, 2)) == family.mid(top)
+        assert family.evaluate(top, 1) == Fraction(1, 32)
+        assert family.evaluate(top, Fraction(1, 2)) == family.evaluate(top, "1/2") == Fraction(1, 64)
 
 
 @pytest.mark.parametrize("coins", [3, 6])  # fewer and more points than example1's 5 coins
@@ -215,6 +230,23 @@ def test_source_built_on_another_support_is_refused(example1, coins, kind, build
         source = build_agreeing_ranking(other, source)
     with pytest.raises(TestingError, match=f"{kind} covers {2 ** coins} points, the model 32"):
         build(example1, source)
+
+
+@pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model"])
+@pytest.mark.parametrize("call", [
+    lambda family, test, point: family.evaluate(point, 1),
+    lambda family, test, point: test.zone(point),
+    lambda family, test, point: test.phi(point),
+    lambda family, test, point: test.decide(point, 1),
+], ids=["evaluate", "zone", "phi", "decide"])
+def test_point_refs_outside_the_model_are_refused(example1, ref, call):
+    # -1 used to read the last point, 8 raised a bare IndexError, and example1's point 3 ("00011")
+    # read the 3-coin model's point 3 ("011")
+    model = bernoulli_product_model(3, ["1/2", "4/5"])
+    family = pvalue_family(model, likelihood_ratio_statistic(model, "theta0", "theta1"))
+    point = {"minus-one": -1, "past-the-end": model.size, "point-of-another-model": example1.support[3]}[ref]
+    with pytest.raises(ModelError):
+        call(family, family.test(ALPHA), point)
 
 
 class TestDrawRandomized:
@@ -236,7 +268,8 @@ class TestDrawRandomized:
         family = pvalue_family(example1, table1_ranking)
         pt = example1.point("01111")
         value, u = self.draw(family, pt, random.Random(5))
-        assert value == family.a[pt.index] + u * family.b[pt.index]
+        a, b = family.evaluate(pt, 0), family.evaluate(pt, 1) - family.evaluate(pt, 0)
+        assert value == a + u * b
         assert 0 <= u <= 1
 
 
