@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo study from a JSON config")
     p.add_argument("--config", required=True, help="config path or bundled config name")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", default=None, help="override the config seed (an integer, read as the config's)")
     p.add_argument("--alpha", default=None, help="override the config alpha (num/den)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

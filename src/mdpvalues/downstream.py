@@ -10,13 +10,19 @@ spawn_key=(r,)))), and within a replicate hypothesis i consumes component i
 of each vectorized draw (data first, then auxiliary u, then the regenerated
 u used for the dependence rate).  Identical configs therefore reproduce
 bit-identical reports, and runs sharing a master seed see identical data.
+The harness builds no SeedSequence: it derives every replicate's Philox key
+as SeedSequence would, in one vectorized step, and re-keys one generator
+per replicate, so the streams are numpy's own.
 Replicates run in blocks of max(1, BLOCK_ELEMENTS // M) rows, so a block
 array holds about BLOCK_ELEMENTS floats whatever the run's size: replicate
 r fills its row from its own substream, and the p-values, the procedure
 and the reductions run once per block, with each row's values those of a
-replicate-at-a-time loop.  numpy is imported inside ``simulate``,
-``bh_threshold`` and ``bonferroni`` only, so the exact layers and the
-other CLI commands never load it.
+replicate-at-a-time loop.  Fisher and the geometric mean sum math.log of
+each p-value left to right along the row, as a running sum; under the
+natural and mid policies a p-value takes one value per support point, so
+its log is looked up in a per-point table.  numpy is imported inside
+functions only, so the exact layers and the other CLI commands never load
+it.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
@@ -65,13 +72,16 @@ def _check_alpha(alpha: float) -> float:
     return value
 
 
-def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarray | float, np.ndarray]:
+def _decide_rows(
+    ps: np.ndarray, alpha: float, procedure: str, logs: np.ndarray | None = None,
+) -> tuple[np.ndarray | float, np.ndarray]:
     """The procedure on each row of ``ps``: thresholds and a rejection mask.
 
     BH keeps the last i with s_(i) * M <= alpha * i in the sorted row, and
     its threshold is that s_(i), or 0 with nothing rejected.  Fisher and the
     geometric mean give one global verdict per row, as a one-column mask,
-    by the rules of ``fisher_test`` and ``geometric_mean_combination``.
+    by the rules of ``fisher_test`` and ``geometric_mean_combination``; they
+    read ``logs``, ``_logs(ps)`` unless the caller already holds it.
     """
     import numpy as np
 
@@ -86,13 +96,45 @@ def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarr
         return cut, (ps <= cut[:, None]) & feasible[:, None]
     if procedure == "bonferroni":
         return alpha / m, ps <= alpha / m
-    # Fisher and the geometric mean sum math.log over each row in Python,
-    # whose float sum fixes the last bits (3.12 compensates it).
+    logs = _logs(ps) if logs is None else logs
     if procedure == "fisher":
-        verdicts = [_fisher(row, alpha).reject for row in ps.tolist()]
-        return _fisher_critical(alpha, 2 * m), np.array(verdicts)[:, None]
-    verdicts = [_geometric_mean(row).rejects_at(alpha) for row in ps.tolist()]
-    return alpha / math.e, np.array(verdicts)[:, None]
+        critical = _fisher_critical(alpha, 2 * m)
+        return critical, (-2.0 * _row_log_sums(logs) >= critical)[:, None]
+    return alpha / math.e, (_geometric_means(logs) <= alpha / math.e)[:, None]
+
+
+def _logs(ps: np.ndarray) -> np.ndarray:
+    """math.log of each p, with -inf where p is 0.
+
+    Not np.log: its last bits differ from math.log's on some inputs, by
+    host and numpy build.
+    """
+    import numpy as np
+
+    logs = np.fromiter(map(math.log, np.where(ps > 0.0, ps, 1.0).ravel().tolist()), float, ps.size)
+    logs[ps.ravel() == 0.0] = -math.inf
+    return logs.reshape(ps.shape)
+
+
+def _row_log_sums(logs: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Each row's sum of scale * log p, added left to right, so -inf where the row holds a p of 0.
+
+    A running sum's last column is that left fold, bit for bit on every
+    Python version; np.sum adds pairwise and rounds differently.
+    """
+    import numpy as np
+
+    return np.cumsum(scale * logs, axis=1)[:, -1]
+
+
+def _geometric_means(logs: np.ndarray) -> np.ndarray:
+    """Each row's exp(mean of log P_i); a p of 0 in any row is a ``ConfigError``."""
+    import numpy as np
+
+    sums = _row_log_sums(logs, 1.0 / logs.shape[1])
+    if np.isneginf(sums).any():
+        raise ConfigError("p-values must be strictly positive here")
+    return np.fromiter(map(math.exp, sums.tolist()), float, len(sums))
 
 
 def bh_threshold(pvalues: Sequence[float], alpha: float) -> tuple[float, tuple[int, ...]]:
@@ -139,18 +181,15 @@ class FisherResult(NamedTuple):
 
 def fisher_test(pvalues: Sequence[float], alpha: float) -> FisherResult:
     """Fisher combination: -2 sum log P_i against the chi-squared(2n) upper-alpha point."""
+    import numpy as np
+
     ps, alpha = _check_pvalues(pvalues), _check_alpha(alpha)
     if not ps:
         raise ConfigError("fisher_test needs at least one p-value")
-    return _fisher(ps, alpha)
-
-
-def _fisher(ps: list[float], alpha: float) -> FisherResult:
-    """``fisher_test`` on checked p-values; simulate's rows need no check."""
     critical = _fisher_critical(alpha, 2 * len(ps))
-    if 0.0 in ps:
-        return FisherResult(math.inf, critical, True, "zero p-value: statistic diverges")
-    statistic = -2.0 * sum(map(math.log, ps))
+    statistic = float(-2.0 * _row_log_sums(_logs(np.array([ps])))[0])
+    if statistic == math.inf:
+        return FisherResult(statistic, critical, True, "zero p-value: statistic diverges")
     return FisherResult(statistic, critical, statistic >= critical, None)
 
 
@@ -164,18 +203,12 @@ class GeometricMeanResult(NamedTuple):
 
 def geometric_mean_combination(pvalues: Sequence[float]) -> GeometricMeanResult:
     """Geometric mean exp(mean of log P_i) of strictly positive p-values."""
+    import numpy as np
+
     ps = _check_pvalues(pvalues)
     if not ps:
         raise ConfigError("geometric mean needs at least one p-value")
-    return _geometric_mean(ps)
-
-
-def _geometric_mean(ps: list[float]) -> GeometricMeanResult:
-    """``geometric_mean_combination`` on checked p-values; simulate's rows need no check."""
-    if 0.0 in ps:
-        raise ConfigError("p-values must be strictly positive here")
-    w = 1.0 / len(ps)
-    return GeometricMeanResult(math.exp(sum(w * math.log(p) for p in ps)))
+    return GeometricMeanResult(float(_geometric_means(_logs(np.array([ps])))[0]))
 
 
 def randomization_dependence_prob(theta: str, test: TestFunction) -> Fraction:
@@ -216,8 +249,8 @@ class SimulationConfig:
             raise ConfigError(f"unknown procedure {self.procedure!r}")
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must lie strictly in (0, 1)")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        if not 1 <= self.replicates <= 2**32:
+            raise ConfigError("replicates must lie in [1, 2**32]: each replicate's spawn key is one 32-bit word")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -260,12 +293,17 @@ class SimulationConfig:
 _FAMILY_ALIASES = {"t": T_BASED, "t-based": T_BASED, "md": MD}
 
 
+# An integer string: an optional sign and ASCII digits, with the rationals' optional surrounding
+# whitespace.  re compiles it on first use, not at import.
+_INTEGER = r"\s*[+-]?[0-9]+\s*"
+
+
 def _integer(data: Mapping, key: str) -> int:
-    """An integer config field: a JSON integer or an integral string, never a float or a bool."""
+    """An integer config field: a JSON integer or an integer string, never a float or a bool."""
     value = data[key]
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+    if isinstance(value, str) and re.fullmatch(_INTEGER, value):
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
@@ -337,10 +375,82 @@ def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
+# numpy's SeedSequence: its pool of 4 uint32 words and the hash and mix constants it fills them with.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Replicates whose Philox keys are derived in one vectorized step.
+KEY_CHUNK = 1 << 16
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of a uint32 (an int or a uint32 array); returns it and the next hash constant."""
+    next_const = const * mult & _MASK32
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> 16, next_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words (ints or uint32 arrays)."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _substream_keys(seed: int, replicates: int) -> Iterator[np.ndarray]:
+    """The Philox key of SeedSequence(seed, spawn_key=(r,)) for r = 0, 1, ..., replicates - 1.
+
+    SeedSequence hashes the seed's 32-bit words, zero-padded to its pool of
+    4, into the pool and mixes the pool; then it mixes in any seed words
+    past the fourth and the spawn word r, and hashes the pool out as the
+    key's 4 words (``generate_state(2, uint64)``).  All but the last two
+    steps depend on the seed alone, so they run once, on ints; those two run
+    on uint32 arrays of KEY_CHUNK replicates at a time.  Each r < 2**32 is
+    one spawn word.
+    """
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))))
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    for start in range(0, replicates, KEY_CHUNK):
+        spawn = np.arange(start, min(start + KEY_CHUNK, replicates), dtype=np.uint32)
+        spawn_const, out_const, key_words = const, _INIT_B, []
+        for dst in range(_POOL):
+            value, spawn_const = _hashmix(spawn, spawn_const, _MULT_A)
+            word, out_const = _hashmix(_mix(pool[dst], value), out_const, _MULT_B)
+            key_words.append(word.astype(np.uint64))
+        yield from np.stack([key_words[0] | key_words[1] << 32, key_words[2] | key_words[3] << 32], axis=1)
+
+
+def _substreams(seed: int, replicates: int) -> Iterator[np.random.Generator]:
+    """Generator(Philox(SeedSequence(seed, spawn_key=(r,)))) for r = 0, 1, ..., replicates - 1.
+
+    One generator, re-keyed for each replicate: its key set, counter 0 and
+    no buffered output, the state a new Philox starts from.
+    """
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state
+    for key in _substream_keys(seed, replicates):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
 
 
 def simulate(config: SimulationConfig) -> SimulationReport:
@@ -385,22 +495,30 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     # so they stop there.
     draws = 3 if randomized else 1
 
+    # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2, so
+    # there a p-value, and the log that Fisher and the geometric mean read,
+    # take one value per support point: the logs are looked up by point.
+    fixed_u = {"natural": 1.0, "mid": 0.5}.get(config.u_policy)
+    combined = config.procedure in ("fisher", "geometric-mean")
+    log_table = _logs(a_arr + fixed_u * b_arr) if fixed_u and combined else None
+    streams = _substreams(config.seed, config.replicates)
+
     fdp, tdp, rejection_counts, thresholds, flips = np.zeros((5, config.replicates))
 
     rows = max(1, BLOCK_ELEMENTS // m)
     for start in range(0, config.replicates, rows):
         block = slice(start, min(start + rows, config.replicates))
         uniforms = np.empty((block.stop - start, draws, m))
-        for j in range(len(uniforms)):
-            _replicate_rng(config.seed, start + j).random(out=uniforms[j])
+        for row in uniforms:
+            next(streams).random(out=row)
         idx = np.empty((len(uniforms), m), dtype=np.int64)
         idx[:, :m0] = np.searchsorted(cum_null, uniforms[:, 0, :m0], side="right")
         idx[:, m0:] = np.searchsorted(cum_alt, uniforms[:, 0, m0:], side="right")
         np.clip(idx, 0, model.size - 1, out=idx)
         a_block, b_block = a_arr[idx], b_arr[idx]
-        # P = a + u * b: the natural and mid policies fix u at 1 and 1/2.
-        u = uniforms[:, 1] if randomized else (1.0 if config.u_policy == "natural" else 0.5)
-        thresholds[block], rejected = _decide_rows(a_block + u * b_block, alpha, config.procedure)
+        ps = a_block + (uniforms[:, 1] if randomized else fixed_u) * b_block
+        logs = None if log_table is None else log_table[idx]
+        thresholds[block], rejected = _decide_rows(ps, alpha, config.procedure, logs)
         rejection_counts[block] = n_rej = rejected.sum(axis=1)
         fdp[block] = rejected[:, :null_cols].sum(axis=1) / np.maximum(n_rej, 1)
         tdp[block] = rejected[:, null_cols:].sum(axis=1) / alt_cols if alt_cols else 0.0

@@ -98,6 +98,8 @@ class DiscreteModel:
                 if ref.index >= len(self.support) or self.support[ref.index].label != ref.label:
                     raise ModelError(f"point {ref.label!r} does not belong to this model")
             return self.support[ref.index]
+        if isinstance(ref, bool):
+            raise ModelError(f"point ref {ref!r} is a bool, not an index")
         if isinstance(ref, int):
             if not 0 <= ref < len(self.support):
                 raise ModelError(f"point index {ref} out of range")

@@ -1,11 +1,14 @@
 """Slow reference for downstream.simulate: one Python iteration per replicate.
 
 This is the straight-line form of the Monte Carlo harness.  Each replicate
-builds its own Philox substream, draws its M data uniforms, its M auxiliary
+builds its own generator through numpy's ``SeedSequence(seed,
+spawn_key=(r,))``, not the harness's derived keys, draws its M data
+uniforms, its M auxiliary
 uniforms and, under the randomized policy, M regenerated uniforms, and runs
 the procedure on that one replicate through scalar code kept here: the
 Benjamini-Hochberg scan over sorted p-values, the Bonferroni cut, and the
-Fisher and geometric-mean statistics as Python sums over ``math.log``.  It
+Fisher and geometric-mean statistics as left folds over ``math.log`` (an
+explicit ``reduce``, since Python 3.12's ``sum`` compensates).  It
 shares no sort, step-up, reduction or per-row statistic with the blocked
 harness, only the config and report types and the chi-squared quantile, so
 ``simulate`` can be compared against it byte for byte on ``report_to_json``.
@@ -15,6 +18,8 @@ Its per-point a and b come from the claims oracle's cumulative scan.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -42,14 +47,14 @@ def _bh(ps: list[float], alpha: float) -> tuple[float, tuple[int, ...]]:
 def _fisher_rejects(ps: list[float], critical: float) -> bool:
     if any(p == 0.0 for p in ps):
         return True
-    return -2.0 * sum(math.log(p) for p in ps) >= critical
+    return -2.0 * reduce(operator.add, map(math.log, ps)) >= critical
 
 
 def _geometric_mean(ps: list[float]) -> float:
     if any(p == 0.0 for p in ps):
         raise ConfigError("p-values must be strictly positive here")
     w = 1.0 / len(ps)
-    return math.exp(sum(w * math.log(p) for p in ps))
+    return math.exp(reduce(operator.add, (w * math.log(p) for p in ps)))
 
 
 def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:

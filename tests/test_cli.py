@@ -308,6 +308,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == "error: config is missing field 'model'\n"
 
+    @pytest.mark.parametrize("seed", ["1_0", "\u0661\u0660", "1.5", "0x10", ""])
+    def test_seed_override_outside_the_integer_grammar_exits_two(self, tmp_path, capsys, seed):
+        assert main(["simulate", "--config", "bh_null", "--seed", seed, "--out", str(tmp_path / "s")]) == 2
+        assert f"seed must be an integer, got {seed!r}" in capsys.readouterr().err
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err

@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,13 +257,93 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="unsupported tie_break 'bogus'"):
             _config(tie_break="bogus")
         for field, value in [("hypotheses", 20.9), ("hypotheses", 40.0), ("hypotheses", "20.9"),
-                             ("replicates", True), ("seed", 3.7), ("seed", "three")]:
+                             ("replicates", True), ("seed", 3.7), ("seed", "three"),
+                             ("hypotheses", "\u0661\u0660"), ("replicates", "1_0"), ("seed", "1_0"),
+                             ("seed", "\u0661\u0660"), ("seed", "\uff11"), ("seed", "0x10"), ("seed", "1e3")]:
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):
                 _config(**{field: value})
         assert _config(hypotheses="40").hypotheses == 40
+        assert _config(hypotheses=" +40 ").hypotheses == 40
+
+    def test_replicates_past_one_spawn_word_refused(self):
+        with pytest.raises(ConfigError, match=r"replicates must lie in \[1, 2\*\*32\]"):
+            _config(replicates=2**32 + 1)
+        assert _config(replicates=2**32).replicates == 2**32
 
     def test_report_records_rng_identity(self):
         assert "Philox" in simulate(_config()).rng
+
+
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 has 5 words, past the pool's 4
+
+
+class TestKernel:
+    """The blocked harness's substream keys and log sums against numpy's and Python's own."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substream_keys_are_seed_sequence_keys(self, seed):
+        keys = list(downstream._substream_keys(seed, 300))
+        assert len(keys) == 300
+        for r, key in enumerate(keys):
+            expected = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            assert key.dtype == np.uint64 and key.tolist() == expected.tolist(), r
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substreams_draw_the_seed_sequence_streams(self, seed):
+        for r, rng in enumerate(downstream._substreams(seed, 300)):
+            expected = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+            assert rng.random(600).tolist() == expected.random(600).tolist(), r
+
+    def test_keys_span_chunks(self, monkeypatch):
+        monkeypatch.setattr(downstream, "KEY_CHUNK", 7)
+        keys = list(downstream._substream_keys(5, 30))
+        assert [k.tolist() for k in keys] == [
+            np.random.SeedSequence(5, spawn_key=(r,)).generate_state(2, np.uint64).tolist() for r in range(30)]
+
+    def test_row_log_sums_are_the_left_fold(self):
+        rng = np.random.default_rng(7)
+        rows = rng.random((400, 60)) ** rng.choice([1, 5, 40], size=(400, 1))
+        logs = downstream._logs(rows)
+        assert logs.tolist() == [[math.log(p) for p in row] for row in rows.tolist()]
+        for scale in (1.0, 1 / 60):
+            folds = [reduce(operator.add, (scale * math.log(p) for p in row)) for row in rows.tolist()]
+            assert downstream._row_log_sums(logs, scale).tolist() == folds
+            # np.sum adds pairwise: these rows tell the two apart
+            assert np.sum(scale * logs, axis=1).tolist() != folds
+
+    def test_zero_pvalue_rows(self):
+        # A randomized p-value a + u * b is exactly 0 when a = 0 and u = 0.
+        ps = np.array([[0.9, 0.0, 0.8], [0.9, 0.7, 0.8]])
+        assert downstream._logs(ps)[0].tolist() == [math.log(0.9), -math.inf, math.log(0.8)]
+        critical, rejected = downstream._decide_rows(ps, 0.1, "fisher")
+        assert rejected[:, 0].tolist() == [True, False]
+        assert fisher_test(ps[0], 0.1) == (math.inf, critical, True, "zero p-value: statistic diverges")
+        with pytest.raises(ConfigError, match="strictly positive"):
+            downstream._decide_rows(ps, 0.1, "geometric-mean")
+        with pytest.raises(ConfigError, match="strictly positive"):
+            geometric_mean_combination(ps[0])
+        _, rejected = downstream._decide_rows(ps[1:], 0.1, "geometric-mean")
+        assert rejected.tolist() == [[False]]
+
+    def test_statistics_on_their_cuts_reject(self):
+        def first_float(condition, p):
+            """The first float from p up, within 400 ulp, that meets ``condition``."""
+            for _ in range(400):
+                if condition(p):
+                    return p
+                p = math.nextafter(p, 1.0)
+            pytest.fail("no float within 400 ulp meets the condition")
+
+        critical = downstream._fisher_critical(0.1, 2)
+        # a float p whose statistic is the cut exactly
+        p = first_float(lambda p: -2.0 * math.log(p) == critical, math.exp(-critical / 2) * (1 - 1e-14))
+        assert fisher_test([p], 0.1).reject
+        assert downstream._decide_rows(np.array([[p]]), 0.1, "fisher")[1].tolist() == [[True]]
+        # a float p whose P~ is alpha / e exactly for alpha = P~ * e
+        p = first_float(lambda p: (math.exp(math.log(p)) * math.e) / math.e == math.exp(math.log(p)), 0.03)
+        alpha = math.exp(math.log(p)) * math.e
+        assert geometric_mean_combination([p]).rejects_at(alpha)
+        assert downstream._decide_rows(np.array([[p]]), alpha, "geometric-mean")[1].tolist() == [[True]]
 
 
 def _oracle_config(spec, **fields):

@@ -232,7 +232,7 @@ def test_source_built_on_another_support_is_refused(example1, coins, kind, build
         build(example1, source)
 
 
-@pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model"])
+@pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model", "bool"])
 @pytest.mark.parametrize("call", [
     lambda family, test, point: family.evaluate(point, 1),
     lambda family, test, point: test.zone(point),
@@ -241,10 +241,11 @@ def test_source_built_on_another_support_is_refused(example1, coins, kind, build
 ], ids=["evaluate", "zone", "phi", "decide"])
 def test_point_refs_outside_the_model_are_refused(example1, ref, call):
     # -1 used to read the last point, 8 raised a bare IndexError, and example1's point 3 ("00011")
-    # read the 3-coin model's point 3 ("011")
+    # read the 3-coin model's point 3 ("011"), and True read point 1
     model = bernoulli_product_model(3, ["1/2", "4/5"])
     family = pvalue_family(model, likelihood_ratio_statistic(model, "theta0", "theta1"))
-    point = {"minus-one": -1, "past-the-end": model.size, "point-of-another-model": example1.support[3]}[ref]
+    point = {"minus-one": -1, "past-the-end": model.size, "point-of-another-model": example1.support[3],
+             "bool": True}[ref]
     with pytest.raises(ModelError):
         call(family, family.test(ALPHA), point)
 
