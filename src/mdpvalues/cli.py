@@ -78,7 +78,7 @@ def _load_ranking(model: DiscreteModel, path: str) -> Ranking:
 def cmd_table1(args: argparse.Namespace) -> int:
     model, _ = resolve_model("example1")
     statistic = default_statistic(model)
-    ranking = table1_ranking(model, statistic)
+    ranking = table1_ranking(model)
     t_family = pvalue_family(model, statistic)
     md_family = pvalue_family(model, ranking)
     p0 = model.probs(model.parameter_names[0])

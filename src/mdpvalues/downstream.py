@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
-from .rational import format_rational, parse_rational
+from .rational import INTEGER, format_rational, parse_rational
 from .special import chi2_upper_quantile
 from .testing import MD, T_BASED, TestFunction, pvalue_family
 
@@ -293,17 +293,12 @@ class SimulationConfig:
 _FAMILY_ALIASES = {"t": T_BASED, "t-based": T_BASED, "md": MD}
 
 
-# An integer string: an optional sign and ASCII digits, with the rationals' optional surrounding
-# whitespace.  re compiles it on first use, not at import.
-_INTEGER = r"\s*[+-]?[0-9]+\s*"
-
-
 def _integer(data: Mapping, key: str) -> int:
     """An integer config field: a JSON integer or an integer string, never a float or a bool."""
     value = data[key]
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(_INTEGER, value):
+    if isinstance(value, str) and re.fullmatch(INTEGER, value):
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
 

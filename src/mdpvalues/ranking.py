@@ -1,18 +1,19 @@
 """Test statistics and one-to-one rankings of the support.
 
 A ranking agrees with a statistic when a strictly larger statistic value
-always receives a strictly smaller rank; within a tie class the order is
-free and is fixed here by an explicit tie-break policy (lexicographic on
-labels, a user-supplied priority list, or a seeded shuffle).  Smaller rank
-means more evidence against the null.
+always receives a strictly smaller rank.  Within a tie class the order is
+free, and the dominance results hold for every such order, so one tie rule
+is enough: ``build_agreeing_ranking`` breaks ties in label order.  Any
+other tie order is an explicit rank order, read by ``ranking_from_order``
+and checked by ``verify_agreement``.  Smaller rank means more evidence
+against the null.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import DiscreteModel, SupportPoint
 from .rational import parse_rational
@@ -90,11 +91,9 @@ def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: s
 
 @dataclass(frozen=True)
 class Ranking:
-    """Bijection from the support onto {1..N}; rank 1 is most extreme."""
+    """Bijection from the support onto {1..N}, as each point's rank; rank 1 is most extreme."""
 
-    agrees_with: str
     ranks: tuple[int, ...]
-    tie_break: str
 
     def rank(self, point: SupportPoint) -> int:
         return self.ranks[point.index]
@@ -107,68 +106,32 @@ class Ranking:
         return tuple(out)
 
 
-def _shuffle_key(seed: int, label: str) -> str:
-    return hashlib.sha256(f"{seed}:{label}".encode()).hexdigest()
+def _ranking_from_indices(size: int, indices_in_rank_order: Iterable[int]) -> Ranking:
+    """Ranks of support indices listed from rank 1 on; an index left out keeps rank 0."""
+    ranks = [0] * size
+    for rank, index in enumerate(indices_in_rank_order, start=1):
+        ranks[index] = rank
+    return Ranking(tuple(ranks))
 
 
-def build_agreeing_ranking(
-    model: DiscreteModel,
-    statistic: Statistic,
-    tie_break: str = "lexicographic",
-    *,
-    priority: Sequence[str] | None = None,
-    seed: int | None = None,
-) -> Ranking:
-    """Rank the support so that strictly larger statistic values come first.
-
-    Tie classes are ordered by the policy: label order ("lexicographic",
-    the deterministic default), position in a user priority list covering
-    every label ("user-priority"), or a reproducible keyed shuffle
-    ("seeded-shuffle").
-    """
+def build_agreeing_ranking(model: DiscreteModel, statistic: Statistic) -> Ranking:
+    """Rank the support so that strictly larger statistic values come first, ties in label order."""
     if len(statistic.class_of) != model.size:
         raise RankingError("statistic and model support sizes differ")
-    if tie_break == "lexicographic":
-        tie_key = lambda pt: pt.label
-    elif tie_break == "user-priority":
-        if priority is None:
-            raise RankingError("user-priority tie-break needs a priority list")
-        position = {label: i for i, label in enumerate(priority)}
-        if len(position) != len(list(priority)):
-            raise RankingError("priority list contains duplicate labels")
-        unknown = set(position) - {pt.label for pt in model.support}
-        if unknown:
-            raise RankingError(f"priority list has unknown labels: {sorted(unknown)[:3]}")
-        missing = [pt.label for pt in model.support if pt.label not in position]
-        if missing:
-            raise RankingError(f"priority list is incomplete: missing {missing[:3]}")
-        tie_key = lambda pt: position[pt.label]
-    elif tie_break == "seeded-shuffle":
-        if seed is None:
-            raise RankingError("seeded-shuffle tie-break needs a seed")
-        tie_key = lambda pt: _shuffle_key(seed, pt.label)
-    else:
-        raise RankingError(f"unknown tie-break policy {tie_break!r}")
-
-    ordered = sorted(model.support, key=lambda pt: (statistic.class_of[pt.index], tie_key(pt)))
-    ranks = [0] * model.size
-    for pos, pt in enumerate(ordered, start=1):
-        ranks[pt.index] = pos
-    return Ranking(statistic.name, tuple(ranks), tie_break)
+    ordered = sorted(model.support, key=lambda pt: (statistic.class_of[pt.index], pt.label))
+    return _ranking_from_indices(model.size, (pt.index for pt in ordered))
 
 
 def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]) -> Ranking:
-    """Ranking given directly as labels listed from rank 1 to rank N."""
+    """Ranking given directly as labels listed from rank 1 to rank N: any tie order, checked by ``verify_agreement``."""
     if len(labels_in_rank_order) != model.size:
         raise RankingError(
             f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points"
         )
-    ranks = [0] * model.size
-    for pos, label in enumerate(labels_in_rank_order, start=1):
-        ranks[model.point(label).index] = pos
-    if sorted(ranks) != list(range(1, model.size + 1)):
+    ranking = _ranking_from_indices(model.size, (model.point(label).index for label in labels_in_rank_order))
+    if 0 in ranking.ranks:  # N labels leave a point unranked only if one repeats
         raise RankingError("rank order must mention every support label exactly once")
-    return Ranking("explicit", tuple(ranks), "explicit")
+    return ranking
 
 
 def verify_agreement(

@@ -16,6 +16,10 @@ from typing import Iterable
 # optional surrounding whitespace, an optional sign, ASCII digits and an optional nonzero "/digits".
 _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*")
 
+# An integer string (a binomial spec's n, a simulate config's integer fields): an optional sign and
+# ASCII digits, with the rationals' optional surrounding whitespace.  re compiles it on first use.
+INTEGER = r"\s*[+-]?[0-9]+\s*"
+
 
 def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
     """(n, d) in lowest terms with d > 0, from a "num/den" or integer string, an int or a Fraction; no Fraction is built.

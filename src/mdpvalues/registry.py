@@ -7,10 +7,12 @@ binomial count model.  Anything else is treated as a model-spec JSON path.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .model import DiscreteModel, ModelError, bernoulli_product_model, binomial_model, load_model
-from .ranking import Ranking, Statistic, build_agreeing_ranking, likelihood_ratio_statistic
+from .ranking import Ranking, Statistic, likelihood_ratio_statistic, ranking_from_order
+from .rational import INTEGER
 
 EXAMPLE1 = "example1"
 
@@ -31,11 +33,9 @@ def resolve_model(spec: str) -> tuple[DiscreteModel, str]:
         parts = [p.strip() for p in spec.split(":", 1)[1].split(",")]
         if len(parts) < 3:
             raise ModelError(f"binomial spec needs n and two thetas, got {spec!r}")
-        try:
-            n = int(parts[0])
-        except ValueError:
-            raise ModelError(f"binomial spec needs an integer n, got {parts[0]!r}") from None
-        return binomial_model(n, parts[1:]), spec
+        if not re.fullmatch(INTEGER, parts[0]):
+            raise ModelError(f"binomial spec needs an integer n, got {parts[0]!r}")
+        return binomial_model(int(parts[0]), parts[1:]), spec
     path = Path(spec)
     if not path.is_file():
         raise ModelError(f"model {spec!r} is neither builtin nor an existing file")
@@ -53,7 +53,7 @@ def default_statistic(model: DiscreteModel, alt: str | None = None) -> Statistic
 
 
 def table1_priority(model: DiscreteModel) -> list[str]:
-    head = [label for label in TABLE1_HEAD]
+    head = list(TABLE1_HEAD)
     seen = set(head)
     rest = sorted(
         (pt.label for pt in model.support if pt.label not in seen),
@@ -62,8 +62,6 @@ def table1_priority(model: DiscreteModel) -> list[str]:
     return head + rest
 
 
-def table1_ranking(model: DiscreteModel, statistic: Statistic) -> Ranking:
-    """The reference ranking for example1: priority head, label order after."""
-    return build_agreeing_ranking(
-        model, statistic, "user-priority", priority=table1_priority(model)
-    )
+def table1_ranking(model: DiscreteModel) -> Ranking:
+    """The reference ranking for example1: the table's head, then class by class in label order."""
+    return ranking_from_order(model, table1_priority(model))

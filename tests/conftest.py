@@ -1,7 +1,9 @@
 """Shared fixtures, the brute-force expectation oracle, the decision-coherence check, random model factory.
 
 Also the engine's own p-values in the oracle's types, for tests that check
-the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``.
+the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``;
+and agreeing rankings with each tie class in a seeded random order:
+``shuffled_agreeing_ranking``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from mdpvalues import (
     make_model,
     make_statistic,
     pvalue_family,
+    ranking_from_order,
 )
 from mdpvalues.orders import _jumps
 from mdpvalues.registry import table1_ranking as build_table1_ranking
@@ -44,6 +47,13 @@ def lattice_cdf(family, theta, u) -> StepCDF:
     theta_den, _mass, before = family.lattice(theta)
     return StepCDF(tuple(Fraction(j, scale) for j in _jumps(family, u)),
                    tuple(Fraction(b, theta_den) for b in before[1:]))
+
+
+def shuffled_agreeing_ranking(model, statistic, seed):
+    """An agreeing ranking with each tie class in a seeded random order, given as an explicit rank order."""
+    rng = random.Random(seed)
+    key = {pt.label: (statistic.class_of[pt.index], rng.random()) for pt in model.support}
+    return ranking_from_order(model, sorted(key, key=key.__getitem__))
 
 
 COHERENCE_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -105,6 +115,6 @@ def lex_ranking(example1, lr):
 
 
 @pytest.fixture(scope="session")
-def table1_ranking(example1, lr):
+def table1_ranking(example1):
     """The ranking whose first eight ranks match the reference table."""
-    return build_table1_ranking(example1, lr)
+    return build_table1_ranking(example1)

@@ -64,7 +64,7 @@ def worked_example():
     model = example1_model()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     count = make_statistic(model, "successes", lambda pt: Fraction(pt.label.count("1")))
-    ranking = table1_ranking(model, lr)
+    ranking = table1_ranking(model)
     return model, lr, count, ranking
 
 

@@ -128,11 +128,15 @@ class TestCdf:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("spec", ["binomial:1.5,1/2,3/5", "binomial:x,1/2,3/5", "binomial:5,1/2,0.6"])
+    # n follows the integer grammar of simulate's fields: no digit separators, no non-ASCII digits.
+    @pytest.mark.parametrize("spec", ["binomial:1.5,1/2,3/5", "binomial:x,1/2,3/5", "binomial:5,1/2,0.6",
+                                      "binomial:1_0,1/2,3/5", "binomial:\u0661\u0660,1/2,3/5",
+                                      "binomial:\uff11\uff10,1/2,3/5"])
     def test_malformed_binomial_spec_is_usage_error(self, tmp_path, capsys, spec):
         assert main(["pvalues", "--model", spec, "--out", str(tmp_path / "pv.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

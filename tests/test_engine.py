@@ -37,7 +37,7 @@ from claims_oracle import (
     reports_json,
     scan_pvalue_family,
 )
-from conftest import lattice_cdf, random_model_and_statistic
+from conftest import lattice_cdf, random_model_and_statistic, shuffled_agreeing_ranking
 
 
 def tilted_to_sufficiency(rng, model, statistic):
@@ -64,7 +64,7 @@ def test_random_models_match_reference():
         model, statistic = random_model_and_statistic(rng, max_support=40)
         if index % 2 == 0:
             model, statistic = tilted_to_sufficiency(rng, model, statistic)
-        ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
+        ranking = shuffled_agreeing_ranking(model, statistic, seed=index)
         engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
         skipped += '"verdict": "skipped"' in engine
     assert 0 < skipped < 30  # both the gated and the sufficient paths ran
@@ -97,7 +97,7 @@ def test_coprime_denominator_models_match_reference():
         model, statistic = coprime_model_and_statistic(rng, rng.randint(2, 30))
         if index % 2 == 0:
             model, statistic = tilted_to_sufficiency(rng, model, statistic)
-        ranking = build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index)
+        ranking = shuffled_agreeing_ranking(model, statistic, seed=index)
         assert_same_reports(model, statistic, ranking, ["t0", "t1"])
 
 
@@ -113,7 +113,7 @@ def test_failing_claims_match_reference(monkeypatch):
             model, statistic = tilted_to_sufficiency(rng, model, statistic)
         ranks = list(range(1, model.size + 1))
         rng.shuffle(ranks)
-        ranking = Ranking("shuffled", tuple(ranks), "explicit")
+        ranking = Ranking(tuple(ranks))
         engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
         failures = [r for r in json.loads(engine) if r["verdict"] == "fail"]
         failed.update(r["claim"] for r in failures)
@@ -146,7 +146,7 @@ def test_direct_json_writer_matches_json_dumps(monkeypatch):
         ranks = list(range(1, model.size + 1))
         if index % 3:
             rng.shuffle(ranks)
-        ranking = Ranking("shuffled", tuple(ranks), "explicit")
+        ranking = Ranking(tuple(ranks))
         for grid in (thetas, []):
             reports = verify_all_claims(model, statistic, ranking, grid)
             text = reports_to_json(reports)
@@ -218,7 +218,7 @@ def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example
 def test_bernoulli_shuffled_ranking_matches_reference(coins):
     model = bernoulli_product_model(coins, ["1/2", "4/5"])
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = build_agreeing_ranking(model, lr, "seeded-shuffle", seed=coins)
+    ranking = shuffled_agreeing_ranking(model, lr, seed=coins)
     assert_same_reports(model, lr, ranking, ["theta0", "theta1"])
 
 
@@ -235,7 +235,7 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
         i, j = swapped.index(r), swapped.index(r + 1)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         for ranks in (shuffled, swapped):
-            ranking = Ranking("broken", tuple(ranks), "explicit")
+            ranking = Ranking(tuple(ranks))
             t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
             scale = 2 * model.int_row(model.null)[0]
             grid = alpha_lattice(scale, t_family, md_family)
@@ -262,8 +262,8 @@ def test_integral_prefix_matches_rectangles():
         model, statistic = random_model_and_statistic(rng, max_support=30)
         shuffled = list(range(1, model.size + 1))
         rng.shuffle(shuffled)
-        for ranking in (build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=index),
-                        Ranking("shuffled", tuple(shuffled), "explicit")):
+        for ranking in (shuffled_agreeing_ranking(model, statistic, seed=index),
+                        Ranking(tuple(shuffled))):
             engine = _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), "C9")
             points_t, points_md = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
             assert engine == convex_order_chain(model, points_t, points_md)
@@ -276,7 +276,7 @@ def test_table_power_is_the_randomized_cdf():
     rng = random.Random(13)
     for _ in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
-        for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=3)):
+        for source in (statistic, shuffled_agreeing_ranking(model, statistic, seed=3)):
             family, points = pvalue_family(model, source), scan_pvalue_family(model, source)
             grid = set(breakpoints(points)) | {Fraction(rng.randint(0, 89), 89) for _ in range(10)}
             for theta in ("t0", "t1"):
@@ -289,7 +289,7 @@ def test_family_cdf_matches_merged_atoms():
     rng = random.Random(21)
     for _ in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=30)
-        for source in (statistic, build_agreeing_ranking(model, statistic, "seeded-shuffle", seed=4)):
+        for source in (statistic, shuffled_agreeing_ranking(model, statistic, seed=4)):
             family, points = pvalue_family(model, source), scan_pvalue_family(model, source)
             for theta in ("t0", "t1"):
                 for u in (0, Fraction(1, 4), Fraction(1, 2), 1):
@@ -300,7 +300,7 @@ def test_support_1024_verifies_within_budget():
     """N = 2^10: about 91 s by per-alpha rebuilds, one sweep per claim here."""
     model = bernoulli_product_model(10, ["1/2", "4/5"])
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = build_agreeing_ranking(model, lr, "seeded-shuffle", seed=10)
+    ranking = shuffled_agreeing_ranking(model, lr, seed=10)
     start = time.perf_counter()
     reports = verify_all_claims(model, lr, ranking, ["theta0", "theta1"])
     elapsed = time.perf_counter() - start

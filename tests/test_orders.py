@@ -217,7 +217,7 @@ class TestMartingaleProjection:
         i = example1.point("01111").index  # T = 4, rank 2
         j = example1.point("00111").index  # T = 3, rank 7
         ranks[i], ranks[j] = ranks[j], ranks[i]
-        tampered = Ranking("tampered", tuple(ranks), "explicit")
+        tampered = Ranking(tuple(ranks))
         report = pointwise_projection(
             example1,
             size_alpha_test(example1, count_stat, Fraction(1, 10)),
@@ -285,7 +285,7 @@ class TestConvexOrderChain:
         j = example1.point("00111").index
         ranks[i], ranks[j] = ranks[j], ranks[i]
         with pytest.raises(OrdersError):
-            c9_report(example1, count_stat, Ranking("bad", tuple(ranks), "explicit"))
+            c9_report(example1, count_stat, Ranking(tuple(ranks)))
 
 
 class TestReportGrid:
@@ -361,7 +361,7 @@ class TestVerifyAllClaims:
         ranks[0], ranks[-1] = ranks[-1], ranks[0]
         with pytest.raises(OrdersError):
             verify_all_claims(
-                example1, count_stat, Ranking("bad", tuple(ranks), "explicit"), ["theta1"]
+                example1, count_stat, Ranking(tuple(ranks)), ["theta1"]
             )
 
     def test_expectations_cross_check_against_brute_oracle(

@@ -1,4 +1,4 @@
-"""Statistics, agreeing rankings, tie-break policies, agreement checking."""
+"""Statistics, agreeing rankings, explicit rank orders, agreement checking."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdpvalues import (
+    ModelError,
     Ranking,
     RankingError,
     Statistic,
@@ -19,7 +20,8 @@ from mdpvalues import (
     ranking_from_order,
     verify_agreement,
 )
-from mdpvalues.registry import table1_priority
+
+from conftest import shuffled_agreeing_ranking
 
 
 class TestLikelihoodRatio:
@@ -93,7 +95,7 @@ class TestClassTable:
         rng, outcomes = random.Random(7), set()
         for model in coprime_models(seed=99, count=150):
             stat, ratios = likelihood_ratio_statistic(model, "t0", "t1"), pointwise_ratios(model)
-            agreeing = build_agreeing_ranking(model, stat, "seeded-shuffle", seed=rng.randrange(1000))
+            agreeing = shuffled_agreeing_ranking(model, stat, seed=rng.randrange(1000))
             order = [model.support[i].label for i in agreeing.order()]
             swapped = list(order)
             j = rng.randrange(model.size - 1)
@@ -123,37 +125,6 @@ class TestBuildAgreeingRanking:
         for rank, label in enumerate(expected, start=1):
             assert table1_ranking.rank(example1.point(label)) == rank
 
-    def test_incomplete_priority_rejected(self, example1, lr):
-        with pytest.raises(RankingError):
-            build_agreeing_ranking(
-                example1, lr, "user-priority", priority=["11111", "01111"]
-            )
-
-    def test_unknown_priority_label_rejected(self, example1, lr):
-        bad = table1_priority(example1)
-        bad[3] = "99999"
-        with pytest.raises(RankingError):
-            build_agreeing_ranking(example1, lr, "user-priority", priority=bad)
-
-    def test_seeded_shuffle_reproducible(self, example1, lr):
-        first = build_agreeing_ranking(example1, lr, "seeded-shuffle", seed=7)
-        second = build_agreeing_ranking(example1, lr, "seeded-shuffle", seed=7)
-        assert first == second
-        assert verify_agreement(example1, lr, first) == (True, None)
-
-    def test_seeded_shuffle_requires_seed(self, example1, lr):
-        with pytest.raises(RankingError):
-            build_agreeing_ranking(example1, lr, "seeded-shuffle")
-
-    def test_injective_statistic_ignores_policy(self):
-        model = make_model(
-            ["a", "b", "c"], {"t": "1/2"}, {"t": ["1/2", "1/3", "1/6"]}
-        )
-        stat = make_statistic(model, "s", ["3", "1", "2"])
-        lex = build_agreeing_ranking(model, stat)
-        shuffled = build_agreeing_ranking(model, stat, "seeded-shuffle", seed=123)
-        assert lex.ranks == shuffled.ranks == (1, 3, 2)
-
 
 def test_label_map_statistic_is_refused(example1):
     with pytest.raises(RankingError, match="not a label map"):
@@ -166,7 +137,7 @@ class TestVerifyAgreement:
 
     def test_any_bijection_agrees_with_constant(self, example1):
         constant = make_statistic(example1, "const", [1] * example1.size)
-        identity = Ranking("const", tuple(range(1, example1.size + 1)), "explicit")
+        identity = Ranking(tuple(range(1, example1.size + 1)))
         assert verify_agreement(example1, constant, identity) == (True, None)
 
     def test_swap_across_classes_detected(self, example1, lr, table1_ranking):
@@ -174,7 +145,7 @@ class TestVerifyAgreement:
         i = example1.point("11111").index  # rank 1, the only top-class point
         j = example1.point("00111").index  # rank 7, in the next class down
         ranks[i], ranks[j] = ranks[j], ranks[i]
-        tampered = Ranking(table1_ranking.agrees_with, tuple(ranks), "explicit")
+        tampered = Ranking(tuple(ranks))
         ok, witness = verify_agreement(example1, lr, tampered)
         assert not ok
         assert witness is not None
@@ -182,7 +153,7 @@ class TestVerifyAgreement:
     def test_duplicate_rank_detected(self, example1, lr, table1_ranking):
         ranks = list(table1_ranking.ranks)
         ranks[1] = ranks[0]
-        broken = Ranking(table1_ranking.agrees_with, tuple(ranks), "explicit")
+        broken = Ranking(tuple(ranks))
         ok, witness = verify_agreement(example1, lr, broken)
         assert not ok and witness is not None
 
@@ -196,6 +167,18 @@ class TestRankingFromOrder:
     def test_partial_order_rejected(self, example1):
         with pytest.raises(RankingError):
             ranking_from_order(example1, ["11111", "01111"])
+
+    def test_repeated_label_rejected(self, example1, table1_ranking):
+        order = [example1.support[i].label for i in table1_ranking.order()]
+        order[-1] = order[0]
+        with pytest.raises(RankingError, match="exactly once"):
+            ranking_from_order(example1, order)
+
+    def test_unknown_label_rejected(self, example1, table1_ranking):
+        order = [example1.support[i].label for i in table1_ranking.order()]
+        order[3] = "99999"
+        with pytest.raises(ModelError, match="99999"):
+            ranking_from_order(example1, order)
 
 
 @st.composite
