@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -42,6 +43,13 @@ def _write_manifest(path: Path, payload: dict) -> None:
     payload["tool"] = "mdpv"
     payload["version"] = __version__
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` 2**20 characters at a time, so that no encoded copy of the whole text is made."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start:start + (1 << 20)])
 
 
 def _write_table(out: Path, header: list[str], rows: list[list], manifest: dict | None = None) -> None:
@@ -157,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_all_claims(model, statistic, ranking, thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reports.json").write_text(reports_to_json(reports), encoding="utf-8")
+    _write_text(out / "reports.json", reports_to_json(reports))
     text = reports_to_text(reports)
     (out / "reports.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -238,7 +246,9 @@ def cmd_pvalues(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mdpv`` parser, built once per process and shared, so left unchanged; ``main`` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="mdpv",
         description="Exact discrete p-value constructions, ordering verification, and downstream simulation.",
@@ -247,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="emit the worked five-coin table as CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("cdf", help="emit p-value CDF step data as CSV")
     p.add_argument("--model", required=True, help="builtin name, binomial:n,t0,t1, or JSON path")
@@ -257,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform", action="store_true", help="emit the exact diagonal reference instead")
     p.add_argument("--alt", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cdf)
 
     p = sub.add_parser("verify", help="run the C1-C9 claim suite")
     p.add_argument("--model", required=True)
@@ -265,21 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranking-file", default=None, help="JSON array of labels, rank 1 first")
     p.add_argument("--alt", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo study from a JSON config")
     p.add_argument("--config", required=True, help="config path or bundled config name")
     p.add_argument("--seed", default=None, help="override the config seed (an integer, read as the config's)")
     p.add_argument("--alpha", default=None, help="override the config alpha (num/den)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pvalues", help="emit the per-point p-value table as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--family", choices=("t", "md"), default="md")
     p.add_argument("--alt", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pvalues)
     return parser
 
 
@@ -288,10 +293,11 @@ def main(argv: list[str] | None = None) -> int:
     # for 5^n); every such conversion here is our own output or a model file the user chose.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at each call, so a handler patched on this module is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (CliError, ConfigError, ModelError, RankingError, TestingError, OrdersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

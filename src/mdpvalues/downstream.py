@@ -17,12 +17,13 @@ Replicates run in blocks of max(1, BLOCK_ELEMENTS // M) rows, so a block
 array holds about BLOCK_ELEMENTS floats whatever the run's size: replicate
 r fills its row from its own substream, and the p-values, the procedure
 and the reductions run once per block, with each row's values those of a
-replicate-at-a-time loop.  Fisher and the geometric mean sum math.log of
-each p-value left to right along the row, as a running sum; under the
-natural and mid policies a p-value takes one value per support point, so
-its log is looked up in a per-point table.  numpy is imported inside
-functions only, so the exact layers and the other CLI commands never load
-it.
+replicate-at-a-time loop.  Fisher and the geometric mean decide a row by
+the left-to-right sum of math.log of its p-values; a block first sums
+np.log in any order and keeps that fold for the rows whose approximate sum
+lies within a proven slack of the cut (``_log_sums_at_most``), so every
+decision is the fold's on any host, under every u policy.  numpy is
+imported inside functions only, so the exact layers and the other CLI
+commands never load it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
@@ -72,16 +73,13 @@ def _check_alpha(alpha: float) -> float:
     return value
 
 
-def _decide_rows(
-    ps: np.ndarray, alpha: float, procedure: str, logs: np.ndarray | None = None,
-) -> tuple[np.ndarray | float, np.ndarray]:
+def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarray | float, np.ndarray]:
     """The procedure on each row of ``ps``: thresholds and a rejection mask.
 
     BH keeps the last i with s_(i) * M <= alpha * i in the sorted row, and
     its threshold is that s_(i), or 0 with nothing rejected.  Fisher and the
     geometric mean give one global verdict per row, as a one-column mask,
-    by the rules of ``fisher_test`` and ``geometric_mean_combination``; they
-    read ``logs``, ``_logs(ps)`` unless the caller already holds it.
+    by the rules of ``fisher_test`` and ``geometric_mean_combination``.
     """
     import numpy as np
 
@@ -96,18 +94,69 @@ def _decide_rows(
         return cut, (ps <= cut[:, None]) & feasible[:, None]
     if procedure == "bonferroni":
         return alpha / m, ps <= alpha / m
-    logs = _logs(ps) if logs is None else logs
     if procedure == "fisher":
         critical = _fisher_critical(alpha, 2 * m)
-        return critical, (-2.0 * _row_log_sums(logs) >= critical)[:, None]
-    return alpha / math.e, (_geometric_means(logs) <= alpha / math.e)[:, None]
+        # -2.0 * S >= critical iff S <= -critical / 2: both scalings by 2 are exact.
+        rejected = _log_sums_at_most(ps, 1.0, -critical / 2, 0.0,
+                                     lambda logs: -2.0 * _row_log_sums(logs) >= critical)
+        return critical, rejected[:, None]
+    # exp(S) <= alpha / e agrees with S <= log(alpha / e) once S is 2**-40 * (1 + |log cut|) from it:
+    # math.log of the cut errs by an ULP or two, about 2**-52 * |log cut|, and math.exp by a relative
+    # 2**-52 or so, an absolute 2**-52 in S.
+    cut = alpha / math.e
+    log_cut = math.log(cut)
+    rejected = _log_sums_at_most(ps, 1.0 / m, log_cut, 2.0**-40 * (1.0 + abs(log_cut)),
+                                 lambda logs: _geometric_means(logs) <= cut)
+    return cut, rejected[:, None]
+
+
+def _log_sums_at_most(
+    ps: np.ndarray, scale: float, cut: float, margin: float, exact: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Whether each row's sum S of scale * log p lies at or below ``cut``, as ``exact(_logs(rows))`` decides.
+
+    S is ``_row_log_sums(_logs(ps), scale)``, the left fold of
+    e_i = fl(scale * math.log(p_i)); ``exact`` decides from S and agrees
+    with S <= cut wherever S lies more than ``margin`` from ``cut``.  The
+    fast step sums f_i = fl(scale * np.log(p_i)) in any order, giving A,
+    and decides every row with |fl(A - cut)| > slack + margin; the other
+    rows go through ``exact``.  A block that holds a p of 0 goes through
+    ``exact`` whole, so Fisher still rejects it and the geometric mean
+    still raises.
+
+    Why A decides those rows as S does: let u = 2**-53 and
+    x_i = scale * ln(p_i) exactly.  A float within k ULP of y is within
+    2ku|y| of it, so with math.log within 1 ULP and np.log within k,
+    |e_i - x_i| <= 3u|x_i| and |f_i - x_i| <= (2k + 1)u|x_i|.  Any order
+    of m - 1 additions errs by at most (m - 1)u times the sum of the
+    magnitudes, to first order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2), so
+    |A - S| <= (2m + 2k + 8)u * sum|x_i|, second-order terms included while
+    m * u is small.  The slack (m + 1024) * 2**-48 * T, with T the float
+    sum of |f_i|, exceeds that bound at least 15-fold for every m when
+    k <= 1024; np.log is within 1 ULP of math.log on x86-64 glibc.  So
+    where |A - cut| > slack + margin, S lies on A's side of the cut, more
+    than ``margin`` from it.
+    """
+    import numpy as np
+
+    if not (ps > 0.0).all():
+        return exact(_logs(ps))
+    terms = scale * np.log(ps)
+    gap = terms.sum(axis=1) - cut
+    near = np.abs(gap) <= (ps.shape[1] + 1024) * 2.0**-48 * np.abs(terms).sum(axis=1) + margin
+    at_most = gap < 0.0
+    if near.any():
+        at_most[near] = exact(_logs(ps[near]))
+    return at_most
 
 
 def _logs(ps: np.ndarray) -> np.ndarray:
-    """math.log of each p, with -inf where p is 0.
+    """math.log of each p, with -inf where p is 0: the terms of the exact left fold.
 
-    Not np.log: its last bits differ from math.log's on some inputs, by
-    host and numpy build.
+    Not np.log, whose last bits differ from math.log's on some inputs, by
+    host and numpy build; ``_log_sums_at_most`` reads np.log only where a
+    proven slack covers those bits.
     """
     import numpy as np
 
@@ -490,12 +539,8 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     # so they stop there.
     draws = 3 if randomized else 1
 
-    # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2, so
-    # there a p-value, and the log that Fisher and the geometric mean read,
-    # take one value per support point: the logs are looked up by point.
+    # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2.
     fixed_u = {"natural": 1.0, "mid": 0.5}.get(config.u_policy)
-    combined = config.procedure in ("fisher", "geometric-mean")
-    log_table = _logs(a_arr + fixed_u * b_arr) if fixed_u and combined else None
     streams = _substreams(config.seed, config.replicates)
 
     fdp, tdp, rejection_counts, thresholds, flips = np.zeros((5, config.replicates))
@@ -512,8 +557,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         np.clip(idx, 0, model.size - 1, out=idx)
         a_block, b_block = a_arr[idx], b_arr[idx]
         ps = a_block + (uniforms[:, 1] if randomized else fixed_u) * b_block
-        logs = None if log_table is None else log_table[idx]
-        thresholds[block], rejected = _decide_rows(ps, alpha, config.procedure, logs)
+        thresholds[block], rejected = _decide_rows(ps, alpha, config.procedure)
         rejection_counts[block] = n_rej = rejected.sum(axis=1)
         fdp[block] = rejected[:, :null_cols].sum(axis=1) / np.maximum(n_rej, 1)
         tdp[block] = rejected[:, null_cols:].sum(axis=1) / alt_cols if alt_cols else 0.0

@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import DiscreteModel
 from .ranking import Ranking, Statistic, verify_agreement
@@ -506,36 +506,53 @@ def verify_all_claims(
     return reports
 
 
-def reports_to_json(reports: Sequence[OrderReport]) -> str:
-    """The reports as JSON, every rational as "num/den" in lowest terms.
+def _reports_json_chunks(reports: Sequence[OrderReport]) -> Iterator[str]:
+    """The reports as JSON, every rational as "num/den" in lowest terms, in pieces.
 
     Grid points are read over the lcm of the reports' grid denominators, so
     each distinct point is reduced and printed once: the alpha grid that C1,
     C2, C6 and C8 share, and its subsets in C3, C4 and C5, cost one
-    ``format_ratios`` entry per point.  The text is the layout of
-    ``json.dumps(..., indent=2, sort_keys=True)``, written directly: grid
-    entries are digits and "/", which need no escaping, so ``json.dumps``
-    encodes only the scalar fields.
+    ``format_ratios`` entry per point, and every grid entry is yielded as
+    that one string, never copied into a larger one.  The text is the
+    layout of ``json.dumps(..., indent=2, sort_keys=True)``, written
+    directly: grid entries are digits and "/", which need no escaping, so
+    ``json.dumps`` encodes only the scalar fields.
     """
+    if not reports:
+        yield "[]\n"
+        return
     scale = math.lcm(*(r.grid_den for r in reports))
     grids = [r.grid_num if r.grid_den == scale else [n * (scale // r.grid_den) for n in r.grid_num]
              for r in reports]
     points = list(dict.fromkeys(n for grid in grids for n in grid))
     text = dict(zip(points, format_ratios(points, scale)))
-    blocks = []
-    for r, grid in zip(reports, grids):
+    for i, (r, grid) in enumerate(zip(reports, grids)):
         margin = r.worst_margin
+        yield ",\n" if i else "[\n"
+        yield f'  {{\n    "claim": {json.dumps(r.claim)},\n    "grid": '
+        if grid:
+            yield '[\n      "'
+            for j, n in enumerate(grid):
+                if j:
+                    yield '",\n      "'
+                yield text[n]
+            yield '"\n    ]'
+        else:
+            yield "[]"
         fields = (
-            ("claim", json.dumps(r.claim)),
-            ("grid", '[\n      "' + '",\n      "'.join(map(text.__getitem__, grid)) + '"\n    ]' if grid else "[]"),
             ("note", json.dumps(r.note)),
             ("verdict", json.dumps(r.verdict)),
             ("witness", json.dumps(r.witness)),
             ("worst_margin", json.dumps(None if margin is None else format_rational(margin))),
             ("worst_margin_dec", json.dumps(None if margin is None else decimal_string(margin, 9))),
         )
-        blocks.append("  {\n" + ",\n".join(f'    "{key}": {value}' for key, value in fields) + "\n  }")
-    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
+        yield "".join(f',\n    "{key}": {value}' for key, value in fields) + "\n  }"
+    yield "\n]\n"
+
+
+def reports_to_json(reports: Sequence[OrderReport]) -> str:
+    """The text of ``_reports_json_chunks``, joined into one string."""
+    return "".join(_reports_json_chunks(reports))
 
 
 def reports_to_text(reports: Sequence[OrderReport]) -> str:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mdpvalues
+import mdpvalues.cli as cli
 from mdpvalues import build_agreeing_ranking
 from mdpvalues.cli import main
 from mdpvalues.rational import decimal_string, format_rational, parse_rational
@@ -388,7 +389,7 @@ def test_unreadable_input_file_exits_two(tmp_path, capsys, role, content):
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
-        # Fisher and the geometric mean sum logs row by row in Python
+        # Fisher and the geometric mean decide rows near their cuts by a left fold of math.log
         combinations = {
             "fisher": {"model": "example1", "pi0": "1", "family": "md", "u_policy": "randomized"},
             "geometric-mean": {"model": "binomial:20,1/2,7/10", "pi0": "0", "family": "t", "u_policy": "natural"},
@@ -412,6 +413,24 @@ class TestDeterminism:
                     "sim/summary.csv", "sim/manifest.json", "v/reports.json", "v/reports.txt",
                     "fisher/report.json", "geometric-mean/report.json"):
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_handler_is_looked_up_at_each_call(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_table1", lambda args: seen.append(args.out) or 7)
+        assert main(["table1", "--out", "t.csv"]) == 7
+        assert seen == ["t.csv"]
+        monkeypatch.undo()
+        assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 0
+
+    def test_text_longer_than_a_write_slice_is_written_whole(self, tmp_path):
+        text = "\u00e9\n" * ((1 << 20) + 3) + "end"
+        cli._write_text(tmp_path / "out.json", text)
+        assert (tmp_path / "out.json").read_bytes() == text.encode()
 
 
 class TestImports:

@@ -345,6 +345,69 @@ class TestKernel:
         assert geometric_mean_combination([p]).rejects_at(alpha)
         assert downstream._decide_rows(np.array([[p]]), alpha, "geometric-mean")[1].tolist() == [[True]]
 
+    @pytest.mark.parametrize("fold_side", ["on the cut", "above the cut"])
+    def test_rows_straddling_the_cut_follow_the_left_fold(self, monkeypatch, fold_side):
+        """A row whose np.log sum and left fold lie on opposite sides of the Fisher cut."""
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            ps = rng.random((1, 200)) ** 3
+            fold = reduce(operator.add, map(math.log, ps[0].tolist()))
+            approximate = float(np.log(ps).sum(axis=1)[0])
+            cut = fold if fold_side == "on the cut" else math.nextafter(fold, -math.inf)
+            if (approximate > cut) if fold_side == "on the cut" else (approximate < cut):
+                break
+        else:
+            pytest.fail("no straddling row among 2000 draws")
+        # -2.0 * fold >= critical iff fold <= cut, and -2.0 * cut is exact
+        monkeypatch.setattr(downstream, "_fisher_critical", lambda alpha, df: -2.0 * cut)
+        _, rejected = downstream._decide_rows(ps, 0.1, "fisher")
+        assert rejected.tolist() == [[fold <= cut]]
+        assert fisher_test(ps[0].tolist(), 0.1).reject == (fold <= cut)
+
+
+@st.composite
+def _blocks_and_cuts(draw):
+    """A block of p-values, tiny ones and ones near 1 among them, an alpha, and maybe a shift in ULP.
+
+    With a shift, the tests put the cut that many ULP from the first row's left fold.
+    """
+    rows, m = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    kinds = sorted(draw(st.sets(st.sampled_from(range(3)), min_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ps = np.choose(rng.choice(kinds, size=(rows, m)), [
+        2.0 ** -rng.uniform(990.0, 1074.0, (rows, m)),  # tiny, subnormals included
+        1.0 - rng.random((rows, m)),
+        1.0 - 2.0**-20 * rng.random((rows, m)),  # near 1
+    ])
+    return ps, draw(st.floats(min_value=1e-9, max_value=0.5)), draw(st.none() | st.integers(-3, 3))
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks_and_cuts())
+def test_combined_decisions_are_the_left_folds(case):
+    """Fisher and the geometric mean decide each row as the reduce fold of math.log does, near the cut too."""
+    ps, alpha, ulps = case
+    rows = ps.tolist()
+    m = ps.shape[1]
+    folds = [reduce(operator.add, map(math.log, row)) for row in rows]
+    critical = downstream._fisher_critical(alpha, 2 * m) if ulps is None else -2.0 * _nudged(folds[0], ulps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(downstream, "_fisher_critical", lambda alpha, df: critical)
+        _, rejected = downstream._decide_rows(ps, alpha, "fisher")
+    assert rejected[:, 0].tolist() == [-2.0 * fold >= critical for fold in folds]
+
+    means = [math.exp(reduce(operator.add, ((1.0 / m) * math.log(p) for p in row))) for row in rows]
+    if ulps is not None and 0.0 < (on_cut := _nudged(means[0] * math.e, ulps)) < 1.0:
+        alpha = on_cut
+    _, rejected = downstream._decide_rows(ps, alpha, "geometric-mean")
+    assert rejected[:, 0].tolist() == [mean <= alpha / math.e for mean in means]
+
 
 def _oracle_config(spec, **fields):
     model, model_id = resolve_model(spec)
@@ -387,6 +450,16 @@ class TestSimulateAgainstOracle:
             _assert_matches_oracle(_oracle_config(
                 "binomial:12,1/2,3/5", procedure=procedure, u_policy=u_policy, hypotheses=7,
                 replicates=23, seed=21))
+
+    @pytest.mark.parametrize("procedure", ["fisher", "geometric-mean"])
+    def test_fixed_u_combinations_at_many_hypotheses(self, procedure):
+        # natural and mid p-values take one value per support point, but their logs are taken per element
+        for spec, u_policy, family in itertools.product(
+            ("example1", "binomial:12,1/2,3/5"), ("natural", "mid"), ("t", "md"),
+        ):
+            _assert_matches_oracle(_oracle_config(
+                spec, procedure=procedure, u_policy=u_policy, family=family, hypotheses=2000,
+                replicates=9, seed=13))
 
     def test_single_replicate_has_zero_mcse(self):
         for procedure in downstream.PROCEDURES:

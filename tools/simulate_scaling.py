@@ -48,7 +48,11 @@ MATRIX = list(itertools.product(
     ("bh", "bonferroni", "fisher", "geometric-mean"), ("natural", "mid", "randomized"), ("t", "md"),
 ))
 CASES = [(*case, shape) for shape in SHAPES for case in MATRIX]
-TARGETS = {"bh randomized md 200x2000": 0.1}
+TARGETS = {
+    "bh randomized md 200x2000": 0.1,
+    "fisher randomized t 2000x200": 0.2,
+    "geometric-mean randomized t 2000x200": 0.1,
+}
 
 
 def run_case(procedure: str, u_policy: str, family: str, shape: str) -> dict:
