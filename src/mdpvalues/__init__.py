@@ -53,7 +53,6 @@ from .downstream import (
     config_from_dict,
     fisher_test,
     geometric_mean_combination,
-    randomization_dependence_prob,
     simulate,
 )
 from .rational import decimal_string, format_rational, parse_rational

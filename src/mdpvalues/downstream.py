@@ -17,7 +17,11 @@ Replicates run in blocks of max(1, BLOCK_ELEMENTS // M) rows, so a block
 array holds about BLOCK_ELEMENTS floats whatever the run's size: replicate
 r fills its row from its own substream, and the p-values, the procedure
 and the reductions run once per block, with each row's values those of a
-replicate-at-a-time loop.  Fisher and the geometric mean decide a row by
+replicate-at-a-time loop.  A data uniform u draws the point
+np.searchsorted(cum, u, side="right") of its row's float cumulative sums,
+read from a bucket table built once per run (``_draw_points``) and
+searched only in the few buckets that hold a cum value, so the draws are
+those of the plain search.  Fisher and the geometric mean decide a row by
 the left-to-right sum of math.log of its p-values; a block first sums
 np.log in any order and keeps that fold for the rows whose approximate sum
 lies within a proven slack of the cut (``_log_sums_at_most``), so every
@@ -40,7 +44,7 @@ from .model import DiscreteModel
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
 from .rational import INTEGER, format_rational, parse_rational
 from .special import chi2_upper_quantile
-from .testing import MD, T_BASED, TestFunction, pvalue_family
+from .testing import MD, T_BASED, pvalue_family
 
 if TYPE_CHECKING:
     import numpy as np
@@ -258,17 +262,6 @@ def geometric_mean_combination(pvalues: Sequence[float]) -> GeometricMeanResult:
     if not ps:
         raise ConfigError("geometric mean needs at least one p-value")
     return GeometricMeanResult(float(_geometric_means(_logs(np.array([ps])))[0]))
-
-
-def randomization_dependence_prob(theta: str, test: TestFunction) -> Fraction:
-    """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u.
-
-    That is the theta mass of the threshold class when 0 < gamma < 1.
-    """
-    if not 0 < test.gamma < 1:
-        return Fraction(0)
-    den, mass, _ = test.table.lattice(theta)
-    return Fraction(mass[test.k], den)
 
 
 @dataclass(frozen=True)
@@ -497,6 +490,63 @@ def _substreams(seed: int, replicates: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
+# Buckets per support point of an inverse-CDF table, and the bounds on its bit width.
+_BUCKETS_PER_POINT = 64
+_MIN_BUCKET_BITS, _MAX_BUCKET_BITS = 8, 16
+
+
+class _BucketTable(NamedTuple):
+    """The inverse CDF of one pmf row, read through K = 2**k equal buckets of [0, 1) (Chen & Asau, 1974).
+
+    ``cum`` holds the row's float cumulative sums with the last set to 1.0;
+    ``lo[b]`` is #{cum <= b/K}, and ``flagged[b]`` says that
+    #{cum < (b+1)/K} differs from it, that is, that some cum lies strictly
+    inside (b/K, (b+1)/K).
+    """
+
+    cum: np.ndarray
+    lo: np.ndarray
+    flagged: np.ndarray
+
+
+def _bucket_table(den: int, row: Sequence[int]) -> _BucketTable:
+    """The table of p(x) = row[x] / den, with K the least power of two >= 64 N, within [2**8, 2**16]."""
+    import numpy as np
+
+    # n / D is the correctly rounded float of the rational n/D, as float(Fraction(n, D)) is.
+    cum = np.cumsum([p / den for p in row])
+    cum[-1] = 1.0
+    bits = min(max((_BUCKETS_PER_POINT * len(cum) - 1).bit_length(), _MIN_BUCKET_BITS), _MAX_BUCKET_BITS)
+    edges = np.arange((1 << bits) + 1) / (1 << bits)
+    lo = np.searchsorted(cum, edges[:-1], side="right")
+    return _BucketTable(cum, lo, np.searchsorted(cum, edges[1:], side="left") != lo)
+
+
+def _draw_points(table: _BucketTable, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table.cum, u, side="right") for u in [0, 1): the support index each data uniform draws.
+
+    Exact: K is a power of two, so u * K is exact and its truncation b is
+    u's bucket, b/K <= u < (b+1)/K.  cum[:-1] is nondecreasing (sums of
+    nonnegative floats; the later ones may round past 1.0) and
+    cum[-1] = 1.0, so cum <= x for x < 1 and cum < x for x <= 1 hold on a
+    prefix of cum, searchsorted counts that prefix, and #{cum <= u} lies
+    between lo[b] and #{cum < (b+1)/K}.  In an unflagged bucket these are
+    equal, so lo[b] is the answer, and it is at most N - 1.  Only draws in
+    flagged buckets are searched.  A flagged bucket holds a cum value
+    strictly inside it, so at most N - 1 of the K buckets are flagged, and
+    a uniform u is searched with probability at most N/K, 1/64 while K is
+    below its cap.
+    """
+    import numpy as np
+
+    buckets = (u * len(table.lo)).astype(np.intp)
+    points = table.lo[buckets]
+    searched = table.flagged[buckets]
+    if searched.any():
+        points[searched] = np.searchsorted(table.cum, u[searched], side="right")
+    return points
+
+
 def simulate(config: SimulationConfig) -> SimulationReport:
     """Run the seeded Monte Carlo study described by ``config``.
 
@@ -520,11 +570,8 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     # n / D is the correctly rounded float of the rational n/D, as float(Fraction(n, D)) is.
     den, mass, before = family.lattice(model.null)
     a_arr, b_arr = (np.array([column[k] / den for k in family.class_of]) for column in (before, mass))
-    null_den, null_row = model.int_row(config.null)
-    alt_den, alt_row = model.int_row(config.alt)
-    cum_null = np.cumsum([p / null_den for p in null_row])
-    cum_alt = np.cumsum([p / alt_den for p in alt_row])
-    cum_null[-1] = cum_alt[-1] = 1.0
+    null_table = _bucket_table(*model.int_row(config.null))
+    alt_table = _bucket_table(*model.int_row(config.alt))
 
     m = config.hypotheses
     m0 = config.n_null
@@ -539,8 +586,9 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     # so they stop there.
     draws = 3 if randomized else 1
 
-    # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2.
-    fixed_u = {"natural": 1.0, "mid": 0.5}.get(config.u_policy)
+    # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2, so each point has one P.
+    if not randomized:
+        p_arr = a_arr + {"natural": 1.0, "mid": 0.5}[config.u_policy] * b_arr
     streams = _substreams(config.seed, config.replicates)
 
     fdp, tdp, rejection_counts, thresholds, flips = np.zeros((5, config.replicates))
@@ -551,12 +599,14 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         uniforms = np.empty((block.stop - start, draws, m))
         for row in uniforms:
             next(streams).random(out=row)
-        idx = np.empty((len(uniforms), m), dtype=np.int64)
-        idx[:, :m0] = np.searchsorted(cum_null, uniforms[:, 0, :m0], side="right")
-        idx[:, m0:] = np.searchsorted(cum_alt, uniforms[:, 0, m0:], side="right")
-        np.clip(idx, 0, model.size - 1, out=idx)
-        a_block, b_block = a_arr[idx], b_arr[idx]
-        ps = a_block + (uniforms[:, 1] if randomized else fixed_u) * b_block
+        idx = np.empty((len(uniforms), m), dtype=np.intp)
+        idx[:, :m0] = _draw_points(null_table, uniforms[:, 0, :m0])
+        idx[:, m0:] = _draw_points(alt_table, uniforms[:, 0, m0:])
+        if randomized:
+            a_block, b_block = a_arr[idx], b_arr[idx]
+            ps = a_block + uniforms[:, 1] * b_block
+        else:
+            ps = p_arr[idx]
         thresholds[block], rejected = _decide_rows(ps, alpha, config.procedure)
         rejection_counts[block] = n_rej = rejected.sum(axis=1)
         fdp[block] = rejected[:, :null_cols].sum(axis=1) / np.maximum(n_rej, 1)

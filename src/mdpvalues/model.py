@@ -20,7 +20,7 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rational import common_denominator, format_ratios, format_rational, parse_ratio, parse_rational
+from .rational import common_denominator, format_ratios, format_rational, parse_rational, ratio_terms
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -132,10 +132,10 @@ def make_model(
     parameters: Mapping[str, object],
     pmf: Mapping[str, Sequence[object]],
 ) -> DiscreteModel:
-    """Build and validate a model from plain labels and rational-like values, each row over its lcm denominator."""
+    """Build and validate a model from plain labels and rational-like values, each row over its least common denominator."""
     support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
     params = {str(name): parse_rational(v) for name, v in parameters.items()}
-    rows = {str(name): common_denominator(map(parse_ratio, row)) for name, row in pmf.items()}
+    rows = {str(name): common_denominator(map(ratio_terms, row)) for name, row in pmf.items()}
     return DiscreteModel(support, params, rows)
 
 

@@ -21,11 +21,12 @@ _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*")
 INTEGER = r"\s*[+-]?[0-9]+\s*"
 
 
-def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
-    """(n, d) in lowest terms with d > 0, from a "num/den" or integer string, an int or a Fraction; no Fraction is built.
+def ratio_terms(value: str | int | Fraction) -> tuple[int, int]:
+    """(n, d) as written, d > 0, from a "num/den" or integer string, an int or a Fraction; no Fraction is built.
 
     Floats, bools, decimal or exponent literals and zero denominators are
-    refused: wire formats must stay exact.
+    refused: wire formats must stay exact.  Nothing is reduced, so a row of
+    them can be reduced by one gcd in ``common_denominator``.
     """
     if not isinstance(value, str):  # strings first: a model file holds little else
         if isinstance(value, Fraction):
@@ -47,7 +48,12 @@ def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
             else:
                 raise ValueError(f"refusing decimal literal {text.strip()!r}: use num/den")
         raise ValueError(f"not a rational: {value!r}")
-    n, d = int(match[1]), int(match[2] or 1)
+    return int(match[1]), int(match[2] or 1)
+
+
+def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
+    """``ratio_terms`` in lowest terms."""
+    n, d = ratio_terms(value)
     g = gcd(n, d)
     return n // g, d // g
 
@@ -58,10 +64,23 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
 
 
 def common_denominator(ratios: Iterable[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """(D, numerators) with n / d == numerator / D for every (n, d), d > 0; D is the lcm of the denominators."""
+    """(D, numerators) with n / d == numerator / D for every (n, d), d > 0, reduced or not.
+
+    D is the lcm of the reduced denominators, found with one gcd for the
+    whole row: over L, the lcm of the denominators as given, the values
+    have numerators N_i, and D = L / gcd(L, N_1, ..., N_k).  Each distinct
+    denominator is divided into L once.
+    """
     ratios = tuple(ratios)
-    den = lcm(*(d for _, d in ratios))
-    return den, tuple(n * (den // d) for n, d in ratios)
+    scales = dict.fromkeys(d for _, d in ratios)
+    den = lcm(*scales)
+    for d in scales:
+        scales[d] = den // d
+    numerators = [n * scales[d] for n, d in ratios]
+    g = gcd(den, *numerators)
+    if g == 1:
+        return den, tuple(numerators)
+    return den // g, tuple(n // g for n in numerators)
 
 
 def format_rational(value: Fraction | int) -> str:

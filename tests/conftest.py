@@ -2,8 +2,9 @@
 
 Also the engine's own p-values in the oracle's types, for tests that check
 the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``;
-and agreeing rankings with each tie class in a seeded random order:
-``shuffled_agreeing_ranking``.
+agreeing rankings with each tie class in a seeded random order:
+``shuffled_agreeing_ranking``; and the exact probability that a test's
+decision hinges on its auxiliary u: ``randomization_dependence_prob``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def decision_coherence_witness(model, source):
                 if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
                     return pt.label, alpha, u
     return None
+
+
+def randomization_dependence_prob(theta: str, test) -> Fraction:
+    """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u.
+
+    That is the theta mass of the threshold class when 0 < gamma < 1.
+    """
+    if not 0 < test.gamma < 1:
+        return Fraction(0)
+    den, mass, _ = test.table.lattice(theta)
+    return Fraction(mass[test.k], den)
 
 
 def random_model_and_statistic(rng: random.Random, max_support: int = 64):

@@ -23,7 +23,6 @@ from mdpvalues import (
     likelihood_ratio_statistic,
     make_statistic,
     pvalue_family,
-    randomization_dependence_prob,
     simulate,
     size_alpha_test,
     verify_all_claims,
@@ -40,7 +39,13 @@ from claims_oracle import (
     randomized_cdf_at,
     rectangle_integral,
 )
-from conftest import brute_expectation, engine_forms, lattice_cdf, random_model_and_statistic
+from conftest import (
+    brute_expectation,
+    engine_forms,
+    lattice_cdf,
+    random_model_and_statistic,
+    randomization_dependence_prob,
+)
 
 ALPHA = Fraction(1, 10)
 HALF = Fraction(1, 2)

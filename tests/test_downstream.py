@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -20,13 +21,13 @@ from mdpvalues import (
     config_from_dict,
     fisher_test,
     geometric_mean_combination,
-    randomization_dependence_prob,
     simulate,
     size_alpha_test,
 )
 from mdpvalues.downstream import report_to_json
 from mdpvalues.registry import resolve_model
 from mdpvalues.special import chi2_upper_quantile
+from conftest import randomization_dependence_prob
 from simulate_oracle import simulate_oracle
 
 
@@ -409,6 +410,88 @@ def test_combined_decisions_are_the_left_folds(case):
     assert rejected[:, 0].tolist() == [mean <= alpha / math.e for mean in means]
 
 
+def _adversarial_uniforms(table):
+    """Data uniforms in [0, 1) at the table's seams: each cum value and its neighbouring floats, each
+    bucket edge b/K and the float below it, 0.0 and the largest uniform, 1 - 2**-53."""
+    edges = np.arange(len(table.lo)) / len(table.lo)
+    u = np.concatenate([table.cum, np.nextafter(table.cum, -1.0), np.nextafter(table.cum, 2.0),
+                        edges, np.nextafter(edges, -1.0), [0.0, 1.0 - 2.0**-53]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_table_draws_as_searchsorted(den, row):
+    table = downstream._bucket_table(den, row)
+    cum = np.cumsum([float(Fraction(p, den)) for p in row])
+    cum[-1] = 1.0
+    assert table.cum.tolist() == cum.tolist()
+    n = len(row)
+    assert len(table.lo) == min(max(2 ** math.ceil(math.log2(64 * n)), 2**8), 2**16)
+    # flagged exactly where a cum value lies strictly inside a bucket, so at most N - 1 are
+    scaled = cum[cum < 1.0] * len(table.lo)
+    inside = np.zeros(len(table.lo), dtype=bool)
+    inside[np.floor(scaled[scaled != np.floor(scaled)]).astype(int)] = True
+    assert table.flagged.tolist() == inside.tolist() and inside.sum() <= n - 1
+    u = _adversarial_uniforms(table)
+    points = downstream._draw_points(table, u)
+    assert points.tolist() == np.searchsorted(cum, u, side="right").tolist()
+    assert points.max() < n
+    return table
+
+
+def _tail_row(seed, n, den):
+    """n masses over ``den``, the last of them 1/den: a float cumsum can pass 1.0 before it."""
+    rng = random.Random(seed)
+    cuts = sorted(rng.randrange(1, den - 1) for _ in range(n - 2))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, den - 1])] + [1]
+
+
+class TestBucketTable:
+    """simulate's inverse-CDF lookup against np.searchsorted, on the floats where they could part."""
+
+    @pytest.mark.parametrize("den, row", [
+        (1, [1]),  # N = 1
+        (7, [7]),
+        (2**5, [math.comb(5, k) for k in range(6)]),  # every cum value on a bucket edge: none flagged
+        (2**60, [2**60 - 1, 1]),  # cum reaches 1.0 at its first entry
+        (2**60, [math.comb(60, k) for k in range(61)]),  # tail masses far below 1/K
+        (2**1500, [math.comb(1500, k) for k in range(1501)]),  # N > 1024: K at its cap
+        (3000, [1] * 3000),  # K at its cap, one cum value in most flagged buckets
+    ])
+    def test_examples(self, den, row):
+        _assert_table_draws_as_searchsorted(den, row)
+
+    def test_cum_past_one_before_its_last_entry(self):
+        row = _tail_row(0, 100, 10**18)
+        assert np.cumsum([p / 10**18 for p in row])[-2] > 1.0
+        _assert_table_draws_as_searchsorted(10**18, row)
+
+    def test_tail_heavy_model_flags_buckets_in_simulate(self):
+        # binomial:60's tail masses below 1/K share its first bucket, so simulate searches there
+        model, _ = resolve_model("binomial:60,1/2,3/5")
+        for theta in model.parameter_names:
+            table = _assert_table_draws_as_searchsorted(*model.int_row(theta))
+            assert table.flagged.any() and table.lo[1] > 1
+
+
+@st.composite
+def _integer_pmfs(draw):
+    """A denominator and 1 to 1,200 integer masses spread over 60 binary orders, zeros among them."""
+    n = draw(st.integers(1, 1200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    orders = draw(st.integers(1, 60))
+    row = [rng.randrange(2 ** rng.randrange(orders + 1)) for _ in range(n)]
+    row[rng.randrange(n)] += 1
+    if draw(st.booleans()):
+        row[-1] = 1  # a last mass far below the others
+    return sum(row), row
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_pmfs())
+def test_bucket_table_draws_as_searchsorted(case):
+    _assert_table_draws_as_searchsorted(*case)
+
+
 def _oracle_config(spec, **fields):
     model, model_id = resolve_model(spec)
     return config_from_dict({"alpha": "1/10", "family": "md", "pi0": "3/4", **fields}, model, model_id)
@@ -424,7 +507,7 @@ class TestSimulateAgainstOracle:
     @pytest.mark.parametrize("procedure", downstream.PROCEDURES)
     def test_matrix_is_byte_identical(self, procedure):
         for spec, u_policy, family, pi0, m, (seed, replicates) in itertools.product(
-            ("example1", "binomial:12,1/2,3/5"), downstream.U_POLICIES, ("t", "md"),
+            ("example1", "binomial:12,1/2,3/5", "binomial:60,1/2,3/5"), downstream.U_POLICIES, ("t", "md"),
             ("0", "3/4", "1"), (1, 7, 50), ((3, 50), (11, 23)),
         ):
             _assert_matches_oracle(_oracle_config(

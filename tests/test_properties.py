@@ -1,5 +1,6 @@
 """Property tests: invariants that must hold on arbitrary finite models."""
 
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -17,7 +18,16 @@ from mdpvalues import (
     verify_agreement,
 )
 
-from mdpvalues.rational import _RATIO, decimal_ratio, format_ratios, format_rational, parse_ratio, parse_rational
+from mdpvalues.rational import (
+    _RATIO,
+    common_denominator,
+    decimal_ratio,
+    format_ratios,
+    format_rational,
+    parse_ratio,
+    parse_rational,
+    ratio_terms,
+)
 
 from claims_oracle import breakpoints, randomized_cdf_at, scan_pvalue_family
 from conftest import brute_expectation, decision_coherence_witness, engine_forms, random_model_and_statistic
@@ -84,6 +94,7 @@ def test_integer_ratio_text_edges():
 def test_rational_grammar_accepts(value, parsed):
     assert parse_ratio(value) == parsed
     assert parse_rational(value) == Fraction(*parsed)
+    assert Fraction(*ratio_terms(value)) == Fraction(*parsed)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +113,7 @@ def test_rational_grammar_accepts(value, parsed):
 )
 def test_rational_grammar_refuses(value, fault):
     """One grammar on every Python version: ASCII digits, an optional sign and "/digits", outer whitespace."""
-    for parse in (parse_ratio, parse_rational):
+    for parse in (ratio_terms, parse_ratio, parse_rational):
         with pytest.raises(ValueError) as caught:
             parse(value)
         assert str(caught.value).startswith(fault)
@@ -114,6 +125,30 @@ def test_rational_grammar_agrees_with_fraction(text):
     """Every string the grammar takes is one that Fraction(str) reads, to the same value."""
     expected = Fraction(text)
     assert parse_ratio(text) == (expected.numerator, expected.denominator)
+    assert Fraction(*ratio_terms(text)) == expected
+
+
+@st.composite
+def _unreduced_rows(draw):
+    """A row of "n/d" texts whose entries share factors between n and d, zeros and negatives among them."""
+    size = draw(st.integers(1, 12))
+    values = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 360), min_size=size, max_size=size))
+    factors = draw(st.lists(st.sampled_from([1, 2, 3, 6, 7, 10, 2**40]), min_size=size, max_size=size))
+    return [f"{n * c}/{d * c}" for n, d, c in zip(values, dens, factors)]
+
+
+@given(_unreduced_rows())
+@example(["0/6", "0/4", "0/9"])
+@example(["-2/4", "6/4", "0/3"])
+@settings(max_examples=300, deadline=None)
+def test_one_gcd_per_row_is_per_entry_reduction(texts):
+    """A row read unreduced and reduced by one gcd is the row with each entry reduced first."""
+    reduced = common_denominator(map(parse_ratio, texts))
+    assert common_denominator(map(ratio_terms, texts)) == reduced
+    values = [Fraction(text) for text in texts]
+    den = math.lcm(*(v.denominator for v in values))
+    assert reduced == (den, tuple(int(v * den) for v in values))
 
 
 @given(small_models(), st.integers(0, 20))
