@@ -45,13 +45,6 @@ def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` 2**20 characters at a time, so that no encoded copy of the whole text is made."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(text), 1 << 20):
-            fh.write(text[start:start + (1 << 20)])
-
-
 def _write_table(out: Path, header: list[str], rows: list[list], manifest: dict | None = None) -> None:
     """Write a CSV table; with a manifest, also write it to ``<out>.manifest.json``, naming the table as its output."""
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -165,7 +158,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = verify_all_claims(model, statistic, ranking, thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "reports.json", reports_to_json(reports))
+    with open(out / "reports.json", "w", encoding="utf-8") as fh:
+        fh.writelines(reports_to_json(reports))
     text = reports_to_text(reports)
     (out / "reports.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)

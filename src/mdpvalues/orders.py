@@ -40,9 +40,10 @@ sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
 a failure's witness become Fractions: a witness is rebuilt at its grid
 point alone on Fractions, through ``PValueFamily.power`` (C6) or a
 point-by-point C8 check.  ``reports_to_json`` reduces and prints each
-distinct grid point once.  No step CDF is built as an object: the claims
-sweep the class jumps and theta prefixes, and ``mdpv cdf`` prints the same
-lattice columns.
+distinct grid point once and yields the JSON text in pieces, one report
+grid at most per piece, so ``mdpv verify`` writes it without ever holding
+it whole.  No step CDF is built as an object: the claims sweep the class
+jumps and theta prefixes, and ``mdpv cdf`` prints the same lattice columns.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha (C3 on the alpha grid)
@@ -81,13 +82,12 @@ def _jumps(family: PValueFamily, u: Fraction) -> list[int]:
     return [s * h + g * m for s, m in zip(before, mass)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OrderReport:
     """Outcome of one exact ordering verification.
 
     Grid point i is ``grid_num[i] / grid_den``, not necessarily in lowest
-    terms.  Reports compare by value: equal grids over different
-    denominators are equal.
+    terms.
     """
 
     claim: str
@@ -106,16 +106,6 @@ class OrderReport:
     def grid(self) -> tuple[Fraction, ...]:
         """The grid as ``Fraction``s, derived anew on each read."""
         return tuple(Fraction(n, self.grid_den) for n in self.grid_num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderReport):
-            return NotImplemented
-        fields = (self.claim, self.verdict, self.worst_margin, self.witness, self.note)
-        if fields != (other.claim, other.verdict, other.worst_margin, other.witness, other.note):
-            return False
-        a, b = self.grid_den, other.grid_den
-        return len(self.grid_num) == len(other.grid_num) and all(
-            x * b == y * a for x, y in zip(self.grid_num, other.grid_num))
 
 
 def _counts(steps: Sequence[int], grid: Iterable[int]) -> list[int]:
@@ -506,16 +496,17 @@ def verify_all_claims(
     return reports
 
 
-def _reports_json_chunks(reports: Sequence[OrderReport]) -> Iterator[str]:
-    """The reports as JSON, every rational as "num/den" in lowest terms, in pieces.
+def reports_to_json(reports: Sequence[OrderReport]) -> Iterator[str]:
+    """The reports as JSON, every rational as "num/den" in lowest terms, as an iterator of pieces.
 
-    Grid points are read over the lcm of the reports' grid denominators, so
-    each distinct point is reduced and printed once: the alpha grid that C1,
-    C2, C6 and C8 share, and its subsets in C3, C4 and C5, cost one
-    ``format_ratios`` entry per point, and every grid entry is yielded as
-    that one string, never copied into a larger one.  The text is the
-    layout of ``json.dumps(..., indent=2, sort_keys=True)``, written
-    directly: grid entries are digits and "/", which need no escaping, so
+    Join the pieces for the text, or pass them to a file's ``writelines``:
+    no piece holds more than one report's grid, so the whole text is never
+    held at once.  Grid points are read over the lcm of the reports' grid
+    denominators, so each distinct point is reduced and printed once: the
+    alpha grid that C1, C2, C6 and C8 share, and its subsets in C3, C4 and
+    C5, cost one ``format_ratios`` entry per point.  The text is the layout
+    of ``json.dumps(..., indent=2, sort_keys=True)``, written directly:
+    grid entries are digits and "/", which need no escaping, so
     ``json.dumps`` encodes only the scalar fields.
     """
     if not reports:
@@ -532,10 +523,7 @@ def _reports_json_chunks(reports: Sequence[OrderReport]) -> Iterator[str]:
         yield f'  {{\n    "claim": {json.dumps(r.claim)},\n    "grid": '
         if grid:
             yield '[\n      "'
-            for j, n in enumerate(grid):
-                if j:
-                    yield '",\n      "'
-                yield text[n]
+            yield '",\n      "'.join([text[n] for n in grid])
             yield '"\n    ]'
         else:
             yield "[]"
@@ -548,11 +536,6 @@ def _reports_json_chunks(reports: Sequence[OrderReport]) -> Iterator[str]:
         )
         yield "".join(f',\n    "{key}": {value}' for key, value in fields) + "\n  }"
     yield "\n]\n"
-
-
-def reports_to_json(reports: Sequence[OrderReport]) -> str:
-    """The text of ``_reports_json_chunks``, joined into one string."""
-    return "".join(_reports_json_chunks(reports))
 
 
 def reports_to_text(reports: Sequence[OrderReport]) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 import mdpvalues
 import mdpvalues.cli as cli
-from mdpvalues import build_agreeing_ranking
+from mdpvalues import build_agreeing_ranking, orders, verify_all_claims
 from mdpvalues.cli import main
 from mdpvalues.rational import decimal_string, format_rational, parse_rational
 from mdpvalues.registry import default_statistic, resolve_model
@@ -148,6 +148,26 @@ class TestVerify:
         assert [r["claim"] for r in reports] == [f"C{i}" for i in range(1, 10)]
         assert all(r["verdict"] == "pass" for r in reports)
         assert "C9" in capsys.readouterr().out
+
+    def test_reports_json_is_streamed_from_the_cli_name(self, tmp_path, monkeypatch):
+        """verify writes what ``cli.reports_to_json`` yields, so a patch of that name reaches the file."""
+        spec = "binomial:30,1/2,3/5"
+        model, _ = resolve_model(spec)
+        statistic = default_statistic(model)
+        reports = verify_all_claims(model, statistic, build_agreeing_ranking(model, statistic),
+                                    list(model.parameter_names))
+        assert main(["verify", "--model", spec, "--out", str(tmp_path / "whole")]) == 0
+        text = (tmp_path / "whole" / "reports.json").read_text(encoding="utf-8")
+        assert text == "".join(orders.reports_to_json(reports))
+        assert [r["claim"] for r in json.loads(text)] == [r.claim for r in reports]
+
+        real = cli.reports_to_json
+        monkeypatch.setattr(cli, "reports_to_json", lambda reports: real(reports[:-1]))
+        assert main(["verify", "--model", spec, "--out", str(tmp_path / "short")]) == 0
+        written = json.loads((tmp_path / "short" / "reports.json").read_text(encoding="utf-8"))
+        assert [r["claim"] for r in written] == [f"C{i}" for i in range(1, 9)]
+        manifest = json.loads((tmp_path / "short" / "manifest.json").read_text(encoding="utf-8"))
+        assert len(manifest["claims"]) == 9
 
     def test_tampered_ranking_file_exits_two(self, tmp_path, capsys):
         order_path = tmp_path / "ranking.json"
@@ -426,11 +446,6 @@ class TestParser:
         assert seen == ["t.csv"]
         monkeypatch.undo()
         assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 0
-
-    def test_text_longer_than_a_write_slice_is_written_whole(self, tmp_path):
-        text = "\u00e9\n" * ((1 << 20) + 3) + "end"
-        cli._write_text(tmp_path / "out.json", text)
-        assert (tmp_path / "out.json").read_bytes() == text.encode()
 
 
 class TestImports:

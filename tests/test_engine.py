@@ -52,8 +52,8 @@ def tilted_to_sufficiency(rng, model, statistic):
 
 
 def assert_same_reports(model, statistic, ranking, thetas):
-    engine = reports_to_json(verify_all_claims(model, statistic, ranking, thetas))
-    assert engine == reports_to_json(reference_claims(model, statistic, ranking, thetas))
+    engine = "".join(reports_to_json(verify_all_claims(model, statistic, ranking, thetas)))
+    assert engine == "".join(reports_to_json(reference_claims(model, statistic, ranking, thetas)))
     return engine
 
 
@@ -133,7 +133,7 @@ def escaped_names(model, statistic):
 
 def test_direct_json_writer_matches_json_dumps(monkeypatch):
     """reports_to_json writes json.dumps' indent=2, sort_keys=True layout itself, escapes and all."""
-    assert reports_to_json([]) == reports_json([]) == "[]\n"
+    assert "".join(reports_to_json([])) == reports_json([]) == "[]\n"
     for module in (orders, claims_oracle):
         monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
     rng = random.Random(5)
@@ -149,7 +149,7 @@ def test_direct_json_writer_matches_json_dumps(monkeypatch):
         ranking = Ranking(tuple(ranks))
         for grid in (thetas, []):
             reports = verify_all_claims(model, statistic, ranking, grid)
-            text = reports_to_json(reports)
+            text = "".join(reports_to_json(reports))
             assert text == reports_json(reports)
             verdicts.update(r.verdict for r in reports)
             escapes.update(e for e in ('\\"', "\\\\", "\\u") if e in text)
@@ -322,8 +322,8 @@ def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, 
 
     monkeypatch.setattr(orders, "_usual_order", drops_last_grid_point)
     thetas = ["theta0", "theta1"]
-    engine = {r.claim: r for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
-    oracle = {r.claim: r for r in reference_claims(example1, lr, table1_ranking, thetas)}
+    engine = {r.claim: "".join(reports_to_json([r])) for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
+    oracle = {r.claim: "".join(reports_to_json([r])) for r in reference_claims(example1, lr, table1_ranking, thetas)}
     usual = ("C3", "C4")
     assert all(engine[claim] != oracle[claim] for claim in usual)
     assert all(engine[claim] == oracle[claim] for claim in engine if claim not in usual)

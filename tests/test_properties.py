@@ -1,22 +1,30 @@
 """Property tests: invariants that must hold on arbitrary finite models."""
 
+import json
 import math
 import random
 import sys
+import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdpvalues import (
+    Ranking,
     build_agreeing_ranking,
     make_model,
     make_statistic,
+    orders,
     pvalue_family,
     size_alpha_test,
     verify_agreement,
+    verify_all_claims,
 )
+from mdpvalues.cli import main
 
 from mdpvalues.rational import (
     _RATIO,
@@ -239,3 +247,83 @@ def test_random_suite_smoke():
         assert all(r.verdict in ("pass", "skipped") for r in reports)
         assert all(r.verdict == "pass" for r in reports if r.claim in
                    ("C1", "C2", "C3", "C4", "C5", "C7", "C9"))
+
+
+# Metamorphic relations: two runs of the engine on inputs that must give the same answer, no oracle needed.
+
+@st.composite
+def _model_file_forms(draw):
+    """A 2-8 point, two-parameter model file, written reduced, unreduced entry by entry, and over a common multiple."""
+    n = draw(st.integers(2, 8))
+    rows = {}
+    for name, low in (("theta0", 1), ("theta1", 0)):
+        weights = draw(st.lists(st.integers(low, 9), min_size=n, max_size=n).filter(any))
+        rows[name] = [Fraction(w, sum(weights)) for w in weights]
+    factors = st.sampled_from([1, 2, 3, 6, 7, 10, 2**40])
+    forms = ([], [], [])
+    for row in rows.values():
+        scale = math.lcm(*(v.denominator for v in row)) * draw(factors)
+        forms[0].append([f"{v.numerator}/{v.denominator}" for v in row])
+        ks = draw(st.lists(factors, min_size=n, max_size=n))
+        forms[1].append([f"{v.numerator * k}/{v.denominator * k}" for v, k in zip(row, ks)])
+        forms[2].append([f"{v.numerator * (scale // v.denominator)}/{scale}" for v in row])
+    return [{"parameters": {"theta0": "1/2", "theta1": "3/4"}, "support": [f"x{i}" for i in range(n)],
+             "pmf": dict(zip(rows, form))} for form in forms]
+
+
+@given(_model_file_forms())
+@settings(max_examples=40, deadline=None)
+def test_rows_written_unreduced_or_over_a_common_multiple_verify_to_the_same_bytes(files):
+    """``mdpv verify --model FILE`` reads a row's value, not its text: k*n/k*d and n/d give one reports.json."""
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, data in enumerate(files):
+            model_path, out = Path(tmp) / f"m{i}.json", Path(tmp) / f"v{i}"
+            model_path.write_text(json.dumps(data), encoding="utf-8")
+            assert main(["verify", "--model", str(model_path), "--out", str(out)]) == 0
+            written.append((out / "reports.json").read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+@st.composite
+def _theta_grids(draw):
+    """A 2-8 point model with three parameters, a tie-rich statistic, a theta grid, and that grid reordered with repeats.
+
+    Each non-null row is random or the null tilted by a weight per statistic value, so the statistic is
+    sufficient on some grids and C6 runs there.
+    """
+    n = draw(st.integers(2, 8))
+    values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    null = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    rows = {"t0": null}
+    for name in ("t1", "t2"):
+        if draw(st.booleans()):
+            tilt = draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
+            rows[name] = [w * tilt[v] for w, v in zip(null, values)]
+        else:
+            rows[name] = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    model = make_model([f"x{i}" for i in range(n)], {"t0": "1/2", "t1": "3/4", "t2": "1/4"},
+                       {name: [Fraction(w, sum(row)) for w in row] for name, row in rows.items()})
+    ranking = Ranking(tuple(draw(st.permutations(range(1, n + 1)))))
+    grid = draw(st.lists(st.sampled_from(list(rows)), min_size=1, max_size=3, unique=True))
+    repeats = draw(st.lists(st.sampled_from(grid), max_size=3))
+    return model, make_statistic(model, "s", values), ranking, grid, draw(st.permutations(grid + repeats))
+
+
+@given(_theta_grids())
+@settings(max_examples=60, deadline=None)
+def test_theta_grid_order_and_repeats_leave_c1_c3_c6_unchanged(case):
+    """C1, C3 and C6 quantify over every theta of the grid, so only the grid's set of thetas can matter.
+
+    The ranking is any permutation, the agreement check switched off, so that C1 and C3 fail with
+    nonzero worst margins too.  Notes are not compared: a skipped C6 names the first theta, in grid
+    order, at which sufficiency fails.
+    """
+    model, statistic, ranking, grid, shuffled = case
+
+    def outcome(thetas):
+        reports = verify_all_claims(model, statistic, ranking, thetas)
+        return {r.claim: (r.verdict, r.worst_margin) for r in reports if r.claim in ("C1", "C3", "C6")}
+
+    with mock.patch.object(orders, "verify_agreement", lambda *args: (True, None)):
+        assert outcome(shuffled) == outcome(grid)

@@ -16,7 +16,10 @@ columns alike instead of reading as a change.  The record keeps every run
 and the median.  Model build, model-file load, statistic plus ranking,
 verification and ``orders.reports_to_json`` (what ``mdpv verify`` writes
 as reports.json) are timed separately, and the size of that JSON is
-recorded in bytes.  ``load_s`` times ``load_model`` of the built model,
+recorded in bytes, counted over the pieces the writer yields (or over the
+one string that an older tree's ``reports_to_json`` returns).
+``peak_rss_mb`` is the run's own peak resident set size, read with
+``resource.getrusage`` at the end of its fresh process.  ``load_s`` times ``load_model`` of the built model,
 written once by ``save_model`` to a temporary file outside the timer; the
 rest of the run uses the loaded model, as ``mdpv verify --model FILE`` does.
 ``statistic_s`` covers ``likelihood_ratio_statistic`` plus
@@ -39,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -107,7 +111,8 @@ def run_case(family: str, n: int) -> dict:
     reports = verify_all_claims(model, lr, ranking, ["theta0", "theta1"])
     verified = time.perf_counter()
     # json.dumps escapes every non-ASCII character, so the text has one byte per character.
-    output_bytes = len(reports_to_json(reports))
+    chunks = reports_to_json(reports)
+    output_bytes = sum(map(len, [chunks] if isinstance(chunks, str) else chunks))
     serialized = time.perf_counter()
     verdicts = sorted({r.verdict for r in reports})
     if verdicts != ["pass"]:
@@ -122,6 +127,8 @@ def run_case(family: str, n: int) -> dict:
         "output_bytes": output_bytes,
         "support": model.size,
         "denominator_bits": [null_bits, alt_bits],
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
@@ -139,6 +146,7 @@ def summary(runs: list[dict]) -> dict:
         "denominator_bits": runs[0]["denominator_bits"],
         "output_bytes": runs[0]["output_bytes"],
         **{f"{key}_median": statistics.median(run[key] for run in runs) for key in TIMES},
+        "peak_rss_mb_median": statistics.median(run["peak_rss_mb"] for run in runs),
         "verify_s_runs": [run["verify_s"] for run in runs],
         "serialize_s_runs": [run["serialize_s"] for run in runs],
     }
@@ -162,7 +170,7 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
             case = cases[column][name]
             line.append(f"{column} load {case['load_s_median']:6.3f} s verify {case['verify_s_median']:7.3f} s"
                         f" serialize {case['serialize_s_median']:7.3f} s"
-                        f" {case['output_bytes']:>11,} B")
+                        f" {case['output_bytes']:>11,} B {case['peak_rss_mb_median']:6.1f} MB")
         print("  ".join(line), flush=True)
     return cases
 
@@ -189,8 +197,8 @@ def main(argv: list[str] | None = None) -> int:
             "verify_all_claims wall time (seconds, median of repeat) against support size N and "
             "denominator bit-length; model build, load_model of its saved file, statistic+ranking and "
             "reports_to_json timed separately, "
-            "output_bytes the size of that JSON; each run in a fresh process, the two columns alternating "
-            "case by case and run by run"
+            "output_bytes the size of that JSON, peak_rss_mb the peak resident set size of the run's process; "
+            "each run in a fresh process, the two columns alternating case by case and run by run"
         ),
         "repeat": REPEAT,
         "targets_s": TARGETS,
