@@ -106,8 +106,11 @@ def _decide_rows(ps: np.ndarray, alpha: float, procedure: str) -> tuple[np.ndarr
         return critical, rejected[:, None]
     # exp(S) <= alpha / e agrees with S <= log(alpha / e) once S is 2**-40 * (1 + |log cut|) from it:
     # math.log of the cut errs by an ULP or two, about 2**-52 * |log cut|, and math.exp by a relative
-    # 2**-52 or so, an absolute 2**-52 in S.
+    # 2**-52 or so, an absolute 2**-52 in S.  That holds while exp(S) is a normal float; below 2**-1000
+    # the cut is near or among the subnormals, where exp keeps fewer bits (or is 0), so the fold decides.
     cut = alpha / math.e
+    if cut < 2.0**-1000:
+        return cut, (_geometric_means(_logs(ps)) <= cut)[:, None]
     log_cut = math.log(cut)
     rejected = _log_sums_at_most(ps, 1.0 / m, log_cut, 2.0**-40 * (1.0 + abs(log_cut)),
                                  lambda logs: _geometric_means(logs) <= cut)

@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mdpvalues.downstream as downstream
 from mdpvalues import (
@@ -391,6 +391,9 @@ def _nudged(x, ulps):
 
 @settings(max_examples=200, deadline=None)
 @given(_blocks_and_cuts())
+# The geometric mean's cut among the subnormals, where exp keeps fewer than 53 bits.
+@example((np.array([[1.42784972e-321, 1.27670263e-316], [2.16286129e-300, 6.95406096e-001]]), 0.5, 0))
+@example((np.array([[1e-320, 1e-320]]), 0.5, 1))
 def test_combined_decisions_are_the_left_folds(case):
     """Fisher and the geometric mean decide each row as the reduce fold of math.log does, near the cut too."""
     ps, alpha, ulps = case
