@@ -4,7 +4,13 @@ Every run writes a manifest (inputs, package version, seed, grids) so seeded
 commands can be reproduced byte for byte: table1, cdf and pvalues to
 ``<out>.manifest.json``, verify and simulate to ``<out>/manifest.json``.
 Manifests never contain timestamps or absolute paths.  Exit codes: 0
-success / all claims pass, 1 claim failure, 2 usage or input error.
+success / all claims pass, 1 claim failure, 2 usage or input error (any
+``UsageError``, or an ``OSError``).
+
+Importing this module loads the exact layers only (``rational``, ``model``,
+``ranking``, ``testing``, ``registry``), which is all that table1, cdf and
+pvalues run.  verify imports the claim engine (``orders``) in its handler,
+and simulate the harness (``downstream`` and ``special``, then numpy).
 """
 
 from __future__ import annotations
@@ -12,29 +18,25 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import sys
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import __version__
-from .downstream import (
-    RNG_IDENTITY,
-    ConfigError,
-    config_from_dict,
-    report_to_json,
-    simulate,
-)
-from .model import DiscreteModel, ModelError
-from .orders import OrdersError, reports_to_json, reports_to_text, verify_all_claims
-from .ranking import Ranking, RankingError, Statistic, ranking_from_order, build_agreeing_ranking
+from .model import DiscreteModel, UsageError
+from .ranking import Ranking, Statistic, ranking_from_order, build_agreeing_ranking
 from .rational import decimal_ratio, decimal_string, format_ratios, format_rational
 from .registry import default_statistic, resolve_model, table1_ranking
-from .testing import TestingError, pvalue_family
+from .testing import pvalue_family
+
+if TYPE_CHECKING:
+    from importlib import resources
+
+    from .orders import OrderReport
 
 
-class CliError(ValueError):
+class CliError(UsageError):
     """Usage or input error (exit status 2)."""
 
 
@@ -145,7 +147,16 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     return 0
 
 
+def reports_to_json(reports: Sequence[OrderReport]) -> Iterator[str]:
+    """``orders.reports_to_json``, read from ``orders`` at each call; ``cmd_verify`` writes what this name yields."""
+    from . import orders
+
+    return orders.reports_to_json(reports)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .orders import reports_to_text, verify_all_claims
+
     model, model_id, statistic = _model_and_statistic(args)
     ranking = _load_ranking(model, args.ranking_file) if args.ranking_file else build_agreeing_ranking(model, statistic)
     if args.thetas is None:
@@ -176,6 +187,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _read_config(spec: str) -> tuple[dict, str]:
+    import hashlib
+    from importlib import resources
+
     source: Path | resources.abc.Traversable = Path(spec)
     if not source.exists():
         source = resources.files("mdpvalues") / "configs" / f"{spec}.json"
@@ -188,6 +202,8 @@ def _read_config(spec: str) -> tuple[dict, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .downstream import RNG_IDENTITY, ConfigError, config_from_dict, report_to_json, simulate
+
     data, digest = _read_config(args.config)
     if args.seed is not None:
         data["seed"] = args.seed
@@ -292,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (CliError, ConfigError, ModelError, RankingError, TestingError, OrdersError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

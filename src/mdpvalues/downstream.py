@@ -26,8 +26,9 @@ the left-to-right sum of math.log of its p-values; a block first sums
 np.log in any order and keeps that fold for the rows whose approximate sum
 lies within a proven slack of the cut (``_log_sums_at_most``), so every
 decision is the fold's on any host, under every u policy.  numpy is
-imported inside functions only, so the exact layers and the other CLI
-commands never load it.
+imported inside functions only, and the package and ``mdpv simulate``
+import this module (and with it ``special``) on first use, so the exact
+layers and the other CLI commands load none of the three.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .model import DiscreteModel
+from .model import DiscreteModel, UsageError
 from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
 from .rational import INTEGER, format_rational, parse_rational
 from .special import chi2_upper_quantile
@@ -59,7 +60,7 @@ RNG_IDENTITY = (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     """Invalid procedure input or simulation configuration."""
 
 

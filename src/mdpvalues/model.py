@@ -20,12 +20,16 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rational import common_denominator, format_ratios, format_rational, parse_rational, ratio_terms
+from .rational import common_denominator, format_ratios, format_rational, parse_rational, ratio_row
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
 
-class ModelError(ValueError):
+class UsageError(ValueError):
+    """Invalid input or use: the base of every layer's error, and exit status 2 from ``mdpv``."""
+
+
+class ModelError(UsageError):
     """Invalid model construction, parameter, or point lookup."""
 
 
@@ -135,7 +139,7 @@ def make_model(
     """Build and validate a model from plain labels and rational-like values, each row over its least common denominator."""
     support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
     params = {str(name): parse_rational(v) for name, v in parameters.items()}
-    rows = {str(name): common_denominator(map(ratio_terms, row)) for name, row in pmf.items()}
+    rows = {str(name): common_denominator(ratio_row(row)) for name, row in pmf.items()}
     return DiscreteModel(support, params, rows)
 
 

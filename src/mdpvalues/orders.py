@@ -66,12 +66,12 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import DiscreteModel
+from .model import DiscreteModel, UsageError
 from .ranking import Ranking, Statistic, verify_agreement
 from .rational import decimal_string, format_ratios, format_rational
 from .testing import PValueFamily, alpha_lattice, pvalue_family
 
-class OrdersError(ValueError):
+class OrdersError(UsageError):
     """Precondition failure in an ordering check."""
 
 
@@ -456,13 +456,17 @@ def verify_all_claims(
             offset = (tb[k] - mb[r]) * m_k * m_r - t_before[k] * slope_t + md_before[r] * slope_md
             return offset * c, slope_t - slope_md, d_theta
 
-        lattices = [(*t_family.lattice(theta), *md_family.lattice(theta)[1:]) for theta in thetas]
+        # At the null both tests have exact size alpha, so the gap line is identically zero (its slope
+        # t_mass[k] * m_r - md_mass[r] * m_k and its offset cancel) and is not computed.
+        zero = (0, 0, 1)
+        lattices = [None if theta == null else (*t_family.lattice(theta), *md_family.lattice(theta)[1:])
+                    for theta in thetas]
         items = []
         classes = None
         for x, k, r in zip(grid, t_classes, md_classes):
             if (k, r) != classes:
                 classes = (k, r)
-                lines = [gap_line(k, r, *lattice) for lattice in lattices]
+                lines = [zero if lattice is None else gap_line(k, r, *lattice) for lattice in lattices]
             for offset, slope, d_theta in lines:
                 gap = offset + x * slope if slope else offset
                 items.append((-abs(gap), d_theta * t_mass[k] * md_mass[r] * c) if gap else (0, 1))

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import DiscreteModel, SupportPoint
+from .model import DiscreteModel, SupportPoint, UsageError
 from .rational import parse_rational
 
 
-class RankingError(ValueError):
+class RankingError(UsageError):
     """Invalid statistic or ranking configuration."""
 
 

@@ -51,6 +51,28 @@ def ratio_terms(value: str | int | Fraction) -> tuple[int, int]:
     return int(match[1]), int(match[2] or 1)
 
 
+def ratio_row(values: Iterable[str | int | Fraction]) -> list[tuple[int, int]]:
+    """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string.
+
+    A pmf row shares a few denominators, each possibly thousands of digits
+    long (binomial n=4000: 6 or 12 per row), so each is read once.  Values
+    that are not strings matching the grammar go through ``ratio_terms``,
+    with its checks and messages.
+    """
+    dens: dict[str | None, int] = {None: 1}
+    out = []
+    for value in values:
+        match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            out.append(ratio_terms(value))
+            continue
+        d = dens.get(match[2])
+        if d is None:
+            d = dens[match[2]] = int(match[2])
+        out.append((int(match[1]), d))
+    return out
+
+
 def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
     """``ratio_terms`` in lowest terms."""
     n, d = ratio_terms(value)

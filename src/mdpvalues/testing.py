@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .model import DiscreteModel, SupportPoint
+from .model import DiscreteModel, SupportPoint, UsageError
 from .ranking import Ranking, Statistic
 from .rational import parse_ratio
 
@@ -49,7 +49,7 @@ T_BASED = "t-based"
 MD = "md"
 
 
-class TestingError(ValueError):
+class TestingError(UsageError):
     """Invalid size, randomization input, or family construction."""
 
     __test__ = False  # keep pytest's collector away from the Test* name

@@ -449,21 +449,89 @@ class TestParser:
 
 
 class TestImports:
-    # numpy is imported inside simulate, bh_threshold and bonferroni only
+    # The CLI and the package load the exact layers only: verify imports orders in its handler, and
+    # simulate imports downstream and special, which import numpy inside functions only.
     ENV = {**os.environ, "PYTHONPATH": str(Path(mdpvalues.__file__).resolve().parents[1])}
+    ENGINES = ("mdpvalues.orders", "mdpvalues.downstream", "mdpvalues.special", "numpy")
+    LAZY = {
+        "orders": ("OrderReport", "OrdersError", "verify_all_claims"),
+        "downstream": ("ConfigError", "FisherResult", "GeometricMeanResult", "SimulationConfig",
+                       "SimulationReport", "bh_threshold", "bonferroni", "config_from_dict", "fisher_test",
+                       "geometric_mean_combination", "simulate"),
+    }
+
+    def run_python(self, code, cwd=None):
+        subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=self.ENV, cwd=cwd, check=True, timeout=120)
 
     def test_cli_import_does_not_load_numpy(self):
-        code = "import mdpvalues.cli, sys; assert 'numpy' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=self.ENV, check=True, timeout=60)
+        """Nor the engine modules, from the package or from the CLI."""
+        self.run_python(f"""
+            import sys
+            import mdpvalues
+            loaded = [name for name in {self.ENGINES!r} if name in sys.modules]
+            assert not loaded, loaded
+            import mdpvalues.cli
+            loaded = [name for name in {self.ENGINES!r} if name in sys.modules]
+            assert not loaded, loaded
+        """)
 
     def test_exact_commands_do_not_load_numpy(self, tmp_path):
-        code = textwrap.dedent("""
+        """Nor any engine module; verify then loads orders and nothing else."""
+        self.run_python(f"""
             import sys
             from mdpvalues.cli import main
             for argv in (["table1", "--out", "t.csv"], ["cdf", "--model", "example1", "--out", "c.csv"],
-                         ["pvalues", "--model", "example1", "--out", "p.csv"],
-                         ["verify", "--model", "example1", "--out", "v"]):
+                         ["pvalues", "--model", "example1", "--out", "p.csv"]):
                 assert main(argv) == 0, argv
-            assert "numpy" not in sys.modules
+            loaded = [name for name in {self.ENGINES!r} if name in sys.modules]
+            assert not loaded, loaded
+            assert main(["verify", "--model", "example1", "--out", "v"]) == 0
+            loaded = [name for name in {self.ENGINES!r} if name in sys.modules]
+            assert loaded == ["mdpvalues.orders"], loaded
+        """, cwd=tmp_path)
+
+    def test_lazy_names_are_their_modules_own_and_bound_on_first_use(self):
+        self.run_python(f"""
+            import sys, mdpvalues
+            for module, names in {self.LAZY!r}.items():
+                assert f"mdpvalues.{{module}}" not in sys.modules, module
+                for name in names:
+                    assert name in dir(mdpvalues) and name not in vars(mdpvalues), name
+                    value = getattr(mdpvalues, name)
+                    assert value is getattr(sys.modules[f"mdpvalues.{{module}}"], name), name
+                    assert vars(mdpvalues)[name] is value, name
         """)
-        subprocess.run([sys.executable, "-c", code], env=self.ENV, cwd=tmp_path, check=True, timeout=120)
+        assert sorted(mdpvalues._LAZY) == sorted(name for names in self.LAZY.values() for name in names)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            mdpvalues.no_such_name
+
+    def test_every_layer_error_is_a_usage_error(self):
+        """main catches UsageError, so it names no engine module's error class."""
+        errors = (cli.CliError, mdpvalues.ModelError, mdpvalues.RankingError, mdpvalues.TestingError,
+                  mdpvalues.OrdersError, mdpvalues.ConfigError)
+        assert all(issubclass(error, mdpvalues.UsageError) for error in errors)
+        assert issubclass(mdpvalues.UsageError, ValueError)
+
+    def run_cli(self, tmp_path, argv):
+        """(exit status, stderr) of ``python -m mdpvalues`` in a fresh process."""
+        done = subprocess.run([sys.executable, "-m", "mdpvalues", *argv], env=self.ENV, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stderr
+
+    def test_bad_simulate_config_in_a_fresh_process_exits_two(self, tmp_path):
+        """downstream loads only after main has started; its ConfigError still exits 2."""
+        config = {"model": "example1", "hypotheses": 0, "pi0": "1", "family": "t", "u_policy": "natural",
+                  "procedure": "bh", "alpha": "1/10", "replicates": 2, "seed": 3}
+        (tmp_path / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        assert self.run_cli(tmp_path, ["simulate", "--config", "bad.json", "--out", "s"]) == (
+            2, "error: invalid config value: hypotheses must be >= 1\n")
+
+    def test_non_agreeing_ranking_file_in_a_fresh_process_exits_two(self, tmp_path):
+        """orders loads only after main has started; its OrdersError still exits 2."""
+        from mdpvalues.registry import example1_model, table1_priority
+        labels = table1_priority(example1_model())
+        labels[0], labels[8] = labels[8], labels[0]
+        (tmp_path / "ranking.json").write_text(json.dumps(labels), encoding="utf-8")
+        argv = ["verify", "--model", "example1", "--ranking-file", "ranking.json", "--out", "v"]
+        assert self.run_cli(tmp_path, argv) == (
+            2, "error: ranking does not agree with statistic: witness ('01111', '01011')\n")

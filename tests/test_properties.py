@@ -34,6 +34,7 @@ from mdpvalues.rational import (
     format_rational,
     parse_ratio,
     parse_rational,
+    ratio_row,
     ratio_terms,
 )
 
@@ -103,6 +104,7 @@ def test_rational_grammar_accepts(value, parsed):
     assert parse_ratio(value) == parsed
     assert parse_rational(value) == Fraction(*parsed)
     assert Fraction(*ratio_terms(value)) == Fraction(*parsed)
+    assert ratio_row(["1/3", value]) == [(1, 3), ratio_terms(value)]
 
 
 @pytest.mark.parametrize(
@@ -121,7 +123,7 @@ def test_rational_grammar_accepts(value, parsed):
 )
 def test_rational_grammar_refuses(value, fault):
     """One grammar on every Python version: ASCII digits, an optional sign and "/digits", outer whitespace."""
-    for parse in (ratio_terms, parse_ratio, parse_rational):
+    for parse in (ratio_terms, parse_ratio, parse_rational, lambda v: ratio_row(["1/3", v])):
         with pytest.raises(ValueError) as caught:
             parse(value)
         assert str(caught.value).startswith(fault)
@@ -154,9 +156,20 @@ def test_one_gcd_per_row_is_per_entry_reduction(texts):
     """A row read unreduced and reduced by one gcd is the row with each entry reduced first."""
     reduced = common_denominator(map(parse_ratio, texts))
     assert common_denominator(map(ratio_terms, texts)) == reduced
+    assert ratio_row(texts) == list(map(ratio_terms, texts))
     values = [Fraction(text) for text in texts]
     den = math.lcm(*(v.denominator for v in values))
     assert reduced == (den, tuple(int(v * den) for v in values))
+
+
+def test_ratio_row_reads_each_denominator_string_once():
+    row = ["1/1024", "3/1024", "5/0001024", "-7/1024", "2", " 9/1024 "]
+    expected = list(map(ratio_terms, row))
+    with mock.patch("mdpvalues.rational.int", side_effect=int, create=True) as read:
+        assert ratio_row(row) == expected
+    # every numerator, and each distinct denominator string once
+    assert sorted(call.args[0] for call in read.call_args_list) == sorted(
+        ["1", "3", "5", "-7", "2", "9", "1024", "0001024"])
 
 
 @given(small_models(), st.integers(0, 20))
