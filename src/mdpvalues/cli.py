@@ -113,11 +113,7 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     theta = args.theta or model.parameter_names[0]
     if theta not in model.parameter_names:
         raise CliError(f"unknown parameter {theta!r}")
-    if args.family == "md":
-        source = build_agreeing_ranking(model, statistic)
-    else:
-        source = statistic
-    family = pvalue_family(model, source)
+    family = pvalue_family(model, build_agreeing_ranking(model, statistic) if args.family == "md" else statistic)
     # Each column is int numerators over one denominator.  Under the null, class k starts at before[k]
     # with mass mass[k], over D_null; P(X, u) puts the class's theta mass at start + u * mass.
     den, mass, before = family.lattice(model.null)

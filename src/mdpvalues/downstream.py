@@ -42,14 +42,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel, UsageError
-from .ranking import Ranking, build_agreeing_ranking, likelihood_ratio_statistic
+from .ranking import build_agreeing_ranking, likelihood_ratio_statistic
 from .rational import INTEGER, format_rational, parse_rational
 from .special import chi2_upper_quantile
-from .testing import MD, T_BASED, pvalue_family
+from .testing import pvalue_family
 
 if TYPE_CHECKING:
     import numpy as np
 
+FAMILIES = ("t-based", "md")
 PROCEDURES = ("bh", "bonferroni", "fisher", "geometric-mean")
 U_POLICIES = ("natural", "mid", "randomized")
 # Floats per (replicates x hypotheses) array in one block of simulate.
@@ -287,7 +288,7 @@ class SimulationConfig:
             raise ConfigError("hypotheses must be >= 1")
         if not 0 <= self.pi0 <= 1:
             raise ConfigError("pi0 must lie in [0, 1]")
-        if self.family not in (T_BASED, MD):
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r} (use 't-based' or 'md')")
         if self.u_policy not in U_POLICIES:
             raise ConfigError(f"unknown u policy {self.u_policy!r}")
@@ -336,7 +337,7 @@ class SimulationConfig:
         }
 
 
-_FAMILY_ALIASES = {"t": T_BASED, "t-based": T_BASED, "md": MD}
+_FAMILY_ALIASES = {"t": "t-based", "t-based": "t-based", "md": "md"}
 
 
 def _integer(data: Mapping, key: str) -> int:
@@ -565,11 +566,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
 
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
-    if config.family == MD:
-        source: Ranking | object = build_agreeing_ranking(model, statistic)
-    else:
-        source = statistic
-    family = pvalue_family(model, source)
+    family = pvalue_family(model, build_agreeing_ranking(model, statistic) if config.family == "md" else statistic)
 
     # n / D is the correctly rounded float of the rational n/D, as float(Fraction(n, D)) is.
     den, mass, before = family.lattice(model.null)

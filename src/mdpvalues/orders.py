@@ -8,8 +8,9 @@ everywhere.  All comparisons are exact; each claim returns an OrderReport
 carrying the grid, a signed worst margin (pass iff >= 0) and a witness on
 failure.
 
-The engine takes each source's tie classes once, the statistic's own
-table and one class per rank (``testing.pvalue_family``), and then works on
+The engine takes each source's class table once, the statistic's tie
+classes and the ranking's one class per rank, through one path
+(``testing.pvalue_family``), and then works on
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
@@ -19,7 +20,10 @@ instead of a search per point:
 
   - the size-alpha test at alpha keeps the last class starting at or below
     alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
-    and the two families' powers are compared by cross-multiplication;
+    and the two families' powers are compared by cross-multiplication at
+    the kinks of the alpha grid only, where the first worst gap lies, since
+    both powers are linear between the class starts of either family; its
+    sufficiency gate sums the theta class masses again from the pmf rows;
   - C5 holds for every t: the randomized null CDF, rebuilt from class masses
     summed again point by point, is checked at its kinks (0, 1 and the
     class starts of both families), so a wrong class mass makes it fail;
@@ -256,6 +260,14 @@ def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
     return [n - 1 for n in _counts([2 * s for s in before[:-1]], grid)]
 
 
+def _recount(family: PValueFamily, theta: str) -> list[int]:
+    """Each class's theta mass summed again from the pmf row, each point once into its own class, over D_theta."""
+    mass = [0] * len(family.keys)
+    for p, k in zip(family.model.int_row(theta)[1], family.class_of):
+        mass[k] += p
+    return mass
+
+
 def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequence[int]) -> list[tuple[int, int]]:
     """(F(t) - t) * mass_k * 2 D and mass_k at each t = x / (2 D) of a grid, F = Pr_0{P(X, U) <= t}.
 
@@ -264,9 +276,7 @@ def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequenc
     masses summed again from the null row, each point once into its own class, against the lattice.
     """
     _den, mass, before = family.lattice(family.model.null)
-    summed = [0] * len(mass)
-    for p, k in zip(family.model.int_row(family.model.null)[1], family.class_of):
-        summed[k] += p
+    summed = _recount(family, family.model.null)
     offsets = [(a - b) * m * 2 for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
     excess = [s - m for s, m in zip(summed, mass)]
     return [(offsets[k] + excess[k] * (x - before[k] * 2), mass[k]) for x, k in zip(grid, classes)]
@@ -282,37 +292,37 @@ def _projection_margins(
     """Worst margin of the C8 projection identity at each alpha = x / (2 D), as (numerator, denominator).
 
     At alpha = grid[i] the T test has threshold class k = t_classes[i] and
-    the MD test threshold rank r (class md_classes[i]) with randomization
-    gamma_MD.  A sure-rejection point (class before k) has margin 0,
-    gamma_MD - 1 or -1 as its rank is below, at or above r, so the largest
-    rank before class k decides them all; the sure-retention side is
-    decided by the smallest rank after class k.  With gamma = (alpha -
-    start) / mass, all three margins share mass_T[k] * mass_MD[r] * 2.
+    the MD test threshold class r = md_classes[i], the point of rank r + 1,
+    with randomization gamma_MD.  Ranks are read 0-based, as the MD
+    family's ``class_of``.  A sure-rejection point (class before k) has
+    margin 0, gamma_MD - 1 or -1 as its rank is below, at or above r, so
+    the largest rank before class k decides them all; the sure-retention
+    side is decided by the smallest rank after class k.  With gamma =
+    (alpha - start) / mass, all three margins share mass_T[k] * mass_MD[r] * 2.
     """
     _den, t_mass, t_before = t_family.lattice(t_family.model.null)
     _, md_mass, md_before = md_family.lattice(md_family.model.null)
-    ranks = md_family.source.ranks
+    ranks = md_family.class_of
     null_row = t_family.model.int_row(t_family.model.null)[1]
     by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_family.members]
     class_ranks = [[rank for rank, _ in pairs] for pairs in by_rank]
     below = [tuple(accumulate((m for _, m in pairs), initial=0)) for pairs in by_rank]
-    before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=0))
-    after_min = [len(ranks) + 1] * (len(class_ranks) + 1)
+    before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=-1))
+    after_min = [len(ranks)] * (len(class_ranks) + 1)
     for k in range(len(class_ranks) - 1, -1, -1):
         after_min[k] = min(after_min[k + 1], class_ranks[k][0])
 
     out = []
     current, j = -1, 0
-    for x, k, r_index in zip(grid, t_classes, md_classes):
-        r = md_family.keys[r_index]
+    for x, k, r in zip(grid, t_classes, md_classes):
         inside = class_ranks[k]
         if k != current:
             current, j = k, 0
         while j < len(inside) and inside[j] < r:
             j += 1
-        m_k, m_r = t_mass[k], md_mass[r_index]
+        m_k, m_r = t_mass[k], md_mass[r]
         q = m_r * 2  # gamma_MD = u_md / q and gamma_T = u_t / (m_k * 2)
-        u_t, u_md = x - t_before[k] * 2, x - md_before[r_index] * 2
+        u_t, u_md = x - t_before[k] * 2, x - md_before[r] * 2
         value = below[k][j] * q
         if j < len(inside) and inside[j] == r:
             value += u_md * by_rank[k][j][1]
@@ -360,14 +370,16 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
     p_theta(x) * m_base(class) == p_base(x) * m_theta(class), which also
     handles classes with zero mass under some theta (vacuously equal).
     Masses under one theta share its denominator, so the cross-ratio is an
-    identity between integer numerators.
+    identity between integer numerators.  The class masses are summed
+    again from each row, not read off the family's lattice, so a wrong
+    lattice mass cannot close the gate: C6 reads the lattice and fails.
     """
     model, members = t_family.model, t_family.members
     order = sorted(range(len(members)), key=lambda k: members[k][0])
     base = thetas[0]
-    base_row, base_mass = model.int_row(base)[1], t_family.lattice(base)[1]
+    base_row, base_mass = model.int_row(base)[1], _recount(t_family, base)
     for theta in thetas[1:]:
-        row, mass = model.int_row(theta)[1], t_family.lattice(theta)[1]
+        row, mass = model.int_row(theta)[1], _recount(t_family, theta)
         for k in order:
             for i in members[k]:
                 if row[i] * base_mass[k] != base_row[i] * mass[k]:
@@ -448,34 +460,29 @@ def verify_all_claims(
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
     else:
-        def gap_line(k: int, r: int, d_theta: int, tm, tb, mm, mb) -> tuple[int, int, int]:
-            """(P, Q, D_theta) with E_T - E_MD = (P + x * Q) / (D_theta * m_k * m_r * c) at every alpha
-            = x / scale whose threshold classes are k and r: both powers are linear in alpha there."""
+        def power_gap(x: int, k: int, r: int, tm, tb, mm, mb) -> int:
+            """(E_T - E_MD) * D_theta * m_k * m_r * c at alpha = x / scale, whose threshold classes are k and r."""
             m_k, m_r = t_mass[k], md_mass[r]
-            slope_t, slope_md = tm[k] * m_r, mm[r] * m_k
-            offset = (tb[k] - mb[r]) * m_k * m_r - t_before[k] * slope_t + md_before[r] * slope_md
-            return offset * c, slope_t - slope_md, d_theta
+            return ((tb[k] - mb[r]) * m_k * m_r * c
+                    + (x - t_before[k] * c) * tm[k] * m_r - (x - md_before[r] * c) * mm[r] * m_k)
 
-        # At the null both tests have exact size alpha, so the gap line is identically zero (its slope
-        # t_mass[k] * m_r - md_mass[r] * m_k and its offset cancel) and is not computed.
-        zero = (0, 0, 1)
+        # Both powers are continuous and linear in alpha between the class starts of either family,
+        # so the first worst |gap| lies at a kink, as in C5, and only the kinks are evaluated.  At the
+        # null both tests have exact size alpha, so the gap is identically zero and is not computed.
         lattices = [None if theta == null else (*t_family.lattice(theta), *md_family.lattice(theta)[1:])
                     for theta in thetas]
         items = []
-        classes = None
-        for x, k, r in zip(grid, t_classes, md_classes):
-            if (k, r) != classes:
-                classes = (k, r)
-                lines = [zero if lattice is None else gap_line(k, r, *lattice) for lattice in lattices]
-            for offset, slope, d_theta in lines:
-                gap = offset + x * slope if slope else offset
-                items.append((-abs(gap), d_theta * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
+        for x, k, r in zip(kinks, t_classes[::2], md_classes[::2]):
+            for lattice in lattices:
+                gap = power_gap(x, k, r, *lattice[1:]) if lattice else 0
+                items.append((-abs(gap), lattice[0] * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
         margins, c6_den = _one_denominator(items)
 
         def power_witness(index: int) -> str:
-            alpha, theta = Fraction(grid[index // len(thetas)], scale), thetas[index % len(thetas)]
+            alpha, theta = Fraction(kinks[index // len(thetas)], scale), thetas[index % len(thetas)]
             return f"theta={theta}, alpha={alpha}: {t_family.power(theta, alpha)} vs {md_family.power(theta, alpha)}"
 
+        # The report keeps the full alpha grid; its worst margin and witness are the kinks'.
         reports.append(_claim("C6", grid, scale, margins, c6_den, power_witness))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.

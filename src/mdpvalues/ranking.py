@@ -11,7 +11,7 @@ against the null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -91,9 +91,22 @@ def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: s
 
 @dataclass(frozen=True)
 class Ranking:
-    """Bijection from the support onto {1..N}, as each point's rank; rank 1 is most extreme."""
+    """Bijection from the support onto {1..N}, as each point's rank; rank 1 is most extreme.
+
+    It is a class table with one point per class, read like a ``Statistic``:
+    ``keys`` are the ranks 1..N and ``class_of`` is each point's rank - 1.
+    """
 
     ranks: tuple[int, ...]
+    keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = tuple(range(1, len(self.ranks) + 1))
+        if set(self.ranks) != set(keys):
+            raise RankingError(f"a ranking needs each rank 1..{len(keys)} exactly once: list every support label once")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "class_of", tuple(rank - 1 for rank in self.ranks))
 
     def rank(self, point: SupportPoint) -> int:
         return self.ranks[point.index]
@@ -101,13 +114,13 @@ class Ranking:
     def order(self) -> tuple[int, ...]:
         """Support indices sorted by rank (position r-1 holds rank r)."""
         out = [0] * len(self.ranks)
-        for index, rank in enumerate(self.ranks):
-            out[rank - 1] = index
+        for index, k in enumerate(self.class_of):
+            out[k] = index
         return tuple(out)
 
 
 def _ranking_from_indices(size: int, indices_in_rank_order: Iterable[int]) -> Ranking:
-    """Ranks of support indices listed from rank 1 on; an index left out keeps rank 0."""
+    """Ranks of support indices listed from rank 1 on; an index left out keeps rank 0, which ``Ranking`` refuses."""
     ranks = [0] * size
     for rank, index in enumerate(indices_in_rank_order, start=1):
         ranks[index] = rank
@@ -123,37 +136,32 @@ def build_agreeing_ranking(model: DiscreteModel, statistic: Statistic) -> Rankin
 
 
 def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]) -> Ranking:
-    """Ranking given directly as labels listed from rank 1 to rank N: any tie order, checked by ``verify_agreement``."""
+    """Ranking given directly as labels listed from rank 1 to rank N: any tie order, checked by ``verify_agreement``.
+
+    A repeated label leaves a point unranked, which ``Ranking`` refuses.
+    """
     if len(labels_in_rank_order) != model.size:
         raise RankingError(
             f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points"
         )
-    ranking = _ranking_from_indices(model.size, (model.point(label).index for label in labels_in_rank_order))
-    if 0 in ranking.ranks:  # N labels leave a point unranked only if one repeats
-        raise RankingError("rank order must mention every support label exactly once")
-    return ranking
+    return _ranking_from_indices(model.size, (model.point(label).index for label in labels_in_rank_order))
 
 
 def verify_agreement(
     model: DiscreteModel, statistic: Statistic, ranking: Ranking
 ) -> tuple[bool, tuple[str, str] | None]:
-    """Check bijectivity and agreement; return (ok, witness pair of labels).
+    """Check agreement; return (ok, witness pair of labels).
 
-    The witness (x, y) has a strictly larger statistic at x but a strictly
-    larger (worse) rank, i.e. the ranking contradicts the statistic.
+    The ranking is a bijection by construction, so agreement is one scan
+    of the statistic's class indices in rank order: they must never
+    decrease.  The witness (x, y) has a strictly larger statistic at x but
+    a strictly larger (worse) rank, i.e. the ranking contradicts the
+    statistic.
     """
     if len(statistic.class_of) != model.size or len(ranking.ranks) != model.size:
         raise RankingError("statistic, ranking and model must share one support")
-    seen: dict[int, SupportPoint] = {}
-    for pt in model.support:
-        rank = ranking.rank(pt)
-        if not 1 <= rank <= model.size:
-            return False, (pt.label, pt.label)
-        if rank in seen:
-            return False, (seen[rank].label, pt.label)
-        seen[rank] = pt
-    by_rank = [seen[r] for r in range(1, model.size + 1)]
+    by_rank = ranking.order()
     for a, b in zip(by_rank, by_rank[1:]):
-        if statistic.class_of[a.index] > statistic.class_of[b.index]:
-            return False, (b.label, a.label)
+        if statistic.class_of[a] > statistic.class_of[b]:
+            return False, (model.support[b].label, model.support[a].label)
     return True, None

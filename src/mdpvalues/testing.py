@@ -1,11 +1,13 @@
 """Size-alpha test functions and generalized p-values as exact linear forms.
 
-Everything here is read off one p-value family per source: the tie
-classes of a ``ranking.Statistic`` (decided once, by its constructor) or
-one class per rank, most extreme first, with the null mass of each class
-and the null mass strictly before it (the class start).  The classes tile
-[0, 1], so the size-alpha test keeps the last class whose start does not
-exceed alpha, and the randomization fraction gamma then makes the null
+Everything here is read off one p-value family per source, built from
+the source's class table (``keys`` and each point's ``class_of``, decided
+once by its constructor): the tie classes of a ``ranking.Statistic``, or
+a ``ranking.Ranking``'s one class per rank, most extreme first, read the
+same way.  The family holds the null mass of each class and the null
+mass strictly before it (the class start).  The classes tile [0, 1], so
+the size-alpha test keeps the last class whose start does not exceed
+alpha, and the randomization fraction gamma then makes the null
 expectation exactly alpha.  A test is that family plus the threshold
 class index and gamma (not just the collapsed per-point value), so a
 decision compares the point's class index with the threshold class and
@@ -16,8 +18,9 @@ exact for every u in [0,1], including u = 0 and boundary alphas.
 A point's p-value is the linear form P(x,u) = a(x) + u*b(x) with a its
 class start (the null mass strictly more extreme) and b its class mass
 (the null tie mass): u=1 gives the natural p-value, u=1/2 the mid-p-value,
-and a uniform draw the randomized p-value.  An MD family is the same
-table with one point per class.
+and a uniform draw the randomized p-value.  A minimally discrete family
+is the same table with one point per class; a test at alpha is
+``family.test(alpha)``.
 
 The table is held on the integer lattice of the model's pmf rows: under
 each theta, the class masses and their prefix sums are integers over the
@@ -38,15 +41,11 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from .model import DiscreteModel, SupportPoint, UsageError
 from .ranking import Ranking, Statistic
 from .rational import parse_ratio
-
-T_BASED = "t-based"
-MD = "md"
 
 
 class TestingError(UsageError):
@@ -145,16 +144,10 @@ class PValueFamily:
             cached = self._by_theta[theta] = (den, mass, tuple(accumulate(mass, initial=0)))
         return cached
 
-    @cached_property
+    @property
     def class_of(self) -> tuple[int, ...]:
-        """Class index of every support point, in support order: a statistic's own table."""
-        if isinstance(self.source, Statistic):
-            return self.source.class_of
-        out = [0] * self.model.size
-        for k, members in enumerate(self.members):
-            for i in members:
-                out[i] = k
-        return tuple(out)
+        """Class index of every support point, in support order: the source's own table."""
+        return self.source.class_of
 
     def evaluate(self, point: SupportPoint | int, u: object) -> Fraction:
         """P(x, u) = a(x) + u * b(x): the start of the point's class plus u times its null mass.
@@ -199,26 +192,14 @@ class PValueFamily:
 
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
-    """Null-mass table of the source's tie classes: one per rank, or the statistic's own ``keys``."""
-    size = len(source.ranks if isinstance(source, Ranking) else source.class_of)
+    """Null-mass table of the source's classes, its own ``keys`` and ``class_of``: tie classes, or one per rank."""
+    size = len(source.class_of)
     if size != model.size:
         raise TestingError(f"{type(source).__name__.lower()} covers {size} points, the model {model.size}")
-    if isinstance(source, Ranking):
-        members = tuple((index,) for index in source.order())
-        keys: tuple[Fraction | int, ...] = tuple(range(1, model.size + 1))
-    else:
-        classes: list[list[int]] = [[] for _ in source.keys]
-        for index, k in enumerate(source.class_of):
-            classes[k].append(index)
-        keys, members = source.keys, tuple(map(tuple, classes))
-    return PValueFamily(model, source, keys, members)
-
-
-def size_alpha_test(
-    model: DiscreteModel, source: Statistic | Ranking, alpha: object
-) -> TestFunction:
-    """Solve k(alpha) and gamma(alpha) by a bisect on the class starts."""
-    return pvalue_family(model, source).test(alpha)
+    members: list[list[int]] = [[] for _ in source.keys]
+    for index, k in enumerate(source.class_of):
+        members[k].append(index)
+    return PValueFamily(model, source, source.keys, tuple(map(tuple, members)))
 
 
 def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:

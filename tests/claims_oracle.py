@@ -6,14 +6,15 @@ tail events of C6 point by point, evaluates the randomized CDF of C5 (at
 every attained a, plus 0 and 1) and the integrated CDFs of C9 in O(N) per
 query, and runs the martingale projection of C8 pointwise at every alpha.
 Its tests hold a p-value family filled from that scan, never from
-``pvalue_family`` or ``size_alpha_test``.  Its p-values are per-point
+``pvalue_family``; a point's class index is read from its source's
+``class_of``, as every family reads it.  Its p-values are per-point
 (a, b) records from the same scan; their CDFs merge one atom per support
 point and their alpha and t grids loop over the points.  The usual-order
 check of C1-C4 reads each CDF by scanning its jumps at every grid point.
 So it shares no CDF, grid or comparison code with the engine, only the
 data types.  Its sufficiency check re-groups the support by statistic
-value and sums ``Fraction`` masses, where the engine reads the family's
-integer class masses.  Everything here stays on ``Fraction``s, while the
+value and sums ``Fraction`` masses, where the engine sums integer class
+masses by ``class_of``.  Everything here stays on ``Fraction``s, while the
 engine works on integer numerators, so the engine's reports can be
 compared against it byte for byte as an independent cross-check.  Its
 grids are ``Fraction``s too; ``rational.common_denominator`` turns each

@@ -26,7 +26,6 @@ import numpy as np
 from mdpvalues.downstream import RNG_IDENTITY, ConfigError, SimulationConfig, SimulationReport
 from mdpvalues.ranking import build_agreeing_ranking, likelihood_ratio_statistic
 from mdpvalues.special import chi2_upper_quantile
-from mdpvalues.testing import MD
 
 from claims_oracle import scan_pvalue_family
 
@@ -67,7 +66,7 @@ def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:
 def simulate_oracle(config: SimulationConfig) -> SimulationReport:
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
-    source = build_agreeing_ranking(model, statistic) if config.family == MD else statistic
+    source = build_agreeing_ranking(model, statistic) if config.family == "md" else statistic
     forms = scan_pvalue_family(model, source)
 
     a_arr = np.array([float(v) for v in forms.a])

@@ -13,7 +13,7 @@ import pytest
 
 import mdpvalues
 import mdpvalues.cli as cli
-from mdpvalues import build_agreeing_ranking, orders, verify_all_claims
+from mdpvalues import build_agreeing_ranking, orders, pvalue_family, verify_all_claims
 from mdpvalues.cli import main
 from mdpvalues.rational import decimal_string, format_rational, parse_rational
 from mdpvalues.registry import default_statistic, resolve_model
@@ -193,6 +193,19 @@ class TestVerify:
         assert main(["verify", "--model", "example1", "--ranking-file", str(order_path),
                      "--out", str(out)]) == 0
 
+    def test_ranking_file_that_repeats_a_label_exits_two(self, tmp_path, capsys):
+        # the CI smoke's m.json, with "11" listed twice and "01" left out
+        model_path, order_path = tmp_path / "m.json", tmp_path / "ranking.json"
+        model_path.write_text(json.dumps({
+            "parameters": {"theta0": "1/2", "theta1": "3/4"}, "support": ["00", "01", "10", "11"],
+            "pmf": {"theta0": ["1/4", "1/4", "1/4", "1/4"], "theta1": ["1/16", "3/16", "3/16", "9/16"]}}))
+        order_path.write_text(json.dumps(["11", "11", "10", "00"]))
+        assert main(["verify", "--model", str(model_path), "--ranking-file", str(order_path),
+                     "--out", str(tmp_path / "verify")]) == 2
+        assert capsys.readouterr().err == (
+            "error: a ranking needs each rank 1..4 exactly once: list every support label once\n")
+        assert not (tmp_path / "verify").exists()
+
     def test_ranking_file_of_indices_exits_two(self, tmp_path):
         # support indices in an agreeing order are still not labels
         from mdpvalues.registry import example1_model, table1_priority
@@ -366,6 +379,30 @@ def test_builtin_and_its_saved_model_file_write_the_same_outputs(tmp_path, spec)
             assert main(["pvalues", "--model", model, "--family", family, "--out", str(out / f"{family}.csv")]) == 0
     for rel in ("v/reports.json", "v/reports.txt", "t.csv", "md.csv"):
         assert (tmp_path / "builtin" / rel).read_bytes() == (tmp_path / "file" / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("spec, injective", [("binomial:50,1/2,3/5", True), ("example1", False)])
+def test_injective_statistic_makes_the_t_and_md_families_one(tmp_path, spec, injective):
+    """When every statistic class is one point, the agreeing ranking's classes are the statistic's.
+
+    Then the two families' lattices are equal under every theta, and pvalues and cdf write the same
+    bytes for --family t and --family md.  example1's tied classes make every one of them differ.
+    """
+    model, _ = resolve_model(spec)
+    statistic = default_statistic(model)
+    t_family = pvalue_family(model, statistic)
+    md_family = pvalue_family(model, build_agreeing_ranking(model, statistic))
+    assert (len(statistic.keys) == model.size) == injective
+    for theta in model.parameter_names:
+        assert (t_family.lattice(theta) == md_family.lattice(theta)) == injective, theta
+    commands = [["pvalues"], *(["cdf", "--theta", "theta1", "--u", u] for u in ("natural", "mid", "rand"))]
+    for i, command in enumerate(commands):
+        tables = []
+        for family in ("t", "md"):
+            out = tmp_path / f"{i}-{family}.csv"
+            assert main([*command, "--model", spec, "--family", family, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert (tables[0] == tables[1]) == injective, command
 
 
 class TestManifestPlacement:

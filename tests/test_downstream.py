@@ -21,8 +21,8 @@ from mdpvalues import (
     config_from_dict,
     fisher_test,
     geometric_mean_combination,
+    pvalue_family,
     simulate,
-    size_alpha_test,
 )
 from mdpvalues.downstream import report_to_json
 from mdpvalues.registry import resolve_model
@@ -171,14 +171,14 @@ class TestRandomizationDependence:
     def test_reference_ratio_of_five(self, example1, lr):
         ranking = build_agreeing_ranking(example1, lr)
         alpha = Fraction(1, 20)
-        t_prob = randomization_dependence_prob("theta0", size_alpha_test(example1, lr, alpha))
-        md_prob = randomization_dependence_prob("theta0", size_alpha_test(example1, ranking, alpha))
+        t_prob = randomization_dependence_prob("theta0", pvalue_family(example1, lr).test(alpha))
+        md_prob = randomization_dependence_prob("theta0", pvalue_family(example1, ranking).test(alpha))
         assert t_prob == Fraction(5, 32)   # 0.15625, the five-point tie class
         assert md_prob == Fraction(1, 32)  # 0.03125, a single point
         assert t_prob / md_prob == 5
 
     def test_zero_alpha_never_depends_on_u(self, example1, lr):
-        test = size_alpha_test(example1, lr, 0)
+        test = pvalue_family(example1, lr).test(0)
         assert randomization_dependence_prob("theta0", test) == 0
 
 

@@ -19,7 +19,6 @@ from mdpvalues import (
     make_model,
     make_statistic,
     pvalue_family,
-    size_alpha_test,
     verify_all_claims,
 )
 from mdpvalues import orders
@@ -162,8 +161,23 @@ def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
     assert engine.count('"verdict": "skipped"') == 3
 
 
+def claim_report(claim, model, statistic, ranking):
+    return next(r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"]) if r.claim == claim)
+
+
 def c5_report(model, statistic, ranking):
-    return next(r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"]) if r.claim == "C5")
+    return claim_report("C5", model, statistic, ranking)
+
+
+def shift_one_unit(family, theta):
+    """Move one unit of theta mass from the heaviest class to a neighbour: the lattice still totals D_theta."""
+    den, mass, _ = family.lattice(theta)
+    mass = list(mass)
+    heavy = mass.index(max(mass))
+    mass[heavy] -= 1
+    mass[heavy - 1 if heavy else 1] += 1
+    family._by_theta[theta] = (den, tuple(mass), tuple(accumulate(mass, initial=0)))
+    return family
 
 
 def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
@@ -173,35 +187,46 @@ def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
     ranking = build_agreeing_ranking(model, lr)
     assert c5_report(model, lr, ranking).verdict == "pass"
 
-    def shifted(model, source):
-        family = pvalue_family(model, source)
-        den, mass, _ = family.lattice(model.null)
-        mass = list(mass)
-        heavy = mass.index(max(mass))
-        mass[heavy] -= 1
-        mass[heavy - 1 if heavy else 1] += 1
-        family._by_theta[model.null] = (den, tuple(mass), tuple(accumulate(mass, initial=0)))
-        return family
-
-    monkeypatch.setattr(orders, "pvalue_family", shifted)
+    monkeypatch.setattr(orders, "pvalue_family", lambda model, source: shift_one_unit(
+        pvalue_family(model, source), model.null))
     report = c5_report(model, lr, ranking)
     assert report.verdict == "fail" and report.worst_margin < 0
     assert report.witness.startswith("T family at t=")
 
 
+def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
+    """The sufficiency gate sums the theta class masses again from the row, so a wrong theta lattice
+    fails C6 instead of closing the gate and skipping it."""
+    model = binomial_model(3, ["1/2", "3/4"])  # theta1 class masses 27, 27, 9, 1 over 64
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr)
+    assert claim_report("C6", model, lr, ranking).verdict == "pass"
+
+    def shifted(model, source):
+        family = pvalue_family(model, source)
+        return shift_one_unit(family, "theta1") if source is lr else family
+
+    monkeypatch.setattr(orders, "pvalue_family", shifted)
+    report = claim_report("C6", model, lr, ranking)
+    assert report.verdict == "fail" and report.worst_margin == Fraction(-1, 64)
+    assert report.witness.startswith("theta=theta1, alpha=")
+
+
 @pytest.mark.parametrize(
-    "broken, cdf",
+    "broken, witness",
     [
-        (lambda members: (*members[:-1], members[-1] + members[0][:1]), "0"),  # last class repeats '11111'
-        (lambda members: (members[0], members[1][1:], *members[2:]), "1/16"),  # second class drops a point
+        # the last class repeats '11111', so both lattices total 33/32
+        (lambda members: (*members[:-1], members[-1] + members[0][:1]), "T family at t=33/32: CDF 1"),
+        # the second class drops a point: the MD family's only one
+        (lambda members: (members[0], members[1][1:], *members[2:]), "MD family at t=1/32: CDF 1/16"),
     ],
     ids=["repeated", "missing"],
 )
-def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example1, lr, table1_ranking, broken, cdf):
+def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example1, lr, table1_ranking, broken, witness):
     """C5 re-sums each point once into its own class, so member lists that miss or repeat a point fail it.
 
-    The T family reads each point's class from its statistic, not from the broken members, so its
-    gaps lie at other t; the first worst witness is the MD family's, whose classes are its members.
+    Both families read each point's class from their source's ``class_of``, not from the broken
+    members, so the recount sees every point once while the lattice sums the broken members.
     """
 
     def unpartitioned(model, source):
@@ -211,7 +236,7 @@ def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example
     monkeypatch.setattr(orders, "pvalue_family", unpartitioned)
     report = c5_report(example1, lr, table1_ranking)
     assert report.verdict == "fail"
-    assert report.witness == f"MD family at t=1/32: CDF {cdf}"
+    assert report.witness == witness
 
 
 @pytest.mark.parametrize("coins", [5, 7])
@@ -245,7 +270,7 @@ def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
             sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, grid, *classes)]
             pointwise = [
                 pointwise_projection(
-                    model, size_alpha_test(model, statistic, a), size_alpha_test(model, ranking, a)
+                    model, pvalue_family(model, statistic).test(a), pvalue_family(model, ranking).test(a)
                 ).worst_margin
                 for a in alphas
             ]

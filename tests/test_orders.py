@@ -15,7 +15,6 @@ from mdpvalues import (
     make_model,
     make_statistic,
     pvalue_family,
-    size_alpha_test,
     verify_all_claims,
 )
 from mdpvalues.orders import OrderReport, _jumps, _sufficiency, _usual_order, reports_to_json, reports_to_text
@@ -196,19 +195,19 @@ class TestMartingaleProjection:
         alpha = Fraction(1, 10)
         report = pointwise_projection(
             example1,
-            size_alpha_test(example1, count_stat, alpha),
-            size_alpha_test(example1, table1_ranking, alpha),
+            pvalue_family(example1, count_stat).test(alpha),
+            pvalue_family(example1, table1_ranking).test(alpha),
         )
         assert report.passed
         # on the tie class the null-conditional average is (1 + 1 + 1/5)/5
-        assert size_alpha_test(example1, count_stat, alpha).gamma == Fraction(11, 25)
+        assert pvalue_family(example1, count_stat).test(alpha).gamma == Fraction(11, 25)
 
     def test_degenerate_alphas_pass(self, example1, count_stat, table1_ranking):
         for alpha in (0, 1):
             report = pointwise_projection(
                 example1,
-                size_alpha_test(example1, count_stat, alpha),
-                size_alpha_test(example1, table1_ranking, alpha),
+                pvalue_family(example1, count_stat).test(alpha),
+                pvalue_family(example1, table1_ranking).test(alpha),
             )
             assert report.passed
 
@@ -220,8 +219,8 @@ class TestMartingaleProjection:
         tampered = Ranking(tuple(ranks))
         report = pointwise_projection(
             example1,
-            size_alpha_test(example1, count_stat, Fraction(1, 10)),
-            size_alpha_test(example1, tampered, Fraction(1, 10)),
+            pvalue_family(example1, count_stat).test(Fraction(1, 10)),
+            pvalue_family(example1, tampered).test(Fraction(1, 10)),
         )
         assert report.verdict == "fail"
         assert report.witness
@@ -370,13 +369,13 @@ class TestVerifyAllClaims:
         # the oracle is the straight-line sum over the support.
         nat_md = lattice_cdf(md_family, "theta1", 1)
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2), Fraction(31, 32)):
-            md_test = size_alpha_test(example1, table1_ranking, alpha)
+            md_test = pvalue_family(example1, table1_ranking).test(alpha)
             oracle = brute_expectation(
                 example1, "theta1",
                 lambda pt: Fraction(1) if md_test.decide(pt, 1) else Fraction(0),
             )
             assert nat_md.evaluate(alpha) == oracle
-            t_test = size_alpha_test(example1, count_stat, alpha)
+            t_test = pvalue_family(example1, count_stat).test(alpha)
             assert phi_expectation_by_tails(example1, t_test, "theta1") == brute_expectation(
                 example1, "theta1", t_test.phi
             )

@@ -20,7 +20,6 @@ from mdpvalues import (
     make_statistic,
     orders,
     pvalue_family,
-    size_alpha_test,
     verify_agreement,
     verify_all_claims,
 )
@@ -178,7 +177,7 @@ def test_size_identity_everywhere(case, numerator):
     model, statistic = case
     alpha = Fraction(numerator, 20)
     for source in (statistic, build_agreeing_ranking(model, statistic)):
-        test = size_alpha_test(model, source, alpha)
+        test = pvalue_family(model, source).test(alpha)
         assert brute_expectation(model, "t0", test.phi) == alpha
 
 
@@ -234,8 +233,8 @@ def test_natural_decisions_nested_and_level(case):
     model, statistic = case
     ranking = build_agreeing_ranking(model, statistic)
     for alpha in breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)):
-        t_test = size_alpha_test(model, statistic, alpha)
-        md_test = size_alpha_test(model, ranking, alpha)
+        t_test = pvalue_family(model, statistic).test(alpha)
+        md_test = pvalue_family(model, ranking).test(alpha)
         t_nat = brute_expectation(
             model, "t0", lambda pt: Fraction(1) if t_test.decide(pt, 1) else Fraction(0))
         md_nat = brute_expectation(

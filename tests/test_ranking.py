@@ -153,9 +153,26 @@ class TestVerifyAgreement:
     def test_duplicate_rank_detected(self, example1, lr, table1_ranking):
         ranks = list(table1_ranking.ranks)
         ranks[1] = ranks[0]
-        broken = Ranking(tuple(ranks))
-        ok, witness = verify_agreement(example1, lr, broken)
-        assert not ok and witness is not None
+        with pytest.raises(RankingError, match="exactly once"):
+            Ranking(tuple(ranks))
+
+
+class TestRankingTable:
+    def test_one_point_per_class(self, table1_ranking):
+        n = len(table1_ranking.ranks)
+        assert table1_ranking.keys == tuple(range(1, n + 1))
+        assert table1_ranking.class_of == tuple(rank - 1 for rank in table1_ranking.ranks)
+        assert table1_ranking.order() == tuple(sorted(range(n), key=table1_ranking.ranks.__getitem__))
+
+    @pytest.mark.parametrize("ranks", [(0, 1, 2), (1, 2, 4), (1, 1, 3), (2, 1, 3, 3)],
+                             ids=["zero", "past-n", "repeat", "repeat-last"])
+    def test_only_permutations_of_one_to_n(self, ranks):
+        with pytest.raises(RankingError, match=f"each rank 1..{len(ranks)} exactly once"):
+            Ranking(ranks)
+
+    def test_equality_reads_the_ranks_only(self, table1_ranking):
+        assert Ranking(tuple(table1_ranking.ranks)) == table1_ranking
+        assert hash(Ranking(tuple(table1_ranking.ranks))) == hash(table1_ranking)
 
 
 class TestRankingFromOrder:

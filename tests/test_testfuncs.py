@@ -15,7 +15,6 @@ from mdpvalues import (
     likelihood_ratio_statistic,
     make_statistic,
     pvalue_family,
-    size_alpha_test,
 )
 from mdpvalues.cli import main
 
@@ -34,13 +33,13 @@ class TestSizeAlphaTest:
     """The worked level-0.1 pair: reject T=5 surely, randomize on T=4."""
 
     def test_t_based_threshold_and_gamma(self, example1, count_stat):
-        test = size_alpha_test(example1, count_stat, ALPHA)
+        test = pvalue_family(example1, count_stat).test(ALPHA)
         assert test.table.source is count_stat
         assert test.threshold == 4
         assert test.gamma == Fraction(11, 25)  # 0.44
 
     def test_md_threshold_and_gamma(self, example1, table1_ranking):
-        test = size_alpha_test(example1, table1_ranking, ALPHA)
+        test = pvalue_family(example1, table1_ranking).test(ALPHA)
         assert test.table.source is table1_ranking
         assert test.threshold == 4
         assert test.gamma == Fraction(1, 5)  # ranks 1-3 sure, rank 4 at 0.2
@@ -51,8 +50,8 @@ class TestSizeAlphaTest:
 
     def test_boundary_sizes(self, example1, count_stat, table1_ranking):
         for source in (count_stat, table1_ranking):
-            zero = size_alpha_test(example1, source, 0)
-            one = size_alpha_test(example1, source, 1)
+            zero = pvalue_family(example1, source).test(0)
+            one = pvalue_family(example1, source).test(1)
             assert all(zero.phi(pt) == 0 for pt in example1.support)
             assert all(one.phi(pt) == 1 for pt in example1.support)
 
@@ -61,25 +60,25 @@ class TestSizeAlphaTest:
         grid.update(breakpoints(scan_pvalue_family(example1, count_stat)))
         for alpha in sorted(grid):
             for source in (count_stat, table1_ranking):
-                test = size_alpha_test(example1, source, alpha)
+                test = pvalue_family(example1, source).test(alpha)
                 assert brute_expectation(example1, "theta0", test.phi) == alpha
 
     def test_gamma_is_exactly_zero_or_one_at_boundaries(self, example1, count_stat):
-        at_tail = size_alpha_test(example1, count_stat, Fraction(1, 32))
+        at_tail = pvalue_family(example1, count_stat).test(Fraction(1, 32))
         assert at_tail.gamma == 0 and at_tail.threshold == 4
-        assert size_alpha_test(example1, count_stat, 1).gamma == 1
+        assert pvalue_family(example1, count_stat).test(1).gamma == 1
 
     def test_monotone_in_alpha_pointwise(self, example1, count_stat, table1_ranking):
         for source in (count_stat, table1_ranking):
             grid = breakpoints(scan_pvalue_family(example1, source))
-            tests = [size_alpha_test(example1, source, a) for a in grid]
+            tests = [pvalue_family(example1, source).test(a) for a in grid]
             for lo, hi in zip(tests, tests[1:]):
                 for pt in example1.support:
                     assert lo.phi(pt) <= hi.phi(pt)
 
     def test_alpha_out_of_range(self, example1, count_stat):
         with pytest.raises(TestingError):
-            size_alpha_test(example1, count_stat, Fraction(3, 2))
+            pvalue_family(example1, count_stat).test(Fraction(3, 2))
 
     @pytest.mark.parametrize(
         "alpha", [Fraction(3, 2), Fraction(-1, 2), 0.1, "1_0/40", "\u0661/\u0664", True],
@@ -97,14 +96,14 @@ class TestSizeAlphaTest:
         # 0.1 as a binary float is 3602879701896397/36028797018963968, not 1/10
         for alpha in (0.1, np.float64(0.1), np.float32(0.1), 0.5):
             with pytest.raises(TestingError, match="refusing float"):
-                size_alpha_test(example1, lr, alpha)
-        exact = size_alpha_test(example1, lr, Fraction(1, 10))
+                pvalue_family(example1, lr).test(alpha)
+        exact = pvalue_family(example1, lr).test(Fraction(1, 10))
         assert exact.alpha == Fraction(1, 10)
-        assert size_alpha_test(example1, lr, "1/10") == exact
-        assert size_alpha_test(example1, lr, 1).gamma == 1
+        assert pvalue_family(example1, lr).test("1/10") == exact
+        assert pvalue_family(example1, lr).test(1).gamma == 1
 
     def test_float_u_refused(self, example1, lr):
-        test = size_alpha_test(example1, lr, ALPHA)
+        test = pvalue_family(example1, lr).test(ALPHA)
         family = test.table
         top = example1.point("11111")
         for u in (0.5, np.float64(0.5), np.float32(0.5)):
@@ -122,20 +121,20 @@ class TestSizeAlphaTest:
 class TestPower:
     def test_reference_power_both_tests(self, example1, count_stat, table1_ranking):
         expected = Fraction(39680, 78125)  # 0.507904
-        t_test = size_alpha_test(example1, count_stat, ALPHA)
-        md_test = size_alpha_test(example1, table1_ranking, ALPHA)
+        t_test = pvalue_family(example1, count_stat).test(ALPHA)
+        md_test = pvalue_family(example1, table1_ranking).test(ALPHA)
         assert brute_expectation(example1, "theta1", t_test.phi) == expected
         assert brute_expectation(example1, "theta1", md_test.phi) == expected
         assert float(expected) == 0.507904
 
     def test_size_at_null_is_alpha(self, example1, count_stat):
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2)):
-            assert brute_expectation(example1, "theta0", size_alpha_test(example1, count_stat, alpha).phi) == alpha
+            assert brute_expectation(example1, "theta0", pvalue_family(example1, count_stat).test(alpha).phi) == alpha
 
     def test_level_property_of_natural_decisions(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
         for alpha in breakpoints(scan_pvalue_family(example1, count_stat)):
-            test = size_alpha_test(example1, count_stat, alpha)
+            test = pvalue_family(example1, count_stat).test(alpha)
             natural = brute_expectation(
                 example1, "theta0",
                 lambda pt: Fraction(1) if test.decide(pt, 1) else Fraction(0),
@@ -145,25 +144,25 @@ class TestPower:
 
 class TestDecision:
     def test_sure_rejection_class(self, example1, count_stat):
-        test = size_alpha_test(example1, count_stat, ALPHA)
+        test = pvalue_family(example1, count_stat).test(ALPHA)
         top = example1.point("11111")
         for u in (0, Fraction(1, 2), 1):
             assert test.decide(top, u)
 
     def test_sure_retention_class(self, example1, count_stat):
-        test = size_alpha_test(example1, count_stat, ALPHA)
+        test = pvalue_family(example1, count_stat).test(ALPHA)
         low = example1.point("00111")
         for u in (0, Fraction(1, 4), 1):
             assert not test.decide(low, u)
 
     def test_threshold_class_splits_at_gamma(self, example1, count_stat):
-        test = size_alpha_test(example1, count_stat, ALPHA)
+        test = pvalue_family(example1, count_stat).test(ALPHA)
         tied = example1.point("01111")
         assert test.decide(tied, Fraction(44, 100))
         assert not test.decide(tied, Fraction(45, 100))
 
     def test_u_out_of_range(self, example1, count_stat):
-        test = size_alpha_test(example1, count_stat, ALPHA)
+        test = pvalue_family(example1, count_stat).test(ALPHA)
         with pytest.raises(TestingError):
             test.decide(example1.point("11111"), Fraction(11, 10))
 
@@ -218,18 +217,14 @@ class TestPValueFamily:
 
 @pytest.mark.parametrize("coins", [3, 6])  # fewer and more points than example1's 5 coins
 @pytest.mark.parametrize("kind", ["statistic", "ranking"])
-@pytest.mark.parametrize("build", [
-    lambda model, source: pvalue_family(model, source),
-    lambda model, source: size_alpha_test(model, source, "9/10"),
-], ids=["pvalue_family", "size_alpha_test"])
-def test_source_built_on_another_support_is_refused(example1, coins, kind, build):
+def test_source_built_on_another_support_is_refused(example1, coins, kind):
     # A 3-coin likelihood ratio used to give gamma = 109/5 on example1, a 6-coin one a bare IndexError.
     other = bernoulli_product_model(coins, ["1/2", "4/5"])
     source = likelihood_ratio_statistic(other, "theta0", "theta1")
     if kind == "ranking":
         source = build_agreeing_ranking(other, source)
     with pytest.raises(TestingError, match=f"{kind} covers {2 ** coins} points, the model 32"):
-        build(example1, source)
+        pvalue_family(example1, source)
 
 
 @pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model", "bool"])

@@ -19,7 +19,9 @@ as reports.json) are timed separately, and the size of that JSON is
 recorded in bytes, counted over the pieces the writer yields (or over the
 one string that an older tree's ``reports_to_json`` returns).
 ``peak_rss_mb`` is the run's own peak resident set size, read with
-``resource.getrusage`` at the end of its fresh process.  ``load_s`` times ``load_model`` of the built model,
+``resource.getrusage`` at the end of its fresh process; every run's value
+is kept beside the median, since it can fall on either of two levels with
+no change to the code.  ``load_s`` times ``load_model`` of the built model,
 written once by ``save_model`` to a temporary file outside the timer; the
 rest of the run uses the loaded model, as ``mdpv verify --model FILE`` does.
 ``statistic_s`` covers ``likelihood_ratio_statistic`` plus
@@ -147,6 +149,7 @@ def summary(runs: list[dict]) -> dict:
         "output_bytes": runs[0]["output_bytes"],
         **{f"{key}_median": statistics.median(run[key] for run in runs) for key in TIMES},
         "peak_rss_mb_median": statistics.median(run["peak_rss_mb"] for run in runs),
+        "peak_rss_mb_runs": [run["peak_rss_mb"] for run in runs],
         "verify_s_runs": [run["verify_s"] for run in runs],
         "serialize_s_runs": [run["serialize_s"] for run in runs],
     }
