@@ -231,17 +231,18 @@ def cmd_pvalues(args: argparse.Namespace) -> int:
     model, model_id, statistic = _model_and_statistic(args)
     ranking = build_agreeing_ranking(model, statistic)
     family = pvalue_family(model, ranking if args.family == "md" else statistic)
-    # Per class: a, b and natural are ints over D_null, mid over 2 * D_null; these and the statistic print once.
+    # Per class: a, b and natural are ints over D_null, mid over 2 * D_null; these, their decimals and the
+    # statistic print once.  Class k's natural is class k + 1's a, so each class start is formatted once.
     den, mass, before = family.lattice(model.null)
     mids = [2 * s + m for s, m in zip(before, mass)]
-    texts = list(zip(format_ratios(before[:-1], den), format_ratios(mass, den),
-                     format_ratios(before[1:], den), format_ratios(mids, 2 * den)))
+    starts = format_ratios(before, den)
+    texts = list(zip(starts[:-1], format_ratios(mass, den), starts[1:], format_ratios(mids, 2 * den),
+                     [decimal_ratio(n, den) for n in before[1:]], [decimal_ratio(n, 2 * den) for n in mids]))
     keys = [format_rational(key) for key in statistic.keys]
     rows = []
     for i in ranking.order():
-        pt, k = model.support[i], family.class_of[i]
-        rows.append([pt.label, ranking.rank(pt), keys[statistic.class_of[i]], *texts[k],
-                     decimal_ratio(before[k + 1], den), decimal_ratio(mids[k], 2 * den)])
+        pt = model.support[i]
+        rows.append([pt.label, ranking.rank(pt), keys[statistic.class_of[i]], *texts[family.class_of[i]]])
     header = ["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"]
     _write_table(Path(args.out), header, rows, {
         "command": "pvalues",

@@ -4,31 +4,34 @@ Monte Carlo harness.
 The harness isolates the discreteness/randomization effects: per-hypothesis
 p-values come from the exact families (no resampling noise in the p-value
 itself); only the data draws and the auxiliary uniforms are random.  Random
-numbers use numpy's Philox generator with a documented substream scheme:
-replicate r draws from Generator(Philox(SeedSequence(master_seed,
-spawn_key=(r,)))), and within a replicate hypothesis i consumes component i
-of each vectorized draw (data first, then auxiliary u, then the regenerated
-u used for the dependence rate).  Identical configs therefore reproduce
-bit-identical reports, and runs sharing a master seed see identical data.
-The harness builds no SeedSequence: it derives every replicate's Philox key
-as SeedSequence would, in one vectorized step, and re-keys one generator
-per replicate, so the streams are numpy's own.
+numbers come from two Generators over numpy's counter-based Philox with one
+key, Philox(master_seed): the data stream starts at counter 0 and the
+auxiliary stream at Philox(master_seed).jumped(), 2**128 counter steps on.
+Replicate r reads the doubles r*M ... (r+1)*M - 1 of the data stream, one
+per hypothesis, and under the randomized policy the doubles r*2M ...
+(r+1)*2M - 1 of the auxiliary stream: first its auxiliary u, then the
+regenerated u used for the dependence rate.  The data stream reads at most
+2**32 * M doubles, fewer than the 2**128 the jump skips for any M an array
+can hold, so the streams never overlap.  Identical configs therefore
+reproduce bit-identical reports, and runs sharing a master seed see
+identical data whatever their family or u policy, since only the data
+stream feeds the data.
 Replicates run in blocks of max(1, BLOCK_ELEMENTS // M) rows, so a block
-array holds about BLOCK_ELEMENTS floats whatever the run's size: replicate
-r fills its row from its own substream, and the p-values, the procedure
-and the reductions run once per block, with each row's values those of a
-replicate-at-a-time loop.  A data uniform u draws the point
+array holds about BLOCK_ELEMENTS floats whatever the run's size: a block
+reads its rows' doubles from each stream in one call, and the p-values, the
+procedure and the reductions run once per block, with each row's values
+those of a replicate-at-a-time loop.  A data uniform u draws the point
 np.searchsorted(cum, u, side="right") of its row's float cumulative sums,
-read from a bucket table built once per run (``_draw_points``) and
-searched only in the few buckets that hold a cum value, so the draws are
-those of the plain search.  Fisher and the geometric mean decide a row by
-the left-to-right sum of math.log of its p-values; a block first sums
-np.log in any order and keeps that fold for the rows whose approximate sum
-lies within a proven slack of the cut (``_log_sums_at_most``), so every
-decision is the fold's on any host, under every u policy.  numpy is
-imported inside functions only, and the package and ``mdpv simulate``
-import this module (and with it ``special``) on first use, so the exact
-layers and the other CLI commands load none of the three.
+read from a bucket table built once per run (``_draw_points``) and searched
+only in the few buckets that hold a cum value, so the draws are those of
+the plain search.  Fisher and the geometric mean decide a row by the
+left-to-right sum of math.log of its p-values; a block first sums np.log in
+any order and keeps that fold for the rows whose approximate sum lies
+within a proven slack of the cut (``_log_sums_at_most``), so every decision
+is the fold's on any host, under every u policy.  numpy is imported inside
+functions only, and the package and ``mdpv simulate`` import this module
+(and with it ``special``) on first use, so the exact layers and the other
+CLI commands load none of the three.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .model import DiscreteModel, UsageError
 from .ranking import build_agreeing_ranking, likelihood_ratio_statistic
@@ -56,8 +59,9 @@ U_POLICIES = ("natural", "mid", "randomized")
 # Floats per (replicates x hypotheses) array in one block of simulate.
 BLOCK_ELEMENTS = 4096
 RNG_IDENTITY = (
-    "numpy Philox4x64 via SeedSequence(master_seed, spawn_key=(replicate,)); "
-    "hypothesis i uses component i of each vectorized replicate draw"
+    "numpy Philox4x64 seeded with master_seed; replicate r's data uniforms are doubles r*M..(r+1)*M-1 "
+    "of Generator(Philox(master_seed)); its auxiliary u, then its regenerated u, are doubles r*2M..(r+1)*2M-1 "
+    "of Generator(Philox(master_seed).jumped()); hypothesis i uses the i-th double of each"
 )
 
 
@@ -297,7 +301,7 @@ class SimulationConfig:
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha must lie strictly in (0, 1)")
         if not 1 <= self.replicates <= 2**32:
-            raise ConfigError("replicates must lie in [1, 2**32]: each replicate's spawn key is one 32-bit word")
+            raise ConfigError("replicates must lie in [1, 2**32]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -417,84 +421,6 @@ def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-# numpy's SeedSequence: its pool of 4 uint32 words and the hash and mix constants it fills them with.
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Replicates whose Philox keys are derived in one vectorized step.
-KEY_CHUNK = 1 << 16
-
-
-def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hashmix of a uint32 (an int or a uint32 array); returns it and the next hash constant."""
-    next_const = const * mult & _MASK32
-    value = (value ^ const) * next_const & _MASK32
-    return value ^ value >> 16, next_const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two uint32 words (ints or uint32 arrays)."""
-    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return value ^ value >> 16
-
-
-def _substream_keys(seed: int, replicates: int) -> Iterator[np.ndarray]:
-    """The Philox key of SeedSequence(seed, spawn_key=(r,)) for r = 0, 1, ..., replicates - 1.
-
-    SeedSequence hashes the seed's 32-bit words, zero-padded to its pool of
-    4, into the pool and mixes the pool; then it mixes in any seed words
-    past the fourth and the spawn word r, and hashes the pool out as the
-    key's 4 words (``generate_state(2, uint64)``).  All but the last two
-    steps depend on the seed alone, so they run once, on ints; those two run
-    on uint32 arrays of KEY_CHUNK replicates at a time.  Each r < 2**32 is
-    one spawn word.
-    """
-    import numpy as np
-
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            value, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    for start in range(0, replicates, KEY_CHUNK):
-        spawn = np.arange(start, min(start + KEY_CHUNK, replicates), dtype=np.uint32)
-        spawn_const, out_const, key_words = const, _INIT_B, []
-        for dst in range(_POOL):
-            value, spawn_const = _hashmix(spawn, spawn_const, _MULT_A)
-            word, out_const = _hashmix(_mix(pool[dst], value), out_const, _MULT_B)
-            key_words.append(word.astype(np.uint64))
-        yield from np.stack([key_words[0] | key_words[1] << 32, key_words[2] | key_words[3] << 32], axis=1)
-
-
-def _substreams(seed: int, replicates: int) -> Iterator[np.random.Generator]:
-    """Generator(Philox(SeedSequence(seed, spawn_key=(r,)))) for r = 0, 1, ..., replicates - 1.
-
-    One generator, re-keyed for each replicate: its key set, counter 0 and
-    no buffered output, the state a new Philox starts from.
-    """
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(0))
-    state = rng.bit_generator.state
-    for key in _substream_keys(seed, replicates):
-        state["state"]["key"] = key
-        rng.bit_generator.state = state
-        yield rng
-
-
 # Buckets per support point of an inverse-CDF table, and the bounds on its bit width.
 _BUCKETS_PER_POINT = 64
 _MIN_BUCKET_BITS, _MAX_BUCKET_BITS = 8, 16
@@ -582,30 +508,28 @@ def simulate(config: SimulationConfig) -> SimulationReport:
     null_cols, alt_cols = (m0, m - m0) if config.procedure in ("bh", "bonferroni") else (int(m0 == m), int(m0 < m))
     alpha = float(config.alpha)
     randomized = config.u_policy == "randomized"
-    # A replicate's stream gives M data uniforms, M auxiliary u and M
-    # regenerated u, in that order.  The fixed policies read only the data,
-    # so they stop there.
-    draws = 3 if randomized else 1
 
     # P = a + u * b.  The natural and mid policies fix u at 1 and 1/2, so each point has one P.
     if not randomized:
         p_arr = a_arr + {"natural": 1.0, "mid": 0.5}[config.u_policy] * b_arr
-    streams = _substreams(config.seed, config.replicates)
+    # Blocks read each stream in replicate order: row r of a block holds replicate r's M data doubles
+    # and, under the randomized policy, its 2M auxiliary doubles, u then the regenerated u.
+    data = np.random.Generator(np.random.Philox(config.seed))
+    aux = np.random.Generator(np.random.Philox(config.seed).jumped())
 
     fdp, tdp, rejection_counts, thresholds, flips = np.zeros((5, config.replicates))
 
     rows = max(1, BLOCK_ELEMENTS // m)
     for start in range(0, config.replicates, rows):
         block = slice(start, min(start + rows, config.replicates))
-        uniforms = np.empty((block.stop - start, draws, m))
-        for row in uniforms:
-            next(streams).random(out=row)
-        idx = np.empty((len(uniforms), m), dtype=np.intp)
-        idx[:, :m0] = _draw_points(null_table, uniforms[:, 0, :m0])
-        idx[:, m0:] = _draw_points(alt_table, uniforms[:, 0, m0:])
+        uniforms = data.random((block.stop - start, m))
+        idx = np.empty(uniforms.shape, dtype=np.intp)
+        idx[:, :m0] = _draw_points(null_table, uniforms[:, :m0])
+        idx[:, m0:] = _draw_points(alt_table, uniforms[:, m0:])
         if randomized:
+            u = aux.random((len(idx), 2, m))
             a_block, b_block = a_arr[idx], b_arr[idx]
-            ps = a_block + uniforms[:, 1] * b_block
+            ps = a_block + u[:, 0] * b_block
         else:
             ps = p_arr[idx]
         thresholds[block], rejected = _decide_rows(ps, alpha, config.procedure)
@@ -613,7 +537,7 @@ def simulate(config: SimulationConfig) -> SimulationReport:
         fdp[block] = rejected[:, :null_cols].sum(axis=1) / np.maximum(n_rej, 1)
         tdp[block] = rejected[:, null_cols:].sum(axis=1) / alt_cols if alt_cols else 0.0
         if randomized:
-            _, rejected2 = _decide_rows(a_block + uniforms[:, 2] * b_block, alpha, config.procedure)
+            _, rejected2 = _decide_rows(a_block + u[:, 1] * b_block, alpha, config.procedure)
             flips[block] = (rejected != rejected2).mean(axis=1)
 
     fdr, fdr_mcse = _mean_and_mcse(fdp)

@@ -1,17 +1,20 @@
 """Slow reference for downstream.simulate: one Python iteration per replicate.
 
 This is the straight-line form of the Monte Carlo harness.  Each replicate
-builds its own generator through numpy's ``SeedSequence(seed,
-spawn_key=(r,))``, not the harness's derived keys, draws its M data
-uniforms, its M auxiliary
-uniforms and, under the randomized policy, M regenerated uniforms, and runs
-the procedure on that one replicate through scalar code kept here: the
-Benjamini-Hochberg scan over sorted p-values, the Bonferroni cut, and the
-Fisher and geometric-mean statistics as left folds over ``math.log`` (an
-explicit ``reduce``, since Python 3.12's ``sum`` compensates).  It
-shares no sort, step-up, reduction or per-row statistic with the blocked
-harness, only the config and report types and the chi-squared quantile, so
-``simulate`` can be compared against it byte for byte on ``report_to_json``.
+reads its own slices of the two Philox streams alone, never through the
+harness's block loop: a fresh ``Philox(seed)`` advanced to the double r*M
+gives its M data uniforms, and, under the randomized policy, a fresh
+``Philox(seed).jumped()`` advanced to the double r*2M gives its M auxiliary
+uniforms, then its M regenerated uniforms.  Philox makes 4 doubles per
+counter step, so reaching double o is ``advance(o // 4)`` and then
+discarding o % 4 doubles.  The procedure runs on that one replicate
+through scalar code kept here: the Benjamini-Hochberg scan over sorted
+p-values, the Bonferroni cut, and the Fisher and geometric-mean
+statistics as left folds over ``math.log`` (an explicit ``reduce``, since
+Python 3.12's ``sum`` compensates).  It shares no sort, step-up,
+reduction or per-row statistic with the blocked harness, only the config
+and report types and the chi-squared quantile, so ``simulate`` can be
+compared against it byte for byte on ``report_to_json``.
 Its per-point a and b come from the claims oracle's cumulative scan.
 """
 
@@ -63,6 +66,14 @@ def _mean_and_mcse(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+def _doubles(bit_generator: np.random.Philox, offset: int, count: int) -> np.ndarray:
+    """Doubles offset ... offset + count - 1 of a Generator over a fresh ``bit_generator``."""
+    bit_generator.advance(offset // 4)
+    rng = np.random.Generator(bit_generator)
+    rng.random(offset % 4)
+    return rng.random(count)
+
+
 def simulate_oracle(config: SimulationConfig) -> SimulationReport:
     model = config.model
     statistic = likelihood_ratio_statistic(model, config.null, config.alt)
@@ -104,14 +115,14 @@ def simulate_oracle(config: SimulationConfig) -> SimulationReport:
     flips = np.zeros(config.replicates)
 
     for r in range(config.replicates):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed, spawn_key=(r,))))
-        data_u = rng.random(m)
+        data_u = _doubles(np.random.Philox(config.seed), r * m, m)
         idx = np.empty(m, dtype=np.int64)
         idx[:m0] = np.searchsorted(cum_null, data_u[:m0], side="right")
         idx[m0:] = np.searchsorted(cum_alt, data_u[m0:], side="right")
         np.clip(idx, 0, model.size - 1, out=idx)
-        aux_u = rng.random(m)
-        u = aux_u if config.u_policy == "randomized" else fixed_u
+        u = fixed_u
+        if config.u_policy == "randomized":
+            u, flip_u = _doubles(np.random.Philox(config.seed).jumped(), r * 2 * m, 2 * m).reshape(2, m)
         ps = a_arr[idx] + u * b_arr[idx]
         rejected, threshold = decide(ps)
 
@@ -128,7 +139,6 @@ def simulate_oracle(config: SimulationConfig) -> SimulationReport:
         thresholds[r] = threshold
 
         if config.u_policy == "randomized":
-            flip_u = rng.random(m)
             rejected2, _ = decide(a_arr[idx] + flip_u * b_arr[idx])
             flips[r] = float((rejected != rejected2).mean())
 

@@ -219,13 +219,26 @@ class TestSimulate:
         assert simulate(_config()).dependence_rate is not None
         assert simulate(_config(u_policy="natural")).dependence_rate is None
 
-    def test_shared_seed_pairs_data_across_families(self):
-        # With identical master seeds the data stream is identical, so the
-        # MD-natural rejections dominate the T-natural ones replicate by
-        # replicate; on aggregate counts the means must be ordered.
-        t_report = simulate(_config(family="t", u_policy="natural", replicates=120))
-        md_report = simulate(_config(family="md", u_policy="natural", replicates=120))
-        assert md_report.mean_rejections >= t_report.mean_rejections
+    def test_shared_seed_pairs_data_across_families(self, monkeypatch):
+        # With identical master seeds the data stream is identical under
+        # every family and u policy, so every run draws the same points; the
+        # MD-natural rejections then dominate the T-natural ones replicate by
+        # replicate, and on aggregate counts the means must be ordered.
+        draw_points, runs = downstream._draw_points, []
+
+        def recording_draw_points(table, u):
+            points = draw_points(table, u)
+            runs[-1].append(points.tolist())
+            return points
+
+        monkeypatch.setattr(downstream, "_draw_points", recording_draw_points)
+        reports = {}
+        for family, u_policy in itertools.product(("t", "md"), downstream.U_POLICIES):
+            runs.append([])
+            reports[family, u_policy] = simulate(_config(family=family, u_policy=u_policy, replicates=120))
+        assert len(runs) == 6 and len(runs[0]) == 4  # two blocks of 102 and 18 rows, null and alternative columns
+        assert all(run == runs[0] for run in runs)
+        assert reports["md", "natural"].mean_rejections >= reports["t", "natural"].mean_rejections
 
     def test_fisher_global_null_is_conservative(self):
         report = simulate(_config(
@@ -266,7 +279,7 @@ class TestSimulate:
         assert _config(hypotheses="40").hypotheses == 40
         assert _config(hypotheses=" +40 ").hypotheses == 40
 
-    def test_replicates_past_one_spawn_word_refused(self):
+    def test_replicates_past_2_32_refused(self):
         with pytest.raises(ConfigError, match=r"replicates must lie in \[1, 2\*\*32\]"):
             _config(replicates=2**32 + 1)
         assert _config(replicates=2**32).replicates == 2**32
@@ -275,31 +288,8 @@ class TestSimulate:
         assert "Philox" in simulate(_config()).rng
 
 
-SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 has 5 words, past the pool's 4
-
-
 class TestKernel:
-    """The blocked harness's substream keys and log sums against numpy's and Python's own."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_substream_keys_are_seed_sequence_keys(self, seed):
-        keys = list(downstream._substream_keys(seed, 300))
-        assert len(keys) == 300
-        for r, key in enumerate(keys):
-            expected = np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
-            assert key.dtype == np.uint64 and key.tolist() == expected.tolist(), r
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_substreams_draw_the_seed_sequence_streams(self, seed):
-        for r, rng in enumerate(downstream._substreams(seed, 300)):
-            expected = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
-            assert rng.random(600).tolist() == expected.random(600).tolist(), r
-
-    def test_keys_span_chunks(self, monkeypatch):
-        monkeypatch.setattr(downstream, "KEY_CHUNK", 7)
-        keys = list(downstream._substream_keys(5, 30))
-        assert [k.tolist() for k in keys] == [
-            np.random.SeedSequence(5, spawn_key=(r,)).generate_state(2, np.uint64).tolist() for r in range(30)]
+    """The blocked harness's log sums against Python's own."""
 
     def test_row_log_sums_are_the_left_fold(self):
         rng = np.random.default_rng(7)
@@ -500,6 +490,9 @@ def _oracle_config(spec, **fields):
     return config_from_dict({"alpha": "1/10", "family": "md", "pi0": "3/4", **fields}, model, model_id)
 
 
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 is a five-word seed
+
+
 def _assert_matches_oracle(config):
     assert report_to_json(simulate(config)) == report_to_json(simulate_oracle(config)), config.to_dict()
 
@@ -536,6 +529,15 @@ class TestSimulateAgainstOracle:
             _assert_matches_oracle(_oracle_config(
                 "binomial:12,1/2,3/5", procedure=procedure, u_policy=u_policy, hypotheses=7,
                 replicates=23, seed=21))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeds_with_blocks_ending_inside_a_philox_group(self, seed, monkeypatch):
+        # Blocks of 5 rows of 7 end at data doubles 35, 70 and auxiliary doubles 70, 140: inside groups of 4.
+        monkeypatch.setattr(downstream, "BLOCK_ELEMENTS", 35)
+        for procedure in downstream.PROCEDURES:
+            _assert_matches_oracle(_oracle_config(
+                "binomial:12,1/2,3/5", procedure=procedure, u_policy="randomized", hypotheses=7,
+                replicates=13, seed=seed))
 
     @pytest.mark.parametrize("procedure", ["fisher", "geometric-mean"])
     def test_fixed_u_combinations_at_many_hypotheses(self, procedure):

@@ -2,8 +2,9 @@
 
 Times ``downstream.simulate`` on the model example1 (pi0 3/4, alpha 1/10,
 one fixed master seed) for each of the 4 procedures x 3 u policies x 2
-families, at two shapes: 200 hypotheses x 2000 replicates and 2000
-hypotheses x 200 replicates, for two source trees of the package, and
+families, at three shapes: 200 hypotheses x 2000 replicates, 2000
+hypotheses x 200 replicates and 20 hypotheses x 20000 replicates, where
+per-replicate costs dominate, for two source trees of the package, and
 writes both as columns of one JSON record.  Each run times one case in a
 fresh Python process whose ``PYTHONPATH`` is the source tree of its
 column, after a small warm-up run that loads numpy.  The two columns
@@ -43,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_simulate.json"
 REPEAT = 3
 SEED = 20260401
-SHAPES = {"200x2000": (200, 2000), "2000x200": (2000, 200)}
+SHAPES = {"200x2000": (200, 2000), "2000x200": (2000, 200), "20x20000": (20, 20000)}
 MATRIX = list(itertools.product(
     ("bh", "bonferroni", "fisher", "geometric-mean"), ("natural", "mid", "randomized"), ("t", "md"),
 ))
