@@ -288,8 +288,72 @@ class TestSimulate:
         assert "Philox" in simulate(_config()).rng
 
 
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 is a five-word seed
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A Generator that keeps every array its ``random`` returns, in the order of the Generators built."""
+
+    built: list = []
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.draws = []
+        self.built.append(self)
+
+    def random(self, *args, **kwargs):
+        out = super().random(*args, **kwargs)
+        self.draws.append(out)
+        return out
+
+
+def _record_streams(monkeypatch, config):
+    """simulate(config)'s uniforms: the data rows each block passes to _draw_points, and each Generator's draws."""
+    draw_points, data_rows = downstream._draw_points, []
+
+    def recording_draw_points(table, u):
+        data_rows.append(u.copy())
+        return draw_points(table, u)
+
+    monkeypatch.setattr(downstream, "_draw_points", recording_draw_points)
+    monkeypatch.setattr(np.random, "Generator", _RecordingGenerator)
+    monkeypatch.setattr(_RecordingGenerator, "built", [])
+    simulate(config)
+    # Each block passes its null columns, then its alternative columns.
+    blocks = [np.hstack(data_rows[i:i + 2]) for i in range(0, len(data_rows), 2)]
+    return blocks, _RecordingGenerator.built
+
+
 class TestKernel:
-    """The blocked harness's log sums against Python's own."""
+    """The blocked harness's random streams against numpy's own, and its log sums against Python's."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_data_uniforms_are_one_philox_counter_range(self, seed, monkeypatch):
+        # Blocks of 5 rows of 7 end at data doubles 35 and 70: inside Philox's groups of 4.
+        monkeypatch.setattr(downstream, "BLOCK_ELEMENTS", 35)
+        blocks, _ = _record_streams(monkeypatch, _config(hypotheses=7, pi0="3/7", replicates=13, seed=seed))
+        assert [len(block) for block in blocks] == [5, 5, 3]
+        expected = np.random.Generator(np.random.Philox(seed)).random(13 * 7).reshape(13, 7)
+        assert np.vstack(blocks).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_auxiliary_uniforms_are_the_jumped_counter_range(self, seed, monkeypatch):
+        # Replicate r's auxiliary u, then its regenerated u, are doubles r*2M..(r+1)*2M-1 of the jumped key.
+        monkeypatch.setattr(downstream, "BLOCK_ELEMENTS", 35)
+        _, (data, aux) = _record_streams(monkeypatch, _config(hypotheses=7, pi0="3/7", replicates=13, seed=seed))
+        assert [d.shape for d in data.draws] == [(5, 7), (5, 7), (3, 7)]
+        assert [d.shape for d in aux.draws] == [(5, 2, 7), (5, 2, 7), (3, 2, 7)]
+        expected = np.random.Generator(np.random.Philox(seed).jumped()).random(13 * 2 * 7).reshape(13, 2, 7)
+        assert np.concatenate(aux.draws).tolist() == expected.tolist()
+
+    def test_streams_span_blocks(self, monkeypatch):
+        # The block size only cuts each stream's counter range; every report is the one-block report.
+        reports = []
+        for block_elements in (10**6, 4096, 40, 7, 1):
+            monkeypatch.setattr(downstream, "BLOCK_ELEMENTS", block_elements)
+            reports.append([report_to_json(simulate(_config(u_policy=u_policy, replicates=30)))
+                            for u_policy in downstream.U_POLICIES])
+        assert all(report == reports[0] for report in reports)
 
     def test_row_log_sums_are_the_left_fold(self):
         rng = np.random.default_rng(7)
@@ -488,9 +552,6 @@ def test_bucket_table_draws_as_searchsorted(case):
 def _oracle_config(spec, **fields):
     model, model_id = resolve_model(spec)
     return config_from_dict({"alpha": "1/10", "family": "md", "pi0": "3/4", **fields}, model, model_id)
-
-
-SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7]  # 2**130 + 7 is a five-word seed
 
 
 def _assert_matches_oracle(config):
