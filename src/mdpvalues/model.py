@@ -97,11 +97,10 @@ class DiscreteModel:
 
     def point(self, ref: SupportPoint | str | int) -> SupportPoint:
         if isinstance(ref, SupportPoint):
-            if ref.index >= len(self.support) or self.support[ref.index] is not ref:
-                # accept equal-valued points from round trips
-                if ref.index >= len(self.support) or self.support[ref.index].label != ref.label:
-                    raise ModelError(f"point {ref.label!r} does not belong to this model")
-            return self.support[ref.index]
+            # an index in [0, N) whose point has the same label, so equal-valued points from round trips pass
+            if isinstance(ref.index, int) and self.point(ref.index).label == ref.label:
+                return self.support[ref.index]
+            raise ModelError(f"point {ref.label!r} does not belong to this model")
         if isinstance(ref, bool):
             raise ModelError(f"point ref {ref!r} is a bool, not an index")
         if isinstance(ref, int):

@@ -14,9 +14,9 @@ classes and the ranking's one class per rank, through one path
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
-midpoints) is ints over 2 * D_null.  Every claim walks its sorted grid
-once against the sorted class starts or CDF jumps, a two-pointer sweep
-instead of a search per point:
+midpoints) is ints over 2 * D_null.  One two-pointer sweep of it against
+each family's sorted class starts gives the threshold class k(alpha) at
+every grid point, which C1-C6 and C8 read; only C9 sweeps its own grid:
 
   - the size-alpha test at alpha keeps the last class starting at or below
     alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
@@ -30,13 +30,13 @@ instead of a search per point:
   - C8 is decided per threshold class: the largest rank before it and the
     smallest rank after it give the sure-reject and sure-retain margins,
     and a rank-ordered null-mass prefix inside it gives the tie average;
+  - C3 and C4 read the natural CDFs at the kinks (the grid without
+    midpoints), each the theta mass before the threshold class there
+    (``_natural_order``); C1 and C2 are their reports on the alpha grid, as
+    a natural test rejects iff P <= alpha: E_theta[d_alpha] = F_theta(alpha);
   - the CDF of P(X, u) at a fixed u = g / h jumps once per class, by its
-    theta mass, at start * h + g * mass over h * D_null (``_jumps``): for
-    C1-C4 (u = 1) and C9 (u = 1/2) alike;
-  - C3 and C4 are one usual-order check, F_T <= F_MD (<= t), at the CDFs'
-    jumps plus 1; C1 and C2 are their reports on the alpha grid, since a
-    natural test rejects iff P <= alpha, so E_theta[d_alpha] = F_theta(alpha);
-  - the integrated CDFs of C9 are integer prefixes of cum * width.
+    theta mass, at start * h + g * mass over h * D_null (``_jumps``); C9
+    integrates the mid-p CDFs (u = 1/2) as integer prefixes of cum * width.
 
 Each claim's margins are ints over one positive denominator, and each
 report keeps its grid as the sorted ints it was swept on, over that
@@ -154,47 +154,35 @@ def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int
     return [n * (den // d) if n else 0 for n, d in margins], den
 
 
-def _usual_order(claim: str, t_den: int, pairs: Sequence[tuple]) -> OrderReport:
-    """One report for F_A <= F_B over several pairs of step CDFs on the lattice.
+def _natural_order(claim: str, families: Sequence[PValueFamily], kinks: Sequence[int],
+                   classes: Sequence[Sequence[int]], thetas: Sequence[str],
+                   labels: Callable[[str], tuple[str, str]]) -> OrderReport:
+    """One report for F_A <= F_B, the natural p-value CDFs of families (A, B), under each of ``thetas``.
 
-    A pair is (jumps_a, cdf_a, jumps_b, cdf_b, v_den, (label_a, label_b)):
-    sorted jump locations as ints over ``t_den``, and cdf_x[j], the CDF
-    after j jumps, as ints over ``v_den``.  ``jumps_b=None`` compares F_A(t)
-    with the diagonal t.  Each pair is checked at every jump of either CDF
-    plus t = 1, where both sides are constant (resp. increasing) up to the
-    next grid point, so the check is exact for all t.  The report's grid is
-    the union of the pairs' grids.
+    ``kinks`` is the alpha grid without midpoints, ints over 2 D_null from
+    0 to 2 D_null, and ``classes`` holds each family's threshold class k at
+    each kink.  A natural CDF jumps at class ends only, each of them a kink,
+    so the kinks after 0 suffice for all t; they are the report's grid, over
+    D_null.  Every null class has positive mass, so the classes ending at or
+    below a kink t < 1 are those before k: F_theta(t) is before_theta[k],
+    and D_theta at t = 1, over D_theta.  ``labels(theta)`` names A and B.
     """
-    den = math.lcm(*(pair[4] for pair in pairs), *(t_den for pair in pairs if pair[2] is None))
-    grid_set: set[int] = set()
-    margins: list[int] = []
-    sweeps = []
-    for pair in pairs:
-        jumps_a, cdf_a, jumps_b, cdf_b, v_den, _labels = pair
-        points = sorted(set(jumps_a).union(jumps_b or (), (t_den,)))
-        grid_set.update(points)
-        at_a = _counts(jumps_a, points)
-        f = den // v_den
-        if jumps_b is None:
-            at_b = None
-            g = den // t_den
-            margins.extend(t * g - cdf_a[i] * f for t, i in zip(points, at_a))
-        else:
-            at_b = _counts(jumps_b, points)
-            margins.extend((cdf_b[j] - cdf_a[i]) * f for i, j in zip(at_a, at_b))
-        sweeps.append((points, at_a, at_b, pair))
+    grid, null_den = [x // 2 for x in kinks[1:]], kinks[-1] // 2
+    den = math.lcm(*(families[0].lattice(theta)[0] for theta in thetas))
+    margins, cdfs = [], []
+    for theta in thetas:
+        d = families[0].lattice(theta)[0]
+        f = den // d
+        cdf_a, cdf_b = ([*map(fam.lattice(theta)[2].__getitem__, ks[1:-1]), d] for fam, ks in zip(families, classes))
+        margins.extend((b - a) * f for a, b in zip(cdf_a, cdf_b))
+        cdfs.append((theta, d, cdf_a, cdf_b))
 
     def witness(index: int) -> str:
-        for points, at_a, at_b, (_, cdf_a, _, cdf_b, v_den, (label_a, label_b)) in sweeps:
-            if index < len(points):
-                break
-            index -= len(points)
-        t = Fraction(points[index], t_den)
-        value = Fraction(cdf_a[at_a[index]], v_den)
-        bound = t if at_b is None else Fraction(cdf_b[at_b[index]], v_den)
-        return f"F_{label_a}({t}) = {value} vs {label_b} bound {bound}"
+        (theta, d, cdf_a, cdf_b), i = cdfs[index // len(grid)], index % len(grid)
+        (label_a, label_b), value, bound = labels(theta), Fraction(cdf_a[i], d), Fraction(cdf_b[i], d)
+        return f"F_{label_a}({Fraction(grid[i], null_den)}) = {value} vs {label_b} bound {bound}"
 
-    return _claim(claim, sorted(grid_set), t_den, margins, den, witness)
+    return _claim(claim, grid, null_den, margins, den, witness)
 
 
 def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
@@ -403,6 +391,12 @@ def verify_all_claims(
     C6 and C8 are gated on sufficiency of the statistic and report
     "skipped" with a note when the hypothesis is unmet.  Every grid comes
     from the two families' class starts, plus 0 and 1 (and midpoints for alpha).
+
+    C4 checks F_T <= F_MD, not F_MD <= t: t - F_MD(t) = t - (last MD class
+    end <= t) is never negative, on a subset of the F_T <= F_MD grid, whose
+    margin at t = 1 is 0, so C4's grid, worst margin, verdict and witness are
+    the full sandwich's.  C5 sums the class masses again from the null row,
+    and ``tests/claims_oracle.py`` checks F_MD <= t on its own.
     """
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
@@ -417,22 +411,20 @@ def verify_all_claims(
     # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as c * s.
     c, scale = 2, 2 * den
     grid = alpha_lattice(scale, t_family, md_family)
-    # Threshold classes k(alpha) of both families, shared by C5, C6 and C8.
+    # Threshold classes k(alpha) of both families for C1-C6 and C8, also at the kinks (no midpoints).
     t_classes, md_classes = _threshold_classes(t_family, grid), _threshold_classes(md_family, grid)
+    kinks, kink_classes = grid[::2], (t_classes[::2], md_classes[::2])
 
     sufficient, suff_witness = _sufficiency(t_family, list(dict.fromkeys([null, *thetas])))
 
     def no_thetas(claim: str) -> OrderReport:
         return OrderReport(claim, "skipped", (), 1, None, None, "empty theta grid")
 
-    # C3 and C4: usual stochastic order of natural p-values, whose CDFs jump at class ends, over D_null.
-    ends_t, ends_md = _jumps(t_family, Fraction(1)), _jumps(md_family, Fraction(1))
-    by_theta = [(ends_t, t_family.lattice(theta)[2], ends_md, md_family.lattice(theta)[2], t_family.lattice(theta)[0],
-                 (f"T@{theta}", f"MD@{theta}")) for theta in thetas]
-    null_pairs = [(ends_t, t_before, ends_md, md_before, den, ("T", "MD")),
-                  (ends_md, md_before, None, None, den, ("MD", "t"))]
-    c3 = _usual_order("C3", den, by_theta) if thetas else no_thetas("C3")
-    c4 = _usual_order("C4", den, null_pairs)
+    # C3 and C4: usual stochastic order of natural p-values, read at the kinks (C4 as the docstring says).
+    families = t_family, md_family
+    c3 = (_natural_order("C3", families, kinks, kink_classes, thetas, lambda theta: (f"T@{theta}", f"MD@{theta}"))
+          if thetas else no_thetas("C3"))
+    c4 = _natural_order("C4", families, kinks, kink_classes, [null], lambda theta: ("T", "MD"))
     # C1 and C2: a natural test has E_theta[d_alpha] = F_theta(alpha), so they are C3 and C4 on the alpha
     # grid: 0 (every margin 0), every jump, and midpoints, where F_MD - F_T keeps its value at the point
     # before and t - F_MD is larger.  So the worst margin and the first worst witness are C3's and C4's.
@@ -440,10 +432,8 @@ def verify_all_claims(
     reports = [c1, replace(c4, claim="C2", grid_num=grid, grid_den=scale), c3, c4]
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
-    # between kinks, so it is the diagonal iff it is at its kinks, the alpha grid without midpoints.
-    kinks = grid[::2]
-    gaps = list(zip(_uniformity_gaps(t_family, kinks, t_classes[::2]),
-                    _uniformity_gaps(md_family, kinks, md_classes[::2])))
+    # between kinks, so it is the diagonal iff it is at its kinks.
+    gaps = list(zip(*(_uniformity_gaps(family, kinks, ks) for family, ks in zip(families, kink_classes))))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
@@ -472,7 +462,7 @@ def verify_all_claims(
         lattices = [None if theta == null else (*t_family.lattice(theta), *md_family.lattice(theta)[1:])
                     for theta in thetas]
         items = []
-        for x, k, r in zip(kinks, t_classes[::2], md_classes[::2]):
+        for x, k, r in zip(kinks, *kink_classes):
             for lattice in lattices:
                 gap = power_gap(x, k, r, *lattice[1:]) if lattice else 0
                 items.append((-abs(gap), lattice[0] * t_mass[k] * md_mass[r] * c) if gap else (0, 1))

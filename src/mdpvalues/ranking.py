@@ -23,6 +23,13 @@ class RankingError(UsageError):
     """Invalid statistic or ranking configuration."""
 
 
+def _refuse_inexact(kinds: tuple[type, ...], values: Iterable[object], fault: str) -> None:
+    """Refuse the first bool or value not of ``kinds``: a float is never a key, rank or class index."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise RankingError(f"{fault}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Statistic:
     """Exact statistic as its tie-class table: distinct ``keys``, strictly decreasing, and each point's ``class_of``.
@@ -33,10 +40,12 @@ class Statistic:
     """
 
     name: str
-    keys: tuple[Fraction, ...]
+    keys: tuple[Fraction | int, ...]
     class_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _refuse_inexact((int, Fraction), self.keys, f"statistic {self.name!r}: keys must be ints or Fractions")
+        _refuse_inexact((int,), self.class_of, f"statistic {self.name!r}: class indices must be ints")
         if any(a <= b for a, b in zip(self.keys, self.keys[1:])) or set(self.class_of) != set(range(len(self.keys))):
             raise RankingError(f"statistic {self.name!r} needs strictly decreasing keys, each with a point")
 
@@ -102,6 +111,7 @@ class Ranking:
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _refuse_inexact((int,), self.ranks, "ranks must be ints")
         keys = tuple(range(1, len(self.ranks) + 1))
         if set(self.ranks) != set(keys):
             raise RankingError(f"a ranking needs each rank 1..{len(keys)} exactly once: list every support label once")

@@ -13,7 +13,7 @@ import pytest
 
 import mdpvalues
 import mdpvalues.cli as cli
-from mdpvalues import build_agreeing_ranking, orders, pvalue_family, verify_all_claims
+from mdpvalues import build_agreeing_ranking, likelihood_ratio_statistic, orders, pvalue_family, verify_all_claims
 from mdpvalues.cli import main
 from mdpvalues.rational import decimal_string, format_rational, parse_rational
 from mdpvalues.registry import default_statistic, resolve_model
@@ -169,6 +169,28 @@ class TestVerify:
         manifest = json.loads((tmp_path / "short" / "manifest.json").read_text(encoding="utf-8"))
         assert len(manifest["claims"]) == 9
 
+    def test_thetas_picks_the_theta_grid(self, tmp_path):
+        model, _ = resolve_model("example1")
+        statistic = default_statistic(model)
+        reports = verify_all_claims(model, statistic, build_agreeing_ranking(model, statistic), ["theta1"])
+        assert main(["verify", "--model", "example1", "--thetas", "theta1", "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "reports.json").read_text(encoding="utf-8") == "".join(orders.reports_to_json(reports))
+        assert json.loads((tmp_path / "v" / "manifest.json").read_text())["thetas"] == ["theta1"]
+
+    def test_empty_thetas_skips_the_theta_claims(self, tmp_path):
+        assert main(["verify", "--model", "example1", "--thetas", "", "--out", str(tmp_path / "v")]) == 0
+        reports = {r["claim"]: r for r in json.loads((tmp_path / "v" / "reports.json").read_text())}
+        skipped = {claim for claim, r in reports.items() if r["verdict"] == "skipped"}
+        assert skipped == {"C1", "C3", "C6"}
+        assert all(reports[claim]["note"] == "empty theta grid" for claim in skipped)
+        assert all(r["verdict"] == "pass" for claim, r in reports.items() if claim not in skipped)
+
+    def test_unknown_theta_exits_two(self, tmp_path, capsys):
+        argv = ["verify", "--model", "example1", "--thetas", "theta1,nope", "--out", str(tmp_path / "v")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown parameter 'nope'\n"
+        assert not (tmp_path / "v").exists()
+
     def test_tampered_ranking_file_exits_two(self, tmp_path, capsys):
         order_path = tmp_path / "ranking.json"
         out = tmp_path / "verify"
@@ -303,6 +325,19 @@ class TestSimulateCommand:
         summary = read_csv(out / "summary.csv")
         assert summary[0]["procedure"] == "bh"
 
+    def test_alpha_override_is_the_configs_alpha(self, tmp_path):
+        """--alpha 1/20 writes the bytes of the same config with "alpha": "1/20"."""
+        config = json.loads(Path(mdpvalues.__file__).with_name("configs").joinpath("bh_null.json").read_text())
+        (tmp_path / "alpha.json").write_text(json.dumps({**config, "alpha": "1/20"}), encoding="utf-8")
+        assert main(["simulate", "--config", "bh_null", "--alpha", "1/20", "--out", str(tmp_path / "flag")]) == 0
+        assert main(["simulate", "--config", str(tmp_path / "alpha.json"), "--out", str(tmp_path / "file")]) == 0
+        for name in ("report.json", "summary.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+        # the manifests differ only in the digest of the config text read
+        flag, file = (json.loads((tmp_path / side / "manifest.json").read_text()) for side in ("flag", "file"))
+        assert flag.pop("config_sha256") != file.pop("config_sha256")
+        assert flag == file and flag["config"]["alpha"] == "1/20"
+
     def test_seed_override_changes_manifest(self, tmp_path):
         out = tmp_path / "sim"
         main(["simulate", "--config", "bh_null", "--seed", "7", "--out", str(out)])
@@ -354,6 +389,45 @@ class TestSimulateCommand:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", "bh_null", "--seed", "-1", "--out", str(tmp_path / "s")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+
+class TestAltOption:
+    """--alt names the alternative of the likelihood-ratio statistic (default: the second parameter)."""
+
+    SPEC = "binomial:30,1/2,3/5,7/10"
+
+    @pytest.fixture(scope="class")
+    def theta2(self):
+        model, _ = resolve_model(self.SPEC)
+        statistic = likelihood_ratio_statistic(model, "theta0", "theta2")
+        assert statistic.keys != default_statistic(model).keys
+        return model, statistic
+
+    def test_pvalues(self, tmp_path, theta2):
+        model, statistic = theta2
+        assert main(["pvalues", "--model", self.SPEC, "--alt", "theta2", "--out", str(tmp_path / "pv.csv")]) == 0
+        ranking = build_agreeing_ranking(model, statistic)
+        assert [row["statistic"] for row in read_csv(tmp_path / "pv.csv")] == [
+            format_rational(statistic.value(model.support[i])) for i in ranking.order()]
+
+    def test_cdf(self, tmp_path, theta2):
+        model, statistic = theta2
+        out = tmp_path / "cdf.csv"
+        assert main(["cdf", "--model", self.SPEC, "--alt", "theta2", "--theta", "theta2", "--out", str(out)]) == 0
+        cdf = atom_cdf(model, "theta2", scan_pvalue_family(model, statistic), 1)
+        assert [(parse_rational(row["t"]), parse_rational(row["F"])) for row in read_csv(out)] == list(
+            zip(cdf.jumps, cdf.cum))
+
+    def test_verify(self, tmp_path, theta2):
+        model, statistic = theta2
+        reports = verify_all_claims(model, statistic, build_agreeing_ranking(model, statistic),
+                                    list(model.parameter_names))
+        assert main(["verify", "--model", self.SPEC, "--alt", "theta2", "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "reports.json").read_text(encoding="utf-8") == "".join(orders.reports_to_json(reports))
+
+    def test_unknown_alternative_exits_two(self, tmp_path, capsys):
+        assert main(["pvalues", "--model", self.SPEC, "--alt", "nope", "--out", str(tmp_path / "pv.csv")]) == 2
+        assert capsys.readouterr().err == "error: unknown parameter 'nope'\n"
 
 
 class TestPValuesCommand:

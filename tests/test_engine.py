@@ -321,6 +321,37 @@ def test_family_cdf_matches_merged_atoms():
                     assert lattice_cdf(family, theta, u) == atom_cdf(model, theta, points, u)
 
 
+def test_natural_cdf_at_a_kink_is_the_theta_mass_before_its_threshold_class():
+    """What C1-C4 read: at an alpha kink t < 1, Pr_theta{P(X, 1) <= t} = before_theta[k(t)] / D_theta.
+
+    Against the scan's atom merge, for agreeing, shuffled agreeing and shuffled non-agreeing rankings.
+    Under the null the value is at most t, and equals t exactly at the family's own class starts.
+    """
+    rng = random.Random(34)
+    for index in range(20):
+        model, statistic = random_model_and_statistic(rng, max_support=30)
+        shuffled = list(range(1, model.size + 1))
+        rng.shuffle(shuffled)
+        scale = 2 * model.int_row(model.null)[0]
+        agreeing = build_agreeing_ranking(model, statistic), shuffled_agreeing_ranking(model, statistic, seed=index)
+        for ranking in (*agreeing, Ranking(tuple(shuffled))):
+            sources = (statistic, ranking)
+            families = [pvalue_family(model, source) for source in sources]
+            kinks = alpha_lattice(scale, *families)[::2][:-1]
+            for family, source in zip(families, sources):
+                points = scan_pvalue_family(model, source)
+                classes = _threshold_classes(family, kinks)
+                starts = {2 * s for s in family.lattice(model.null)[2]}
+                for theta in ("t0", "t1"):
+                    den, _mass, before = family.lattice(theta)
+                    cdf = atom_cdf(model, theta, points, 1)
+                    for x, k in zip(kinks, classes):
+                        t, value = Fraction(x, scale), Fraction(before[k], den)
+                        assert cdf.evaluate(t) == value, (index, theta, t)
+                        if theta == model.null:
+                            assert value <= t and (value == t) == (x in starts), (index, t)
+
+
 def test_support_1024_verifies_within_budget():
     """N = 2^10: about 91 s by per-alpha rebuilds, one sweep per claim here."""
     model = bernoulli_product_model(10, ["1/2", "4/5"])
@@ -334,18 +365,18 @@ def test_support_1024_verifies_within_budget():
 
 
 def test_oracle_usual_order_catches_an_engine_mutant(monkeypatch, example1, lr, table1_ranking):
-    """The oracle's C1-C4 do not run through the engine's _usual_order, so a bug there shows as a mismatch.
+    """The oracle's C1-C4 do not run through the engine's _natural_order, so a bug there shows as a mismatch.
 
-    The engine's C1 and C2 are C3 and C4 read on the alpha grid, not separate _usual_order
+    The engine's C1 and C2 are C3 and C4 read on the alpha grid, not separate _natural_order
     sweeps, so the grid-dropping mutant moves C3 and C4 only.
     """
-    real = orders._usual_order
+    real = orders._natural_order
 
     def drops_last_grid_point(*args):
         report = real(*args)
         return replace(report, grid_num=report.grid_num[:-1])
 
-    monkeypatch.setattr(orders, "_usual_order", drops_last_grid_point)
+    monkeypatch.setattr(orders, "_natural_order", drops_last_grid_point)
     thetas = ["theta0", "theta1"]
     engine = {r.claim: "".join(reports_to_json([r])) for r in verify_all_claims(example1, lr, table1_ranking, thetas)}
     oracle = {r.claim: "".join(reports_to_json([r])) for r in reference_claims(example1, lr, table1_ranking, thetas)}

@@ -12,8 +12,11 @@ from mdpvalues import (
     SupportPoint,
     bernoulli_product_model,
     binomial_model,
+    build_agreeing_ranking,
+    likelihood_ratio_statistic,
     load_model,
     make_model,
+    pvalue_family,
     save_model,
 )
 from mdpvalues.model import model_from_dict, model_to_dict
@@ -120,6 +123,24 @@ class TestValidation:
             example1.probs("theta9")
         with pytest.raises(ModelError):
             example1.point("22222")
+
+    @pytest.mark.parametrize("ref", [SupportPoint(-1, "111"), SupportPoint(-8, "000"), SupportPoint(8, "111"), -1, 8],
+                             ids=["point-minus-1", "point-minus-8", "point-8", "int-minus-1", "int-8"])
+    def test_index_outside_the_support_is_refused(self, ref):
+        """Python's negative indexing must not resolve a point: SupportPoint(-1, "111") is not point 7."""
+        model = bernoulli_product_model(3, ["1/2", "3/4"])
+        ranking = build_agreeing_ranking(model, likelihood_ratio_statistic(model, "theta0", "theta1"))
+        family = pvalue_family(model, ranking)
+        with pytest.raises(ModelError, match=r"^point index -?\d+ out of range$"):
+            model.point(ref)
+        with pytest.raises(ModelError, match=r"^point index -?\d+ out of range$"):
+            family.evaluate(ref, 1)
+
+    def test_equal_valued_point_is_the_models_own(self):
+        model = bernoulli_product_model(3, ["1/2", "3/4"])
+        assert model.point(SupportPoint(7, "111")) is model.support[7]
+        with pytest.raises(ModelError, match="point '000' does not belong to this model"):
+            model.point(SupportPoint(7, "000"))
 
     def test_float_probabilities_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Exact ordering machinery: CDFs, convex order, martingale projection, claims."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,8 +18,16 @@ from mdpvalues import (
     pvalue_family,
     verify_all_claims,
 )
-from mdpvalues.orders import OrderReport, _jumps, _sufficiency, _usual_order, reports_to_json, reports_to_text
+from mdpvalues.orders import (
+    OrderReport,
+    _natural_order,
+    _sufficiency,
+    _threshold_classes,
+    reports_to_json,
+    reports_to_text,
+)
 from mdpvalues.rational import common_denominator, format_rational
+from mdpvalues.testing import alpha_lattice
 
 from claims_oracle import check_sufficiency as oracle_sufficiency
 from claims_oracle import (
@@ -38,12 +47,13 @@ def engine_sufficiency(model, statistic, thetas):
     return _sufficiency(pvalue_family(model, statistic), thetas)
 
 
-def natural_order(theta, family_a, family_b, labels=("A", "B")):
-    """F_A <= F_B (F_A <= t without ``family_b``) for the natural p-values under theta, on the lattice."""
-    den, _mass, before = family_a.lattice(theta)
-    side_b = (None, None) if family_b is None else (_jumps(family_b, Fraction(1)), family_b.lattice(theta)[2])
-    pair = (_jumps(family_a, Fraction(1)), before, *side_b, den, labels)
-    return _usual_order("usual-order", family_a.lattice(family_a.model.null)[0], [pair])
+def natural_order(theta, family_a, family_b):
+    """F_A <= F_B for the natural p-values under theta, read at the alpha kinks of both families."""
+    model = family_a.model
+    kinks = alpha_lattice(2 * model.int_row(model.null)[0], family_a, family_b)[::2]
+    families = (family_a, family_b)
+    classes = [_threshold_classes(family, kinks) for family in families]
+    return _natural_order("usual-order", families, kinks, classes, [theta], lambda theta: ("A", "B"))
 
 
 def c9_report(model, statistic, ranking):
@@ -133,34 +143,31 @@ class TestIntegratedCDF:
 
 
 class TestUsualOrder:
-    """``orders._usual_order``, the sweep behind C1-C4, on the natural CDFs' lattice ints."""
+    """``orders._natural_order``, the check behind C1-C4, at the alpha kinks' threshold classes."""
 
     def test_identical_cdfs_pass_with_zero_margin(self, t_family):
         report = natural_order("theta0", t_family, t_family)
         assert report.passed and report.worst_margin == 0
 
     def test_null_sandwich(self, t_family, md_family):
-        assert natural_order("theta0", t_family, md_family).passed
-        assert natural_order("theta0", md_family, None, ("A", "t")).passed  # against the diagonal
+        report = natural_order("theta0", t_family, md_family)
+        assert report.passed
+        # the grid is every class end of either family, over D_null: the MD family's are the k / 32
+        assert report.grid == tuple(Fraction(k, 32) for k in range(1, 33))
 
     def test_md_dominates_under_alternative_strictly(self, t_family, md_family):
         assert natural_order("theta1", t_family, md_family).passed
         t = Fraction(2, 32)
         assert lattice_cdf(md_family, "theta1", 1).evaluate(t) > lattice_cdf(t_family, "theta1", 1).evaluate(t)
 
-    def test_diagonal_violation_names_the_bound_t(self):
-        # F(1/4) = 1/2 > 1/4: jumps at 1/4 and 1 over 4, F after each jump 1/2 and 1 over 2,
-        # so the two sides are on different scales
-        report = _usual_order("usual-order", 4, [((1, 4), (0, 1, 2), None, None, 2, ("A", "t"))])
-        assert report.verdict == "fail"
-        assert report.worst_margin == Fraction(-1, 4)
-        assert report.witness == "F_A(1/4) = 1/2 vs t bound 1/4"
-
     def test_violation_reports_witness(self, t_family, md_family):
         report = natural_order("theta1", md_family, t_family)  # deliberately reversed
         assert report.verdict == "fail"
         assert report.worst_margin < 0
-        assert report.witness
+        t, value, bound = map(Fraction, re.fullmatch(r"F_A\((\S+)\) = (\S+) vs B bound (\S+)", report.witness).groups())
+        assert value == lattice_cdf(md_family, "theta1", 1).evaluate(t)
+        assert bound == lattice_cdf(t_family, "theta1", 1).evaluate(t)
+        assert bound - value == report.worst_margin
 
 
 class TestConditionalVariance:

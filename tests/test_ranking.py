@@ -1,6 +1,7 @@
 """Statistics, agreeing rankings, explicit rank orders, agreement checking."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -83,6 +84,20 @@ class TestClassTable:
     def test_invalid_table_is_refused(self, keys, class_of):
         with pytest.raises(RankingError, match="strictly decreasing keys"):
             Statistic("s", tuple(map(Fraction, keys)), class_of)
+
+    @pytest.mark.parametrize("keys, class_of, fault", [
+        ((0.5, 0.25, 0.125), (0, 1, 2), "keys must be ints or Fractions, got 0.5"),
+        ((Fraction(2), True), (0, 1), "keys must be ints or Fractions, got True"),
+        ((3, 2, 1), (2.0, 1, 1, 0), "class indices must be ints, got 2.0"),
+        ((2, 1), (0, False), "class indices must be ints, got False"),
+    ], ids=["float-keys", "bool-key", "float-class", "bool-class"])
+    def test_inexact_table_is_refused(self, keys, class_of, fault):
+        """Floats and bools compare equal to exact values, so the ordering check alone lets them through."""
+        with pytest.raises(RankingError, match=f"statistic 's': {re.escape(fault)}$"):
+            Statistic("s", keys, class_of)
+
+    def test_int_and_fraction_keys_are_exact(self):
+        assert Statistic("s", (3, Fraction(5, 2), 1), (2, 1, 1, 0)).values == (1, Fraction(5, 2), Fraction(5, 2), 3)
 
     def test_agreement_matches_fraction_oracle_on_shuffled_rankings(self):
         def oracle(model, ratios, ranking):
@@ -168,6 +183,13 @@ class TestRankingTable:
                              ids=["zero", "past-n", "repeat", "repeat-last"])
     def test_only_permutations_of_one_to_n(self, ranks):
         with pytest.raises(RankingError, match=f"each rank 1..{len(ranks)} exactly once"):
+            Ranking(ranks)
+
+    @pytest.mark.parametrize("ranks", [(4.0, 2.0, 3.0, 1.0), (2, True), (1, Fraction(2))],
+                             ids=["floats", "bool", "fraction"])
+    def test_ranks_must_be_ints(self, ranks):
+        """(4.0, 2.0, 3.0, 1.0) is a set of 1..4, but its class indices would be floats."""
+        with pytest.raises(RankingError, match="^ranks must be ints, got "):
             Ranking(ranks)
 
     def test_equality_reads_the_ranks_only(self, table1_ranking):
