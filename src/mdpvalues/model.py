@@ -137,8 +137,11 @@ def make_model(
 ) -> DiscreteModel:
     """Build and validate a model from plain labels and rational-like values, each row over its least common denominator."""
     support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
-    params = {str(name): parse_rational(v) for name, v in parameters.items()}
-    rows = {str(name): common_denominator(ratio_row(row)) for name, row in pmf.items()}
+    try:
+        params = {str(name): parse_rational(v) for name, v in parameters.items()}
+        rows = {str(name): common_denominator(ratio_row(row)) for name, row in pmf.items()}
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
     return DiscreteModel(support, params, rows)
 
 
@@ -217,10 +220,7 @@ def model_from_dict(data: object) -> DiscreteModel:
         raise ModelError("model spec needs 'parameters' and 'pmf' as objects, 'support' and each pmf row as arrays")
     if not all(isinstance(label, str) for label in support):
         raise ModelError("model spec needs every support label as a string")
-    try:
-        return make_model(support, parameters, pmf)
-    except ValueError as exc:
-        raise ModelError(str(exc)) from None
+    return make_model(support, parameters, pmf)
 
 
 def save_model(model: DiscreteModel, path: str | Path) -> None:

@@ -16,7 +16,8 @@ denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
 midpoints) is ints over 2 * D_null.  One two-pointer sweep of it against
 each family's sorted class starts gives the threshold class k(alpha) at
-every grid point, which C1-C6 and C8 read; only C9 sweeps its own grid:
+every grid point, which C1-C6 and C8 read; only C9 sweeps its own grid.
+C6, C8 and C9 sweep only where ``verify_all_claims`` cannot prove them:
 
   - the size-alpha test at alpha keeps the last class starting at or below
     alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
@@ -43,11 +44,12 @@ report keeps its grid as the sorted ints it was swept on, over that
 sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
 a failure's witness become Fractions: a witness is rebuilt at its grid
 point alone on Fractions, through ``PValueFamily.power`` (C6) or a
-point-by-point C8 check.  ``reports_to_json`` reduces and prints each
-distinct grid point once and yields the JSON text in pieces, one report
-grid at most per piece, so ``mdpv verify`` writes it without ever holding
-it whole.  No step CDF is built as an object: the claims sweep the class
-jumps and theta prefixes, and ``mdpv cdf`` prints the same lattice columns.
+point-by-point C8 check; a proved C6, C8 or C9 forms neither.
+``reports_to_json`` reduces and prints each distinct grid point once and
+yields the JSON text in pieces, one report grid at most per piece, so
+``mdpv verify`` writes it without ever holding it whole.  No step CDF is
+built as an object: the claims sweep the class jumps and theta prefixes,
+and ``mdpv cdf`` prints the same lattice columns.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha (C3 on the alpha grid)
@@ -67,7 +69,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import DiscreteModel, UsageError
@@ -256,15 +258,15 @@ def _recount(family: PValueFamily, theta: str) -> list[int]:
     return mass
 
 
-def _uniformity_gaps(family: PValueFamily, grid: Sequence[int], classes: Sequence[int]) -> list[tuple[int, int]]:
+def _uniformity_gaps(family: PValueFamily, summed: Sequence[int], grid: Sequence[int],
+                     classes: Sequence[int]) -> list[tuple[int, int]]:
     """(F(t) - t) * mass_k * 2 D and mass_k at each t = x / (2 D) of a grid, F = Pr_0{P(X, U) <= t}.
 
     ``classes`` holds the threshold class k of each t, and
     F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
-    masses summed again from the null row, each point once into its own class, against the lattice.
+    ``summed`` holds the masses summed again from the null row (``_recount``), against the lattice.
     """
     _den, mass, before = family.lattice(family.model.null)
-    summed = _recount(family, family.model.null)
     offsets = [(a - b) * m * 2 for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
     excess = [s - m for s, m in zip(summed, mass)]
     return [(offsets[k] + excess[k] * (x - before[k] * 2), mass[k]) for x, k in zip(grid, classes)]
@@ -397,6 +399,22 @@ def verify_all_claims(
     margin at t = 1 is 0, so C4's grid, worst margin, verdict and witness are
     the full sandwich's.  C5 sums the class masses again from the null row,
     and ``tests/claims_oracle.py`` checks F_MD <= t on its own.
+
+    C6, C8 and C9 are proved, no margin formed, when (N) the T class of each
+    point, read in rank order, never falls and (R) both null lattices equal
+    C5's recount: the MD classes then split each T class k = [s_k, s_k + m_k]
+    in rank order, all masses positive; the MD threshold class r lies in k(alpha).
+      - C8: ranks before k are below r, ranks after k above it, and k's null
+        mass ranked before r is s_r - s_k, so every margin is 0.
+      - C9: k's MD mid-p atoms average to T's atom s_k + m_k / 2, so by Jensen
+        I_MD - I_T and s^2 / 2 - I_MD are 0 at class starts and >= 0 between;
+        both means are 1/2, and the plateau points F(s) = s are the MD starts.
+      - C6, given the gate's zero cross-ratios e(x) = p_theta(x) M_0(k) -
+        p_0(x) M_theta(k) and (R) for every theta: E_T - E_MD = -(sum of e(x)
+        over x in k ranked before r, plus gamma_MD e(r)) / M_0(k) = 0.
+    A proved report is the passing sweep's (same grid, worst margin 0, C9's note
+    ``means (1/2, 1/2)``); a failed check runs ``power_gap``, ``_projection_margins``
+    or ``_convex_order_chain`` for the exact worst margin and witness.
     """
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
@@ -433,7 +451,8 @@ def verify_all_claims(
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks.
-    gaps = list(zip(*(_uniformity_gaps(family, kinks, ks) for family, ks in zip(families, kink_classes))))
+    summed = [_recount(family, null) for family in families]
+    gaps = list(zip(*(_uniformity_gaps(f, s, kinks, ks) for f, s, ks in zip(families, summed, kink_classes))))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
@@ -444,11 +463,17 @@ def verify_all_claims(
 
     reports.append(_claim("C5", kinks, scale, margins, c5_den, uniform_witness))
 
+    # (N) and (R) of the docstring: a proved C6, C8 or C9 passes on its sweep's grid with margin 0.
+    ranked = list(map(t_family.class_of.__getitem__, chain.from_iterable(md_family.members)))
+    tiled = ranked == sorted(ranked) and all(list(f.lattice(null)[1]) == m for f, m in zip(families, summed))
+
     # C6: equal power functions under sufficiency.
     if not thetas:
         reports.append(no_thetas("C6"))
     elif not sufficient:
         reports.append(OrderReport("C6", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
+    elif tiled and all(list(f.lattice(theta)[1]) == _recount(f, theta) for theta in thetas for f in families):
+        reports.append(OrderReport("C6", "pass", grid, scale, Fraction(0)))
     else:
         def power_gap(x: int, k: int, r: int, tm, tb, mm, mb) -> int:
             """(E_T - E_MD) * D_theta * m_k * m_r * c at alpha = x / scale, whose threshold classes are k and r."""
@@ -483,6 +508,8 @@ def verify_all_claims(
     # C8: martingale projection at every breakpoint alpha (gated on sufficiency).
     if not sufficient:
         reports.append(OrderReport("C8", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
+    elif tiled:
+        reports.append(OrderReport("C8", "pass", grid, scale, Fraction(0)))
     else:
         def projection_witness(i: int) -> str:
             alpha = Fraction(grid[i], scale)
@@ -492,7 +519,11 @@ def verify_all_claims(
         reports.append(_claim("C8", grid, scale, margins, c8_den, projection_witness))
 
     # C9: convex-order chain of mid-p-values.
-    reports.append(_convex_order_chain(t_family, md_family, "C9"))
+    if tiled:  # the sweep's grid: both families' mid-p jumps, the MD class starts (its plateau points) and 1
+        points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
+        reports.append(OrderReport("C9", "pass", tuple(sorted(points)), scale, Fraction(0), None, "means (1/2, 1/2)"))
+    else:
+        reports.append(_convex_order_chain(t_family, md_family, "C9"))
 
     return reports
 

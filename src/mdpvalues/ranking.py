@@ -46,7 +46,10 @@ class Statistic:
     def __post_init__(self) -> None:
         _refuse_inexact((int, Fraction), self.keys, f"statistic {self.name!r}: keys must be ints or Fractions")
         _refuse_inexact((int,), self.class_of, f"statistic {self.name!r}: class indices must be ints")
-        if any(a <= b for a, b in zip(self.keys, self.keys[1:])) or set(self.class_of) != set(range(len(self.keys))):
+        # Neighbours over one denominator compare by numerator, others by cross-multiplication.
+        terms = [(key.numerator, key.denominator) for key in self.keys]
+        if (any(an <= bn if ad == bd else an * bd <= bn * ad for (an, ad), (bn, bd) in zip(terms, terms[1:]))
+                or set(self.class_of) != set(range(len(self.keys)))):
             raise RankingError(f"statistic {self.name!r} needs strictly decreasing keys, each with a point")
 
     @property
@@ -61,9 +64,11 @@ def _tie_classes(name: str, values: list[Fraction], group_of: Sequence[int], sca
     """Point i has ``values[group_of[i]] * scale``, scale > 0; groups in support order keep a monotone sort one run."""
     keys: list[Fraction] = []
     class_of_group = [0] * len(values)
-    for g in sorted(range(len(values)), key=values.__getitem__, reverse=True):
-        if not keys or values[g] != keys[-1]:
+    order = [v.numerator for v in values] if len({v.denominator for v in values}) == 1 else values  # ints: no Fraction calls
+    for g in sorted(range(len(values)), key=order.__getitem__, reverse=True):
+        if not keys or order[g] != last:
             keys.append(values[g])
+            last = order[g]
         class_of_group[g] = len(keys) - 1
     return Statistic(name, tuple(key * scale for key in keys), tuple(map(class_of_group.__getitem__, group_of)))
 
@@ -82,7 +87,11 @@ def make_statistic(
         raw = list(values)
         if len(raw) != model.size:
             raise RankingError(f"statistic {name!r} has {len(raw)} values for {model.size} points")
-    return _tie_classes(name, [parse_rational(v) for v in raw], range(len(raw)))
+    try:
+        values = [parse_rational(v) for v in raw]
+    except ValueError as exc:
+        raise RankingError(str(exc)) from None
+    return _tie_classes(name, values, range(len(raw)))
 
 
 def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: str) -> Statistic:

@@ -239,12 +239,107 @@ def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example
     assert report.witness == witness
 
 
-@pytest.mark.parametrize("coins", [5, 7])
-def test_bernoulli_shuffled_ranking_matches_reference(coins):
-    model = bernoulli_product_model(coins, ["1/2", "4/5"])
+BENCHMARK_SHAPES = {
+    "bernoulli-5": lambda: bernoulli_product_model(5, ["1/2", "4/5"]),
+    "bernoulli-7": lambda: bernoulli_product_model(7, ["1/2", "4/5"]),
+    "binomial-100": lambda: binomial_model(100, ["1/2", "5/7"]),
+}
+
+
+@pytest.mark.parametrize("shape", list(BENCHMARK_SHAPES))
+def test_benchmark_shapes_with_shuffled_rankings_match_reference(shape):
+    """Bernoulli products and binomial(100), the sizes the verify benchmarks run, each with a shuffled agreeing ranking."""
+    model = BENCHMARK_SHAPES[shape]()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = shuffled_agreeing_ranking(model, lr, seed=coins)
+    ranking = shuffled_agreeing_ranking(model, lr, seed=model.size)
     assert_same_reports(model, lr, ranking, ["theta0", "theta1"])
+
+
+@pytest.mark.parametrize("shape", ["bernoulli-7", "binomial-100"])
+def test_agreeing_inputs_prove_c6_c8_c9_without_their_sweeps(monkeypatch, shape):
+    """Nested classes and zero recounts prove C6, C8 and C9, so their sweeps never run on agreeing inputs."""
+    def refuse(*args):
+        raise AssertionError("sweep ran on an agreeing input")
+
+    monkeypatch.setattr(orders, "_projection_margins", refuse)
+    monkeypatch.setattr(orders, "_convex_order_chain", refuse)
+    model = BENCHMARK_SHAPES[shape]()
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    reports = verify_all_claims(model, lr, shuffled_agreeing_ranking(model, lr, seed=1), ["theta0", "theta1"])
+    assert [r.verdict for r in reports] == ["pass"] * 9
+    assert [str(r.worst_margin) for r in reports if r.claim in ("C6", "C8", "C9")] == ["0"] * 3
+
+
+def tied_sufficient_model():
+    """T classes {a}, {b, c}, {d}; the heaviest MD class, c, and its neighbour b share a T class under both thetas."""
+    model = make_model(["a", "b", "c", "d"], {"theta0": "1/2", "theta1": "3/4"},
+                       {"theta0": ["2/10", "3/10", "4/10", "1/10"], "theta1": ["2/24", "9/24", "12/24", "1/24"]})
+    statistic = make_statistic(model, "s", [2, 1, 1, 0])
+    return model, statistic, build_agreeing_ranking(model, statistic)
+
+
+def sweeps_run(monkeypatch):
+    """The names of the C8 and C9 sweeps that verify_all_claims runs, in order: a declined proof runs both."""
+    calls = []
+    for name in ("_projection_margins", "_convex_order_chain"):
+        real = getattr(orders, name)
+        monkeypatch.setattr(orders, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def family_reference(claim, model, t_family, md_family, thetas):
+    """C6 or C8 per alpha on Fractions, from the two families' own tests, as the claims oracle words them."""
+    scale = 2 * model.int_row(model.null)[0]
+    alphas = [Fraction(x, scale) for x in alpha_lattice(scale, t_family, md_family)]
+    margins = []
+    for alpha in alphas:
+        if claim == "C8":
+            report = pointwise_projection(model, t_family.test(alpha), md_family.test(alpha))
+            margins.append((report.worst_margin, f"alpha={alpha}: {report.witness}"))
+            continue
+        for theta in thetas:
+            e_t, e_md = t_family.power(theta, alpha), md_family.power(theta, alpha)
+            margins.append((-abs(e_t - e_md), f"theta={theta}, alpha={alpha}: {e_t} vs {e_md}"))
+    return claims_oracle._worst(claim, alphas, margins)
+
+
+@pytest.mark.parametrize("theta, claim", [("theta0", "C8"), ("theta1", "C6")], ids=["null-mass", "theta-mass"])
+def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monkeypatch, theta, claim):
+    """One unit of mass moved from MD class c to b, inside T class {b, c}: the MD classes still nest, but the
+    lattice no longer equals its recount, so the claim is swept and fails as the per-alpha check says."""
+    model, statistic, ranking = tied_sufficient_model()
+    thetas = ["theta0", "theta1"]
+    assert all(r.passed for r in verify_all_claims(model, statistic, ranking, thetas))
+
+    def shifted(model, source):
+        family = pvalue_family(model, source)
+        return shift_one_unit(family, theta) if source is ranking else family
+
+    calls = sweeps_run(monkeypatch)
+    monkeypatch.setattr(orders, "pvalue_family", shifted)
+    report = next(r for r in verify_all_claims(model, statistic, ranking, thetas) if r.claim == claim)
+    assert report.verdict == "fail"
+    expected = family_reference(claim, model, pvalue_family(model, statistic), shifted(model, ranking), thetas)
+    assert "".join(reports_to_json([report])) == "".join(reports_to_json([expected]))
+    # The null shift fails the tiling that C8 and C9 rest on; a theta shift only C6's recount.
+    assert calls == (["_projection_margins", "_convex_order_chain"] if claim == "C8" else [])
+
+
+def test_broken_nesting_declines_the_proof(monkeypatch):
+    """With the agreement gate opened, a ranking that puts b before a breaks the nesting: C6, C8 and C9 are
+    swept, fail, and match the claims oracle."""
+    for module in (orders, claims_oracle):
+        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
+    model, statistic, _ = tied_sufficient_model()
+    ranking = Ranking((2, 1, 3, 4))
+    calls = sweeps_run(monkeypatch)
+    thetas = ["theta0", "theta1"]
+    engine = {r.claim: r for r in verify_all_claims(model, statistic, ranking, thetas)}
+    oracle = {r.claim: r for r in reference_claims(model, statistic, ranking, thetas)}
+    assert calls == ["_projection_margins", "_convex_order_chain"]
+    for claim in ("C6", "C8", "C9"):
+        assert engine[claim].verdict == "fail"
+        assert "".join(reports_to_json([engine[claim]])) == "".join(reports_to_json([oracle[claim]]))
 
 
 def test_projection_sweep_matches_pointwise_check_on_broken_rankings():

@@ -1,5 +1,6 @@
 """Model construction, exact pmf arithmetic, and the JSON wire format."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,16 @@ class TestValidation:
         assert model.point(SupportPoint(7, "111")) is model.support[7]
         with pytest.raises(ModelError, match="point '000' does not belong to this model"):
             model.point(SupportPoint(7, "000"))
+
+    @pytest.mark.parametrize("parameters, row, fault", [
+        ({"t0": 0.5}, ["1/2", "1/2"], "refusing float 0.5: rationals must be exact"),
+        ({"t0": "1/2"}, [0.5, "1/2"], "refusing float 0.5: rationals must be exact"),
+        ({"t0": "1/2"}, ["x", "1/2"], "not a rational: 'x'"),
+    ], ids=["float-parameter", "float-pmf", "text-pmf"])
+    def test_inexact_inputs_are_a_model_error(self, parameters, row, fault):
+        """Every layer's error derives from UsageError, so ``except UsageError`` also catches these."""
+        with pytest.raises(ModelError, match=f"^{re.escape(fault)}$"):
+            make_model(["a", "b"], parameters, {"t0": row})
 
     def test_float_probabilities_rejected(self):
         with pytest.raises(ValueError):

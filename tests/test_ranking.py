@@ -80,7 +80,8 @@ class TestClassTable:
         ((2, 2), (0, 1)),     # a duplicate key
         ((2, 1), (0, 0)),     # class 1 holds no point
         ((1,), (0, 1)),       # a point in a class that has no key
-    ], ids=["unsorted", "duplicate", "empty-class", "unknown-class"])
+        ((Fraction(1, 2), Fraction(2, 3)), (0, 1)),  # increasing over unequal denominators
+    ], ids=["unsorted", "duplicate", "empty-class", "unknown-class", "unsorted-cross"])
     def test_invalid_table_is_refused(self, keys, class_of):
         with pytest.raises(RankingError, match="strictly decreasing keys"):
             Statistic("s", tuple(map(Fraction, keys)), class_of)
@@ -144,6 +145,16 @@ class TestBuildAgreeingRanking:
 def test_label_map_statistic_is_refused(example1):
     with pytest.raises(RankingError, match="not a label map"):
         make_statistic(example1, "s", {pt.label: 1 for pt in example1.support})
+
+
+@pytest.mark.parametrize("values, fault", [
+    ([0.5, 1], "refusing float 0.5: rationals must be exact"),
+    (["x", 1], "not a rational: 'x'"),
+], ids=["float", "text"])
+def test_inexact_statistic_values_are_a_ranking_error(values, fault):
+    model = make_model(["a", "b"], {"t0": "1/2"}, {"t0": ["1/2", "1/2"]})
+    with pytest.raises(RankingError, match=f"^{re.escape(fault)}$"):
+        make_statistic(model, "s", values)
 
 
 class TestVerifyAgreement:

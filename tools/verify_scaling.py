@@ -5,8 +5,9 @@ the package, and writes both as columns of one JSON record:
 
   - Bernoulli products, theta 1/2 vs 4/5, n = 8, 10, 12, 14, 16 coins
     (support N = 2^n), likelihood-ratio statistic, lexicographic ranking;
-  - binomial(n), theta 1/2 vs 3/5, n = 200, 1000, 4000: few classes per
-    point but null and alternative denominators of n and 2.3 n bits.
+  - binomial(n), theta 1/2 vs 3/5, n = 100 (the size of perfbench's
+    verify-binomial), 200, 1000, 4000: one point per class, but null and
+    alternative denominators of n and 2.3 n bits.
 
 Each run builds and verifies one case from scratch in a fresh Python
 process whose ``PYTHONPATH`` is the source tree of its column.  The two
@@ -56,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_verify.json"
 REPEAT = 5
 
-CASES = [("bernoulli", n) for n in (8, 10, 12, 14, 16)] + [("binomial", n) for n in (200, 1000, 4000)]
+CASES = [("bernoulli", n) for n in (8, 10, 12, 14, 16)] + [("binomial", n) for n in (100, 200, 1000, 4000)]
 TARGETS = {"bernoulli n=14": 3.0, "binomial n=4000": 10.0}
 TIMES = ("model_s", "load_s", "statistic_s", "verify_s", "serialize_s")
 
