@@ -14,37 +14,29 @@ classes and the ranking's one class per rank, through one path
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
-midpoints) is ints over 2 * D_null.  One two-pointer sweep of it against
-each family's sorted class starts gives the threshold class k(alpha) at
-every grid point, which C1-C6 and C8 read; only C9 sweeps its own grid.
-C6, C8 and C9 sweep only where ``verify_all_claims`` cannot prove them:
+midpoints) is ints over 2 * D_null.  One two-pointer sweep of its kinks
+against each family's sorted class starts gives the threshold class k(alpha)
+there, which C1-C5 read; C6, C8 and C9 are proved, no margin formed:
 
-  - the size-alpha test at alpha keeps the last class starting at or below
-    alpha, so the power behind C6 is before_theta[k] + gamma * mass_theta[k],
-    and the two families' powers are compared by cross-multiplication at
-    the kinks of the alpha grid only, where the first worst gap lies, since
-    both powers are linear between the class starts of either family; its
-    sufficiency gate sums the theta class masses again from the pmf rows;
   - C5 holds for every t: the randomized null CDF, rebuilt from class masses
     summed again point by point, is checked at its kinks (0, 1 and the
     class starts of both families), so a wrong class mass makes it fail;
-  - C8 is decided per threshold class: the largest rank before it and the
-    smallest rank after it give the sure-reject and sure-retain margins,
-    and a rank-ordered null-mass prefix inside it gives the tie average;
   - C3 and C4 read the natural CDFs at the kinks (the grid without
     midpoints), each the theta mass before the threshold class there
     (``_natural_order``); C1 and C2 are their reports on the alpha grid, as
     a natural test rejects iff P <= alpha: E_theta[d_alpha] = F_theta(alpha);
+  - C6, C8 and C9 hold for every ranking that agrees with the statistic,
+    which ``verify_all_claims`` checks first; each passes on the grid a
+    sweep of its margins would use, unless a class table it reads differs
+    from its masses summed again from the pmf row (``_proof``);
   - the CDF of P(X, u) at a fixed u = g / h jumps once per class, by its
-    theta mass, at start * h + g * mass over h * D_null (``_jumps``); C9
-    integrates the mid-p CDFs (u = 1/2) as integer prefixes of cum * width.
+    theta mass, at start * h + g * mass over h * D_null (``_jumps``); C9's
+    grid is the mid-p (u = 1/2) jumps of both families.
 
 Each claim's margins are ints over one positive denominator, and each
 report keeps its grid as the sorted ints it was swept on, over that
 sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
-a failure's witness become Fractions: a witness is rebuilt at its grid
-point alone on Fractions, through ``PValueFamily.power`` (C6) or a
-point-by-point C8 check; a proved C6, C8 or C9 forms neither.
+a failure's witness become Fractions, at the failing grid point or class.
 ``reports_to_json`` reduces and prints each distinct grid point once and
 yields the JSON text in pieces, one report grid at most per piece, so
 ``mdpv verify`` writes it without ever holding it whole.  No step CDF is
@@ -69,7 +61,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from functools import cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import DiscreteModel, UsageError
@@ -187,60 +180,6 @@ def _natural_order(claim: str, families: Sequence[PValueFamily], kinks: Sequence
     return _claim(claim, grid, null_den, margins, den, witness)
 
 
-def _convex_order_chain(t_family: PValueFamily, md_family: PValueFamily, claim: str) -> OrderReport:
-    """Convex-order chain of mid-p-values under the null, for the families of an agreeing pair.
-
-    The margins: both mid-p means equal 1/2 exactly, and at every jump of
-    either mid-p CDF (plus interior plateau critical points and s = 1) the
-    integrated CDFs satisfy
-
-        int_0^s F_T-mid  <=  int_0^s F_MD-mid  <=  s^2 / 2.
-
-    With equal means this is the convex order itself, so it already
-    implies E0[phi(P)] ordered for every convex phi, hinges, squares and
-    -2 log included; no separate probe margin is needed.
-
-    Mid-p jumps 2 * start + mass are ints over 2D, the null CDF after each
-    jump is an int over D, so integrated CDFs are ints over 2D^2 and every
-    margin, s^2 / 2 included, is an int over 8D^2.
-    """
-    den = t_family.model.int_row(t_family.model.null)[0]
-    two, square = 2 * den, den * den
-    sides = []
-    for family in (t_family, md_family):
-        _, mass, before = family.lattice(family.model.null)
-        jumps = _jumps(family, Fraction(1, 2))
-        cum = before[1:]
-        tops = jumps[1:] + [two]
-        plateaus = {2 * c for c, left, right in zip(cum, jumps, tops) if left < 2 * c < right}
-        areas = list(accumulate((c * (right - left) for c, left, right in zip(cum, jumps, jumps[1:])), initial=0))
-        mean = sum(m * j for m, j in zip(mass, jumps))
-        sides.append((jumps, cum, areas, plateaus, mean))
-    (jumps_t, _, _, plateaus_t, mean_t), (jumps_md, _, _, plateaus_md, mean_md) = sides
-
-    points = sorted(set(jumps_t).union(jumps_md, (two,), plateaus_t, plateaus_md))
-    lower, middle = (
-        [0 if j == 0 else areas[j - 1] + cum[j - 1] * (s - jumps[j - 1]) for s, j in zip(points, _counts(jumps, points))]
-        for jumps, cum, areas, _, _ in sides
-    )
-    margins = [-4 * abs(mean_t - square), -4 * abs(mean_md - square)]
-    for s, low, mid in zip(points, lower, middle):
-        margins.append(4 * (mid - low))
-        margins.append(s * s - 4 * mid)
-
-    def witness(index: int) -> str:
-        if index < 2:
-            return f"mean of {('T', 'MD')[index]} mid-p is {Fraction((mean_t, mean_md)[index], 2 * square)}"
-        i, upper = divmod(index - 2, 2)
-        s, low, mid = Fraction(points[i], two), Fraction(lower[i], 2 * square), Fraction(middle[i], 2 * square)
-        if upper:
-            return f"integrated CDFs at s={s}: MD {mid} vs uniform {s * s / 2}"
-        return f"integrated CDFs at s={s}: T {low} vs MD {mid}"
-
-    note = f"means ({Fraction(mean_t, 2 * square)}, {Fraction(mean_md, 2 * square)})"
-    return _claim(claim, points, two, margins, 8 * square, witness, note)
-
-
 def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
     """Threshold class k(alpha) at each alpha = x / (2 D) of a sorted grid: the last class starting at or below it.
 
@@ -272,87 +211,8 @@ def _uniformity_gaps(family: PValueFamily, summed: Sequence[int], grid: Sequence
     return [(offsets[k] + excess[k] * (x - before[k] * 2), mass[k]) for x, k in zip(grid, classes)]
 
 
-def _projection_margins(
-    t_family: PValueFamily,
-    md_family: PValueFamily,
-    grid: Sequence[int],
-    t_classes: Sequence[int],
-    md_classes: Sequence[int],
-) -> list[tuple[int, int]]:
-    """Worst margin of the C8 projection identity at each alpha = x / (2 D), as (numerator, denominator).
-
-    At alpha = grid[i] the T test has threshold class k = t_classes[i] and
-    the MD test threshold class r = md_classes[i], the point of rank r + 1,
-    with randomization gamma_MD.  Ranks are read 0-based, as the MD
-    family's ``class_of``.  A sure-rejection point (class before k) has
-    margin 0, gamma_MD - 1 or -1 as its rank is below, at or above r, so
-    the largest rank before class k decides them all; the sure-retention
-    side is decided by the smallest rank after class k.  With gamma =
-    (alpha - start) / mass, all three margins share mass_T[k] * mass_MD[r] * 2.
-    """
-    _den, t_mass, t_before = t_family.lattice(t_family.model.null)
-    _, md_mass, md_before = md_family.lattice(md_family.model.null)
-    ranks = md_family.class_of
-    null_row = t_family.model.int_row(t_family.model.null)[1]
-    by_rank = [sorted((ranks[i], null_row[i]) for i in members) for members in t_family.members]
-    class_ranks = [[rank for rank, _ in pairs] for pairs in by_rank]
-    below = [tuple(accumulate((m for _, m in pairs), initial=0)) for pairs in by_rank]
-    before_max = list(accumulate((r[-1] for r in class_ranks), max, initial=-1))
-    after_min = [len(ranks)] * (len(class_ranks) + 1)
-    for k in range(len(class_ranks) - 1, -1, -1):
-        after_min[k] = min(after_min[k + 1], class_ranks[k][0])
-
-    out = []
-    current, j = -1, 0
-    for x, k, r in zip(grid, t_classes, md_classes):
-        inside = class_ranks[k]
-        if k != current:
-            current, j = k, 0
-        while j < len(inside) and inside[j] < r:
-            j += 1
-        m_k, m_r = t_mass[k], md_mass[r]
-        q = m_r * 2  # gamma_MD = u_md / q and gamma_T = u_t / (m_k * 2)
-        u_t, u_md = x - t_before[k] * 2, x - md_before[r] * 2
-        value = below[k][j] * q
-        if j < len(inside) and inside[j] == r:
-            value += u_md * by_rank[k][j][1]
-        total = m_k * q
-        top, bottom = before_max[k], after_min[k + 1]
-        reject = -total if top > r else ((u_md - q) * m_k if top == r else 0)
-        retain = -total if bottom < r else (-u_md * m_k if bottom == r else 0)
-        out.append((min(-abs(value - u_t * m_r), reject, retain), total))
-    return out
-
-
-def _projection_witness(t_family: PValueFamily, md_family: PValueFamily, alpha: Fraction) -> str:
-    """Why E0[phi_MD | phi_T] = phi_T fails at one alpha: its first worst point in support order.
-
-    Grouped by the T test's threshold zones: the sure-rejection class must
-    have phi_MD = 1 pointwise, the sure-retention class phi_MD = 0, and on
-    the threshold class the null-conditional average of phi_MD, checked
-    last, must equal gamma(alpha).
-    """
-    t_test, md_test = t_family.test(alpha), md_family.test(alpha)
-    model = t_family.model
-    row = model.int_row(model.null)[1]  # the common denominator cancels in the average
-    margins: list[tuple[Fraction, str]] = []
-    tie_mass, tie_value = 0, Fraction(0)
-    for pt in model.support:
-        zone = t_test.zone(pt)
-        phi_md = md_test.phi(pt)
-        if zone > 0:
-            margins.append((-abs(phi_md - 1), f"phi_MD({pt.label}) = {phi_md} on the sure-rejection class"))
-        elif zone < 0:
-            margins.append((-abs(phi_md), f"phi_MD({pt.label}) = {phi_md} on the sure-retention class"))
-        else:
-            tie_mass += row[pt.index]
-            tie_value += row[pt.index] * phi_md
-    average = tie_value / tie_mass
-    margins.append((-abs(average - t_test.gamma), f"threshold class average {average} vs gamma {t_test.gamma}"))
-    return min(margins, key=lambda margin: margin[0])[1]
-
-
-def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
+def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
+                 recount: Callable[[str], Sequence[int]]) -> tuple[bool, str | None]:
     """(True, None) iff the conditional laws given each statistic value match across ``thetas``, else a witness.
 
     Division-free cross-ratio test within each tie class, visited in order
@@ -360,16 +220,17 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
     p_theta(x) * m_base(class) == p_base(x) * m_theta(class), which also
     handles classes with zero mass under some theta (vacuously equal).
     Masses under one theta share its denominator, so the cross-ratio is an
-    identity between integer numerators.  The class masses are summed
-    again from each row, not read off the family's lattice, so a wrong
-    lattice mass cannot close the gate: C6 reads the lattice and fails.
+    identity between integer numerators.  The class masses are
+    ``recount(theta)``, summed again from each row (``_recount``), not read
+    off the family's lattice, so a wrong lattice mass cannot close the
+    gate: C6 reads the lattice and fails.
     """
     model, members = t_family.model, t_family.members
     order = sorted(range(len(members)), key=lambda k: members[k][0])
     base = thetas[0]
-    base_row, base_mass = model.int_row(base)[1], _recount(t_family, base)
+    base_row, base_mass = model.int_row(base)[1], recount(base)
     for theta in thetas[1:]:
-        row, mass = model.int_row(theta)[1], _recount(t_family, theta)
+        row, mass = model.int_row(theta)[1], recount(theta)
         for k in order:
             for i in members[k]:
                 if row[i] * base_mass[k] != base_row[i] * mass[k]:
@@ -378,6 +239,28 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
                         f"point {model.support[i].label!r} under {theta} vs {base}"
                     )
     return True, None
+
+
+def _proof(claim: str, grid: Iterable[int], grid_den: int, thetas: Iterable[str],
+           families: Sequence[PValueFamily], recount: Callable[[int, str], Sequence[int]],
+           note: str | None = None) -> OrderReport:
+    """A claim proved from the class tables: it passes on ``grid`` over ``grid_den`` with worst margin 0.
+
+    Unless a lattice it reads differs from ``recount(side, theta)``, the
+    masses summed again from the pmf row: then the first class that does,
+    theta in ``thetas`` order and T (side 0) before MD, fails it with margin
+    -|lattice - recount| / D_theta, its note dropped.
+    """
+    grid = tuple(grid)
+    for theta in thetas:
+        for side, family in enumerate(families):
+            den, mass, _before = family.lattice(theta)
+            for k, (a, b) in enumerate(zip(mass, recount(side, theta))):
+                if a != b:
+                    witness = (f"{('T', 'MD')[side]} family, {theta}: "
+                               f"class {k} mass {Fraction(a, den)} vs recount {Fraction(b, den)}")
+                    return OrderReport(claim, "fail", grid, grid_den, Fraction(-abs(a - b), den), witness)
+    return OrderReport(claim, "pass", grid, grid_den, Fraction(0), None, note)
 
 
 def verify_all_claims(
@@ -400,46 +283,58 @@ def verify_all_claims(
     the full sandwich's.  C5 sums the class masses again from the null row,
     and ``tests/claims_oracle.py`` checks F_MD <= t on its own.
 
-    C6, C8 and C9 are proved, no margin formed, when (N) the T class of each
-    point, read in rank order, never falls and (R) both null lattices equal
-    C5's recount: the MD classes then split each T class k = [s_k, s_k + m_k]
-    in rank order, all masses positive; the MD threshold class r lies in k(alpha).
+    C6, C8 and C9 are proved, no margin formed, from the agreement that
+    ``verify_agreement`` checks first: the T class of each point, read in
+    rank order, never falls, so the MD classes split each T class
+    k = [s_k, s_k + m_k] in rank order, all masses positive, and the MD
+    threshold class r lies in k(alpha).
       - C8: ranks before k are below r, ranks after k above it, and k's null
         mass ranked before r is s_r - s_k, so every margin is 0.
       - C9: k's MD mid-p atoms average to T's atom s_k + m_k / 2, so by Jensen
         I_MD - I_T and s^2 / 2 - I_MD are 0 at class starts and >= 0 between;
         both means are 1/2, and the plateau points F(s) = s are the MD starts.
       - C6, given the gate's zero cross-ratios e(x) = p_theta(x) M_0(k) -
-        p_0(x) M_theta(k) and (R) for every theta: E_T - E_MD = -(sum of e(x)
-        over x in k ranked before r, plus gamma_MD e(r)) / M_0(k) = 0.
-    A proved report is the passing sweep's (same grid, worst margin 0, C9's note
-    ``means (1/2, 1/2)``); a failed check runs ``power_gap``, ``_projection_margins``
-    or ``_convex_order_chain`` for the exact worst margin and witness.
+        p_0(x) M_theta(k): E_T - E_MD = -(sum of e(x) over x in k ranked
+        before r, plus gamma_MD e(r)) / M_0(k) = 0.
+    A proved report passes with worst margin 0 on the grid a sweep of its
+    margins would use (C9's note ``means (1/2, 1/2)``).  The proofs read the
+    null lattices of both families, and C6 also every theta's; each class
+    mass is summed again from its pmf row once (``_recount``), for C5, the
+    gate and the proofs alike.  A lattice that differs from that recount
+    fails the claim on the same grid, at its first differing class (the null,
+    then ``thetas`` in order; T before MD): worst margin
+    -|lattice - recount| / D_theta.
     """
+    if isinstance(thetas, str):
+        raise OrdersError(f"thetas must be a list of parameter names, not the string {thetas!r}")
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
     thetas = list(thetas)
     null = model.null
-    t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
-    den, t_mass, t_before = t_family.lattice(null)
+    t_family, md_family = families = pvalue_family(model, statistic), pvalue_family(model, ranking)
+    den, t_mass, _ = t_family.lattice(null)
     _, md_mass, md_before = md_family.lattice(null)
+    recount = cache(lambda side, theta: _recount(families[side], theta))
 
     # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.  Every
-    # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as c * s.
-    c, scale = 2, 2 * den
-    grid = alpha_lattice(scale, t_family, md_family)
-    # Threshold classes k(alpha) of both families for C1-C6 and C8, also at the kinks (no midpoints).
-    t_classes, md_classes = _threshold_classes(t_family, grid), _threshold_classes(md_family, grid)
-    kinks, kink_classes = grid[::2], (t_classes[::2], md_classes[::2])
+    # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as 2 * s.
+    scale = 2 * den
+    grid = alpha_lattice(scale, *families)
+    # Threshold classes k(alpha) of both families at the kinks (the alpha grid without midpoints).
+    kinks = grid[::2]
+    kink_classes = tuple(_threshold_classes(family, kinks) for family in families)
 
-    sufficient, suff_witness = _sufficiency(t_family, list(dict.fromkeys([null, *thetas])))
+    grid_thetas = list(dict.fromkeys([null, *thetas]))
+    sufficient, suff_witness = _sufficiency(t_family, grid_thetas, lambda theta: recount(0, theta))
 
     def no_thetas(claim: str) -> OrderReport:
         return OrderReport(claim, "skipped", (), 1, None, None, "empty theta grid")
 
+    def unmet(claim: str) -> OrderReport:
+        return OrderReport(claim, "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}")
+
     # C3 and C4: usual stochastic order of natural p-values, read at the kinks (C4 as the docstring says).
-    families = t_family, md_family
     c3 = (_natural_order("C3", families, kinks, kink_classes, thetas, lambda theta: (f"T@{theta}", f"MD@{theta}"))
           if thetas else no_thetas("C3"))
     c4 = _natural_order("C4", families, kinks, kink_classes, [null], lambda theta: ("T", "MD"))
@@ -451,8 +346,8 @@ def verify_all_claims(
 
     # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
     # between kinks, so it is the diagonal iff it is at its kinks.
-    summed = [_recount(family, null) for family in families]
-    gaps = list(zip(*(_uniformity_gaps(f, s, kinks, ks) for f, s, ks in zip(families, summed, kink_classes))))
+    gaps = list(zip(*(_uniformity_gaps(family, recount(side, null), kinks, ks)
+                      for side, (family, ks) in enumerate(zip(families, kink_classes)))))
     margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
 
     def uniform_witness(index: int) -> str:
@@ -463,67 +358,24 @@ def verify_all_claims(
 
     reports.append(_claim("C5", kinks, scale, margins, c5_den, uniform_witness))
 
-    # (N) and (R) of the docstring: a proved C6, C8 or C9 passes on its sweep's grid with margin 0.
-    ranked = list(map(t_family.class_of.__getitem__, chain.from_iterable(md_family.members)))
-    tiled = ranked == sorted(ranked) and all(list(f.lattice(null)[1]) == m for f, m in zip(families, summed))
-
-    # C6: equal power functions under sufficiency.
+    # C6: equal power functions under sufficiency, proved on the alpha grid.
     if not thetas:
         reports.append(no_thetas("C6"))
-    elif not sufficient:
-        reports.append(OrderReport("C6", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
-    elif tiled and all(list(f.lattice(theta)[1]) == _recount(f, theta) for theta in thetas for f in families):
-        reports.append(OrderReport("C6", "pass", grid, scale, Fraction(0)))
     else:
-        def power_gap(x: int, k: int, r: int, tm, tb, mm, mb) -> int:
-            """(E_T - E_MD) * D_theta * m_k * m_r * c at alpha = x / scale, whose threshold classes are k and r."""
-            m_k, m_r = t_mass[k], md_mass[r]
-            return ((tb[k] - mb[r]) * m_k * m_r * c
-                    + (x - t_before[k] * c) * tm[k] * m_r - (x - md_before[r] * c) * mm[r] * m_k)
-
-        # Both powers are continuous and linear in alpha between the class starts of either family,
-        # so the first worst |gap| lies at a kink, as in C5, and only the kinks are evaluated.  At the
-        # null both tests have exact size alpha, so the gap is identically zero and is not computed.
-        lattices = [None if theta == null else (*t_family.lattice(theta), *md_family.lattice(theta)[1:])
-                    for theta in thetas]
-        items = []
-        for x, k, r in zip(kinks, *kink_classes):
-            for lattice in lattices:
-                gap = power_gap(x, k, r, *lattice[1:]) if lattice else 0
-                items.append((-abs(gap), lattice[0] * t_mass[k] * md_mass[r] * c) if gap else (0, 1))
-        margins, c6_den = _one_denominator(items)
-
-        def power_witness(index: int) -> str:
-            alpha, theta = Fraction(kinks[index // len(thetas)], scale), thetas[index % len(thetas)]
-            return f"theta={theta}, alpha={alpha}: {t_family.power(theta, alpha)} vs {md_family.power(theta, alpha)}"
-
-        # The report keeps the full alpha grid; its worst margin and witness are the kinks'.
-        reports.append(_claim("C6", grid, scale, margins, c6_den, power_witness))
+        reports.append(_proof("C6", grid, scale, grid_thetas, families, recount) if sufficient else unmet("C6"))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
     margins = [t_mass[k] - md_mass[r] for k, r in zip(t_family.class_of, md_family.class_of)]
     reports.append(_claim("C7", (), 1, margins, den, lambda i: f"point {model.support[i].label!r}",
                           "checked at every support point"))
 
-    # C8: martingale projection at every breakpoint alpha (gated on sufficiency).
-    if not sufficient:
-        reports.append(OrderReport("C8", "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}"))
-    elif tiled:
-        reports.append(OrderReport("C8", "pass", grid, scale, Fraction(0)))
-    else:
-        def projection_witness(i: int) -> str:
-            alpha = Fraction(grid[i], scale)
-            return f"alpha={alpha}: {_projection_witness(t_family, md_family, alpha)}"
+    # C8: martingale projection at every alpha of the grid (gated on sufficiency).
+    reports.append(_proof("C8", grid, scale, [null], families, recount) if sufficient else unmet("C8"))
 
-        margins, c8_den = _one_denominator(_projection_margins(t_family, md_family, grid, t_classes, md_classes))
-        reports.append(_claim("C8", grid, scale, margins, c8_den, projection_witness))
-
-    # C9: convex-order chain of mid-p-values.
-    if tiled:  # the sweep's grid: both families' mid-p jumps, the MD class starts (its plateau points) and 1
-        points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
-        reports.append(OrderReport("C9", "pass", tuple(sorted(points)), scale, Fraction(0), None, "means (1/2, 1/2)"))
-    else:
-        reports.append(_convex_order_chain(t_family, md_family, "C9"))
+    # C9: convex-order chain of mid-p-values, on both families' mid-p jumps, the MD class starts (the
+    # plateau points) and 1.
+    points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
+    reports.append(_proof("C9", sorted(points), scale, [null], families, recount, "means (1/2, 1/2)"))
 
     return reports
 

@@ -124,10 +124,11 @@ class TestCdf:
                     (format_rational(t), format_rational(f), decimal_string(t), decimal_string(f)) for t, f in expected
                 ], (family, u, theta)
 
-    def test_unknown_theta_is_usage_error(self, tmp_path):
+    def test_unknown_theta_is_usage_error(self, tmp_path, capsys):
         code = main(["cdf", "--model", "example1", "--theta", "nope",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown parameter 'nope'\n"
 
     # n follows the integer grammar of simulate's fields: no digit separators, no non-ASCII digits.
     @pytest.mark.parametrize("spec", ["binomial:1.5,1/2,3/5", "binomial:x,1/2,3/5", "binomial:5,1/2,0.6",

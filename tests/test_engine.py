@@ -22,14 +22,13 @@ from mdpvalues import (
     verify_all_claims,
 )
 from mdpvalues import orders
-from mdpvalues.orders import _convex_order_chain, _projection_margins, _threshold_classes, reports_to_json
+from mdpvalues.orders import _threshold_classes, reports_to_json
 from mdpvalues.testing import alpha_lattice
 
 import claims_oracle
 from claims_oracle import (
     atom_cdf,
     breakpoints,
-    convex_order_chain,
     pointwise_projection,
     randomized_cdf_at,
     reference_claims,
@@ -101,11 +100,17 @@ def test_coprime_denominator_models_match_reference():
 
 
 def test_failing_claims_match_reference(monkeypatch):
-    """With the agreement gate opened, shuffled rankings make claims fail; witnesses match too."""
+    """With the agreement gate opened, shuffled rankings make claims fail; witnesses match too.
+
+    Only C1-C5 and C7 are compared with the oracle: C6, C8 and C9 are proved from the agreement
+    that the patch removes, so the engine passes them on any class tables whose lattices equal
+    their recounts, and shuffled rankings fail only the natural-order claims.
+    """
     for module in (orders, claims_oracle):
         monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
     rng = random.Random(3)
     failed, c1_witnesses = set(), []
+    compared = ("C1", "C2", "C3", "C4", "C5", "C7")
     for index in range(20):
         model, statistic = random_model_and_statistic(rng, max_support=14)
         if index % 2 == 0:
@@ -113,11 +118,14 @@ def test_failing_claims_match_reference(monkeypatch):
         ranks = list(range(1, model.size + 1))
         rng.shuffle(ranks)
         ranking = Ranking(tuple(ranks))
-        engine = assert_same_reports(model, statistic, ranking, ["t0", "t1"])
-        failures = [r for r in json.loads(engine) if r["verdict"] == "fail"]
-        failed.update(r["claim"] for r in failures)
-        c1_witnesses += [r["witness"] for r in failures if r["claim"] == "C1"]
-    assert failed == {"C1", "C2", "C3", "C4", "C6", "C8", "C9"}
+        thetas = ["t0", "t1"]
+        engine = [r for r in verify_all_claims(model, statistic, ranking, thetas) if r.claim in compared]
+        oracle = [r for r in reference_claims(model, statistic, ranking, thetas) if r.claim in compared]
+        assert "".join(reports_to_json(engine)) == "".join(reports_to_json(oracle))
+        failures = [r for r in engine if r.verdict == "fail"]
+        failed.update(r.claim for r in failures)
+        c1_witnesses += [r.witness for r in failures if r.claim == "C1"]
+    assert failed == {"C1", "C2", "C3", "C4"}
     assert any(w.startswith(("F_T@t0(", "F_T@t1(")) and "vs MD@t" in w for w in c1_witnesses)
 
 
@@ -192,6 +200,11 @@ def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
     report = c5_report(model, lr, ranking)
     assert report.verdict == "fail" and report.worst_margin < 0
     assert report.witness.startswith("T family at t=")
+    # The proofs of C8 and C9 read the same null lattice and fail at its first class off its recount.
+    for claim in ("C8", "C9"):
+        report = claim_report(claim, model, lr, ranking)
+        assert report.verdict == "fail" and report.worst_margin == Fraction(-1, 8)
+        assert report.witness == "T family, theta0: class 0 mass 1/4 vs recount 1/8"
 
 
 def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
@@ -209,7 +222,7 @@ def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
     monkeypatch.setattr(orders, "pvalue_family", shifted)
     report = claim_report("C6", model, lr, ranking)
     assert report.verdict == "fail" and report.worst_margin == Fraction(-1, 64)
-    assert report.witness.startswith("theta=theta1, alpha=")
+    assert report.witness == "T family, theta1: class 0 mass 13/32 vs recount 27/64"
 
 
 @pytest.mark.parametrize(
@@ -255,36 +268,12 @@ def test_benchmark_shapes_with_shuffled_rankings_match_reference(shape):
     assert_same_reports(model, lr, ranking, ["theta0", "theta1"])
 
 
-@pytest.mark.parametrize("shape", ["bernoulli-7", "binomial-100"])
-def test_agreeing_inputs_prove_c6_c8_c9_without_their_sweeps(monkeypatch, shape):
-    """Nested classes and zero recounts prove C6, C8 and C9, so their sweeps never run on agreeing inputs."""
-    def refuse(*args):
-        raise AssertionError("sweep ran on an agreeing input")
-
-    monkeypatch.setattr(orders, "_projection_margins", refuse)
-    monkeypatch.setattr(orders, "_convex_order_chain", refuse)
-    model = BENCHMARK_SHAPES[shape]()
-    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    reports = verify_all_claims(model, lr, shuffled_agreeing_ranking(model, lr, seed=1), ["theta0", "theta1"])
-    assert [r.verdict for r in reports] == ["pass"] * 9
-    assert [str(r.worst_margin) for r in reports if r.claim in ("C6", "C8", "C9")] == ["0"] * 3
-
-
 def tied_sufficient_model():
     """T classes {a}, {b, c}, {d}; the heaviest MD class, c, and its neighbour b share a T class under both thetas."""
     model = make_model(["a", "b", "c", "d"], {"theta0": "1/2", "theta1": "3/4"},
                        {"theta0": ["2/10", "3/10", "4/10", "1/10"], "theta1": ["2/24", "9/24", "12/24", "1/24"]})
     statistic = make_statistic(model, "s", [2, 1, 1, 0])
     return model, statistic, build_agreeing_ranking(model, statistic)
-
-
-def sweeps_run(monkeypatch):
-    """The names of the C8 and C9 sweeps that verify_all_claims runs, in order: a declined proof runs both."""
-    calls = []
-    for name in ("_projection_margins", "_convex_order_chain"):
-        real = getattr(orders, name)
-        monkeypatch.setattr(orders, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    return calls
 
 
 def family_reference(claim, model, t_family, md_family, thetas):
@@ -303,10 +292,17 @@ def family_reference(claim, model, t_family, md_family, thetas):
     return claims_oracle._worst(claim, alphas, margins)
 
 
-@pytest.mark.parametrize("theta, claim", [("theta0", "C8"), ("theta1", "C6")], ids=["null-mass", "theta-mass"])
-def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monkeypatch, theta, claim):
+@pytest.mark.parametrize(
+    "theta, claim, witness",
+    [
+        ("theta0", "C8", "MD family, theta0: class 1 mass 2/5 vs recount 3/10"),
+        ("theta1", "C6", "MD family, theta1: class 1 mass 5/12 vs recount 3/8"),
+    ],
+    ids=["null-mass", "theta-mass"],
+)
+def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monkeypatch, theta, claim, witness):
     """One unit of mass moved from MD class c to b, inside T class {b, c}: the MD classes still nest, but the
-    lattice no longer equals its recount, so the claim is swept and fails as the per-alpha check says."""
+    lattice no longer equals its recount, so the claim fails at b, and so does the per-alpha check."""
     model, statistic, ranking = tied_sufficient_model()
     thetas = ["theta0", "theta1"]
     assert all(r.passed for r in verify_all_claims(model, statistic, ranking, thetas))
@@ -315,80 +311,16 @@ def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monke
         family = pvalue_family(model, source)
         return shift_one_unit(family, theta) if source is ranking else family
 
-    calls = sweeps_run(monkeypatch)
     monkeypatch.setattr(orders, "pvalue_family", shifted)
-    report = next(r for r in verify_all_claims(model, statistic, ranking, thetas) if r.claim == claim)
-    assert report.verdict == "fail"
+    reports = {r.claim: r for r in verify_all_claims(model, statistic, ranking, thetas)}
+    report = reports[claim]
+    assert report.verdict == "fail" and report.witness == witness
+    assert report.worst_margin == -Fraction(1, model.int_row(theta)[0])
+    # The null shift fails every proof that reads the null lattice; a theta shift only C6's.
+    failed = {r.claim for r in reports.values() if r.verdict == "fail"}
+    assert failed == ({"C5", "C6", "C8", "C9"} if claim == "C8" else {"C6"})
     expected = family_reference(claim, model, pvalue_family(model, statistic), shifted(model, ranking), thetas)
-    assert "".join(reports_to_json([report])) == "".join(reports_to_json([expected]))
-    # The null shift fails the tiling that C8 and C9 rest on; a theta shift only C6's recount.
-    assert calls == (["_projection_margins", "_convex_order_chain"] if claim == "C8" else [])
-
-
-def test_broken_nesting_declines_the_proof(monkeypatch):
-    """With the agreement gate opened, a ranking that puts b before a breaks the nesting: C6, C8 and C9 are
-    swept, fail, and match the claims oracle."""
-    for module in (orders, claims_oracle):
-        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
-    model, statistic, _ = tied_sufficient_model()
-    ranking = Ranking((2, 1, 3, 4))
-    calls = sweeps_run(monkeypatch)
-    thetas = ["theta0", "theta1"]
-    engine = {r.claim: r for r in verify_all_claims(model, statistic, ranking, thetas)}
-    oracle = {r.claim: r for r in reference_claims(model, statistic, ranking, thetas)}
-    assert calls == ["_projection_margins", "_convex_order_chain"]
-    for claim in ("C6", "C8", "C9"):
-        assert engine[claim].verdict == "fail"
-        assert "".join(reports_to_json([engine[claim]])) == "".join(reports_to_json([oracle[claim]]))
-
-
-def test_projection_sweep_matches_pointwise_check_on_broken_rankings():
-    """The per-class C8 margins equal the pointwise check, also where it fails."""
-    rng = random.Random(8)
-    seen = set()
-    for _ in range(10):
-        model, statistic = random_model_and_statistic(rng, max_support=12)
-        shuffled = list(range(1, model.size + 1))
-        rng.shuffle(shuffled)
-        swapped = list(build_agreeing_ranking(model, statistic).ranks)
-        r = rng.randrange(1, model.size)  # swap ranks r and r + 1
-        i, j = swapped.index(r), swapped.index(r + 1)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        for ranks in (shuffled, swapped):
-            ranking = Ranking(tuple(ranks))
-            t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
-            scale = 2 * model.int_row(model.null)[0]
-            grid = alpha_lattice(scale, t_family, md_family)
-            alphas = tuple(Fraction(x, scale) for x in grid)
-            assert alphas == breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking))
-            classes = [_threshold_classes(family, grid) for family in (t_family, md_family)]
-            sweep = [Fraction(*margin) for margin in _projection_margins(t_family, md_family, grid, *classes)]
-            pointwise = [
-                pointwise_projection(
-                    model, pvalue_family(model, statistic).test(a), pvalue_family(model, ranking).test(a)
-                ).worst_margin
-                for a in alphas
-            ]
-            assert sweep == pointwise
-            seen.update(sweep)
-    assert min(seen) == -1 and max(seen) == 0 and len(seen) > 4
-
-
-def test_integral_prefix_matches_rectangles():
-    """C9's integer prefixes of cum * width give the oracle's rectangle sums, for agreeing and shuffled rankings."""
-    rng = random.Random(5)
-    failed = 0
-    for index in range(20):
-        model, statistic = random_model_and_statistic(rng, max_support=30)
-        shuffled = list(range(1, model.size + 1))
-        rng.shuffle(shuffled)
-        for ranking in (shuffled_agreeing_ranking(model, statistic, seed=index),
-                        Ranking(tuple(shuffled))):
-            engine = _convex_order_chain(pvalue_family(model, statistic), pvalue_family(model, ranking), "C9")
-            points_t, points_md = scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)
-            assert engine == convex_order_chain(model, points_t, points_md)
-            failed += engine.verdict == "fail"
-    assert 0 < failed < 40
+    assert expected.verdict == "fail" and expected.grid == report.grid
 
 
 def test_table_power_is_the_randomized_cdf():
@@ -448,7 +380,7 @@ def test_natural_cdf_at_a_kink_is_the_theta_mass_before_its_threshold_class():
 
 
 def test_support_1024_verifies_within_budget():
-    """N = 2^10: about 91 s by per-alpha rebuilds, one sweep per claim here."""
+    """N = 2^10: about 91 s by per-alpha rebuilds; here C1-C5 sweep the alpha grid and C6, C8 and C9 are proved."""
     model = bernoulli_product_model(10, ["1/2", "4/5"])
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = shuffled_agreeing_ranking(model, lr, seed=10)

@@ -6,6 +6,10 @@ alter these bytes has to regenerate the map and say so:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
+``--check`` compares instead, with the stdlib alone (no pytest), so any
+interpreter can run it: it lists each key that changed, appeared or went
+missing, and exits 1 if there is one.
+
 ``simulate`` is left out on purpose: its floats depend on the numpy build.
 TestDeterminism in test_cli.py reruns it within one checkout instead.
 """
@@ -59,18 +63,27 @@ def digests(root: Path) -> dict[str, str]:
     return out
 
 
-def test_cli_outputs_match_golden_digests(tmp_path):
+def changed_keys(actual: dict[str, str]) -> list[str]:
+    """The sorted keys whose digest differs from the golden map's, or that only one of the two holds."""
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = digests(tmp_path)
-    assert sorted(actual) == sorted(expected)
-    changed = [key for key in expected if actual[key] != expected[key]]
+    return sorted(key for key in expected.keys() | actual.keys() if expected.get(key) != actual.get(key))
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    changed = changed_keys(digests(tmp_path))
     assert not changed, f"outputs differ from the golden map: {changed}"
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_cli.py --write")
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit("usage: python tests/test_golden_cli.py --write | --check")
     with tempfile.TemporaryDirectory() as tmp:
         table = digests(Path(tmp))
+    if sys.argv[1] == "--check":
+        changed = changed_keys(table)
+        print("".join(f"changed: {key}\n" for key in changed), end="")
+        matched = len(table.keys() - set(changed))
+        print(f"{matched} of {len(table)} digests match ({sys.version.split()[0]})", file=sys.stderr)
+        sys.exit(1 if changed else 0)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
