@@ -11,6 +11,7 @@ from itertools import accumulate
 import pytest
 
 from mdpvalues import (
+    OrdersError,
     Ranking,
     bernoulli_product_model,
     binomial_model,
@@ -268,6 +269,16 @@ def test_benchmark_shapes_with_shuffled_rankings_match_reference(shape):
     assert_same_reports(model, lr, ranking, ["theta0", "theta1"])
 
 
+@pytest.mark.parametrize("shape", ["bernoulli-7", "binomial-100"])
+def test_agreeing_inputs_prove_c6_c8_c9_without_their_sweeps(shape):
+    """Lattices equal to their recounts prove C6, C8 and C9 with margin 0 on agreeing inputs, no alpha swept."""
+    model = BENCHMARK_SHAPES[shape]()
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    reports = verify_all_claims(model, lr, shuffled_agreeing_ranking(model, lr, seed=1), ["theta0", "theta1"])
+    assert [r.verdict for r in reports] == ["pass"] * 9
+    assert [str(r.worst_margin) for r in reports if r.claim in ("C6", "C8", "C9")] == ["0"] * 3
+
+
 def tied_sufficient_model():
     """T classes {a}, {b, c}, {d}; the heaviest MD class, c, and its neighbour b share a T class under both thetas."""
     model = make_model(["a", "b", "c", "d"], {"theta0": "1/2", "theta1": "3/4"},
@@ -321,6 +332,16 @@ def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monke
     assert failed == ({"C5", "C6", "C8", "C9"} if claim == "C8" else {"C6"})
     expected = family_reference(claim, model, pvalue_family(model, statistic), shifted(model, ranking), thetas)
     assert expected.verdict == "fail" and expected.grid == report.grid
+
+
+def test_broken_nesting_declines_the_proof():
+    """A ranking that puts b before a breaks the nesting of the MD classes in the T classes, which C6, C8 and
+    C9 are proved from: the engine and the claims oracle both refuse it and name the pair that disagrees."""
+    model, statistic, _ = tied_sufficient_model()
+    ranking = Ranking((2, 1, 3, 4))
+    for verify in (verify_all_claims, reference_claims):
+        with pytest.raises(OrdersError, match=r"does not agree with statistic: witness \('a', 'b'\)"):
+            verify(model, statistic, ranking, ["theta0", "theta1"])
 
 
 def test_table_power_is_the_randomized_cdf():
