@@ -37,6 +37,12 @@ class CapacityError(ModelError):
     """Support enumeration would exceed the configured cap."""
 
 
+def refuse_string(value: object, expected: str, error: type[UsageError] = ModelError) -> None:
+    """Refuse a str where ``expected`` ("labels must be a list ...") asks for a list: it reads as its characters."""
+    if isinstance(value, str):
+        raise error(f"{expected}, not the string {value!r}")
+
+
 @dataclass(frozen=True)
 class SupportPoint:
     """One atom of the support."""
@@ -66,6 +72,9 @@ class DiscreteModel:
                 raise ModelError(f"duplicate support label {point.label!r}")
             by_label[point.label] = point.index
         object.__setattr__(self, "_by_label", by_label)
+        for name, value in self.parameters.items():
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ModelError(f"parameter {name!r} must be an int or a Fraction, got {value!r}")
         if set(self.rows) != set(self.parameters):
             raise ModelError("pmf rows and parameters must use the same names")
         n = len(self.support)
@@ -136,6 +145,9 @@ def make_model(
     pmf: Mapping[str, Sequence[object]],
 ) -> DiscreteModel:
     """Build and validate a model from plain labels and rational-like values, each row over its least common denominator."""
+    refuse_string(labels, "labels must be a list of support labels")
+    for name, row in pmf.items():
+        refuse_string(row, f"pmf row for {name!r} must be a list of probabilities")
     support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
     try:
         params = {str(name): parse_rational(v) for name, v in parameters.items()}
@@ -151,6 +163,7 @@ def _power_model(labels: list[str], thetas: Sequence[object], weights: list[int]
     weights[0] == 1 and (q-p)^n is prime to q, so q^n is the lcm of the
     reduced denominators, the D_theta ``make_model`` derives from them.
     """
+    refuse_string(thetas, "thetas must be a list of parameter values")
     try:
         values = [parse_rational(t) for t in thetas]
     except ValueError as exc:

@@ -16,19 +16,20 @@ denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
 midpoints) is ints over 2 * D_null.  One two-pointer sweep of its kinks
 against each family's sorted class starts gives the threshold class k(alpha)
-there, which C1-C5 read; C6, C8 and C9 are proved, no margin formed:
+there, which C1-C4 read; C5, C6, C8 and C9 are proved, no margin formed:
 
-  - C5 holds for every t: the randomized null CDF, rebuilt from class masses
-    summed again point by point, is checked at its kinks (0, 1 and the
-    class starts of both families), so a wrong class mass makes it fail;
   - C3 and C4 read the natural CDFs at the kinks (the grid without
     midpoints), each the theta mass before the threshold class there
     (``_natural_order``); C1 and C2 are their reports on the alpha grid, as
     a natural test rejects iff P <= alpha: E_theta[d_alpha] = F_theta(alpha);
+  - C5 holds for every t when each family's null class masses and starts are
+    the masses summed again from the null row and their prefix sums: the
+    classes then tile [0, 1] and P(X, U) is uniform on each; it is
+    reported on the kinks (0, 1 and the class starts of both families);
   - C6, C8 and C9 hold for every ranking that agrees with the statistic,
     which ``verify_all_claims`` checks first; each passes on the grid a
     sweep of its margins would use, unless a class table it reads differs
-    from its masses summed again from the pmf row (``_proof``);
+    from that recount (``_proof``), like C5;
   - the CDF of P(X, u) at a fixed u = g / h jumps once per class, by its
     theta mass, at start * h + g * mass over h * D_null (``_jumps``); C9's
     grid is the mid-p (u = 1/2) jumps of both families.
@@ -65,7 +66,7 @@ from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .model import DiscreteModel, UsageError
+from .model import DiscreteModel, UsageError, refuse_string
 from .ranking import Ranking, Statistic, verify_agreement
 from .rational import decimal_string, format_ratios, format_rational
 from .testing import PValueFamily, alpha_lattice, pvalue_family
@@ -142,13 +143,6 @@ def _claim(
     return OrderReport(claim, "fail", grid, grid_den, worst, witness(i), note)
 
 
-def _one_denominator(margins: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Rewrite (numerator, denominator) margins over one denominator, the lcm of the nonzero ones' (1 if none)."""
-    margins = list(margins)
-    den = math.lcm(*(d for n, d in margins if n))
-    return [n * (den // d) if n else 0 for n, d in margins], den
-
-
 def _natural_order(claim: str, families: Sequence[PValueFamily], kinks: Sequence[int],
                    classes: Sequence[Sequence[int]], thetas: Sequence[str],
                    labels: Callable[[str], tuple[str, str]]) -> OrderReport:
@@ -197,20 +191,6 @@ def _recount(family: PValueFamily, theta: str) -> list[int]:
     return mass
 
 
-def _uniformity_gaps(family: PValueFamily, summed: Sequence[int], grid: Sequence[int],
-                     classes: Sequence[int]) -> list[tuple[int, int]]:
-    """(F(t) - t) * mass_k * 2 D and mass_k at each t = x / (2 D) of a grid, F = Pr_0{P(X, U) <= t}.
-
-    ``classes`` holds the threshold class k of each t, and
-    F(t) - t = (prior_k - start_k) + (summed_k - mass_k) * (t - start_k) / mass_k:
-    ``summed`` holds the masses summed again from the null row (``_recount``), against the lattice.
-    """
-    _den, mass, before = family.lattice(family.model.null)
-    offsets = [(a - b) * m * 2 for a, b, m in zip(accumulate(summed, initial=0), before, mass)]
-    excess = [s - m for s, m in zip(summed, mass)]
-    return [(offsets[k] + excess[k] * (x - before[k] * 2), mass[k]) for x, k in zip(grid, classes)]
-
-
 def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
                  recount: Callable[[str], Sequence[int]]) -> tuple[bool, str | None]:
     """(True, None) iff the conditional laws given each statistic value match across ``thetas``, else a witness.
@@ -221,18 +201,22 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
     handles classes with zero mass under some theta (vacuously equal).
     Masses under one theta share its denominator, so the cross-ratio is an
     identity between integer numerators.  The class masses are
-    ``recount(theta)``, summed again from each row (``_recount``), not read
-    off the family's lattice, so a wrong lattice mass cannot close the
-    gate: C6 reads the lattice and fails.
+    ``recount(theta)``, summed again from each row (``_recount``), and each
+    class's points are read from ``class_of``, each point once, as the
+    recount reads them: neither a wrong lattice mass nor a member list that
+    repeats or drops a point can close the gate, and C6 reads the lattice
+    and fails.
     """
-    model, members = t_family.model, t_family.members
-    order = sorted(range(len(members)), key=lambda k: members[k][0])
+    model = t_family.model
+    classes: dict[int, list[int]] = {}
+    for i, k in enumerate(t_family.class_of):
+        classes.setdefault(k, []).append(i)
     base = thetas[0]
     base_row, base_mass = model.int_row(base)[1], recount(base)
     for theta in thetas[1:]:
         row, mass = model.int_row(theta)[1], recount(theta)
-        for k in order:
-            for i in members[k]:
+        for k, points in classes.items():
+            for i in points:
                 if row[i] * base_mass[k] != base_row[i] * mass[k]:
                     return False, (
                         f"conditional law given [{t_family.source.name}={t_family.keys[k]}] differs: "
@@ -242,24 +226,23 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
 
 
 def _proof(claim: str, grid: Iterable[int], grid_den: int, thetas: Iterable[str],
-           families: Sequence[PValueFamily], recount: Callable[[int, str], Sequence[int]],
+           mismatch: Callable[[str], tuple[int, int, str, int, int, int] | None],
            note: str | None = None) -> OrderReport:
     """A claim proved from the class tables: it passes on ``grid`` over ``grid_den`` with worst margin 0.
 
-    Unless a lattice it reads differs from ``recount(side, theta)``, the
-    masses summed again from the pmf row: then the first class that does,
-    theta in ``thetas`` order and T (side 0) before MD, fails it with margin
-    -|lattice - recount| / D_theta, its note dropped.
+    Unless ``mismatch(theta)`` finds a class whose lattice mass or start
+    differs from its recount: then the first such, theta in ``thetas``
+    order, fails it with margin -|lattice - recount| / D_theta, its note
+    dropped.
     """
     grid = tuple(grid)
     for theta in thetas:
-        for side, family in enumerate(families):
-            den, mass, _before = family.lattice(theta)
-            for k, (a, b) in enumerate(zip(mass, recount(side, theta))):
-                if a != b:
-                    witness = (f"{('T', 'MD')[side]} family, {theta}: "
-                               f"class {k} mass {Fraction(a, den)} vs recount {Fraction(b, den)}")
-                    return OrderReport(claim, "fail", grid, grid_den, Fraction(-abs(a - b), den), witness)
+        found = mismatch(theta)
+        if found:
+            side, k, field, a, b, den = found
+            witness = (f"{('T', 'MD')[side]} family, {theta}: "
+                       f"class {k} {field} {Fraction(a, den)} vs recount {Fraction(b, den)}")
+            return OrderReport(claim, "fail", grid, grid_den, Fraction(-abs(a - b), den), witness)
     return OrderReport(claim, "pass", grid, grid_den, Fraction(0), None, note)
 
 
@@ -280,8 +263,16 @@ def verify_all_claims(
     C4 checks F_T <= F_MD, not F_MD <= t: t - F_MD(t) = t - (last MD class
     end <= t) is never negative, on a subset of the F_T <= F_MD grid, whose
     margin at t = 1 is 0, so C4's grid, worst margin, verdict and witness are
-    the full sandwich's.  C5 sums the class masses again from the null row,
-    and ``tests/claims_oracle.py`` checks F_MD <= t on its own.
+    the full sandwich's; ``tests/claims_oracle.py`` checks F_MD <= t on its own.
+
+    C5 is the null identity: each family's null class masses and starts equal
+    the masses summed again from the null row (``_recount``) and their prefix
+    sums.  Then class k holds exactly the null mass m_k of its points and
+    P(X, U) is uniform on [s_k, s_k + m_k] given X in k, so P is uniform on
+    [0, 1].  Rebuilding the null CDF at the kinks instead, linear between
+    them, proves nothing when a lattice class has zero mass: with both
+    families' null tables (1, 3, 4, 0)/8 for a 1, 3, 3, 1 row, it is the
+    diagonal at every kink.
 
     C6, C8 and C9 are proved, no margin formed, from the agreement that
     ``verify_agreement`` checks first: the T class of each point, read in
@@ -297,16 +288,17 @@ def verify_all_claims(
         p_0(x) M_theta(k): E_T - E_MD = -(sum of e(x) over x in k ranked
         before r, plus gamma_MD e(r)) / M_0(k) = 0.
     A proved report passes with worst margin 0 on the grid a sweep of its
-    margins would use (C9's note ``means (1/2, 1/2)``).  The proofs read the
-    null lattices of both families, and C6 also every theta's; each class
-    mass is summed again from its pmf row once (``_recount``), for C5, the
-    gate and the proofs alike.  A lattice that differs from that recount
-    fails the claim on the same grid, at its first differing class (the null,
-    then ``thetas`` in order; T before MD): worst margin
+    margins would use (C9's note ``means (1/2, 1/2)``), as does C5, on the
+    kinks.  C5, C8 and C9 read the null lattices of both families, and C6
+    also every theta's; each class mass is summed again from its pmf row once
+    (``_recount``), for the gate and the proofs alike, and each theta's
+    lattices are compared with it once, for every claim that reads them.  A
+    lattice that differs from that recount fails the claim on the same grid,
+    at its first differing class (the null, then ``thetas`` in order; T
+    before MD; a class's mass before its start): worst margin
     -|lattice - recount| / D_theta.
     """
-    if isinstance(thetas, str):
-        raise OrdersError(f"thetas must be a list of parameter names, not the string {thetas!r}")
+    refuse_string(thetas, "thetas must be a list of parameter names", OrdersError)
     ok, witness = verify_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
@@ -316,6 +308,20 @@ def verify_all_claims(
     den, t_mass, _ = t_family.lattice(null)
     _, md_mass, md_before = md_family.lattice(null)
     recount = cache(lambda side, theta: _recount(families[side], theta))
+
+    @cache
+    def mismatch(theta: str) -> tuple[int, int, str, int, int, int] | None:
+        """(side, class, "mass" or "start", lattice value, recount value, D_theta) at the first class,
+        T (side 0) before MD, whose theta mass or start differs from its recount; None if none does."""
+        for side, family in enumerate(families):
+            d, mass, before = family.lattice(theta)
+            summed = recount(side, theta)
+            for k, (a, b, s, t) in enumerate(zip(mass, summed, before, accumulate(summed, initial=0))):
+                if a != b:
+                    return side, k, "mass", a, b, d
+                if s != t:
+                    return side, k, "start", s, t, d
+        return None
 
     # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.  Every
     # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as 2 * s.
@@ -344,25 +350,14 @@ def verify_all_claims(
     c1 = replace(c3, claim="C1", grid_num=grid, grid_den=scale) if thetas else no_thetas("C1")
     reports = [c1, replace(c4, claim="C2", grid_num=grid, grid_den=scale), c3, c4]
 
-    # C5: randomized p-values exactly uniform under the null, for every t: their null CDF is linear
-    # between kinks, so it is the diagonal iff it is at its kinks.
-    gaps = list(zip(*(_uniformity_gaps(family, recount(side, null), kinks, ks)
-                      for side, (family, ks) in enumerate(zip(families, kink_classes)))))
-    margins, c5_den = _one_denominator((-abs(gap), m * scale) if gap else (0, 1) for pair in gaps for gap, m in pair)
-
-    def uniform_witness(index: int) -> str:
-        i, side = divmod(index, 2)
-        gap, m = gaps[i][side]
-        t = Fraction(kinks[i], scale)
-        return f"{('T', 'MD')[side]} family at t={t}: CDF {Fraction(kinks[i] * m + gap, m * scale)}"
-
-    reports.append(_claim("C5", kinks, scale, margins, c5_den, uniform_witness))
+    # C5: randomized p-values exactly uniform under the null, proved on the kinks.
+    reports.append(_proof("C5", kinks, scale, [null], mismatch))
 
     # C6: equal power functions under sufficiency, proved on the alpha grid.
     if not thetas:
         reports.append(no_thetas("C6"))
     else:
-        reports.append(_proof("C6", grid, scale, grid_thetas, families, recount) if sufficient else unmet("C6"))
+        reports.append(_proof("C6", grid, scale, grid_thetas, mismatch) if sufficient else unmet("C6"))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
     margins = [t_mass[k] - md_mass[r] for k, r in zip(t_family.class_of, md_family.class_of)]
@@ -370,12 +365,12 @@ def verify_all_claims(
                           "checked at every support point"))
 
     # C8: martingale projection at every alpha of the grid (gated on sufficiency).
-    reports.append(_proof("C8", grid, scale, [null], families, recount) if sufficient else unmet("C8"))
+    reports.append(_proof("C8", grid, scale, [null], mismatch) if sufficient else unmet("C8"))
 
     # C9: convex-order chain of mid-p-values, on both families' mid-p jumps, the MD class starts (the
     # plateau points) and 1.
     points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
-    reports.append(_proof("C9", sorted(points), scale, [null], families, recount, "means (1/2, 1/2)"))
+    reports.append(_proof("C9", sorted(points), scale, [null], mismatch, "means (1/2, 1/2)"))
 
     return reports
 

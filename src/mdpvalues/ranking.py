@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import DiscreteModel, SupportPoint, UsageError
+from .model import DiscreteModel, SupportPoint, UsageError, refuse_string
 from .rational import parse_rational
 
 
@@ -84,6 +84,7 @@ def make_statistic(
     elif isinstance(values, Mapping):  # its keys would be read as the values
         raise RankingError(f"statistic {name!r}: pass values in support order, not a label map")
     else:
+        refuse_string(values, f"statistic {name!r}: values must be a list in support order", RankingError)
         raw = list(values)
         if len(raw) != model.size:
             raise RankingError(f"statistic {name!r} has {len(raw)} values for {model.size} points")
@@ -159,6 +160,7 @@ def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]
 
     A repeated label leaves a point unranked, which ``Ranking`` refuses.
     """
+    refuse_string(labels_in_rank_order, "rank order must be a list of support labels", RankingError)
     if len(labels_in_rank_order) != model.size:
         raise RankingError(
             f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points"

@@ -3,7 +3,8 @@
 Also the engine's own p-values in the oracle's types, for tests that check
 the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``;
 agreeing rankings with each tie class in a seeded random order:
-``shuffled_agreeing_ranking``; and the exact probability that a test's
+``shuffled_agreeing_ranking``; a random model redrawn so that its statistic
+is sufficient: ``tilted_to_sufficiency``; and the exact probability that a test's
 decision hinges on its auxiliary u: ``randomization_dependence_prob``.
 """
 
@@ -108,6 +109,17 @@ def random_model_and_statistic(rng: random.Random, max_support: int = 64):
     values = [Fraction(rng.randint(0, 7)) for _ in range(n)]
     statistic = make_statistic(model, "s", values)
     return model, statistic
+
+
+def tilted_to_sufficiency(rng, model, statistic):
+    """Redraw t1 as t0 tilted by a weight per statistic value, so the statistic is sufficient."""
+    weight = {value: rng.randint(1, 9) for value in set(statistic.values)}
+    t0 = model.probs("t0")
+    raw = [p * weight[v] for p, v in zip(t0, statistic.values)]
+    total = sum(raw)
+    pmf = {"t0": list(t0), "t1": [w / total for w in raw]}
+    tilted = make_model([pt.label for pt in model.support], {"t0": "1/2", "t1": "3/4"}, pmf)
+    return tilted, make_statistic(tilted, statistic.name, statistic.values)
 
 
 @pytest.fixture(scope="session")

@@ -36,18 +36,7 @@ from claims_oracle import (
     reports_json,
     scan_pvalue_family,
 )
-from conftest import lattice_cdf, random_model_and_statistic, shuffled_agreeing_ranking
-
-
-def tilted_to_sufficiency(rng, model, statistic):
-    """Redraw t1 as t0 tilted by a weight per statistic value, so the statistic is sufficient."""
-    weight = {value: rng.randint(1, 9) for value in set(statistic.values)}
-    t0 = model.probs("t0")
-    raw = [p * weight[v] for p, v in zip(t0, statistic.values)]
-    total = sum(raw)
-    pmf = {"t0": list(t0), "t1": [w / total for w in raw]}
-    tilted = make_model([pt.label for pt in model.support], {"t0": "1/2", "t1": "3/4"}, pmf)
-    return tilted, make_statistic(tilted, statistic.name, statistic.values)
+from conftest import lattice_cdf, random_model_and_statistic, shuffled_agreeing_ranking, tilted_to_sufficiency
 
 
 def assert_same_reports(model, statistic, ranking, thetas):
@@ -189,8 +178,17 @@ def shift_one_unit(family, theta):
     return family
 
 
+def assert_null_identity_fails(model, statistic, ranking, margin, witness):
+    """C5 and the proofs of C8 and C9 read the same null identity and fail at its first class off its recount."""
+    reports = {r.claim: r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"])}
+    for claim in ("C5", "C8", "C9"):
+        report = reports[claim]
+        assert (report.verdict, report.worst_margin, report.witness) == ("fail", margin, witness), claim
+    return reports
+
+
 def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
-    """A family whose null lattice moves one unit of mass between classes still totals D, so only C5 sees it."""
+    """A family whose null lattice moves one unit of mass between classes still totals D, but C5 sees it."""
     model = binomial_model(3, ["1/2", "3/4"])  # null class masses 1, 3, 3, 1 over 8
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = build_agreeing_ranking(model, lr)
@@ -199,13 +197,45 @@ def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
     monkeypatch.setattr(orders, "pvalue_family", lambda model, source: shift_one_unit(
         pvalue_family(model, source), model.null))
     report = c5_report(model, lr, ranking)
-    assert report.verdict == "fail" and report.worst_margin < 0
-    assert report.witness.startswith("T family at t=")
-    # The proofs of C8 and C9 read the same null lattice and fail at its first class off its recount.
-    for claim in ("C8", "C9"):
-        report = claim_report(claim, model, lr, ranking)
-        assert report.verdict == "fail" and report.worst_margin == Fraction(-1, 8)
-        assert report.witness == "T family, theta0: class 0 mass 1/4 vs recount 1/8"
+    assert report.grid == tuple(Fraction(x, 16) for x in (0, 4, 8, 14, 16))  # the kinks of the shifted lattices
+    assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
+                               "T family, theta0: class 0 mass 1/4 vs recount 1/8")
+
+
+def null_lattice_patch(model, sources, mass, before):
+    """``pvalue_family`` with the null lattice of each of ``sources``' families replaced by (mass, before)."""
+
+    def patched(model, source):
+        family = pvalue_family(model, source)
+        if any(source is s for s in sources):
+            family._by_theta[model.null] = (family.lattice(model.null)[0], mass, before)
+        return family
+
+    return patched
+
+
+def test_c5_fails_on_a_zero_mass_null_class(monkeypatch):
+    """Both null lattices (1, 3, 4, 0)/8 for a 1, 3, 3, 1 row: each randomized CDF is still the diagonal at every
+    kink (0, 1/8, 1/2 and 1), since the class of zero mass starts at 1, but class 2 holds 1/2, not its points' 3/8."""
+    model = binomial_model(3, ["1/2", "3/4"])
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr)
+    patch = null_lattice_patch(model, (lr, ranking), (1, 3, 4, 0), (0, 1, 4, 8, 8))
+    monkeypatch.setattr(orders, "pvalue_family", patch)
+    assert c5_report(model, lr, ranking).grid == tuple(Fraction(x, 16) for x in (0, 2, 8, 16))
+    reports = assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
+                                         "T family, theta0: class 2 mass 1/2 vs recount 3/8")
+    assert reports["C6"].witness == reports["C5"].witness
+
+
+def test_c5_fails_on_a_shifted_null_class_start(monkeypatch):
+    """Masses equal to their recounts but class 1 starting at 2/8, not 1/8: the start half of the identity."""
+    model = binomial_model(3, ["1/2", "3/4"])
+    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
+    ranking = build_agreeing_ranking(model, lr)
+    monkeypatch.setattr(orders, "pvalue_family", null_lattice_patch(model, (lr,), (1, 3, 3, 1), (0, 2, 4, 7, 8)))
+    assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
+                               "T family, theta0: class 1 start 1/4 vs recount 1/8")
 
 
 def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
@@ -230,9 +260,11 @@ def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
     "broken, witness",
     [
         # the last class repeats '11111', so both lattices total 33/32
-        (lambda members: (*members[:-1], members[-1] + members[0][:1]), "T family at t=33/32: CDF 1"),
-        # the second class drops a point: the MD family's only one
-        (lambda members: (members[0], members[1][1:], *members[2:]), "MD family at t=1/32: CDF 1/16"),
+        (lambda members: (*members[:-1], members[-1] + members[0][:1]),
+         "T family, theta0: class 5 mass 1/16 vs recount 1/32"),
+        # the second class drops a point: one of the T family's five with four ones
+        (lambda members: (members[0], members[1][1:], *members[2:]),
+         "T family, theta0: class 1 mass 1/8 vs recount 5/32"),
     ],
     ids=["repeated", "missing"],
 )
@@ -248,9 +280,7 @@ def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example
         return replace(family, members=broken(family.members))
 
     monkeypatch.setattr(orders, "pvalue_family", unpartitioned)
-    report = c5_report(example1, lr, table1_ranking)
-    assert report.verdict == "fail"
-    assert report.witness == witness
+    assert_null_identity_fails(example1, lr, table1_ranking, Fraction(-1, 32), witness)
 
 
 BENCHMARK_SHAPES = {

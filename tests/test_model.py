@@ -153,6 +153,27 @@ class TestValidation:
         with pytest.raises(ModelError, match=f"^{re.escape(fault)}$"):
             make_model(["a", "b"], parameters, {"t0": row})
 
+    @pytest.mark.parametrize("build, fault", [
+        (lambda: make_model("ab", {"t0": "1/2"}, {"t0": ["1/2", "1/2"]}), "labels must be a list of support labels"),
+        (lambda: make_model(["a", "b"], {"t0": "1/2"}, {"t0": "11"}),
+         "pmf row for 't0' must be a list of probabilities"),
+        (lambda: bernoulli_product_model(2, "1/2"), "thetas must be a list of parameter values"),
+        (lambda: binomial_model(2, "1/2"), "thetas must be a list of parameter values"),
+    ], ids=["labels", "pmf-row", "bernoulli-thetas", "binomial-thetas"])
+    def test_a_bare_string_for_a_sequence_is_refused(self, build, fault):
+        """A str is a sequence of its characters: "ab" would be the labels 'a' and 'b', "11" a row summing to 2."""
+        with pytest.raises(ModelError, match=f"^{re.escape(fault)}, not the string '"):
+            build()
+
+    @pytest.mark.parametrize("value", [0.1, True, "1/2", None], ids=["float", "bool", "text", "none"])
+    def test_parameters_must_be_ints_or_fractions(self, value):
+        """A float parameter would be written by ``model_to_dict`` as its binary expansion, as if it were exact."""
+        support = (SupportPoint(0, "a"), SupportPoint(1, "b"))
+        fault = f"parameter 't1' must be an int or a Fraction, got {value!r}"
+        with pytest.raises(ModelError, match=f"^{re.escape(fault)}$"):
+            DiscreteModel(support, {"t0": Fraction(1, 2), "t1": value}, {"t0": (2, (1, 1)), "t1": (2, (1, 1))})
+        assert DiscreteModel(support, {"t0": 1, "t1": Fraction(1, 3)}, {"t0": (2, (1, 1)), "t1": (2, (1, 1))})
+
     def test_float_probabilities_rejected(self):
         with pytest.raises(ValueError):
             parse_rational(0.5)

@@ -20,6 +20,7 @@ from mdpvalues import (
     make_statistic,
     orders,
     pvalue_family,
+    ranking_from_order,
     verify_agreement,
     verify_all_claims,
 )
@@ -38,7 +39,14 @@ from mdpvalues.rational import (
 )
 
 from claims_oracle import breakpoints, randomized_cdf_at, scan_pvalue_family
-from conftest import brute_expectation, decision_coherence_witness, engine_forms, random_model_and_statistic
+from conftest import (
+    brute_expectation,
+    decision_coherence_witness,
+    engine_forms,
+    random_model_and_statistic,
+    shuffled_agreeing_ranking,
+    tilted_to_sufficiency,
+)
 
 
 @st.composite
@@ -339,3 +347,47 @@ def test_theta_grid_order_and_repeats_leave_c1_c3_c6_unchanged(case):
 
     with mock.patch.object(orders, "verify_agreement", lambda *args: (True, None)):
         assert outcome(shuffled) == outcome(grid)
+
+
+def _permuted_support(model, statistic, ranking, rng):
+    """The same model, statistic and ranking with the support points listed in a random order."""
+    order = list(range(model.size))
+    rng.shuffle(order)
+    labels = [model.support[i].label for i in order]
+    pmf = {theta: [model.probs(theta)[i] for i in order] for theta in model.parameter_names}
+    permuted = make_model(labels, {"t0": "1/2", "t1": "3/4"}, pmf)
+    by_rank = [model.support[i].label for i in ranking.order()]
+    return (permuted, make_statistic(permuted, statistic.name, [statistic.values[i] for i in order]),
+            ranking_from_order(permuted, by_rank))
+
+
+UNMET = "hypothesis unmet: conditional law given [s="
+
+
+def test_permuting_the_support_leaves_reports_unchanged_but_an_unmet_note():
+    """Listing the support in another order, the ranking mapped with it, writes the same reports.json.
+
+    Except for one note: a C6 or C8 skipped for an unmet sufficiency hypothesis names its first failing
+    point, and ``_sufficiency`` visits the tie classes in order of first appearance in the support, so
+    another order can name another point, or another class.  Those notes are compared by their prefix only.
+    """
+    rng = random.Random(1414)
+    differing_notes = 0
+    for index in range(300):
+        model, statistic = random_model_and_statistic(rng, max_support=12)
+        if index % 2:
+            model, statistic = tilted_to_sufficiency(rng, model, statistic)
+        ranking = shuffled_agreeing_ranking(model, statistic, seed=index)
+        texts = ["".join(orders.reports_to_json(verify_all_claims(*case, ["t0", "t1"])))
+                 for case in ((model, statistic, ranking), _permuted_support(model, statistic, ranking, rng))]
+        if texts[0] == texts[1]:
+            continue
+        pair = [json.loads(text) for text in texts]
+        for reports in pair:
+            for report in reports:
+                if report["verdict"] == "skipped" and report["note"].startswith(UNMET):
+                    assert report["claim"] in ("C6", "C8")
+                    report["note"] = UNMET
+        assert pair[0] == pair[1], index
+        differing_notes += 1
+    assert differing_notes > 0  # the exclusion is needed on these models

@@ -157,6 +157,17 @@ def test_inexact_statistic_values_are_a_ranking_error(values, fault):
         make_statistic(model, "s", values)
 
 
+@pytest.mark.parametrize("build, fault", [
+    (lambda model: make_statistic(model, "s", "12"), "statistic 's': values must be a list in support order"),
+    (lambda model: ranking_from_order(model, "10"), "rank order must be a list of support labels"),
+], ids=["statistic-values", "rank-order"])
+def test_a_bare_string_for_a_sequence_is_refused(build, fault):
+    """A str is a sequence of its characters: "12" would be the values 1 and 2, "10" the labels '1' and '0'."""
+    model = make_model(["0", "1"], {"t0": "1/2"}, {"t0": ["1/2", "1/2"]})
+    with pytest.raises(RankingError, match=f"^{re.escape(fault)}, not the string '"):
+        build(model)
+
+
 class TestVerifyAgreement:
     def test_table1_ranking_agrees(self, example1, lr, table1_ranking):
         assert verify_agreement(example1, lr, table1_ranking) == (True, None)
