@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .model import DiscreteModel, UsageError
+from .model import DiscreteModel, UsageError, refuse_string
 from .ranking import build_agreeing_ranking, likelihood_ratio_statistic
 from .rational import INTEGER, format_rational, parse_rational
 from .special import chi2_upper_quantile
@@ -69,8 +69,16 @@ class ConfigError(UsageError):
     """Invalid procedure input or simulation configuration."""
 
 
+def _as_float(value: object, what: str) -> float:
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def _check_pvalues(pvalues: Sequence[float]) -> list[float]:
-    out = [float(p) for p in pvalues]
+    refuse_string(pvalues, "p-values must be a list of numbers", ConfigError)
+    out = [_as_float(p, "p-value") for p in pvalues]
     for p in out:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p-value {p} lies outside [0, 1]")
@@ -78,7 +86,7 @@ def _check_pvalues(pvalues: Sequence[float]) -> list[float]:
 
 
 def _check_alpha(alpha: float) -> float:
-    if not 0.0 < (value := float(alpha)) < 1.0:  # NaN fails too
+    if not 0.0 < (value := _as_float(alpha, "alpha")) < 1.0:  # NaN fails too
         raise ConfigError(f"alpha={alpha!r} must lie strictly in (0, 1)")
     return value
 

@@ -22,14 +22,13 @@ there, which C1-C4 read; C5, C6, C8 and C9 are proved, no margin formed:
     midpoints), each the theta mass before the threshold class there
     (``_natural_order``); C1 and C2 are their reports on the alpha grid, as
     a natural test rejects iff P <= alpha: E_theta[d_alpha] = F_theta(alpha);
-  - C5 holds for every t when each family's null class masses and starts are
-    the masses summed again from the null row and their prefix sums: the
-    classes then tile [0, 1] and P(X, U) is uniform on each; it is
-    reported on the kinks (0, 1 and the class starts of both families);
+  - C5 holds for every t: each family's null class masses are its points'
+    null masses, summed by ``class_of``, and their prefix sums the class
+    starts, so the classes tile [0, 1] and P(X, U) is uniform on each; it
+    is reported on the kinks (0, 1 and the class starts of both families);
   - C6, C8 and C9 hold for every ranking that agrees with the statistic,
-    which ``verify_all_claims`` checks first; each passes on the grid a
-    sweep of its margins would use, unless a class table it reads differs
-    from that recount (``_proof``), like C5;
+    which ``verify_all_claims`` checks first; each is reported as passing on
+    the grid a sweep of its margins would use, like C5;
   - the CDF of P(X, u) at a fixed u = g / h jumps once per class, by its
     theta mass, at start * h + g * mass over h * D_null (``_jumps``); C9's
     grid is the mid-p (u = 1/2) jumps of both families.
@@ -62,8 +61,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import DiscreteModel, UsageError, refuse_string
@@ -183,16 +180,7 @@ def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
     return [n - 1 for n in _counts([2 * s for s in before[:-1]], grid)]
 
 
-def _recount(family: PValueFamily, theta: str) -> list[int]:
-    """Each class's theta mass summed again from the pmf row, each point once into its own class, over D_theta."""
-    mass = [0] * len(family.keys)
-    for p, k in zip(family.model.int_row(theta)[1], family.class_of):
-        mass[k] += p
-    return mass
-
-
-def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
-                 recount: Callable[[str], Sequence[int]]) -> tuple[bool, str | None]:
+def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
     """(True, None) iff the conditional laws given each statistic value match across ``thetas``, else a witness.
 
     Division-free cross-ratio test within each tie class, visited in order
@@ -200,21 +188,17 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
     p_theta(x) * m_base(class) == p_base(x) * m_theta(class), which also
     handles classes with zero mass under some theta (vacuously equal).
     Masses under one theta share its denominator, so the cross-ratio is an
-    identity between integer numerators.  The class masses are
-    ``recount(theta)``, summed again from each row (``_recount``), and each
-    class's points are read from ``class_of``, each point once, as the
-    recount reads them: neither a wrong lattice mass nor a member list that
-    repeats or drops a point can close the gate, and C6 reads the lattice
-    and fails.
+    identity between integer numerators, the class masses of
+    ``t_family.lattice(theta)``.
     """
     model = t_family.model
     classes: dict[int, list[int]] = {}
     for i, k in enumerate(t_family.class_of):
         classes.setdefault(k, []).append(i)
     base = thetas[0]
-    base_row, base_mass = model.int_row(base)[1], recount(base)
+    base_row, base_mass = model.int_row(base)[1], t_family.lattice(base)[1]
     for theta in thetas[1:]:
-        row, mass = model.int_row(theta)[1], recount(theta)
+        row, mass = model.int_row(theta)[1], t_family.lattice(theta)[1]
         for k, points in classes.items():
             for i in points:
                 if row[i] * base_mass[k] != base_row[i] * mass[k]:
@@ -223,27 +207,6 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str],
                         f"point {model.support[i].label!r} under {theta} vs {base}"
                     )
     return True, None
-
-
-def _proof(claim: str, grid: Iterable[int], grid_den: int, thetas: Iterable[str],
-           mismatch: Callable[[str], tuple[int, int, str, int, int, int] | None],
-           note: str | None = None) -> OrderReport:
-    """A claim proved from the class tables: it passes on ``grid`` over ``grid_den`` with worst margin 0.
-
-    Unless ``mismatch(theta)`` finds a class whose lattice mass or start
-    differs from its recount: then the first such, theta in ``thetas``
-    order, fails it with margin -|lattice - recount| / D_theta, its note
-    dropped.
-    """
-    grid = tuple(grid)
-    for theta in thetas:
-        found = mismatch(theta)
-        if found:
-            side, k, field, a, b, den = found
-            witness = (f"{('T', 'MD')[side]} family, {theta}: "
-                       f"class {k} {field} {Fraction(a, den)} vs recount {Fraction(b, den)}")
-            return OrderReport(claim, "fail", grid, grid_den, Fraction(-abs(a - b), den), witness)
-    return OrderReport(claim, "pass", grid, grid_den, Fraction(0), None, note)
 
 
 def verify_all_claims(
@@ -265,14 +228,13 @@ def verify_all_claims(
     margin at t = 1 is 0, so C4's grid, worst margin, verdict and witness are
     the full sandwich's; ``tests/claims_oracle.py`` checks F_MD <= t on its own.
 
-    C5 is the null identity: each family's null class masses and starts equal
-    the masses summed again from the null row (``_recount``) and their prefix
-    sums.  Then class k holds exactly the null mass m_k of its points and
+    C5 is the null identity: each family's null class mass m_k is the null
+    mass of its points, summed by ``class_of``, and its start s_k the mass of
+    the classes before it; every class has a point (the ``Statistic`` and
+    ``Ranking`` constructors refuse a class without one) and the null pmf is
+    positive (``DiscreteModel`` refuses a zero), so every m_k > 0.  Then
     P(X, U) is uniform on [s_k, s_k + m_k] given X in k, so P is uniform on
-    [0, 1].  Rebuilding the null CDF at the kinks instead, linear between
-    them, proves nothing when a lattice class has zero mass: with both
-    families' null tables (1, 3, 4, 0)/8 for a 1, 3, 3, 1 row, it is the
-    diagonal at every kink.
+    [0, 1].
 
     C6, C8 and C9 are proved, no margin formed, from the agreement that
     ``verify_agreement`` checks first: the T class of each point, read in
@@ -289,14 +251,9 @@ def verify_all_claims(
         before r, plus gamma_MD e(r)) / M_0(k) = 0.
     A proved report passes with worst margin 0 on the grid a sweep of its
     margins would use (C9's note ``means (1/2, 1/2)``), as does C5, on the
-    kinks.  C5, C8 and C9 read the null lattices of both families, and C6
-    also every theta's; each class mass is summed again from its pmf row once
-    (``_recount``), for the gate and the proofs alike, and each theta's
-    lattices are compared with it once, for every claim that reads them.  A
-    lattice that differs from that recount fails the claim on the same grid,
-    at its first differing class (the null, then ``thetas`` in order; T
-    before MD; a class's mass before its start): worst margin
-    -|lattice - recount| / D_theta.
+    kinks.  The per-alpha reference in ``tests/claims_oracle.py`` forms
+    every margin of these claims from its own scan of the support, so the
+    tests that compare it with this engine catch a wrong lattice.
     """
     refuse_string(thetas, "thetas must be a list of parameter names", OrdersError)
     ok, witness = verify_agreement(model, statistic, ranking)
@@ -307,22 +264,6 @@ def verify_all_claims(
     t_family, md_family = families = pvalue_family(model, statistic), pvalue_family(model, ranking)
     den, t_mass, _ = t_family.lattice(null)
     _, md_mass, md_before = md_family.lattice(null)
-    recount = cache(lambda side, theta: _recount(families[side], theta))
-
-    @cache
-    def mismatch(theta: str) -> tuple[int, int, str, int, int, int] | None:
-        """(side, class, "mass" or "start", lattice value, recount value, D_theta) at the first class,
-        T (side 0) before MD, whose theta mass or start differs from its recount; None if none does."""
-        for side, family in enumerate(families):
-            d, mass, before = family.lattice(theta)
-            summed = recount(side, theta)
-            for k, (a, b, s, t) in enumerate(zip(mass, summed, before, accumulate(summed, initial=0))):
-                if a != b:
-                    return side, k, "mass", a, b, d
-                if s != t:
-                    return side, k, "start", s, t, d
-        return None
-
     # The alpha grid: ints over 2 * D_null, which carries every class start and midpoint.  Every
     # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as 2 * s.
     scale = 2 * den
@@ -332,7 +273,10 @@ def verify_all_claims(
     kink_classes = tuple(_threshold_classes(family, kinks) for family in families)
 
     grid_thetas = list(dict.fromkeys([null, *thetas]))
-    sufficient, suff_witness = _sufficiency(t_family, grid_thetas, lambda theta: recount(0, theta))
+    sufficient, suff_witness = _sufficiency(t_family, grid_thetas)
+
+    def proved(claim: str, grid: Iterable[int], note: str | None = None) -> OrderReport:
+        return OrderReport(claim, "pass", tuple(grid), scale, Fraction(0), None, note)
 
     def no_thetas(claim: str) -> OrderReport:
         return OrderReport(claim, "skipped", (), 1, None, None, "empty theta grid")
@@ -351,13 +295,13 @@ def verify_all_claims(
     reports = [c1, replace(c4, claim="C2", grid_num=grid, grid_den=scale), c3, c4]
 
     # C5: randomized p-values exactly uniform under the null, proved on the kinks.
-    reports.append(_proof("C5", kinks, scale, [null], mismatch))
+    reports.append(proved("C5", kinks))
 
     # C6: equal power functions under sufficiency, proved on the alpha grid.
     if not thetas:
         reports.append(no_thetas("C6"))
     else:
-        reports.append(_proof("C6", grid, scale, grid_thetas, mismatch) if sufficient else unmet("C6"))
+        reports.append(proved("C6", grid) if sufficient else unmet("C6"))
 
     # C7: pointwise minimal tie mass, hence minimal auxiliary-u variance.
     margins = [t_mass[k] - md_mass[r] for k, r in zip(t_family.class_of, md_family.class_of)]
@@ -365,12 +309,12 @@ def verify_all_claims(
                           "checked at every support point"))
 
     # C8: martingale projection at every alpha of the grid (gated on sufficiency).
-    reports.append(_proof("C8", grid, scale, [null], mismatch) if sufficient else unmet("C8"))
+    reports.append(proved("C8", grid) if sufficient else unmet("C8"))
 
     # C9: convex-order chain of mid-p-values, on both families' mid-p jumps, the MD class starts (the
     # plateau points) and 1.
     points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
-    reports.append(_proof("C9", sorted(points), scale, [null], mismatch, "means (1/2, 1/2)"))
+    reports.append(proved("C9", sorted(points), "means (1/2, 1/2)"))
 
     return reports
 

@@ -113,26 +113,40 @@ class TestFunction:
 class PValueFamily:
     """The p-values P(x,u) = a(x) + u*b(x) of one source, held per tie class.
 
-    Class k holds the support indices ``members[k]`` that share the key
-    ``keys[k]``: a statistic value (larger first) or a rank (smaller
-    first, one point per class).  Under the null, ``lattice`` gives its
-    mass and the mass of the classes before it (its start), so the classes
-    tile [0, 1] as the intervals [start, start + mass] and a point's
-    (a, b) is its class's (start, mass).  Families compare by these
-    fields; the per-theta lattice cache is left out.
+    The classes are the source's own table: class k holds the points whose
+    ``class_of`` is k and shares the key ``keys[k]``, a statistic value
+    (larger first) or a rank (smaller first, one point per class).  Under
+    the null, ``lattice`` gives its mass and the mass of the classes before
+    it (its start), so the classes tile [0, 1] as the intervals
+    [start, start + mass] and a point's (a, b) is its class's (start, mass).
+    Families compare by model and source; the per-theta lattice cache is
+    left out.
     """
 
     model: DiscreteModel
     source: Statistic | Ranking
-    keys: tuple[Fraction | int, ...]
-    members: tuple[tuple[int, ...], ...]
     _by_theta: dict[str, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        size = len(self.source.class_of)
+        if size != self.model.size:
+            raise TestingError(f"{type(self.source).__name__.lower()} covers {size} points, the model {self.model.size}")
+
+    @property
+    def keys(self) -> tuple[Fraction | int, ...]:
+        return self.source.keys
+
+    @property
+    def class_of(self) -> tuple[int, ...]:
+        """Class index of every support point, in support order."""
+        return self.source.class_of
+
     def lattice(self, theta: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D_theta, mass, before): per-class theta mass as ints over D_theta, and its prefix sums.
 
+        Each point's numerator is added once into its own class.
         ``before[k]`` is the theta mass of the classes before class k, so
         ``before[-1] == D_theta``; under the null, ``before[:-1]`` are the
         class starts over D_null.
@@ -140,14 +154,11 @@ class PValueFamily:
         cached = self._by_theta.get(theta)
         if cached is None:
             den, row = self.model.int_row(theta)
-            mass = tuple(sum(map(row.__getitem__, m)) for m in self.members)
-            cached = self._by_theta[theta] = (den, mass, tuple(accumulate(mass, initial=0)))
+            mass = [0] * len(self.keys)
+            for p, k in zip(row, self.class_of):
+                mass[k] += p
+            cached = self._by_theta[theta] = (den, tuple(mass), tuple(accumulate(mass, initial=0)))
         return cached
-
-    @property
-    def class_of(self) -> tuple[int, ...]:
-        """Class index of every support point, in support order: the source's own table."""
-        return self.source.class_of
 
     def evaluate(self, point: SupportPoint | int, u: object) -> Fraction:
         """P(x, u) = a(x) + u * b(x): the start of the point's class plus u times its null mass.
@@ -192,14 +203,8 @@ class PValueFamily:
 
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:
-    """Null-mass table of the source's classes, its own ``keys`` and ``class_of``: tie classes, or one per rank."""
-    size = len(source.class_of)
-    if size != model.size:
-        raise TestingError(f"{type(source).__name__.lower()} covers {size} points, the model {model.size}")
-    members: list[list[int]] = [[] for _ in source.keys]
-    for index, k in enumerate(source.class_of):
-        members[k].append(index)
-    return PValueFamily(model, source, source.keys, tuple(map(tuple, members)))
+    """The p-value family of a source's class table: its tie classes, or one class per rank."""
+    return PValueFamily(model, source)
 
 
 def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:

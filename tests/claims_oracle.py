@@ -5,14 +5,19 @@ size-alpha tests at every alpha by the cumulative extremity scan, sums the
 tail events of C6 point by point, evaluates the randomized CDF of C5 (at
 every attained a, plus 0 and 1) and the integrated CDFs of C9 in O(N) per
 query, and runs the martingale projection of C8 pointwise at every alpha.
-Its tests hold a p-value family filled from that scan, never from
-``pvalue_family``; a point's class index is read from its source's
-``class_of``, as every family reads it.  Its p-values are per-point
-(a, b) records from the same scan; their CDFs merge one atom per support
+Its tests are its own records (``ScanTest``): alpha, the threshold class
+k, gamma and each point's class, all from that scan, which groups the
+support by statistic value or by rank, not by a source's ``class_of``.
+Its p-values are per-point (a, b) records from the same scan; their CDFs merge one atom per support
 point and their alpha and t grids loop over the points.  The usual-order
 check of C1-C4 reads each CDF by scanning its jumps at every grid point.
-So it shares no CDF, grid or comparison code with the engine, only the
-data types.  Its sufficiency check re-groups the support by statistic
+Its agreement gate (``check_agreement``) compares statistic values over
+all pairs of points, where the engine's ``verify_agreement`` scans class
+indices in rank order.  So it shares no gate, test record, CDF, grid or
+comparison code with the engine: from the library it reads only the
+model's rows and labels, the statistic's values and the ranking's ranks,
+and it builds the engine's ``OrderReport`` and raises its ``OrdersError``.
+Its sufficiency check re-groups the support by statistic
 value and sums ``Fraction`` masses, where the engine sums integer class
 masses by ``class_of``.  Everything here stays on ``Fraction``s, while the
 engine works on integer numerators, so the engine's reports can be
@@ -35,11 +40,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mdpvalues.model import DiscreteModel
+from mdpvalues.model import DiscreteModel, SupportPoint
 from mdpvalues.orders import OrderReport, OrdersError
-from mdpvalues.ranking import Ranking, verify_agreement
+from mdpvalues.ranking import Ranking
 from mdpvalues.rational import common_denominator, decimal_string, format_rational
-from mdpvalues.testing import PValueFamily, TestFunction
 
 HALF = Fraction(1, 2)
 
@@ -75,14 +79,28 @@ def _as_unit(value) -> Fraction:
     return value
 
 
+def check_agreement(model, statistic, ranking):
+    """(ok, witness) over all pairs of points: T(x) > T(y) must give R(x) < R(y).
+
+    Pairs are visited with y in rank order and x from the rank just above y
+    upwards, so the first witness (x, y), a larger statistic at x with a worse
+    rank, is the adjacent pair in rank order that ``verify_agreement`` names.
+    """
+    by_rank = sorted(model.support, key=lambda pt: ranking.ranks[pt.index])
+    values = [statistic.value(pt) for pt in by_rank]
+    for j in range(len(by_rank)):
+        for i in range(j - 1, -1, -1):
+            if values[j] > values[i]:
+                return False, (by_rank[j].label, by_rank[i].label)
+    return True, None
+
+
 def extremity_classes(model, source):
     """Tie classes as (key, null mass, members), most extreme first."""
     null_row = model.probs(model.null)
     if isinstance(source, Ranking):
-        return [
-            (rank, null_row[index], [model.support[index]])
-            for rank, index in enumerate(source.order(), start=1)
-        ]
+        by_rank = sorted(model.support, key=lambda pt: source.ranks[pt.index])
+        return [(rank, null_row[pt.index], [pt]) for rank, pt in enumerate(by_rank, start=1)]
     classes = {}
     for pt in model.support:
         classes.setdefault(source.value(pt), []).append(pt)
@@ -115,7 +133,31 @@ def check_sufficiency(model, statistic, thetas):
     return True, None
 
 
-def scan_size_alpha_test(model, source, alpha) -> TestFunction:
+@dataclass(frozen=True)
+class ScanTest:
+    """A size-alpha test from the scan: reject the classes before ``k`` surely and class ``k`` with ``gamma``.
+
+    ``class_index[i]`` is the scan's class of support point i.  ``zone`` and
+    ``phi`` read like the engine's ``TestFunction``, so the helpers below
+    take either.
+    """
+
+    alpha: Fraction
+    k: int
+    gamma: Fraction
+    class_index: tuple[int, ...]
+
+    def zone(self, point: SupportPoint) -> int:
+        """+1 strictly more extreme than the threshold class, 0 in it, -1 after it."""
+        k = self.class_index[point.index]
+        return 1 if k < self.k else (0 if k == self.k else -1)
+
+    def phi(self, point: SupportPoint) -> Fraction:
+        zone = self.zone(point)
+        return Fraction(1) if zone > 0 else (self.gamma if zone == 0 else Fraction(0))
+
+
+def scan_size_alpha_test(model, source, alpha) -> ScanTest:
     """k(alpha) and gamma(alpha) by the cumulative scan over the classes."""
     alpha_f = _as_unit(alpha)
     classes = extremity_classes(model, source)
@@ -128,13 +170,11 @@ def scan_size_alpha_test(model, source, alpha) -> TestFunction:
     k, mass, before = chosen
     gamma = (alpha_f - before) / mass
     assert before + gamma * mass == alpha_f
-    table = PValueFamily(
-        model,
-        source,
-        tuple(key for key, _mass, _members in classes),
-        tuple(tuple(pt.index for pt in members) for _key, _mass, members in classes),
-    )
-    return TestFunction(table, alpha_f, k, gamma)
+    class_index = [0] * model.size
+    for index, (_key, _mass, members) in enumerate(classes):
+        for pt in members:
+            class_index[pt.index] = index
+    return ScanTest(alpha_f, k, gamma, tuple(class_index))
 
 
 @dataclass(frozen=True)
@@ -190,10 +230,14 @@ def breakpoints(*forms: PointForms) -> tuple[Fraction, ...]:
     return tuple(sorted(set(grid) | {(x + y) / 2 for x, y in zip(grid, grid[1:])}))
 
 
-def phi_expectation_by_tails(model: DiscreteModel, test: TestFunction, theta: str) -> Fraction:
-    """E_theta[phi] via tail events (independent of the pointwise sum in conftest.brute_expectation)."""
-    more = model.event_prob(theta, lambda pt: test.zone(pt) > 0)
-    tied = model.event_prob(theta, lambda pt: test.zone(pt) == 0)
+def phi_expectation_by_tails(model: DiscreteModel, test, theta: str) -> Fraction:
+    """E_theta[phi] via tail events (independent of the pointwise sum in conftest.brute_expectation).
+
+    ``test`` is a ``ScanTest`` or the engine's ``TestFunction``: only its zones and gamma are read.
+    """
+    row = model.probs(theta)
+    more = sum((row[pt.index] for pt in model.support if test.zone(pt) > 0), Fraction(0))
+    tied = sum((row[pt.index] for pt in model.support if test.zone(pt) == 0), Fraction(0))
     return more + test.gamma * tied
 
 
@@ -325,7 +369,7 @@ def convex_order_chain(model, t_family: PointForms, md_family: PointForms) -> Or
 
 def reference_claims(model, statistic, ranking, thetas):
     """verify_all_claims, re-derived per grid point; same reports, same order."""
-    ok, witness = verify_agreement(model, statistic, ranking)
+    ok, witness = check_agreement(model, statistic, ranking)
     if not ok:
         raise OrdersError(f"ranking does not agree with statistic: witness {witness}")
     thetas = list(thetas)

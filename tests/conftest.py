@@ -3,7 +3,8 @@
 Also the engine's own p-values in the oracle's types, for tests that check
 the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``;
 agreeing rankings with each tie class in a seeded random order:
-``shuffled_agreeing_ranking``; a random model redrawn so that its statistic
+``shuffled_agreeing_ranking``; both agreement gates, the engine's and the
+oracle's, opened for a block or a test: ``agreement_gates_opened``; a random model redrawn so that its statistic
 is sufficient: ``tilted_to_sufficiency``; and the exact probability that a test's
 decision hinges on its auxiliary u: ``randomization_dependence_prob``.
 """
@@ -11,7 +12,9 @@ decision hinges on its auxiliary u: ``randomization_dependence_prob``.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -21,12 +24,14 @@ from mdpvalues import (
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
+    orders,
     pvalue_family,
     ranking_from_order,
 )
 from mdpvalues.orders import _jumps
 from mdpvalues.registry import table1_ranking as build_table1_ranking
 
+import claims_oracle
 from claims_oracle import PointForms, StepCDF, breakpoints, scan_pvalue_family
 
 
@@ -56,6 +61,14 @@ def shuffled_agreeing_ranking(model, statistic, seed):
     rng = random.Random(seed)
     key = {pt.label: (statistic.class_of[pt.index], rng.random()) for pt in model.support}
     return ranking_from_order(model, sorted(key, key=key.__getitem__))
+
+
+@contextmanager
+def agreement_gates_opened():
+    """``orders.verify_agreement`` and ``claims_oracle.check_agreement`` accept every ranking; also a decorator."""
+    accept = lambda *args: (True, None)
+    with mock.patch.object(orders, "verify_agreement", accept), mock.patch.object(claims_oracle, "check_agreement", accept):
+        yield
 
 
 COHERENCE_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))

@@ -167,6 +167,35 @@ def test_procedures_refuse_alpha_outside_the_unit_interval(procedure, alpha):
         PROCEDURES_AT_ALPHA[procedure](alpha)
 
 
+PROCEDURES_ON_PVALUES = {
+    "bh": lambda ps: bh_threshold(ps, 0.5),
+    "bonferroni": lambda ps: bonferroni(ps, 0.1),
+    "fisher": lambda ps: fisher_test(ps, 0.1),
+    "geometric-mean": geometric_mean_combination,
+}
+
+
+@pytest.mark.parametrize("procedure", sorted(PROCEDURES_ON_PVALUES))
+def test_procedures_refuse_a_bare_string_of_pvalues(procedure):
+    # Read as a sequence, "0110" was the p-values 0, 1, 1, 0: bonferroni returned (0, 3).
+    with pytest.raises(ConfigError, match="p-values must be a list of numbers, not the string '0110'"):
+        PROCEDURES_ON_PVALUES[procedure]("0110")
+
+
+@pytest.mark.parametrize("value", ["x", None, [0.1]], ids=["text", "none", "list"])
+@pytest.mark.parametrize("procedure", sorted(PROCEDURES_ON_PVALUES))
+def test_procedures_refuse_a_non_numeric_pvalue_as_a_usage_error(procedure, value):
+    with pytest.raises(ConfigError, match=r"p-value must be a number, got"):
+        PROCEDURES_ON_PVALUES[procedure]([0.5, value])
+
+
+@pytest.mark.parametrize("alpha", ["x", None], ids=["text", "none"])
+@pytest.mark.parametrize("procedure", sorted(PROCEDURES_AT_ALPHA))
+def test_procedures_refuse_a_non_numeric_alpha_as_a_usage_error(procedure, alpha):
+    with pytest.raises(ConfigError, match=r"alpha must be a number, got"):
+        PROCEDURES_AT_ALPHA[procedure](alpha)
+
+
 class TestRandomizationDependence:
     def test_reference_ratio_of_five(self, example1, lr):
         ranking = build_agreeing_ranking(example1, lr)

@@ -26,17 +26,21 @@ from mdpvalues import orders
 from mdpvalues.orders import _threshold_classes, reports_to_json
 from mdpvalues.testing import alpha_lattice
 
-import claims_oracle
 from claims_oracle import (
     atom_cdf,
     breakpoints,
-    pointwise_projection,
     randomized_cdf_at,
     reference_claims,
     reports_json,
     scan_pvalue_family,
 )
-from conftest import lattice_cdf, random_model_and_statistic, shuffled_agreeing_ranking, tilted_to_sufficiency
+from conftest import (
+    agreement_gates_opened,
+    lattice_cdf,
+    random_model_and_statistic,
+    shuffled_agreeing_ranking,
+    tilted_to_sufficiency,
+)
 
 
 def assert_same_reports(model, statistic, ranking, thetas):
@@ -89,15 +93,14 @@ def test_coprime_denominator_models_match_reference():
         assert_same_reports(model, statistic, ranking, ["t0", "t1"])
 
 
-def test_failing_claims_match_reference(monkeypatch):
-    """With the agreement gate opened, shuffled rankings make claims fail; witnesses match too.
+@agreement_gates_opened()
+def test_failing_claims_match_reference():
+    """With both agreement gates opened, shuffled rankings make claims fail; witnesses match too.
 
     Only C1-C5 and C7 are compared with the oracle: C6, C8 and C9 are proved from the agreement
-    that the patch removes, so the engine passes them on any class tables whose lattices equal
-    their recounts, and shuffled rankings fail only the natural-order claims.
+    that the patch removes, so the engine passes them on any ranking, and shuffled rankings fail
+    only the natural-order claims.
     """
-    for module in (orders, claims_oracle):
-        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
     rng = random.Random(3)
     failed, c1_witnesses = set(), []
     compared = ("C1", "C2", "C3", "C4", "C5", "C7")
@@ -128,11 +131,10 @@ def escaped_names(model, statistic):
     return renamed, make_statistic(renamed, 's"\\\u03bb', statistic.values), list(names.values())
 
 
-def test_direct_json_writer_matches_json_dumps(monkeypatch):
+@agreement_gates_opened()
+def test_direct_json_writer_matches_json_dumps():
     """reports_to_json writes json.dumps' indent=2, sort_keys=True layout itself, escapes and all."""
     assert "".join(reports_to_json([])) == reports_json([]) == "[]\n"
-    for module in (orders, claims_oracle):
-        monkeypatch.setattr(module, "verify_agreement", lambda *args: (True, None))
     rng = random.Random(5)
     verdicts, escapes = set(), set()
     for index in range(12):
@@ -159,14 +161,6 @@ def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
     assert engine.count('"verdict": "skipped"') == 3
 
 
-def claim_report(claim, model, statistic, ranking):
-    return next(r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"]) if r.claim == claim)
-
-
-def c5_report(model, statistic, ranking):
-    return claim_report("C5", model, statistic, ranking)
-
-
 def shift_one_unit(family, theta):
     """Move one unit of theta mass from the heaviest class to a neighbour: the lattice still totals D_theta."""
     den, mass, _ = family.lattice(theta)
@@ -178,109 +172,36 @@ def shift_one_unit(family, theta):
     return family
 
 
-def assert_null_identity_fails(model, statistic, ranking, margin, witness):
-    """C5 and the proofs of C8 and C9 read the same null identity and fail at its first class off its recount."""
-    reports = {r.claim: r for r in verify_all_claims(model, statistic, ranking, ["theta0", "theta1"])}
-    for claim in ("C5", "C8", "C9"):
-        report = reports[claim]
-        assert (report.verdict, report.worst_margin, report.witness) == ("fail", margin, witness), claim
-    return reports
+SHIFTED_MODELS = {
+    "binomial-3": lambda: binomial_model(3, ["1/2", "3/4"]),
+    "example1": lambda: bernoulli_product_model(5, ["1/2", "4/5"]),
+}
 
 
-def test_c5_fails_on_a_wrong_null_class_mass(monkeypatch):
-    """A family whose null lattice moves one unit of mass between classes still totals D, but C5 sees it."""
-    model = binomial_model(3, ["1/2", "3/4"])  # null class masses 1, 3, 3, 1 over 8
+@pytest.mark.parametrize("shape", list(SHIFTED_MODELS))
+@pytest.mark.parametrize("side", ["T", "MD"])
+@pytest.mark.parametrize("theta", ["theta0", "theta1"])
+def test_a_unit_moved_between_classes_changes_reports_against_the_oracle(monkeypatch, shape, side, theta):
+    """A family whose cached theta lattice moves one unit of mass between two classes still totals D_theta.
+
+    The engine reports C5, C6, C8 and C9 as proved on every accepted input, so the evidence that its
+    lattices are right is the per-alpha oracle, which scans the support itself: each such shift, null or
+    theta1, of the T or the MD family, changes the engine's reports.json away from the oracle's.
+    """
+    model = SHIFTED_MODELS[shape]()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     ranking = build_agreeing_ranking(model, lr)
-    assert c5_report(model, lr, ranking).verdict == "pass"
-
-    monkeypatch.setattr(orders, "pvalue_family", lambda model, source: shift_one_unit(
-        pvalue_family(model, source), model.null))
-    report = c5_report(model, lr, ranking)
-    assert report.grid == tuple(Fraction(x, 16) for x in (0, 4, 8, 14, 16))  # the kinks of the shifted lattices
-    assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
-                               "T family, theta0: class 0 mass 1/4 vs recount 1/8")
-
-
-def null_lattice_patch(model, sources, mass, before):
-    """``pvalue_family`` with the null lattice of each of ``sources``' families replaced by (mass, before)."""
-
-    def patched(model, source):
-        family = pvalue_family(model, source)
-        if any(source is s for s in sources):
-            family._by_theta[model.null] = (family.lattice(model.null)[0], mass, before)
-        return family
-
-    return patched
-
-
-def test_c5_fails_on_a_zero_mass_null_class(monkeypatch):
-    """Both null lattices (1, 3, 4, 0)/8 for a 1, 3, 3, 1 row: each randomized CDF is still the diagonal at every
-    kink (0, 1/8, 1/2 and 1), since the class of zero mass starts at 1, but class 2 holds 1/2, not its points' 3/8."""
-    model = binomial_model(3, ["1/2", "3/4"])
-    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = build_agreeing_ranking(model, lr)
-    patch = null_lattice_patch(model, (lr, ranking), (1, 3, 4, 0), (0, 1, 4, 8, 8))
-    monkeypatch.setattr(orders, "pvalue_family", patch)
-    assert c5_report(model, lr, ranking).grid == tuple(Fraction(x, 16) for x in (0, 2, 8, 16))
-    reports = assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
-                                         "T family, theta0: class 2 mass 1/2 vs recount 3/8")
-    assert reports["C6"].witness == reports["C5"].witness
-
-
-def test_c5_fails_on_a_shifted_null_class_start(monkeypatch):
-    """Masses equal to their recounts but class 1 starting at 2/8, not 1/8: the start half of the identity."""
-    model = binomial_model(3, ["1/2", "3/4"])
-    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = build_agreeing_ranking(model, lr)
-    monkeypatch.setattr(orders, "pvalue_family", null_lattice_patch(model, (lr,), (1, 3, 3, 1), (0, 2, 4, 7, 8)))
-    assert_null_identity_fails(model, lr, ranking, Fraction(-1, 8),
-                               "T family, theta0: class 1 start 1/4 vs recount 1/8")
-
-
-def test_c6_fails_on_a_wrong_theta_class_mass(monkeypatch):
-    """The sufficiency gate sums the theta class masses again from the row, so a wrong theta lattice
-    fails C6 instead of closing the gate and skipping it."""
-    model = binomial_model(3, ["1/2", "3/4"])  # theta1 class masses 27, 27, 9, 1 over 64
-    lr = likelihood_ratio_statistic(model, "theta0", "theta1")
-    ranking = build_agreeing_ranking(model, lr)
-    assert claim_report("C6", model, lr, ranking).verdict == "pass"
+    thetas = ["theta0", "theta1"]
+    assert_same_reports(model, lr, ranking, thetas)
+    shifted_source = lr if side == "T" else ranking
 
     def shifted(model, source):
         family = pvalue_family(model, source)
-        return shift_one_unit(family, "theta1") if source is lr else family
+        return shift_one_unit(family, theta) if source is shifted_source else family
 
     monkeypatch.setattr(orders, "pvalue_family", shifted)
-    report = claim_report("C6", model, lr, ranking)
-    assert report.verdict == "fail" and report.worst_margin == Fraction(-1, 64)
-    assert report.witness == "T family, theta1: class 0 mass 13/32 vs recount 27/64"
-
-
-@pytest.mark.parametrize(
-    "broken, witness",
-    [
-        # the last class repeats '11111', so both lattices total 33/32
-        (lambda members: (*members[:-1], members[-1] + members[0][:1]),
-         "T family, theta0: class 5 mass 1/16 vs recount 1/32"),
-        # the second class drops a point: one of the T family's five with four ones
-        (lambda members: (members[0], members[1][1:], *members[2:]),
-         "T family, theta0: class 1 mass 1/8 vs recount 5/32"),
-    ],
-    ids=["repeated", "missing"],
-)
-def test_c5_fails_when_classes_do_not_partition_the_support(monkeypatch, example1, lr, table1_ranking, broken, witness):
-    """C5 re-sums each point once into its own class, so member lists that miss or repeat a point fail it.
-
-    Both families read each point's class from their source's ``class_of``, not from the broken
-    members, so the recount sees every point once while the lattice sums the broken members.
-    """
-
-    def unpartitioned(model, source):
-        family = pvalue_family(model, source)
-        return replace(family, members=broken(family.members))
-
-    monkeypatch.setattr(orders, "pvalue_family", unpartitioned)
-    assert_null_identity_fails(example1, lr, table1_ranking, Fraction(-1, 32), witness)
+    engine = "".join(reports_to_json(verify_all_claims(model, lr, ranking, thetas)))
+    assert engine != "".join(reports_to_json(reference_claims(model, lr, ranking, thetas)))
 
 
 BENCHMARK_SHAPES = {
@@ -301,7 +222,7 @@ def test_benchmark_shapes_with_shuffled_rankings_match_reference(shape):
 
 @pytest.mark.parametrize("shape", ["bernoulli-7", "binomial-100"])
 def test_agreeing_inputs_prove_c6_c8_c9_without_their_sweeps(shape):
-    """Lattices equal to their recounts prove C6, C8 and C9 with margin 0 on agreeing inputs, no alpha swept."""
+    """Agreeing inputs prove C6, C8 and C9 with margin 0, no alpha swept."""
     model = BENCHMARK_SHAPES[shape]()
     lr = likelihood_ratio_statistic(model, "theta0", "theta1")
     reports = verify_all_claims(model, lr, shuffled_agreeing_ranking(model, lr, seed=1), ["theta0", "theta1"])
@@ -309,69 +230,47 @@ def test_agreeing_inputs_prove_c6_c8_c9_without_their_sweeps(shape):
     assert [str(r.worst_margin) for r in reports if r.claim in ("C6", "C8", "C9")] == ["0"] * 3
 
 
-def tied_sufficient_model():
-    """T classes {a}, {b, c}, {d}; the heaviest MD class, c, and its neighbour b share a T class under both thetas."""
+def test_broken_nesting_declines_the_proof():
+    """A ranking that puts b before a breaks the nesting of the MD classes in the T classes {a}, {b, c}, {d},
+    which C6, C8 and C9 are proved from: the engine and the claims oracle both refuse it and name the pair."""
     model = make_model(["a", "b", "c", "d"], {"theta0": "1/2", "theta1": "3/4"},
                        {"theta0": ["2/10", "3/10", "4/10", "1/10"], "theta1": ["2/24", "9/24", "12/24", "1/24"]})
     statistic = make_statistic(model, "s", [2, 1, 1, 0])
-    return model, statistic, build_agreeing_ranking(model, statistic)
-
-
-def family_reference(claim, model, t_family, md_family, thetas):
-    """C6 or C8 per alpha on Fractions, from the two families' own tests, as the claims oracle words them."""
-    scale = 2 * model.int_row(model.null)[0]
-    alphas = [Fraction(x, scale) for x in alpha_lattice(scale, t_family, md_family)]
-    margins = []
-    for alpha in alphas:
-        if claim == "C8":
-            report = pointwise_projection(model, t_family.test(alpha), md_family.test(alpha))
-            margins.append((report.worst_margin, f"alpha={alpha}: {report.witness}"))
-            continue
-        for theta in thetas:
-            e_t, e_md = t_family.power(theta, alpha), md_family.power(theta, alpha)
-            margins.append((-abs(e_t - e_md), f"theta={theta}, alpha={alpha}: {e_t} vs {e_md}"))
-    return claims_oracle._worst(claim, alphas, margins)
-
-
-@pytest.mark.parametrize(
-    "theta, claim, witness",
-    [
-        ("theta0", "C8", "MD family, theta0: class 1 mass 2/5 vs recount 3/10"),
-        ("theta1", "C6", "MD family, theta1: class 1 mass 5/12 vs recount 3/8"),
-    ],
-    ids=["null-mass", "theta-mass"],
-)
-def test_a_unit_moved_between_md_classes_of_one_t_class_declines_the_proof(monkeypatch, theta, claim, witness):
-    """One unit of mass moved from MD class c to b, inside T class {b, c}: the MD classes still nest, but the
-    lattice no longer equals its recount, so the claim fails at b, and so does the per-alpha check."""
-    model, statistic, ranking = tied_sufficient_model()
-    thetas = ["theta0", "theta1"]
-    assert all(r.passed for r in verify_all_claims(model, statistic, ranking, thetas))
-
-    def shifted(model, source):
-        family = pvalue_family(model, source)
-        return shift_one_unit(family, theta) if source is ranking else family
-
-    monkeypatch.setattr(orders, "pvalue_family", shifted)
-    reports = {r.claim: r for r in verify_all_claims(model, statistic, ranking, thetas)}
-    report = reports[claim]
-    assert report.verdict == "fail" and report.witness == witness
-    assert report.worst_margin == -Fraction(1, model.int_row(theta)[0])
-    # The null shift fails every proof that reads the null lattice; a theta shift only C6's.
-    failed = {r.claim for r in reports.values() if r.verdict == "fail"}
-    assert failed == ({"C5", "C6", "C8", "C9"} if claim == "C8" else {"C6"})
-    expected = family_reference(claim, model, pvalue_family(model, statistic), shifted(model, ranking), thetas)
-    assert expected.verdict == "fail" and expected.grid == report.grid
-
-
-def test_broken_nesting_declines_the_proof():
-    """A ranking that puts b before a breaks the nesting of the MD classes in the T classes, which C6, C8 and
-    C9 are proved from: the engine and the claims oracle both refuse it and name the pair that disagrees."""
-    model, statistic, _ = tied_sufficient_model()
     ranking = Ranking((2, 1, 3, 4))
     for verify in (verify_all_claims, reference_claims):
         with pytest.raises(OrdersError, match=r"does not agree with statistic: witness \('a', 'b'\)"):
             verify(model, statistic, ranking, ["theta0", "theta1"])
+
+
+def skips_every_other_adjacent_pair(model, statistic, ranking):
+    """A mutant of ``verify_agreement`` that checks only the adjacent pairs at ranks (1, 2), (3, 4), ..."""
+    by_rank = ranking.order()
+    for a, b in zip(by_rank[::2], by_rank[1::2]):
+        if statistic.class_of[a] > statistic.class_of[b]:
+            return False, (model.support[b].label, model.support[a].label)
+    return True, None
+
+
+def test_engine_vs_oracle_catches_a_gate_that_skips_adjacent_pairs(monkeypatch):
+    """The oracle's gate checks every pair of points itself, so a mutant engine gate does not carry over.
+
+    The identity ranking of statistic (1, 0, 1, 0) has class indices 0, 1, 0, 1 in rank order: its only
+    inversions are at ranks 2 and 3, which the mutant never compares, so the mutant engine proves C6, C8
+    and C9 on it while the oracle refuses it as both real gates do.
+    """
+    model = make_model(list("abcd"), {"theta0": "1/2", "theta1": "3/4"},
+                       {"theta0": ["1/4"] * 4, "theta1": ["3/8", "1/8", "3/8", "1/8"]})
+    statistic = make_statistic(model, "s", [1, 0, 1, 0])
+    ranking = Ranking((1, 2, 3, 4))
+    refused = r"does not agree with statistic: witness \('c', 'b'\)"
+    for verify in (verify_all_claims, reference_claims):
+        with pytest.raises(OrdersError, match=refused):
+            verify(model, statistic, ranking, ["theta0", "theta1"])
+    monkeypatch.setattr(orders, "verify_agreement", skips_every_other_adjacent_pair)
+    reports = verify_all_claims(model, statistic, ranking, ["theta0", "theta1"])
+    assert [r.verdict for r in reports if r.claim in ("C6", "C8", "C9")] == ["pass"] * 3
+    with pytest.raises(OrdersError, match=refused):
+        assert_same_reports(model, statistic, ranking, ["theta0", "theta1"])
 
 
 def test_table_power_is_the_randomized_cdf():

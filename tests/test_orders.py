@@ -18,11 +18,9 @@ from mdpvalues import (
     pvalue_family,
     verify_all_claims,
 )
-from mdpvalues import orders
 from mdpvalues.orders import (
     OrderReport,
     _natural_order,
-    _recount,
     _sufficiency,
     _threshold_classes,
     reports_to_json,
@@ -46,8 +44,7 @@ HALF = Fraction(1, 2)
 
 
 def engine_sufficiency(model, statistic, thetas):
-    family = pvalue_family(model, statistic)
-    return _sufficiency(family, thetas, lambda theta: _recount(family, theta))
+    return _sufficiency(pvalue_family(model, statistic), thetas)
 
 
 def natural_order(theta, family_a, family_b):
@@ -376,17 +373,6 @@ class TestVerifyAllClaims:
         # A str is a sequence of its characters, which would be read as the parameters 't', 'h', ...
         with pytest.raises(OrdersError, match="list of parameter names, not the string 'theta1'"):
             verify_all_claims(example1, count_stat, table1_ranking, "theta1")
-
-    def test_each_class_mass_recount_is_summed_once(self, monkeypatch, example1, count_stat, table1_ranking):
-        # C5, the sufficiency gate and the C6, C8 and C9 proofs all read one recount per family and theta.
-        calls = []
-        real = orders._recount
-        monkeypatch.setattr(orders, "_recount", lambda family, theta: calls.append(
-            (type(family.source).__name__, theta)) or real(family, theta))
-        reports = verify_all_claims(example1, count_stat, table1_ranking, ["theta1", "theta0", "theta1"])
-        assert all(r.passed for r in reports)
-        assert sorted(calls) == [("Ranking", "theta0"), ("Ranking", "theta1"),
-                                 ("Statistic", "theta0"), ("Statistic", "theta1")]
 
     def test_expectations_cross_check_against_brute_oracle(
         self, example1, count_stat, table1_ranking, t_family, md_family

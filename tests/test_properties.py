@@ -38,8 +38,9 @@ from mdpvalues.rational import (
     ratio_terms,
 )
 
-from claims_oracle import breakpoints, randomized_cdf_at, scan_pvalue_family
+from claims_oracle import breakpoints, check_agreement, randomized_cdf_at, scan_pvalue_family
 from conftest import (
+    agreement_gates_opened,
     brute_expectation,
     decision_coherence_witness,
     engine_forms,
@@ -250,6 +251,28 @@ def test_natural_decisions_nested_and_level(case):
         assert t_nat <= md_nat <= alpha
 
 
+@st.composite
+def _ranked_statistics(draw):
+    """A 1-9 point model, a tie-rich statistic, and an agreeing ranking with its ties shuffled, or any permutation."""
+    n = draw(st.integers(1, 9))
+    model = make_model([f"x{i}" for i in range(n)], {"t0": "1/2"}, {"t0": [Fraction(1, n)] * n})
+    statistic = make_statistic(model, "s", draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        ranking = shuffled_agreeing_ranking(model, statistic, seed=draw(st.integers(0, 2**16)))
+    else:
+        ranking = Ranking(tuple(draw(st.permutations(range(1, n + 1)))))
+    return model, statistic, ranking
+
+
+@given(_ranked_statistics())
+@settings(max_examples=300, deadline=None)
+def test_the_oracle_gate_over_all_pairs_gives_the_verdict_of_verify_agreement(case):
+    """The claims oracle's gate compares statistic values over all pairs; the engine's scans class indices in
+    rank order.  Both give one verdict, and on a refused ranking the same witness pair."""
+    model, statistic, ranking = case
+    assert check_agreement(model, statistic, ranking) == verify_agreement(model, statistic, ranking)
+
+
 def test_random_suite_smoke():
     """A couple of seeded random models run the full claim suite cleanly.
 
@@ -345,7 +368,7 @@ def test_theta_grid_order_and_repeats_leave_c1_c3_c6_unchanged(case):
         reports = verify_all_claims(model, statistic, ranking, thetas)
         return {r.claim: (r.verdict, r.worst_margin) for r in reports if r.claim in ("C1", "C3", "C6")}
 
-    with mock.patch.object(orders, "verify_agreement", lambda *args: (True, None)):
+    with agreement_gates_opened():
         assert outcome(shuffled) == outcome(grid)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from mdpvalues import (
     ModelError,
+    PValueFamily,
     TestingError,
     bernoulli_product_model,
     build_agreeing_ranking,
@@ -188,7 +189,7 @@ class TestPValueFamily:
         null = example1.probs("theta0")
         for source, one_per_class in ((count_stat, False), (table1_ranking, True)):
             family = pvalue_family(example1, source)
-            assert all(len(members) == 1 for members in family.members) == one_per_class
+            assert (len(set(family.class_of)) == example1.size) == one_per_class
             forms = engine_forms(family)
             assert forms == scan_pvalue_family(example1, source)
             for i in range(example1.size):
@@ -219,12 +220,15 @@ class TestPValueFamily:
 @pytest.mark.parametrize("kind", ["statistic", "ranking"])
 def test_source_built_on_another_support_is_refused(example1, coins, kind):
     # A 3-coin likelihood ratio used to give gamma = 109/5 on example1, a 6-coin one a bare IndexError.
+    # A family built directly refuses it too: its lattice zips a pmf row with class_of, which would
+    # stop at the shorter one and say nothing.
     other = bernoulli_product_model(coins, ["1/2", "4/5"])
     source = likelihood_ratio_statistic(other, "theta0", "theta1")
     if kind == "ranking":
         source = build_agreeing_ranking(other, source)
-    with pytest.raises(TestingError, match=f"{kind} covers {2 ** coins} points, the model 32"):
-        pvalue_family(example1, source)
+    for build in (pvalue_family, PValueFamily):
+        with pytest.raises(TestingError, match=f"{kind} covers {2 ** coins} points, the model 32"):
+            build(example1, source)
 
 
 @pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model", "bool"])
