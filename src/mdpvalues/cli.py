@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import __version__
 from .model import DiscreteModel, UsageError
@@ -47,12 +47,22 @@ def _write_manifest(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_table(out: Path, header: list[str], rows: list[list], manifest: dict | None = None) -> None:
-    """Write a CSV table; with a manifest, also write it to ``<out>.manifest.json``, naming the table as its output."""
+class _Lines(list):
+    write = list.append  # a csv.writer calls it once per row
+
+
+def _csv_lines(rows: Iterable[Sequence[object]]) -> list[str]:
+    """Each row as the line of text that ``csv.writer`` writes for it to a table."""
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows(rows)
+    return lines
+
+
+def _write_table(out: Path, header: list[str], lines: list[str], manifest: dict | None = None) -> None:
+    """Write a CSV header and ``lines``; with a manifest, also write it to ``<out>.manifest.json``, naming the table."""
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")  # plain names, which csv would not quote
+        fh.writelines(lines)
     if manifest is not None:
         _write_manifest(out.with_name(out.name + ".manifest.json"), {**manifest, "outputs": [out.name], "seed": None})
 
@@ -99,7 +109,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         )
     header = ["label", "p0", "p1", "lr", "rank", "md_natural", "t_natural",
               "p0_dec", "p1_dec", "lr_dec", "md_natural_dec", "t_natural_dec"]
-    _write_table(Path(args.out), header, rows, {
+    _write_table(Path(args.out), header, _csv_lines(rows), {
         "command": "table1",
         "model": "example1",
         "ranking": "table-1 head, label order after",
@@ -127,7 +137,8 @@ def cmd_cdf(args: argparse.Namespace) -> int:
     else:
         columns = ([2 * s + m for s, m in zip(before, mass)], 2 * den), (cum[1:], theta_den)
     (t_num, t_den), (f_num, f_den) = columns
-    rows = [[t, value, decimal_ratio(a, t_den), decimal_ratio(b, f_den)]
+    # Every field is digits, "/", "." and "-", which csv would not quote, so each row is joined directly.
+    rows = [f"{t},{value},{decimal_ratio(a, t_den)},{decimal_ratio(b, f_den)}\n"
             for t, value, a, b in zip(format_ratios(t_num, t_den), format_ratios(f_num, f_den), t_num, f_num)]
     _write_table(Path(args.out), ["t", "F", "t_dec", "F_dec"], rows, {
         "command": "cdf",
@@ -209,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     header = ["procedure", "family", "u_policy", "alpha", "fdr", "fdr_mcse", "power", "dep_rate"]
-    _write_table(out / "summary.csv", header, [report.summary_row()])
+    _write_table(out / "summary.csv", header, _csv_lines([report.summary_row()]))
     _write_manifest(out / "manifest.json", {
         "command": "simulate",
         "config_sha256": digest,
@@ -231,13 +242,14 @@ def cmd_pvalues(args: argparse.Namespace) -> int:
     den, mass, before = family.lattice(model.null)
     mids = [2 * s + m for s, m in zip(before, mass)]
     starts = format_ratios(before, den)
-    texts = list(zip(starts[:-1], format_ratios(mass, den), starts[1:], format_ratios(mids, 2 * den),
-                     [decimal_ratio(n, den) for n in before[1:]], [decimal_ratio(n, 2 * den) for n in mids]))
-    keys = [format_rational(key) for key in statistic.keys]
-    rows = []
-    for i in ranking.order():
-        pt = model.support[i]
-        rows.append([pt.label, ranking.rank(pt), keys[statistic.class_of[i]], *texts[family.class_of[i]]])
+    columns = (starts[:-1], format_ratios(mass, den), starts[1:], format_ratios(mids, 2 * den),
+               [decimal_ratio(n, den) for n in before[1:]], [decimal_ratio(n, 2 * den) for n in mids])
+    texts = [",".join(row) for row in zip(*columns)]
+    keys = statistic._key_texts()
+    # Only a label can need quoting: csv writes each as the first of two fields, ending in ",\n".
+    labels = _csv_lines((pt.label, "") for pt in model.support)
+    rows = [f"{labels[i][:-1]}{rank},{keys[statistic.class_of[i]]},{texts[family.class_of[i]]}\n"
+            for rank, i in enumerate(ranking.order(), start=1)]
     header = ["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"]
     _write_table(Path(args.out), header, rows, {
         "command": "pvalues",

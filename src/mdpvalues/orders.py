@@ -202,9 +202,10 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
         for k, points in classes.items():
             for i in points:
                 if row[i] * base_mass[k] != base_row[i] * mass[k]:
+                    statistic, point = t_family.source, model.support[i]
                     return False, (
-                        f"conditional law given [{t_family.source.name}={t_family.keys[k]}] differs: "
-                        f"point {model.support[i].label!r} under {theta} vs {base}"
+                        f"conditional law given [{statistic.name}={statistic.value(point)}] differs: "
+                        f"point {point.label!r} under {theta} vs {base}"
                     )
     return True, None
 

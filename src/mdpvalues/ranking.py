@@ -7,16 +7,21 @@ is enough: ``build_agreeing_ranking`` breaks ties in label order.  Any
 other tie order is an explicit rank order, read by ``ranking_from_order``
 and checked by ``verify_agreement``.  Smaller rank means more evidence
 against the null.
+
+The likelihood ratio (pa / p0) * (D_null / D_alt) keeps its ratios pa / p0
+and its positive scale D_null / D_alt apart: a scale changes no order and no
+tie, so sorts and ties read the ratios, and ``Statistic.keys`` is built when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import DiscreteModel, SupportPoint, UsageError, refuse_string
-from .rational import parse_rational
+from .rational import format_ratios, parse_rational
 
 
 class RankingError(UsageError):
@@ -30,47 +35,69 @@ def _refuse_inexact(kinds: tuple[type, ...], values: Iterable[object], fault: st
             raise RankingError(f"{fault}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Statistic:
     """Exact statistic as its tie-class table: distinct ``keys``, strictly decreasing, and each point's ``class_of``.
 
     Larger values are evidence against the null.  Real-valued statistics
     must be supplied as exact rationals (use the likelihood ratio itself,
-    not its logarithm): tie detection has to be exact.
+    not its logarithm): tie detection has to be exact.  The keys are held as
+    ratios and a positive scale (1 here), and built on first read.
     """
 
     name: str
     keys: tuple[Fraction | int, ...]
     class_of: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _refuse_inexact((int, Fraction), self.keys, f"statistic {self.name!r}: keys must be ints or Fractions")
-        _refuse_inexact((int,), self.class_of, f"statistic {self.name!r}: class indices must be ints")
+    def __init__(self, name: str, keys: tuple[Fraction | int, ...], class_of: tuple[int, ...]) -> None:
+        self._set(name, keys, class_of, 1)
+
+    def _set(self, name: str, ratios: tuple[Fraction | int, ...], class_of: tuple[int, ...],
+             scale: Fraction | int) -> Statistic:
+        _refuse_inexact((int, Fraction), ratios, f"statistic {name!r}: keys must be ints or Fractions")
+        _refuse_inexact((int,), class_of, f"statistic {name!r}: class indices must be ints")
         # Neighbours over one denominator compare by numerator, others by cross-multiplication.
-        terms = [(key.numerator, key.denominator) for key in self.keys]
-        if (any(an <= bn if ad == bd else an * bd <= bn * ad for (an, ad), (bn, bd) in zip(terms, terms[1:]))
-                or set(self.class_of) != set(range(len(self.keys)))):
-            raise RankingError(f"statistic {self.name!r} needs strictly decreasing keys, each with a point")
+        terms = [(key.numerator, key.denominator) for key in ratios]
+        if (scale <= 0 or set(class_of) != set(range(len(ratios)))
+                or any(an <= bn if ad == bd else an * bd <= bn * ad for (an, ad), (bn, bd) in zip(terms, terms[1:]))):
+            raise RankingError(f"statistic {name!r} needs strictly decreasing keys, each with a point")
+        self.__dict__.update(name=name, class_of=class_of, _ratios=ratios, _scale=scale)
+        return self
+
+    @cached_property
+    def keys(self) -> tuple[Fraction | int, ...]:  # the field, built on first read; an int scale 1 keeps them as given
+        scale = self._scale
+        return tuple(ratio * scale for ratio in self._ratios) if isinstance(scale, Fraction) else self._ratios
+
+    def _key_texts(self) -> list[str]:
+        """``format_rational`` of each key, from its ratio and the scale: one gcd per key, no ``Fraction``."""
+        sn, sd = self._scale.numerator, self._scale.denominator
+        dens = {ratio.denominator for ratio in self._ratios}
+        if len(dens) == 1:  # one reduced denominator, printed once
+            return format_ratios([ratio.numerator * sn for ratio in self._ratios], dens.pop() * sd)
+        return [format_ratios((ratio.numerator * sn,), ratio.denominator * sd)[0] for ratio in self._ratios]
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(map(self.keys.__getitem__, self.class_of))
 
-    def value(self, point: SupportPoint) -> Fraction:
-        return self.keys[self.class_of[point.index]]
+    def value(self, point: SupportPoint) -> Fraction:  # builds this key alone
+        return self._ratios[self.class_of[point.index]] * self._scale
 
 
-def _tie_classes(name: str, values: list[Fraction], group_of: Sequence[int], scale: Fraction | int = 1) -> Statistic:
+def _tie_classes(name: str, values: list[Fraction | int], group_of: Sequence[int],
+                 scale: Fraction | int = 1) -> Statistic:
     """Point i has ``values[group_of[i]] * scale``, scale > 0; groups in support order keep a monotone sort one run."""
-    keys: list[Fraction] = []
+    ratios: list[Fraction | int] = []
     class_of_group = [0] * len(values)
     order = [v.numerator for v in values] if len({v.denominator for v in values}) == 1 else values  # ints: no Fraction calls
     for g in sorted(range(len(values)), key=order.__getitem__, reverse=True):
-        if not keys or order[g] != last:
-            keys.append(values[g])
+        if not ratios or order[g] != last:
+            ratios.append(values[g])
             last = order[g]
-        class_of_group[g] = len(keys) - 1
-    return Statistic(name, tuple(key * scale for key in keys), tuple(map(class_of_group.__getitem__, group_of)))
+        class_of_group[g] = len(ratios) - 1
+    class_of = tuple(map(class_of_group.__getitem__, group_of))
+    return Statistic.__new__(Statistic)._set(name, tuple(ratios), class_of, scale)
 
 
 def make_statistic(
@@ -96,15 +123,16 @@ def make_statistic(
 
 
 def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: str) -> Statistic:
-    """Exact likelihood ratio p_alt(x) / p_null(x) per point, one ``Fraction`` per distinct numerator pair."""
+    """Exact likelihood ratio p_alt(x) / p_null(x) per point: each distinct numerator pair's ratio, and one scale."""
     null_den, null_row = model.int_row(null_name)
     alt_den, alt_row = model.int_row(alt_name)
     if any(p == 0 for p in null_row):
         raise RankingError("likelihood ratio needs a strictly positive null pmf")
     pairs: dict[tuple[int, int], int] = {}
     group_of = [pairs.setdefault(pair, len(pairs)) for pair in zip(alt_row, null_row)]
-    # Reducing pa/p0 and D0/Da apart keeps each gcd small, and the unscaled ratios are cheaper to sort.
-    ratios = [Fraction(pa, p0) for pa, p0 in pairs]
+    # Reducing pa/p0 and D0/Da apart keeps each gcd small, and the ratios are cheaper to sort; an exact quotient stays
+    # an int.
+    ratios = [Fraction(pa, p0) if pa % p0 else pa // p0 for pa, p0 in pairs]
     return _tie_classes(f"lr({alt_name}:{null_name})", ratios, group_of, Fraction(null_den, alt_den))
 
 
@@ -161,6 +189,7 @@ def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]
     A repeated label leaves a point unranked, which ``Ranking`` refuses.
     """
     refuse_string(labels_in_rank_order, "rank order must be a list of support labels", RankingError)
+    _refuse_inexact((str,), labels_in_rank_order, "rank order must list support labels")
     if len(labels_in_rank_order) != model.size:
         raise RankingError(
             f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points"

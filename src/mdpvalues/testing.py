@@ -154,7 +154,7 @@ class PValueFamily:
         cached = self._by_theta.get(theta)
         if cached is None:
             den, row = self.model.int_row(theta)
-            mass = [0] * len(self.keys)
+            mass = [0] * (max(self.class_of) + 1)  # one per class; a statistic's keys stay unbuilt
             for p, k in zip(row, self.class_of):
                 mass[k] += p
             cached = self._by_theta[theta] = (den, tuple(mass), tuple(accumulate(mass, initial=0)))

@@ -1,6 +1,7 @@
 """CLI subcommands: golden outputs, exit codes, manifests, byte determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 
 import mdpvalues
 import mdpvalues.cli as cli
-from mdpvalues import build_agreeing_ranking, likelihood_ratio_statistic, orders, pvalue_family, verify_all_claims
+from mdpvalues import (
+    build_agreeing_ranking,
+    likelihood_ratio_statistic,
+    make_statistic,
+    orders,
+    pvalue_family,
+    verify_all_claims,
+)
 from mdpvalues.cli import main
 from mdpvalues.rational import decimal_string, format_rational, parse_rational
 from mdpvalues.registry import default_statistic, resolve_model
@@ -252,6 +260,25 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --t-grid 20" in capsys.readouterr().err
 
+    def test_skip_note_names_the_class_by_its_pointwise_ratio(self, tmp_path):
+        """LR(theta1:theta0) is not sufficient for theta2: C6 and C8 name the class of 'a' by its key, p1/p0."""
+        spec = {"parameters": {"theta0": "1/2", "theta1": "3/4", "theta2": "1/4"}, "support": ["a", "b", "c", "d"],
+                "pmf": {"theta0": ["1/6", "1/6", "1/3", "1/3"], "theta1": ["1/10", "1/10", "2/5", "2/5"],
+                        "theta2": ["1/12", "3/12", "4/12", "4/12"]}}
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(spec))
+        model, _ = resolve_model(str(model_path))
+        ratios = [p1 / p0 for p0, p1 in zip(model.probs("theta0"), model.probs("theta1"))]
+        statistic = default_statistic(model)
+        assert model.int_row("theta0")[0] != model.int_row("theta1")[0]  # the scale D_null / D_alt is not 1
+        assert statistic == make_statistic(model, statistic.name, ratios)
+        assert main(["verify", "--model", str(model_path), "--out", str(tmp_path / "v")]) == 0
+        reports = {r["claim"]: r for r in json.loads((tmp_path / "v" / "reports.json").read_text(encoding="utf-8"))}
+        note = (f"hypothesis unmet: conditional law given [lr(theta1:theta0)={ratios[0]}] differs: "
+                "point 'a' under theta2 vs theta0")
+        assert str(ratios[0]) == "3/5"
+        assert reports["C6"]["note"] == reports["C8"]["note"] == note
+
     def test_model_file_input(self, tmp_path):
         from mdpvalues import bernoulli_product_model, save_model
         model_path = tmp_path / "model.json"
@@ -438,6 +465,32 @@ class TestPValuesCommand:
         rows = read_csv(out)
         assert len(rows) == 32
         assert parse_rational(rows[0]["natural"]) == Fraction(1, 32)
+
+    @pytest.mark.parametrize("family", ["md", "t"])
+    def test_labels_that_need_quoting_write_what_csv_writer_writes(self, tmp_path, family):
+        """Only labels go through csv: the file's bytes are csv.writer's for rows built from Fractions."""
+        labels = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "", "plain"]
+        spec = {"parameters": {"theta0": "1/2", "theta1": "3/4"}, "support": labels,
+                "pmf": {"theta0": ["1/7"] * 7, "theta1": ["1/14", "1/7", "1/7", "3/14", "1/14", "1/7", "3/14"]}}
+        model_path, out = tmp_path / "model.json", tmp_path / "pv.csv"
+        model_path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["pvalues", "--model", str(model_path), "--family", family, "--out", str(out)]) == 0
+        model, _ = resolve_model(str(model_path))
+        statistic = default_statistic(model)
+        ranking = build_agreeing_ranking(model, statistic)
+        table = pvalue_family(model, ranking if family == "md" else statistic)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"])
+        for i in ranking.order():
+            pt = model.support[i]
+            a, natural, mid = (table.evaluate(pt, u) for u in (0, 1, Fraction(1, 2)))
+            writer.writerow([pt.label, ranking.rank(pt), *map(format_rational, (statistic.value(pt), a, natural - a,
+                                                                                natural, mid)),
+                             decimal_string(natural), decimal_string(mid)])
+        # Before Python 3.13 csv.writer leaves a bare "\r" unquoted when the line ends in "\n", so the file is
+        # compared with its bytes, not read back.
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("spec", ["example1", "binomial:200,1/2,3/5"])

@@ -2,11 +2,12 @@
 
 import random
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdpvalues import (
     ModelError,
@@ -14,13 +15,16 @@ from mdpvalues import (
     RankingError,
     Statistic,
     bernoulli_product_model,
+    binomial_model,
     build_agreeing_ranking,
     likelihood_ratio_statistic,
     make_model,
     make_statistic,
     ranking_from_order,
     verify_agreement,
+    verify_all_claims,
 )
+from mdpvalues.rational import format_rational
 
 from conftest import shuffled_agreeing_ranking
 
@@ -123,6 +127,67 @@ class TestClassTable:
                 assert result == oracle(model, ratios, ranking)
                 outcomes.add(result[0])
         assert outcomes == {True, False}
+
+
+@st.composite
+def lr_models(draw):
+    """Two-row models with mixed row denominators, ties and zeros in the alternative row.
+
+    Each row is integer weights over their total, so the reduced entries
+    have mixed denominators and the two rows' common denominators mostly
+    differ: the likelihood ratio's scale D_null / D_alt is then not 1.
+    """
+    n = draw(st.integers(1, 10))
+    null = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    alt = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any))
+    rows = {"t0": [Fraction(w, sum(null)) for w in null], "t1": [Fraction(w, sum(alt)) for w in alt]}
+    return make_model([f"x{i}" for i in range(n)], {"t0": "1/2", "t1": "3/4"}, rows)
+
+
+class TestScaledKeys:
+    """The likelihood ratio keeps its ratios and one scale; its keys are built on first read."""
+
+    @given(lr_models())
+    @example(make_model(["x0", "x1"], {"t0": "1/2", "t1": "3/4"}, {"t0": ["1/4", "3/4"], "t1": ["3/4", "1/4"]}))
+    @settings(max_examples=200, deadline=None)
+    def test_likelihood_ratio_equals_its_pointwise_statistic(self, model):
+        """The example has D_null == D_alt, a scale of 1, and an int ratio 3: its key is still Fraction(3, 1)."""
+        stat = likelihood_ratio_statistic(model, "t0", "t1")
+        oracle = make_statistic(model, stat.name, pointwise_ratios(model))
+        # Read before the keys are built, then after.
+        assert stat._key_texts() == [format_rational(key) for key in oracle.keys]
+        assert stat == oracle and oracle == stat
+        assert hash(stat) == hash(oracle)
+        assert repr(stat) == repr(oracle)
+        assert stat.keys == oracle.keys and stat.class_of == oracle.class_of and stat.values == oracle.values
+        assert [stat.value(pt) for pt in model.support] == list(oracle.values)
+
+    def test_scale_is_not_one_on_the_reference_model(self, example1, lr):
+        assert example1.int_row("theta0")[0] != example1.int_row("theta1")[0]
+        assert lr.keys[0] == Fraction(32768, 3125) and lr._key_texts()[0] == "32768/3125"
+
+    def test_constructor_by_position_and_keyword(self):
+        by_position = Statistic("s", (Fraction(3, 2), 1), (1, 0, 0))
+        assert Statistic(name="s", keys=(Fraction(3, 2), 1), class_of=(1, 0, 0)) == by_position
+        assert by_position.keys == (Fraction(3, 2), 1)
+        assert repr(by_position) == "Statistic(name='s', keys=(Fraction(3, 2), 1), class_of=(1, 0, 0))"
+
+    def test_instances_are_immutable(self, lr):
+        with pytest.raises(FrozenInstanceError):
+            lr.name = "other"
+
+    @pytest.mark.parametrize("model, c6", [
+        (binomial_model(30, ["1/2", "3/5"]), "pass"),
+        (make_model(["a", "b", "c", "d"], {"t0": "1/2", "t1": "3/4", "t2": "1/4"},
+                    {"t0": ["1/6", "1/6", "1/3", "1/3"], "t1": ["1/10", "1/10", "2/5", "2/5"],
+                     "t2": ["1/12", "3/12", "4/12", "4/12"]}), "skipped"),  # the skip note names one key
+    ], ids=["binomial", "unmet-sufficiency"])
+    def test_verify_never_builds_the_keys(self, model, c6):
+        null, alt = model.parameter_names[:2]
+        stat = likelihood_ratio_statistic(model, null, alt)
+        reports = verify_all_claims(model, stat, build_agreeing_ranking(model, stat), list(model.parameter_names))
+        assert {r.claim: r.verdict for r in reports}["C6"] == c6
+        assert "keys" not in vars(stat)
 
 
 class TestBuildAgreeingRanking:
@@ -234,6 +299,19 @@ class TestRankingFromOrder:
         order[-1] = order[0]
         with pytest.raises(RankingError, match="exactly once"):
             ranking_from_order(example1, order)
+
+    @pytest.mark.parametrize("entry", [0, 31, True, None], ids=["index-0", "index-31", "bool", "none"])
+    def test_entry_that_is_not_a_label_is_refused(self, example1, table1_ranking, entry):
+        order = [example1.support[i].label for i in table1_ranking.order()]
+        order[5] = entry
+        with pytest.raises(RankingError, match=f"^rank order must list support labels, got {re.escape(repr(entry))}$"):
+            ranking_from_order(example1, order)
+
+    def test_indices_and_points_are_not_read_as_labels(self, example1):
+        with pytest.raises(RankingError, match="got 31$"):
+            ranking_from_order(example1, list(range(31, -1, -1)))
+        with pytest.raises(RankingError, match="got SupportPoint"):
+            ranking_from_order(example1, list(example1.support))
 
     def test_unknown_label_rejected(self, example1, table1_ranking):
         order = [example1.support[i].label for i in table1_ranking.order()]

@@ -27,7 +27,12 @@ written once by ``save_model`` to a temporary file outside the timer; the
 rest of the run uses the loaded model, as ``mdpv verify --model FILE`` does.
 ``statistic_s`` covers ``likelihood_ratio_statistic`` plus
 ``build_agreeing_ranking``; the agreement check and the p-value family
-builds run inside ``verify_all_claims`` and so are timed in ``verify_s``:
+builds run inside ``verify_all_claims`` and so are timed in ``verify_s``.
+At binomial n = 1000 and 4000 a run also times the two CSV commands end
+to end, each in a fresh ``python -m mdpvalues`` process on the same tree:
+``pvalues_s`` for ``mdpv pvalues --model binomial:n,1/2,3/5`` and
+``cdf_s`` for ``mdpv cdf --model binomial:n,1/2,3/5 --theta theta1``.
+The sha256 of each CSV is kept, and the two columns must agree on it:
 
     git archive PARENT | tar -x -C ../parent
     python tools/verify_scaling.py --parent ../parent/src --change src
@@ -42,6 +47,7 @@ A column's commit is ``git describe`` of its tree, or the
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,6 +66,11 @@ REPEAT = 5
 CASES = [("bernoulli", n) for n in (8, 10, 12, 14, 16)] + [("binomial", n) for n in (100, 200, 1000, 4000)]
 TARGETS = {"bernoulli n=14": 3.0, "binomial n=4000": 10.0}
 TIMES = ("model_s", "load_s", "statistic_s", "verify_s", "serialize_s")
+# Binomial n at which the CSV commands are timed, and their arguments besides --model and --out.
+CSV_CASES = (1000, 4000)
+CSV_COMMANDS = {"pvalues": ["pvalues"], "cdf": ["cdf", "--theta", "theta1"]}
+# Outputs that every run of a case, in both columns, must repeat.
+SAME = ("output_bytes", *(f"{name}_sha256" for name in CSV_COMMANDS))
 
 
 def cpu_name() -> str:
@@ -121,7 +132,10 @@ def run_case(family: str, n: int) -> dict:
     if verdicts != ["pass"]:
         raise SystemExit(f"{family} n={n}: verdicts {verdicts}, expected all pass")
     null_bits, alt_bits = (model.int_row(theta)[0].bit_length() for theta in ("theta0", "theta1"))
+    # ru_maxrss is in KiB on Linux; read before the CSV commands, whose files are hashed here
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
+        **(time_commands(n) if family == "binomial" and n in CSV_CASES else {}),
         "model_s": model_s,
         "load_s": load_s,
         "statistic_s": ranked - start,
@@ -130,9 +144,26 @@ def run_case(family: str, n: int) -> dict:
         "output_bytes": output_bytes,
         "support": model.size,
         "denominator_bits": [null_bits, alt_bits],
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
     }
+
+
+def time_commands(n: int) -> dict:
+    """Wall time and output sha256 of each CSV command at binomial n, each in a fresh interpreter."""
+    out = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "table.csv"
+        for name, argv in CSV_COMMANDS.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "mdpvalues", *argv, "--model", f"binomial:{n},1/2,3/5",
+                            "--out", str(path)], check=True, stdout=subprocess.DEVNULL)
+            out[f"{name}_s"] = time.perf_counter() - start
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            out[f"{name}_sha256"] = digest.hexdigest()
+    return out
 
 
 def run_child(src: Path, family: str, n: int) -> dict:
@@ -144,11 +175,14 @@ def run_child(src: Path, family: str, n: int) -> dict:
 
 
 def summary(runs: list[dict]) -> dict:
+    timed = [name for name in CSV_COMMANDS if f"{name}_s" in runs[0]]
     return {
         "support": runs[0]["support"],
         "denominator_bits": runs[0]["denominator_bits"],
         "output_bytes": runs[0]["output_bytes"],
         **{f"{key}_median": statistics.median(run[key] for run in runs) for key in TIMES},
+        **{f"{name}_s_median": statistics.median(run[f"{name}_s"] for run in runs) for name in timed},
+        **{f"{name}_sha256": runs[0][f"{name}_sha256"] for name in timed},
         "peak_rss_mb_median": statistics.median(run["peak_rss_mb"] for run in runs),
         "peak_rss_mb_runs": [run["peak_rss_mb"] for run in runs],
         "verify_s_runs": [run["verify_s"] for run in runs],
@@ -169,13 +203,17 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
         line = [f"{name:<17}"]
         for column in columns:
             cases[column][name] = summary(runs[column])
-            if len({run["output_bytes"] for run in runs[column]}) != 1:
-                raise SystemExit(f"{name}: {column} wrote reports of different sizes")
+            if any(len({run.get(key) for run in runs[column]}) != 1 for key in SAME):
+                raise SystemExit(f"{name}: the runs of {column} wrote different outputs")
             case = cases[column][name]
             line.append(f"{column} load {case['load_s_median']:6.3f} s verify {case['verify_s_median']:7.3f} s"
                         f" serialize {case['serialize_s_median']:7.3f} s"
-                        f" {case['output_bytes']:>11,} B {case['peak_rss_mb_median']:6.1f} MB")
+                        f" {case['output_bytes']:>11,} B {case['peak_rss_mb_median']:6.1f} MB"
+                        + "".join(f" {command} {case[f'{command}_s_median']:6.3f} s" for command in CSV_COMMANDS
+                                  if f"{command}_s_median" in case))
         print("  ".join(line), flush=True)
+        if any(len({cases[column][name].get(key) for column in columns}) != 1 for key in SAME):
+            raise SystemExit(f"{name}: the columns wrote different outputs")
     return cases
 
 
@@ -202,6 +240,8 @@ def main(argv: list[str] | None = None) -> int:
             "denominator bit-length; model build, load_model of its saved file, statistic+ranking and "
             "reports_to_json timed separately, "
             "output_bytes the size of that JSON, peak_rss_mb the peak resident set size of the run's process; "
+            "pvalues_s and cdf_s the wall time of mdpv pvalues and mdpv cdf --theta theta1 in a fresh process "
+            "at binomial n=1000 and 4000, with the sha256 of each CSV; "
             "each run in a fresh process, the two columns alternating case by case and run by run"
         ),
         "repeat": REPEAT,
