@@ -35,7 +35,7 @@ from .ranking import (
     ranking_from_order,
     verify_agreement,
 )
-from .testing import PValueFamily, TestFunction, TestingError, pvalue_family
+from .testing import PValueFamily, TestingError, pvalue_family
 from .rational import decimal_string, format_rational, parse_rational
 
 __version__ = "0.1.0"

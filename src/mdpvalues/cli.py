@@ -48,13 +48,17 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 
 class _Lines(list):
-    write = list.append  # a csv.writer calls it once per row
+    def write(self, line: str) -> None:  # a csv.writer calls it once per row, ended in "\r\n"
+        self.append(line[:-2] + "\n")
 
 
 def _csv_lines(rows: Iterable[Sequence[object]]) -> list[str]:
-    """Each row as the line of text that ``csv.writer`` writes for it to a table."""
+    """Each row as the line of text that ``csv.writer`` writes for it to a table, ended in LF.
+
+    Before Python 3.13 the writer quotes a field's CR only when its terminator holds one, so it is given CRLF.
+    """
     lines = _Lines()
-    csv.writer(lines, lineterminator="\n").writerows(rows)
+    csv.writer(lines, lineterminator="\r\n").writerows(rows)
     return lines
 
 

@@ -221,7 +221,10 @@ def verify_all_claims(
     ``thetas`` is the parameter grid for the claims quantified over theta
     (C1, C3, C6); null-only claims always run against the model's null.
     C6 and C8 are gated on sufficiency of the statistic and report
-    "skipped" with a note when the hypothesis is unmet.  Every grid comes
+    "skipped" with a note when the hypothesis is unmet.  C8's proof below
+    reads the null only, but the paper states the projection under
+    sufficiency, where it holds under every theta, so C8 keeps that
+    hypothesis.  Every grid comes
     from the two families' class starts, plus 0 and 1 (and midpoints for alpha).
 
     C4 checks F_T <= F_MD, not F_MD <= t: t - F_MD(t) = t - (last MD class

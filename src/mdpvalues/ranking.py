@@ -141,20 +141,18 @@ class Ranking:
     """Bijection from the support onto {1..N}, as each point's rank; rank 1 is most extreme.
 
     It is a class table with one point per class, read like a ``Statistic``:
-    ``keys`` are the ranks 1..N and ``class_of`` is each point's rank - 1.
+    ``class_of`` is each point's rank - 1.
     """
 
     ranks: tuple[int, ...]
-    keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
     class_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _refuse_inexact((int,), self.ranks, "ranks must be ints")
-        keys = tuple(range(1, len(self.ranks) + 1))
-        if set(self.ranks) != set(keys):
-            raise RankingError(f"a ranking needs each rank 1..{len(keys)} exactly once: list every support label once")
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "class_of", tuple(rank - 1 for rank in self.ranks))
+        class_of = tuple(rank - 1 for rank in self.ranks)
+        if set(class_of) != set(range(len(class_of))):
+            raise RankingError(f"a ranking needs each rank 1..{len(class_of)} exactly once: list every support label once")
+        object.__setattr__(self, "class_of", class_of)
 
     def rank(self, point: SupportPoint) -> int:
         return self.ranks[point.index]

@@ -1,26 +1,24 @@
-"""Size-alpha test functions and generalized p-values as exact linear forms.
+"""Size-alpha tests and generalized p-values as exact linear forms.
 
 Everything here is read off one p-value family per source, built from
-the source's class table (``keys`` and each point's ``class_of``, decided
-once by its constructor): the tie classes of a ``ranking.Statistic``, or
-a ``ranking.Ranking``'s one class per rank, most extreme first, read the
+the source's class table (each point's ``class_of``, decided once by its
+constructor): the tie classes of a ``ranking.Statistic``, or a
+``ranking.Ranking``'s one class per rank, most extreme first, read the
 same way.  The family holds the null mass of each class and the null
 mass strictly before it (the class start).  The classes tile [0, 1], so
 the size-alpha test keeps the last class whose start does not exceed
 alpha, and the randomization fraction gamma then makes the null
-expectation exactly alpha.  A test is that family plus the threshold
-class index and gamma (not just the collapsed per-point value), so a
-decision compares the point's class index with the threshold class and
-tells "after the threshold class" from "in it with gamma = 0"; that is
-what makes the indicator identity  I(P(x,u) <= alpha) == decide(x,u)
-exact for every u in [0,1], including u = 0 and boundary alphas.
+expectation exactly alpha: ``family.threshold(alpha)`` is that (k, gamma),
+and ``family.power(theta, alpha)`` its expectation under theta.
 
 A point's p-value is the linear form P(x,u) = a(x) + u*b(x) with a its
 class start (the null mass strictly more extreme) and b its class mass
 (the null tie mass): u=1 gives the natural p-value, u=1/2 the mid-p-value,
 and a uniform draw the randomized p-value.  A minimally discrete family
-is the same table with one point per class; a test at alpha is
-``family.test(alpha)``.
+is the same table with one point per class.  The test rejects x at u
+exactly when P(x,u) <= alpha: a class before k lies wholly at or below
+alpha, a class after k starts above it, and class k's P is at or below
+alpha exactly when u <= gamma, for every u in [0,1] and boundary alpha.
 
 The table is held on the integer lattice of the model's pmf rows: under
 each theta, the class masses and their prefix sums are integers over the
@@ -70,57 +68,16 @@ def _as_unit(u: object, what: str = "u") -> Fraction:
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Piecewise test at exact size alpha, read off one p-value family.
-
-    The test rejects the classes before class ``k`` surely and class ``k``
-    itself with probability ``gamma``.  ``threshold`` is that class's key:
-    the statistic value k(alpha) for a t-based test, the rank k*(alpha)
-    for a minimally discrete one.
-    """
-
-    __test__ = False  # keep pytest's collector away from the Test* name
-
-    table: PValueFamily
-    alpha: Fraction
-    k: int
-    gamma: Fraction
-
-    @property
-    def threshold(self) -> Fraction | int:
-        return self.table.keys[self.k]
-
-    def zone(self, point: SupportPoint | int) -> int:
-        """+1 strictly more extreme than the threshold, 0 at it, -1 below."""
-        k = self.table.class_of[self.table.model.point(point).index]
-        return 1 if k < self.k else (0 if k == self.k else -1)
-
-    def phi(self, point: SupportPoint | int) -> Fraction:
-        """Rejection probability phi_alpha(x) in {0, gamma, 1}."""
-        zone = self.zone(point)
-        if zone > 0:
-            return Fraction(1)
-        return self.gamma if zone == 0 else Fraction(0)
-
-    def decide(self, point: SupportPoint | int, u: object) -> bool:
-        """Randomized decision: True means reject."""
-        uu = _as_unit(u)
-        zone = self.zone(point)
-        return zone > 0 or (zone == 0 and uu <= self.gamma)
-
-
-@dataclass(frozen=True)
 class PValueFamily:
     """The p-values P(x,u) = a(x) + u*b(x) of one source, held per tie class.
 
     The classes are the source's own table: class k holds the points whose
-    ``class_of`` is k and shares the key ``keys[k]``, a statistic value
-    (larger first) or a rank (smaller first, one point per class).  Under
-    the null, ``lattice`` gives its mass and the mass of the classes before
-    it (its start), so the classes tile [0, 1] as the intervals
-    [start, start + mass] and a point's (a, b) is its class's (start, mass).
-    Families compare by model and source; the per-theta lattice cache is
-    left out.
+    ``class_of`` is k, a tie class of a statistic (larger values first) or
+    the one point of rank k + 1.  Under the null, ``lattice`` gives its
+    mass and the mass of the classes before it (its start), so the classes
+    tile [0, 1] as the intervals [start, start + mass] and a point's (a, b)
+    is its class's (start, mass).  Families compare by model and source;
+    the per-theta lattice cache is left out.
     """
 
     model: DiscreteModel
@@ -133,10 +90,6 @@ class PValueFamily:
         size = len(self.source.class_of)
         if size != self.model.size:
             raise TestingError(f"{type(self.source).__name__.lower()} covers {size} points, the model {self.model.size}")
-
-    @property
-    def keys(self) -> tuple[Fraction | int, ...]:
-        return self.source.keys
 
     @property
     def class_of(self) -> tuple[int, ...]:
@@ -177,7 +130,7 @@ class PValueFamily:
         s <= floor(alpha * D), so k is one bisect of the integer starts.
         gamma equals 0 or 1 exactly at boundary alphas; the exact size
         identity E_0[phi_alpha] = alpha holds by construction and is asserted.
-        alpha must be exact and in [0, 1], as for ``power`` and ``test``.
+        alpha must be exact and in [0, 1], as for ``power``.
         """
         alpha = _as_unit(alpha, "alpha")
         den, mass, before = self.lattice(self.model.null)
@@ -195,11 +148,6 @@ class PValueFamily:
         den, mass, before = self.lattice(theta)
         g, h = gamma.numerator, gamma.denominator
         return Fraction(before[k] * h + g * mass[k], den * h)
-
-    def test(self, alpha: object) -> TestFunction:
-        alpha = _as_unit(alpha, "alpha")
-        k, gamma = self.threshold(alpha)
-        return TestFunction(self, alpha, k, gamma)
 
 
 def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFamily:

@@ -138,8 +138,8 @@ class ScanTest:
     """A size-alpha test from the scan: reject the classes before ``k`` surely and class ``k`` with ``gamma``.
 
     ``class_index[i]`` is the scan's class of support point i.  ``zone`` and
-    ``phi`` read like the engine's ``TestFunction``, so the helpers below
-    take either.
+    ``phi`` read each point's rejection off it; the engine holds a test as
+    ``PValueFamily.threshold``'s (k, gamma) alone, which tests compare with this.
     """
 
     alpha: Fraction
@@ -233,7 +233,7 @@ def breakpoints(*forms: PointForms) -> tuple[Fraction, ...]:
 def phi_expectation_by_tails(model: DiscreteModel, test, theta: str) -> Fraction:
     """E_theta[phi] via tail events (independent of the pointwise sum in conftest.brute_expectation).
 
-    ``test`` is a ``ScanTest`` or the engine's ``TestFunction``: only its zones and gamma are read.
+    ``test`` is a ``ScanTest``: only its zones and gamma are read.
     """
     row = model.probs(theta)
     more = sum((row[pt.index] for pt in model.support if test.zone(pt) > 0), Fraction(0))

@@ -5,8 +5,8 @@ the engine with the oracle's helpers: ``engine_forms`` and ``lattice_cdf``;
 agreeing rankings with each tie class in a seeded random order:
 ``shuffled_agreeing_ranking``; both agreement gates, the engine's and the
 oracle's, opened for a block or a test: ``agreement_gates_opened``; a random model redrawn so that its statistic
-is sufficient: ``tilted_to_sufficiency``; and the exact probability that a test's
-decision hinges on its auxiliary u: ``randomization_dependence_prob``.
+is sufficient: ``tilted_to_sufficiency``; and the exact probability that a family's
+size-alpha decision hinges on its auxiliary u: ``randomization_dependence_prob``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from mdpvalues.orders import _jumps
 from mdpvalues.registry import table1_ranking as build_table1_ranking
 
 import claims_oracle
-from claims_oracle import PointForms, StepCDF, breakpoints, scan_pvalue_family
+from claims_oracle import PointForms, StepCDF, breakpoints, scan_pvalue_family, scan_size_alpha_test
 
 
 def brute_expectation(model, theta, fn):
@@ -75,30 +75,33 @@ COHERENCE_US = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fra
 
 
 def decision_coherence_witness(model, source):
-    """First (label, alpha, u) where I(P(x,u) <= alpha) != decide(x,u), else None.
+    """First (label, alpha, u) where I(P(x,u) <= alpha) differs from the scan's test, else None.
 
-    Cross-checks ``PValueFamily.evaluate`` against ``TestFunction.decide``
-    at every breakpoint alpha and at u in ``COHERENCE_US``.
+    Cross-checks ``PValueFamily.evaluate`` against the oracle's size-alpha
+    test, which rejects x at u when its zone is > 0, or 0 and u <= gamma, at
+    every breakpoint alpha and at u in ``COHERENCE_US``.
     """
     family = pvalue_family(model, source)
     for alpha in breakpoints(scan_pvalue_family(model, source)):
-        test = family.test(alpha)
+        test = scan_size_alpha_test(model, source, alpha)
         for pt in model.support:
+            zone = test.zone(pt)
             for u in COHERENCE_US:
-                if (family.evaluate(pt, u) <= alpha) != test.decide(pt, u):
+                if (family.evaluate(pt, u) <= alpha) != (zone > 0 or (zone == 0 and u <= test.gamma)):
                     return pt.label, alpha, u
     return None
 
 
-def randomization_dependence_prob(theta: str, test) -> Fraction:
-    """Exact Pr_theta{phi(X) in (0,1)}: how often the decision hinges on u.
+def randomization_dependence_prob(theta: str, family, alpha) -> Fraction:
+    """Exact Pr_theta{phi_alpha(X) in (0,1)}: how often the family's size-alpha decision hinges on u.
 
     That is the theta mass of the threshold class when 0 < gamma < 1.
     """
-    if not 0 < test.gamma < 1:
+    k, gamma = family.threshold(alpha)
+    if not 0 < gamma < 1:
         return Fraction(0)
-    den, mass, _ = test.table.lattice(theta)
-    return Fraction(mass[test.k], den)
+    den, mass, _ = family.lattice(theta)
+    return Fraction(mass[k], den)
 
 
 def random_model_and_statistic(rng: random.Random, max_support: int = 64):

@@ -37,6 +37,7 @@ from claims_oracle import (
     pointwise_projection,
     randomized_cdf_at,
     rectangle_integral,
+    scan_size_alpha_test,
 )
 from conftest import (
     brute_expectation,
@@ -147,11 +148,10 @@ def test_criterion_4_theorem2_c5_c6_c7():
         # C6: identical power functions at every breakpoint and grid theta.
         names = list(model.parameter_names)
         for alpha in breakpoints(t_forms, md_forms):
-            t_test = pvalue_family(model, count).test(alpha)
-            md_test = pvalue_family(model, ranking).test(alpha)
+            t_test = scan_size_alpha_test(model, count, alpha)
             for theta in names:
-                assert phi_expectation_by_tails(model, t_test, theta) == \
-                    phi_expectation_by_tails(model, md_test, theta)
+                assert t_family.power(theta, alpha) == md_family.power(theta, alpha) == \
+                    phi_expectation_by_tails(model, t_test, theta)
 
         # C7: minimal tie mass pointwise; variance ratio exactly 25 on [T=4].
         for i, pt in enumerate(model.support):
@@ -169,15 +169,16 @@ def test_criterion_5_theorem3_c8_c9(worked_example):
         for alpha in breakpoints(engine_forms(t_family), engine_forms(md_family)):
             report = pointwise_projection(
                 model,
-                pvalue_family(model, count).test(alpha),
-                pvalue_family(model, ranking).test(alpha),
+                scan_size_alpha_test(model, count, alpha),
+                scan_size_alpha_test(model, ranking, alpha),
             )
             assert report.passed, f"martingale projection failed at alpha={alpha}"
         # the reference randomization fraction on the tie class at alpha = 1/10
         tie = [pt for pt in model.support if pt.label.count("1") == 4]
-        md_test = pvalue_family(model, ranking).test(ALPHA)
+        md_test = scan_size_alpha_test(model, ranking, ALPHA)
+        assert md_family.threshold(ALPHA) == (md_test.k, md_test.gamma)
         class_average = sum(md_test.phi(pt) for pt in tie) / len(tie)
-        assert class_average == Fraction(11, 25)
+        assert class_average == Fraction(11, 25) == t_family.threshold(ALPHA)[1]
 
         cdf_t = lattice_cdf(t_family, "theta0", HALF)
         cdf_md = lattice_cdf(md_family, "theta0", HALF)
@@ -193,8 +194,8 @@ def test_criterion_6_randomization_dependence(worked_example):
     with criterion(6, 1.0, "u-dependence at alpha=0.05 is 0.15625 vs 0.03125, ratio exactly 5"):
         model, _lr, count, ranking = worked_example
         alpha = Fraction(1, 20)
-        t_prob = randomization_dependence_prob("theta0", pvalue_family(model, count).test(alpha))
-        md_prob = randomization_dependence_prob("theta0", pvalue_family(model, ranking).test(alpha))
+        t_prob = randomization_dependence_prob("theta0", pvalue_family(model, count), alpha)
+        md_prob = randomization_dependence_prob("theta0", pvalue_family(model, ranking), alpha)
         assert t_prob == Fraction(5, 32)
         assert md_prob == Fraction(1, 32)
         assert t_prob / md_prob == 5
@@ -258,15 +259,16 @@ def test_criterion_8_property_suite():
             alphas = breakpoints(engine_forms(t_family))
             for alpha in (alphas[1], alphas[len(alphas) // 2], alphas[-2]):
                 for source in (statistic, ranking):
-                    test = pvalue_family(model, source).test(alpha)
+                    family = pvalue_family(model, source)
+                    test = scan_size_alpha_test(model, source, alpha)
+                    assert family.threshold(alpha) == (test.k, test.gamma)
                     for theta in ("t0", "t1"):
-                        assert phi_expectation_by_tails(model, test, theta) == \
+                        assert family.power(theta, alpha) == phi_expectation_by_tails(model, test, theta) == \
                             brute_expectation(model, theta, test.phi)
                 nat = lattice_cdf(t_family, "t1", 1)
-                t_test = pvalue_family(model, statistic).test(alpha)
                 oracle = brute_expectation(
                     model, "t1",
-                    lambda pt: Fraction(1) if t_test.decide(pt, 1) else Fraction(0))
+                    lambda pt: Fraction(1) if t_family.evaluate(pt, 1) <= alpha else Fraction(0))
                 assert nat.evaluate(alpha) == oracle
 
 

@@ -468,10 +468,11 @@ class TestPValuesCommand:
 
     @pytest.mark.parametrize("family", ["md", "t"])
     def test_labels_that_need_quoting_write_what_csv_writer_writes(self, tmp_path, family):
-        """Only labels go through csv: the file's bytes are csv.writer's for rows built from Fractions."""
-        labels = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "", "plain"]
+        """Only labels go through csv: each row is csv.writer's for rows built from Fractions, and reads back."""
+        labels = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\nx", " lead", "", "plain"]
         spec = {"parameters": {"theta0": "1/2", "theta1": "3/4"}, "support": labels,
-                "pmf": {"theta0": ["1/7"] * 7, "theta1": ["1/14", "1/7", "1/7", "3/14", "1/14", "1/7", "3/14"]}}
+                "pmf": {"theta0": ["1/8"] * 8,
+                        "theta1": ["1/16", "1/8", "1/8", "3/16", "1/16", "1/8", "3/16", "1/8"]}}
         model_path, out = tmp_path / "model.json", tmp_path / "pv.csv"
         model_path.write_text(json.dumps(spec), encoding="utf-8")
         assert main(["pvalues", "--model", str(model_path), "--family", family, "--out", str(out)]) == 0
@@ -479,18 +480,26 @@ class TestPValuesCommand:
         statistic = default_statistic(model)
         ranking = build_agreeing_ranking(model, statistic)
         table = pvalue_family(model, ranking if family == "md" else statistic)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected, lineterminator="\n")
-        writer.writerow(["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"])
+
+        def line(row):
+            # A "\r\n" terminator makes csv.writer quote a field's "\r" before Python 3.13 too; the file ends
+            # each row in "\n".
+            text = io.StringIO(newline="")
+            csv.writer(text, lineterminator="\r\n").writerow(row)
+            return text.getvalue()[:-2] + "\n"
+
+        expected = [line(["label", "rank", "statistic", "a", "b", "natural", "mid", "natural_dec", "mid_dec"])]
         for i in ranking.order():
             pt = model.support[i]
             a, natural, mid = (table.evaluate(pt, u) for u in (0, 1, Fraction(1, 2)))
-            writer.writerow([pt.label, ranking.rank(pt), *map(format_rational, (statistic.value(pt), a, natural - a,
-                                                                                natural, mid)),
-                             decimal_string(natural), decimal_string(mid)])
-        # Before Python 3.13 csv.writer leaves a bare "\r" unquoted when the line ends in "\n", so the file is
-        # compared with its bytes, not read back.
-        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+            expected.append(line([pt.label, ranking.rank(pt), *map(format_rational, (statistic.value(pt), a,
+                                                                                       natural - a, natural, mid)),
+                                  decimal_string(natural), decimal_string(mid)]))
+        assert out.read_bytes() == "".join(expected).encode("utf-8")
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == [model.support[i].label for i in ranking.order()]
+        assert len(rows) == len(labels) + 1
 
 
 @pytest.mark.parametrize("spec", ["example1", "binomial:200,1/2,3/5"])

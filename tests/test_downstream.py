@@ -200,15 +200,14 @@ class TestRandomizationDependence:
     def test_reference_ratio_of_five(self, example1, lr):
         ranking = build_agreeing_ranking(example1, lr)
         alpha = Fraction(1, 20)
-        t_prob = randomization_dependence_prob("theta0", pvalue_family(example1, lr).test(alpha))
-        md_prob = randomization_dependence_prob("theta0", pvalue_family(example1, ranking).test(alpha))
+        t_prob = randomization_dependence_prob("theta0", pvalue_family(example1, lr), alpha)
+        md_prob = randomization_dependence_prob("theta0", pvalue_family(example1, ranking), alpha)
         assert t_prob == Fraction(5, 32)   # 0.15625, the five-point tie class
         assert md_prob == Fraction(1, 32)  # 0.03125, a single point
         assert t_prob / md_prob == 5
 
     def test_zero_alpha_never_depends_on_u(self, example1, lr):
-        test = pvalue_family(example1, lr).test(0)
-        assert randomization_dependence_prob("theta0", test) == 0
+        assert randomization_dependence_prob("theta0", pvalue_family(example1, lr), 0) == 0
 
 
 def _config(**overrides):

@@ -37,6 +37,7 @@ from claims_oracle import (
     randomized_cdf_at,
     rectangle_integral,
     scan_pvalue_family,
+    scan_size_alpha_test,
 )
 from conftest import brute_expectation, engine_forms, lattice_cdf
 
@@ -202,19 +203,19 @@ class TestMartingaleProjection:
         alpha = Fraction(1, 10)
         report = pointwise_projection(
             example1,
-            pvalue_family(example1, count_stat).test(alpha),
-            pvalue_family(example1, table1_ranking).test(alpha),
+            scan_size_alpha_test(example1, count_stat, alpha),
+            scan_size_alpha_test(example1, table1_ranking, alpha),
         )
         assert report.passed
         # on the tie class the null-conditional average is (1 + 1 + 1/5)/5
-        assert pvalue_family(example1, count_stat).test(alpha).gamma == Fraction(11, 25)
+        assert pvalue_family(example1, count_stat).threshold(alpha)[1] == Fraction(11, 25)
 
     def test_degenerate_alphas_pass(self, example1, count_stat, table1_ranking):
         for alpha in (0, 1):
             report = pointwise_projection(
                 example1,
-                pvalue_family(example1, count_stat).test(alpha),
-                pvalue_family(example1, table1_ranking).test(alpha),
+                scan_size_alpha_test(example1, count_stat, alpha),
+                scan_size_alpha_test(example1, table1_ranking, alpha),
             )
             assert report.passed
 
@@ -226,8 +227,8 @@ class TestMartingaleProjection:
         tampered = Ranking(tuple(ranks))
         report = pointwise_projection(
             example1,
-            pvalue_family(example1, count_stat).test(Fraction(1, 10)),
-            pvalue_family(example1, tampered).test(Fraction(1, 10)),
+            scan_size_alpha_test(example1, count_stat, Fraction(1, 10)),
+            scan_size_alpha_test(example1, tampered, Fraction(1, 10)),
         )
         assert report.verdict == "fail"
         assert report.witness
@@ -374,20 +375,16 @@ class TestVerifyAllClaims:
         with pytest.raises(OrdersError, match="list of parameter names, not the string 'theta1'"):
             verify_all_claims(example1, count_stat, table1_ranking, "theta1")
 
-    def test_expectations_cross_check_against_brute_oracle(
-        self, example1, count_stat, table1_ranking, t_family, md_family
-    ):
+    def test_expectations_cross_check_against_brute_oracle(self, example1, count_stat, t_family, md_family):
         # Claim checkers evaluate expectations through CDFs / tail events;
         # the oracle is the straight-line sum over the support.
         nat_md = lattice_cdf(md_family, "theta1", 1)
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2), Fraction(31, 32)):
-            md_test = pvalue_family(example1, table1_ranking).test(alpha)
             oracle = brute_expectation(
                 example1, "theta1",
-                lambda pt: Fraction(1) if md_test.decide(pt, 1) else Fraction(0),
+                lambda pt: Fraction(1) if md_family.evaluate(pt, 1) <= alpha else Fraction(0),
             )
             assert nat_md.evaluate(alpha) == oracle
-            t_test = pvalue_family(example1, count_stat).test(alpha)
-            assert phi_expectation_by_tails(example1, t_test, "theta1") == brute_expectation(
-                example1, "theta1", t_test.phi
-            )
+            t_test = scan_size_alpha_test(example1, count_stat, alpha)
+            assert t_family.power("theta1", alpha) == phi_expectation_by_tails(example1, t_test, "theta1") == \
+                brute_expectation(example1, "theta1", t_test.phi)

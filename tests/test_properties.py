@@ -38,7 +38,14 @@ from mdpvalues.rational import (
     ratio_terms,
 )
 
-from claims_oracle import breakpoints, check_agreement, randomized_cdf_at, scan_pvalue_family
+from claims_oracle import (
+    breakpoints,
+    check_agreement,
+    phi_expectation_by_tails,
+    randomized_cdf_at,
+    scan_pvalue_family,
+    scan_size_alpha_test,
+)
 from conftest import (
     agreement_gates_opened,
     brute_expectation,
@@ -186,8 +193,22 @@ def test_size_identity_everywhere(case, numerator):
     model, statistic = case
     alpha = Fraction(numerator, 20)
     for source in (statistic, build_agreeing_ranking(model, statistic)):
-        test = pvalue_family(model, source).test(alpha)
-        assert brute_expectation(model, "t0", test.phi) == alpha
+        scan = scan_size_alpha_test(model, source, alpha)
+        assert pvalue_family(model, source).power("t0", alpha) == brute_expectation(model, "t0", scan.phi) == alpha
+
+
+@given(small_models())
+@settings(max_examples=40, deadline=None)
+def test_threshold_and_power_match_the_scan_at_every_breakpoint(case):
+    model, statistic = case
+    ranking = build_agreeing_ranking(model, statistic)
+    for alpha in breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)):
+        for source in (statistic, ranking):
+            family = pvalue_family(model, source)
+            scan = scan_size_alpha_test(model, source, alpha)
+            assert family.threshold(alpha) == (scan.k, scan.gamma)
+            for theta in model.parameter_names:
+                assert family.power(theta, alpha) == phi_expectation_by_tails(model, scan, theta)
 
 
 @given(small_models())
@@ -241,13 +262,12 @@ def test_md_natural_attains_every_rank_cumulative(case):
 def test_natural_decisions_nested_and_level(case):
     model, statistic = case
     ranking = build_agreeing_ranking(model, statistic)
+    t_family, md_family = pvalue_family(model, statistic), pvalue_family(model, ranking)
     for alpha in breakpoints(scan_pvalue_family(model, statistic), scan_pvalue_family(model, ranking)):
-        t_test = pvalue_family(model, statistic).test(alpha)
-        md_test = pvalue_family(model, ranking).test(alpha)
         t_nat = brute_expectation(
-            model, "t0", lambda pt: Fraction(1) if t_test.decide(pt, 1) else Fraction(0))
+            model, "t0", lambda pt: Fraction(1) if t_family.evaluate(pt, 1) <= alpha else Fraction(0))
         md_nat = brute_expectation(
-            model, "t0", lambda pt: Fraction(1) if md_test.decide(pt, 1) else Fraction(0))
+            model, "t0", lambda pt: Fraction(1) if md_family.evaluate(pt, 1) <= alpha else Fraction(0))
         assert t_nat <= md_nat <= alpha
 
 

@@ -262,7 +262,6 @@ class TestVerifyAgreement:
 class TestRankingTable:
     def test_one_point_per_class(self, table1_ranking):
         n = len(table1_ranking.ranks)
-        assert table1_ranking.keys == tuple(range(1, n + 1))
         assert table1_ranking.class_of == tuple(rank - 1 for rank in table1_ranking.ranks)
         assert table1_ranking.order() == tuple(sorted(range(n), key=table1_ranking.ranks.__getitem__))
 

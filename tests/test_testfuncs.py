@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mdpvalues
 from mdpvalues import (
     ModelError,
     PValueFamily,
@@ -17,12 +18,14 @@ from mdpvalues import (
     make_statistic,
     pvalue_family,
 )
+from mdpvalues import testing
 from mdpvalues.cli import main
 
-from claims_oracle import breakpoints, scan_pvalue_family
-from conftest import brute_expectation, decision_coherence_witness, engine_forms
+from claims_oracle import breakpoints, scan_pvalue_family, scan_size_alpha_test
+from conftest import COHERENCE_US, brute_expectation, decision_coherence_witness, engine_forms
 
 ALPHA = Fraction(1, 10)
+HALF = Fraction(1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -34,52 +37,65 @@ class TestSizeAlphaTest:
     """The worked level-0.1 pair: reject T=5 surely, randomize on T=4."""
 
     def test_t_based_threshold_and_gamma(self, example1, count_stat):
-        test = pvalue_family(example1, count_stat).test(ALPHA)
-        assert test.table.source is count_stat
-        assert test.threshold == 4
-        assert test.gamma == Fraction(11, 25)  # 0.44
+        k, gamma = pvalue_family(example1, count_stat).threshold(ALPHA)
+        assert count_stat.keys[k] == 4
+        assert gamma == Fraction(11, 25)  # 0.44
 
     def test_md_threshold_and_gamma(self, example1, table1_ranking):
-        test = pvalue_family(example1, table1_ranking).test(ALPHA)
-        assert test.table.source is table1_ranking
-        assert test.threshold == 4
-        assert test.gamma == Fraction(1, 5)  # ranks 1-3 sure, rank 4 at 0.2
+        family = pvalue_family(example1, table1_ranking)
+        k, gamma = family.threshold(ALPHA)
+        assert k + 1 == 4
+        assert gamma == Fraction(1, 5)  # ranks 1-3 sure, rank 4 at 0.2
+        scan = scan_size_alpha_test(example1, table1_ranking, ALPHA)
+        assert (scan.k, scan.gamma) == (k, gamma)
         by_rank = {table1_ranking.rank(pt): pt for pt in example1.support}
-        assert [test.phi(by_rank[r]) for r in (1, 2, 3)] == [1, 1, 1]
-        assert test.phi(by_rank[4]) == Fraction(1, 5)
-        assert all(test.phi(by_rank[r]) == 0 for r in range(5, 33))
+        assert [scan.phi(by_rank[r]) for r in (1, 2, 3)] == [1, 1, 1]
+        assert scan.phi(by_rank[4]) == Fraction(1, 5)
+        assert all(scan.phi(by_rank[r]) == 0 for r in range(5, 33))
+        assert all(family.evaluate(by_rank[r], 1) <= ALPHA for r in (1, 2, 3))
+        assert family.evaluate(by_rank[4], gamma) <= ALPHA < family.evaluate(by_rank[4], Fraction(21, 100))
+        assert all(family.evaluate(by_rank[r], 0) > ALPHA for r in range(5, 33))
 
     def test_boundary_sizes(self, example1, count_stat, table1_ranking):
         for source in (count_stat, table1_ranking):
-            zero = pvalue_family(example1, source).test(0)
-            one = pvalue_family(example1, source).test(1)
-            assert all(zero.phi(pt) == 0 for pt in example1.support)
-            assert all(one.phi(pt) == 1 for pt in example1.support)
+            family = pvalue_family(example1, source)
+            for alpha in (0, 1):
+                scan = scan_size_alpha_test(example1, source, alpha)
+                assert family.threshold(alpha) == (scan.k, scan.gamma)
+                assert all(scan.phi(pt) == alpha for pt in example1.support)
+                assert all((family.evaluate(pt, HALF) <= alpha) == bool(alpha) for pt in example1.support)
 
     def test_size_identity_on_dense_grid(self, example1, count_stat, table1_ranking):
         grid = set(Fraction(k, 100) for k in range(101))
         grid.update(breakpoints(scan_pvalue_family(example1, count_stat)))
         for alpha in sorted(grid):
             for source in (count_stat, table1_ranking):
-                test = pvalue_family(example1, source).test(alpha)
-                assert brute_expectation(example1, "theta0", test.phi) == alpha
+                scan = scan_size_alpha_test(example1, source, alpha)
+                assert pvalue_family(example1, source).threshold(alpha) == (scan.k, scan.gamma)
+                assert pvalue_family(example1, source).power("theta0", alpha) == alpha
+                assert brute_expectation(example1, "theta0", scan.phi) == alpha
 
     def test_gamma_is_exactly_zero_or_one_at_boundaries(self, example1, count_stat):
-        at_tail = pvalue_family(example1, count_stat).test(Fraction(1, 32))
-        assert at_tail.gamma == 0 and at_tail.threshold == 4
-        assert pvalue_family(example1, count_stat).test(1).gamma == 1
+        k, gamma = pvalue_family(example1, count_stat).threshold(Fraction(1, 32))
+        assert gamma == 0 and count_stat.keys[k] == 4
+        assert pvalue_family(example1, count_stat).threshold(1)[1] == 1
 
     def test_monotone_in_alpha_pointwise(self, example1, count_stat, table1_ranking):
+        # phi_alpha(x) is 1, gamma or 0 as x's class is before, at or after k, so (k, gamma) rising
+        # lexicographically is phi rising at every point
         for source in (count_stat, table1_ranking):
             grid = breakpoints(scan_pvalue_family(example1, source))
-            tests = [pvalue_family(example1, source).test(a) for a in grid]
-            for lo, hi in zip(tests, tests[1:]):
+            thresholds = [pvalue_family(example1, source).threshold(a) for a in grid]
+            assert thresholds == sorted(thresholds)
+            scans = [scan_size_alpha_test(example1, source, a) for a in grid]
+            assert thresholds == [(scan.k, scan.gamma) for scan in scans]
+            for lo, hi in zip(scans, scans[1:]):
                 for pt in example1.support:
                     assert lo.phi(pt) <= hi.phi(pt)
 
     def test_alpha_out_of_range(self, example1, count_stat):
         with pytest.raises(TestingError):
-            pvalue_family(example1, count_stat).test(Fraction(3, 2))
+            pvalue_family(example1, count_stat).threshold(Fraction(3, 2))
 
     @pytest.mark.parametrize(
         "alpha", [Fraction(3, 2), Fraction(-1, 2), 0.1, "1_0/40", "\u0661/\u0664", True],
@@ -88,8 +104,7 @@ class TestSizeAlphaTest:
         # unchecked, 3/2 gave a power above 1 and -1/2 wrapped to the last class; the model-file
         # grammar refuses the last three, which Fraction(str) and Fraction(True) read as 1/4, 1/4 and 1
         family = pvalue_family(example1, lr)
-        for call in (lambda: family.threshold(alpha), lambda: family.power("theta1", alpha),
-                     lambda: family.test(alpha)):
+        for call in (lambda: family.threshold(alpha), lambda: family.power("theta1", alpha)):
             with pytest.raises(TestingError):
                 call()
 
@@ -97,75 +112,73 @@ class TestSizeAlphaTest:
         # 0.1 as a binary float is 3602879701896397/36028797018963968, not 1/10
         for alpha in (0.1, np.float64(0.1), np.float32(0.1), 0.5):
             with pytest.raises(TestingError, match="refusing float"):
-                pvalue_family(example1, lr).test(alpha)
-        exact = pvalue_family(example1, lr).test(Fraction(1, 10))
-        assert exact.alpha == Fraction(1, 10)
-        assert pvalue_family(example1, lr).test("1/10") == exact
-        assert pvalue_family(example1, lr).test(1).gamma == 1
+                pvalue_family(example1, lr).threshold(alpha)
+        exact = pvalue_family(example1, lr).threshold(Fraction(1, 10))
+        assert exact[1] == Fraction(11, 25)
+        assert pvalue_family(example1, lr).threshold("1/10") == exact
+        assert pvalue_family(example1, lr).threshold(1)[1] == 1
 
     def test_float_u_refused(self, example1, lr):
-        test = pvalue_family(example1, lr).test(ALPHA)
-        family = test.table
+        family = pvalue_family(example1, lr)
         top = example1.point("11111")
         for u in (0.5, np.float64(0.5), np.float32(0.5)):
-            for call in (lambda: test.decide(top, u), lambda: family.evaluate(top, u)):
-                with pytest.raises(TestingError, match="refusing float"):
-                    call()
+            with pytest.raises(TestingError, match="refusing float"):
+                family.evaluate(top, u)
         for u in ("1_0/40", "\u0661/\u0664", True):
-            for call in (lambda: test.decide(top, u), lambda: family.evaluate(top, u)):
-                with pytest.raises(TestingError, match="must be an exact number"):
-                    call()
-        assert test.decide(top, Fraction(1, 2))
-        assert test.decide(top, " 1/2 ") and family.evaluate(top, "+1/4") == family.evaluate(top, Fraction(1, 4))
+            with pytest.raises(TestingError, match="must be an exact number"):
+                family.evaluate(top, u)
+        assert family.evaluate(top, Fraction(1, 2)) <= ALPHA
+        assert family.evaluate(top, " 1/2 ") == family.evaluate(top, Fraction(1, 2))
+        assert family.evaluate(top, "+1/4") == family.evaluate(top, Fraction(1, 4))
 
 
 class TestPower:
     def test_reference_power_both_tests(self, example1, count_stat, table1_ranking):
         expected = Fraction(39680, 78125)  # 0.507904
-        t_test = pvalue_family(example1, count_stat).test(ALPHA)
-        md_test = pvalue_family(example1, table1_ranking).test(ALPHA)
-        assert brute_expectation(example1, "theta1", t_test.phi) == expected
-        assert brute_expectation(example1, "theta1", md_test.phi) == expected
+        for source in (count_stat, table1_ranking):
+            assert pvalue_family(example1, source).power("theta1", ALPHA) == expected
+            assert brute_expectation(example1, "theta1", scan_size_alpha_test(example1, source, ALPHA).phi) == expected
         assert float(expected) == 0.507904
 
     def test_size_at_null_is_alpha(self, example1, count_stat):
         for alpha in (Fraction(1, 32), Fraction(1, 10), Fraction(1, 2)):
-            assert brute_expectation(example1, "theta0", pvalue_family(example1, count_stat).test(alpha).phi) == alpha
+            assert pvalue_family(example1, count_stat).power("theta0", alpha) == alpha
+            assert brute_expectation(example1, "theta0", scan_size_alpha_test(example1, count_stat, alpha).phi) == alpha
 
     def test_level_property_of_natural_decisions(self, example1, count_stat):
         family = pvalue_family(example1, count_stat)
         for alpha in breakpoints(scan_pvalue_family(example1, count_stat)):
-            test = pvalue_family(example1, count_stat).test(alpha)
             natural = brute_expectation(
                 example1, "theta0",
-                lambda pt: Fraction(1) if test.decide(pt, 1) else Fraction(0),
+                lambda pt: Fraction(1) if family.evaluate(pt, 1) <= alpha else Fraction(0),
             )
             assert natural <= alpha
 
 
 class TestDecision:
+    """A decision is P(x, u) <= alpha."""
+
     def test_sure_rejection_class(self, example1, count_stat):
-        test = pvalue_family(example1, count_stat).test(ALPHA)
+        family = pvalue_family(example1, count_stat)
         top = example1.point("11111")
         for u in (0, Fraction(1, 2), 1):
-            assert test.decide(top, u)
+            assert family.evaluate(top, u) <= ALPHA
 
     def test_sure_retention_class(self, example1, count_stat):
-        test = pvalue_family(example1, count_stat).test(ALPHA)
+        family = pvalue_family(example1, count_stat)
         low = example1.point("00111")
         for u in (0, Fraction(1, 4), 1):
-            assert not test.decide(low, u)
+            assert not family.evaluate(low, u) <= ALPHA
 
     def test_threshold_class_splits_at_gamma(self, example1, count_stat):
-        test = pvalue_family(example1, count_stat).test(ALPHA)
+        family = pvalue_family(example1, count_stat)
         tied = example1.point("01111")
-        assert test.decide(tied, Fraction(44, 100))
-        assert not test.decide(tied, Fraction(45, 100))
+        assert family.evaluate(tied, Fraction(44, 100)) <= ALPHA
+        assert not family.evaluate(tied, Fraction(45, 100)) <= ALPHA
 
     def test_u_out_of_range(self, example1, count_stat):
-        test = pvalue_family(example1, count_stat).test(ALPHA)
         with pytest.raises(TestingError):
-            test.decide(example1.point("11111"), Fraction(11, 10))
+            pvalue_family(example1, count_stat).evaluate(example1.point("11111"), Fraction(11, 10))
 
 
 class TestPValueFamily:
@@ -232,13 +245,7 @@ def test_source_built_on_another_support_is_refused(example1, coins, kind):
 
 
 @pytest.mark.parametrize("ref", ["minus-one", "past-the-end", "point-of-another-model", "bool"])
-@pytest.mark.parametrize("call", [
-    lambda family, test, point: family.evaluate(point, 1),
-    lambda family, test, point: test.zone(point),
-    lambda family, test, point: test.phi(point),
-    lambda family, test, point: test.decide(point, 1),
-], ids=["evaluate", "zone", "phi", "decide"])
-def test_point_refs_outside_the_model_are_refused(example1, ref, call):
+def test_point_refs_outside_the_model_are_refused(example1, ref):
     # -1 used to read the last point, 8 raised a bare IndexError, and example1's point 3 ("00011")
     # read the 3-coin model's point 3 ("011"), and True read point 1
     model = bernoulli_product_model(3, ["1/2", "4/5"])
@@ -246,7 +253,49 @@ def test_point_refs_outside_the_model_are_refused(example1, ref, call):
     point = {"minus-one": -1, "past-the-end": model.size, "point-of-another-model": example1.support[3],
              "bool": True}[ref]
     with pytest.raises(ModelError):
-        call(family, family.test(ALPHA), point)
+        family.evaluate(point, 1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["coins5-count", "coins5-lr", "coins5-count-ranking", "coins5-table1-ranking",
+     "coins3-count", "coins3-lr", "coins3-count-ranking"],
+)
+def test_decision_is_evaluate_at_most_alpha(example1, table1_ranking, case):
+    """evaluate(x, u) <= alpha rejects exactly where threshold's (k, gamma) says, at every u in [0, 1].
+
+    Classes before k reject at every u, class k at u <= gamma, where P(x, gamma) == alpha
+    exactly, and classes after k at no u.
+    """
+    coins, kind = case.split("-", 1)
+    model = example1 if coins == "coins5" else bernoulli_product_model(3, ["1/2", "3/4"])
+    count = make_statistic(model, "successes", lambda pt: Fraction(pt.label.count("1")))
+    source = {"count": count, "lr": likelihood_ratio_statistic(model, "theta0", "theta1"),
+              "count-ranking": build_agreeing_ranking(model, count), "table1-ranking": table1_ranking}[kind]
+    family = pvalue_family(model, source)
+    step = Fraction(1, 1000)
+    for alpha in breakpoints(scan_pvalue_family(model, source)):
+        k, gamma = family.threshold(alpha)
+        us = set(COHERENCE_US) | {gamma, max(gamma - step, 0), min(gamma + step, 1)}
+        for pt in model.support:
+            c = family.class_of[pt.index]
+            if c == k:
+                assert family.evaluate(pt, gamma) == alpha
+            for u in us:
+                assert (family.evaluate(pt, u) <= alpha) == (c < k or (c == k and u <= gamma)), (pt.label, alpha, u)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [("mdpvalues", "TestFunction"), ("mdpvalues.testing", "TestFunction"), ("PValueFamily", "test"),
+     ("PValueFamily", "keys"), ("Ranking", "keys")],
+)
+def test_no_second_decision_path(example1, table1_ranking, owner, name):
+    # a size-alpha test is threshold's (k, gamma) and a decision is evaluate(x, u) <= alpha; the
+    # TestFunction wrapper, family.test, and the key views only it read are gone
+    holder = {"mdpvalues": mdpvalues, "mdpvalues.testing": testing,
+              "PValueFamily": pvalue_family(example1, table1_ranking), "Ranking": table1_ranking}[owner]
+    assert not hasattr(holder, name)
 
 
 class TestDrawRandomized:
