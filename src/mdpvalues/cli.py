@@ -87,7 +87,7 @@ def _model_and_statistic(args: argparse.Namespace) -> tuple[DiscreteModel, str, 
 
 def _load_ranking(model: DiscreteModel, path: str) -> Ranking:
     data, _ = _read_json(Path(path), "ranking file")
-    if not isinstance(data, list) or not all(isinstance(label, str) for label in data):
+    if not (isinstance(data, list) and set(map(type, data)) <= {str}):
         raise CliError("ranking file must be a JSON array of labels, rank 1 first")
     return ranking_from_order(model, data)
 
@@ -168,10 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     model, model_id, statistic = _model_and_statistic(args)
     ranking = _load_ranking(model, args.ranking_file) if args.ranking_file else build_agreeing_ranking(model, statistic)
-    if args.thetas is None:
-        thetas = list(model.parameter_names)
-    else:
-        thetas = [t for t in args.thetas.split(",") if t]
+    thetas = list(model.parameter_names) if args.thetas is None else [t for t in args.thetas.split(",") if t]
     reports = verify_all_claims(model, statistic, ranking, thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

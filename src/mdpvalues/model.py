@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -64,7 +64,7 @@ class DiscreteModel:
         if not self.parameters:
             raise ModelError("a model needs at least one parameter")
         for i, point in enumerate(self.support):
-            if point.index != i:
+            if type(point.index) is not int or point.index != i:  # the exact type: a bool is no id
                 raise ModelError(f"support ids must be contiguous from 0, got {point.index} at {i}")
         by_label = {}
         for point in self.support:
@@ -81,14 +81,14 @@ class DiscreteModel:
         for name, (den, numerators) in self.rows.items():
             if len(numerators) != n:
                 raise ModelError(f"pmf row for {name!r} has {len(numerators)} entries, support has {n}")
-            if not (isinstance(den, int) and den > 0 and all(isinstance(p, int) for p in numerators)):
+            if not (type(den) is int and den > 0 and set(map(type, numerators)) == {int}):
                 raise ModelError(f"pmf row for {name!r} needs int numerators over a positive int, got {den!r}")
-            if any(p < 0 for p in numerators):
+            if min(numerators) < 0:
                 raise ModelError(f"negative probability under {name!r}")
             total = sum(numerators)
             if total != den:
                 raise ModelError(f"pmf for {name!r} sums to {Fraction(total, den)}, not 1")
-        if any(p == 0 for p in self.rows[self.null][1]):
+        if 0 in self.rows[self.null][1]:
             raise ModelError("null pmf must be strictly positive on every support point")
 
     @property
@@ -148,7 +148,7 @@ def make_model(
     refuse_string(labels, "labels must be a list of support labels")
     for name, row in pmf.items():
         refuse_string(row, f"pmf row for {name!r} must be a list of probabilities")
-    support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
+    support = tuple(map(SupportPoint, count(), map(str, labels)))
     try:
         params = {str(name): parse_rational(v) for name, v in parameters.items()}
         rows = {str(name): common_denominator(ratio_row(row)) for name, row in pmf.items()}
@@ -231,7 +231,7 @@ def model_from_dict(data: object) -> DiscreteModel:
     if not (isinstance(parameters, Mapping) and isinstance(pmf, Mapping)
             and all(isinstance(seq, (list, tuple)) for seq in (support, *pmf.values()))):
         raise ModelError("model spec needs 'parameters' and 'pmf' as objects, 'support' and each pmf row as arrays")
-    if not all(isinstance(label, str) for label in support):
+    if not set(map(type, support)) <= {str} and not all(isinstance(label, str) for label in support):
         raise ModelError("model spec needs every support label as a string")
     return make_model(support, parameters, pmf)
 

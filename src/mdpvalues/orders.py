@@ -37,9 +37,9 @@ Each claim's margins are ints over one positive denominator, and each
 report keeps its grid as the sorted ints it was swept on, over that
 sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
 a failure's witness become Fractions, at the failing grid point or class.
-``reports_to_json`` reduces and prints each distinct grid point once and
-yields the JSON text in pieces, one report grid at most per piece, so
-``mdpv verify`` writes it without ever holding it whole.  No step CDF is
+``reports_to_json`` writes one text per shared grid object (C1, C2, C6 and
+C8 hold the alpha grid, C3 and C4 its steps, all over 2 * D_null), reduces
+and prints each distinct grid point once, and yields the JSON in pieces.  No step CDF is
 built as an object: the claims sweep the class jumps and theta prefixes,
 and ``mdpv cdf`` prints the same lattice columns.
 
@@ -57,15 +57,16 @@ Claim summary, for a statistic T and an agreeing one-to-one ranking R:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, chain, count
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import DiscreteModel, UsageError, refuse_string
 from .ranking import Ranking, Statistic, verify_agreement
-from .rational import decimal_string, format_ratios, format_rational
+from .rational import decimal_ratio, format_ratios
 from .testing import PValueFamily, alpha_lattice, pvalue_family
 
 class OrdersError(UsageError):
@@ -105,25 +106,11 @@ class OrderReport:
         return tuple(Fraction(n, self.grid_den) for n in self.grid_num)
 
 
-def _counts(steps: Sequence[int], grid: Iterable[int]) -> list[int]:
-    """For each point of a sorted grid, how many of the sorted ``steps`` lie at or below it.
-
-    Both are ints on one scale; the step pointer only moves forward.
-    """
-    out = []
-    j, n = 0, len(steps)
-    for x in grid:
-        while j < n and steps[j] <= x:
-            j += 1
-        out.append(j)
-    return out
-
-
 def _claim(
     claim: str,
     grid: Sequence[int],
     grid_den: int,
-    margins: Sequence[int],
+    margins: list[int],
     denominator: int,
     witness: Callable[[int], str],
     note: str | None = None,
@@ -132,52 +119,53 @@ def _claim(
 
     A failure's witness is ``witness(index)``.
     """
-    i = min(range(len(margins)), key=margins.__getitem__)
-    worst = Fraction(margins[i], denominator)
+    least = min(margins)
     grid = tuple(grid)
-    if margins[i] >= 0:
-        return OrderReport(claim, "pass", grid, grid_den, worst, None, note)
-    return OrderReport(claim, "fail", grid, grid_den, worst, witness(i), note)
+    if least >= 0:
+        return OrderReport(claim, "pass", grid, grid_den, Fraction(least, denominator), None, note)
+    return OrderReport(claim, "fail", grid, grid_den, Fraction(least, denominator), witness(margins.index(least)), note)
 
 
-def _natural_order(claim: str, families: Sequence[PValueFamily], kinks: Sequence[int],
+def _natural_order(claim: str, families: Sequence[PValueFamily], steps: tuple[int, ...],
                    classes: Sequence[Sequence[int]], thetas: Sequence[str],
                    labels: Callable[[str], tuple[str, str]]) -> OrderReport:
     """One report for F_A <= F_B, the natural p-value CDFs of families (A, B), under each of ``thetas``.
 
-    ``kinks`` is the alpha grid without midpoints, ints over 2 D_null from
-    0 to 2 D_null, and ``classes`` holds each family's threshold class k at
-    each kink.  A natural CDF jumps at class ends only, each of them a kink,
-    so the kinks after 0 suffice for all t; they are the report's grid, over
-    D_null.  Every null class has positive mass, so the classes ending at or
-    below a kink t < 1 are those before k: F_theta(t) is before_theta[k],
+    ``steps`` is the alpha grid's kinks after 0, ints over 2 D_null up to
+    2 D_null, and ``classes`` holds each family's threshold class k at each
+    of them.  A natural CDF jumps at class ends only, each of them a kink,
+    so the steps suffice for all t; they are the report's grid, held as
+    given.  Every null class has positive mass, so the classes ending at or
+    below a step t < 1 are those before k: F_theta(t) is before_theta[k],
     and D_theta at t = 1, over D_theta.  ``labels(theta)`` names A and B.
     """
-    grid, null_den = [x // 2 for x in kinks[1:]], kinks[-1] // 2
+    scale, (ks_a, ks_b) = steps[-1], classes
     den = math.lcm(*(families[0].lattice(theta)[0] for theta in thetas))
-    margins, cdfs = [], []
+    margins = []
     for theta in thetas:
-        d = families[0].lattice(theta)[0]
+        (d, _, before_a), (_, _, before_b) = (family.lattice(theta) for family in families)
         f = den // d
-        cdf_a, cdf_b = ([*map(fam.lattice(theta)[2].__getitem__, ks[1:-1]), d] for fam, ks in zip(families, classes))
-        margins.extend((b - a) * f for a, b in zip(cdf_a, cdf_b))
-        cdfs.append((theta, d, cdf_a, cdf_b))
+        margins += [(before_b[b] - before_a[a]) * f for a, b in zip(ks_a[:-1], ks_b[:-1])]
+        margins.append(0)  # t = 1, where both CDFs are 1
 
     def witness(index: int) -> str:
-        (theta, d, cdf_a, cdf_b), i = cdfs[index // len(grid)], index % len(grid)
-        (label_a, label_b), value, bound = labels(theta), Fraction(cdf_a[i], d), Fraction(cdf_b[i], d)
-        return f"F_{label_a}({Fraction(grid[i], null_den)}) = {value} vs {label_b} bound {bound}"
+        theta, i = thetas[index // len(steps)], index % len(steps)
+        (d, _, before_a), (_, _, before_b) = (family.lattice(theta) for family in families)
+        (label_a, label_b), value, bound = labels(theta), Fraction(before_a[ks_a[i]], d), Fraction(before_b[ks_b[i]], d)
+        return f"F_{label_a}({Fraction(steps[i], scale)}) = {value} vs {label_b} bound {bound}"
 
-    return _claim(claim, grid, null_den, margins, den, witness)
+    return _claim(claim, steps, scale, margins, den, witness)
 
 
-def _threshold_classes(family: PValueFamily, grid: Sequence[int]) -> list[int]:
-    """Threshold class k(alpha) at each alpha = x / (2 D) of a sorted grid: the last class starting at or below it.
+def _threshold_classes(family: PValueFamily, kinks: Iterable[int]) -> list[int]:
+    """Threshold class k(alpha) at each alpha = x / (2 D) of sorted ``kinks`` that hold every class start.
 
-    A start s / D lies at or below x / (2 D) iff 2 s <= x.
+    k is the number of class starts in (0, x], so it counts the kinks up to
+    x that are starts: s / D is the kink 2 s.
     """
     _den, _mass, before = family.lattice(family.model.null)
-    return [n - 1 for n in _counts([2 * s for s in before[:-1]], grid)]
+    starts = {2 * s for s in before[1:-1]}
+    return list(accumulate(map(starts.__contains__, kinks), initial=0))[1:]
 
 
 def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, str | None]:
@@ -191,22 +179,21 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
     identity between integer numerators, the class masses of
     ``t_family.lattice(theta)``.
     """
-    model = t_family.model
-    classes: dict[int, list[int]] = {}
-    for i, k in enumerate(t_family.class_of):
-        classes.setdefault(k, []).append(i)
+    model, class_of = t_family.model, t_family.class_of
     base = thetas[0]
     base_row, base_mass = model.int_row(base)[1], t_family.lattice(base)[1]
     for theta in thetas[1:]:
         row, mass = model.int_row(theta)[1], t_family.lattice(theta)[1]
-        for k, points in classes.items():
-            for i in points:
-                if row[i] * base_mass[k] != base_row[i] * mass[k]:
-                    statistic, point = t_family.source, model.support[i]
-                    return False, (
-                        f"conditional law given [{statistic.name}={statistic.value(point)}] differs: "
-                        f"point {point.label!r} under {theta} vs {base}"
-                    )
+        lhs = [p * base_mass[k] for p, k in zip(row, class_of)]
+        rhs = [p * mass[k] for p, k in zip(base_row, class_of)]
+        if lhs != rhs:  # the first failing point of the first class, in the visiting order above
+            first = dict(zip(dict.fromkeys(class_of), count()))
+            i = min((i for i in range(len(lhs)) if lhs[i] != rhs[i]), key=lambda i: (first[class_of[i]], i))
+            statistic, point = t_family.source, model.support[i]
+            return False, (
+                f"conditional law given [{statistic.name}={statistic.value(point)}] differs: "
+                f"point {point.label!r} under {theta} vs {base}"
+            )
     return True, None
 
 
@@ -272,9 +259,11 @@ def verify_all_claims(
     # integer helper below reads alpha = x / (2 * D_null), a class start s / D_null as 2 * s.
     scale = 2 * den
     grid = alpha_lattice(scale, *families)
-    # Threshold classes k(alpha) of both families at the kinks (the alpha grid without midpoints).
+    # The kinks are the alpha grid without midpoints; C3 and C4 share its steps, the kinks after 0, and read both
+    # families' threshold classes k(alpha) there.
     kinks = grid[::2]
-    kink_classes = tuple(_threshold_classes(family, kinks) for family in families)
+    steps = kinks[1:]
+    step_classes = tuple(_threshold_classes(family, steps) for family in families)
 
     grid_thetas = list(dict.fromkeys([null, *thetas]))
     sufficient, suff_witness = _sufficiency(t_family, grid_thetas)
@@ -289,9 +278,9 @@ def verify_all_claims(
         return OrderReport(claim, "skipped", (), 1, None, None, f"hypothesis unmet: {suff_witness}")
 
     # C3 and C4: usual stochastic order of natural p-values, read at the kinks (C4 as the docstring says).
-    c3 = (_natural_order("C3", families, kinks, kink_classes, thetas, lambda theta: (f"T@{theta}", f"MD@{theta}"))
+    c3 = (_natural_order("C3", families, steps, step_classes, thetas, lambda theta: (f"T@{theta}", f"MD@{theta}"))
           if thetas else no_thetas("C3"))
-    c4 = _natural_order("C4", families, kinks, kink_classes, [null], lambda theta: ("T", "MD"))
+    c4 = _natural_order("C4", families, steps, step_classes, [null], lambda theta: ("T", "MD"))
     # C1 and C2: a natural test has E_theta[d_alpha] = F_theta(alpha), so they are C3 and C4 on the alpha
     # grid: 0 (every margin 0), every jump, and midpoints, where F_MD - F_T keeps its value at the point
     # before and t - F_MD is larger.  So the worst margin and the first worst witness are C3's and C4's.
@@ -317,61 +306,64 @@ def verify_all_claims(
 
     # C9: convex-order chain of mid-p-values, on both families' mid-p jumps, the MD class starts (the
     # plateau points) and 1.
-    points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
+    points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *[2 * s for s in md_before[1:]]}
     reports.append(proved("C9", sorted(points), "means (1/2, 1/2)"))
 
     return reports
+
+
+def _margin_texts(margin: Fraction) -> tuple[str, str]:
+    """``format_rational`` and ``decimal_string(margin, 9)`` of a worst margin, read off its terms."""
+    n, d = margin.numerator, margin.denominator
+    return f"{n}/{d}", decimal_ratio(n, d, 9)
+
+
+def _string(value: str | None) -> str:
+    """``json.dumps`` of a str or None, by the encoder that it calls."""
+    return "null" if value is None else encode_basestring_ascii(value)
 
 
 def reports_to_json(reports: Sequence[OrderReport]) -> Iterator[str]:
     """The reports as JSON, every rational as "num/den" in lowest terms, as an iterator of pieces.
 
     Join the pieces for the text, or pass them to a file's ``writelines``:
-    no piece holds more than one report's grid, so the whole text is never
-    held at once.  Grid points are read over the lcm of the reports' grid
-    denominators, so each distinct point is reduced and printed once: the
-    alpha grid that C1, C2, C6 and C8 share, and its subsets in C3, C4 and
-    C5, cost one ``format_ratios`` entry per point.  The text is the layout
-    of ``json.dumps(..., indent=2, sort_keys=True)``, written directly:
-    grid entries are digits and "/", which need no escaping, so
-    ``json.dumps`` encodes only the scalar fields.
+    no piece holds more than one report's grid.  Each distinct grid object
+    is rescaled to the lcm of the reports' grid denominators, and joined to
+    its text, once: C1, C2, C6 and C8 share the alpha grid, and C3 and C4
+    its steps.  Each distinct point of those grids is reduced and printed
+    once, by one ``format_ratios``.  The text is the layout of
+    ``json.dumps(..., indent=2, sort_keys=True)``, written directly: grid
+    entries are digits and "/", which need no escaping, and the scalar
+    fields go through ``json.dumps``' own string encoder.
     """
     if not reports:
         yield "[]\n"
         return
     scale = math.lcm(*(r.grid_den for r in reports))
-    grids = [r.grid_num if r.grid_den == scale else [n * (scale // r.grid_den) for n in r.grid_num]
-             for r in reports]
-    points = list(dict.fromkeys(n for grid in grids for n in grid))
+    grids = {}  # (id, denominator) of each distinct grid object -> its numerators over scale
+    for r in reports:
+        key, c = (id(r.grid_num), r.grid_den), scale // r.grid_den
+        if key not in grids:
+            grids[key] = r.grid_num if c == 1 else list(map(c.__mul__, r.grid_num))
+    points = list(dict.fromkeys(chain.from_iterable(grids.values())))
     text = dict(zip(points, format_ratios(points, scale)))
-    for i, (r, grid) in enumerate(zip(reports, grids)):
+    texts = {key: '[\n      "' + '",\n      "'.join(map(text.__getitem__, grid)) + '"\n    ]' if grid else "[]"
+             for key, grid in grids.items()}
+    for i, r in enumerate(reports):
         margin = r.worst_margin
-        yield ",\n" if i else "[\n"
-        yield f'  {{\n    "claim": {json.dumps(r.claim)},\n    "grid": '
-        if grid:
-            yield '[\n      "'
-            yield '",\n      "'.join([text[n] for n in grid])
-            yield '"\n    ]'
-        else:
-            yield "[]"
-        fields = (
-            ("note", json.dumps(r.note)),
-            ("verdict", json.dumps(r.verdict)),
-            ("witness", json.dumps(r.witness)),
-            ("worst_margin", json.dumps(None if margin is None else format_rational(margin))),
-            ("worst_margin_dec", json.dumps(None if margin is None else decimal_string(margin, 9))),
-        )
-        yield "".join(f',\n    "{key}": {value}' for key, value in fields) + "\n  }"
+        worst = (None, None) if margin is None else _margin_texts(margin)
+        yield f'{"," if i else "["}\n  {{\n    "claim": {_string(r.claim)},\n    "grid": '
+        yield texts[id(r.grid_num), r.grid_den]
+        yield (f',\n    "note": {_string(r.note)},\n    "verdict": {_string(r.verdict)},\n'
+               f'    "witness": {_string(r.witness)},\n    "worst_margin": {_string(worst[0])},\n'
+               f'    "worst_margin_dec": {_string(worst[1])}\n  }}')
     yield "\n]\n"
 
 
 def reports_to_text(reports: Sequence[OrderReport]) -> str:
     lines = [f"{'claim':<6} {'verdict':<8} {'worst margin':<24} {'grid':>6}  note"]
     for r in reports:
-        if r.worst_margin is None:
-            margin = "-"
-        else:
-            margin = f"{format_rational(r.worst_margin)} ({decimal_string(r.worst_margin, 9)})"
+        margin = "-" if r.worst_margin is None else "{} ({})".format(*_margin_texts(r.worst_margin))
         detail = r.witness if r.verdict == "fail" else (r.note or "-")
         lines.append(f"{r.claim:<6} {r.verdict:<8} {margin:<24} {len(r.grid_num):>6}  {detail}")
     return "\n".join(lines) + "\n"

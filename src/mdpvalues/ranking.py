@@ -30,6 +30,8 @@ class RankingError(UsageError):
 
 def _refuse_inexact(kinds: tuple[type, ...], values: Iterable[object], fault: str) -> None:
     """Refuse the first bool or value not of ``kinds``: a float is never a key, rank or class index."""
+    if set(map(type, values)) <= set(kinds):  # one pass over the exact types; the loop names a fault
+        return
     for value in values:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise RankingError(f"{fault}, got {value!r}")
@@ -126,7 +128,7 @@ def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: s
     """Exact likelihood ratio p_alt(x) / p_null(x) per point: each distinct numerator pair's ratio, and one scale."""
     null_den, null_row = model.int_row(null_name)
     alt_den, alt_row = model.int_row(alt_name)
-    if any(p == 0 for p in null_row):
+    if 0 in null_row:
         raise RankingError("likelihood ratio needs a strictly positive null pmf")
     pairs: dict[tuple[int, int], int] = {}
     group_of = [pairs.setdefault(pair, len(pairs)) for pair in zip(alt_row, null_row)]
@@ -149,7 +151,7 @@ class Ranking:
 
     def __post_init__(self) -> None:
         _refuse_inexact((int,), self.ranks, "ranks must be ints")
-        class_of = tuple(rank - 1 for rank in self.ranks)
+        class_of = tuple([rank - 1 for rank in self.ranks])
         if set(class_of) != set(range(len(class_of))):
             raise RankingError(f"a ranking needs each rank 1..{len(class_of)} exactly once: list every support label once")
         object.__setattr__(self, "class_of", class_of)
@@ -189,10 +191,11 @@ def ranking_from_order(model: DiscreteModel, labels_in_rank_order: Sequence[str]
     refuse_string(labels_in_rank_order, "rank order must be a list of support labels", RankingError)
     _refuse_inexact((str,), labels_in_rank_order, "rank order must list support labels")
     if len(labels_in_rank_order) != model.size:
-        raise RankingError(
-            f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points"
-        )
-    return _ranking_from_indices(model.size, (model.point(label).index for label in labels_in_rank_order))
+        raise RankingError(f"rank order lists {len(labels_in_rank_order)} labels for {model.size} points")
+    indices = list(map(model._by_label.get, labels_in_rank_order))
+    if None in indices:  # the first unknown label, refused by the model's own lookup
+        model.point(labels_in_rank_order[indices.index(None)])
+    return _ranking_from_indices(model.size, indices)
 
 
 def verify_agreement(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable
 
@@ -52,25 +53,29 @@ def ratio_terms(value: str | int | Fraction) -> tuple[int, int]:
 
 
 def ratio_row(values: Iterable[str | int | Fraction]) -> list[tuple[int, int]]:
-    """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string.
+    """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string and no regex per entry.
 
-    A pmf row shares a few denominators, each possibly thousands of digits
-    long (binomial n=4000: 6 or 12 per row), so each is read once.  Values
-    that are not strings matching the grammar go through ``ratio_terms``,
-    with its checks and messages.
+    A pmf row shares a few denominators, each possibly thousands of digits long (binomial n=4000: 6 or 12 per row).
+    Strings are checked as one text, stripped and joined by commas: with a comma only between values and nothing
+    but signs, ASCII digits and "/", ``int()`` reads each numerator as the grammar does, and each denominator must
+    be nonzero digits after a "/".  Any other row goes through ``ratio_terms``, which names its first bad entry.
     """
-    dens: dict[str | None, int] = {None: 1}
-    out = []
-    for value in values:
-        match = _RATIO.fullmatch(value) if isinstance(value, str) else None
-        if match is None:
-            out.append(ratio_terms(value))
-            continue
-        d = dens.get(match[2])
-        if d is None:
-            d = dens[match[2]] = int(match[2])
-        out.append((int(match[1]), d))
-    return out
+    values = tuple(values)
+    try:
+        text = ",".join(map(str.strip, values))  # a TypeError if a value is not a str
+        entries = text.split(",")
+        if len(entries) != len(values) or text.encode().translate(None, b"+-0123456789/,"):
+            raise ValueError
+        nums, slashes, dens = zip(*map(str.partition, entries, repeat("/")))
+        read = dict.fromkeys(dens)
+        if slashes.count("") != dens.count("") or not all(map(str.isdigit, filter(None, read))):
+            raise ValueError  # a "/" with nothing after it, or a sign or a second "/" after it
+        read = {d: int(d) if d else 1 for d in read}
+        if 0 not in read.values():
+            return list(zip(map(int, nums), map(read.__getitem__, dens)))
+    except (TypeError, ValueError):
+        pass
+    return list(map(ratio_terms, values))
 
 
 def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:
@@ -118,15 +123,10 @@ def format_ratios(numerators: Iterable[int], denominator: int) -> list[str]:
     Each reduced denominator is printed once, since most numerators on one
     lattice share a few common factors with it.
     """
-    texts: dict[int, str] = {}
-    out = []
-    for n in numerators:
-        g = gcd(n, denominator)
-        den = texts.get(g)
-        if den is None:
-            den = texts[g] = str(denominator // g)
-        out.append(f"{n // g}/{den}")
-    return out
+    numerators = tuple(numerators)
+    gcds = list(map(gcd, numerators, repeat(denominator)))
+    dens = {g: f"/{denominator // g}" for g in set(gcds)}
+    return [f"{n // g}{dens[g]}" for n, g in zip(numerators, gcds)]
 
 
 def decimal_ratio(numerator: int, denominator: int, places: int = 6) -> str:

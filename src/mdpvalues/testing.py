@@ -39,7 +39,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .model import DiscreteModel, SupportPoint, UsageError
 from .ranking import Ranking, Statistic
@@ -158,13 +158,13 @@ def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFa
 def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
     """The canonical alpha grid as sorted int numerators over ``scale``: class starts, 0, 1 and the midpoints.
 
-    ``scale`` must be a multiple of 2 * D_null for every family, so each
-    class start and each midpoint between neighbours is an integer on it.
+    ``scale`` must be a multiple of 2 * D_null for every family, so each class start is even on it and
+    each midpoint between neighbours an integer strictly between them: the grid alternates the two.
     """
     points = {0, scale}
     for family in families:
         den, _mass, before = family.lattice(family.model.null)
         c = scale // den
-        points.update(b * c for b in before)
+        points.update([b * c for b in before])
     grid = sorted(points)
-    return tuple(sorted(points.union((x + y) // 2 for x, y in zip(grid, grid[1:]))))
+    return (*chain.from_iterable(zip(grid, [(x + y) // 2 for x, y in zip(grid, grid[1:])])), grid[-1])

@@ -165,6 +165,22 @@ class TestValidation:
         with pytest.raises(ModelError, match=f"^{re.escape(fault)}, not the string '"):
             build()
 
+    @pytest.mark.parametrize("row, fault", [
+        ((True, (True,)), "needs int numerators over a positive int, got True"),
+        ((1, (True,)), "needs int numerators over a positive int, got 1"),
+        ((True, (1,)), "needs int numerators over a positive int, got True"),
+    ], ids=["bool-row", "bool-numerator", "bool-denominator"])
+    def test_a_bool_is_no_pmf_entry(self, row, fault):
+        """True == 1, so a row of bools would sum to its denominator, and ``model_to_dict`` would write "1/1"."""
+        with pytest.raises(ModelError, match=f"^pmf row for 't0' {re.escape(fault)}$"):
+            DiscreteModel((SupportPoint(0, "a"),), {"t0": Fraction(1, 2)}, {"t0": row})
+
+    def test_a_bool_is_no_support_id(self):
+        """SupportPoint(True, "b") at position 1 would pass as id 1."""
+        support = (SupportPoint(0, "a"), SupportPoint(True, "b"))
+        with pytest.raises(ModelError, match="^support ids must be contiguous from 0, got True at 1$"):
+            DiscreteModel(support, {"t0": Fraction(1, 2)}, {"t0": (2, (1, 1))})
+
     @pytest.mark.parametrize("value", [0.1, True, "1/2", None], ids=["float", "bool", "text", "none"])
     def test_parameters_must_be_ints_or_fractions(self, value):
         """A float parameter would be written by ``model_to_dict`` as its binary expansion, as if it were exact."""

@@ -49,12 +49,12 @@ def engine_sufficiency(model, statistic, thetas):
 
 
 def natural_order(theta, family_a, family_b):
-    """F_A <= F_B for the natural p-values under theta, read at the alpha kinks of both families."""
+    """F_A <= F_B for the natural p-values under theta, read at the alpha kinks after 0 of both families."""
     model = family_a.model
-    kinks = alpha_lattice(2 * model.int_row(model.null)[0], family_a, family_b)[::2]
+    steps = alpha_lattice(2 * model.int_row(model.null)[0], family_a, family_b)[2::2]
     families = (family_a, family_b)
-    classes = [_threshold_classes(family, kinks) for family in families]
-    return _natural_order("usual-order", families, kinks, classes, [theta], lambda theta: ("A", "B"))
+    classes = [_threshold_classes(family, steps) for family in families]
+    return _natural_order("usual-order", families, steps, classes, [theta], lambda theta: ("A", "B"))
 
 
 def c9_report(model, statistic, ranking):

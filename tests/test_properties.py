@@ -177,6 +177,49 @@ def test_one_gcd_per_row_is_per_entry_reduction(texts):
     assert reduced == (den, tuple(int(v * den) for v in values))
 
 
+# Entries the row reader must refuse as ratio_terms does: the listed ones, and the malformed shapes a split
+# at "," and "/" could misread.
+_BAD_ENTRIES = [0.5, True, None, "1/0", "1_0", "\u0661/\u0664", "0.5", "1e3", "1\x002", "",
+                "5/", "/5", "1/2/3", "5/-3", "5/+3", "1,2", "1 /2", "+", "1-2"]
+
+
+@st.composite
+def _rows_with_a_fault(draw):
+    """A row of valid entries, texts padded and signed, with leading zeros, over shared or distinct denominators,
+    ints and Fractions among them; with one bad entry at any position, or none."""
+    dens = draw(st.lists(st.integers(1, 10**30), min_size=1, max_size=3))
+    pad = st.sampled_from(["", " ", "\t", "\u2003"])
+    row = []
+    for _ in range(draw(st.integers(0, 12))):
+        n, d = draw(st.integers(-10**40, 10**40)), draw(st.sampled_from(dens))
+        sign, digits = "-" if n < 0 else draw(st.sampled_from(["", "+"])), "0" * draw(st.integers(0, 2)) + str(abs(n))
+        text = f"{sign}{digits}" + draw(st.sampled_from(["", f"/{'0' * draw(st.integers(0, 2))}{d}"]))
+        row.append(draw(st.sampled_from([draw(pad) + text + draw(pad), n, Fraction(n, d)])))
+    if draw(st.booleans()):
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(_BAD_ENTRIES)))
+    return row
+
+
+@given(_rows_with_a_fault())
+@example(["1/4", "2", " 1/4 "])
+@example(["1/4", "5/", "1"])
+@example(["1/2/3", "4"])
+@example(["1/2", "5/+3"])
+@example(["1,2", "3/4"])
+@example(["1/2", "\u0661/4"])
+@settings(max_examples=300, deadline=None)
+def test_ratio_row_reads_a_row_as_its_entries(row):
+    """``ratio_row`` of a row is ``ratio_terms`` of each entry, or the error ``ratio_terms`` raises for the first bad one."""
+    try:
+        expected = [ratio_terms(value) for value in row]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            ratio_row(row)
+        assert str(caught.value) == str(exc)
+    else:
+        assert ratio_row(row) == expected
+
+
 def test_ratio_row_reads_each_denominator_string_once():
     row = ["1/1024", "3/1024", "5/0001024", "-7/1024", "2", " 9/1024 "]
     expected = list(map(ratio_terms, row))

@@ -32,13 +32,28 @@ At binomial n = 1000 and 4000 a run also times the two CSV commands end
 to end, each in a fresh ``python -m mdpvalues`` process on the same tree:
 ``pvalues_s`` for ``mdpv pvalues --model binomial:n,1/2,3/5`` and
 ``cdf_s`` for ``mdpv cdf --model binomial:n,1/2,3/5 --theta theta1``.
-The sha256 of each CSV is kept, and the two columns must agree on it:
+The sha256 of each CSV is kept, and the two columns must agree on it.
+
+The per-op phase table times what one in-process ``mdpv verify --model
+FILE --ranking-file FILE`` op does, on model and ranking files of the
+benchmark's verify workloads' sizes (Bernoulli N = 128, theta 1/2 vs 4/5;
+binomial n = 100, theta 1/2 vs 4/7), each ranking the likelihood ratio's
+order with ties in label order.  An op is split into its phases, timed one
+after another: ``load`` (``registry.resolve_model`` of the file),
+``statistic`` (``default_statistic``), ``ranking`` (``cli._load_ranking``),
+``verify`` (``verify_all_claims``), ``json`` (draining ``reports_to_json``)
+and ``text`` (``reports_to_text``); ``main`` then times a whole
+``cli.main`` op writing its three files, as perfbench runs it.  Each tree
+runs OP_ROUNDS fresh processes per input of OP_BATCH timed ops each, after
+OP_WARMUP untimed ones, the trees alternating process by process; the
+table keeps each phase's 10th percentile and median, and the sha256 of the
+reports.json that every op wrote, which both columns must share:
 
     git archive PARENT | tar -x -C ../parent
     python tools/verify_scaling.py --parent ../parent/src --change src
 
 The script writes nothing but BENCH_verify.json at the repository root
-and the temporary model files, which it removes.
+and the temporary model and output files, which it removes.
 A column's commit is ``git describe`` of its tree, or the
 ``--parent-commit`` / ``--change-commit`` text where that cannot tell (a
 ``git archive`` copy has no history).
@@ -52,11 +67,17 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
+from io import StringIO
+from itertools import product
+from math import comb
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +92,10 @@ CSV_CASES = (1000, 4000)
 CSV_COMMANDS = {"pvalues": ["pvalues"], "cdf": ["cdf", "--theta", "theta1"]}
 # Outputs that every run of a case, in both columns, must repeat.
 SAME = ("output_bytes", *(f"{name}_sha256" for name in CSV_COMMANDS))
+# The per-op phase table: inputs (family, size, theta1), phases, and processes x timed ops per tree and input.
+OP_INPUTS = {"bernoulli N=128": ("bernoulli", 7, Fraction(4, 5)), "binomial n=100": ("binomial", 100, Fraction(4, 7))}
+PHASES = ("load", "statistic", "ranking", "verify", "json", "text", "main")
+OP_ROUNDS, OP_BATCH, OP_WARMUP = 10, 30, 10
 
 
 def cpu_name() -> str:
@@ -166,6 +191,90 @@ def time_commands(n: int) -> dict:
     return out
 
 
+def write_op_inputs(directory: Path, family: str, n: int, theta1: Fraction) -> tuple[Path, Path]:
+    """A theta0 = 1/2 vs theta1 model file and its likelihood-ratio ranking file, ties in label order."""
+    if family == "bernoulli":
+        labels = ["".join(bits) for bits in product("01", repeat=n)]
+        weights, ones = [1] * (n + 1), [label.count("1") for label in labels]
+    else:
+        labels = [str(k) for k in range(n + 1)]
+        weights, ones = [comb(n, k) for k in range(n + 1)], range(n + 1)
+    thetas = {"theta0": Fraction(1, 2), "theta1": theta1}
+    rows = {name: [weights[k] * t**k * (1 - t) ** (n - k) for k in ones] for name, t in thetas.items()}
+    text = lambda value: f"{value.numerator}/{value.denominator}"
+    model = {"parameters": {name: text(t) for name, t in thetas.items()}, "support": labels,
+             "pmf": {name: list(map(text, row)) for name, row in rows.items()}}
+    order = sorted(range(len(labels)), key=lambda i: (-rows["theta1"][i] / rows["theta0"][i], labels[i]))
+    model_path, ranking_path = directory / f"{family}.model.json", directory / f"{family}.ranking.json"
+    model_path.write_text(json.dumps(model, indent=1) + "\n")
+    ranking_path.write_text(json.dumps([labels[i] for i in order], indent=1) + "\n")
+    return model_path, ranking_path
+
+
+def run_ops(model_path: Path, ranking_path: Path, out: Path) -> dict:
+    """OP_BATCH timed verify ops, phase by phase, in this process, of the package first on the import path."""
+    from mdpvalues import cli
+    from mdpvalues.orders import reports_to_json, reports_to_text, verify_all_claims
+    from mdpvalues.registry import default_statistic, resolve_model
+
+    argv = ["verify", "--model", str(model_path), "--ranking-file", str(ranking_path), "--out", str(out)]
+    times: dict[str, list[float]] = {phase: [] for phase in PHASES}
+
+    def timed(phase: str, fn, *args):
+        start = time.perf_counter()
+        value = fn(*args)
+        times[phase].append(time.perf_counter() - start)
+        return value
+
+    for _ in range(OP_WARMUP + OP_BATCH):
+        model, _ = timed("load", resolve_model, str(model_path))
+        statistic = timed("statistic", default_statistic, model)
+        ranking = timed("ranking", cli._load_ranking, model, str(ranking_path))
+        reports = timed("verify", verify_all_claims, model, statistic, ranking, list(model.parameter_names))
+        text = timed("json", lambda: "".join(reports_to_json(reports)))
+        timed("text", reports_to_text, reports)
+        shutil.rmtree(out, ignore_errors=True)  # each op starts with no outputs, as perfbench's do
+        with redirect_stdout(StringIO()):
+            status = timed("main", cli.main, argv)
+        if status != 0 or (out / "reports.json").read_text(encoding="utf-8") != text:
+            raise SystemExit(f"{model_path.name}: exit status {status}, or reports.json is not the writer's text")
+    return {"times": {phase: values[OP_WARMUP:] for phase, values in times.items()},
+            "reports_sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def measure_ops(trees: dict[str, Path]) -> dict[str, dict]:
+    """Per column, per op input: each phase's 10th percentile and median over OP_ROUNDS x OP_BATCH ops."""
+    columns = list(trees)
+    runs: dict[str, dict[str, list[dict]]] = {column: {name: [] for name in OP_INPUTS} for column in columns}
+    with tempfile.TemporaryDirectory() as scratch:
+        inputs = {name: write_op_inputs(Path(scratch), *spec) for name, spec in OP_INPUTS.items()}
+        for repeat in range(OP_ROUNDS):
+            for column in columns if repeat % 2 == 0 else columns[::-1]:
+                env = {**os.environ, "PYTHONPATH": str(trees[column])}
+                for name, paths in inputs.items():
+                    done = subprocess.run([sys.executable, __file__, "--ops-child", *map(str, paths),
+                                           str(Path(scratch) / "out")], env=env, capture_output=True, text=True,
+                                          check=True)
+                    runs[column][name].append(json.loads(done.stdout))
+    table: dict[str, dict] = {column: {} for column in columns}
+    for name in OP_INPUTS:
+        digests = {run["reports_sha256"] for column in columns for run in runs[column][name]}
+        if len(digests) != 1:
+            raise SystemExit(f"{name}: the ops wrote different reports.json")
+        line = [f"{name:<16}"]
+        for column in columns:
+            times = {phase: [t for run in runs[column][name] for t in run["times"][phase]] for phase in PHASES}
+            table[column][name] = {
+                "ops": len(times["main"]),
+                "reports_sha256": next(iter(digests)),
+                **{phase: {"p10_s": statistics.quantiles(values, n=10)[0], "median_s": statistics.median(values)}
+                   for phase, values in times.items()},
+            }
+            line.append(column + "".join(f" {phase} {table[column][name][phase]['p10_s'] * 1e3:.3f}" for phase in PHASES))
+        print("  ".join(line) + " (p10, ms)", flush=True)
+    return table
+
+
 def run_child(src: Path, family: str, n: int) -> dict:
     """``run_case`` in a fresh interpreter that imports the package from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -224,15 +333,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-commit", default=None, help="commit of the parent tree (default: git describe)")
     parser.add_argument("--change-commit", default=None, help="commit of the changed tree (default: git describe)")
     parser.add_argument("--child", nargs=2, metavar=("FAMILY", "N"), help=argparse.SUPPRESS)
+    parser.add_argument("--ops-child", nargs=3, type=Path, metavar=("MODEL", "RANKING", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(run_case(args.child[0], int(args.child[1]))))
+        return 0
+    if args.ops_child:
+        print(json.dumps(run_ops(*args.ops_child)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     commits = {"parent": args.parent_commit, "change": args.change_commit}
+    ops = measure_ops(trees)
     cases = measure(trees)
     record = {
         "what": (
@@ -242,7 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             "output_bytes the size of that JSON, peak_rss_mb the peak resident set size of the run's process; "
             "pvalues_s and cdf_s the wall time of mdpv pvalues and mdpv cdf --theta theta1 in a fresh process "
             "at binomial n=1000 and 4000, with the sha256 of each CSV; "
-            "each run in a fresh process, the two columns alternating case by case and run by run"
+            "each run in a fresh process, the two columns alternating case by case and run by run; "
+            "ops: the per-op phase table of an in-process mdpv verify on model and ranking files of the "
+            "benchmark's verify sizes, each phase's 10th percentile and median in seconds"
         ),
         "repeat": REPEAT,
         "targets_s": TARGETS,
@@ -253,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
                 "cpu": cpu_name(),
                 "cpus": os.cpu_count(),
                 "cases": cases[column],
+                "ops": ops[column],
                 "targets_met": {
                     name: cases[column][name]["verify_s_median"] < limit for name, limit in TARGETS.items()
                 },
