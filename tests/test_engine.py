@@ -154,6 +154,21 @@ def test_direct_json_writer_matches_json_dumps():
             escapes.update(e for e in ('\\"', "\\\\", "\\u") if e in text)
             assert json.loads(text)[0]["claim"] == "C1"
     assert verdicts == {"pass", "fail", "skipped"} and len(escapes) == 3
+    grid = (0, 1, 2, 4, 8)
+    equal = tuple(list(grid))
+    assert equal == grid and equal is not grid
+    cases = {
+        "shared": [orders.OrderReport("C1", "pass", grid, 8, Fraction(0)),
+                   orders.OrderReport("C2", "fail", grid, 8, Fraction(-1, 3), 'w"\u03bb')],
+        "equal": [orders.OrderReport("C1", "pass", grid, 8, Fraction(0)),
+                  orders.OrderReport("C2", "pass", equal, 8, Fraction(1, 8), None, "n")],
+        "coarser": [orders.OrderReport("C1", "pass", grid, 16, Fraction(0)),
+                    orders.OrderReport("C3", "pass", grid[:4], 4, Fraction(0)),
+                    orders.OrderReport("C4", "pass", grid, 8, Fraction(0)),
+                    orders.OrderReport("C7", "skipped", (), 1, None, None, "empty")],
+    }
+    for reports in cases.values():
+        assert "".join(reports_to_json(reports)) == reports_json(reports)
 
 
 def test_empty_theta_grid_matches_reference(example1, lr, table1_ranking):
