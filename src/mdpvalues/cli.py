@@ -168,7 +168,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     model, model_id, statistic = _model_and_statistic(args)
     ranking = _load_ranking(model, args.ranking_file) if args.ranking_file else build_agreeing_ranking(model, statistic)
-    thetas = list(model.parameter_names) if args.thetas is None else [t for t in args.thetas.split(",") if t]
+    if args.thetas is None:
+        thetas = list(model.parameter_names)
+    else:
+        thetas = [t for t in args.thetas.split(",") if t]
     reports = verify_all_claims(model, statistic, ranking, thetas)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

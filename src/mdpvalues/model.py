@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -85,8 +85,7 @@ class DiscreteModel:
                 raise ModelError(f"pmf row for {name!r} needs int numerators over a positive int, got {den!r}")
             if min(numerators) < 0:
                 raise ModelError(f"negative probability under {name!r}")
-            total = sum(numerators)
-            if total != den:
+            if (total := sum(numerators)) != den:
                 raise ModelError(f"pmf for {name!r} sums to {Fraction(total, den)}, not 1")
         if 0 in self.rows[self.null][1]:
             raise ModelError("null pmf must be strictly positive on every support point")
@@ -148,7 +147,7 @@ def make_model(
     refuse_string(labels, "labels must be a list of support labels")
     for name, row in pmf.items():
         refuse_string(row, f"pmf row for {name!r} must be a list of probabilities")
-    support = tuple(map(SupportPoint, count(), map(str, labels)))
+    support = tuple(SupportPoint(i, str(lbl)) for i, lbl in enumerate(labels))
     try:
         params = {str(name): parse_rational(v) for name, v in parameters.items()}
         rows = {str(name): common_denominator(ratio_row(row)) for name, row in pmf.items()}
@@ -231,7 +230,7 @@ def model_from_dict(data: object) -> DiscreteModel:
     if not (isinstance(parameters, Mapping) and isinstance(pmf, Mapping)
             and all(isinstance(seq, (list, tuple)) for seq in (support, *pmf.values()))):
         raise ModelError("model spec needs 'parameters' and 'pmf' as objects, 'support' and each pmf row as arrays")
-    if not set(map(type, support)) <= {str} and not all(isinstance(label, str) for label in support):
+    if not all(isinstance(label, str) for label in support):
         raise ModelError("model spec needs every support label as a string")
     return make_model(support, parameters, pmf)
 

@@ -306,7 +306,7 @@ def verify_all_claims(
 
     # C9: convex-order chain of mid-p-values, on both families' mid-p jumps, the MD class starts (the
     # plateau points) and 1.
-    points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *[2 * s for s in md_before[1:]]}
+    points = {*_jumps(t_family, Fraction(1, 2)), *_jumps(md_family, Fraction(1, 2)), *(2 * s for s in md_before[1:])}
     reports.append(proved("C9", sorted(points), "means (1/2, 1/2)"))
 
     return reports

@@ -30,11 +30,10 @@ class RankingError(UsageError):
 
 def _refuse_inexact(kinds: tuple[type, ...], values: Iterable[object], fault: str) -> None:
     """Refuse the first bool or value not of ``kinds``: a float is never a key, rank or class index."""
-    if set(map(type, values)) <= set(kinds):  # one pass over the exact types; the loop names a fault
-        return
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise RankingError(f"{fault}, got {value!r}")
+    if not set(map(type, values)) <= set(kinds):  # one pass over the exact types; the loop names the first fault
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise RankingError(f"{fault}, got {value!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -132,8 +131,7 @@ def likelihood_ratio_statistic(model: DiscreteModel, null_name: str, alt_name: s
         raise RankingError("likelihood ratio needs a strictly positive null pmf")
     pairs: dict[tuple[int, int], int] = {}
     group_of = [pairs.setdefault(pair, len(pairs)) for pair in zip(alt_row, null_row)]
-    # Reducing pa/p0 and D0/Da apart keeps each gcd small, and the ratios are cheaper to sort; an exact quotient stays
-    # an int.
+    # Reducing pa/p0 and D0/Da apart keeps each gcd small and the ratios cheap to sort; an exact quotient stays an int.
     ratios = [Fraction(pa, p0) if pa % p0 else pa // p0 for pa, p0 in pairs]
     return _tie_classes(f"lr({alt_name}:{null_name})", ratios, group_of, Fraction(null_den, alt_den))
 
@@ -151,7 +149,7 @@ class Ranking:
 
     def __post_init__(self) -> None:
         _refuse_inexact((int,), self.ranks, "ranks must be ints")
-        class_of = tuple([rank - 1 for rank in self.ranks])
+        class_of = tuple(rank - 1 for rank in self.ranks)
         if set(class_of) != set(range(len(class_of))):
             raise RankingError(f"a ranking needs each rank 1..{len(class_of)} exactly once: list every support label once")
         object.__setattr__(self, "class_of", class_of)

@@ -7,6 +7,7 @@ exact ``fractions.Fraction``; decimal strings are display-only.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -56,25 +57,18 @@ def ratio_row(values: Iterable[str | int | Fraction]) -> list[tuple[int, int]]:
     """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string and no regex per entry.
 
     A pmf row shares a few denominators, each possibly thousands of digits long (binomial n=4000: 6 or 12 per row).
-    Strings are checked as one text, stripped and joined by commas: with a comma only between values and nothing
-    but signs, ASCII digits and "/", ``int()`` reads each numerator as the grammar does, and each denominator must
-    be nonzero digits after a "/".  Any other row goes through ``ratio_terms``, which names its first bad entry.
+    Builtin passes check a row of ASCII strings entry by entry: a sign or none and digits, then "/" and nonzero
+    digits or nothing.  Any other row goes through ``ratio_terms``, which names its first bad entry.
     """
     values = tuple(values)
-    try:
-        text = ",".join(map(str.strip, values))  # a TypeError if a value is not a str
-        entries = text.split(",")
-        if len(entries) != len(values) or text.encode().translate(None, b"+-0123456789/,"):
-            raise ValueError
-        nums, slashes, dens = zip(*map(str.partition, entries, repeat("/")))
+    with suppress(TypeError, ValueError):  # a value that is not a str, an empty row, or a second sign
+        nums, slashes, dens = zip(*map(str.partition, map(str.strip, values), repeat("/")))
         read = dict.fromkeys(dens)
-        if slashes.count("") != dens.count("") or not all(map(str.isdigit, filter(None, read))):
-            raise ValueError  # a "/" with nothing after it, or a sign or a second "/" after it
-        read = {d: int(d) if d else 1 for d in read}
-        if 0 not in read.values():
-            return list(zip(map(int, nums), map(read.__getitem__, dens)))
-    except (TypeError, ValueError):
-        pass
+        if (all(map(str.isascii, values)) and all(map(str.isdigit, map(str.lstrip, nums, repeat("+-"))))
+                and slashes.count("") == dens.count("") and all(map(str.isdigit, filter(None, read)))):
+            read = {d: int(d) if d else 1 for d in read}
+            if 0 not in read.values():
+                return list(zip(map(int, nums), map(read.__getitem__, dens)))
     return list(map(ratio_terms, values))
 
 
@@ -101,8 +95,7 @@ def common_denominator(ratios: Iterable[tuple[int, int]]) -> tuple[int, tuple[in
     ratios = tuple(ratios)
     scales = dict.fromkeys(d for _, d in ratios)
     den = lcm(*scales)
-    for d in scales:
-        scales[d] = den // d
+    scales = {d: den // d for d in scales}
     numerators = [n * scales[d] for n, d in ratios]
     g = gcd(den, *numerators)
     if g == 1:
@@ -123,10 +116,15 @@ def format_ratios(numerators: Iterable[int], denominator: int) -> list[str]:
     Each reduced denominator is printed once, since most numerators on one
     lattice share a few common factors with it.
     """
-    numerators = tuple(numerators)
-    gcds = list(map(gcd, numerators, repeat(denominator)))
-    dens = {g: f"/{denominator // g}" for g in set(gcds)}
-    return [f"{n // g}{dens[g]}" for n, g in zip(numerators, gcds)]
+    texts: dict[int, str] = {}
+    out = []
+    for n in numerators:
+        g = gcd(n, denominator)
+        den = texts.get(g)
+        if den is None:
+            den = texts[g] = str(denominator // g)
+        out.append(f"{n // g}/{den}")
+    return out
 
 
 def decimal_ratio(numerator: int, denominator: int, places: int = 6) -> str:

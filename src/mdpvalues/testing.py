@@ -39,7 +39,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .model import DiscreteModel, SupportPoint, UsageError
 from .ranking import Ranking, Statistic
@@ -165,6 +165,8 @@ def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
     for family in families:
         den, _mass, before = family.lattice(family.model.null)
         c = scale // den
-        points.update([b * c for b in before])
+        points.update(b * c for b in before)
     grid = sorted(points)
-    return (*chain.from_iterable(zip(grid, [(x + y) // 2 for x, y in zip(grid, grid[1:])])), grid[-1])
+    merged = grid + grid[1:]
+    merged[::2], merged[1::2] = grid, [(x + y) // 2 for x, y in zip(grid, grid[1:])]
+    return tuple(merged)
