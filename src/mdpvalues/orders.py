@@ -14,9 +14,9 @@ classes and the ranking's one class per rank, through one path
 integers only.  Each pmf row is held as numerators over its common
 denominator D_theta, so class masses, class starts and theta prefixes are
 ints; the alpha grid (class starts of both families, 0, 1 and the
-midpoints) is ints over 2 * D_null.  One two-pointer sweep of its kinks
-against each family's sorted class starts gives the threshold class k(alpha)
-there, which C1-C4 read; C5, C6, C8 and C9 are proved, no margin formed:
+midpoints) is ints over 2 * D_null.  Counting each family's class starts
+among its kinks gives the threshold class k(alpha) there, which C1-C4
+read; C5, C6, C8 and C9 are proved, no margin formed:
 
   - C3 and C4 read the natural CDFs at the kinks (the grid without
     midpoints), each the theta mass before the threshold class there
@@ -37,11 +37,12 @@ Each claim's margins are ints over one positive denominator, and each
 report keeps its grid as the sorted ints it was swept on, over that
 sweep's scale (``grid_num`` over ``grid_den``).  Only the worst margin and
 a failure's witness become Fractions, at the failing grid point or class.
-``reports_to_json`` writes one text per shared grid object (C1, C2, C6 and
+``reports_to_json`` rescales each shared grid object once (C1, C2, C6 and
 C8 hold the alpha grid, C3 and C4 its steps, all over 2 * D_null), reduces
-and prints each distinct grid point once, and yields the JSON in pieces.  No step CDF is
-built as an object: the claims sweep the class jumps and theta prefixes,
-and ``mdpv cdf`` prints the same lattice columns.
+and prints each distinct grid point once, and yields the JSON in pieces,
+one report grid at most per piece.  No step CDF is built as an object: the
+claims sweep the class jumps and theta prefixes, and ``mdpv cdf`` prints
+the same lattice columns.
 
 Claim summary, for a statistic T and an agreeing one-to-one ranking R:
   C1  natural MD decisions dominate in power at every theta and alpha (C3 on the alpha grid)
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -179,21 +180,22 @@ def _sufficiency(t_family: PValueFamily, thetas: Sequence[str]) -> tuple[bool, s
     identity between integer numerators, the class masses of
     ``t_family.lattice(theta)``.
     """
-    model, class_of = t_family.model, t_family.class_of
+    model = t_family.model
+    classes: dict[int, list[int]] = {}
+    for i, k in enumerate(t_family.class_of):
+        classes.setdefault(k, []).append(i)
     base = thetas[0]
     base_row, base_mass = model.int_row(base)[1], t_family.lattice(base)[1]
     for theta in thetas[1:]:
         row, mass = model.int_row(theta)[1], t_family.lattice(theta)[1]
-        lhs = [p * base_mass[k] for p, k in zip(row, class_of)]
-        rhs = [p * mass[k] for p, k in zip(base_row, class_of)]
-        if lhs != rhs:  # the first failing point of the first class, in the visiting order above
-            first = dict(zip(dict.fromkeys(class_of), count()))
-            i = min((i for i in range(len(lhs)) if lhs[i] != rhs[i]), key=lambda i: (first[class_of[i]], i))
-            statistic, point = t_family.source, model.support[i]
-            return False, (
-                f"conditional law given [{statistic.name}={statistic.value(point)}] differs: "
-                f"point {point.label!r} under {theta} vs {base}"
-            )
+        for k, points in classes.items():
+            for i in points:
+                if row[i] * base_mass[k] != base_row[i] * mass[k]:
+                    statistic, point = t_family.source, model.support[i]
+                    return False, (
+                        f"conditional law given [{statistic.name}={statistic.value(point)}] differs: "
+                        f"point {point.label!r} under {theta} vs {base}"
+                    )
     return True, None
 
 
@@ -327,11 +329,11 @@ def reports_to_json(reports: Sequence[OrderReport]) -> Iterator[str]:
     """The reports as JSON, every rational as "num/den" in lowest terms, as an iterator of pieces.
 
     Join the pieces for the text, or pass them to a file's ``writelines``:
-    no piece holds more than one report's grid.  Each distinct grid object
-    is rescaled to the lcm of the reports' grid denominators, and joined to
-    its text, once: C1, C2, C6 and C8 share the alpha grid, and C3 and C4
-    its steps.  Each distinct point of those grids is reduced and printed
-    once, by one ``format_ratios``.  The text is the layout of
+    no piece holds more than one report's grid, so the whole text is never
+    held at once.  Each distinct grid object is rescaled to the lcm of the
+    reports' grid denominators once (C1, C2, C6 and C8 share the alpha grid,
+    and C3 and C4 its steps), and each distinct point of those grids is
+    reduced and printed once, by one ``format_ratios``.  The text is the layout of
     ``json.dumps(..., indent=2, sort_keys=True)``, written directly: grid
     entries are digits and "/", which need no escaping, and the scalar
     fields go through ``json.dumps``' own string encoder.
@@ -347,13 +349,17 @@ def reports_to_json(reports: Sequence[OrderReport]) -> Iterator[str]:
             grids[key] = r.grid_num if c == 1 else list(map(c.__mul__, r.grid_num))
     points = list(dict.fromkeys(chain.from_iterable(grids.values())))
     text = dict(zip(points, format_ratios(points, scale)))
-    texts = {key: '[\n      "' + '",\n      "'.join(map(text.__getitem__, grid)) + '"\n    ]' if grid else "[]"
-             for key, grid in grids.items()}
     for i, r in enumerate(reports):
         margin = r.worst_margin
         worst = (None, None) if margin is None else _margin_texts(margin)
         yield f'{"," if i else "["}\n  {{\n    "claim": {_string(r.claim)},\n    "grid": '
-        yield texts[id(r.grid_num), r.grid_den]
+        grid = grids[id(r.grid_num), r.grid_den]
+        if grid:
+            yield '[\n      "'
+            yield '",\n      "'.join(map(text.__getitem__, grid))
+            yield '"\n    ]'
+        else:
+            yield "[]"
         yield (f',\n    "note": {_string(r.note)},\n    "verdict": {_string(r.verdict)},\n'
                f'    "witness": {_string(r.witness)},\n    "worst_margin": {_string(worst[0])},\n'
                f'    "worst_margin_dec": {_string(worst[1])}\n  }}')

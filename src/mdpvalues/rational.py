@@ -7,9 +7,7 @@ exact ``fractions.Fraction``; decimal strings are display-only.
 from __future__ import annotations
 
 import re
-from contextlib import suppress
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable
 
@@ -54,22 +52,25 @@ def ratio_terms(value: str | int | Fraction) -> tuple[int, int]:
 
 
 def ratio_row(values: Iterable[str | int | Fraction]) -> list[tuple[int, int]]:
-    """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string and no regex per entry.
+    """``ratio_terms`` of each value, with ``int()`` run once per distinct denominator string.
 
-    A pmf row shares a few denominators, each possibly thousands of digits long (binomial n=4000: 6 or 12 per row).
-    Builtin passes check a row of ASCII strings entry by entry: a sign or none and digits, then "/" and nonzero
-    digits or nothing.  Any other row goes through ``ratio_terms``, which names its first bad entry.
+    A pmf row shares a few denominators, each possibly thousands of digits
+    long (binomial n=4000: 6 or 12 per row), so each is read once.  Values
+    that are not strings matching the grammar go through ``ratio_terms``,
+    with its checks and messages.
     """
-    values = tuple(values)
-    with suppress(TypeError, ValueError):  # a value that is not a str, an empty row, or a second sign
-        nums, slashes, dens = zip(*map(str.partition, map(str.strip, values), repeat("/")))
-        read = dict.fromkeys(dens)
-        if (all(map(str.isascii, values)) and all(map(str.isdigit, map(str.lstrip, nums, repeat("+-"))))
-                and slashes.count("") == dens.count("") and all(map(str.isdigit, filter(None, read)))):
-            read = {d: int(d) if d else 1 for d in read}
-            if 0 not in read.values():
-                return list(zip(map(int, nums), map(read.__getitem__, dens)))
-    return list(map(ratio_terms, values))
+    dens: dict[str | None, int] = {None: 1}
+    out = []
+    for value in values:
+        match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            out.append(ratio_terms(value))
+            continue
+        d = dens.get(match[2])
+        if d is None:
+            d = dens[match[2]] = int(match[2])
+        out.append((int(match[1]), d))
+    return out
 
 
 def parse_ratio(value: str | int | Fraction) -> tuple[int, int]:

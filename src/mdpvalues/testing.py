@@ -158,8 +158,8 @@ def pvalue_family(model: DiscreteModel, source: Statistic | Ranking) -> PValueFa
 def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
     """The canonical alpha grid as sorted int numerators over ``scale``: class starts, 0, 1 and the midpoints.
 
-    ``scale`` must be a multiple of 2 * D_null for every family, so each class start is even on it and
-    each midpoint between neighbours an integer strictly between them: the grid alternates the two.
+    ``scale`` must be a multiple of 2 * D_null for every family, so each
+    class start and each midpoint between neighbours is an integer on it.
     """
     points = {0, scale}
     for family in families:
@@ -167,6 +167,4 @@ def alpha_lattice(scale: int, *families: PValueFamily) -> tuple[int, ...]:
         c = scale // den
         points.update(b * c for b in before)
     grid = sorted(points)
-    merged = grid + grid[1:]
-    merged[::2], merged[1::2] = grid, [(x + y) // 2 for x, y in zip(grid, grid[1:])]
-    return tuple(merged)
+    return tuple(sorted(grid + [(x + y) // 2 for x, y in zip(grid, grid[1:])]))  # two sorted runs, merged
